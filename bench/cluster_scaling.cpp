@@ -80,8 +80,8 @@ int main() {
         ccfg.replicas_per_shard = 2;
         ccfg.arrival_qps = qps;
         ccfg.seed = 2027;
-        ccfg.straggler.probability = 0.05;
-        ccfg.straggler.slowdown = 20.0;
+        ccfg.faults.slow.probability = 0.05;
+        ccfg.faults.slow_factor = 20.0;
         ccfg.hedge.enabled = hedging;
         ccfg.hedge.percentile = 95.0;
         ccfg.hedge.min_samples = 16;

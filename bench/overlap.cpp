@@ -81,7 +81,6 @@ int main() {
       gopt.pooled_memory = false;
       gopt.list_cache = false;  // fresh uploads: the overlap-relevant case
       gopt.copy_chunk_bytes = chunk;
-      gopt.double_buffer = chunk != 0;
       gpu::GpuEngine engine(idx, {}, gopt);
       const auto res = engine.execute(q);
       const auto& m = res.metrics;
@@ -130,7 +129,7 @@ int main() {
     for (const bool dbuf : {false, true}) {
       core::HybridOptions opt;
       opt.scheduler.prefetch = prefetch;
-      opt.gpu.double_buffer = dbuf;
+      if (!dbuf) opt.gpu.copy_chunk_bytes = 0;
       core::HybridEngine engine(idx, {}, opt);
       double serial_ms = 0.0, critical_ms = 0.0;
       sim::Duration h2d_busy;

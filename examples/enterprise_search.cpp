@@ -43,8 +43,9 @@ int main() {
     const auto g = gpu_engine.execute(q);
     const auto h = griffin.execute(q);
     std::string plan;
-    for (const auto p : h.metrics.placements) {
-      plan += (p == core::Placement::kGpu ? 'G' : 'C');
+    for (const auto& r : h.trace) {
+      if (r.kind != core::StepKind::kIntersect) continue;
+      plan += (r.placement == core::Placement::kGpu ? 'G' : 'C');
     }
     std::printf("%-4llu %6zu %8llu %12.3f %12.3f %12.3f %6s\n",
                 static_cast<unsigned long long>(q.id), q.terms.size(),

@@ -39,8 +39,9 @@ int main() {
     const auto h = griffin.execute(q);
     grif_ms.add(h.metrics.total.ms());
     migrations += h.metrics.migrations;
-    for (const auto p : h.metrics.placements) {
-      (p == core::Placement::kGpu ? gpu_steps : cpu_steps) += 1;
+    for (const auto& r : h.trace) {
+      if (r.kind != core::StepKind::kIntersect) continue;
+      (r.placement == core::Placement::kGpu ? gpu_steps : cpu_steps) += 1;
     }
   }
 

@@ -74,8 +74,9 @@ int main() {
   core::HybridEngine engine(idx);
   const auto res = engine.execute(q);
   std::printf("  placements: ");
-  for (const auto p : res.metrics.placements) {
-    std::printf("%c", p == core::Placement::kGpu ? 'G' : 'C');
+  for (const auto& r : res.trace) {
+    if (r.kind != core::StepKind::kIntersect) continue;
+    std::printf("%c", r.placement == core::Placement::kGpu ? 'G' : 'C');
   }
   std::printf("   migrations: %llu\n",
               static_cast<unsigned long long>(res.metrics.migrations));

@@ -9,16 +9,12 @@ namespace griffin::cluster {
 
 namespace {
 
-/// Normalizes the config the broker actually runs with: the legacy
-/// StragglerConfig knobs become the fault injector's "slow" site (unless
-/// that site was set directly, which wins), and the fault seed absorbs the
-/// cluster seed so two runs differing only in `seed` see different fault
-/// placements. With every site disarmed none of this is ever read.
+/// Validates and normalizes the config the broker actually runs with: the
+/// fault seed absorbs the cluster seed so two runs differing only in `seed`
+/// see different fault placements (with every site disarmed it is never
+/// read).
 ClusterConfig normalize(ClusterConfig cfg) {
-  if (cfg.straggler.probability > 0.0 && !cfg.faults.slow.armed()) {
-    cfg.faults.slow.probability = cfg.straggler.probability;
-    cfg.faults.slow_factor = cfg.straggler.slowdown;
-  }
+  checked_window(cfg.hedge.window);
   cfg.faults.seed ^= cfg.seed * 0x9e3779b97f4a7c15ULL;
   return cfg;
 }

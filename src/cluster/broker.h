@@ -36,20 +36,6 @@
 
 namespace griffin::cluster {
 
-/// Deterministic slow-node injection: with `probability` per (query, shard),
-/// the *primary* replica's service time is multiplied by `slowdown` (a GC
-/// pause, a flaky disk, a noisy neighbor). The hedge replica is a different
-/// machine and runs at normal speed — the scenario hedging exists for.
-///
-/// Alias kept for existing callers/benches: the broker folds this into the
-/// fault injector's "slow" site (ClusterConfig::faults) at construction —
-/// one injection mechanism, two spellings. Setting faults.slow directly
-/// takes precedence.
-struct StragglerConfig {
-  double probability = 0.0;
-  double slowdown = 10.0;
-};
-
 struct ClusterConfig {
   std::uint32_t num_shards = 4;
   PartitionStrategy partition = PartitionStrategy::kRoundRobin;
@@ -67,12 +53,15 @@ struct ClusterConfig {
   /// Gather-merge cost charged per participating shard.
   sim::Duration merge_per_shard = sim::Duration::from_us(3);
   double arrival_qps = 200.0;
-  StragglerConfig straggler;
   std::uint64_t seed = 1;
 
   /// Fault-injection schedule (DESIGN.md §11). Engine sites (gpu, pcie) are
   /// copied into every shard's HybridOptions with fault_scope = shard id;
   /// cluster sites (crash, slow, outages) drive the broker's attempt loop.
+  /// The slow site is the straggler model: the *primary* replica's service
+  /// time is multiplied by slow_factor (a GC pause, a flaky disk, a noisy
+  /// neighbor), while the hedge replica runs at normal speed — the scenario
+  /// hedging exists for.
   /// The fault seed is mixed with `seed` at construction so two runs that
   /// differ only in the cluster seed see different fault placements.
   fault::FaultConfig faults;
@@ -176,7 +165,7 @@ class ClusterBroker {
   const fault::FaultInjector& injector() const { return injector_; }
 
  private:
-  ClusterConfig cfg_;  ///< normalized: straggler folded into faults.slow
+  ClusterConfig cfg_;  ///< normalized: fault seed mixed with the seed
   fault::FaultInjector injector_;
   std::vector<std::unique_ptr<ShardNode>> nodes_;
 };

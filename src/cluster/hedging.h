@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/time.h"
@@ -58,10 +59,15 @@ struct HedgeConfig {
   /// no hedges fire during warm-up.
   std::uint32_t min_samples = 32;
   /// Sliding-window size for the estimate: only the most recent `window`
-  /// observations vote. 0 keeps every observation (the unbounded
-  /// pre-window behavior — memory grows with the run).
+  /// observations vote. Must be > 0 (rejected at construction).
   std::uint32_t window = 512;
 };
+
+/// A sliding window must hold at least one observation.
+inline std::uint32_t checked_window(std::uint32_t window) {
+  if (window == 0) throw std::invalid_argument("hedge window must be > 0");
+  return window;
+}
 
 /// Windowed per-resource occupancy of one replica, fed from the per-query
 /// timeline busy durations the shards report (core::OverlapCounters). The
@@ -71,7 +77,7 @@ struct HedgeConfig {
 class ReplicaOccupancy {
  public:
   ReplicaOccupancy(std::uint32_t window, std::uint32_t min_samples)
-      : window_(window), min_samples_(min_samples) {}
+      : window_(checked_window(window)), min_samples_(min_samples) {}
 
   struct Sample {
     std::array<sim::Duration, sim::kNumResources> busy{};
@@ -83,7 +89,7 @@ class ReplicaOccupancy {
       busy_[r] += s.busy[r];
     }
     span_ += s.span;
-    if (window_ == 0 || samples_.size() < window_) {
+    if (samples_.size() < window_) {
       samples_.push_back(s);
     } else {
       const Sample& old = samples_[next_];
@@ -131,7 +137,9 @@ class ReplicaOccupancy {
 
 class HedgeController {
  public:
-  explicit HedgeController(HedgeConfig cfg) : cfg_(cfg) {}
+  explicit HedgeController(HedgeConfig cfg) : cfg_(cfg) {
+    checked_window(cfg.window);
+  }
 
   const HedgeConfig& config() const { return cfg_; }
 
@@ -150,7 +158,7 @@ class HedgeController {
   /// overwritten (ring buffer).
   void record(sim::Duration shard_response) {
     const double ms = shard_response.ms();
-    if (cfg_.window == 0 || samples_.size() < cfg_.window) {
+    if (samples_.size() < cfg_.window) {
       samples_.push_back(ms);
     } else {
       samples_[next_] = ms;

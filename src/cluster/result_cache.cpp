@@ -1,18 +1,10 @@
 #include "cluster/result_cache.h"
 
-#include <algorithm>
-
 #include "util/rng.h"
 
 namespace griffin::cluster {
 
-CacheKey make_cache_key(const core::Query& q) {
-  CacheKey key;
-  key.terms = q.terms;
-  std::sort(key.terms.begin(), key.terms.end());
-  key.k = q.k;
-  return key;
-}
+CacheKey make_cache_key(const core::Query& q) { return CacheKey{q.terms, q.k}; }
 
 std::size_t CacheKeyHash::operator()(const CacheKey& key) const {
   std::uint64_t h = 0x6a09e667f3bcc908ULL ^ key.k;

@@ -3,10 +3,12 @@
 // results at the broker absorbs the head before it ever touches a shard
 // (saving the whole scatter/gather fan-out, not just one node's work).
 //
-// Keys are (sorted term-set, k): conjunctive AND is order-insensitive, so
-// "a b" and "b a" share an entry; k participates because a k=10 entry
-// cannot serve a k=100 request. Classic LRU over a doubly linked list +
-// hash map, O(1) lookup/insert/evict.
+// Keys are (term sequence, k), order-sensitive: the match set of a
+// conjunctive query ignores term order, but BM25 sums per-term scores in
+// query order, so "a b" and "b a" can differ in the last float bit and must
+// not share an entry. k participates because a k=10 entry cannot serve a
+// k=100 request. Classic LRU over a doubly linked list + hash map, O(1)
+// lookup/insert/evict.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +21,13 @@
 namespace griffin::cluster {
 
 struct CacheKey {
-  std::vector<index::TermId> terms;  ///< sorted ascending
+  std::vector<index::TermId> terms;  ///< in query order
   std::uint32_t k = 0;
 
   bool operator==(const CacheKey& o) const = default;
 };
 
-/// Builds the canonical (sorted terms, k) key for a query.
+/// Builds the (terms as given, k) key for a query.
 CacheKey make_cache_key(const core::Query& q);
 
 struct CacheKeyHash {

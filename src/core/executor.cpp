@@ -15,6 +15,18 @@ std::uint64_t split_share(double alpha, std::uint64_t n) {
       std::llround(std::clamp(alpha, 0.0, 1.0) * static_cast<double>(n)));
   return std::min(g, n);
 }
+
+/// The duration field of `stage` in a StepRecord or QueryMetrics.
+template <typename Breakdown>
+sim::Duration& stage_field(Breakdown& b, sim::Stage stage) {
+  switch (stage) {
+    case sim::Stage::kDecode: return b.decode;
+    case sim::Stage::kIntersect: return b.intersect;
+    case sim::Stage::kTransfer: return b.transfer;
+    case sim::Stage::kRank: break;
+  }
+  return b.rank;
+}
 }  // namespace
 
 void StepExecutor::begin_query(const Query& q) {
@@ -36,21 +48,21 @@ void StepExecutor::begin_query(const Query& q) {
   step_index_ = 0;
   batch_group_ = 0;
   leg_faulted_ = false;
-  if (gpu_ != nullptr) gpu_->begin_query(tl_, q.id, release_);
+  if (gpu_ != nullptr) gpu_->begin_query(*tl_, q.id, release_);
 }
 
 void StepExecutor::finish_query(QueryMetrics& m) {
-  tl_->set_scope(scope_);
   if (gpu_ != nullptr) gpu_->finish_query(m);  // drops prefetches, buffers
-  // The serial charges and the scope's timeline ops are the same set of
-  // durations: any divergence means a charge bypassed the timeline.
+  // The query's scope holds every op it recorded: its per-stage sums are
+  // the stage totals. The latency is the query's span on the (possibly
+  // shared) timeline: from its admission to its last op's completion. On a
+  // private timeline release is zero and this is exactly the critical
+  // path. Under contention the span can exceed the serial sum — queueing
+  // behind other tenants' ops — so overlap.saved may be negative there.
   const auto& sc = tl_->scope_stats(scope_);
-  assert(sc.serial == m.total);
-  // The query's latency is its span on the (possibly shared) timeline:
-  // from its admission to its last op's completion. On a private timeline
-  // release is zero and this is exactly the critical path. Under
-  // contention the span can exceed the serial sum — queueing behind other
-  // tenants' ops — so overlap.saved may be negative there.
+  for (std::size_t s = 0; s < sim::kNumStages; ++s) {
+    stage_field(m, static_cast<sim::Stage>(s)) = sc.stage[s];
+  }
   const sim::Duration span = sim::max(sc.finish, release_) - release_;
   m.overlap.saved = sc.serial - span;
   m.total = span;
@@ -73,25 +85,137 @@ std::uint64_t StepExecutor::intermediate_count() const {
   return host_current_.size();
 }
 
-void StepExecutor::dispatch(const PlanStep& step, const Query& q,
-                            QueryResult& res) {
+sim::Timeline::Event StepExecutor::cpu_op(sim::Duration d, sim::Stage stage,
+                                          sim::Timeline::Event wait) {
+  return tl_->record(cpu_stream_, sim::Resource::kCpu, stage, d, wait);
+}
+
+StepExecutor::StepTraits StepExecutor::traits(const PlanStep& step) {
+  StepTraits t;
+  StepRecord& r = t.rec;
+  if (const auto* d = std::get_if<DecodeStep>(&step)) {
+    const bool gpu = d->where == Placement::kGpu;
+    r.kind = StepKind::kDecode;
+    r.placement = d->where;
+    r.term = d->term;
+    r.resource = gpu ? sim::Resource::kGpuCompute : sim::Resource::kCpu;
+    t.stage = sim::Stage::kDecode;
+    t.gpu_chain = t.gpu_compute = t.dev_alloc = gpu;
+    t.fault_terms[t.num_fault_terms++] = d->term;
+  } else if (const auto* i = std::get_if<IntersectStep>(&step)) {
+    r.kind = StepKind::kIntersect;
+    r.placement = i->where;
+    r.term = i->term;
+    r.shape = i->shape;
+    r.alpha = i->alpha;
+    r.resource = i->where == Placement::kCpu ? sim::Resource::kCpu
+                                             : sim::Resource::kGpuCompute;
+    t.stage = sim::Stage::kIntersect;
+    t.gpu_chain = i->where != Placement::kCpu;
+    t.gpu_compute = i->where == Placement::kGpu;
+    // A split's GPU leg allocates too; its *compute* fault is drawn inside
+    // run_split, where losing the leg degrades only the device range.
+    t.dev_alloc = i->where != Placement::kCpu;
+    t.fault_terms[t.num_fault_terms++] = i->term;
+    if (i->first_pair) t.fault_terms[t.num_fault_terms++] = i->probe_term;
+  } else if (const auto* x = std::get_if<TransferStep>(&step)) {
+    const bool h2d = x->direction == TransferDirection::kHostToDevice;
+    r.kind = StepKind::kTransfer;
+    r.placement = h2d ? Placement::kGpu : Placement::kCpu;
+    r.migration = x->migration;
+    r.resource = h2d ? sim::Resource::kCopyH2D : sim::Resource::kCopyD2H;
+    t.stage = sim::Stage::kTransfer;
+    t.gpu_chain = true;
+    // Only the H2D direction allocates on the device; a D2H drain lands in
+    // pinned host memory. A transfer names no terms to retire: the
+    // intermediate is not a cached list.
+    t.dev_alloc = h2d;
+  } else if (const auto* p = std::get_if<PrefetchStep>(&step)) {
+    r.kind = StepKind::kPrefetch;
+    r.placement = Placement::kGpu;
+    r.term = p->term;
+    r.resource = sim::Resource::kCopyH2D;
+    t.stage = sim::Stage::kTransfer;
+    t.gpu_chain = t.dev_alloc = true;
+  } else if (const auto* h = std::get_if<HostDecodeStep>(&step)) {
+    r.kind = StepKind::kHostDecode;  // host work: kCpu placement/resource
+    r.term = h->term;
+    t.stage = sim::Stage::kDecode;
+  } else {
+    r.kind = StepKind::kRank;
+    t.stage = sim::Stage::kRank;
+  }
+  return t;
+}
+
+StepExecutor::FaultAction StepExecutor::draw_fault(const StepTraits& t,
+                                                   QueryMetrics& m) const {
+  if (injector_ == nullptr || svs_ == nullptr) return FaultAction::kNone;
+  // An ECC-style device fault abandons a kGpu compute step — and with it
+  // the query's device residency — but only loses a prefetch's optional
+  // upload.
+  const bool prefetch = t.rec.kind == StepKind::kPrefetch;
+  if ((t.gpu_compute || prefetch) &&
+      injector_->gpu_step_fault(fault_scope_, query_id_, step_index_)) {
+    return prefetch ? FaultAction::kDropPrefetch : FaultAction::kAbandon;
+  }
+  // Device memory pressure at an allocation site: walk the degradation
+  // ladder (DESIGN.md §16). Rung 1 evicts cold cache bytes, rung 2 unfuses
+  // the cross-query batch — both recover *on the device* and the step
+  // proceeds; a faulted prefetch is simply dropped; rung 3 abandons the
+  // step and re-plans it (and only it) host-side.
+  if (!t.dev_alloc ||
+      !injector_->oom_fault(fault_scope_, query_id_, step_index_)) {
+    return FaultAction::kNone;
+  }
+  ++m.faults.oom_faults;
+  if (gpu_->list_cache().size() > 0) return FaultAction::kEvict;
+  if (batch_group_ != 0) return FaultAction::kUnfuse;
+  return prefetch ? FaultAction::kDropPrefetch : FaultAction::kReplan;
+}
+
+void StepExecutor::abandon_gpu_step(const StepTraits& t, bool oom,
+                                    StepRecord& rec, QueryMetrics& m) {
+  const auto& cfg = injector_->config();
+  const sim::Duration waste = sim::Duration::from_us(
+      oom ? cfg.oom_replan_cost_us : cfg.gpu_fault_cost_us);
+  gpu_->set_chain(frontier_);
+  gpu_->charge_fault(waste, t.stage);  // one compute op of wasted time
+  // The simulated ECC error retires the step's lists' cached pages.
+  gpu_->fault_reset(std::span<const index::TermId>(t.fault_terms.data(),
+                                                   t.num_fault_terms),
+                    m);
+  frontier_ = gpu_->chain();
+  if (oom) {
+    ++m.faults.oom_degraded_steps;
+    m.faults.oom_recovery += waste;
+  } else {
+    ++m.faults.gpu_faults;
+    m.faults.gpu_wasted += waste;
+  }
+  rec.faulted = true;
+  rec.resource = sim::Resource::kGpuCompute;  // where the waste ran
+  rec.migration = false;  // an abandoned upload flipped nothing
+}
+
+sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
+                                            const Query& q, QueryResult& res) {
   QueryMetrics& m = res.metrics;
   if (const auto* d = std::get_if<DecodeStep>(&step)) {
     if (d->where == Placement::kGpu) {
       assert(gpu_ != nullptr);
       gpu_->load_single(d->term, m);
       loc_ = Placement::kGpu;
-    } else {
-      assert(svs_ != nullptr);
-      svs_->decode_single(d->term, host_current_, m);
-      loc_ = Placement::kCpu;
+      return gpu_->chain();
     }
-    return;
+    assert(svs_ != nullptr);
+    loc_ = Placement::kCpu;
+    return cpu_op(svs_->decode_single(d->term, host_current_, m),
+                  sim::Stage::kDecode, frontier_);
   }
   if (const auto* i = std::get_if<IntersectStep>(&step)) {
-    if (i->where == Placement::kSplit) {
-      run_split(*i, res);
-    } else if (i->where == Placement::kGpu) {
+    if (i->where == Placement::kSplit) return run_split(*i, m);
+    if (i->where == Placement::kGpu) {
       assert(gpu_ != nullptr);
       if (i->first_pair) {
         gpu_->intersect_first(i->probe_term, i->term, m);
@@ -99,16 +223,15 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
         gpu_->intersect_next(i->term, m);
       }
       loc_ = Placement::kGpu;
-    } else {
-      assert(svs_ != nullptr);
-      if (i->first_pair) {
-        svs_->first_pair(i->probe_term, i->term, host_current_, m);
-      } else {
-        svs_->next_step(host_current_, i->term, m);
-      }
-      loc_ = Placement::kCpu;
+      return gpu_->chain();
     }
-    return;
+    assert(svs_ != nullptr);
+    const sim::Duration d =
+        i->first_pair ? svs_->first_pair(i->probe_term, i->term,
+                                         host_current_, m)
+                      : svs_->next_step(host_current_, i->term, m);
+    loc_ = Placement::kCpu;
+    return cpu_op(d, sim::Stage::kIntersect, frontier_);
   }
   if (const auto* t = std::get_if<TransferStep>(&step)) {
     assert(gpu_ != nullptr);
@@ -120,12 +243,14 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
       loc_ = Placement::kCpu;
     }
     if (t->migration) ++m.migrations;
-    return;
+    return gpu_->chain();
   }
   if (const auto* p = std::get_if<PrefetchStep>(&step)) {
     assert(gpu_ != nullptr);
-    gpu_->prefetch(p->term, m);  // intermediate and location unchanged
-    return;
+    // Intermediate, location and chain unchanged: later steps don't wait
+    // on a prefetch unless they consume it.
+    gpu_->prefetch(p->term, m);
+    return frontier_;
   }
   if (const auto* h = std::get_if<HostDecodeStep>(&step)) {
     // Inter-step pipelining (DESIGN.md §15): the host core decodes a later
@@ -135,11 +260,8 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
     // plan frontier: no step *depends* on it, a consumer simply finds the
     // list in the decoded cache.
     assert(svs_ != nullptr);
-    const sim::Duration c0 = m.total;
-    svs_->decode_ahead(h->term, m);
-    tl_->record(cpu_stream_, sim::Resource::kCpu, m.total - c0,
-                sim::Timeline::Event{});
-    return;
+    cpu_op(svs_->decode_ahead(h->term, m), sim::Stage::kDecode, {});
+    return frontier_;
   }
   // RankStep: BM25 + partial_sort on the host. Scoring uses the query's
   // original term order, not the SvS length order: float accumulation order
@@ -150,8 +272,8 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
   sim::CpuCostAccumulator rank(rank_spec_);
   scorer_->score(q.terms, host_current_, res.topk, rank);
   cpu::top_k(res.topk, q.k, rank);
-  m.add_stage(rank.time(), &m.rank);
   m.simd += rank.simd();
+  return cpu_op(rank.time(), sim::Stage::kRank, frontier_);
 }
 
 sim::Timeline::Event StepExecutor::run_cpu_leg(
@@ -162,13 +284,12 @@ sim::Timeline::Event StepExecutor::run_cpu_leg(
     out.clear();
     return ready;
   }
-  const sim::Duration c0 = m.total;
-  svs_->partial_step(probes, t, out, m);
-  return tl_->record(cpu_stream_, sim::Resource::kCpu, m.total - c0, ready);
+  return cpu_op(svs_->partial_step(probes, t, out, m),
+                sim::Stage::kIntersect, ready);
 }
 
-void StepExecutor::run_split(const IntersectStep& i, QueryResult& res) {
-  QueryMetrics& m = res.metrics;
+sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
+                                             QueryMetrics& m) {
   assert(svs_ != nullptr && gpu_ != nullptr);
   const sim::Timeline::Event entry = frontier_;
 
@@ -198,7 +319,7 @@ void StepExecutor::run_split(const IntersectStep& i, QueryResult& res) {
       // of the plan gets pinned host-side (run() returns kOkForceCpu).
       const sim::Duration waste =
           sim::Duration::from_us(injector_->config().gpu_fault_cost_us);
-      gpu_->charge_fault(waste, &m.intersect, m);
+      gpu_->charge_fault(waste, sim::Stage::kIntersect);
       const index::TermId ft[1] = {i.term};
       gpu_->fault_reset(std::span<const index::TermId>(ft, 1), m);
       const sim::Timeline::Event fault_evt = gpu_->chain();
@@ -237,10 +358,9 @@ void StepExecutor::run_split(const IntersectStep& i, QueryResult& res) {
     sim::Timeline::Event probe_ready = entry;
     std::vector<codec::DocId> probes_storage;
     if (i.first_pair) {
-      const sim::Duration c0 = m.total;
-      svs_->materialize_probes(i.probe_term, probes_storage, m);
-      probe_ready = tl_->record(cpu_stream_, sim::Resource::kCpu,
-                                m.total - c0, entry);
+      probe_ready =
+          cpu_op(svs_->materialize_probes(i.probe_term, probes_storage, m),
+                 sim::Stage::kIntersect, entry);
     } else {
       probes_storage.swap(host_current_);
     }
@@ -257,7 +377,7 @@ void StepExecutor::run_split(const IntersectStep& i, QueryResult& res) {
       gpu_->set_chain(probe_ready);
       const sim::Duration waste =
           sim::Duration::from_us(injector_->config().gpu_fault_cost_us);
-      gpu_->charge_fault(waste, &m.intersect, m);
+      gpu_->charge_fault(waste, sim::Stage::kIntersect);
       const index::TermId ft[1] = {i.term};
       gpu_->fault_reset(std::span<const index::TermId>(ft, 1), m);
       const sim::Timeline::Event fault_evt = gpu_->chain();
@@ -288,100 +408,27 @@ void StepExecutor::run_split(const IntersectStep& i, QueryResult& res) {
   cpu_out.insert(cpu_out.end(), gpu_partial.begin(), gpu_partial.end());
   host_current_ = std::move(cpu_out);
   loc_ = Placement::kCpu;
-  split_done_ = sim::Timeline::join(cpu_done, gpu_done);
-  m.placements.push_back(Placement::kSplit);
+  return sim::Timeline::join(cpu_done, gpu_done);
 }
 
-void StepExecutor::abandon_gpu_step(const PlanStep& step, QueryResult& res,
-                                    sim::Duration waste, bool oom) {
-  QueryMetrics& m = res.metrics;
-  StepRecord rec;
-  rec.faulted = true;
-  rec.query = query_id_;
-  rec.placement = Placement::kGpu;
-  rec.resource = sim::Resource::kGpuCompute;
-
-  // The affected terms: invalidated in the device cache by the reset (the
-  // simulated ECC error retired their pages). A faulted transfer names no
-  // terms — the intermediate is not a cached list.
-  index::TermId terms[2];
-  std::size_t num_terms = 0;
-  sim::Duration* stage = &m.intersect;
-  if (const auto* d = std::get_if<DecodeStep>(&step)) {
-    rec.kind = StepKind::kDecode;
-    rec.term = d->term;
-    terms[num_terms++] = d->term;
-    stage = &m.decode;
-  } else if (const auto* i = std::get_if<IntersectStep>(&step)) {
-    rec.kind = StepKind::kIntersect;
-    rec.placement = i->where;  // a faulted kSplit step records as kSplit
-    rec.term = i->term;
-    rec.shape = i->shape;
-    rec.alpha = i->alpha;
-    terms[num_terms++] = i->term;
-    if (i->first_pair) terms[num_terms++] = i->probe_term;
-  } else {
-    // The OOM ladder bottoming out on an H2D migration: the allocation
-    // failed before any bytes moved, so the intermediate never left the
-    // host. The waste is allocator machinery, charged as transfer time.
-    const auto& t = std::get<TransferStep>(step);
-    assert(t.direction == TransferDirection::kHostToDevice);
-    (void)t;
-    rec.kind = StepKind::kTransfer;
-    stage = &m.transfer;
-  }
-
-  const std::size_t ops0 = tl_->num_ops();
-  gpu_->set_chain(frontier_);
-  gpu_->charge_fault(waste, stage, m);  // serial charge + compute-stream op
-  gpu_->fault_reset(std::span<const index::TermId>(terms, num_terms), m);
-  frontier_ = gpu_->chain();
-  if (oom) {
-    ++m.faults.oom_degraded_steps;
-    m.faults.oom_recovery += waste;
-  } else {
-    ++m.faults.gpu_faults;
-    m.faults.gpu_wasted += waste;
-  }
-
-  rec.duration = waste;
-  if (stage == &m.decode) {
-    rec.decode = waste;
-  } else if (stage == &m.transfer) {
-    rec.transfer = waste;
-  } else {
-    rec.intersect = waste;
-  }
-  rec.output_count = intermediate_count();
-  if (tl_->num_ops() > ops0) {
-    rec.issue = tl_->ops()[ops0].issue;
-    rec.start = tl_->ops()[ops0].start;
-    rec.end = tl_->ops()[ops0].end;
-  } else {
+void StepExecutor::settle(StepRecord& rec, std::size_t ops0) const {
+  const auto& ops = tl_->ops();
+  if (ops0 == ops.size()) {
     rec.issue = rec.start = rec.end = frontier_.at;
+    return;
   }
-  assert(tl_->scope_stats(scope_).serial == m.total);
-  res.trace.push_back(rec);
-}
-
-void StepExecutor::drop_faulted_prefetch(const PrefetchStep& p,
-                                         QueryResult& res) {
-  QueryMetrics& m = res.metrics;
-  ++m.faults.prefetch_faults;
-  // Zero-duration faulted record: the fault fired before the DMA was
-  // enqueued, so nothing was charged and the device cache never saw the
-  // list. The plan continues unchanged — a prefetch is optional work whose
-  // consumer simply misses the cache later.
-  StepRecord rec;
-  rec.faulted = true;
-  rec.query = query_id_;
-  rec.kind = StepKind::kPrefetch;
-  rec.placement = Placement::kGpu;
-  rec.resource = sim::Resource::kCopyH2D;
-  rec.term = p.term;
-  rec.output_count = intermediate_count();
-  rec.issue = rec.start = rec.end = frontier_.at;
-  res.trace.push_back(rec);
+  rec.issue = ops[ops0].issue;
+  rec.start = ops[ops0].start;
+  rec.end = ops[ops0].end;
+  for (std::size_t i = ops0; i < ops.size(); ++i) {
+    const sim::Timeline::Op& op = ops[i];
+    const sim::Duration d = op.end - op.start;
+    stage_field(rec, op.stage) += d;
+    rec.duration += d;
+    rec.issue = sim::min(rec.issue, op.issue);
+    rec.start = sim::min(rec.start, op.start);
+    rec.end = sim::max(rec.end, op.end);
+  }
 }
 
 StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
@@ -389,226 +436,70 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
   // Co-tenant executors share one timeline; re-select this query's scope
   // so the step's ops are charged to it.
   tl_->set_scope(scope_);
-
-  // One classification pass over the step, shared by the fault checks and
-  // the record/frontier plumbing below. GPU-dispatched steps record their
-  // own timeline ops (ledgers + kernels) chained off the plan frontier;
-  // split and host-decode steps manage their own ops inside dispatch;
-  // everything else becomes one CPU op.
-  bool gpu_step = false;          ///< dispatch drives the GpuExecutor chain
-  bool split_step = false;        ///< kSplit: both legs, joined frontier
-  bool host_decode_step = false;  ///< unchained CPU work-ahead
-  bool gpu_compute = false;       ///< kGpu-placed kernels (not kSplit)
-  bool dev_alloc = false;         ///< step allocates device memory (OOM site)
-  const auto* prefetch = std::get_if<PrefetchStep>(&step);
-  if (const auto* d = std::get_if<DecodeStep>(&step)) {
-    gpu_step = d->where == Placement::kGpu;
-    gpu_compute = gpu_step;
-    dev_alloc = gpu_step;
-  } else if (const auto* i = std::get_if<IntersectStep>(&step)) {
-    gpu_step = i->where == Placement::kGpu;
-    split_step = i->where == Placement::kSplit;
-    gpu_compute = gpu_step;
-    // A split's GPU leg allocates too; its *compute* fault is drawn inside
-    // run_split, where losing the leg degrades only the device range.
-    dev_alloc = i->where != Placement::kCpu;
-  } else if (const auto* t = std::get_if<TransferStep>(&step)) {
-    gpu_step = true;
-    // Only the H2D direction allocates on the device; a D2H drain lands in
-    // pinned host memory.
-    dev_alloc = t->direction == TransferDirection::kHostToDevice;
-  } else if (prefetch != nullptr) {
-    gpu_step = true;
-    dev_alloc = true;
-  } else if (std::holds_alternative<HostDecodeStep>(step)) {
-    host_decode_step = true;
-  }
+  QueryMetrics& m = res.metrics;
+  const StepTraits t = traits(step);
+  StepRecord rec = t.rec;
+  rec.query = query_id_;
+  const std::size_t ops0 = tl_->num_ops();
+  const std::uint64_t kernels0 = m.gpu_kernels;
+  const sim::SimdCounters simd0 = m.simd;
 
   // Pre-dispatch fault checks (DESIGN.md §11/§16): every fault fires before
   // the step's kernels or DMAs consume anything, so the device state from
   // the last committed step stays intact and recovery can drain it through
   // the normal migration path.
-  enum class OomRung : std::uint8_t { kNone, kEvict, kUnfuse };
-  OomRung rung = OomRung::kNone;
-  if (injector_ != nullptr && svs_ != nullptr) {
-    // An ECC-style device fault on a kGpu compute step abandons the query's
-    // device residency wholesale.
-    if (gpu_compute &&
-        injector_->gpu_step_fault(fault_scope_, query_id_, step_index_)) {
-      abandon_gpu_step(
-          step, res,
-          sim::Duration::from_us(injector_->config().gpu_fault_cost_us),
-          /*oom=*/false);
-      ++step_index_;
-      return StepStatus::kFaultQuery;
-    }
-    // The same fault on a prefetch upload just loses optional work.
-    if (prefetch != nullptr &&
-        injector_->gpu_step_fault(fault_scope_, query_id_, step_index_)) {
-      drop_faulted_prefetch(*prefetch, res);
-      ++step_index_;
-      return StepStatus::kOk;
-    }
-    // Device memory pressure at an allocation site: walk the degradation
-    // ladder (DESIGN.md §16). Rung 1 evicts cold cache bytes, rung 2
-    // unfuses the cross-query batch — both recover *on the device* and the
-    // step proceeds; a faulted prefetch is simply dropped; rung 3 abandons
-    // the step and re-plans it (and only it) host-side.
-    if (dev_alloc &&
-        injector_->oom_fault(fault_scope_, query_id_, step_index_)) {
-      ++res.metrics.faults.oom_faults;
-      if (gpu_->list_cache().size() > 0) {
-        rung = OomRung::kEvict;
-      } else if (batch_group_ != 0) {
-        rung = OomRung::kUnfuse;
-      } else if (prefetch != nullptr) {
-        drop_faulted_prefetch(*prefetch, res);
-        ++step_index_;
-        return StepStatus::kOk;
-      } else {
-        abandon_gpu_step(
-            step, res,
-            sim::Duration::from_us(injector_->config().oom_replan_cost_us),
-            /*oom=*/true);
-        ++step_index_;
-        return StepStatus::kFaultStep;
-      }
-    }
-  }
-
-  QueryMetrics& m = res.metrics;
-  StepRecord rec;
-  rec.query = query_id_;
-  const sim::Duration total0 = m.total;
-  const sim::Duration decode0 = m.decode;
-  const sim::Duration intersect0 = m.intersect;
-  const sim::Duration transfer0 = m.transfer;
-  const sim::Duration rank0 = m.rank;
-  const std::uint64_t kernels0 = m.gpu_kernels;
-  const sim::SimdCounters simd0 = m.simd;
-  const std::size_t ops0 = tl_->num_ops();
-
-  if (gpu_step || split_step) gpu_->set_chain(frontier_);
-  // Apply the chosen OOM rung inside the record window (after the stage
-  // snapshots, chained on the frontier), so its recovery charges show up in
-  // this step's StepRecord and the retried allocation waits the recovery
-  // out on the timeline.
-  if (rung == OomRung::kEvict) {
-    gpu_->oom_evict(m);
-    frontier_ = gpu_->chain();
-  } else if (rung == OomRung::kUnfuse) {
-    // Shrinking the fused launch back to a single query frees the K-way
-    // working set; the relaunch overhead is the recovery cost. Only the
-    // faulted query unfuses — co-batched lanes keep their tag.
-    const sim::Duration d =
-        sim::Duration::from_us(injector_->config().oom_unfuse_cost_us);
-    sim::Duration* stage = &m.intersect;
-    if (std::holds_alternative<DecodeStep>(step)) stage = &m.decode;
-    if (std::holds_alternative<TransferStep>(step) || prefetch != nullptr) {
-      stage = &m.transfer;
-    }
-    gpu_->charge_fault(d, stage, m);
-    m.faults.oom_recovery += d;
-    ++m.faults.oom_unfused;
-    set_batch(1, 0);
-    frontier_ = gpu_->chain();
-  }
-  rec.batch_group = batch_group_;
-
-  dispatch(step, q, res);
-
-  if (const auto* d = std::get_if<DecodeStep>(&step)) {
-    rec.kind = StepKind::kDecode;
-    rec.placement = d->where;
-    rec.term = d->term;
-    rec.resource = d->where == Placement::kGpu ? sim::Resource::kGpuCompute
-                                               : sim::Resource::kCpu;
-  } else if (const auto* i = std::get_if<IntersectStep>(&step)) {
-    rec.kind = StepKind::kIntersect;
-    rec.placement = i->where;
-    rec.term = i->term;
-    rec.shape = i->shape;
-    rec.alpha = i->alpha;
-    rec.resource = i->where == Placement::kCpu ? sim::Resource::kCpu
-                                               : sim::Resource::kGpuCompute;
-  } else if (const auto* t = std::get_if<TransferStep>(&step)) {
-    rec.kind = StepKind::kTransfer;
-    rec.placement = t->direction == TransferDirection::kHostToDevice
-                        ? Placement::kGpu
-                        : Placement::kCpu;
-    rec.migration = t->migration;
-    rec.resource = t->direction == TransferDirection::kHostToDevice
-                       ? sim::Resource::kCopyH2D
-                       : sim::Resource::kCopyD2H;
-  } else if (const auto* p = std::get_if<PrefetchStep>(&step)) {
-    rec.kind = StepKind::kPrefetch;
-    rec.placement = Placement::kGpu;
-    rec.term = p->term;
-    rec.resource = sim::Resource::kCopyH2D;
-  } else if (const auto* h = std::get_if<HostDecodeStep>(&step)) {
-    rec.kind = StepKind::kHostDecode;
-    rec.placement = Placement::kCpu;
-    rec.term = h->term;
-    rec.resource = sim::Resource::kCpu;
+  StepStatus status = StepStatus::kOk;
+  const FaultAction fault = draw_fault(t, m);
+  if (fault == FaultAction::kAbandon || fault == FaultAction::kReplan) {
+    const bool oom = fault == FaultAction::kReplan;
+    abandon_gpu_step(t, oom, rec, m);
+    status = oom ? StepStatus::kFaultStep : StepStatus::kFaultQuery;
+  } else if (fault == FaultAction::kDropPrefetch) {
+    // Zero-duration faulted record: the fault fired before the DMA was
+    // enqueued, so nothing was charged and the device cache never saw the
+    // list. The plan continues unchanged — a prefetch is optional work
+    // whose consumer simply misses the cache later.
+    ++m.faults.prefetch_faults;
+    rec.faulted = true;
   } else {
-    rec.kind = StepKind::kRank;
-    rec.placement = Placement::kCpu;
-    rec.resource = sim::Resource::kCpu;
+    if (t.gpu_chain) gpu_->set_chain(frontier_);
+    // The recovering OOM rungs run inside the step (chained on the
+    // frontier), so their ops land in this step's record and the retried
+    // allocation waits the recovery out on the timeline.
+    if (fault == FaultAction::kEvict) {
+      gpu_->oom_evict(m);
+      frontier_ = gpu_->chain();
+    } else if (fault == FaultAction::kUnfuse) {
+      // Shrinking the fused launch back to a single query frees the K-way
+      // working set; the relaunch overhead is the recovery cost. Only the
+      // faulted query unfuses — co-batched lanes keep their tag.
+      const sim::Duration d =
+          sim::Duration::from_us(injector_->config().oom_unfuse_cost_us);
+      gpu_->charge_fault(d, t.stage);
+      m.faults.oom_recovery += d;
+      ++m.faults.oom_unfused;
+      set_batch(1, 0);
+      frontier_ = gpu_->chain();
+    }
+    rec.batch_group = batch_group_;
+    frontier_ = dispatch(step, q, res);
+    if (leg_faulted_) {
+      // run_split lost its GPU leg but completed the step host-side: the
+      // caller pins the remainder of the plan to the CPU (the device is no
+      // longer trusted for this query).
+      rec.leg_faulted = true;
+      leg_faulted_ = false;
+      status = StepStatus::kOkForceCpu;
+    }
   }
+
   rec.output_count = intermediate_count();
   rec.gpu_kernels = m.gpu_kernels - kernels0;
-  rec.duration = m.total - total0;
-  rec.decode = m.decode - decode0;
-  rec.intersect = m.intersect - intersect0;
-  rec.transfer = m.transfer - transfer0;
-  rec.rank = m.rank - rank0;
   rec.simd = m.simd - simd0;
-
-  if (split_step) {
-    // Both legs' completion, joined by run_split.
-    frontier_ = split_done_;
-  } else if (gpu_step) {
-    // Prefetches leave the chain untouched, so the frontier is unchanged
-    // for them — later steps don't wait on a prefetch unless they use it.
-    frontier_ = gpu_->chain();
-  } else if (host_decode_step) {
-    // The work-ahead recorded its own unchained CPU op; the plan frontier
-    // deliberately does not advance (nothing depends on it).
-  } else {
-    frontier_ = tl_->record(cpu_stream_, sim::Resource::kCpu, rec.duration,
-                            frontier_);
-  }
-
-  // Timeline placement of the whole step: first issue to last completion
-  // over the ops it recorded (a zero-op step pins all three to the
-  // frontier). Co-tenant steps never interleave at op granularity — the
-  // DeviceManager steps one lane at a time — so [ops0, end) is this step.
-  if (tl_->num_ops() > ops0) {
-    const auto& ops = tl_->ops();
-    rec.issue = ops[ops0].issue;
-    rec.start = ops[ops0].start;
-    rec.end = ops[ops0].end;
-    for (std::size_t i = ops0 + 1; i < ops.size(); ++i) {
-      rec.issue = sim::min(rec.issue, ops[i].issue);
-      rec.start = sim::min(rec.start, ops[i].start);
-      rec.end = sim::max(rec.end, ops[i].end);
-    }
-  } else {
-    rec.issue = rec.start = rec.end = frontier_.at;
-  }
-  // Every serial charge must have been mirrored as a timeline op.
-  assert(tl_->scope_stats(scope_).serial == m.total);
-  rec.leg_faulted = leg_faulted_;
+  settle(rec, ops0);
   res.trace.push_back(rec);
   ++step_index_;
-  if (leg_faulted_) {
-    // run_split lost its GPU leg but completed the step host-side: the
-    // caller pins the remainder of the plan to the CPU (the device is no
-    // longer trusted for this query).
-    leg_faulted_ = false;
-    return StepStatus::kOkForceCpu;
-  }
-  return StepStatus::kOk;
+  return status;
 }
 
 QueryResult run_plan(Planner& planner, StepExecutor& exec, const Query& q) {

@@ -5,13 +5,15 @@
 // GpuExecutor, the GPU-only engine no SvsStepper) — the degenerate
 // scheduler policies guarantee the corresponding steps are never planned.
 //
-// Every run() appends a StepRecord to QueryResult::trace by snapshotting
-// the QueryMetrics stage totals around the dispatch, so per-step durations
-// sum to the stage totals *by construction* — the backends' charging code
-// is untouched, which is what keeps execution bit-identical to the
-// pre-plan-layer engines.
+// The query's sim::Timeline is its only ledger: every charge the backends
+// make is one stage-tagged op there. run() derives each step's StepRecord
+// (stage split, duration, issue/start/end) from the ops the step recorded,
+// and finish_query() derives the QueryMetrics stage totals from all of the
+// query's ops, so per-step durations sum to the stage totals *by
+// construction*.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -85,16 +87,17 @@ class StepExecutor : public ResidencyProbe {
   /// The query keys fault coordinates.
   void begin_query(const Query& q);
 
-  /// Executes one step: charges res.metrics through the backend, mirrors
-  /// the charges onto the timeline, and appends the StepRecord (with its
-  /// issue/start/end placement) to res.trace. The returned StepStatus tells
-  /// the caller which planner recovery hook to invoke, if any — run_plan
-  /// and the tenancy DeviceManager dispatch on it.
+  /// Executes one step — the backends record its charges as stage-tagged
+  /// timeline ops and count its counters into res.metrics — and appends
+  /// the StepRecord derived from those ops to res.trace. The returned
+  /// StepStatus tells the caller which planner recovery hook to invoke, if
+  /// any — run_plan and the tenancy DeviceManager dispatch on it.
   StepStatus run(const PlanStep& step, const Query& q, QueryResult& res);
 
   /// Releases device buffers (dropping unconsumed prefetches into m), then
-  /// settles the asynchronous accounting: m.total becomes the timeline's
-  /// critical path and m.overlap.saved the exact serial difference, so
+  /// settles m's durations from the query's timeline scope: the four stage
+  /// totals are its per-stage op sums, m.total its span (the critical path)
+  /// and m.overlap.saved the exact serial difference, so
   /// decode + intersect + transfer + rank == total + overlap.saved in
   /// integer picoseconds.
   void finish_query(QueryMetrics& m);
@@ -129,27 +132,54 @@ class StepExecutor : public ResidencyProbe {
   void set_batch(std::uint32_t size, std::uint64_t group);
 
  private:
-  void dispatch(const PlanStep& step, const Query& q, QueryResult& res);
-  /// The fault-abort path of run(): charges `waste` as lost device time,
-  /// resets the GpuExecutor's per-step state, and appends the faulted
-  /// StepRecord. `oom` selects which FaultCounters the abandon lands in
-  /// (gpu_faults/gpu_wasted vs oom_degraded_steps/oom_recovery).
-  void abandon_gpu_step(const PlanStep& step, QueryResult& res,
-                        sim::Duration waste, bool oom);
-  /// A device fault (or a bottomed-out OOM ladder) killed a kPrefetch
-  /// upload: append a zero-duration faulted record and count it. The cache
-  /// is never touched — the dropped upload cannot poison it — and the plan
-  /// continues unchanged (a prefetch is optional work).
-  void drop_faulted_prefetch(const PrefetchStep& p, QueryResult& res);
+  /// What run() needs to know about a step, read off the plan-step variant
+  /// in one place (traits()): the record skeleton, the stage its recovery
+  /// charges land in, and the fault sites it exposes (DESIGN.md §11/§16).
+  struct StepTraits {
+    StepRecord rec;  ///< kind, placement, term, shape, alpha, resource, ...
+    sim::Stage stage = sim::Stage::kIntersect;  ///< where recovery lands
+    bool gpu_chain = false;    ///< dispatch chains device ops off the frontier
+    bool gpu_compute = false;  ///< kGpu-placed kernels (device-fault site)
+    bool dev_alloc = false;    ///< allocates device memory (OOM site)
+    /// The lists whose cached pages an abandon retires.
+    std::array<index::TermId, 2> fault_terms{};
+    std::uint8_t num_fault_terms = 0;
+  };
+  /// What an injected fault does to the step about to run.
+  enum class FaultAction : std::uint8_t {
+    kNone,
+    kAbandon,       ///< device fault: re-plan the query (kFaultQuery)
+    kReplan,        ///< OOM ladder rung 3: re-plan the step (kFaultStep)
+    kDropPrefetch,  ///< the optional upload is lost; the plan continues
+    kEvict,         ///< OOM rung 1: free cold cache bytes, then run
+    kUnfuse,        ///< OOM rung 2: leave the fused batch, then run
+  };
+
+  static StepTraits traits(const PlanStep& step);
+  /// Draws the step's fault coordinates and picks the recovery; counts an
+  /// OOM hit into m.
+  FaultAction draw_fault(const StepTraits& t, QueryMetrics& m) const;
+  /// The fault-abort path of run(): charges the lost device time (or the
+  /// allocator stall, when `oom`) as one compute op, resets the
+  /// GpuExecutor's per-step state, counts the abandon, and marks `rec`
+  /// faulted.
+  void abandon_gpu_step(const StepTraits& t, bool oom, StepRecord& rec,
+                        QueryMetrics& m);
+  /// Executes the step on its backend and returns the new plan frontier.
+  sim::Timeline::Event dispatch(const PlanStep& step, const Query& q,
+                                QueryResult& res);
+  /// Records `d` of host work as one CPU-stream op of `stage`.
+  sim::Timeline::Event cpu_op(sim::Duration d, sim::Stage stage,
+                              sim::Timeline::Event wait);
   /// Executes a kSplit intersect (DESIGN.md §15): partitions the sorted
   /// probe side at index round((1-alpha)*n) — low docID range to the CPU's
   /// SvS stepper, high range to the GPU's binary-search kernels — runs both
   /// legs concurrently on their timeline streams, and concatenates the
   /// docID-disjoint partials into a host-side intermediate (bit-identical
-  /// to the unsplit result). Sets split_done_ to join(cpu leg, gpu leg);
-  /// run() adopts it as the new plan frontier.
-  void run_split(const IntersectStep& i, QueryResult& res);
-  /// The CPU leg of run_split: partial_step over the probe prefix, mirrored
+  /// to the unsplit result). Returns join(cpu leg, gpu leg), the new plan
+  /// frontier.
+  sim::Timeline::Event run_split(const IntersectStep& i, QueryMetrics& m);
+  /// The CPU leg of run_split: partial_step over the probe prefix, recorded
   /// as one CPU-stream op waiting on `ready`. Returns its completion (or
   /// `ready` unchanged for an empty leg).
   sim::Timeline::Event run_cpu_leg(std::span<const codec::DocId> probes,
@@ -157,6 +187,12 @@ class StepExecutor : public ResidencyProbe {
                                    std::vector<codec::DocId>& out,
                                    sim::Timeline::Event ready,
                                    QueryMetrics& m);
+  /// Derives rec's stage split, duration and issue/start/end from the ops
+  /// its step recorded: [ops0, end) of the timeline, since co-tenant steps
+  /// never interleave at op granularity (the DeviceManager steps one lane
+  /// at a time). A step that recorded nothing pins all three instants to
+  /// the frontier.
+  void settle(StepRecord& rec, std::size_t ops0) const;
 
   sim::CpuSpec rank_spec_;
   cpu::SvsStepper* svs_;
@@ -180,10 +216,6 @@ class StepExecutor : public ResidencyProbe {
   /// op must wait on. GPU steps advance it through the GpuExecutor's chain;
   /// prefetch and host-decode steps deliberately leave it alone.
   sim::Timeline::Event frontier_;
-  /// Completion of the last kSplit step (join of both legs); consumed by
-  /// run() as the frontier since neither gpu_->chain() nor a single CPU op
-  /// covers both legs.
-  sim::Timeline::Event split_done_;
   /// Set by run_split when an injected device fault killed the GPU leg
   /// (the step still completed, host-side); consumed by run(), which marks
   /// the StepRecord and returns kOkForceCpu.

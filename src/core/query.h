@@ -78,10 +78,11 @@ struct StepShape {
   std::optional<Placement> current_location;  ///< where the intermediate lives
 };
 
-/// One executed plan step, as appended to QueryResult::trace. The four stage
-/// fields are the *deltas* the step added to the QueryMetrics stage totals,
-/// so summing any stage over a trace reproduces that QueryMetrics field
-/// exactly — every charge in the system happens inside some step.
+/// One executed plan step, as appended to QueryResult::trace. The duration
+/// fields and the issue/start/end placement are derived from the timeline
+/// ops the step recorded, and the QueryMetrics stage totals from all of the
+/// query's ops, so summing any stage over a trace reproduces that
+/// QueryMetrics field exactly — every op in the system belongs to some step.
 struct StepRecord {
   StepKind kind = StepKind::kDecode;
   /// The query this step belongs to (Query::id). Under multi-tenancy the
@@ -129,9 +130,9 @@ struct StepRecord {
   sim::SimdCounters simd;
   /// Timeline placement (DESIGN.md §10): when the step's first op could
   /// issue (stream + event dependencies met), when its resource actually
-  /// started it, and when its last op finished. duration still sums the
-  /// serial charges, so end - start < duration exactly when the step's own
-  /// ops overlapped each other (double-buffered decode).
+  /// started it, and when its last op finished. duration sums the op
+  /// durations, so end - start < duration exactly when the step's own ops
+  /// overlapped each other (double-buffered decode).
   sim::Duration issue;
   sim::Duration start;
   sim::Duration end;
@@ -307,11 +308,13 @@ struct OverlapCounters {
   }
 };
 
-/// Per-query latency breakdown in simulated time. Since the asynchronous
-/// timeline (DESIGN.md §10), `total` is the *critical path* — what a wall
-/// clock would measure with copies overlapping kernels — while the four
-/// stage durations keep their serial meaning, so the stage identity is
+/// Per-query latency breakdown in simulated time, settled once when the
+/// query finishes from its timeline scope (DESIGN.md §10): `total` is the
+/// *critical path* — what a wall clock would measure with copies
+/// overlapping kernels — while the four stage durations are the serial op
+/// sums per stage, so the stage identity is
 ///   decode + intersect + transfer + rank == total + overlap.saved.
+/// Per-step placements live in QueryResult::trace.
 struct QueryMetrics {
   sim::Duration total;
   sim::Duration decode;
@@ -325,12 +328,6 @@ struct QueryMetrics {
   OverlapCounters overlap;        ///< copy/compute-overlap accounting
   fault::FaultCounters faults;    ///< injected-fault / degradation counters
   sim::SimdCounters simd;         ///< lane accounting over the CPU's vector loops
-  std::vector<Placement> placements;  ///< one per intersection step
-
-  void add_stage(sim::Duration d, sim::Duration* stage) {
-    total += d;
-    *stage += d;
-  }
 };
 
 struct QueryResult {

@@ -43,9 +43,9 @@ const std::vector<codec::DocId>* SvsStepper::cached_only(
   return hit;
 }
 
-void SvsStepper::first_pair(index::TermId a, index::TermId b,
-                            std::vector<codec::DocId>& out,
-                            core::QueryMetrics& m) {
+sim::Duration SvsStepper::first_pair(index::TermId a, index::TermId b,
+                                     std::vector<codec::DocId>& out,
+                                     core::QueryMetrics& m) {
   const auto& l0 = idx_->list(a).docids;
   const auto& l1 = idx_->list(b).docids;
   sim::CpuCostAccumulator acc(spec_);
@@ -74,13 +74,12 @@ void SvsStepper::first_pair(index::TermId a, index::TermId b,
       merge_intersect(l0, l1, out, acc);
     }
   }
-  m.add_stage(acc.time(), &m.intersect);
   m.simd += acc.simd();
-  m.placements.push_back(core::Placement::kCpu);
+  return acc.time();
 }
 
-void SvsStepper::next_step(std::vector<codec::DocId>& current, index::TermId t,
-                           core::QueryMetrics& m) {
+sim::Duration SvsStepper::next_step(std::vector<codec::DocId>& current,
+                                    index::TermId t, core::QueryMetrics& m) {
   const auto& lt = idx_->list(t).docids;
   sim::CpuCostAccumulator acc(spec_);
   const double ratio = static_cast<double>(lt.size()) /
@@ -102,26 +101,26 @@ void SvsStepper::next_step(std::vector<codec::DocId>& current, index::TermId t,
     }
   }
   current.swap(out_scratch_);
-  m.add_stage(acc.time(), &m.intersect);
   m.simd += acc.simd();
-  m.placements.push_back(core::Placement::kCpu);
+  return acc.time();
 }
 
-void SvsStepper::materialize_probes(index::TermId t,
-                                    std::vector<codec::DocId>& out,
-                                    core::QueryMetrics& m) {
+sim::Duration SvsStepper::materialize_probes(index::TermId t,
+                                             std::vector<codec::DocId>& out,
+                                             core::QueryMetrics& m) {
   sim::CpuCostAccumulator acc(spec_);
   const auto probes = decode_via_cache(t, probe_scratch_, acc, m);
   out.assign(probes.begin(), probes.end());
-  m.add_stage(acc.time(), &m.intersect);
   m.simd += acc.simd();
+  return acc.time();
 }
 
-void SvsStepper::partial_step(std::span<const codec::DocId> probes,
-                              index::TermId t, std::vector<codec::DocId>& out,
-                              core::QueryMetrics& m) {
+sim::Duration SvsStepper::partial_step(std::span<const codec::DocId> probes,
+                                       index::TermId t,
+                                       std::vector<codec::DocId>& out,
+                                       core::QueryMetrics& m) {
   out.clear();
-  if (probes.empty()) return;
+  if (probes.empty()) return {};
   const auto& lt = idx_->list(t).docids;
   sim::CpuCostAccumulator acc(spec_);
   const double ratio = static_cast<double>(lt.size()) /
@@ -140,20 +139,22 @@ void SvsStepper::partial_step(std::span<const codec::DocId> probes,
       merge_intersect(probes, lt, out, acc);
     }
   }
-  m.add_stage(acc.time(), &m.intersect);
   m.simd += acc.simd();
+  return acc.time();
 }
 
-void SvsStepper::decode_ahead(index::TermId t, core::QueryMetrics& m) {
-  if (host_decoded(t)) return;  // already paid — nothing to work ahead on
+sim::Duration SvsStepper::decode_ahead(index::TermId t,
+                                       core::QueryMetrics& m) {
+  if (host_decoded(t)) return {};  // already paid — nothing to work ahead on
   sim::CpuCostAccumulator acc(spec_);
   decode_via_cache(t, probe_scratch_, acc, m);
-  m.add_stage(acc.time(), &m.decode);
   m.simd += acc.simd();
+  return acc.time();
 }
 
-void SvsStepper::decode_single(index::TermId t, std::vector<codec::DocId>& out,
-                               core::QueryMetrics& m) {
+sim::Duration SvsStepper::decode_single(index::TermId t,
+                                        std::vector<codec::DocId>& out,
+                                        core::QueryMetrics& m) {
   sim::CpuCostAccumulator acc(spec_);
   const auto docs = decode_via_cache(t, out, acc, m);
   if (docs.data() != out.data()) {
@@ -162,8 +163,8 @@ void SvsStepper::decode_single(index::TermId t, std::vector<codec::DocId>& out,
     // charges nothing.
     out.assign(docs.begin(), docs.end());
   }
-  m.add_stage(acc.time(), &m.decode);
   m.simd += acc.simd();
+  return acc.time();
 }
 
 }  // namespace griffin::cpu

@@ -2,7 +2,7 @@
 // (cpu/engine.cpp) and the hybrid engine's CPU steps (core/hybrid_engine.cpp),
 // which previously re-implemented it. One stepper owns the per-pair choice
 // between the sequential merge and the skip-pointer binary search (chosen by
-// the length ratio, paper §2.1.2/§2.2), the stage/placement accounting, and
+// the length ratio, paper §2.1.2/§2.2), the per-step cost accounting, and
 // the optional host decoded-postings cache (cpu/decoded_cache.h).
 //
 // Cache interplay, chosen so a cold query costs exactly what it does with
@@ -49,45 +49,51 @@ class SvsStepper {
              SvsOptions opt, DecodedCache* cache)
       : idx_(&idx), spec_(spec), opt_(opt), cache_(cache) {}
 
+  // Every step below returns its host-time charge; the caller records it on
+  // the timeline under the stage named here. Cache and lane counters land
+  // in `m` directly.
+
   /// First pair of a query: both sides are full lists, |a| <= |b|.
-  /// Charges m.intersect and records a kCpu placement.
-  void first_pair(index::TermId a, index::TermId b,
-                  std::vector<codec::DocId>& out, core::QueryMetrics& m);
+  /// Intersect stage.
+  sim::Duration first_pair(index::TermId a, index::TermId b,
+                           std::vector<codec::DocId>& out,
+                           core::QueryMetrics& m);
 
   /// Intersects the current (decoded) intermediate with list t in place.
-  void next_step(std::vector<codec::DocId>& current, index::TermId t,
-                 core::QueryMetrics& m);
+  /// Intersect stage.
+  sim::Duration next_step(std::vector<codec::DocId>& current, index::TermId t,
+                          core::QueryMetrics& m);
 
-  /// Single-term query: decodes the whole list. Charges m.decode.
-  void decode_single(index::TermId t, std::vector<codec::DocId>& out,
-                     core::QueryMetrics& m);
+  /// Single-term query: decodes the whole list. Decode stage.
+  sim::Duration decode_single(index::TermId t, std::vector<codec::DocId>& out,
+                              core::QueryMetrics& m);
 
   // ---- Co-execution support (DESIGN.md §15) ----------------------------
 
   /// Materializes the probe side of a split first-pair intersect: decodes
   /// list t fully (via the cache, like the skip path's probe decode) into
-  /// `out`. Charges m.intersect — the decode is part of the intersect step,
-  /// exactly as in the unsplit skip path. No placement is recorded; the
-  /// executor records one kSplit placement for the whole step.
-  void materialize_probes(index::TermId t, std::vector<codec::DocId>& out,
-                          core::QueryMetrics& m);
+  /// `out`. Intersect stage — the decode is part of the intersect step,
+  /// exactly as in the unsplit skip path.
+  sim::Duration materialize_probes(index::TermId t,
+                                   std::vector<codec::DocId>& out,
+                                   core::QueryMetrics& m);
 
   /// The CPU leg of a split intersect: intersects the (sorted, decoded)
   /// probe range with list t, appending matches to `out`. Chooses skip vs
   /// merge by the leg's own length ratio — the same rule next_step applies,
   /// with the same cache interplay — so a degenerate alpha=0 split computes
-  /// exactly what the unsplit CPU step would. Charges m.intersect; records
-  /// no placement.
-  void partial_step(std::span<const codec::DocId> probes, index::TermId t,
-                    std::vector<codec::DocId>& out, core::QueryMetrics& m);
+  /// exactly what the unsplit CPU step would. Intersect stage.
+  sim::Duration partial_step(std::span<const codec::DocId> probes,
+                             index::TermId t, std::vector<codec::DocId>& out,
+                             core::QueryMetrics& m);
 
   /// Inter-step pipelining (kHostDecode): decodes list t into the decoded
-  /// cache while the device runs the current step. Charges m.decode with
+  /// cache while the device runs the current step. Decode stage, charging
   /// exactly the cost a later consumer would have paid; with the cache
   /// disabled (or the list too big to fit) the decode is charged and the
-  /// result discarded — the planner bet on hiding it either way. No-op
-  /// (zero charge) when t is already cached.
-  void decode_ahead(index::TermId t, core::QueryMetrics& m);
+  /// result discarded — the planner bet on hiding it either way. Zero when
+  /// t is already cached.
+  sim::Duration decode_ahead(index::TermId t, core::QueryMetrics& m);
 
   /// Stat-free residency probe (core::StepShape::longer_host_decoded).
   bool host_decoded(index::TermId t) const {

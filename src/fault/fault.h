@@ -85,7 +85,6 @@ struct FaultConfig {
   SiteConfig crash;
   /// Slow replicas (the straggler model): per (query, shard) coordinate,
   /// multiplying the primary replica's service time by `slow_factor`.
-  /// cluster::StragglerConfig is an alias onto this site.
   SiteConfig slow;
   /// Device memory pressure (DESIGN.md §16): per (scope, query, step-index)
   /// coordinate, checked for every step that allocates device memory — a

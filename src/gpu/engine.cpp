@@ -29,20 +29,18 @@ GpuExecutor::GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw,
         return pcie::Link(spec);
       }()) {}
 
-void GpuExecutor::begin_query(sim::Timeline* tl, std::uint64_t query_id,
+void GpuExecutor::begin_query(sim::Timeline& tl, std::uint64_t query_id,
                               sim::Duration release) {
   current_ = simt::DeviceBuffer<DocId>();
   current_count_ = kNoIntermediate;
   prefetch_.clear();
-  tl_ = tl;
+  tl_ = &tl;
   chain_ = sim::Timeline::Event{release};
   fault_query_ = query_id;
   transfer_seq_ = 0;
   batch_size_ = 1;
-  if (tl_ != nullptr) {
-    copy_stream_ = tl_->stream(release);
-    compute_stream_ = tl_->stream(release);
-  }
+  copy_stream_ = tl.stream(release);
+  compute_stream_ = tl.stream(release);
 }
 
 void GpuExecutor::finish_query(core::QueryMetrics& m) {
@@ -53,7 +51,7 @@ void GpuExecutor::finish_query(core::QueryMetrics& m) {
   chain_ = sim::Timeline::Event{};
 }
 
-void GpuExecutor::charge_kernel(const sim::KernelStats& s, sim::Duration* stage,
+void GpuExecutor::charge_kernel(const sim::KernelStats& s, sim::Stage stage,
                                 core::QueryMetrics& m, std::uint32_t kernels) {
   sim::Duration d = cost_.kernel_time(s);
   if (batch_size_ > 1) {
@@ -76,18 +74,9 @@ void GpuExecutor::charge_kernel(const sim::KernelStats& s, sim::Duration* stage,
     const double share = 1.0 / static_cast<double>(batch_size_);
     d = overhead * share + body * std::max(fill, share);
   }
-  m.add_stage(d, stage);
   m.gpu_kernels += kernels;
-  if (tl_ != nullptr) {
-    chain_ = tl_->record(compute_stream_, sim::Resource::kGpuCompute, d,
-                         chain_);
-  }
-}
-
-void GpuExecutor::charge_ledger(const pcie::TransferLedger& ledger,
-                                core::QueryMetrics& m) {
-  m.add_stage(ledger.total, &m.transfer);
-  if (tl_ != nullptr) chain_ = sim::Timeline::join(chain_, ledger.last_event());
+  chain_ = tl_->record(compute_stream_, sim::Resource::kGpuCompute, stage, d,
+                       chain_);
 }
 
 void GpuExecutor::arm_ledger(pcie::TransferLedger& ledger,
@@ -101,7 +90,6 @@ void GpuExecutor::arm_ledger(pcie::TransferLedger& ledger,
 void GpuExecutor::bind_ledger(pcie::TransferLedger& ledger,
                               core::QueryMetrics& m, bool chained) {
   arm_ledger(ledger, m);
-  if (tl_ == nullptr) return;
   ledger.bind(tl_, copy_stream_,
               chained ? chain_ : sim::Timeline::Event{});
 }
@@ -117,13 +105,9 @@ void GpuExecutor::fault_reset(std::span<const index::TermId> terms,
   for (const index::TermId t : terms) cache_.erase(t);
 }
 
-void GpuExecutor::charge_fault(sim::Duration d, sim::Duration* stage,
-                               core::QueryMetrics& m) {
-  m.add_stage(d, stage);
-  if (tl_ != nullptr) {
-    chain_ = tl_->record(compute_stream_, sim::Resource::kGpuCompute, d,
-                         chain_);
-  }
+void GpuExecutor::charge_fault(sim::Duration d, sim::Stage stage) {
+  chain_ = tl_->record(compute_stream_, sim::Resource::kGpuCompute, stage, d,
+                       chain_);
 }
 
 void GpuExecutor::oom_evict(core::QueryMetrics& m) {
@@ -136,11 +120,9 @@ void GpuExecutor::oom_evict(core::QueryMetrics& m) {
   m.cache.device_evictions += entries;
   const sim::Duration d = sim::Duration::from_us(
       injector_->config().oom_evict_cost_us * static_cast<double>(entries));
-  m.add_stage(d, &m.transfer);
   m.faults.oom_recovery += d;
-  if (tl_ != nullptr) {
-    chain_ = tl_->record(copy_stream_, sim::Resource::kCpu, d, chain_);
-  }
+  chain_ = tl_->record(copy_stream_, sim::Resource::kCpu,
+                       sim::Stage::kTransfer, d, chain_);
 }
 
 void GpuExecutor::prefetch(index::TermId t, core::QueryMetrics& m) {
@@ -155,10 +137,9 @@ void GpuExecutor::prefetch(index::TermId t, core::QueryMetrics& m) {
   p.cache_on_commit =
       cache_.enabled() && cache_.fits(DeviceListCache::entry_bytes(p.list));
   if (cache_.enabled()) ++m.cache.device_misses;
-  // Serial charge as usual, but the chain is NOT advanced: on the timeline
-  // the upload rides the copy engine under whatever kernels follow, and
-  // only a consumer of this term waits on p.ready.
-  m.add_stage(ledger.total, &m.transfer);
+  // The chain is NOT advanced: on the timeline the upload rides the copy
+  // engine under whatever kernels follow, and only a consumer of this term
+  // waits on p.ready.
   ++m.overlap.prefetch_issued;
   prefetch_.emplace(t, std::move(p));
 }
@@ -184,7 +165,7 @@ std::optional<GpuExecutor::AcquiredList> GpuExecutor::take_prefetched(
   a.term = t;
   a.owned.emplace(std::move(it->second.list));
   a.cache_on_commit = it->second.cache_on_commit;
-  if (tl_ != nullptr) chain_ = sim::Timeline::join(chain_, it->second.ready);
+  chain_ = sim::Timeline::join(chain_, it->second.ready);
   prefetch_.erase(it);
   ++m.overlap.prefetch_used;
   return a;
@@ -208,7 +189,7 @@ GpuExecutor::AcquiredList GpuExecutor::acquire_full(index::TermId t,
   bind_ledger(ledger, m);
   a.owned.emplace(upload_list(device_, idx_->list(t).docids, link_, ledger,
                               /*defer_payload=*/chunked));
-  charge_ledger(ledger, m);
+  join_ledger(ledger);
   a.payload_deferred = chunked;
   a.cache_on_commit =
       cache_.enabled() && cache_.fits(DeviceListCache::entry_bytes(*a.owned));
@@ -225,22 +206,20 @@ void GpuExecutor::commit(AcquiredList&& a, core::QueryMetrics& m) {
 simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(index::TermId t,
                                                         core::QueryMetrics& m) {
   const auto& list = idx_->list(t).docids;
-  const bool pipelined =
-      tl_ != nullptr && opt_.double_buffer && opt_.copy_chunk_bytes > 0;
-  AcquiredList a = acquire_full(t, m, /*chunked=*/pipelined);
+  AcquiredList a = acquire_full(t, m, /*chunked=*/opt_.copy_chunk_bytes > 0);
   pcie::TransferLedger ledger;
   bind_ledger(ledger, m);
   auto out = device_.alloc<DocId>(list.size());
   ledger.add_alloc(link_);
-  charge_ledger(ledger, m);
+  join_ledger(ledger);
 
   const DeviceList& dl = a.view();
   if (!a.payload_deferred) {
-    // Hit / prefetched / serial mode: the payload is on the device already,
+    // Hit / prefetched / unchunked: the payload is on the device already,
     // one kernel decodes it all.
     const sim::KernelStats s =
         decode_range(device_, dl, 0, dl.num_blocks(), out);
-    charge_kernel(s, &m.decode, m);
+    charge_kernel(s, sim::Stage::kDecode, m);
   } else {
     // Double buffering (DESIGN.md §10): group blocks into >= chunk-size
     // payload chunks; each chunk's H2D is an op on the copy stream chained
@@ -262,16 +241,13 @@ simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(index::TermId t,
       }
       pcie::TransferLedger chunk;
       arm_ledger(chunk, m);
-      if (tl_ != nullptr) chunk.bind(tl_, copy_stream_, entry);
+      chunk.bind(tl_, copy_stream_, entry);
       chunk.add_transfer_chunk(link_, bytes, /*h2d=*/true, first);
       first = false;
-      m.add_stage(chunk.total, &m.transfer);
-      if (tl_ != nullptr) {
-        chain_ = sim::Timeline::join(chain_, chunk.last_event());
-      }
+      join_ledger(chunk);
       const sim::KernelStats s = decode_range(
           device_, dl, lo, hi, out, dl.host_descs[lo].out_offset);
-      charge_kernel(s, &m.decode, m);
+      charge_kernel(s, sim::Stage::kDecode, m);
       lo = hi;
     }
   }
@@ -319,12 +295,11 @@ void GpuExecutor::intersect_first(index::TermId a, index::TermId b,
     r = binary_search_intersect(device_, da, la.size(), dlist, link_, ledger,
                                 /*deferred_payload=*/true);
   }
-  charge_ledger(ledger, m);
-  charge_kernel(r.stats, &m.intersect, m, r.kernels);
+  join_ledger(ledger);
+  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
   if (pf.has_value()) commit(std::move(*pf), m);
   current_ = std::move(r.result);
   current_count_ = r.count;
-  m.placements.push_back(core::Placement::kGpu);
 }
 
 void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
@@ -358,12 +333,11 @@ void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
     r = binary_search_intersect(device_, current_, current_count_, dlist,
                                 link_, ledger, true);
   }
-  charge_ledger(ledger, m);
-  charge_kernel(r.stats, &m.intersect, m, r.kernels);
+  join_ledger(ledger);
+  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
   if (pf.has_value()) commit(std::move(*pf), m);
   current_ = std::move(r.result);
   current_count_ = r.count;
-  m.placements.push_back(core::Placement::kGpu);
 }
 
 void GpuExecutor::load_single(index::TermId t, core::QueryMetrics& m) {
@@ -379,7 +353,7 @@ void GpuExecutor::upload_intermediate(std::span<const DocId> docs,
   ledger.add_alloc(link_);
   device_.upload(current_, docs);
   ledger.add_transfer(link_, docs.size_bytes(), /*h2d=*/true);
-  charge_ledger(ledger, m);
+  join_ledger(ledger);
   current_count_ = docs.size();
 }
 
@@ -393,7 +367,7 @@ std::vector<DocId> GpuExecutor::download_intermediate(core::QueryMetrics& m) {
   bind_ledger(ledger, m);
   device_.download(std::span<DocId>(out), current_);
   ledger.add_transfer(link_, out.size() * sizeof(DocId), /*h2d=*/false);
-  charge_ledger(ledger, m);
+  join_ledger(ledger);
   return out;
 }
 
@@ -428,7 +402,7 @@ std::vector<DocId> GpuExecutor::download_partial(
   bind_ledger(ledger, m);  // bound after the kernels: the D2H waits them out
   device_.download(std::span<DocId>(out), buf);
   ledger.add_transfer(link_, count * sizeof(DocId), /*h2d=*/false);
-  charge_ledger(ledger, m);
+  join_ledger(ledger);
   return out;
 }
 
@@ -443,8 +417,8 @@ std::vector<DocId> GpuExecutor::split_intersect_host(
   std::optional<AcquiredList> pf;
   GpuIntersectResult r =
       binary_search_over(t, dprobes, probes.size(), 0, ledger, m, pf);
-  charge_ledger(ledger, m);
-  charge_kernel(r.stats, &m.intersect, m, r.kernels);
+  join_ledger(ledger);
+  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
   if (pf.has_value()) commit(std::move(*pf), m);
   return download_partial(r.result, r.count, m);
 }
@@ -459,8 +433,8 @@ std::vector<DocId> GpuExecutor::split_intersect_device(
   std::optional<AcquiredList> pf;
   GpuIntersectResult r =
       binary_search_over(t, current_, np, probe_offset, ledger, m, pf);
-  charge_ledger(ledger, m);
-  charge_kernel(r.stats, &m.intersect, m, r.kernels);
+  join_ledger(ledger);
+  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
   if (pf.has_value()) commit(std::move(*pf), m);
   // The split leaves the merged result host-side: the device copy of the
   // probes is spent.
@@ -478,7 +452,7 @@ std::vector<DocId> GpuExecutor::download_intermediate_prefix(
   bind_ledger(ledger, m);
   device_.download(std::span<DocId>(out), current_);
   ledger.add_transfer(link_, n * sizeof(DocId), /*h2d=*/false);
-  charge_ledger(ledger, m);
+  join_ledger(ledger);
   return out;
 }
 

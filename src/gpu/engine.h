@@ -41,14 +41,12 @@ struct GpuOptions {
   /// headroom >= device memory disables the cache.
   std::size_t list_cache_headroom_bytes = std::size_t{1} << 30;
   /// Double-buffer full-list uploads (DESIGN.md §10): split the payload H2D
-  /// into block-granular chunks so the copy of chunk i+1 overlaps the
-  /// Para-EF decode of chunk i on the timeline. Each chunk's decode is its
-  /// own kernel launch, so chunking honestly raises the *serial* cost; the
-  /// win is the critical path. Only effective when a timeline is bound.
-  bool double_buffer = true;
-  /// Minimum payload bytes per chunk (blocks are grouped until they reach
-  /// it). Too small drowns in kernel-launch overhead — bench/overlap sweeps
-  /// the tradeoff. 0 disables chunking.
+  /// into block-granular chunks of at least this many bytes, so the copy of
+  /// chunk i+1 overlaps the Para-EF decode of chunk i on the timeline. Each
+  /// chunk's decode is its own kernel launch, so chunking honestly raises
+  /// the *serial* cost; the win is the critical path. Too small drowns in
+  /// launch overhead — bench/overlap sweeps the tradeoff. 0 disables
+  /// chunking (one upload, one decode kernel).
   std::size_t copy_chunk_bytes = std::size_t{256} << 10;
 };
 
@@ -59,14 +57,14 @@ class GpuExecutor {
   GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw = {},
               GpuOptions opt = {});
 
-  /// Drops per-query device state. With a timeline (core/executor.h passes
-  /// its own), the executor opens one copy stream and one compute stream on
-  /// it and records every charge as a timeline op (DESIGN.md §10); without
-  /// one, charging is purely serial as before. `query_id` keys fault
-  /// coordinates when an injector is set (ignored otherwise). On a shared
-  /// multi-tenant timeline, `release` is the query's admission time: the
-  /// streams open there and the initial chain waits it out.
-  void begin_query(sim::Timeline* tl = nullptr, std::uint64_t query_id = 0,
+  /// Drops per-query device state and opens one copy stream and one compute
+  /// stream on `tl` (core/executor.h passes its own), on which every charge
+  /// of the query is recorded as a stage-tagged op (DESIGN.md §10).
+  /// `query_id` keys fault coordinates when an injector is set (ignored
+  /// otherwise). On a shared multi-tenant timeline, `release` is the
+  /// query's admission time: the streams open there and the initial chain
+  /// waits it out.
+  void begin_query(sim::Timeline& tl, std::uint64_t query_id = 0,
                    sim::Duration release = {});
 
   /// Cross-query kernel batching (DESIGN.md §12): subsequent kernel charges
@@ -95,18 +93,18 @@ class GpuExecutor {
   void fault_reset(std::span<const index::TermId> terms,
                    core::QueryMetrics& m);
 
-  /// Charges the wasted device time of an abandoned GPU step: serially into
-  /// `*stage` and as a compute op on the timeline, advancing the chain so
-  /// the recovery steps wait out the fault like real work.
-  void charge_fault(sim::Duration d, sim::Duration* stage,
-                    core::QueryMetrics& m);
+  /// Charges the wasted device time of an abandoned GPU step as a compute
+  /// op of `stage`, advancing the chain so the recovery steps wait out the
+  /// fault like real work.
+  void charge_fault(sim::Duration d, sim::Stage stage);
 
   /// Rung 1 of the OOM degradation ladder (DESIGN.md §16): frees at least
   /// `FaultConfig::oom_evict_bytes` from the device list cache's LRU tail,
-  /// charging one host-synchronous free per entry (serially into m.transfer
-  /// — it's PCIe/allocator machinery — and as a CPU op on the copy stream,
-  /// advancing the chain so the retried allocation waits the frees out).
-  /// Requires an armed injector; counts into m.faults and m.cache.
+  /// charging one host-synchronous free per entry (a transfer-stage op —
+  /// it's PCIe/allocator machinery — on the CPU, issued from the copy
+  /// stream and advancing the chain so the retried allocation waits the
+  /// frees out). Requires an armed injector; counts into m.faults and
+  /// m.cache.
   void oom_evict(core::QueryMetrics& m);
 
   /// Drops unconsumed prefetches (counting them into m) and releases
@@ -114,16 +112,15 @@ class GpuExecutor {
   void finish_query(core::QueryMetrics& m);
 
   /// The event every dependent op of this query waits on (the executor
-  /// threads it across steps as the plan frontier). Meaningless without a
-  /// bound timeline.
+  /// threads it across steps as the plan frontier).
   sim::Timeline::Event chain() const { return chain_; }
   void set_chain(sim::Timeline::Event e) { chain_ = e; }
 
   /// Starts the asynchronous H2D of term t's full list on the copy engine
-  /// (kPrefetch step): charges the transfer serially but chains it only on
-  /// the copy stream, so on the timeline it rides under the surrounding
-  /// kernels. A later intersect/decode consuming t waits on its completion
-  /// event. No-op if t is already resident or in flight.
+  /// (kPrefetch step): the transfer ops order only behind earlier copies
+  /// and leave the chain alone, so on the timeline the upload rides under
+  /// the surrounding kernels. A later intersect/decode consuming t waits on
+  /// its completion event. No-op if t is already resident or in flight.
   void prefetch(index::TermId t, core::QueryMetrics& m);
 
   /// Discards in-flight prefetches (CPU migration / end of query); fully
@@ -232,7 +229,7 @@ class GpuExecutor {
                                               core::QueryMetrics& m);
 
   /// Uploads + Para-EF-decodes a full list; returns the decoded buffer.
-  /// With a timeline + double buffering, a miss pipelines chunked H2D
+  /// With chunking on (copy_chunk_bytes > 0), a miss pipelines chunked H2D
   /// against per-chunk decode kernels.
   simt::DeviceBuffer<DocId> decode_full_list(index::TermId t,
                                              core::QueryMetrics& m);
@@ -253,9 +250,15 @@ class GpuExecutor {
   std::vector<DocId> download_partial(const simt::DeviceBuffer<DocId>& buf,
                                       std::uint64_t count,
                                       core::QueryMetrics& m);
-  void charge_kernel(const sim::KernelStats& s, sim::Duration* stage,
+  /// Records one (possibly batch-fused) launch as a compute op of `stage`
+  /// chained on the frontier, and counts its `kernels` into m.
+  void charge_kernel(const sim::KernelStats& s, sim::Stage stage,
                      core::QueryMetrics& m, std::uint32_t kernels = 1);
-  void charge_ledger(const pcie::TransferLedger& ledger, core::QueryMetrics& m);
+  /// Joins a ledger's last transfer into the chain: the kernels that follow
+  /// read what it moved.
+  void join_ledger(const pcie::TransferLedger& ledger) {
+    chain_ = sim::Timeline::join(chain_, ledger.last_event());
+  }
   /// Arms PCIe fault injection on a ledger when an injector is set (every
   /// ledger charging transfers for this query must pass through here or
   /// bind_ledger so DMAs draw consecutive fault coordinates).
@@ -285,7 +288,7 @@ class GpuExecutor {
   };
   std::map<index::TermId, Prefetched> prefetch_;
 
-  sim::Timeline* tl_ = nullptr;  ///< bound per query by begin_query
+  sim::Timeline* tl_ = nullptr;  ///< the query's ledger, set by begin_query
   std::uint32_t batch_size_ = 1;  ///< current cross-query batch width
   sim::Timeline::StreamId copy_stream_ = 0;
   sim::Timeline::StreamId compute_stream_ = 0;

@@ -9,10 +9,9 @@ namespace griffin::index {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x4752494646494E31ull;  // "GRIFFIN1"
-// v2: single index-wide scheme, raw (pre-tagged-header) BlockMeta structs.
 // v3: codec policy (fixed scheme + adaptive flag), a scheme byte per list,
-//     and field-by-field BlockMeta records (no struct padding on disk).
-constexpr std::uint32_t kVersionLegacy = 2;
+// and field-by-field BlockMeta records (no struct padding on disk). Older
+// versions are rejected.
 constexpr std::uint32_t kVersion = 3;
 
 struct FileCloser {
@@ -87,42 +86,6 @@ codec::BlockMeta read_meta(std::FILE* f) {
   return m;
 }
 
-/// The exact in-memory block metadata layout v2 files were written with
-/// (raw fwrite of the struct, padding included): both per-scheme headers
-/// inline, only one of them meaningful.
-struct LegacyBlockMetaV2 {
-  DocId first = 0;
-  DocId last = 0;
-  std::uint64_t bit_offset = 0;
-  std::uint16_t count = 0;
-  codec::PForHeader pfor;
-  codec::EFHeader ef;
-};
-static_assert(sizeof(LegacyBlockMetaV2) == 32,
-              "v2 on-disk meta layout drifted; the legacy reader is wrong");
-
-codec::BlockMeta upgrade_meta(const LegacyBlockMetaV2& l,
-                              codec::Scheme scheme) {
-  codec::BlockMeta m;
-  m.first = l.first;
-  m.last = l.last;
-  m.bit_offset = l.bit_offset;
-  m.count = l.count;
-  switch (scheme) {
-    case codec::Scheme::kPForDelta:
-      m.hdr = codec::BlockHeader::from_pfor(l.pfor);
-      break;
-    case codec::Scheme::kEliasFano:
-      m.hdr = codec::BlockHeader::from_ef(l.ef);
-      break;
-    default:  // VByte / Simple16: header-free blocks
-      m.hdr = codec::BlockHeader{};
-      m.hdr.scheme = scheme;
-      break;
-  }
-  return m;
-}
-
 }  // namespace
 
 void save_index(const InvertedIndex& idx, const std::string& path) {
@@ -167,15 +130,12 @@ InvertedIndex load_index(const std::string& path) {
   if (read_pod<std::uint64_t>(f.get()) != kMagic) {
     throw std::runtime_error("index load: bad magic");
   }
-  const auto version = read_pod<std::uint32_t>(f.get());
-  if (version != kVersion && version != kVersionLegacy) {
+  if (read_pod<std::uint32_t>(f.get()) != kVersion) {
     throw std::runtime_error("index load: version mismatch");
   }
   CodecPolicy policy;
   policy.fixed = static_cast<codec::Scheme>(read_pod<std::uint8_t>(f.get()));
-  if (version >= kVersion) {
-    policy.adaptive = read_pod<std::uint8_t>(f.get()) != 0;
-  }
+  policy.adaptive = read_pod<std::uint8_t>(f.get()) != 0;
   const auto block_size = read_pod<std::uint32_t>(f.get());
 
   InvertedIndex idx(policy, block_size);
@@ -188,22 +148,14 @@ InvertedIndex load_index(const std::string& path) {
   const auto nterms = read_pod<std::uint64_t>(f.get());
   for (std::uint64_t t = 0; t < nterms; ++t) {
     const auto size = read_pod<std::uint64_t>(f.get());
-    codec::Scheme scheme = policy.fixed;
-    if (version >= kVersion) {
-      scheme = static_cast<codec::Scheme>(read_pod<std::uint8_t>(f.get()));
-    }
+    const auto scheme =
+        static_cast<codec::Scheme>(read_pod<std::uint8_t>(f.get()));
     auto blob = read_vec<std::uint64_t>(f.get());
     std::vector<codec::BlockMeta> metas;
-    if (version >= kVersion) {
-      const auto nmetas = read_pod<std::uint64_t>(f.get());
-      metas.reserve(nmetas);
-      for (std::uint64_t i = 0; i < nmetas; ++i) {
-        metas.push_back(read_meta(f.get()));
-      }
-    } else {
-      for (const auto& l : read_vec<LegacyBlockMetaV2>(f.get())) {
-        metas.push_back(upgrade_meta(l, scheme));
-      }
+    const auto nmetas = read_pod<std::uint64_t>(f.get());
+    metas.reserve(nmetas);
+    for (std::uint64_t i = 0; i < nmetas; ++i) {
+      metas.push_back(read_meta(f.get()));
     }
     PostingList pl;
     pl.docids = codec::BlockCompressedList::from_parts(

@@ -49,14 +49,14 @@ class Link {
 /// Running totals of modeled transfer activity, kept per engine/query so the
 /// latency breakdown can attribute time to data movement.
 ///
-/// When bound to a sim::Timeline (DESIGN.md §10), each charge additionally
-/// reserves the matching copy engine: transfers become ops on the bound
-/// stream (H2D and D2H on their respective engines, allocations on the
-/// host, since cudaMalloc is host-synchronous), chained so the ledger's ops
-/// execute in order after the `dep` event it was bound with. `last_event()`
-/// is the completion of the most recent op — the event kernels consuming
-/// the transferred data wait on. Unbound, the ledger behaves exactly as
-/// before: a scalar sum.
+/// When bound to a sim::Timeline (DESIGN.md §10), each charge is recorded
+/// as a transfer-stage op on the bound stream (H2D and D2H on their
+/// respective copy engines, allocations on the host, since cudaMalloc is
+/// host-synchronous), chained so the ledger's ops execute in order after
+/// the `dep` event it was bound with. `last_event()` is the completion of
+/// the most recent op — the event kernels consuming the transferred data
+/// wait on. Unbound (the kernel-level benches), the ledger is just the
+/// scalar sum `total`.
 struct TransferLedger {
   std::uint64_t h2d_bytes = 0;
   std::uint64_t d2h_bytes = 0;
@@ -118,7 +118,7 @@ struct TransferLedger {
  private:
   void record(sim::Resource r, sim::Duration d) {
     if (tl_ == nullptr) return;
-    last_ = tl_->record(stream_, r, d, last_);
+    last_ = tl_->record(stream_, r, sim::Stage::kTransfer, d, last_);
   }
 
   /// Failed DMA attempts before the successful one: each re-pays the full

@@ -1,9 +1,9 @@
-// Discrete-event timeline for asynchronous execution (DESIGN.md §10). The
-// engines keep charging every operation's duration serially — that is the
-// honest amount of work — but each charge additionally records an op here,
-// placed on a stream and a hardware resource. The timeline then answers
-// "when would this query finish on hardware with dual copy engines and
-// asynchronous kernel launches?":
+// Discrete-event timeline for asynchronous execution (DESIGN.md §10), and
+// the engines' only ledger: every charge in the system is one op recorded
+// here, tagged with the latency stage it belongs to and placed on a stream
+// and a hardware resource. The per-stage sums are the serial work; the
+// timeline additionally answers "when would this query finish on hardware
+// with dual copy engines and asynchronous kernel launches?":
 //
 //   * ops on the same stream serialize in issue order (CUDA stream rule);
 //   * ops on the same resource serialize in issue order (one DMA at a time
@@ -13,10 +13,10 @@
 //     — "this kernel reads what that copy delivered" — are expressed.
 //
 // Query latency is the critical path (the horizon: max end time over all
-// ops); the serial stage sum is preserved as serial_total(), and the
-// difference is QueryMetrics::overlap.saved. Both are integer picoseconds,
-// so serial_total == critical_path + saved holds exactly, never
-// approximately — the trace-invariant tests assert it per query.
+// ops); the serial stage sum is serial_total(), and the difference is
+// QueryMetrics::overlap.saved. Both are integer picoseconds, so
+// serial_total == critical_path + saved holds exactly, never approximately
+// — the trace-invariant tests assert it per query.
 #pragma once
 
 #include <cassert>
@@ -48,6 +48,17 @@ inline const char* resource_name(Resource r) {
   return "?";
 }
 
+/// The four latency stages of the paper's per-query breakdown (§3.2,
+/// Figure 14). Every op carries one, so the stage split of a query — or of
+/// any one plan step — is a sum over its ops.
+enum class Stage : std::uint8_t {
+  kDecode = 0,
+  kIntersect = 1,
+  kTransfer = 2,  ///< PCIe traffic + device allocations
+  kRank = 3,
+};
+inline constexpr std::size_t kNumStages = 4;
+
 class Timeline {
  public:
   using StreamId = std::uint32_t;
@@ -65,19 +76,23 @@ class Timeline {
   /// its resource freed up, end = start + duration.
   struct Op {
     Resource resource = Resource::kCpu;
+    Stage stage = Stage::kDecode;  ///< packed into the padding before scope
     ScopeId scope = 0;
     Duration issue;
     Duration start;
     Duration end;
   };
+  static_assert(sizeof(Op) == 32, "the stage tag must not grow an op");
 
   /// Per-scope (per-query) accounting under multi-tenancy. A scope's serial
   /// sum and per-resource busy time partition the global totals exactly:
-  /// sum over scopes == global, in integer picoseconds.
+  /// sum over scopes == global, in integer picoseconds. The per-stage sums
+  /// partition the scope's serial sum the same way.
   struct ScopeStats {
     Duration serial;               ///< sum of op durations in this scope
     Duration finish;               ///< max op end time in this scope
     Duration busy[kNumResources];  ///< per-resource busy time in this scope
+    Duration stage[kNumStages];    ///< per-stage op durations in this scope
     std::uint64_t ops = 0;
   };
 
@@ -105,14 +120,16 @@ class Timeline {
   }
   ScopeId active_scope() const { return active_scope_; }
 
-  /// Records an op of `dur` on stream `s` and resource `r`, optionally
-  /// waiting on `wait` (an Event from any stream). Returns the op's
-  /// completion event.
-  Event record(StreamId s, Resource r, Duration dur, Event wait = {}) {
+  /// Records an op of `dur` charged to stage `st`, on stream `s` and
+  /// resource `r`, optionally waiting on `wait` (an Event from any stream).
+  /// Returns the op's completion event.
+  Event record(StreamId s, Resource r, Stage st, Duration dur,
+               Event wait = {}) {
     assert(s < tails_.size());
     auto& busy = busy_until_[static_cast<std::size_t>(r)];
     Op op;
     op.resource = r;
+    op.stage = st;
     op.scope = active_scope_;
     op.issue = max(tails_[s], wait.at);
     op.start = max(op.issue, busy);
@@ -126,6 +143,7 @@ class Timeline {
     sc.serial += dur;
     sc.finish = max(sc.finish, op.end);
     sc.busy[static_cast<std::size_t>(r)] += dur;
+    sc.stage[static_cast<std::size_t>(st)] += dur;
     ++sc.ops;
     ops_.push_back(op);
     return Event{op.end};
@@ -134,8 +152,7 @@ class Timeline {
   /// When the last op finishes: the query's latency under overlap (or, on a
   /// shared timeline, the device-occupancy horizon across all tenants).
   Duration critical_path() const { return horizon_; }
-  /// Sum of all op durations: the latency had nothing overlapped. Equals
-  /// the engines' serial stage charges by construction.
+  /// Sum of all op durations: the latency had nothing overlapped.
   Duration serial_total() const { return serial_; }
   /// Total busy time of one resource (copy-engine utilization etc.).
   Duration busy(Resource r) const {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/query.h"
@@ -85,6 +86,71 @@ inline std::vector<core::ScoredDoc> reference_topk(
   scorer.score(q.terms, matches, scored, acc);
   cpu::top_k(scored, q.k, acc);
   return scored;
+}
+
+/// The placement of every completed intersect step, in plan order: the
+/// scheduler's decision trail as the trace records it.
+inline std::vector<core::Placement> intersect_placements(
+    const core::QueryResult& res) {
+  std::vector<core::Placement> out;
+  for (const auto& r : res.trace) {
+    if (r.kind == core::StepKind::kIntersect && !r.faulted) {
+      out.push_back(r.placement);
+    }
+  }
+  return out;
+}
+
+/// The one-ledger trace invariants (DESIGN.md §8/§10) on one finished
+/// query: each record's duration is its stage split; the records sum to the
+/// QueryMetrics stage totals, kernel count and total + overlap.saved
+/// exactly; and each sits inside the query's span [release, release +
+/// total]. Abandoned and dropped-prefetch records are checked one by one:
+/// each is exactly its single wasted compute op (a drop has none).
+inline void expect_stage_sums(const core::QueryResult& res,
+                              const std::string& label,
+                              sim::Duration release = {}) {
+  const auto& m = res.metrics;
+  ASSERT_FALSE(res.trace.empty()) << label;
+  EXPECT_EQ(res.trace.back().kind, core::StepKind::kRank) << label;
+  sim::Duration decode, intersect, transfer, rank;
+  std::uint64_t kernels = 0;
+  for (const auto& r : res.trace) {
+    EXPECT_EQ(r.duration, r.decode + r.intersect + r.transfer + r.rank)
+        << label;
+    decode += r.decode;
+    intersect += r.intersect;
+    transfer += r.transfer;
+    rank += r.rank;
+    kernels += r.gpu_kernels;
+    EXPECT_EQ(r.query, res.trace.front().query) << label;
+    EXPECT_LE(release.ps(), r.issue.ps()) << label;
+    EXPECT_LE(r.issue.ps(), r.start.ps()) << label;
+    EXPECT_LE(r.start.ps(), r.end.ps()) << label;
+    EXPECT_LE(r.end.ps(), (release + m.total).ps()) << label;
+    if (r.faulted) {
+      EXPECT_EQ(r.duration, r.end - r.start) << label;
+      EXPECT_EQ(r.gpu_kernels, 0u) << label;
+    }
+  }
+  EXPECT_EQ(decode, m.decode) << label;
+  EXPECT_EQ(intersect, m.intersect) << label;
+  EXPECT_EQ(transfer, m.transfer) << label;
+  EXPECT_EQ(rank, m.rank) << label;
+  EXPECT_EQ(kernels, m.gpu_kernels) << label;
+  EXPECT_EQ(res.trace.back().output_count, m.result_count) << label;
+
+  // Step durations are serial op sums; m.total is the query's span on the
+  // timeline. The difference is exactly the overlap the async engines hid
+  // (DESIGN.md §10) — picosecond-exact, not approximate.
+  core::TraceSummary sum;
+  sum.add(res.trace);
+  EXPECT_EQ(sum.steps, res.trace.size()) << label;
+  EXPECT_EQ(sum.migrations, m.migrations) << label;
+  EXPECT_EQ(sum.step_time, m.total + m.overlap.saved) << label;
+  EXPECT_EQ(m.overlap.prefetch_issued,
+            m.overlap.prefetch_used + m.overlap.prefetch_dropped)
+      << label;
 }
 
 inline void expect_same_topk(const std::vector<core::ScoredDoc>& got,

@@ -37,7 +37,7 @@ TEST(ClusterSim, DeterministicPerSeed) {
   auto cfg = base_config();
   cfg.hedge.enabled = true;
   cfg.cache_capacity = 64;
-  cfg.straggler.probability = 0.05;
+  cfg.faults.slow.probability = 0.05;
 
   cluster::ClusterBroker a(idx, cfg);
   cluster::ClusterBroker b(idx, cfg);
@@ -60,8 +60,8 @@ TEST(ClusterSim, HedgingCutsTailUnderStragglers) {
   const auto log = sim_log(idx, 300, 62);
 
   auto cfg = base_config();
-  cfg.straggler.probability = 0.08;
-  cfg.straggler.slowdown = 25.0;
+  cfg.faults.slow.probability = 0.08;
+  cfg.faults.slow_factor = 25.0;
 
   cluster::ClusterBroker plain(idx, cfg);
   const auto without = plain.run(log);

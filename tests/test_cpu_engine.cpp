@@ -64,8 +64,9 @@ TEST(CpuEngine, MetricsAreAccounted) {
   ASSERT_GT(res.metrics.result_count, 0u);
   EXPECT_GT(res.metrics.total.ps(), 0);
   EXPECT_GT(res.metrics.intersect.ps(), 0);
-  EXPECT_EQ(res.metrics.placements.size(), 2u);  // two pairwise steps
-  for (const auto p : res.metrics.placements) {
+  const auto placements = testutil::intersect_placements(res);
+  EXPECT_EQ(placements.size(), 2u);  // two pairwise steps
+  for (const auto p : placements) {
     EXPECT_EQ(p, core::Placement::kCpu);
   }
   EXPECT_EQ(res.metrics.gpu_kernels, 0u);

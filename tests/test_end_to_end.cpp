@@ -43,7 +43,7 @@ TEST(EndToEnd, EnginesAgreeAcrossSchemesOfQueries) {
     run.gpu_ms.add(g.metrics.total.ms());
     run.hybrid_ms.add(h.metrics.total.ms());
     total_migrations += h.metrics.migrations;
-    for (const auto p : h.metrics.placements) {
+    for (const auto p : testutil::intersect_placements(h)) {
       (p == core::Placement::kGpu ? gpu_steps : cpu_steps) += 1;
     }
   }
@@ -78,12 +78,13 @@ TEST(EndToEnd, MetricsTotalsAreConsistent) {
     // overlap it hid reconstruct the serial sum exactly (DESIGN.md §10).
     const auto sum = m.decode + m.intersect + m.transfer + m.rank;
     EXPECT_EQ(sum.ps(), (m.total + m.overlap.saved).ps()) << "query " << q.id;
-    // One placement per executed pairwise step; execution stops early when
-    // the intermediate result empties.
-    EXPECT_LE(m.placements.size(), q.terms.size() - 1) << "query " << q.id;
-    EXPECT_GE(m.placements.size(), 1u) << "query " << q.id;
+    // One intersect record per executed pairwise step; execution stops
+    // early when the intermediate result empties.
+    const auto placements = testutil::intersect_placements(res);
+    EXPECT_LE(placements.size(), q.terms.size() - 1) << "query " << q.id;
+    EXPECT_GE(placements.size(), 1u) << "query " << q.id;
     if (m.result_count > 0) {
-      EXPECT_EQ(m.placements.size(), q.terms.size() - 1) << "query " << q.id;
+      EXPECT_EQ(placements.size(), q.terms.size() - 1) << "query " << q.id;
     }
   }
 }

@@ -61,7 +61,7 @@ std::string record_line(const char* engine, std::size_t qi,
                 static_cast<unsigned long long>(m.gpu_kernels),
                 static_cast<unsigned long long>(m.migrations));
   out += buf;
-  for (const auto p : m.placements) {
+  for (const auto p : testutil::intersect_placements(r)) {
     out += p == core::Placement::kGpu ? 'G'
            : p == core::Placement::kSplit ? 'S'
                                           : 'C';

@@ -233,25 +233,6 @@ TEST(FaultCluster, CircuitBreakerStateMachine) {
   EXPECT_TRUE(off.allow(t(0)));
 }
 
-TEST(FaultCluster, StragglerConfigAliasesTheSlowSite) {
-  const auto& idx = testutil::small_index();
-  const auto log = fault_log(idx, 120, 96);
-
-  auto cfg = base_config();
-  cfg.record_outcomes = false;
-  cfg.straggler.probability = 0.2;
-  cfg.straggler.slowdown = 30.0;
-  cluster::ClusterBroker broker(idx, cfg);
-
-  // The legacy knobs land in the fault config the broker runs with...
-  EXPECT_DOUBLE_EQ(broker.config().faults.slow.probability, 0.2);
-  EXPECT_DOUBLE_EQ(broker.config().faults.slow_factor, 30.0);
-  // ...and the injections are counted by the fault machinery.
-  const auto res = broker.run(log);
-  EXPECT_GT(res.faults.slow_replicas, 0u);
-  EXPECT_EQ(res.faults.degraded_queries, 0u);  // slow, not lost
-}
-
 TEST(FaultCluster, NonDegradedQueriesMatchFaultFreeBitsUnderCrashChurn) {
   const auto& idx = testutil::small_index();
   const auto log = fault_log(idx, 80, 97);

@@ -81,7 +81,7 @@ TEST(FaultEngine, GpuFaultDegradesToCpuWithIdenticalResults) {
   EXPECT_EQ(res.metrics.faults.gpu_faults, 1u);
   EXPECT_EQ(res.metrics.faults.gpu_wasted,
             sim::Duration::from_us(opt.faults.gpu_fault_cost_us));
-  for (const auto p : res.metrics.placements) {
+  for (const auto p : testutil::intersect_placements(res)) {
     EXPECT_EQ(p, core::Placement::kCpu);
   }
 
@@ -279,7 +279,7 @@ TEST(FaultEngine, OomEvictsDeviceCacheAndProceedsOnTheGpu) {
   EXPECT_GT(res.metrics.faults.oom_evicted_bytes, 0u);
   EXPECT_GT(res.metrics.faults.oom_recovery.ps(), 0);
   EXPECT_EQ(res.metrics.faults.gpu_faults, 0u);
-  expect_stage_identity(res.metrics);
+  testutil::expect_stage_sums(res, "oom-rung1");
 
   // Rungs 1/2 recover on the device — bit-identical answer, only timing
   // and counters changed.
@@ -315,7 +315,7 @@ TEST(FaultEngine, OomLadderBottomsOutToSingleStepDegrade) {
   EXPECT_EQ(res.metrics.faults.oom_recovery,
             sim::Duration::from_us(opt.faults.oom_replan_cost_us) *
                 double(res.metrics.faults.oom_degraded_steps));
-  expect_stage_identity(res.metrics);
+  testutil::expect_stage_sums(res, "oom-rung3");
 
   // Every abandoned step is a faulted trace record charging exactly the
   // replan stall.
@@ -353,7 +353,7 @@ TEST(FaultEngine, ProbabilisticOomPreservesCorrectnessOverALog) {
     const auto res2 = twin.execute(q);
     EXPECT_EQ(res.metrics.total, res2.metrics.total);  // deterministic
     total += res.metrics.faults;
-    expect_stage_identity(res.metrics);
+    testutil::expect_stage_sums(res, "oom-probabilistic");
     const auto want = testutil::reference_topk(idx, q);
     testutil::expect_same_topk(res.topk, want, "oom-probabilistic");
   }
@@ -437,7 +437,7 @@ TEST(FaultEngine, SplitLegFaultOverDeviceResidentProbes) {
 
   EXPECT_EQ(me.exec.run(core::RankStep{}, q, res), core::StepStatus::kOk);
   me.exec.finish_query(res.metrics);
-  expect_stage_identity(res.metrics);
+  testutil::expect_stage_sums(res, "split-leg-device");
 
   // The survived-leg record counts as a normal (leg-flagged) step, not an
   // abandoned one.
@@ -490,7 +490,7 @@ TEST(FaultEngine, FaultedPrefetchIsDroppedWithoutPoisoningTheCache) {
   ASSERT_EQ(me.exec.run(next, q, res), core::StepStatus::kOk);
   ASSERT_EQ(me.exec.run(core::RankStep{}, q, res), core::StepStatus::kOk);
   me.exec.finish_query(res.metrics);
-  expect_stage_identity(res.metrics);
+  testutil::expect_stage_sums(res, "prefetch-drop");
 
   const auto want = testutil::reference_topk(idx, q);
   testutil::expect_same_topk(res.topk, want, "prefetch-drop");

@@ -63,17 +63,17 @@ TEST(HedgeController, WindowBoundsMemoryAndAdapts) {
   EXPECT_DOUBLE_EQ(ctl.delay()->ms(), 1.0);
 }
 
-TEST(HedgeController, UnboundedLegacyWindowKeepsEverything) {
+TEST(HedgeController, ZeroWindowIsRejected) {
+  // Every estimate is windowed: an empty window is a config error, for the
+  // percentile controller and the occupancy tracker alike.
   cluster::HedgeConfig cfg;
-  cfg.enabled = true;
-  cfg.min_samples = 1;
-  cfg.window = 0;  // legacy: full history
-  cluster::HedgeController ctl(cfg);
-  for (int i = 0; i < 100; ++i) ctl.record(sim::Duration::from_ms(1000));
-  for (int i = 0; i < 8; ++i) ctl.record(sim::Duration::from_ms(1));
-  EXPECT_EQ(ctl.window_size(), 108u);
-  // 8 fast samples cannot move the p95 of 108 observations.
-  EXPECT_DOUBLE_EQ(ctl.delay()->ms(), 1000.0);
+  cfg.window = 0;
+  EXPECT_THROW(cluster::HedgeController{cfg}, std::invalid_argument);
+  EXPECT_THROW(cluster::ReplicaOccupancy(0, 1), std::invalid_argument);
+  cluster::ClusterConfig ccfg;
+  ccfg.hedge.window = 0;
+  EXPECT_THROW(cluster::ClusterBroker(testutil::small_index(), ccfg),
+               std::invalid_argument);
 }
 
 TEST(HedgeController, PercentileMatchesNearestRank) {
@@ -98,8 +98,8 @@ TEST(Hedging, SingleReplicaTopologyNeverHedges) {
   cfg.seed = 3;
   cfg.hedge.enabled = true;
   cfg.hedge.min_samples = 10;
-  cfg.straggler.probability = 0.2;  // plenty of would-be hedge triggers
-  cfg.straggler.slowdown = 20.0;
+  cfg.faults.slow.probability = 0.2;  // plenty of would-be hedge triggers
+  cfg.faults.slow_factor = 20.0;
 
   cluster::ClusterBroker broker(idx, cfg);
   const auto res = broker.run(log);
@@ -121,8 +121,8 @@ TEST(Hedging, CrashedSecondarySuppressesHedges) {
   cfg.hedge.enabled = true;
   cfg.hedge.percentile = 90.0;
   cfg.hedge.min_samples = 20;
-  cfg.straggler.probability = 0.15;
-  cfg.straggler.slowdown = 25.0;
+  cfg.faults.slow.probability = 0.15;
+  cfg.faults.slow_factor = 25.0;
 
   cluster::ClusterBroker live(idx, cfg);
   const auto with_replicas = live.run(log);
@@ -184,7 +184,7 @@ TEST(ReplicaOccupancy, CanExceedOneUnderContention) {
   // A shared device can be busier than one query-span's worth of time
   // (several queries' charges land inside one span): the fraction is a
   // load signal, not a probability, and must not be clamped.
-  cluster::ReplicaOccupancy occ(/*window=*/0, /*min_samples=*/1);
+  cluster::ReplicaOccupancy occ(/*window=*/4, /*min_samples=*/1);
   cluster::ReplicaOccupancy::Sample s;
   s.busy[std::size_t(sim::Resource::kCpu)] = sim::Duration::from_us(25);
   s.span = sim::Duration::from_us(10);
@@ -209,8 +209,8 @@ TEST(Hedging, OccupancyTriggerFiresAndStaysDeterministic) {
   cfg.hedge.trigger = cluster::HedgeTrigger::kBottleneckOccupancy;
   cfg.hedge.occupancy_threshold = 0.05;  // any busy primary trips it
   cfg.hedge.min_samples = 20;
-  cfg.straggler.probability = 0.1;
-  cfg.straggler.slowdown = 20.0;
+  cfg.faults.slow.probability = 0.1;
+  cfg.faults.slow_factor = 20.0;
 
   cluster::ClusterBroker broker(idx, cfg);
   const auto res = broker.run(log);
@@ -241,8 +241,8 @@ TEST(Hedging, OccupancyTriggerRespectsThresholdAndWarmup) {
   cfg.hedge.trigger = cluster::HedgeTrigger::kBottleneckOccupancy;
   cfg.hedge.occupancy_threshold = 1e9;  // nothing is ever this saturated
   cfg.hedge.min_samples = 20;
-  cfg.straggler.probability = 0.1;
-  cfg.straggler.slowdown = 20.0;
+  cfg.faults.slow.probability = 0.1;
+  cfg.faults.slow_factor = 20.0;
 
   cluster::ClusterBroker never(idx, cfg);
   EXPECT_EQ(never.run(log).hedge.issued, 0u);
@@ -267,8 +267,8 @@ TEST(Hedging, HedgingStillCutsTailWithWindowedEstimator) {
   cfg.replicas_per_shard = 2;
   cfg.arrival_qps = 150.0;
   cfg.seed = 7;
-  cfg.straggler.probability = 0.08;
-  cfg.straggler.slowdown = 25.0;
+  cfg.faults.slow.probability = 0.08;
+  cfg.faults.slow_factor = 25.0;
 
   cluster::ClusterBroker plain(idx, cfg);
   const auto without = plain.run(log);

@@ -49,8 +49,9 @@ TEST(HybridEngine, StartsOnGpuForBalancedPair) {
   core::Query q;
   q.terms = {10, 12};  // adjacent ranks: ratio close to 1
   const auto res = engine.execute(q);
-  ASSERT_EQ(res.metrics.placements.size(), 1u);
-  EXPECT_EQ(res.metrics.placements[0], core::Placement::kGpu);
+  const auto placements = testutil::intersect_placements(res);
+  ASSERT_EQ(placements.size(), 1u);
+  EXPECT_EQ(placements[0], core::Placement::kGpu);
 }
 
 TEST(HybridEngine, StartsOnCpuForExtremeRatio) {
@@ -62,8 +63,9 @@ TEST(HybridEngine, StartsOnCpuForExtremeRatio) {
                 static_cast<double>(idx.list(idx.num_terms() - 1).size()),
             128.0);
   const auto res = engine.execute(q);
-  ASSERT_EQ(res.metrics.placements.size(), 1u);
-  EXPECT_EQ(res.metrics.placements[0], core::Placement::kCpu);
+  const auto placements = testutil::intersect_placements(res);
+  ASSERT_EQ(placements.size(), 1u);
+  EXPECT_EQ(placements[0], core::Placement::kCpu);
   EXPECT_EQ(res.metrics.migrations, 0u);
 }
 
@@ -81,9 +83,10 @@ TEST(HybridEngine, MigratesGpuToCpuWhenIntermediateShrinks) {
   core::Query q;
   q.terms = {10, 11, 0};
   const auto res = engine.execute(q);
-  ASSERT_EQ(res.metrics.placements.size(), 2u);
-  EXPECT_EQ(res.metrics.placements[0], core::Placement::kGpu);
-  EXPECT_EQ(res.metrics.placements[1], core::Placement::kCpu);
+  const auto placements = testutil::intersect_placements(res);
+  ASSERT_EQ(placements.size(), 2u);
+  EXPECT_EQ(placements[0], core::Placement::kGpu);
+  EXPECT_EQ(placements[1], core::Placement::kCpu);
   EXPECT_EQ(res.metrics.migrations, 1u);
   EXPECT_GT(res.metrics.transfer.ps(), 0);
   // Correctness preserved across the migration.
@@ -100,8 +103,9 @@ TEST(HybridEngine, PrefetchKeepsBorderlineQueryOnGpu) {
   // The prefetch staged alongside the first intersect paid the huge list's
   // upload on the copy engine, so the boosted ratio rule keeps the second
   // intersect on the GPU: no migration, and the prefetch is consumed.
-  ASSERT_EQ(res.metrics.placements.size(), 2u);
-  EXPECT_EQ(res.metrics.placements[1], core::Placement::kGpu);
+  const auto placements = testutil::intersect_placements(res);
+  ASSERT_EQ(placements.size(), 2u);
+  EXPECT_EQ(placements[1], core::Placement::kGpu);
   EXPECT_EQ(res.metrics.migrations, 0u);
   EXPECT_EQ(res.metrics.overlap.prefetch_issued, 1u);
   EXPECT_EQ(res.metrics.overlap.prefetch_used, 1u);
@@ -120,7 +124,8 @@ TEST(HybridEngine, AlwaysCpuPolicyNeverTouchesGpu) {
   q.terms = {5, 15, 30};
   const auto res = engine.execute(q);
   EXPECT_EQ(res.metrics.gpu_kernels, 0u);
-  for (const auto p : res.metrics.placements) {
+  const auto placements = testutil::intersect_placements(res);
+  for (const auto p : placements) {
     EXPECT_EQ(p, core::Placement::kCpu);
   }
   const auto want = testutil::reference_topk(idx, q);

@@ -97,86 +97,24 @@ TEST(IndexIO, MixedSchemeRoundTrip) {
   }
 }
 
-namespace {
-
-/// The exact in-memory block metadata struct v2 files were written with
-/// (raw fwrite, padding included).
-struct LegacyMetaV2 {
-  index::DocId first = 0;
-  index::DocId last = 0;
-  std::uint64_t bit_offset = 0;
-  std::uint16_t count = 0;
-  codec::PForHeader pfor;
-  codec::EFHeader ef;
-};
-static_assert(sizeof(LegacyMetaV2) == 32);
-
-template <typename T>
-void put(std::FILE* f, const T& v) {
-  ASSERT_EQ(std::fwrite(&v, 1, sizeof(T), f), sizeof(T));
-}
-
-/// Hand-writes a v2 (single-scheme, raw-meta) index file holding one list.
-void write_legacy_v2_file(const std::string& path, codec::Scheme scheme,
-                          const codec::BlockCompressedList& list,
-                          const std::vector<std::uint8_t>& freqs,
-                          std::uint64_t ndocs) {
+TEST(IndexIO, RejectsLegacyV2File) {
+  // Only v3 is read: a v2 header (single-scheme, raw-meta era) fails the
+  // version check before any payload is touched.
+  const std::string path = temp_path("griffin_test_index_v2.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  put<std::uint64_t>(f, 0x4752494646494E31ull);  // magic
-  put<std::uint32_t>(f, 2);                      // version: legacy
-  put<std::uint8_t>(f, static_cast<std::uint8_t>(scheme));
-  put<std::uint32_t>(f, list.block_size());
-  put<std::uint64_t>(f, ndocs);
-  for (std::uint64_t d = 0; d < ndocs; ++d) {
-    put<std::uint32_t>(f, static_cast<std::uint32_t>(d % 5));
-  }
-  put<std::uint64_t>(f, 1);  // one term
-  put<std::uint64_t>(f, list.size());
-  put<std::uint64_t>(f, list.blob().size());
-  ASSERT_EQ(std::fwrite(list.blob().data(), 8, list.blob().size(), f),
-            list.blob().size());
-  put<std::uint64_t>(f, list.metas().size());
-  for (const codec::BlockMeta& m : list.metas()) {
-    LegacyMetaV2 l;
-    l.first = m.first;
-    l.last = m.last;
-    l.bit_offset = m.bit_offset;
-    l.count = m.count;
-    if (scheme == codec::Scheme::kPForDelta) l.pfor = m.hdr.pfor();
-    if (scheme == codec::Scheme::kEliasFano) l.ef = m.hdr.ef();
-    put(f, l);
-  }
-  put<std::uint64_t>(f, freqs.size());
-  ASSERT_EQ(std::fwrite(freqs.data(), 1, freqs.size(), f), freqs.size());
+  const std::uint64_t magic = 0x4752494646494E31ull;
+  const std::uint32_t version = 2;
+  std::fwrite(&magic, sizeof(magic), 1, f);
+  std::fwrite(&version, sizeof(version), 1, f);
   std::fclose(f);
-}
-
-}  // namespace
-
-TEST(IndexIO, LoadsLegacyV2SingleSchemeFile) {
-  // Old single-scheme indexes (written before the tagged-header format) must
-  // still load: the reader upgrades each raw v2 meta into a tagged header.
-  util::Xoshiro256 rng(5);
-  const auto docs = workload::make_uniform_list(900, 60'000, rng);
-  const std::vector<std::uint8_t> freqs(docs.size(), 1);
-  for (const codec::Scheme s :
-       {codec::Scheme::kEliasFano, codec::Scheme::kPForDelta}) {
-    const auto list = codec::BlockCompressedList::build(docs, s);
-    const std::string path = temp_path("griffin_test_index_v2.bin");
-    write_legacy_v2_file(path, s, list, freqs, 100);
-    const auto loaded = index::load_index(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(loaded.scheme(), s);
-    EXPECT_FALSE(loaded.adaptive());
-    ASSERT_EQ(loaded.num_terms(), 1u);
-    EXPECT_EQ(loaded.list(0).docids.scheme(), s);
-    std::vector<index::DocId> got;
-    loaded.list(0).docids.decode_all(got);
-    EXPECT_EQ(got, docs) << codec::scheme_name(s);
-    EXPECT_EQ(loaded.docs().num_docs(), 100u);
-    EXPECT_EQ(loaded.docs().length(7), 2u);
+  try {
+    index::load_index(path);
+    ADD_FAILURE() << "a v2 file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index load: version mismatch");
   }
+  std::remove(path.c_str());
 }
 
 TEST(IndexIO, MissingFileThrows) {

@@ -1,8 +1,9 @@
 // The trace invariants the plan/execute decomposition (DESIGN.md §8)
 // guarantees:
 //   1. Per-step stage durations sum exactly to the QueryMetrics stage
-//      totals — every charge in the system happens inside some recorded
-//      step (the records are stage-delta snapshots around dispatch).
+//      totals — every op in the system belongs to some recorded step, and
+//      both are derived from the same stage-tagged timeline ops
+//      (testutil::expect_stage_sums).
 //   2. An intersect record's placement replays from Scheduler::decide on
 //      its recorded StepShape: the trace carries the scheduler's full
 //      input, so decisions are auditable after the fact.
@@ -38,57 +39,6 @@ std::vector<core::Query> trace_log(const index::InvertedIndex& idx) {
   extreme.terms = {static_cast<index::TermId>(idx.num_terms() - 1), 0};
   log.push_back(extreme);
   return log;
-}
-
-void expect_stage_sums(const core::QueryResult& res, const std::string& label) {
-  const auto& m = res.metrics;
-  ASSERT_FALSE(res.trace.empty()) << label;
-  EXPECT_EQ(res.trace.back().kind, core::StepKind::kRank) << label;
-  sim::Duration total, decode, intersect, transfer, rank;
-  std::uint64_t kernels = 0;
-  for (const auto& r : res.trace) {
-    // Each record's duration is exactly its stage charges.
-    EXPECT_EQ(r.duration, r.decode + r.intersect + r.transfer + r.rank)
-        << label;
-    total += r.duration;
-    decode += r.decode;
-    intersect += r.intersect;
-    transfer += r.transfer;
-    rank += r.rank;
-    kernels += r.gpu_kernels;
-    // Single-tenant execution: every record is attributed to this query and
-    // nothing is batch-grouped (batch groups only exist under tenancy).
-    EXPECT_EQ(r.query, res.trace.front().query) << label;
-    EXPECT_EQ(r.batch_group, 0u) << label;
-  }
-  // Step durations are serial stage charges; m.total is the timeline's
-  // critical path. The difference is exactly the overlap the async engines
-  // hid (DESIGN.md §10) — picosecond-exact, not approximate.
-  EXPECT_EQ(total, m.total + m.overlap.saved) << label;
-  EXPECT_EQ(decode, m.decode) << label;
-  EXPECT_EQ(intersect, m.intersect) << label;
-  EXPECT_EQ(transfer, m.transfer) << label;
-  EXPECT_EQ(rank, m.rank) << label;
-  EXPECT_EQ(kernels, m.gpu_kernels) << label;
-  EXPECT_EQ(res.trace.back().output_count, m.result_count) << label;
-
-  core::TraceSummary sum;
-  sum.add(res.trace);
-  EXPECT_EQ(sum.steps, res.trace.size()) << label;
-  EXPECT_EQ(sum.migrations, m.migrations) << label;
-  EXPECT_EQ(sum.step_time, m.total + m.overlap.saved) << label;
-
-  // Timeline placement sanity: every step has issue <= start <= end, and
-  // no step ends after the query's critical path.
-  for (const auto& r : res.trace) {
-    EXPECT_LE(r.issue.ps(), r.start.ps()) << label;
-    EXPECT_LE(r.start.ps(), r.end.ps()) << label;
-    EXPECT_LE(r.end.ps(), m.total.ps()) << label;
-  }
-  // Prefetch bookkeeping always balances.
-  EXPECT_EQ(m.overlap.prefetch_issued,
-            m.overlap.prefetch_used + m.overlap.prefetch_dropped)
-      << label;
 }
 
 void expect_identical_traces(const std::vector<core::StepRecord>& a,
@@ -155,10 +105,12 @@ TEST(QueryTrace, StepDurationsSumToStageTotals) {
     for (std::size_t i = 0; i < log.size(); ++i) {
       const auto res = engine->execute(log[i]);
       const std::string label = std::string(name) + " q" + std::to_string(i);
-      expect_stage_sums(res, label);
-      // Attribution: every record carries the caller-assigned query id.
+      testutil::expect_stage_sums(res, label);
+      // Attribution: every record carries the caller-assigned query id, and
+      // nothing is batch-grouped (batch groups only exist under tenancy).
       for (const auto& r : res.trace) {
         EXPECT_EQ(r.query, log[i].id) << label;
+        EXPECT_EQ(r.batch_group, 0u) << label;
       }
     }
   }
@@ -222,8 +174,8 @@ TEST(QueryTrace, PrefetchNeverChangesResults) {
       std::memcpy(&xb, &b.topk[r].score, sizeof(xb));
       EXPECT_EQ(xa, xb) << "q" << i << " rank " << r;  // bit-identical
     }
-    expect_stage_sums(a, "prefetch-on q" + std::to_string(i));
-    expect_stage_sums(b, "prefetch-off q" + std::to_string(i));
+    testutil::expect_stage_sums(a, "prefetch-on q" + std::to_string(i));
+    testutil::expect_stage_sums(b, "prefetch-off q" + std::to_string(i));
     EXPECT_EQ(b.metrics.overlap.prefetch_issued, 0u) << "q" << i;
   }
 }
@@ -255,9 +207,10 @@ TEST(QueryTrace, PrefetchDroppedOnCpuMigration) {
   const auto res = engine.execute(q);
   const auto& m = res.metrics;
   EXPECT_EQ(m.migrations, 1u);
-  ASSERT_EQ(m.placements.size(), 2u);
-  EXPECT_EQ(m.placements[0], core::Placement::kGpu);
-  EXPECT_EQ(m.placements[1], core::Placement::kCpu);
+  const auto placements = testutil::intersect_placements(res);
+  ASSERT_EQ(placements.size(), 2u);
+  EXPECT_EQ(placements[0], core::Placement::kGpu);
+  EXPECT_EQ(placements[1], core::Placement::kCpu);
   EXPECT_EQ(m.overlap.prefetch_issued, 1u);
   EXPECT_EQ(m.overlap.prefetch_used, 0u);
   EXPECT_EQ(m.overlap.prefetch_dropped, 1u);
@@ -277,7 +230,7 @@ TEST(QueryTrace, PrefetchDroppedOnCpuMigration) {
   }
   EXPECT_TRUE(saw_prefetch);
   EXPECT_TRUE(saw_boosted_shape);
-  expect_stage_sums(res, "dropped-prefetch");
+  testutil::expect_stage_sums(res, "dropped-prefetch");
   const auto want = testutil::reference_topk(idx, q);
   testutil::expect_same_topk(res.topk, want, "dropped-prefetch");
 }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "cluster/broker.h"
+#include "cpu/engine.h"
+#include "engine_test_util.h"
+
 using namespace griffin;
 using cluster::CacheKey;
 using cluster::ResultCache;
@@ -23,17 +29,41 @@ std::vector<core::ScoredDoc> docs(std::initializer_list<index::DocId> ids) {
 
 }  // namespace
 
-TEST(ResultCache, KeyIsTermOrderInsensitive) {
-  const auto a = cluster::make_cache_key(make_query({3, 1, 2}, 10));
-  const auto b = cluster::make_cache_key(make_query({1, 2, 3}, 10));
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(cluster::CacheKeyHash{}(a), cluster::CacheKeyHash{}(b));
+TEST(ResultCache, PermutedRepeatIsScoredNotServedFromCache) {
+  // BM25 sums per-term scores in query order, so a permutation of a cached
+  // query can differ in the last score bit: it must get its own entry and
+  // the same bits a direct engine run returns.
+  const auto& idx = testutil::small_index();
+  cluster::ClusterConfig cfg;
+  cfg.num_shards = 1;
+  cfg.cache_capacity = 16;
+  cfg.record_outcomes = true;
+  cluster::ClusterBroker broker(idx, cfg);
+  const std::vector<core::Query> stream = {make_query({0, 1, 2}, 10),
+                                           make_query({2, 0, 1}, 10)};
+  const auto res = broker.run(stream);
+  ASSERT_EQ(res.outcomes.size(), 2u);
+  EXPECT_FALSE(res.outcomes[1].cache_hit);
+
+  cpu::CpuEngine direct(idx);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto want = direct.execute(stream[i]).topk;
+    const auto& got = res.outcomes[i].topk;
+    ASSERT_EQ(got.size(), want.size()) << "query " << i;
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got[r].doc, want[r].doc) << "query " << i << " rank " << r;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[r].score),
+                std::bit_cast<std::uint32_t>(want[r].score))
+          << "query " << i << " rank " << r;
+    }
+  }
 }
 
-TEST(ResultCache, KeyDistinguishesKAndTerms) {
+TEST(ResultCache, KeyDistinguishesKTermsAndTermOrder) {
   const auto base = cluster::make_cache_key(make_query({1, 2}, 10));
   EXPECT_NE(base, cluster::make_cache_key(make_query({1, 2}, 20)));
   EXPECT_NE(base, cluster::make_cache_key(make_query({1, 3}, 10)));
+  EXPECT_NE(base, cluster::make_cache_key(make_query({2, 1}, 10)));
 }
 
 TEST(ResultCache, HitReturnsInsertedResults) {

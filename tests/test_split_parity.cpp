@@ -208,10 +208,11 @@ TEST(SplitParity, AlwaysSplitPlacesSplitSteps) {
   q.k = 10;
   const auto res = engine.execute(q);
   std::uint64_t splits = 0;
-  for (const auto p : res.metrics.placements) {
+  const auto placements = testutil::intersect_placements(res);
+  for (const auto p : placements) {
     if (p == Placement::kSplit) ++splits;
   }
-  EXPECT_EQ(splits, res.metrics.placements.size());
+  EXPECT_EQ(splits, placements.size());
   EXPECT_GT(splits, 0u);
   core::TraceSummary sum;
   sum.add(res.trace);

@@ -169,6 +169,11 @@ TEST(Tenancy, BatchingFiresAndIsAttributable) {
   core::TraceSummary summary;
   std::uint64_t batched = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
+    // Fused launches split one op's worth of overhead K ways, yet every
+    // lane's records still sum to its own stage totals exactly.
+    testutil::expect_stage_sums(results[i].result,
+                                "lane query " + std::to_string(i),
+                                results[i].release);
     for (const auto& rec : results[i].result.trace) {
       // Every record is attributable to its query.
       EXPECT_EQ(rec.query, queries[i].id);
@@ -318,10 +323,9 @@ TEST(TenancyFaults, ArmedTenancyKeepsGoldenParityAndIsDeterministic) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     expect_bit_identical_topk(got[i].result.topk, want[i].topk, i);
     EXPECT_EQ(got[i].finish.ps(), again[i].finish.ps()) << "query " << i;
-    // Stage identity per query, faults included.
-    const auto& m = got[i].result.metrics;
-    EXPECT_EQ((m.decode + m.intersect + m.transfer + m.rank).ps(),
-              (m.total + m.overlap.saved).ps()) << "query " << i;
+    // Stage sums per query and per record, faults included.
+    testutil::expect_stage_sums(got[i].result, "query " + std::to_string(i),
+                                got[i].release);
   }
   // The run actually injected something.
   EXPECT_TRUE(dm.run_faults().any());

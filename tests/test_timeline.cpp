@@ -13,6 +13,7 @@
 using namespace griffin;
 using sim::Duration;
 using sim::Resource;
+using sim::Stage;
 using sim::Timeline;
 
 namespace {
@@ -22,8 +23,9 @@ Duration us(std::int64_t v) { return Duration::from_us(double(v)); }
 TEST(Timeline, SameStreamOpsSerializeInIssueOrder) {
   Timeline tl;
   const auto s = tl.stream();
-  const auto e1 = tl.record(s, Resource::kGpuCompute, us(10));
-  const auto e2 = tl.record(s, Resource::kGpuCompute, us(5));
+  const auto e1 =
+      tl.record(s, Resource::kGpuCompute, Stage::kIntersect, us(10));
+  const auto e2 = tl.record(s, Resource::kGpuCompute, Stage::kIntersect, us(5));
   EXPECT_EQ(e1.at.ps(), us(10).ps());
   EXPECT_EQ(e2.at.ps(), us(15).ps());
   // Second op issued when the stream tail (not the wait) allowed it.
@@ -36,8 +38,8 @@ TEST(Timeline, DifferentResourcesOverlap) {
   Timeline tl;
   const auto copy = tl.stream();
   const auto compute = tl.stream();
-  tl.record(copy, Resource::kCopyH2D, us(20));
-  tl.record(compute, Resource::kGpuCompute, us(12));
+  tl.record(copy, Resource::kCopyH2D, Stage::kTransfer, us(20));
+  tl.record(compute, Resource::kGpuCompute, Stage::kIntersect, us(12));
   // No dependency between them: full overlap, latency = the longer one.
   EXPECT_EQ(tl.critical_path().ps(), us(20).ps());
   EXPECT_EQ(tl.serial_total().ps(), us(32).ps());
@@ -49,8 +51,8 @@ TEST(Timeline, SameResourceSerializesAcrossStreams) {
   Timeline tl;
   const auto s1 = tl.stream();
   const auto s2 = tl.stream();
-  tl.record(s1, Resource::kCopyH2D, us(20));
-  tl.record(s2, Resource::kCopyH2D, us(20));
+  tl.record(s1, Resource::kCopyH2D, Stage::kTransfer, us(20));
+  tl.record(s2, Resource::kCopyH2D, Stage::kTransfer, us(20));
   // One DMA engine per direction: the second copy queues behind the first
   // even though the streams are independent.
   EXPECT_EQ(tl.ops()[1].issue.ps(), 0);
@@ -62,9 +64,10 @@ TEST(Timeline, EventWaitExpressesCrossStreamDependency) {
   Timeline tl;
   const auto copy = tl.stream();
   const auto compute = tl.stream();
-  const auto delivered = tl.record(copy, Resource::kCopyH2D, us(20));
-  const auto done =
-      tl.record(compute, Resource::kGpuCompute, us(10), delivered);
+  const auto delivered =
+      tl.record(copy, Resource::kCopyH2D, Stage::kTransfer, us(20));
+  const auto done = tl.record(compute, Resource::kGpuCompute,
+                              Stage::kIntersect, us(10), delivered);
   // The kernel reads what the copy delivered: it cannot start earlier.
   EXPECT_EQ(tl.ops()[1].issue.ps(), us(20).ps());
   EXPECT_EQ(done.at.ps(), us(30).ps());
@@ -76,9 +79,9 @@ TEST(Timeline, DualCopyEnginesOverlapDirections) {
   const auto up = tl.stream();
   const auto down = tl.stream();
   const auto gpu = tl.stream();
-  tl.record(up, Resource::kCopyH2D, us(30));
-  tl.record(down, Resource::kCopyD2H, us(30));
-  tl.record(gpu, Resource::kGpuCompute, us(30));
+  tl.record(up, Resource::kCopyH2D, Stage::kTransfer, us(30));
+  tl.record(down, Resource::kCopyD2H, Stage::kTransfer, us(30));
+  tl.record(gpu, Resource::kGpuCompute, Stage::kIntersect, us(30));
   // H2D, D2H, and compute are three distinct units: everything overlaps.
   EXPECT_EQ(tl.critical_path().ps(), us(30).ps());
   EXPECT_EQ(tl.serial_total().ps(), us(90).ps());
@@ -94,8 +97,9 @@ TEST(Timeline, PipelinedChunksHideCopyUnderCompute) {
   const auto compute = tl.stream();
   Timeline::Event prev{};
   for (int i = 0; i < 4; ++i) {
-    const auto delivered = tl.record(copy, Resource::kCopyH2D, us(10));
-    prev = tl.record(compute, Resource::kGpuCompute, us(10),
+    const auto delivered =
+        tl.record(copy, Resource::kCopyH2D, Stage::kTransfer, us(10));
+    prev = tl.record(compute, Resource::kGpuCompute, Stage::kIntersect, us(10),
                      Timeline::join(delivered, prev));
   }
   // 4 copies + 4 decodes serially = 80us; pipelined = copy0 then 4 decodes
@@ -113,9 +117,9 @@ TEST(Timeline, CriticalPathPlusSavedEqualsSerialExactly) {
   const Duration d1 = Duration::from_ps(1234567);
   const Duration d2 = Duration::from_ps(7654321);
   const Duration d3 = Duration::from_ps(999983);
-  const auto e1 = tl.record(a, Resource::kCopyH2D, d1);
-  tl.record(b, Resource::kGpuCompute, d2, e1);
-  tl.record(a, Resource::kCopyH2D, d3);
+  const auto e1 = tl.record(a, Resource::kCopyH2D, Stage::kTransfer, d1);
+  tl.record(b, Resource::kGpuCompute, Stage::kIntersect, d2, e1);
+  tl.record(a, Resource::kCopyH2D, Stage::kTransfer, d3);
   const Duration saved = tl.serial_total() - tl.critical_path();
   EXPECT_EQ((tl.critical_path() + saved).ps(), (d1 + d2 + d3).ps());
   EXPECT_EQ(tl.critical_path().ps(), (d1 + d2).ps());
@@ -132,11 +136,11 @@ TEST(TimelineScopes, ScopeStatsPartitionGlobalTotals) {
   const auto s2 = tl.stream(us(5));  // admitted later
 
   tl.set_scope(q1);
-  tl.record(s1, Resource::kCopyH2D, us(10));
+  tl.record(s1, Resource::kCopyH2D, Stage::kTransfer, us(10));
   tl.set_scope(q2);
-  tl.record(s2, Resource::kCopyH2D, us(8));
+  tl.record(s2, Resource::kCopyH2D, Stage::kTransfer, us(8));
   tl.set_scope(q1);
-  tl.record(s1, Resource::kGpuCompute, us(6));
+  tl.record(s1, Resource::kGpuCompute, Stage::kIntersect, us(6));
 
   const auto& a = tl.scope_stats(q1);
   const auto& b = tl.scope_stats(q2);
@@ -156,7 +160,7 @@ TEST(TimelineScopes, ScopeStatsPartitionGlobalTotals) {
 TEST(TimelineScopes, StreamOpenAtDelaysFirstIssue) {
   Timeline tl;
   const auto s = tl.stream(us(42));
-  const auto e = tl.record(s, Resource::kGpuCompute, us(3));
+  const auto e = tl.record(s, Resource::kGpuCompute, Stage::kIntersect, us(3));
   EXPECT_EQ(tl.ops()[0].issue.ps(), us(42).ps());
   EXPECT_EQ(e.at.ps(), us(45).ps());
 }
@@ -196,7 +200,7 @@ TEST(TimelineScopes, InterleavedMultiStreamPropertyHolds) {
       const Duration d = Duration::from_ps(1 + std::int64_t(rng() % 9'999'983));
       // Half the ops chain on the scope's previous op (cross-stream waits).
       const bool chained = (rng() % 2) == 0;
-      const auto e = tl.record(stream, r, d,
+      const auto e = tl.record(stream, r, Stage::kIntersect, d,
                                chained ? ss.last : Timeline::Event{});
       ss.last = e;
     }
@@ -242,10 +246,51 @@ TEST(TimelineScopes, InterleavedMultiStreamPropertyHolds) {
   }
 }
 
+TEST(TimelineScopes, StageSumsPartitionScopesAndOps) {
+  // The one-ledger identity (DESIGN.md §10): with stages mixed across
+  // interleaved scopes, each scope's per-stage sums add up to its serial
+  // sum, and summed over scopes they equal a direct per-stage sum over the
+  // recorded ops.
+  util::Xoshiro256 rng(77);
+  Timeline tl;
+  const std::vector<Timeline::ScopeId> scopes = {tl.active_scope(),
+                                                 tl.scope(), tl.scope()};
+  std::vector<Timeline::StreamId> streams;
+  for (std::size_t i = 0; i < scopes.size(); ++i) {
+    streams.push_back(tl.stream());
+  }
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t q = rng() % scopes.size();
+    tl.set_scope(scopes[q]);
+    tl.record(streams[q], static_cast<Resource>(rng() % sim::kNumResources),
+              static_cast<Stage>(rng() % sim::kNumStages),
+              Duration::from_ps(1 + std::int64_t(rng() % 999'983)));
+  }
+
+  Duration direct[sim::kNumStages] = {};
+  for (const auto& op : tl.ops()) {
+    direct[static_cast<std::size_t>(op.stage)] += op.end - op.start;
+  }
+  Duration over_scopes[sim::kNumStages] = {};
+  for (const auto sc : scopes) {
+    const auto& st = tl.scope_stats(sc);
+    Duration stages;
+    for (std::size_t g = 0; g < sim::kNumStages; ++g) {
+      stages += st.stage[g];
+      over_scopes[g] += st.stage[g];
+    }
+    EXPECT_EQ(stages.ps(), st.serial.ps()) << "scope " << sc;
+  }
+  for (std::size_t g = 0; g < sim::kNumStages; ++g) {
+    EXPECT_GT(direct[g].ps(), 0) << "stage " << g << " never drawn";
+    EXPECT_EQ(over_scopes[g].ps(), direct[g].ps()) << "stage " << g;
+  }
+}
+
 TEST(Timeline, ResetDropsEverything) {
   Timeline tl;
   const auto s = tl.stream();
-  tl.record(s, Resource::kCpu, us(5));
+  tl.record(s, Resource::kCpu, Stage::kDecode, us(5));
   tl.reset();
   EXPECT_EQ(tl.num_ops(), 0u);
   EXPECT_EQ(tl.critical_path().ps(), 0);
@@ -253,6 +298,6 @@ TEST(Timeline, ResetDropsEverything) {
   EXPECT_EQ(tl.busy(Resource::kCpu).ps(), 0);
   const auto s2 = tl.stream();
   EXPECT_EQ(s2, 0u);  // stream ids restart
-  const auto e = tl.record(s2, Resource::kCpu, us(3));
+  const auto e = tl.record(s2, Resource::kCpu, Stage::kDecode, us(3));
   EXPECT_EQ(e.at.ps(), us(3).ps());
 }
