@@ -1,7 +1,6 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace griffin::core {
@@ -29,16 +28,21 @@ sim::Duration& stage_field(Breakdown& b, sim::Stage stage) {
 }
 }  // namespace
 
-void StepExecutor::begin_query(const Query& q) {
+void StepExecutor::begin_query(const Query& q, sim::Timeline* shared,
+                               sim::Duration release) {
   host_current_.clear();
   loc_.reset();
-  if (tl_ == &own_tl_) {
+  if (shared == nullptr) {
     // Private timeline: the query owns the device, wipe and restart.
+    tl_ = &own_tl_;
+    release_ = sim::Duration();
     tl_->reset();
     scope_ = 0;
   } else {
     // Shared timeline: the device keeps running; this query gets its own
     // accounting scope and streams opened at its admission time.
+    tl_ = shared;
+    release_ = release;
     scope_ = tl_->scope();
   }
   tl_->set_scope(scope_);
@@ -48,11 +52,11 @@ void StepExecutor::begin_query(const Query& q) {
   step_index_ = 0;
   batch_group_ = 0;
   leg_faulted_ = false;
-  if (gpu_ != nullptr) gpu_->begin_query(*tl_, q.id, release_);
+  gpu_->begin_query(*tl_, q.id, release_);
 }
 
 void StepExecutor::finish_query(QueryMetrics& m) {
-  if (gpu_ != nullptr) gpu_->finish_query(m);  // drops prefetches, buffers
+  gpu_->finish_query(m);  // drops prefetches, buffers
   // The query's scope holds every op it recorded: its per-stage sums are
   // the stage totals. The latency is the query's span on the (possibly
   // shared) timeline: from its admission to its last op's completion. On a
@@ -77,7 +81,7 @@ void StepExecutor::finish_query(QueryMetrics& m) {
 
 void StepExecutor::set_batch(std::uint32_t size, std::uint64_t group) {
   batch_group_ = size > 1 ? group : 0;
-  if (gpu_ != nullptr) gpu_->set_batch(size);
+  gpu_->set_batch(size);
 }
 
 std::uint64_t StepExecutor::intermediate_count() const {
@@ -150,7 +154,7 @@ StepExecutor::StepTraits StepExecutor::traits(const PlanStep& step) {
 
 StepExecutor::FaultAction StepExecutor::draw_fault(const StepTraits& t,
                                                    QueryMetrics& m) const {
-  if (injector_ == nullptr || svs_ == nullptr) return FaultAction::kNone;
+  if (injector_ == nullptr) return FaultAction::kNone;
   // An ECC-style device fault abandons a kGpu compute step — and with it
   // the query's device residency — but only loses a prefetch's optional
   // upload.
@@ -203,12 +207,10 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
   QueryMetrics& m = res.metrics;
   if (const auto* d = std::get_if<DecodeStep>(&step)) {
     if (d->where == Placement::kGpu) {
-      assert(gpu_ != nullptr);
       gpu_->load_single(d->term, m);
       loc_ = Placement::kGpu;
       return gpu_->chain();
     }
-    assert(svs_ != nullptr);
     loc_ = Placement::kCpu;
     return cpu_op(svs_->decode_single(d->term, host_current_, m),
                   sim::Stage::kDecode, frontier_);
@@ -216,7 +218,6 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
   if (const auto* i = std::get_if<IntersectStep>(&step)) {
     if (i->where == Placement::kSplit) return run_split(*i, m);
     if (i->where == Placement::kGpu) {
-      assert(gpu_ != nullptr);
       if (i->first_pair) {
         gpu_->intersect_first(i->probe_term, i->term, m);
       } else {
@@ -225,7 +226,6 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
       loc_ = Placement::kGpu;
       return gpu_->chain();
     }
-    assert(svs_ != nullptr);
     const sim::Duration d =
         i->first_pair ? svs_->first_pair(i->probe_term, i->term,
                                          host_current_, m)
@@ -234,7 +234,6 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
     return cpu_op(d, sim::Stage::kIntersect, frontier_);
   }
   if (const auto* t = std::get_if<TransferStep>(&step)) {
-    assert(gpu_ != nullptr);
     if (t->direction == TransferDirection::kHostToDevice) {
       gpu_->upload_intermediate(host_current_, m);
       loc_ = Placement::kGpu;
@@ -246,7 +245,6 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
     return gpu_->chain();
   }
   if (const auto* p = std::get_if<PrefetchStep>(&step)) {
-    assert(gpu_ != nullptr);
     // Intermediate, location and chain unchanged: later steps don't wait
     // on a prefetch unless they consume it.
     gpu_->prefetch(p->term, m);
@@ -259,7 +257,6 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
     // work-ahead honest — but waiting on nothing and never advancing the
     // plan frontier: no step *depends* on it, a consumer simply finds the
     // list in the decoded cache.
-    assert(svs_ != nullptr);
     cpu_op(svs_->decode_ahead(h->term, m), sim::Stage::kDecode, {});
     return frontier_;
   }
@@ -290,7 +287,6 @@ sim::Timeline::Event StepExecutor::run_cpu_leg(
 
 sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
                                              QueryMetrics& m) {
-  assert(svs_ != nullptr && gpu_ != nullptr);
   const sim::Timeline::Event entry = frontier_;
 
   std::vector<codec::DocId> cpu_out;
@@ -500,35 +496,6 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
   res.trace.push_back(rec);
   ++step_index_;
   return status;
-}
-
-QueryResult run_plan(Planner& planner, StepExecutor& exec, const Query& q) {
-  QueryResult res;
-  if (q.terms.empty()) return res;
-  exec.begin_query(q);
-  planner.begin(q);
-  while (const auto step = planner.next(exec.intermediate_count(),
-                                        exec.location())) {
-    // Injected-fault recovery (DESIGN.md §11/§16). kFaultQuery pins every
-    // later decision host-side, so at most one *device* fault fires per
-    // query; the step-scoped statuses leave later placements free, so a
-    // query can ride the OOM ladder more than once.
-    switch (exec.run(*step, q, res)) {
-      case StepStatus::kOk:
-        break;
-      case StepStatus::kOkForceCpu:
-        planner.force_cpu();
-        break;
-      case StepStatus::kFaultQuery:
-        planner.degrade_to_cpu(*step);
-        break;
-      case StepStatus::kFaultStep:
-        planner.degrade_step_to_cpu(*step);
-        break;
-    }
-  }
-  exec.finish_query(res.metrics);
-  return res;
 }
 
 }  // namespace griffin::core

@@ -1,9 +1,8 @@
 // The shared step executor (DESIGN.md §8): runs one physical plan step at a
 // time, dispatching CPU steps to cpu::SvsStepper, GPU steps to
 // gpu::GpuExecutor, and transfer steps to the PCIe link the GpuExecutor
-// owns. Either backend may be absent (the CPU-only engine has no
-// GpuExecutor, the GPU-only engine no SvsStepper) — the degenerate
-// scheduler policies guarantee the corresponding steps are never planned.
+// owns. core::HybridEngine owns the one instance per engine stack and drives
+// it; which backend a step lands on is purely the planner's decision.
 //
 // The query's sim::Timeline is its only ledger: every charge the backends
 // make is one stage-tagged op there. run() derives each step's StepRecord
@@ -28,9 +27,9 @@
 namespace griffin::core {
 
 /// What StepExecutor::run did with the step, and what the planner must do
-/// next (DESIGN.md §11/§16). run_plan and the tenancy DeviceManager switch
-/// on this; the two abandon statuses both re-emit the step, differing only
-/// in how much of the remaining plan is pinned host-side.
+/// next (DESIGN.md §11/§16). HybridEngine::advance switches on this; the two
+/// abandon statuses both re-emit the step, differing only in how much of
+/// the remaining plan is pinned host-side.
 enum class StepStatus : std::uint8_t {
   kOk,          ///< step ran (or an optional prefetch was dropped)
   /// The step completed but the device is no longer trusted for this query
@@ -49,49 +48,40 @@ enum class StepStatus : std::uint8_t {
 
 class StepExecutor : public ResidencyProbe {
  public:
-  /// `svs` and/or `gpu` may be nullptr when the scheduler policy can never
-  /// place a step on that backend. `scorer` and the rank spec are always
-  /// required (ranking is unconditionally CPU-side). A non-null `injector`
-  /// arms fault injection (DESIGN.md §11): GPU compute steps may be
-  /// abandoned (degrading the plan to the CPU — requires a non-null `svs`)
-  /// and the GpuExecutor's DMAs draw PCIe error coordinates. `fault_scope`
-  /// is the shard id in a cluster, 0 standalone.
-  StepExecutor(sim::CpuSpec rank_spec, cpu::SvsStepper* svs,
-               gpu::GpuExecutor* gpu, const cpu::Bm25Scorer& scorer,
+  /// Ranking is unconditionally CPU-side under `rank_spec`. A non-null
+  /// `injector` arms fault injection (DESIGN.md §11): GPU compute steps may
+  /// be abandoned (degrading the plan to the CPU) and the GpuExecutor's DMAs
+  /// draw PCIe error coordinates. `fault_scope` is the shard id in a
+  /// cluster, 0 standalone.
+  StepExecutor(sim::CpuSpec rank_spec, cpu::SvsStepper& svs,
+               gpu::GpuExecutor& gpu, const cpu::Bm25Scorer& scorer,
                const fault::FaultInjector* injector = nullptr,
                std::uint32_t fault_scope = 0)
       : rank_spec_(rank_spec),
-        svs_(svs),
-        gpu_(gpu),
+        svs_(&svs),
+        gpu_(&gpu),
         scorer_(&scorer),
         injector_(injector),
         fault_scope_(fault_scope) {
-    if (gpu_ != nullptr) gpu_->set_fault_injector(injector, fault_scope);
+    gpu_->set_fault_injector(injector, fault_scope);
   }
 
-  /// Binds this executor to a shared multi-tenant timeline (DESIGN.md §12).
-  /// The next begin_query() opens its streams at `release` (the admission
-  /// time) inside a fresh accounting scope instead of resetting a private
-  /// timeline, so ops from co-admitted queries contend for the same
-  /// per-resource busy clocks. Call before every begin_query() while
-  /// shared; pass nullptr to return to private single-tenant mode.
-  void bind_shared(sim::Timeline* tl, sim::Duration release = {}) {
-    tl_ = tl != nullptr ? tl : &own_tl_;
-    release_ = tl != nullptr ? release : sim::Duration();
-  }
-
-  /// Resets per-query state (host intermediate, device buffers) and the
-  /// timeline (DESIGN.md §10): one CPU stream here, one copy + one compute
-  /// stream inside the GpuExecutor. On a shared timeline the streams open
-  /// at the bound release time and the timeline itself is left intact.
-  /// The query keys fault coordinates.
-  void begin_query(const Query& q);
+  /// Resets per-query state (host intermediate, device buffers) and opens
+  /// the query's streams (DESIGN.md §10): one CPU stream here, one copy +
+  /// one compute stream inside the GpuExecutor. By default the query owns
+  /// a private timeline, which is reset. With a `shared` multi-tenant
+  /// timeline (DESIGN.md §12) that timeline is left intact: the streams
+  /// open at `release` (the admission time) inside a fresh accounting
+  /// scope, so ops from co-admitted queries contend for the same
+  /// per-resource busy clocks. The query keys fault coordinates.
+  void begin_query(const Query& q, sim::Timeline* shared = nullptr,
+                   sim::Duration release = {});
 
   /// Executes one step — the backends record its charges as stage-tagged
   /// timeline ops and count its counters into res.metrics — and appends
   /// the StepRecord derived from those ops to res.trace. The returned
   /// StepStatus tells the caller which planner recovery hook to invoke, if
-  /// any — run_plan and the tenancy DeviceManager dispatch on it.
+  /// any — HybridEngine::advance dispatches on it.
   StepStatus run(const PlanStep& step, const Query& q, QueryResult& res);
 
   /// Releases device buffers (dropping unconsumed prefetches into m), then
@@ -109,13 +99,13 @@ class StepExecutor : public ResidencyProbe {
 
   // ResidencyProbe: stat-free cache probes for the planner's StepShapes.
   bool device_resident(index::TermId t) const override {
-    return gpu_ != nullptr && gpu_->device_resident(t);
+    return gpu_->device_resident(t);
   }
   bool host_decoded(index::TermId t) const override {
-    return svs_ != nullptr && svs_->host_decoded(t);
+    return svs_->host_decoded(t);
   }
   bool prefetched(index::TermId t) const override {
-    return gpu_ != nullptr && gpu_->prefetched(t);
+    return gpu_->prefetched(t);
   }
 
   const sim::Timeline& timeline() const { return *tl_; }
@@ -204,8 +194,8 @@ class StepExecutor : public ResidencyProbe {
   std::uint64_t step_index_ = 0;  ///< fault coordinate of the next step
   std::vector<codec::DocId> host_current_;  ///< valid when loc_ == kCpu
   std::optional<Placement> loc_;
-  /// Private single-tenant timeline; tl_ points here unless bind_shared()
-  /// redirected it to a DeviceManager-owned shared timeline.
+  /// Private single-tenant timeline; tl_ points here unless begin_query()
+  /// was handed a DeviceManager-owned shared timeline.
   sim::Timeline own_tl_;
   sim::Timeline* tl_ = &own_tl_;
   sim::Duration release_;              ///< stream open time (shared mode)
@@ -221,9 +211,5 @@ class StepExecutor : public ResidencyProbe {
   /// the StepRecord and returns kOkForceCpu.
   bool leg_faulted_ = false;
 };
-
-/// The shared driver loop: plans and executes one query start to finish.
-/// All three engines' execute() methods are exactly this call.
-QueryResult run_plan(Planner& planner, StepExecutor& exec, const Query& q);
 
 }  // namespace griffin::core

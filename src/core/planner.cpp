@@ -5,6 +5,21 @@
 
 namespace griffin::core {
 
+namespace {
+/// Don't prefetch a list longer than this ratio times the current
+/// intermediate: above it the binary-search path's deferred transfer (skip
+/// table + candidate blocks only) moves less data than the full payload a
+/// prefetch would, hidden or not. 2x the GPU path crossover.
+constexpr double kPrefetchRatioLimit = 256.0;
+
+/// A prefetch staged during a CPU-placed intersect is only worth paying for
+/// when the predicted device consumer survives the intersect cutting the
+/// intermediate: the prediction must also hold at probe size shorter / this
+/// factor, else the upload is pure loss the moment the shrunken ratio
+/// re-favors the host. Device-placed steps keep the unconditional prefetch.
+constexpr double kPrefetchShrinkRobustness = 8.0;
+}  // namespace
+
 StepShape Planner::shape_for(std::uint64_t shorter, index::TermId longer_term,
                              std::optional<Placement> location) const {
   StepShape s;
@@ -115,7 +130,7 @@ void Planner::maybe_stage_prefetch(const IntersectStep& step) {
     // is pure loss the moment it flips.
     const std::uint64_t shrunk = std::max<std::uint64_t>(
         static_cast<std::uint64_t>(static_cast<double>(step.shape.shorter) /
-                                   o.prefetch_shrink_robustness),
+                                   kPrefetchShrinkRobustness),
         1);
     if (sched_->decide(shape_for(shrunk, nxt, Placement::kCpu)) ==
         Placement::kCpu) {
@@ -127,7 +142,7 @@ void Planner::maybe_stage_prefetch(const IntersectStep& step) {
   // deferred transfer beats even a hidden full-payload upload.
   const double ratio = static_cast<double>(idx_->list(nxt).size()) /
                        static_cast<double>(step.shape.shorter);
-  if (ratio >= o.prefetch_ratio_limit) return;
+  if (ratio >= kPrefetchRatioLimit) return;
   staged_prefetch_ = nxt;
 }
 

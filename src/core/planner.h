@@ -36,8 +36,8 @@ namespace griffin::core {
 /// Stat-free cache-residency probes feeding StepShape's residency bits: the
 /// device-resident compressed-list cache (gpu/list_cache.h) and the host
 /// decoded-postings cache (cpu/decoded_cache.h). StepExecutor implements
-/// this over whichever backends it holds; absent backends report false,
-/// which reproduces the cold-cache (and cache-less) decisions exactly.
+/// this over its two backends; a cold (or disabled) cache reports false,
+/// which reproduces the paper rule's decisions exactly.
 class ResidencyProbe {
  public:
   virtual ~ResidencyProbe() = default;

@@ -1,12 +1,12 @@
-// Query types and the engine interface shared by the CPU engine, Griffin-GPU
-// and the hybrid Griffin engine. Kept dependency-light so the concrete
-// engines can implement it without cycles.
+// Query types, per-query metrics and trace records, and the core::Engine
+// interface that core::HybridEngine (and so its CPU-only and GPU-only
+// presets) implements. Kept dependency-light so every layer can include it
+// without cycles.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "fault/fault.h"
@@ -343,7 +343,6 @@ class Engine {
  public:
   virtual ~Engine() = default;
   virtual QueryResult execute(const Query& q) = 0;
-  virtual std::string name() const = 0;
 };
 
 }  // namespace griffin::core

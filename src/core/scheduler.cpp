@@ -148,10 +148,9 @@ sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
   const bool host_decoded = opt_.residency_aware && s.longer_host_decoded;
   if (ratio >= cpu::kDefaultSkipRatio) {
     // Skip-pointer probing: log-time skip search per probe plus a full
-    // block decode per distinct touched block (the default, paper-faithful
-    // CPU baseline — see cpu/intersect.h on ef_random_access). A
-    // host-decoded target skips the block decodes: probes binary-search the
-    // cached decoded array directly.
+    // block decode per distinct touched block (the paper-faithful CPU
+    // baseline — see cpu/intersect.h). A host-decoded target skips the
+    // block decodes: probes binary-search the cached decoded array directly.
     const double probes = ns;
     const double steps = std::log2(std::max(nl / 128.0, 2.0)) + 7.0;
     const double nblocks = nl / 128.0;
@@ -182,11 +181,9 @@ sim::Duration Scheduler::selective_gpu_time(double ns,
                                             const StepShape& s) const {
   const auto& g = hw_.gpu;
   const double nl = static_cast<double>(s.longer);
-  // Roughly five launches per step (search + decode + search + compact).
+  // Roughly five launches per step (search + decode + search + compact);
+  // the engines run on a warm device-memory pool, so no allocation charges.
   sim::Duration t = sim::Duration::from_us(5.0 * g.kernel_launch_us);
-  if (!opt_.assume_pooled_memory) {
-    t += sim::Duration::from_us(4.0 * hw_.pcie.alloc_us);
-  }
   const bool resident = opt_.residency_aware &&
                         (s.longer_device_resident || s.longer_prefetched);
   // Only candidate blocks move and decode; the transfer term uses the
@@ -219,9 +216,6 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
   if (ratio < 128.0) {
     // Roughly five launches per step (decode + partition + merge + compact).
     t = sim::Duration::from_us(5.0 * g.kernel_launch_us);
-    if (!opt_.assume_pooled_memory) {
-      t += sim::Duration::from_us(4.0 * hw_.pcie.alloc_us);
-    }
     // A device-resident long list (gpu/list_cache.h) skips the PCIe
     // transfer terms entirely — §2.3's overhead is exactly what the cache
     // removes. A prefetched one (DESIGN.md §10) already paid them on the
@@ -240,7 +234,7 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
     const double touched_bytes = (ns + nl) * 12.0;  // decode + merge traffic
     const sim::Duration mem =
         sim::Duration::from_ns(touched_bytes / g.mem_bandwidth_gbps);
-    t += opt_.overlap_aware ? sim::max(xfer, mem) : xfer + mem;
+    t += sim::max(xfer, mem);
     t += sim::Duration::from_ns(nl * gpu_decode_penalty_ns(s.longer_scheme));
   } else {
     t = selective_gpu_time(ns, s);

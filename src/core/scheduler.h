@@ -38,9 +38,6 @@ struct SchedulerOptions {
   SchedulerPolicy policy = SchedulerPolicy::kRatioThreshold;
   /// Crossover for kRatioThreshold; the paper derives block_size (=128).
   double ratio_threshold = 128.0;
-  /// kCostModel: assume the engines run with a warm device-memory pool
-  /// (GpuOptions::pooled_memory), i.e. no per-step allocation charges.
-  bool assume_pooled_memory = true;
   /// Fold list residency (StepShape's *_resident bits, filled from the
   /// device list cache and the host decoded cache) into the decision:
   /// kCostModel zeroes the transfer/decode terms a resident list skips, and
@@ -57,20 +54,10 @@ struct SchedulerOptions {
   /// next term's list on the copy engine (DESIGN.md §10). Read by the
   /// Planner; kAlwaysCpu plans never place GPU steps so never prefetch.
   bool prefetch = true;
-  /// Don't prefetch a list longer than this ratio times the current
-  /// intermediate: above it the binary-search path's deferred transfer
-  /// (skip table + candidate blocks only) moves less data than the full
-  /// payload a prefetch would, hidden or not. Default 2x the path
-  /// crossover.
-  double prefetch_ratio_limit = 256.0;
   /// kRatioThreshold multiplier when the long list is already prefetched:
   /// like device residency, the GPU owes no (visible) transfer for it, so
   /// the crossover rises.
   double prefetch_ratio_boost = 4.0;
-  /// kCostModel: credit copy/compute overlap in the GPU estimate — the
-  /// MergePath path double-buffers the payload H2D against Para-EF decode,
-  /// so transfer and memory time combine as max(), not sum.
-  bool overlap_aware = true;
   /// Consume the CPU's vector-mode costs (cpu/simd_cost.h) in both
   /// policies: kCostModel estimates CPU steps with the effective_* SIMD
   /// costs (the same closed forms the engine charges through), and
@@ -106,13 +93,6 @@ struct SchedulerOptions {
   /// intersects (the copy engine is free) and kHostDecode work-ahead during
   /// GPU-placed ones (the host core is free).
   bool pipeline_idle = true;
-  /// A prefetch staged during a CPU-placed intersect is only worth paying
-  /// for when the predicted device consumer survives the intersect cutting
-  /// the intermediate: the prediction must also hold at probe size
-  /// shorter / this factor, else the upload is pure loss the moment the
-  /// shrunken ratio re-favors the host. Applies to the pipeline_idle path
-  /// only (device-placed steps keep the unconditional prefetch).
-  double prefetch_shrink_robustness = 8.0;
 };
 
 // StepShape (the scheduler's per-step input) lives in core/query.h so trace

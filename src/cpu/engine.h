@@ -1,59 +1,24 @@
-// The CPU-only query engine: the "highly optimized CPU implementation" the
-// paper benchmarks Griffin against. SvS intersection order (shortest lists
-// first, per Culpepper & Moffat [11]), with a per-pair choice between the
-// sequential merge and the skip-pointer binary search based on the length
-// ratio, then BM25 + partial_sort ranking.
-//
-// execute() (core/engine_drivers.cpp) is the shared planner/executor driver
-// under the degenerate kAlwaysCpu policy — this engine has no step loop of
-// its own (DESIGN.md §8).
+// Options of the CPU side of an engine stack: the SvS stepper's merge/skip
+// crossover, the host decoded-postings cache and BM25. The CPU-only engine
+// itself, cpu::CpuEngine, is the hybrid engine pinned to the CPU
+// (kAlwaysCpu) and is declared next to it in core/hybrid_engine.h
+// (DESIGN.md §8).
 #pragma once
 
-#include "core/query.h"
+#include <cstddef>
+
 #include "cpu/bm25.h"
-#include "cpu/decoded_cache.h"
 #include "cpu/svs_step.h"
-#include "sim/hardware_spec.h"
 
 namespace griffin::cpu {
 
 struct CpuEngineOptions {
   /// Use skip_intersect when |longer| / |shorter| >= this; merge otherwise.
   double skip_ratio = kDefaultSkipRatio;
-  /// Charge EF in-block random access in the skip path (an improvement over
-  /// the paper's PForDelta-era CPU baseline; see cpu/intersect.h).
-  bool ef_random_access = false;
   /// Host-memory budget for the decoded-postings cache
   /// (cpu/decoded_cache.h); 0 disables it.
   std::size_t decoded_cache_bytes = std::size_t{1} << 30;
   Bm25Params bm25;
-};
-
-class CpuEngine : public core::Engine {
- public:
-  CpuEngine(const index::InvertedIndex& idx, sim::CpuSpec spec = {},
-            CpuEngineOptions opt = {})
-      : idx_(&idx),
-        spec_(spec),
-        opt_(opt),
-        cache_(opt.decoded_cache_bytes),
-        stepper_(idx, spec, SvsOptions{opt.skip_ratio, opt.ef_random_access},
-                 &cache_),
-        scorer_(idx, opt.bm25) {}
-
-  core::QueryResult execute(const core::Query& q) override;
-  std::string name() const override { return "cpu"; }
-
-  const sim::CpuSpec& spec() const { return spec_; }
-  const DecodedCache& decoded_cache() const { return cache_; }
-
- private:
-  const index::InvertedIndex* idx_;
-  sim::CpuSpec spec_;
-  CpuEngineOptions opt_;
-  DecodedCache cache_;
-  SvsStepper stepper_;
-  Bm25Scorer scorer_;
 };
 
 }  // namespace griffin::cpu

@@ -143,7 +143,7 @@ void merge_intersect(const BlockCompressedList& a, const BlockCompressedList& b,
 
 void skip_intersect(std::span<const DocId> probes,
                     const BlockCompressedList& target, std::vector<DocId>& out,
-                    sim::CpuCostAccumulator& acc, bool ef_random_access) {
+                    sim::CpuCostAccumulator& acc) {
   out.clear();
   if (probes.empty()) return;
   const auto metas = target.metas();
@@ -193,24 +193,9 @@ void skip_intersect(std::span<const DocId> probes,
     }
     if (metas[cur].first > p) continue;  // p falls in a gap between blocks
 
-    const bool random_access =
-        ef_random_access && target.scheme() == codec::Scheme::kEliasFano;
     if (decoded_block != cur) {
-      if (random_access) {
-        // EF supports in-block random access (select on the unary high
-        // bits, Vigna [30]): a probe pays a handful of element recoveries,
-        // not a full 128-element block decode. The simulator decodes the
-        // block once functionally; the cost charged is the EF select path.
-        decoded_n = target.decode_block(cur, buf.data());
-        acc.add_bytes(block_payload_bytes(target, cur));
-      } else {
-        // Block codecs without random access decode the whole block.
-        decoded_n = decode_block(target, cur, buf.data(), acc);
-      }
+      decoded_n = decode_block(target, cur, buf.data(), acc);
       decoded_block = cur;
-    }
-    if (random_access) {
-      acc.ef_elements(8);  // popcount-guided select + low-bits fetch
     }
     // Binary search within the block.
     const DocId* lo_it = buf.data();

@@ -30,17 +30,13 @@ void merge_intersect(const BlockCompressedList& a, const BlockCompressedList& b,
                      std::vector<DocId>& out, sim::CpuCostAccumulator& acc);
 
 /// Decoded probes × compressed target via skip pointers. `probes` must be
-/// ascending. Only candidate blocks of `target` are decoded.
-///
-/// ef_random_access=false (default) charges a full block decode per touched
-/// block — the paper's CPU baseline is PForDelta-based [40], which has no
-/// in-block random access, and the ratio-128 crossover analysis (§3.2)
-/// assumes exactly this cost. Setting it true (EF lists only) charges
-/// Vigna-style per-probe select instead — a strictly better CPU baseline
-/// than the paper's, measured by bench/ablation_threshold.
+/// ascending. Only candidate blocks of `target` are decoded, each in full:
+/// the paper's CPU baseline is PForDelta-based [40], which has no in-block
+/// random access, and the ratio-128 crossover analysis (§3.2) assumes
+/// exactly this cost.
 void skip_intersect(std::span<const DocId> probes,
                     const BlockCompressedList& target, std::vector<DocId>& out,
-                    sim::CpuCostAccumulator& acc, bool ef_random_access = false);
+                    sim::CpuCostAccumulator& acc);
 
 /// Decoded probes × *decoded* target (the host decoded-postings cache holds
 /// the target): the same galloping + binary search over a plain sorted

@@ -58,7 +58,7 @@ sim::Duration SvsStepper::first_pair(index::TermId a, index::TermId b,
     if (const auto* target = cached_only(b, m)) {
       skip_intersect(probes, std::span<const codec::DocId>(*target), out, acc);
     } else {
-      skip_intersect(probes, l1, out, acc, opt_.ef_random_access);
+      skip_intersect(probes, l1, out, acc);
     }
   } else {
     const auto* d0 = cached_only(a, m);
@@ -89,7 +89,7 @@ sim::Duration SvsStepper::next_step(std::vector<codec::DocId>& current,
       skip_intersect(current, std::span<const codec::DocId>(*target),
                      out_scratch_, acc);
     } else {
-      skip_intersect(current, lt, out_scratch_, acc, opt_.ef_random_access);
+      skip_intersect(current, lt, out_scratch_, acc);
     }
   } else {
     if (const auto* target = cached_only(t, m)) {
@@ -129,7 +129,7 @@ sim::Duration SvsStepper::partial_step(std::span<const codec::DocId> probes,
     if (const auto* target = cached_only(t, m)) {
       skip_intersect(probes, std::span<const codec::DocId>(*target), out, acc);
     } else {
-      skip_intersect(probes, lt, out, acc, opt_.ef_random_access);
+      skip_intersect(probes, lt, out, acc);
     }
   } else {
     if (const auto* target = cached_only(t, m)) {

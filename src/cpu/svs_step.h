@@ -1,6 +1,5 @@
-// The pairwise SvS intersection step shared by the CPU-only engine
-// (cpu/engine.cpp) and the hybrid engine's CPU steps (core/hybrid_engine.cpp),
-// which previously re-implemented it. One stepper owns the per-pair choice
+// The pairwise SvS intersection step behind every CPU-placed plan step
+// (core/executor.h dispatches to it). One stepper owns the per-pair choice
 // between the sequential merge and the skip-pointer binary search (chosen by
 // the length ratio, paper §2.1.2/§2.2), the per-step cost accounting, and
 // the optional host decoded-postings cache (cpu/decoded_cache.h).
@@ -37,8 +36,6 @@ inline constexpr double kDefaultSkipRatio = 32.0;
 struct SvsOptions {
   /// Use skip_intersect when |longer| / |shorter| >= this; merge otherwise.
   double skip_ratio = kDefaultSkipRatio;
-  /// Charge EF in-block random access in the compressed skip path.
-  bool ef_random_access = false;
 };
 
 class SvsStepper {

@@ -6,6 +6,10 @@
 namespace griffin::gpu {
 
 namespace {
+/// Intersection-path crossover: MergePath below this length ratio, binary
+/// search at or above. 128 = the block size, per the paper's §3.2 analysis.
+constexpr double kPathRatio = 128.0;
+
 /// Cache budget: device memory minus the per-query working-set headroom.
 std::uint64_t list_cache_budget(const sim::HardwareSpec& hw,
                                 const GpuOptions& opt) {
@@ -269,7 +273,7 @@ void GpuExecutor::intersect_first(index::TermId a, index::TermId b,
   bind_ledger(ledger, m);
   GpuIntersectResult r;
   std::optional<AcquiredList> pf;
-  if (ratio < opt_.path_ratio) {
+  if (ratio < kPathRatio) {
     auto db = decode_full_list(b, m);
     r = mergepath_intersect(device_, da, la.size(), db, lb.size(), link_,
                             ledger);
@@ -307,7 +311,7 @@ void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
   const auto& lt = idx_->list(t).docids;
   const double ratio =
       current_count_ == 0
-          ? opt_.path_ratio  // empty intermediate: nothing to merge anyway
+          ? kPathRatio  // empty intermediate: nothing to merge anyway
           : static_cast<double>(lt.size()) /
                 static_cast<double>(current_count_);
 
@@ -315,7 +319,7 @@ void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
   bind_ledger(ledger, m);
   GpuIntersectResult r;
   std::optional<AcquiredList> pf;
-  if (ratio < opt_.path_ratio) {
+  if (ratio < kPathRatio) {
     auto dt = decode_full_list(t, m);
     r = mergepath_intersect(device_, current_, current_count_, dt, lt.size(),
                             link_, ledger);
@@ -455,8 +459,5 @@ std::vector<DocId> GpuExecutor::download_intermediate_prefix(
   join_ledger(ledger);
   return out;
 }
-
-// GpuEngine::execute lives in core/engine_drivers.cpp: it is the shared
-// planner/executor driver under the kAlwaysGpu policy.
 
 }  // namespace griffin::gpu

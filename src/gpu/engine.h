@@ -1,17 +1,17 @@
-// Griffin-GPU: the GPU-only query engine (paper §3.1). Decompression is
+// Step-level GPU execution for Griffin-GPU (paper §3.1). Decompression is
 // Para-EF, intersection picks between the MergePath kernel (comparable
-// lengths) and parallel binary search over skip pointers (high ratio) at the
-// same crossover the scheduler uses, and ranking runs on the CPU per the
-// Figure 7 finding. GpuExecutor exposes the per-step operations so the
-// hybrid Griffin engine can drive individual steps and migrate between
-// processors mid-query.
+// lengths) and parallel binary search over skip pointers (length ratio at
+// or above the block size, §3.2). GpuExecutor exposes the per-step
+// operations the shared StepExecutor (core/executor.h) drives, so one
+// engine can migrate between processors mid-query. The GPU-only engine,
+// gpu::GpuEngine, is the hybrid engine pinned to the device (kAlwaysGpu)
+// and is declared next to it in core/hybrid_engine.h (DESIGN.md §8).
 #pragma once
 
 #include <map>
 #include <optional>
 
 #include "core/query.h"
-#include "cpu/bm25.h"
 #include "gpu/binary_intersect.h"
 #include "gpu/decode.h"
 #include "gpu/device_list.h"
@@ -24,9 +24,6 @@
 namespace griffin::gpu {
 
 struct GpuOptions {
-  /// Intersection-path crossover: MergePath below, binary search at/above.
-  /// 128 = the block size, per the paper's §3.2 analysis.
-  double path_ratio = 128.0;
   /// Reuse device buffers across queries from a warm memory pool: the
   /// per-step cudaMalloc overhead (tens of microseconds per allocation,
   /// several allocations per step) is a one-time warmup cost in a serving
@@ -189,7 +186,7 @@ class GpuExecutor {
   /// (stat-free; feeds core::StepShape::longer_device_resident).
   bool device_resident(index::TermId t) const { return cache_.resident(t); }
 
-  simt::Device& device() { return device_; }
+  const simt::Device& device() const { return device_; }
   const DeviceListCache& list_cache() const { return cache_; }
   const sim::HardwareSpec& hw() const { return hw_; }
   const pcie::Link& link() const { return link_; }
@@ -298,27 +295,6 @@ class GpuExecutor {
   std::uint32_t fault_scope_ = 0;   ///< shard id (0 standalone)
   std::uint64_t fault_query_ = 0;   ///< current query's fault coordinate
   std::uint64_t transfer_seq_ = 0;  ///< per-query DMA counter (fault coords)
-};
-
-/// The GPU-only engine the paper evaluates as "GPU only" in Figures 14/15.
-/// execute() (core/engine_drivers.cpp) is the shared planner/executor
-/// driver under the degenerate kAlwaysGpu policy (DESIGN.md §8).
-class GpuEngine : public core::Engine {
- public:
-  GpuEngine(const index::InvertedIndex& idx, sim::HardwareSpec hw = {},
-            GpuOptions opt = {}, cpu::Bm25Params bm25 = {})
-      : idx_(&idx), exec_(idx, hw, opt), scorer_(idx, bm25), hw_(hw) {}
-
-  core::QueryResult execute(const core::Query& q) override;
-  std::string name() const override { return "gpu"; }
-
-  GpuExecutor& executor() { return exec_; }
-
- private:
-  const index::InvertedIndex* idx_;
-  GpuExecutor exec_;
-  cpu::Bm25Scorer scorer_;
-  sim::HardwareSpec hw_;
 };
 
 }  // namespace griffin::gpu

@@ -29,9 +29,10 @@ struct BatchOptions {
   /// would hold a kernel for. Modeled after the kernel launch overhead
   /// (~10us): waiting longer than a couple of launches defeats the purpose.
   sim::Duration window = sim::Duration::from_us(20.0);
-  /// Cap on queries fused into one launch.
-  std::uint32_t max_batch = 8;
 };
+
+/// Cap on queries fused into one launch.
+inline constexpr std::size_t kMaxBatch = 8;
 
 /// A step another query's identical-kind GPU step can fuse with: GPU-placed
 /// decode or intersect. Transfers, prefetches, ranking, and CPU steps never
@@ -66,7 +67,7 @@ class BatchComposer {
 
   /// Composes the batch led by `leader` (the min-frontier lane): every
   /// other candidate whose step has the same batchable kind and whose
-  /// frontier lies within `window` of the leader's joins, up to max_batch
+  /// frontier lies within `window` of the leader's joins, up to kMaxBatch
   /// members. Returns the member lane indices in ascending order (the
   /// deterministic execution order); a batch of one means "unbatched".
   std::vector<std::size_t> compose(
@@ -76,7 +77,7 @@ class BatchComposer {
     const auto kind = batchable_kind(*leader.step);
     if (!kind.has_value()) return members;
     for (const auto& c : others) {
-      if (members.size() >= opt_.max_batch) break;
+      if (members.size() >= kMaxBatch) break;
       if (c.lane == leader.lane || c.step == nullptr) continue;
       if (batchable_kind(*c.step) != kind) continue;
       // The leader has the earliest frontier; a member may only be ahead

@@ -11,58 +11,30 @@ constexpr sim::Duration kFar = sim::Duration::from_ps(
     std::numeric_limits<std::int64_t>::max());
 }  // namespace
 
-/// One admission slot: a full per-query execution stack (planner + executor
-/// over per-lane backends) plus the in-flight query's pumped state. The
-/// backends and their caches persist across the queries the lane serves —
-/// a lane is a worker in a warm serving process, not a per-query object.
+/// One admission slot: a persistent engine stack plus the admission
+/// bookkeeping of its in-flight query. The engine and its caches persist
+/// across the queries the lane serves — a lane is a worker in a warm
+/// serving process, not a per-query object.
 struct DeviceManager::Lane {
   Lane(const index::InvertedIndex& idx, const sim::HardwareSpec& hw,
-       const TenancyOptions& opt, const core::Scheduler& sched,
-       const cpu::Bm25Scorer& scorer, const fault::FaultInjector* injector)
-      : gpu(idx, hw, opt.engine.gpu),
-        host_cache(opt.engine.cpu.decoded_cache_bytes),
-        svs(idx, hw.cpu,
-            cpu::SvsOptions{opt.engine.cpu.skip_ratio,
-                            opt.engine.cpu.ef_random_access},
-            &host_cache),
-        exec(hw.cpu, &svs, &gpu, scorer, injector, opt.engine.fault_scope),
-        planner(idx, sched, exec) {}
+       const core::HybridOptions& opt)
+      : engine(idx, hw, opt) {}
 
-  gpu::GpuExecutor gpu;
-  cpu::DecodedCache host_cache;
-  cpu::SvsStepper svs;
-  core::StepExecutor exec;
-  core::Planner planner;
-
+  core::HybridEngine engine;
   bool active = false;
-  core::Query query;
-  core::QueryResult res;
-  std::optional<core::PlanStep> next_step;  ///< pumped, not yet run
   sim::Duration arrival;
   sim::Duration release;
-  std::size_t slot = 0;         ///< index into the results vector
-  sim::Duration free_at;        ///< previous query's finish time
+  std::size_t slot = 0;   ///< index into the results vector
+  sim::Duration free_at;  ///< previous query's finish time
 };
 
 DeviceManager::DeviceManager(const index::InvertedIndex& idx,
                              sim::HardwareSpec hw, TenancyOptions opt)
-    : idx_(&idx),
-      hw_(hw),
-      opt_(opt),
-      sched_(opt.engine.scheduler, hw),
-      scorer_(idx, opt.engine.cpu.bm25),
-      injector_(opt.engine.faults),
-      composer_(opt.batch) {
+    : opt_(opt), composer_(opt.batch) {
   if (opt_.max_concurrency == 0) opt_.max_concurrency = 1;
-  // Arm the shared injector only when a site is configured: lanes without
-  // one skip every fault branch, keeping the disarmed run bit-identical to
-  // a build without the injector.
-  const fault::FaultInjector* inj =
-      opt_.engine.faults.engine_faults_armed() ? &injector_ : nullptr;
   lanes_.reserve(opt_.max_concurrency);
   for (std::uint32_t i = 0; i < opt_.max_concurrency; ++i) {
-    lanes_.push_back(
-        std::make_unique<Lane>(idx, hw_, opt_, sched_, scorer_, inj));
+    lanes_.push_back(std::make_unique<Lane>(idx, hw, opt_.engine));
   }
 }
 
@@ -79,40 +51,35 @@ std::array<double, sim::kNumResources> DeviceManager::busy_fractions() const {
 void DeviceManager::admit(Lane& lane, const TenantQuery& tq,
                           std::size_t slot) {
   lane.active = true;
-  lane.query = tq.query;
-  lane.res = core::QueryResult{};
   lane.arrival = tq.arrival;
   // The query cannot start before it arrived, nor before its lane's
   // previous tenant finished (the admission window is the lane count).
   lane.release = sim::max(tq.arrival, lane.free_at);
   lane.slot = slot;
-  lane.exec.bind_shared(&tl_, lane.release);
-  lane.exec.begin_query(lane.query);
-  lane.planner.begin(lane.query);
-  lane.next_step = lane.planner.next(lane.exec.intermediate_count(),
-                                     lane.exec.location());
+  lane.engine.begin(tq.query, &tl_, lane.release);
   ++active_;
 }
 
 void DeviceManager::finish(Lane& lane, std::vector<TenantResult>& results) {
-  lane.exec.finish_query(lane.res.metrics);
-  run_faults_ += lane.res.metrics.faults;
-  const sim::Duration done = lane.release + lane.res.metrics.total;
   TenantResult& out = results[lane.slot];
-  out.result = std::move(lane.res);
+  out.result = lane.engine.finish();
+  run_faults_ += out.result.metrics.faults;
+  const sim::Duration done = lane.release + out.result.metrics.total;
   out.arrival = lane.arrival;
   out.release = lane.release;
   out.finish = done;
-  lane.res = core::QueryResult{};
   lane.free_at = done;
   lane.active = false;
-  lane.next_step.reset();
   finishes_.push_back(done);
   assert(active_ > 0);
   --active_;
 }
 
 void DeviceManager::step(std::vector<TenantResult>& results) {
+  const auto candidate = [&](std::size_t i) {
+    const core::HybridEngine& e = lanes_[i]->engine;
+    return BatchComposer::Candidate{i, e.frontier().at, e.pending()};
+  };
   // The leader: the active lane whose next step issues earliest on the
   // shared timeline (tie: lowest index). Stepping min-frontier-first keeps
   // op recording in (approximately) nondecreasing simulated time, which is
@@ -120,56 +87,32 @@ void DeviceManager::step(std::vector<TenantResult>& results) {
   std::size_t leader = lanes_.size();
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (!lanes_[i]->active) continue;
-    if (leader == lanes_.size() ||
-        lanes_[i]->exec.frontier().at < lanes_[leader]->exec.frontier().at) {
+    const sim::Duration at = lanes_[i]->engine.frontier().at;
+    if (leader == lanes_.size() || at < lanes_[leader]->engine.frontier().at) {
       leader = i;
     }
   }
   assert(leader < lanes_.size());
 
-  BatchComposer::Candidate lead{leader, lanes_[leader]->exec.frontier().at,
-                                lanes_[leader]->next_step.has_value()
-                                    ? &*lanes_[leader]->next_step
-                                    : nullptr};
   std::vector<BatchComposer::Candidate> others;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (i == leader || !lanes_[i]->active || !lanes_[i]->next_step) continue;
-    others.push_back({i, lanes_[i]->exec.frontier().at,
-                      &*lanes_[i]->next_step});
+    if (i == leader || !lanes_[i]->active) continue;
+    if (lanes_[i]->engine.pending() != nullptr) others.push_back(candidate(i));
   }
-  const auto members = composer_.compose(lead, others);
+  const auto members = composer_.compose(candidate(leader), others);
   const std::uint32_t width = static_cast<std::uint32_t>(members.size());
   const std::uint64_t group = width > 1 ? composer_.next_group() : 0;
 
   // Members run in ascending lane order: a batch commits together, so the
   // intra-batch order is a determinism convention, not a timing statement.
+  // A fault inside a fused launch degrades only the hit member (its
+  // engine's advance() applies the recovery): co-batched members already
+  // ran (or will run) their own step unperturbed, and their ops on the
+  // shared timeline are untouched. An OOM that unfuses inside the step
+  // only shrinks the hit member's launch accounting.
   for (const std::size_t i : members) {
     Lane& lane = *lanes_[i];
-    lane.exec.set_batch(width, group);
-    const core::StepStatus st =
-        lane.exec.run(*lane.next_step, lane.query, lane.res);
-    lane.exec.set_batch(1, 0);
-    // Injected-fault recovery (DESIGN.md §16), scoped to the hit lane: a
-    // fault inside a fused launch degrades only this query — co-batched
-    // members already ran (or will run) their own step unperturbed, and
-    // their ops on the shared timeline are untouched. An OOM that unfused
-    // inside run() only shrank *this* lane's launch accounting.
-    switch (st) {
-      case core::StepStatus::kOk:
-        break;
-      case core::StepStatus::kOkForceCpu:
-        lane.planner.force_cpu();
-        break;
-      case core::StepStatus::kFaultQuery:
-        lane.planner.degrade_to_cpu(*lane.next_step);
-        break;
-      case core::StepStatus::kFaultStep:
-        lane.planner.degrade_step_to_cpu(*lane.next_step);
-        break;
-    }
-    lane.next_step = lane.planner.next(lane.exec.intermediate_count(),
-                                       lane.exec.location());
-    if (!lane.next_step.has_value()) finish(lane, results);
+    if (!lane.engine.advance(width, group)) finish(lane, results);
   }
 }
 
@@ -182,7 +125,6 @@ std::vector<TenantResult> DeviceManager::run(
   for (auto& lane : lanes_) {
     lane->active = false;
     lane->free_at = sim::Duration();
-    lane->next_step.reset();
   }
   active_ = 0;
 
@@ -213,7 +155,7 @@ std::vector<TenantResult> DeviceManager::run(
     // sees the system state at its arrival time.
     sim::Duration t_step = kFar;
     for (const auto& lane : lanes_) {
-      if (lane->active) t_step = sim::min(t_step, lane->exec.frontier().at);
+      if (lane->active) t_step = sim::min(t_step, lane->engine.frontier().at);
     }
     while (next_arrival < load.size() &&
            load[next_arrival].arrival <= t_step) {
@@ -227,7 +169,7 @@ std::vector<TenantResult> DeviceManager::run(
 
     // Admit FIFO into free lanes; the lane that freed earliest serves next
     // (deterministic tie-break: lowest index). Queries with no terms finish
-    // at admission with an empty result, like run_plan's early return.
+    // at admission with an empty result, like HybridEngine::execute's.
     while (!pending.empty() && active_ < opt_.max_concurrency) {
       std::size_t best = lanes_.size();
       for (std::size_t i = 0; i < lanes_.size(); ++i) {
@@ -249,7 +191,7 @@ std::vector<TenantResult> DeviceManager::run(
       admit(*lanes_[best], load[qi], qi);
       // A non-empty query always plans at least one step; the guard keeps
       // the loop live if that invariant ever changes.
-      if (!lanes_[best]->next_step.has_value()) {
+      if (lanes_[best]->engine.pending() == nullptr) {
         finish(*lanes_[best], results);
       }
     }

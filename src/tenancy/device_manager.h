@@ -8,9 +8,10 @@
 // instead of being wished away.
 //
 // Three mechanisms:
-//   * an admission window of `max_concurrency` lanes — each lane holds one
-//     in-flight query with its own planner/executor and per-lane caches;
-//     queued queries admit FIFO into the lane that freed earliest;
+//   * an admission window of `max_concurrency` lanes — each lane is one
+//     core::HybridEngine (its own planner, executor and caches) holding one
+//     in-flight query; queued queries admit FIFO into the lane that freed
+//     earliest;
 //   * min-frontier interleaved stepping — the lane whose next step issues
 //     earliest on the shared timeline runs next, so ops are recorded in
 //     (approximately) nondecreasing simulated time and the busy clocks'
@@ -29,15 +30,8 @@
 #include <span>
 #include <vector>
 
-#include "core/executor.h"
 #include "core/hybrid_engine.h"
-#include "core/planner.h"
-#include "core/scheduler.h"
-#include "cpu/bm25.h"
-#include "cpu/decoded_cache.h"
-#include "cpu/svs_step.h"
 #include "fault/fault.h"
-#include "gpu/engine.h"
 #include "index/inverted_index.h"
 #include "sim/hardware_spec.h"
 #include "sim/timeline.h"
@@ -52,12 +46,12 @@ struct TenancyOptions {
   /// Cross-query kernel batching (tenancy/batch.h).
   BatchOptions batch;
   /// Per-lane engine configuration (scheduler policy, GPU options, CPU
-  /// options). Arming engine.faults arms the shared device's injector
-  /// (DESIGN.md §16): every lane draws from the same seeded coordinate
-  /// space keyed by (engine.fault_scope, query id, step index), so an armed
-  /// tenant run injects exactly the faults the same queries would draw
-  /// sequentially — a fault inside a fused batch degrades only the hit
-  /// query, and survivors' accounting on the shared timeline stays exact.
+  /// options). Arming engine.faults arms every lane's injector (DESIGN.md
+  /// §16): the injector is a stateless function of the seeded coordinate
+  /// (engine.fault_scope, query id, step index), so an armed tenant run
+  /// injects exactly the faults the same queries would draw sequentially —
+  /// a fault inside a fused batch degrades only the hit query, and
+  /// survivors' accounting on the shared timeline stays exact.
   core::HybridOptions engine;
 };
 
@@ -88,8 +82,9 @@ class DeviceManager {
   /// Runs the whole load through the shared device. `max_in_system` > 0
   /// sheds a query at arrival when that many queries are already in the
   /// system (admitted-but-unfinished + queued), mirroring the FCFS
-  /// service sim's admission control. Resets the shared timeline; per-lane
-  /// caches persist across run() calls (a warm serving system).
+  /// service sim's admission control. Resets the shared timeline and the
+  /// batch-group counter; per-lane caches persist across run() calls (a
+  /// warm serving system).
   std::vector<TenantResult> run(std::span<const TenantQuery> load,
                                 std::uint32_t max_in_system = 0);
 
@@ -100,7 +95,8 @@ class DeviceManager {
   /// sim::Resource.
   std::array<double, sim::kNumResources> busy_fractions() const;
 
-  /// Cross-query batches composed by the last run().
+  /// Cross-query batches composed by the last run() alone: its nonzero
+  /// StepRecord::batch_group ids are exactly 1..batch_groups().
   std::uint64_t batch_groups() const { return composer_.groups(); }
 
   /// Engine-level fault counters aggregated across every query of the last
@@ -115,19 +111,12 @@ class DeviceManager {
   struct Lane;
 
   void admit(Lane& lane, const TenantQuery& tq, std::size_t slot);
-  /// Runs lane's ready step (plus any batch members), pumps each member's
-  /// planner, and finishes members whose plans drained.
+  /// Advances the leader lane's pending step (plus any batch members) and
+  /// finishes members whose plans drained.
   void step(std::vector<TenantResult>& results);
   void finish(Lane& lane, std::vector<TenantResult>& results);
 
-  const index::InvertedIndex* idx_;
-  sim::HardwareSpec hw_;
   TenancyOptions opt_;
-  core::Scheduler sched_;
-  cpu::Bm25Scorer scorer_;
-  /// Shared injector for all lanes (before lanes_: executors point at it).
-  /// Lanes receive it only when opt_.engine.faults arms an engine site.
-  fault::FaultInjector injector_;
   sim::Timeline tl_;
   BatchComposer composer_;
   fault::FaultCounters run_faults_;  ///< rollup of the last run()

@@ -1,7 +1,6 @@
-#include "cpu/engine.h"
-
 #include <gtest/gtest.h>
 
+#include "core/hybrid_engine.h"
 #include "engine_test_util.h"
 
 using namespace griffin;

@@ -8,10 +8,7 @@
 // perturbs nothing.
 #include <gtest/gtest.h>
 
-#include "core/executor.h"
 #include "core/hybrid_engine.h"
-#include "cpu/decoded_cache.h"
-#include "cpu/svs_step.h"
 #include "engine_test_util.h"
 
 using namespace griffin;
@@ -368,24 +365,20 @@ TEST(FaultEngine, ProbabilisticOomPreservesCorrectnessOverALog) {
 
 namespace {
 
-/// A full per-query execution stack without a planner, so tests can feed
-/// hand-built steps straight into StepExecutor::run.
-struct ManualExec {
-  explicit ManualExec(const index::InvertedIndex& idx,
-                      const fault::FaultConfig& faults)
-      : gpu(idx, sim::HardwareSpec{}, core::HybridOptions{}.gpu),
-        host_cache(core::HybridOptions{}.cpu.decoded_cache_bytes),
-        svs(idx, sim::HardwareSpec{}.cpu, cpu::SvsOptions{}, &host_cache),
-        scorer(idx, cpu::Bm25Params{}),
-        injector(faults),
-        exec(sim::HardwareSpec{}.cpu, &svs, &gpu, scorer, &injector, 0) {}
+core::HybridOptions with_faults(const fault::FaultConfig& faults) {
+  core::HybridOptions opt;
+  opt.faults = faults;
+  return opt;
+}
 
-  gpu::GpuExecutor gpu;
-  cpu::DecodedCache host_cache;
-  cpu::SvsStepper svs;
-  cpu::Bm25Scorer scorer;
-  fault::FaultInjector injector;
-  core::StepExecutor exec;
+/// An engine armed with `faults` whose StepExecutor the tests feed
+/// hand-built steps straight into, bypassing its planner.
+struct ManualExec {
+  ManualExec(const index::InvertedIndex& idx, const fault::FaultConfig& faults)
+      : engine(idx, {}, with_faults(faults)), exec(engine.step_executor()) {}
+
+  core::HybridEngine engine;
+  core::StepExecutor& exec;
 };
 
 }  // namespace

@@ -1,10 +1,9 @@
-#include "gpu/engine.h"
-
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "codec/codec.h"
+#include "core/hybrid_engine.h"
 #include "engine_test_util.h"
 
 using namespace griffin;

@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "core/hybrid_engine.h"
 #include "engine_test_util.h"
-#include "gpu/engine.h"
 
 using namespace griffin;
 

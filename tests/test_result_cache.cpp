@@ -5,7 +5,7 @@
 #include <bit>
 
 #include "cluster/broker.h"
-#include "cpu/engine.h"
+#include "core/hybrid_engine.h"
 #include "engine_test_util.h"
 
 using namespace griffin;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cpu/engine.h"
+#include "core/hybrid_engine.h"
 #include "engine_test_util.h"
 
 using namespace griffin;
@@ -20,7 +20,6 @@ class FixedEngine : public core::Engine {
     r.metrics.total = sim::Duration::from_ms(ms);
     return r;
   }
-  std::string name() const override { return "fixed"; }
 
  private:
   double ms_;

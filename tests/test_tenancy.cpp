@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
 #include "core/hybrid_engine.h"
 #include "engine_test_util.h"
@@ -163,11 +164,16 @@ TEST(Tenancy, BatchingFiresAndIsAttributable) {
   opt.max_concurrency = 6;
   opt.batch.window = sim::Duration::from_us(200.0);
   tenancy::DeviceManager dm(idx, {}, opt);
+  // A warm-up load on the same manager first: batch_groups() must count the
+  // measured run alone, not everything since construction.
+  dm.run(dense_load(tenant_queries(12, 10), 10.0));
+  ASSERT_GT(dm.batch_groups(), 0u);
   const auto results = dm.run(dense_load(queries, 10.0));
 
   EXPECT_GT(dm.batch_groups(), 0u);
   core::TraceSummary summary;
   std::uint64_t batched = 0;
+  std::set<std::uint64_t> groups;
   for (std::size_t i = 0; i < results.size(); ++i) {
     // Fused launches split one op's worth of overhead K ways, yet every
     // lane's records still sum to its own stage totals exactly.
@@ -179,6 +185,7 @@ TEST(Tenancy, BatchingFiresAndIsAttributable) {
       EXPECT_EQ(rec.query, queries[i].id);
       if (rec.batch_group != 0) {
         ++batched;
+        groups.insert(rec.batch_group);
         // Only GPU decode/intersect steps batch.
         EXPECT_TRUE(rec.kind == core::StepKind::kDecode ||
                     rec.kind == core::StepKind::kIntersect);
@@ -189,6 +196,11 @@ TEST(Tenancy, BatchingFiresAndIsAttributable) {
   }
   EXPECT_GT(batched, 0u);
   EXPECT_EQ(summary.batched_steps, batched);
+  // Group ids restart with every run(): the measured run's distinct nonzero
+  // ids are exactly 1..batch_groups().
+  ASSERT_EQ(groups.size(), dm.batch_groups());
+  EXPECT_EQ(*groups.begin(), 1u);
+  EXPECT_EQ(*groups.rbegin(), dm.batch_groups());
 }
 
 TEST(Tenancy, ConcurrencyRaisesCopyEngineUtilizationAndThroughput) {
