@@ -177,8 +177,9 @@ class Json {
     out += '"';
   }
 
-  void write(std::string& out, int indent) const {
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
+  /// Writes a null/bool/number/string value; returns false for containers,
+  /// which write() and write_line() lay out themselves.
+  bool write_scalar(std::string& out) const {
     if (std::holds_alternative<std::nullptr_t>(v_)) {
       out += "null";
     } else if (const bool* b = std::get_if<bool>(&v_)) {
@@ -193,7 +194,16 @@ class Json {
       }
     } else if (const std::string* s = std::get_if<std::string>(&v_)) {
       write_escaped(out, *s);
-    } else if (const Elements* els = std::get_if<Elements>(&v_)) {
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  void write(std::string& out, int indent) const {
+    if (write_scalar(out)) return;
+    const std::string pad(static_cast<std::size_t>(indent), ' ');
+    if (const Elements* els = std::get_if<Elements>(&v_)) {
       if (els->empty()) { out += "[]"; return; }
       out += "[\n";
       for (std::size_t i = 0; i < els->size(); ++i) {
@@ -217,21 +227,8 @@ class Json {
   }
 
   void write_line(std::string& out) const {
-    if (std::holds_alternative<std::nullptr_t>(v_)) {
-      out += "null";
-    } else if (const bool* b = std::get_if<bool>(&v_)) {
-      out += *b ? "true" : "false";
-    } else if (const double* d = std::get_if<double>(&v_)) {
-      if (!std::isfinite(*d)) {
-        out += "null";
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.12g", *d);
-        out += buf;
-      }
-    } else if (const std::string* s = std::get_if<std::string>(&v_)) {
-      write_escaped(out, *s);
-    } else if (const Elements* els = std::get_if<Elements>(&v_)) {
+    if (write_scalar(out)) return;
+    if (const Elements* els = std::get_if<Elements>(&v_)) {
       out += '[';
       for (std::size_t i = 0; i < els->size(); ++i) {
         if (i > 0) out += ',';

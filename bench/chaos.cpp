@@ -11,7 +11,7 @@
 //   1. golden parity — every cell's top-k digest equals the all-CPU
 //      reference's: faults perturb timing and counters, never bits;
 //   2. disarmed == silent — an armed injector whose faults never fire is
-//      bit-identical to no injector at all, down to total picoseconds;
+//      bit-identical to a disarmed one, down to total picoseconds;
 //   3. determinism — every cell, rebuilt and rerun, reproduces its digest,
 //      fault counters, and total time exactly;
 //   4. stage identity — decode + intersect + transfer + rank ==
@@ -202,7 +202,7 @@ int main() {
       "all\n\n",
       cfg.num_docs, cfg.num_terms, queries.size());
 
-  // The golden reference: the all-CPU engine, no injector. Every cell in
+  // The golden reference: the all-CPU engine, disarmed. Every cell in
   // the matrix must reproduce this digest bit for bit.
   core::HybridOptions cpu_opt;
   cpu_opt.scheduler.policy = core::SchedulerPolicy::kAlwaysCpu;

@@ -16,12 +16,7 @@ core::QueryResult ShardNode::execute(const core::Query& q) {
   }
   core::Query local = q;
   local.terms = scratch_terms_;
-  core::QueryResult res = engine_.execute(local);
-  cache_ += res.metrics.cache;
-  trace_.add(res.trace);
-  overlap_ += res.metrics.overlap;
-  faults_ += res.metrics.faults;
-  return res;
+  return engine_.execute(local);
 }
 
 }  // namespace griffin::cluster

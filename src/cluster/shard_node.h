@@ -37,31 +37,10 @@ class ShardNode {
   /// HardwareSpec::absent_term_probe_us.
   sim::Duration absent_term_cost() const { return absent_cost_; }
 
-  /// Engine cache-tier counters summed over every execute() on this node
-  /// (the node's engine — and therefore its caches — is shared by all
-  /// replicas, so this is the node's lifetime view).
-  const core::CacheCounters& cache_counters() const { return cache_; }
-
-  /// Plan-step aggregate over every execute() on this node (same lifetime
-  /// view as the cache counters).
-  const core::TraceSummary& trace_summary() const { return trace_; }
-
-  /// Copy/compute-overlap counters (prefetches, saved time, copy-engine
-  /// busy time) summed over every execute() on this node.
-  const core::OverlapCounters& overlap_counters() const { return overlap_; }
-
-  /// Engine-level fault counters (GPU step aborts, PCIe retries) summed
-  /// over every execute() on this node.
-  const fault::FaultCounters& fault_counters() const { return faults_; }
-
  private:
   index::IndexShard shard_;
   core::HybridEngine engine_;
   sim::Duration absent_cost_;
-  core::CacheCounters cache_;
-  core::TraceSummary trace_;
-  core::OverlapCounters overlap_;
-  fault::FaultCounters faults_;
   std::vector<index::TermId> scratch_terms_;
 };
 

@@ -154,7 +154,6 @@ StepExecutor::StepTraits StepExecutor::traits(const PlanStep& step) {
 
 StepExecutor::FaultAction StepExecutor::draw_fault(const StepTraits& t,
                                                    QueryMetrics& m) const {
-  if (injector_ == nullptr) return FaultAction::kNone;
   // An ECC-style device fault abandons a kGpu compute step — and with it
   // the query's device residency — but only loses a prefetch's optional
   // upload.
@@ -218,11 +217,10 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
   if (const auto* i = std::get_if<IntersectStep>(&step)) {
     if (i->where == Placement::kSplit) return run_split(*i, m);
     if (i->where == Placement::kGpu) {
-      if (i->first_pair) {
-        gpu_->intersect_first(i->probe_term, i->term, m);
-      } else {
-        gpu_->intersect_next(i->term, m);
-      }
+      // A first pair decodes its shorter list as the intermediate: the same
+      // ratio, kernels and ledger order as intersecting with one.
+      if (i->first_pair) gpu_->load_single(i->probe_term, m);
+      gpu_->intersect_next(i->term, m);
       loc_ = Placement::kGpu;
       return gpu_->chain();
     }
@@ -238,7 +236,11 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
       gpu_->upload_intermediate(host_current_, m);
       loc_ = Placement::kGpu;
     } else {
-      host_current_ = gpu_->download_intermediate(m);
+      // Leaving the device: any in-flight prefetch has lost its consumer
+      // (migration or final drain), so it is dropped here.
+      gpu_->drop_prefetches(m);
+      host_current_ =
+          gpu_->download_intermediate(gpu_->intermediate_count(), m);
       loc_ = Placement::kCpu;
     }
     if (t->migration) ++m.migrations;
@@ -285,14 +287,38 @@ sim::Timeline::Event StepExecutor::run_cpu_leg(
                 sim::Stage::kIntersect, ready);
 }
 
+std::optional<sim::Timeline::Event> StepExecutor::lose_split_leg(
+    index::TermId t, std::uint64_t n_gpu, QueryMetrics& m) {
+  if (n_gpu == 0 ||
+      !injector_->gpu_step_fault(fault_scope_, query_id_, step_index_)) {
+    return std::nullopt;
+  }
+  const sim::Duration waste =
+      sim::Duration::from_us(injector_->config().gpu_fault_cost_us);
+  gpu_->charge_fault(waste, sim::Stage::kIntersect);
+  const index::TermId ft[1] = {t};
+  gpu_->fault_reset(std::span<const index::TermId>(ft, 1), m);
+  ++m.faults.gpu_faults;
+  ++m.faults.split_leg_faults;
+  m.faults.gpu_wasted += waste;
+  leg_faulted_ = true;
+  return gpu_->chain();
+}
+
 sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
                                              QueryMetrics& m) {
   const sim::Timeline::Event entry = frontier_;
 
+  // The probes on the host: the CPU leg's range [0, n_cpu), and the GPU
+  // leg's range [n_cpu, n) too when they started host-side or that leg is
+  // lost and redone here.
+  std::vector<codec::DocId> probes_storage;
   std::vector<codec::DocId> cpu_out;
   std::vector<codec::DocId> gpu_partial;
-  sim::Timeline::Event cpu_done = entry;
+  std::uint64_t n_cpu = 0;
+  sim::Timeline::Event cpu_ready = entry;
   sim::Timeline::Event gpu_done = entry;
+  std::optional<sim::Timeline::Event> fault;
 
   if (loc_ == Placement::kGpu) {
     // Device-resident probes: only the CPU leg's low prefix crosses back
@@ -302,101 +328,65 @@ sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
     // download — only the CPU leg waits the copy out.
     const std::uint64_t n = gpu_->intermediate_count();
     const std::uint64_t n_gpu = split_share(i.alpha, n);
-    const std::uint64_t n_cpu = n - n_gpu;
+    n_cpu = n - n_gpu;
     gpu_->set_chain(entry);
-    if (injector_ != nullptr && n_gpu > 0 &&
-        injector_->gpu_step_fault(fault_scope_, query_id_, step_index_)) {
-      // The GPU leg is lost before its kernels consumed anything
-      // (DESIGN.md §16): charge the wasted device time, retire the faulted
-      // term's cached pages, drain the WHOLE intermediate, and run both
-      // docID ranges through the CPU stepper. partial_step over [0, n_cpu)
-      // then [n_cpu, n) concatenates to exactly the unsplit intersection,
-      // so the step still completes bit-identically — only the remainder
-      // of the plan gets pinned host-side (run() returns kOkForceCpu).
-      const sim::Duration waste =
-          sim::Duration::from_us(injector_->config().gpu_fault_cost_us);
-      gpu_->charge_fault(waste, sim::Stage::kIntersect);
-      const index::TermId ft[1] = {i.term};
-      gpu_->fault_reset(std::span<const index::TermId>(ft, 1), m);
-      const sim::Timeline::Event fault_evt = gpu_->chain();
-      std::vector<codec::DocId> probes_storage =
-          gpu_->download_intermediate(m);
-      const std::span<const codec::DocId> probes(probes_storage);
-      cpu_done = run_cpu_leg(probes.first(n_cpu), i.term, cpu_out,
-                             gpu_->chain(), m);
-      gpu_done = run_cpu_leg(probes.subspan(n_cpu), i.term, gpu_partial,
-                             sim::Timeline::join(cpu_done, fault_evt), m);
-      ++m.faults.gpu_faults;
-      ++m.faults.split_leg_faults;
-      m.faults.gpu_wasted += waste;
-      leg_faulted_ = true;
+    fault = lose_split_leg(i.term, n_gpu, m);
+    if (fault) {
+      // The lost leg consumed nothing: drain the WHOLE intermediate, so
+      // both docID ranges run through the CPU stepper below.
+      probes_storage = gpu_->download_intermediate(n, m);
+      cpu_ready = gpu_->chain();
     } else {
-      sim::Timeline::Event cpu_ready = entry;
-      std::vector<codec::DocId> prefix;
       if (n_cpu > 0) {
-        prefix = gpu_->download_intermediate_prefix(n_cpu, m);
+        probes_storage = gpu_->download_intermediate(n_cpu, m);
         cpu_ready = gpu_->chain();
         gpu_->set_chain(entry);
       }
       if (n_gpu > 0) {
         gpu_partial = gpu_->split_intersect_device(i.term, n_cpu, m);
         gpu_done = gpu_->chain();
-      } else {
-        // Degenerate alpha=0: the prefix download drained everything.
-        gpu_->drop_intermediate();
       }
-      cpu_done = run_cpu_leg(prefix, i.term, cpu_out, cpu_ready, m);
     }
+    // The merged result lands host-side: the device probes are spent.
+    gpu_->drop_intermediate();
   } else {
     // Host-resident probes — or the first pair, whose probe list the host
     // decodes first; the device leg then waits on that op like any real
     // data dependency.
-    sim::Timeline::Event probe_ready = entry;
-    std::vector<codec::DocId> probes_storage;
     if (i.first_pair) {
-      probe_ready =
+      cpu_ready =
           cpu_op(svs_->materialize_probes(i.probe_term, probes_storage, m),
                  sim::Stage::kIntersect, entry);
     } else {
       probes_storage.swap(host_current_);
     }
-    const std::span<const codec::DocId> probes(probes_storage);
-    const std::uint64_t n_gpu = split_share(i.alpha, probes.size());
-    const std::uint64_t n_cpu = probes.size() - n_gpu;
-    if (injector_ != nullptr && n_gpu > 0 &&
-        injector_->gpu_step_fault(fault_scope_, query_id_, step_index_)) {
-      // GPU leg lost over host-resident probes: the probe range never left
-      // the host, so recovery is just redoing the high range through the
-      // CPU stepper after the fault is detected. The redo waits out both
-      // the CPU leg (same core) and the fault event (the host learns of
-      // the abort when the device signals it).
-      gpu_->set_chain(probe_ready);
-      const sim::Duration waste =
-          sim::Duration::from_us(injector_->config().gpu_fault_cost_us);
-      gpu_->charge_fault(waste, sim::Stage::kIntersect);
-      const index::TermId ft[1] = {i.term};
-      gpu_->fault_reset(std::span<const index::TermId>(ft, 1), m);
-      const sim::Timeline::Event fault_evt = gpu_->chain();
-      cpu_done = run_cpu_leg(probes.first(n_cpu), i.term, cpu_out,
-                             probe_ready, m);
-      gpu_done = run_cpu_leg(probes.subspan(n_cpu), i.term, gpu_partial,
-                             sim::Timeline::join(cpu_done, fault_evt), m);
-      ++m.faults.gpu_faults;
-      ++m.faults.split_leg_faults;
-      m.faults.gpu_wasted += waste;
-      leg_faulted_ = true;
-    } else {
-      if (n_gpu > 0) {
-        gpu_->set_chain(probe_ready);
-        gpu_partial =
-            gpu_->split_intersect_host(i.term, probes.subspan(n_cpu), m);
-        gpu_done = gpu_->chain();
-      } else {
-        gpu_done = probe_ready;
-      }
-      cpu_done = run_cpu_leg(probes.first(n_cpu), i.term, cpu_out,
-                             probe_ready, m);
+    const std::uint64_t n_gpu = split_share(i.alpha, probes_storage.size());
+    n_cpu = probes_storage.size() - n_gpu;
+    gpu_->set_chain(cpu_ready);
+    gpu_done = cpu_ready;
+    // A GPU leg lost over host-resident probes never moved them: its range
+    // is simply redone host-side below.
+    fault = lose_split_leg(i.term, n_gpu, m);
+    if (!fault && n_gpu > 0) {
+      gpu_partial = gpu_->split_intersect_host(
+          i.term, std::span<const codec::DocId>(probes_storage).subspan(n_cpu),
+          m);
+      gpu_done = gpu_->chain();
     }
+  }
+
+  const std::span<const codec::DocId> probes(probes_storage);
+  const sim::Timeline::Event cpu_done =
+      run_cpu_leg(probes.first(n_cpu), i.term, cpu_out, cpu_ready, m);
+  if (fault) {
+    // The lost leg's range through the CPU stepper: partial_step over
+    // [0, n_cpu) then [n_cpu, n) concatenates to exactly the unsplit
+    // intersection, so the step still completes bit-identically — only the
+    // remainder of the plan gets pinned host-side (run() returns
+    // kOkForceCpu). The redo waits out both the CPU leg (same core) and the
+    // fault (the host learns of the abort when the device signals it).
+    gpu_done = run_cpu_leg(probes.subspan(n_cpu), i.term, gpu_partial,
+                           sim::Timeline::join(cpu_done, *fault), m);
   }
 
   // The ranges are docID-disjoint and each partial is sorted, so the

@@ -48,23 +48,20 @@ enum class StepStatus : std::uint8_t {
 
 class StepExecutor : public ResidencyProbe {
  public:
-  /// Ranking is unconditionally CPU-side under `rank_spec`. A non-null
-  /// `injector` arms fault injection (DESIGN.md §11): GPU compute steps may
-  /// be abandoned (degrading the plan to the CPU) and the GpuExecutor's DMAs
-  /// draw PCIe error coordinates. `fault_scope` is the shard id in a
-  /// cluster, 0 standalone.
+  /// Ranking is unconditionally CPU-side under `rank_spec`. `injector` is
+  /// the engine's fault injector (DESIGN.md §11), the same one `gpu` holds:
+  /// each of its armed sites may abandon GPU compute steps (degrading the
+  /// plan to the CPU) or press on device allocations; a disarmed site draws
+  /// nothing. `fault_scope` is the shard id in a cluster, 0 standalone.
   StepExecutor(sim::CpuSpec rank_spec, cpu::SvsStepper& svs,
                gpu::GpuExecutor& gpu, const cpu::Bm25Scorer& scorer,
-               const fault::FaultInjector* injector = nullptr,
-               std::uint32_t fault_scope = 0)
+               const fault::FaultInjector& injector, std::uint32_t fault_scope)
       : rank_spec_(rank_spec),
         svs_(&svs),
         gpu_(&gpu),
         scorer_(&scorer),
-        injector_(injector),
-        fault_scope_(fault_scope) {
-    gpu_->set_fault_injector(injector, fault_scope);
-  }
+        injector_(&injector),
+        fault_scope_(fault_scope) {}
 
   /// Resets per-query state (host intermediate, device buffers) and opens
   /// the query's streams (DESIGN.md §10): one CPU stream here, one copy +
@@ -169,6 +166,14 @@ class StepExecutor : public ResidencyProbe {
   /// to the unsplit result). Returns join(cpu leg, gpu leg), the new plan
   /// frontier.
   sim::Timeline::Event run_split(const IntersectStep& i, QueryMetrics& m);
+  /// Draws the device fault for a split's GPU leg of `n_gpu` probes (none
+  /// for an empty leg) before its kernels consume anything (DESIGN.md §16).
+  /// On a hit: charges the wasted device time on the GPU chain, retires
+  /// term t's cached pages, counts the lost leg and marks the step
+  /// leg-faulted, returning the fault's completion; nullopt otherwise.
+  std::optional<sim::Timeline::Event> lose_split_leg(index::TermId t,
+                                                     std::uint64_t n_gpu,
+                                                     QueryMetrics& m);
   /// The CPU leg of run_split: partial_step over the probe prefix, recorded
   /// as one CPU-stream op waiting on `ready`. Returns its completion (or
   /// `ready` unchanged for an empty leg).

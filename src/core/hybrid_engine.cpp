@@ -8,15 +8,11 @@ HybridEngine::HybridEngine(const index::InvertedIndex& idx,
                            sim::HardwareSpec hw, HybridOptions opt)
     : injector_(opt.faults),
       sched_(opt.scheduler, hw),
-      gpu_(idx, hw, opt.gpu),
+      gpu_(idx, hw, opt.gpu, injector_, opt.fault_scope),
       host_cache_(opt.cpu.decoded_cache_bytes),
-      svs_(idx, hw.cpu, cpu::SvsOptions{opt.cpu.skip_ratio}, &host_cache_),
+      svs_(idx, hw.cpu, cpu::SvsOptions{opt.cpu.skip_ratio}, host_cache_),
       scorer_(idx, opt.cpu.bm25),
-      // Only an armed config wires the injector: the disarmed path is the
-      // exact pre-fault code path (golden parity).
-      exec_(hw.cpu, svs_, gpu_, scorer_,
-            opt.faults.engine_faults_armed() ? &injector_ : nullptr,
-            opt.fault_scope),
+      exec_(hw.cpu, svs_, gpu_, scorer_, injector_, opt.fault_scope),
       planner_(idx, sched_, exec_) {}
 
 QueryResult HybridEngine::execute(const Query& q) {

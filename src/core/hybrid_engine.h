@@ -28,9 +28,10 @@ struct HybridOptions {
   SchedulerOptions scheduler;
   gpu::GpuOptions gpu;
   cpu::CpuEngineOptions cpu;
-  /// Fault injection (DESIGN.md §11/§16). The engine reads the gpu, pcie,
-  /// and oom sites; everything disarmed (the default) executes
-  /// bit-identically to a build without the injector.
+  /// Fault injection (DESIGN.md §11/§16). The engine always holds an
+  /// injector and reads its gpu, pcie, and oom sites; a disarmed site draws
+  /// nothing, so everything disarmed (the default) executes the fault-free
+  /// path bit for bit.
   fault::FaultConfig faults;
   /// Fault-coordinate scope: the shard id when this engine serves a cluster
   /// shard (cluster/broker.cpp sets it), 0 standalone.

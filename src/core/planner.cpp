@@ -40,32 +40,27 @@ StepShape Planner::shape_for(std::uint64_t shorter, index::TermId longer_term,
   return s;
 }
 
-void Planner::degrade_to_cpu(const PlanStep& step) {
-  forced_cpu_ = true;
-  // A prefetch staged alongside the faulted step has no consumer anymore
-  // (the executor discards the in-flight uploads as part of its recovery),
-  // and a staged host work-ahead was bet on device work that won't run.
-  staged_prefetch_.reset();
-  staged_host_decode_.reset();
-  if (std::holds_alternative<DecodeStep>(step)) {
-    // Single-term GPU decode: restart the plan; the re-emitted decode runs
-    // on the host.
-    stage_ = Stage::kStart;
-    return;
-  }
-  const auto& i = std::get<IntersectStep>(step);
-  if (i.first_pair) {
-    // No intermediate existed yet: replay from the start (next() will
-    // re-emit the first pair, now placed on the CPU).
-    stage_ = Stage::kStart;
-    next_term_ = 0;
-  } else {
+void Planner::rewind(const PlanStep& step) {
+  const auto* i = std::get_if<IntersectStep>(&step);
+  if (i != nullptr && !i->first_pair) {
     // Un-consume the faulted step's term; next() re-decides it at the
-    // current (device-resident) intermediate, forcing CPU — which triggers
-    // the normal migration Transfer + pending-Intersect sequence.
+    // current intermediate, CPU-pinned — which triggers the normal
+    // migration Transfer + pending-Intersect sequence when the intermediate
+    // is device-resident.
     --next_term_;
     stage_ = Stage::kIntersect;
+    return;
   }
+  // A single-term decode or the first pair: no intermediate existed yet, so
+  // replay from the start; the re-emitted step runs on the host.
+  assert(i != nullptr || std::holds_alternative<DecodeStep>(step));
+  stage_ = Stage::kStart;
+  next_term_ = 0;
+}
+
+void Planner::degrade_to_cpu(const PlanStep& step) {
+  force_cpu();  // also drops the staged bets on the faulted step
+  rewind(step);
 }
 
 void Planner::force_cpu() {
@@ -90,18 +85,22 @@ void Planner::degrade_step_to_cpu(const PlanStep& step) {
     return;
   }
   force_next_cpu_ = true;
-  if (std::holds_alternative<DecodeStep>(step)) {
-    stage_ = Stage::kStart;
-    return;
+  rewind(step);
+}
+
+bool Planner::take_cpu_pin() {
+  const bool pin = forced_cpu_ || force_next_cpu_;
+  force_next_cpu_ = false;
+  return pin;
+}
+
+void Planner::place(IntersectStep& step) {
+  step.where = take_cpu_pin() ? Placement::kCpu : sched_->decide(step.shape);
+  if (step.where == Placement::kSplit) {
+    step.alpha = sched_->split_alpha(step.shape);
   }
-  const auto& i = std::get<IntersectStep>(step);
-  if (i.first_pair) {
-    stage_ = Stage::kStart;
-    next_term_ = 0;
-  } else {
-    --next_term_;
-    stage_ = Stage::kIntersect;
-  }
+  maybe_stage_prefetch(step);
+  maybe_stage_host_decode(step);
 }
 
 void Planner::maybe_stage_prefetch(const IntersectStep& step) {
@@ -209,8 +208,7 @@ std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
       // decodes on the host — a GPU decode would round-trip the whole list
       // over PCIe for nothing. Only the static GPU baseline (kAlwaysGpu,
       // i.e. the GPU-only engine) is forced to the device.
-      const bool pin_cpu = forced_cpu_ || force_next_cpu_;
-      force_next_cpu_ = false;
+      const bool pin_cpu = take_cpu_pin();
       const Placement where =
           !pin_cpu && sched_->options().policy == SchedulerPolicy::kAlwaysGpu
               ? Placement::kGpu
@@ -225,16 +223,9 @@ std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
     step.first_pair = true;
     step.shape = shape_for(idx_->list(terms_[0]).size(), terms_[1],
                            std::nullopt);
-    const bool pin_cpu = forced_cpu_ || force_next_cpu_;
-    force_next_cpu_ = false;
-    step.where = pin_cpu ? Placement::kCpu : sched_->decide(step.shape);
-    if (step.where == Placement::kSplit) {
-      step.alpha = sched_->split_alpha(step.shape);
-    }
     next_term_ = 2;
     stage_ = Stage::kIntersect;
-    maybe_stage_prefetch(step);
-    maybe_stage_host_decode(step);
+    place(step);
     return step;
   }
 
@@ -250,15 +241,8 @@ std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
       IntersectStep step;
       step.term = terms_[next_term_];
       step.shape = shape_for(intermediate_count, terms_[next_term_], location);
-      const bool pin_cpu = forced_cpu_ || force_next_cpu_;
-      force_next_cpu_ = false;
-      step.where = pin_cpu ? Placement::kCpu : sched_->decide(step.shape);
-      if (step.where == Placement::kSplit) {
-        step.alpha = sched_->split_alpha(step.shape);
-      }
       ++next_term_;
-      maybe_stage_prefetch(step);
-      maybe_stage_host_decode(step);
+      place(step);
       // A split step consumes the intermediate wherever it lives (the
       // executor partitions in place, downloading only the CPU leg's prefix
       // when it is device-resident), so no migration transfer precedes it.

@@ -111,6 +111,19 @@ class Planner {
     kDone,
   };
 
+  /// Rewinds the state machine so the abandoned decode or intersect `step`
+  /// is re-emitted by the next call to next().
+  void rewind(const PlanStep& step);
+
+  /// Whether the decision about to be made is pinned to the CPU (a degraded
+  /// query, or the one-shot pin after an OOM re-plan, which this consumes).
+  bool take_cpu_pin();
+
+  /// Decides where `step` runs — the CPU when pinned, else the scheduler's
+  /// three-way choice plus the split share — and stages the side bets on
+  /// the following term (next_term_ must already point past `step`).
+  void place(IntersectStep& step);
+
   /// Called right after an intersect step is decided: if the *following*
   /// term's list is worth moving early, stage a PrefetchStep to emit on the
   /// next call. Device-placed (kGpu/kSplit) steps prefetch as before — the

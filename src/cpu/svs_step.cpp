@@ -1,5 +1,7 @@
 #include "cpu/svs_step.h"
 
+#include <cassert>
+
 #include "cpu/decode.h"
 #include "cpu/intersect.h"
 
@@ -9,7 +11,7 @@ std::span<const codec::DocId> SvsStepper::decode_via_cache(
     index::TermId t, std::vector<codec::DocId>& scratch,
     sim::CpuCostAccumulator& acc, core::QueryMetrics& m) {
   const auto& list = idx_->list(t).docids;
-  if (!cache_on()) {
+  if (!cache_->enabled()) {
     scratch.clear();
     decode_all(list, scratch, acc);
     return scratch;
@@ -33,7 +35,7 @@ std::span<const codec::DocId> SvsStepper::decode_via_cache(
 
 const std::vector<codec::DocId>* SvsStepper::cached_only(
     index::TermId t, core::QueryMetrics& m) {
-  if (!cache_on()) return nullptr;
+  if (!cache_->enabled()) return nullptr;
   const auto* hit = cache_->lookup(t);
   if (hit != nullptr) {
     ++m.cache.host_hits;
@@ -80,29 +82,12 @@ sim::Duration SvsStepper::first_pair(index::TermId a, index::TermId b,
 
 sim::Duration SvsStepper::next_step(std::vector<codec::DocId>& current,
                                     index::TermId t, core::QueryMetrics& m) {
-  const auto& lt = idx_->list(t).docids;
-  sim::CpuCostAccumulator acc(spec_);
-  const double ratio = static_cast<double>(lt.size()) /
-                       static_cast<double>(current.size());
-  if (ratio >= opt_.skip_ratio) {
-    if (const auto* target = cached_only(t, m)) {
-      skip_intersect(current, std::span<const codec::DocId>(*target),
-                     out_scratch_, acc);
-    } else {
-      skip_intersect(current, lt, out_scratch_, acc);
-    }
-  } else {
-    if (const auto* target = cached_only(t, m)) {
-      merge_intersect(std::span<const codec::DocId>(current),
-                      std::span<const codec::DocId>(*target), out_scratch_,
-                      acc);
-    } else {
-      merge_intersect(current, lt, out_scratch_, acc);
-    }
-  }
+  // The planner drains the plan at an empty intermediate, so partial_step's
+  // early return for an empty range never fires here.
+  assert(!current.empty());
+  const sim::Duration d = partial_step(current, t, out_scratch_, m);
   current.swap(out_scratch_);
-  m.simd += acc.simd();
-  return acc.time();
+  return d;
 }
 
 sim::Duration SvsStepper::materialize_probes(index::TermId t,

@@ -2,10 +2,10 @@
 // (core/executor.h dispatches to it). One stepper owns the per-pair choice
 // between the sequential merge and the skip-pointer binary search (chosen by
 // the length ratio, paper §2.1.2/§2.2), the per-step cost accounting, and
-// the optional host decoded-postings cache (cpu/decoded_cache.h).
+// the host decoded-postings cache (cpu/decoded_cache.h).
 //
 // Cache interplay, chosen so a cold query costs exactly what it does with
-// the cache off:
+// the cache off (a zero-budget cache):
 //   - skip path: the probe side is decoded via the cache (decode_all already
 //     ran there, so a fill is free); the *target* is only consulted — a hit
 //     switches to the decoded-array search, a miss keeps the compressed
@@ -40,11 +40,10 @@ struct SvsOptions {
 
 class SvsStepper {
  public:
-  /// `cache` may be nullptr (or disabled): behavior and charges then match
-  /// the pre-cache engines exactly.
+  /// A disabled (zero-budget) `cache` charges exactly the uncached cost.
   SvsStepper(const index::InvertedIndex& idx, sim::CpuSpec spec,
-             SvsOptions opt, DecodedCache* cache)
-      : idx_(&idx), spec_(spec), opt_(opt), cache_(cache) {}
+             SvsOptions opt, DecodedCache& cache)
+      : idx_(&idx), spec_(spec), opt_(opt), cache_(&cache) {}
 
   // Every step below returns its host-time charge; the caller records it on
   // the timeline under the stage named here. Cache and lane counters land
@@ -56,8 +55,8 @@ class SvsStepper {
                            std::vector<codec::DocId>& out,
                            core::QueryMetrics& m);
 
-  /// Intersects the current (decoded) intermediate with list t in place.
-  /// Intersect stage.
+  /// Intersects the current (decoded, non-empty) intermediate with list t
+  /// in place: partial_step over all of it. Intersect stage.
   sim::Duration next_step(std::vector<codec::DocId>& current, index::TermId t,
                           core::QueryMetrics& m);
 
@@ -76,10 +75,11 @@ class SvsStepper {
                                    core::QueryMetrics& m);
 
   /// The CPU leg of a split intersect: intersects the (sorted, decoded)
-  /// probe range with list t, appending matches to `out`. Chooses skip vs
-  /// merge by the leg's own length ratio — the same rule next_step applies,
-  /// with the same cache interplay — so a degenerate alpha=0 split computes
-  /// exactly what the unsplit CPU step would. Intersect stage.
+  /// probe range with list t into `out`. Chooses skip vs merge by the
+  /// leg's own length ratio — next_step is this over the whole
+  /// intermediate — so a degenerate alpha=0 split computes exactly what the
+  /// unsplit CPU step would. An empty range charges nothing. Intersect
+  /// stage.
   sim::Duration partial_step(std::span<const codec::DocId> probes,
                              index::TermId t, std::vector<codec::DocId>& out,
                              core::QueryMetrics& m);
@@ -93,15 +93,11 @@ class SvsStepper {
   sim::Duration decode_ahead(index::TermId t, core::QueryMetrics& m);
 
   /// Stat-free residency probe (core::StepShape::longer_host_decoded).
-  bool host_decoded(index::TermId t) const {
-    return cache_ != nullptr && cache_->resident(t);
-  }
+  bool host_decoded(index::TermId t) const { return cache_->resident(t); }
 
   const SvsOptions& options() const { return opt_; }
 
  private:
-  bool cache_on() const { return cache_ != nullptr && cache_->enabled(); }
-
   /// Decodes list t, serving and filling the cache when enabled. The
   /// returned span points either into the cache or into `scratch`.
   std::span<const codec::DocId> decode_via_cache(

@@ -120,14 +120,6 @@ struct FaultConfig {
   std::vector<Outage> outages;  ///< scripted replica outages
 
   std::uint64_t seed = 1;
-
-  bool engine_faults_armed() const {
-    return gpu.armed() || pcie.armed() || oom.armed();
-  }
-  bool any_armed() const {
-    return engine_faults_armed() || crash.armed() || slow.armed() ||
-           !outages.empty();
-  }
 };
 
 /// Per-query / per-run fault and degradation counters, threaded

@@ -20,7 +20,8 @@ std::uint64_t list_cache_budget(const sim::HardwareSpec& hw,
 }  // namespace
 
 GpuExecutor::GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw,
-                         GpuOptions opt)
+                         GpuOptions opt, const fault::FaultInjector& injector,
+                         std::uint32_t fault_scope)
     : idx_(&idx),
       hw_(hw),
       opt_(opt),
@@ -31,7 +32,9 @@ GpuExecutor::GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw,
         sim::PcieSpec spec = hw.pcie;
         if (opt.pooled_memory) spec.alloc_us = 0.0;
         return pcie::Link(spec);
-      }()) {}
+      }()),
+      injector_(&injector),
+      fault_scope_(fault_scope) {}
 
 void GpuExecutor::begin_query(sim::Timeline& tl, std::uint64_t query_id,
                               sim::Duration release) {
@@ -85,7 +88,7 @@ void GpuExecutor::charge_kernel(const sim::KernelStats& s, sim::Stage stage,
 
 void GpuExecutor::arm_ledger(pcie::TransferLedger& ledger,
                              core::QueryMetrics& m) {
-  if (injector_ != nullptr && injector_->config().pcie.armed()) {
+  if (injector_->config().pcie.armed()) {
     ledger.arm_faults(injector_, fault_scope_, fault_query_, &transfer_seq_,
                       &m.faults);
   }
@@ -115,7 +118,6 @@ void GpuExecutor::charge_fault(sim::Duration d, sim::Stage stage) {
 }
 
 void GpuExecutor::oom_evict(core::QueryMetrics& m) {
-  assert(injector_ != nullptr);
   std::uint64_t entries = 0;
   const std::uint64_t freed =
       cache_.evict_bytes(injector_->config().oom_evict_bytes, &entries);
@@ -259,53 +261,6 @@ simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(index::TermId t,
   return out;
 }
 
-void GpuExecutor::intersect_first(index::TermId a, index::TermId b,
-                                  core::QueryMetrics& m) {
-  const auto& la = idx_->list(a).docids;
-  const auto& lb = idx_->list(b).docids;
-  assert(la.size() <= lb.size());
-  const double ratio = static_cast<double>(lb.size()) /
-                       static_cast<double>(la.size());
-
-  auto da = decode_full_list(a, m);
-
-  pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
-  GpuIntersectResult r;
-  std::optional<AcquiredList> pf;
-  if (ratio < kPathRatio) {
-    auto db = decode_full_list(b, m);
-    r = mergepath_intersect(device_, da, la.size(), db, lb.size(), link_,
-                            ledger);
-  } else if ((pf = take_prefetched(b, m))) {
-    // The prefetch already paid the full payload upload on the copy
-    // engine; search it like a resident list (and cache it afterwards).
-    r = binary_search_intersect(device_, da, la.size(), pf->view(), link_,
-                                ledger, /*deferred_payload=*/false);
-  } else if (const DeviceList* resident =
-                 cache_.enabled() ? cache_.lookup(b) : nullptr) {
-    // The long list is already fully device-resident: no transfers at all,
-    // and the payload needs no deferred block charging.
-    ++m.cache.device_hits;
-    r = binary_search_intersect(device_, da, la.size(), *resident, link_,
-                                ledger, /*deferred_payload=*/false);
-  } else {
-    // Miss: the deferred upload moves only the skip table plus candidate
-    // blocks (§3.1.2), so the payload is never fully paid for — such a
-    // partially transferred list must not enter the cache.
-    if (cache_.enabled()) ++m.cache.device_misses;
-    DeviceList dlist = upload_list(device_, lb, link_, ledger,
-                                   /*defer_payload=*/true);
-    r = binary_search_intersect(device_, da, la.size(), dlist, link_, ledger,
-                                /*deferred_payload=*/true);
-  }
-  join_ledger(ledger);
-  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
-  if (pf.has_value()) commit(std::move(*pf), m);
-  current_ = std::move(r.result);
-  current_count_ = r.count;
-}
-
 void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
   assert(has_intermediate());
   const auto& lt = idx_->list(t).docids;
@@ -318,28 +273,15 @@ void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
   pcie::TransferLedger ledger;
   bind_ledger(ledger, m);
   GpuIntersectResult r;
-  std::optional<AcquiredList> pf;
   if (ratio < kPathRatio) {
     auto dt = decode_full_list(t, m);
     r = mergepath_intersect(device_, current_, current_count_, dt, lt.size(),
                             link_, ledger);
-  } else if ((pf = take_prefetched(t, m))) {
-    r = binary_search_intersect(device_, current_, current_count_, pf->view(),
-                                link_, ledger, /*deferred_payload=*/false);
-  } else if (const DeviceList* resident =
-                 cache_.enabled() ? cache_.lookup(t) : nullptr) {
-    ++m.cache.device_hits;
-    r = binary_search_intersect(device_, current_, current_count_, *resident,
-                                link_, ledger, /*deferred_payload=*/false);
   } else {
-    if (cache_.enabled()) ++m.cache.device_misses;
-    DeviceList dlist = upload_list(device_, lt, link_, ledger, true);
-    r = binary_search_intersect(device_, current_, current_count_, dlist,
-                                link_, ledger, true);
+    r = binary_search_over(t, current_, current_count_, 0, ledger, m);
   }
   join_ledger(ledger);
   charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
-  if (pf.has_value()) commit(std::move(*pf), m);
   current_ = std::move(r.result);
   current_count_ = r.count;
 }
@@ -361,36 +303,38 @@ void GpuExecutor::upload_intermediate(std::span<const DocId> docs,
   current_count_ = docs.size();
 }
 
-std::vector<DocId> GpuExecutor::download_intermediate(core::QueryMetrics& m) {
+std::vector<DocId> GpuExecutor::download_intermediate(std::uint64_t n,
+                                                     core::QueryMetrics& m) {
   assert(has_intermediate());
-  // Leaving the device: any in-flight prefetch has lost its consumer
-  // (migration or final drain), so it is dropped here.
-  drop_prefetches(m);
-  std::vector<DocId> out(current_count_);
-  pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
-  device_.download(std::span<DocId>(out), current_);
-  ledger.add_transfer(link_, out.size() * sizeof(DocId), /*h2d=*/false);
-  join_ledger(ledger);
-  return out;
+  assert(n <= current_count_);
+  return download_partial(current_, n, m);
 }
 
 GpuIntersectResult GpuExecutor::binary_search_over(
     index::TermId t, const simt::DeviceBuffer<DocId>& probes, std::uint64_t np,
     std::uint64_t probe_offset, pcie::TransferLedger& ledger,
-    core::QueryMetrics& m, std::optional<AcquiredList>& pf) {
-  if ((pf = take_prefetched(t, m))) {
-    return binary_search_intersect(device_, probes, np, pf->view(), link_,
-                                   ledger, /*deferred_payload=*/false,
-                                   probe_offset);
+    core::QueryMetrics& m) {
+  if (auto pf = take_prefetched(t, m)) {
+    // The prefetch already paid the full payload upload on the copy engine:
+    // search it like a resident list, and cache it once the kernels ran.
+    GpuIntersectResult r =
+        binary_search_intersect(device_, probes, np, pf->view(), link_, ledger,
+                                /*deferred_payload=*/false, probe_offset);
+    commit(std::move(*pf), m);
+    return r;
   }
   if (const DeviceList* resident =
           cache_.enabled() ? cache_.lookup(t) : nullptr) {
+    // Fully device-resident: no transfers at all, and the payload needs no
+    // deferred block charging.
     ++m.cache.device_hits;
     return binary_search_intersect(device_, probes, np, *resident, link_,
                                    ledger, /*deferred_payload=*/false,
                                    probe_offset);
   }
+  // Miss: the deferred upload moves only the skip table plus candidate
+  // blocks (§3.1.2), so the payload is never fully paid for — such a
+  // partially transferred list must not enter the cache.
   if (cache_.enabled()) ++m.cache.device_misses;
   DeviceList dlist = upload_list(device_, idx_->list(t).docids, link_, ledger,
                                  /*defer_payload=*/true);
@@ -410,6 +354,17 @@ std::vector<DocId> GpuExecutor::download_partial(
   return out;
 }
 
+std::vector<DocId> GpuExecutor::split_leg(
+    index::TermId t, const simt::DeviceBuffer<DocId>& probes, std::uint64_t np,
+    std::uint64_t probe_offset, pcie::TransferLedger& ledger,
+    core::QueryMetrics& m) {
+  GpuIntersectResult r =
+      binary_search_over(t, probes, np, probe_offset, ledger, m);
+  join_ledger(ledger);
+  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
+  return download_partial(r.result, r.count, m);
+}
+
 std::vector<DocId> GpuExecutor::split_intersect_host(
     index::TermId t, std::span<const DocId> probes, core::QueryMetrics& m) {
   pcie::TransferLedger ledger;
@@ -418,46 +373,17 @@ std::vector<DocId> GpuExecutor::split_intersect_host(
   ledger.add_alloc(link_);
   device_.upload(dprobes, probes);
   ledger.add_transfer(link_, probes.size_bytes(), /*h2d=*/true);
-  std::optional<AcquiredList> pf;
-  GpuIntersectResult r =
-      binary_search_over(t, dprobes, probes.size(), 0, ledger, m, pf);
-  join_ledger(ledger);
-  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
-  if (pf.has_value()) commit(std::move(*pf), m);
-  return download_partial(r.result, r.count, m);
+  return split_leg(t, dprobes, probes.size(), 0, ledger, m);
 }
 
 std::vector<DocId> GpuExecutor::split_intersect_device(
     index::TermId t, std::uint64_t probe_offset, core::QueryMetrics& m) {
   assert(has_intermediate());
   assert(probe_offset <= current_count_);
-  const std::uint64_t np = current_count_ - probe_offset;
   pcie::TransferLedger ledger;
   bind_ledger(ledger, m);
-  std::optional<AcquiredList> pf;
-  GpuIntersectResult r =
-      binary_search_over(t, current_, np, probe_offset, ledger, m, pf);
-  join_ledger(ledger);
-  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
-  if (pf.has_value()) commit(std::move(*pf), m);
-  // The split leaves the merged result host-side: the device copy of the
-  // probes is spent.
-  current_ = simt::DeviceBuffer<DocId>();
-  current_count_ = kNoIntermediate;
-  return download_partial(r.result, r.count, m);
-}
-
-std::vector<DocId> GpuExecutor::download_intermediate_prefix(
-    std::uint64_t n, core::QueryMetrics& m) {
-  assert(has_intermediate());
-  assert(n <= current_count_);
-  std::vector<DocId> out(n);
-  pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
-  device_.download(std::span<DocId>(out), current_);
-  ledger.add_transfer(link_, n * sizeof(DocId), /*h2d=*/false);
-  join_ledger(ledger);
-  return out;
+  return split_leg(t, current_, current_count_ - probe_offset, probe_offset,
+                   ledger, m);
 }
 
 }  // namespace griffin::gpu

@@ -51,16 +51,21 @@ struct GpuOptions {
 /// model, and the current (device-resident, decoded) intermediate result.
 class GpuExecutor {
  public:
-  GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw = {},
-              GpuOptions opt = {});
+  /// `injector` is the engine's fault injector (DESIGN.md §11), always
+  /// present: PCIe transfer errors are drawn per DMA inside every ledger
+  /// this executor binds while its pcie site is armed, and fault_reset() is
+  /// the recovery hook for abandoned GPU steps. `fault_scope` is the shard
+  /// id in a cluster (0 standalone).
+  GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw,
+              GpuOptions opt, const fault::FaultInjector& injector,
+              std::uint32_t fault_scope);
 
   /// Drops per-query device state and opens one copy stream and one compute
   /// stream on `tl` (core/executor.h passes its own), on which every charge
   /// of the query is recorded as a stage-tagged op (DESIGN.md §10).
-  /// `query_id` keys fault coordinates when an injector is set (ignored
-  /// otherwise). On a shared multi-tenant timeline, `release` is the
-  /// query's admission time: the streams open there and the initial chain
-  /// waits it out.
+  /// `query_id` keys fault coordinates. On a shared multi-tenant timeline,
+  /// `release` is the query's admission time: the streams open there and
+  /// the initial chain waits it out.
   void begin_query(sim::Timeline& tl, std::uint64_t query_id = 0,
                    sim::Duration release = {});
 
@@ -69,16 +74,6 @@ class GpuExecutor {
   /// shared launch overhead split K ways, body time scaled by warp fill
   /// (floored at 1/K). size <= 1 restores exact unbatched accounting.
   void set_batch(std::uint32_t size) { batch_size_ = size == 0 ? 1 : size; }
-
-  /// Arms fault injection (DESIGN.md §11): PCIe transfer errors are drawn
-  /// per DMA inside every ledger this executor binds, and fault_reset()
-  /// becomes the executor's recovery hook for abandoned GPU steps. `scope`
-  /// is the shard id in a cluster (0 standalone). Pass nullptr to disarm.
-  void set_fault_injector(const fault::FaultInjector* injector,
-                          std::uint32_t scope) {
-    injector_ = injector;
-    fault_scope_ = scope;
-  }
 
   /// Recovery from an injected device fault on a compute step: in-flight
   /// prefetches are discarded *without* entering the cache (unlike
@@ -100,8 +95,7 @@ class GpuExecutor {
   /// charging one host-synchronous free per entry (a transfer-stage op —
   /// it's PCIe/allocator machinery — on the CPU, issued from the copy
   /// stream and advancing the chain so the retried allocation waits the
-  /// frees out). Requires an armed injector; counts into m.faults and
-  /// m.cache.
+  /// frees out). Counts into m.faults and m.cache.
   void oom_evict(core::QueryMetrics& m);
 
   /// Drops unconsumed prefetches (counting them into m) and releases
@@ -130,20 +124,25 @@ class GpuExecutor {
     return prefetch_.find(t) != prefetch_.end();
   }
 
-  /// Intersects the first two lists entirely on the GPU.
-  void intersect_first(index::TermId a, index::TermId b, core::QueryMetrics& m);
-
-  /// Intersects the current intermediate result with another list.
+  /// Intersects the current intermediate result with another list: the
+  /// MergePath kernel below the length ratio λ = 128, binary search over
+  /// skip pointers at or above it (§3.1). A GPU first pair is load_single
+  /// of its shorter list followed by this.
   void intersect_next(index::TermId t, core::QueryMetrics& m);
 
-  /// Decodes a single list to the device (single-term queries).
+  /// Decodes a single list to the device as the intermediate (single-term
+  /// queries, and the probe side of a GPU first pair).
   void load_single(index::TermId t, core::QueryMetrics& m);
 
   /// Uploads a host intermediate result (CPU -> GPU migration).
   void upload_intermediate(std::span<const DocId> docs, core::QueryMetrics& m);
 
-  /// Downloads the intermediate result (GPU -> CPU migration / final).
-  std::vector<DocId> download_intermediate(core::QueryMetrics& m);
+  /// Downloads the first n elements of the device intermediate without
+  /// consuming it: all of it for a migration or the final drain, the CPU
+  /// leg's probe prefix in a split (DESIGN.md §15). In-flight prefetches
+  /// are left alone: a transfer step leaving the device drops them first.
+  std::vector<DocId> download_intermediate(std::uint64_t n,
+                                           core::QueryMetrics& m);
 
   // ---- Co-execution support (DESIGN.md §15) ----------------------------
 
@@ -159,21 +158,14 @@ class GpuExecutor {
 
   /// GPU leg of a split intersect when the probes are the device-resident
   /// intermediate: runs over its [probe_offset, count) suffix in place (no
-  /// re-upload), downloads the partial, and consumes the intermediate — a
-  /// split step always leaves the merged result host-side.
+  /// re-upload) and downloads the partial. The intermediate stays until the
+  /// caller drops it.
   std::vector<DocId> split_intersect_device(index::TermId t,
                                             std::uint64_t probe_offset,
                                             core::QueryMetrics& m);
 
-  /// Downloads the first n elements of the device intermediate (the CPU
-  /// leg's probe prefix in a split) without consuming it and without
-  /// dropping in-flight prefetches — unlike download_intermediate, the
-  /// query is not leaving the device.
-  std::vector<DocId> download_intermediate_prefix(std::uint64_t n,
-                                                  core::QueryMetrics& m);
-
-  /// Releases the device intermediate without charges: a degenerate alpha=0
-  /// split already drained all of it to the host via the prefix download.
+  /// Releases the device intermediate without charges: a split step leaves
+  /// its merged result host-side, so the device probes are spent.
   void drop_intermediate() {
     current_ = simt::DeviceBuffer<DocId>();
     current_count_ = kNoIntermediate;
@@ -230,20 +222,27 @@ class GpuExecutor {
   /// against per-chunk decode kernels.
   simt::DeviceBuffer<DocId> decode_full_list(index::TermId t,
                                              core::QueryMetrics& m);
-  /// The binary-search target acquisition shared by the split legs:
+  /// Binary search of list t over `np` probes starting at `probe_offset`,
+  /// with the one target acquisition every high-ratio intersect uses:
   /// prefetched > cache hit > deferred (skip table + candidate blocks only)
-  /// upload, with the same stats and caching rules as intersect_next's
-  /// high-ratio arm. `pf` receives the consumed prefetch, if any, so the
-  /// caller can commit() it after the kernels ran.
+  /// upload, counting device hits/misses and committing a consumed prefetch
+  /// to the cache once the kernels ran.
   GpuIntersectResult binary_search_over(index::TermId t,
                                         const simt::DeviceBuffer<DocId>& probes,
                                         std::uint64_t np,
                                         std::uint64_t probe_offset,
                                         pcie::TransferLedger& ledger,
-                                        core::QueryMetrics& m,
-                                        std::optional<AcquiredList>& pf);
-  /// D2H of a split leg's partial matches on a fresh ledger bound after the
-  /// leg's kernels (so the copy waits them out on the timeline).
+                                        core::QueryMetrics& m);
+  /// The GPU leg of a split over `probes`: binary_search_over, its kernel
+  /// charge, then the D2H of the partial matches.
+  std::vector<DocId> split_leg(index::TermId t,
+                               const simt::DeviceBuffer<DocId>& probes,
+                               std::uint64_t np, std::uint64_t probe_offset,
+                               pcie::TransferLedger& ledger,
+                               core::QueryMetrics& m);
+  /// The one D2H routine: `count` elements of `buf` on a fresh ledger bound
+  /// after the kernels that produced them (so the copy waits them out on
+  /// the timeline).
   std::vector<DocId> download_partial(const simt::DeviceBuffer<DocId>& buf,
                                       std::uint64_t count,
                                       core::QueryMetrics& m);
@@ -256,9 +255,9 @@ class GpuExecutor {
   void join_ledger(const pcie::TransferLedger& ledger) {
     chain_ = sim::Timeline::join(chain_, ledger.last_event());
   }
-  /// Arms PCIe fault injection on a ledger when an injector is set (every
-  /// ledger charging transfers for this query must pass through here or
-  /// bind_ledger so DMAs draw consecutive fault coordinates).
+  /// Arms PCIe fault injection on a ledger while the pcie site is armed
+  /// (every ledger charging transfers for this query must pass through here
+  /// or bind_ledger so DMAs draw consecutive fault coordinates).
   void arm_ledger(pcie::TransferLedger& ledger, core::QueryMetrics& m);
   /// Arms the ledger for fault injection and binds it to the timeline's
   /// copy stream, chained on the current plan frontier (chain_) — or on
@@ -291,8 +290,8 @@ class GpuExecutor {
   sim::Timeline::StreamId compute_stream_ = 0;
   sim::Timeline::Event chain_;  ///< current plan-frontier event
 
-  const fault::FaultInjector* injector_ = nullptr;  ///< nullptr = no faults
-  std::uint32_t fault_scope_ = 0;   ///< shard id (0 standalone)
+  const fault::FaultInjector* injector_;
+  std::uint32_t fault_scope_;       ///< shard id (0 standalone)
   std::uint64_t fault_query_ = 0;   ///< current query's fault coordinate
   std::uint64_t transfer_seq_ = 0;  ///< per-query DMA counter (fault coords)
 };

@@ -280,13 +280,6 @@ TEST(FaultCluster, EngineFaultsFlowIntoClusterCounters) {
   EXPECT_GT(res.trace.faulted_steps, 0u);
   // A GPU fault degrades execution, never the answer: nothing is dropped.
   EXPECT_EQ(res.faults.degraded_queries, 0u);
-
-  // The per-node lifetime counters sum to the run's engine-level total.
-  std::uint64_t node_faults = 0;
-  for (std::uint32_t s = 0; s < broker.num_shards(); ++s) {
-    node_faults += broker.node(s).fault_counters().gpu_faults;
-  }
-  EXPECT_EQ(node_faults, res.faults.gpu_faults);
 }
 
 TEST(FaultCluster, UntimedExecuteDegradesOnScopedEngineFault) {

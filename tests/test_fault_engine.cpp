@@ -36,7 +36,7 @@ TEST(FaultEngine, ArmedButSilentInjectorIsBitIdentical) {
   core::HybridOptions armed = gpu_heavy_options();
   // Armed sites (the injector is consulted) whose scripted faults point at
   // a query id the log never reaches: every decision returns false, and
-  // the run must be bit-identical to one with no injector wired at all.
+  // the run must be bit-identical to a disarmed one.
   armed.faults.gpu.triggers.push_back({/*query=*/999999, /*scope=*/0});
   armed.faults.pcie.triggers.push_back({/*query=*/999999, /*scope=*/0});
 

@@ -10,9 +10,6 @@ using namespace griffin;
 
 TEST(FaultInjector, DisarmedSitesNeverFire) {
   const fault::FaultConfig cfg;  // all probabilities zero, no triggers
-  EXPECT_FALSE(cfg.engine_faults_armed());
-  EXPECT_FALSE(cfg.any_armed());
-
   const fault::FaultInjector inj(cfg);
   for (std::uint64_t q = 0; q < 50; ++q) {
     EXPECT_FALSE(inj.gpu_step_fault(0, q, q % 7));
@@ -150,9 +147,8 @@ TEST(FaultInjector, OomSiteIsIndependentAndDeterministic) {
 
 TEST(FaultInjector, OomTriggersAndArming) {
   fault::FaultConfig cfg;
-  EXPECT_FALSE(cfg.engine_faults_armed());
   cfg.oom.triggers.push_back({/*query=*/4, /*scope=*/1});
-  EXPECT_TRUE(cfg.engine_faults_armed());  // the oom site arms the engine
+  EXPECT_TRUE(cfg.oom.armed());  // a trigger alone arms the site
 
   const fault::FaultInjector inj(cfg);
   EXPECT_TRUE(inj.oom_fault(1, 4, 0));
