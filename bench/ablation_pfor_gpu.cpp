@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "gpu/ef_decode.h"
-#include "gpu/pfor_decode.h"
+#include "gpu/decode.h"
 #include "util/rng.h"
 
 using namespace griffin;
@@ -38,8 +37,7 @@ int main() {
     pcie::TransferLedger ledger;
     gpu::DeviceList dl = gpu::upload_list(dev, list, link, ledger);
     auto out = dev.alloc<index::DocId>(list.size());
-    const auto stats =
-        gpu::pfor_decode_range(dev, dl, 0, dl.num_blocks(), out);
+    const auto stats = gpu::decode_range(dev, dl, 0, dl.num_blocks(), out);
     double exc = 0;
     for (const auto& m : list.metas()) exc += m.hdr.pfor().n_exceptions;
     exc /= static_cast<double>(list.num_blocks());
@@ -63,7 +61,7 @@ int main() {
     pcie::TransferLedger ledger;
     gpu::DeviceList dl = gpu::upload_list(dev, list, link, ledger);
     auto out = dev.alloc<index::DocId>(list.size());
-    const auto stats = gpu::ef_decode_range(dev, dl, 0, dl.num_blocks(), out);
+    const auto stats = gpu::decode_range(dev, dl, 0, dl.num_blocks(), out);
     std::printf("%-18s %14.2f %14.3f %16s\n", "Para-EF",
                 list.bits_per_posting(),
                 (link.transfer_time(list.blob().size() * 8) +

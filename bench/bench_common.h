@@ -1,6 +1,7 @@
 // Shared utilities for the reproduction benches: the paper-testbed hardware
 // spec, corpus caching (indexes are built once and memoized on disk via
-// index/io.h), simple aligned table printing, and a scale knob.
+// index/io.h), simple aligned table printing, a scale knob, and exit-code
+// gates.
 //
 // Environment:
 //   GRIFFIN_FAST=1         shrink workloads ~10x (smoke-test mode)
@@ -455,6 +456,29 @@ inline void write_bench_json(const std::string& name, const Json& root) {
   std::fclose(f);
   std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
 }
+
+// ---- Exit-code gates ----
+//
+// A bench checks its own invariants and floors and returns exit_code()
+// from main, so ctest's `bench` label (bench/run_fast.cmake) enforces them.
+// A failed check is reported on stderr; stdout and the JSON are untouched.
+class Gates {
+ public:
+  explicit Gates(std::string bench) : bench_(std::move(bench)) {}
+
+  void check(bool ok, const std::string& what) {
+    if (ok) return;
+    ++failures_;
+    std::fprintf(stderr, "[%s] VIOLATION: %s\n", bench_.c_str(), what.c_str());
+  }
+
+  int failures() const { return failures_; }
+  int exit_code() const { return failures_ == 0 ? 0 : 1; }
+
+ private:
+  std::string bench_;
+  int failures_ = 0;
+};
 
 // ---- Table printing ----
 

@@ -5,8 +5,8 @@
 // everything at once) over an adaptive-codec corpus, so every recovery path
 // in the unified fault domain runs against every codec the zoo picked.
 //
-// Unlike the other benches this one *checks* as it measures. Invariants,
-// each counted as a violation when broken (nonzero exit):
+// The bench checks as it measures (bench::Gates). Invariants, each counted
+// as a violation when broken (nonzero exit):
 //
 //   1. golden parity — every cell's top-k digest equals the all-CPU
 //      reference's: faults perturb timing and counters, never bits;
@@ -34,13 +34,10 @@ using namespace griffin;
 
 namespace {
 
-int violations = 0;
+bench::Gates gates("chaos");
 
 void check(bool ok, const char* what, const std::string& where) {
-  if (!ok) {
-    ++violations;
-    std::fprintf(stderr, "[chaos] VIOLATION: %s (%s)\n", what, where.c_str());
-  }
+  gates.check(ok, std::string(what) + " (" + where + ")");
 }
 
 /// Order-sensitive digest of every query's top-k: doc ids and raw float
@@ -333,13 +330,10 @@ int main() {
   root["num_queries"] = static_cast<std::uint64_t>(queries.size());
   root["reference_digest"] = ref.h;
   root["cells"] = std::move(cells);
-  root["violations"] = static_cast<std::uint64_t>(violations);
+  root["violations"] = static_cast<std::uint64_t>(gates.failures());
   bench::write_bench_json("chaos", root);
 
-  if (violations > 0) {
-    std::fprintf(stderr, "[chaos] %d invariant violation(s)\n", violations);
-    return 1;
-  }
+  if (gates.failures() > 0) return gates.exit_code();
   std::printf(
       "(every cell reproduced the all-CPU digest, reran identically, and "
       "kept the\nstage identity — the fault domain degrades timing, never "

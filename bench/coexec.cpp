@@ -167,6 +167,7 @@ int main() {
       {"split+pipeline", true, true},
   };
 
+  bench::Gates gates("coexec");
   bench::Json root = bench::Json::object();
   root["bench"] = "coexec";
   root["fast_mode"] = bench::fast_mode();
@@ -192,6 +193,7 @@ int main() {
       } else if (st.digest != base_digest) {
         identical = false;
       }
+      const double speedup = mean > 0.0 ? base_mean / mean : 0.0;
       std::printf("  %-16s %10.3f %10.3f %8llu %8llu %5llu/%-4llu %7.3fx\n",
                   cfg.name, mean,
                   st.latency.count() ? st.latency.percentile(95) : 0.0,
@@ -199,15 +201,20 @@ int main() {
                   static_cast<unsigned long long>(st.host_decodes),
                   static_cast<unsigned long long>(st.prefetch_used),
                   static_cast<unsigned long long>(st.prefetch_issued),
-                  mean > 0.0 ? base_mean / mean : 0.0);
+                  speedup);
+      // Split steps must really fire on the band-targeted workload (the
+      // ablation is vacuous otherwise), and pay off there.
+      if (!is_mixed && std::string(cfg.name) == "split") {
+        gates.check(st.split_steps > 0, "band workload executed no splits");
+        gates.check(speedup > 1.0, "splitting slowed the band workload");
+      }
       bench::Json row = stats_json(st);
-      row["speedup_vs_baseline"] = mean > 0.0 ? base_mean / mean : 0.0;
+      row["speedup_vs_baseline"] = speedup;
       rows[cfg.name] = std::move(row);
     }
-    if (!identical) {
-      std::fprintf(stderr,
-                   "[coexec] RESULT MISMATCH: co-execution changed results\n");
-    }
+    // Moving work between processors must never change results: every
+    // config's top-k digest matches the baseline's.
+    gates.check(identical, std::string(wl) + ": co-execution changed results");
     rows["results_identical"] = identical;
     root[wl] = std::move(rows);
     std::printf("  (top-k digests %s across configs)\n",
@@ -215,5 +222,5 @@ int main() {
   }
 
   bench::write_bench_json("coexec", root);
-  return 0;
+  return gates.exit_code();
 }

@@ -110,5 +110,11 @@ int main() {
               static_cast<unsigned long long>(best_fixed),
               adaptive_bytes <= best_fixed ? "OK" : "REGRESSION");
   bench::write_bench_json("compression_ratio", root);
-  return 0;
+  // The selector sizes every eligible codec exactly and keeps the smallest,
+  // so its total can never exceed the best fixed scheme's (codec/codec.h):
+  // a violation means the selector and the encoders disagree about sizes.
+  bench::Gates gates("compression_ratio");
+  gates.check(adaptive_bytes <= best_fixed,
+              "adaptive total exceeds the best fixed scheme's");
+  return gates.exit_code();
 }

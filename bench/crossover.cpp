@@ -303,6 +303,7 @@ int main() {
   const double band_bpe = static_cast<double>(band_list.compressed_bytes()) /
                           static_cast<double>(longer_size);
   bench::Json band_rows = bench::Json::array();
+  bench::Gates gates("crossover");
   for (const auto& preset : presets) {
     sim::HardwareSpec hw;
     hw.cpu = preset.spec;
@@ -343,6 +344,13 @@ int main() {
     }
     std::printf("  %-6s %10.1f %10.1f %10.3f %10s\n", preset.name, lo, hi,
                 alpha_mid, contiguous ? "gpu|split|cpu" : "BROKEN");
+    // A real band for every preset, structured gpu|split|cpu, with the
+    // mid-band alpha strictly interior: both processors get real work.
+    const std::string name = preset.name;
+    gates.check(lo < hi, name + ": empty split band");
+    gates.check(contiguous, name + ": split band not gpu|split|cpu");
+    gates.check(alpha_mid > 0.0 && alpha_mid < 1.0,
+                name + ": degenerate mid-band alpha");
     bench::Json br = bench::Json::object();
     br["name"] = preset.name;
     br["lambda_lo"] = lo;
@@ -365,5 +373,19 @@ int main() {
   root["codec_crossover"] = std::move(codec_rows);
   root["split_band"] = std::move(band_rows);
   bench::write_bench_json("crossover", root);
-  return 0;
+
+  // The AVX2 preset keeps its modeled full-decode win in the SIMD-BP128
+  // ballpark (Lemire-Boytsov-Kurz measure 4-8x; 2x catches calibration
+  // regressions, not noise), and a vectorized CPU only ever shrinks the
+  // GPU-favored band: every preset crosses over, avx2 <= sse4 <= scalar.
+  // (presets = scalar, sse4, avx2.)
+  gates.check(decode_speedup[2] >= 2.0, "avx2 decode speedup below 2.0");
+  for (std::size_t pi = 0; pi < presets.size(); ++pi) {
+    gates.check(crossover_group[pi] >= 0,
+                std::string(presets[pi].name) + ": no crossover in the sweep");
+  }
+  gates.check(crossover_group[2] <= crossover_group[1] &&
+                  crossover_group[1] <= crossover_group[0],
+              "SIMD presets must only pull the crossover down");
+  return gates.exit_code();
 }

@@ -17,7 +17,7 @@
 
 #include "bench_common.h"
 #include "cpu/decode.h"
-#include "gpu/ef_decode.h"
+#include "gpu/decode.h"
 #include "util/rng.h"
 
 using namespace griffin;
@@ -76,7 +76,7 @@ int main() {
       gpu::DeviceList dlist = gpu::upload_list(dev, ef, link, ledger);
       auto dout = dev.alloc<index::DocId>(ef.size());
       const auto stats =
-          gpu::ef_decode_range(dev, dlist, 0, dlist.num_blocks(), dout);
+          gpu::decode_range(dev, dlist, 0, dlist.num_blocks(), dout);
       const sim::Duration gpu_time = link.alloc_time() +
                                      link.transfer_time(ef.blob().size() * 8) +
                                      gpu_model.kernel_time(stats);

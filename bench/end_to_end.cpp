@@ -139,7 +139,8 @@ int main() {
   root["num_docs"] = cfg.num_docs;
   root["num_terms"] = cfg.num_terms;
   root["groups"] = std::move(group_rows);
-  root["speedup_vs_cpu"] = all_cpu.mean() / all_grif.mean();
+  const double speedup_vs_cpu = all_cpu.mean() / all_grif.mean();
+  root["speedup_vs_cpu"] = speedup_vs_cpu;
   root["speedup_vs_gpu"] = all_gpu.mean() / all_grif.mean();
   root["cost_model_speedup_vs_cpu"] = all_cpu.mean() / all_cost.mean();
   root["cost_model_speedup_vs_gpu"] = all_gpu.mean() / all_cost.mean();
@@ -151,5 +152,14 @@ int main() {
   root["griffin_cache"] = std::move(cachej);
   root["griffin_overlap"] = bench::overlap_json(grif_overlap);
   bench::write_bench_json("end_to_end", root);
-  return 0;
+  // The fast-mode speedup_vs_cpu floor, pinned by the repo-root
+  // BENCH_end_to_end.json after the three-way split scheduler and
+  // inter-step pipelining landed: later changes may not regress below it.
+  constexpr double kFastSpeedupFloor = 3.288;
+  bench::Gates gates("end_to_end");
+  if (bench::fast_mode()) {
+    gates.check(speedup_vs_cpu >= kFastSpeedupFloor,
+                "speedup_vs_cpu regressed below 3.288");
+  }
+  return gates.exit_code();
 }

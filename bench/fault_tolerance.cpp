@@ -161,8 +161,8 @@ int main() {
   // Breaker ablation under a *persistent* outage: probabilistic churn
   // rarely produces the consecutive failures that open a breaker (crashes
   // recover at the next window), so this scenario pins shard 0's primary
-  // down for the whole run — every query eats crash_detect + backoff until
-  // the breaker opens and short-circuits the dead replica.
+  // down for the whole run — every query eats the crash-detect timeout plus
+  // backoff until the breaker opens and short-circuits the dead replica.
   std::printf("persistent outage (shard 0 primary down for the whole run):\n");
   std::printf("%-7s %9s %9s %9s %8s %8s %9s\n", "breaker", "p50(ms)",
               "p99(ms)", "mean(ms)", "failovr", "shortckt", "backoff");

@@ -17,7 +17,7 @@
 #include "bench_common.h"
 #include "cpu/intersect.h"
 #include "gpu/binary_intersect.h"
-#include "gpu/ef_decode.h"
+#include "gpu/decode.h"
 #include "gpu/engine.h"
 #include "gpu/mergepath.h"
 #include "util/rng.h"
@@ -65,9 +65,9 @@ struct GpuSide {
     led.add_alloc(link_model);
     led.add_alloc(link_model);
     total += gpu_model.kernel_time(
-        gpu::ef_decode_range(dev, da, 0, da.num_blocks(), outa));
+        gpu::decode_range(dev, da, 0, da.num_blocks(), outa));
     total += gpu_model.kernel_time(
-        gpu::ef_decode_range(dev, db, 0, db.num_blocks(), outb));
+        gpu::decode_range(dev, db, 0, db.num_blocks(), outb));
     auto r = gpu::mergepath_intersect(dev, outa, a.size(), outb, b.size(),
                                       link_model, led);
     total += gpu_model.kernel_time(r.stats);
@@ -85,7 +85,7 @@ struct GpuSide {
     auto probes = dev.alloc<index::DocId>(a.size());
     led.add_alloc(link_model);
     total += gpu_model.kernel_time(
-        gpu::ef_decode_range(dev, da, 0, da.num_blocks(), probes));
+        gpu::decode_range(dev, da, 0, da.num_blocks(), probes));
     gpu::DeviceList db = gpu::upload_list(dev, b, link_model, led, true);
     auto r = gpu::binary_search_intersect(dev, probes, a.size(), db,
                                           link_model, led, true);

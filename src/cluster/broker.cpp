@@ -9,6 +9,14 @@ namespace griffin::cluster {
 
 namespace {
 
+/// A result-cache hit answers at the broker in this time.
+constexpr sim::Duration kCacheHitLatency = sim::Duration::from_us(5);
+/// Timeout paid to discover a dead replica before failing over.
+constexpr sim::Duration kCrashDetect = sim::Duration::from_us(500);
+/// Base retry backoff after a detected replica crash; attempt i waits
+/// kRetryBackoff * 2^i (exponential).
+constexpr sim::Duration kRetryBackoff = sim::Duration::from_us(100);
+
 /// Validates and normalizes the config the broker actually runs with: the
 /// fault seed absorbs the cluster seed so two runs differing only in `seed`
 /// see different fault placements (with every site disarmed it is never
@@ -79,7 +87,7 @@ core::QueryResult ClusterBroker::execute(const core::Query& q) {
   }
   out.topk = merge_topk(parts, q.k);
   out.metrics.total =
-      slowest + cfg_.net_rtt + cfg_.merge_per_shard * double(nodes_.size());
+      slowest + kNetRtt + kMergePerShard * double(nodes_.size());
   return out;
 }
 
@@ -105,7 +113,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
       nodes_.size(),
       std::vector<CircuitBreaker>(replicas, CircuitBreaker(cfg_.breaker)));
 
-  const sim::Duration half_rtt = cfg_.net_rtt * 0.5;
+  const sim::Duration half_rtt = kNetRtt * 0.5;
   const bool can_hedge = replicas >= 2;
   const bool deadline_on = cfg_.shard_deadline.ps() > 0;
 
@@ -118,7 +126,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
     const CacheKey key = make_cache_key(q);
     if (cache.enabled()) {
       if (const auto* hit = cache.lookup(key); hit != nullptr) {
-        const sim::Duration done = t_arrival + cfg_.cache_hit_latency;
+        const sim::Duration done = t_arrival + kCacheHitLatency;
         res.response_ms.add((done - t_arrival).ms());
         res.horizon = sim::max(res.horizon, done);
         ++res.cache_hits_served;
@@ -172,16 +180,16 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
         const std::uint32_t r = attempt % replicas;
         CircuitBreaker& breaker = breakers[s][r];
         if (!breaker.allow(t_now)) {
-          // Open breaker: skip the replica instantly (no crash_detect).
+          // Open breaker: skip the replica instantly (no kCrashDetect).
           ++res.faults.breaker_short_circuits;
           continue;
         }
         if (injector_.replica_down(s, r, t_now)) {
           ++res.faults.replica_failures;
           if (breaker.record_failure(t_now)) ++res.faults.breaker_opens;
-          t_now += cfg_.crash_detect;  // timeout discovering the crash
+          t_now += kCrashDetect;  // timeout discovering the crash
           const sim::Duration backoff =
-              cfg_.retry_backoff * std::ldexp(1.0, static_cast<int>(attempt));
+              kRetryBackoff * std::ldexp(1.0, static_cast<int>(attempt));
           t_now += backoff;
           res.faults.backoff_time += backoff;
           continue;
@@ -276,7 +284,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
 
     const sim::Duration done =
         t_arrival + half_rtt + critical + half_rtt +
-        cfg_.merge_per_shard * double(answered_count);
+        kMergePerShard * double(answered_count);
     res.response_ms.add((done - t_arrival).ms());
     res.shard_critical_ms.add(critical.ms());
     res.horizon = sim::max(res.horizon, done);

@@ -2,7 +2,7 @@
 // Griffin engines into one cluster. A query arrives at the broker, which
 //
 //   1. consults the LRU result cache (result_cache.h) — a hit answers in
-//      cache_hit_latency without touching any shard;
+//      kCacheHitLatency without touching any shard;
 //   2. on a miss, scatters the query to every shard (one network half-RTT
 //      out), where it queues FCFS behind that shard's backlog;
 //   3. optionally *hedges*: when a shard has not answered within the
@@ -36,6 +36,11 @@
 
 namespace griffin::cluster {
 
+/// Broker <-> shard round trip (intra-datacenter).
+inline constexpr sim::Duration kNetRtt = sim::Duration::from_us(200);
+/// Gather-merge cost charged per participating shard.
+inline constexpr sim::Duration kMergePerShard = sim::Duration::from_us(3);
+
 struct ClusterConfig {
   std::uint32_t num_shards = 4;
   PartitionStrategy partition = PartitionStrategy::kRoundRobin;
@@ -47,11 +52,6 @@ struct ClusterConfig {
   /// Result-cache byte budget (0 = no byte bound). Caching is enabled when
   /// either bound is set; both zero disables it.
   std::uint64_t cache_budget_bytes = 0;
-  sim::Duration cache_hit_latency = sim::Duration::from_us(5);
-  /// Broker <-> shard round trip (intra-datacenter).
-  sim::Duration net_rtt = sim::Duration::from_us(200);
-  /// Gather-merge cost charged per participating shard.
-  sim::Duration merge_per_shard = sim::Duration::from_us(3);
   double arrival_qps = 200.0;
   std::uint64_t seed = 1;
 
@@ -70,15 +70,11 @@ struct ClusterConfig {
   /// from the gather (partial result, coverage < 1). Zero disables it.
   sim::Duration shard_deadline;
   /// Submission attempts per shard before giving up; attempt i goes to
-  /// replica (i mod replicas_per_shard).
+  /// replica (i mod replicas_per_shard). A crashed replica costs
+  /// kCrashDetect plus a kRetryBackoff * 2^i backoff (cluster/broker.cpp).
   std::uint32_t max_attempts = 3;
-  /// Base retry backoff after a detected replica crash; attempt i waits
-  /// retry_backoff * 2^i (exponential).
-  sim::Duration retry_backoff = sim::Duration::from_us(100);
-  /// Timeout paid to discover a dead replica before failing over.
-  sim::Duration crash_detect = sim::Duration::from_us(500);
   /// Per-replica circuit breaker; open breakers short-circuit attempts
-  /// without paying crash_detect.
+  /// without paying kCrashDetect.
   BreakerConfig breaker;
   /// Record a per-query outcome row (coverage, degraded flag, merged top-k)
   /// in ClusterResult::outcomes. Off by default: it holds the merged top-k
@@ -102,7 +98,7 @@ struct ClusterResult {
   /// Critical-path shard time per cache-missing query: max over shards of
   /// (queueing + service) as the broker observes it.
   util::PercentileTracker shard_critical_ms;
-  CacheStats cache;
+  util::LruStats cache;
   HedgeStats hedge;
   /// Shard-engine cache-tier counters (device list cache + host decoded
   /// cache), summed over every shard execution in the run.

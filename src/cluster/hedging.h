@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -29,6 +28,7 @@
 
 #include "sim/time.h"
 #include "sim/timeline.h"
+#include "util/stats.h"
 
 namespace griffin::cluster {
 
@@ -172,15 +172,12 @@ class HedgeController {
   std::size_t window_size() const { return samples_.size(); }
 
  private:
-  /// Nearest-rank percentile over the current window — the same rule
-  /// util::PercentileTracker uses, restricted to the resident samples.
+  /// Nearest-rank percentile over the current window (the ring buffer
+  /// keeps arrival order, so a sorted copy answers).
   double percentile(double p) const {
     scratch_ = samples_;
     std::sort(scratch_.begin(), scratch_.end());
-    const auto n = static_cast<double>(scratch_.size());
-    auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-    rank = std::clamp<std::size_t>(rank, 1, scratch_.size());
-    return scratch_[rank - 1];
+    return util::nearest_rank(scratch_, p);
   }
 
   HedgeConfig cfg_;

@@ -7,16 +7,16 @@
 // conjunctive query ignores term order, but BM25 sums per-term scores in
 // query order, so "a b" and "b a" can differ in the last float bit and must
 // not share an entry. k participates because a k=10 entry cannot serve a
-// k=100 request. Classic LRU over a doubly linked list + hash map, O(1)
-// lookup/insert/evict.
+// k=100 request. The LRU itself is util::ByteLruCache, shared with the
+// device list cache and the host decoded cache.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/query.h"
+#include "util/lru_cache.h"
 
 namespace griffin::cluster {
 
@@ -34,18 +34,8 @@ struct CacheKeyHash {
   std::size_t operator()(const CacheKey& key) const;
 };
 
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-
-  double hit_rate() const {
-    const std::uint64_t n = hits + misses;
-    return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
-  }
-};
-
+/// The broker's LRU of merged top-k lists, on the shared
+/// util::ByteLruCache: this wrapper only sizes the entries.
 class ResultCache {
  public:
   /// capacity = max resident entries (0 = no count bound); byte_budget
@@ -54,9 +44,9 @@ class ResultCache {
   /// broker memory. Both zero disables the cache entirely (lookups always
   /// miss, inserts are dropped).
   explicit ResultCache(std::size_t capacity, std::uint64_t byte_budget = 0)
-      : capacity_(capacity), byte_budget_(byte_budget) {}
+      : cache_(capacity, byte_budget) {}
 
-  bool enabled() const { return capacity_ != 0 || byte_budget_ != 0; }
+  bool enabled() const { return cache_.enabled(); }
 
   /// Resident bytes of one entry: key terms + scored docs + bookkeeping.
   static std::uint64_t entry_bytes(const CacheKey& key,
@@ -66,36 +56,27 @@ class ResultCache {
   }
 
   /// Returns the cached top-k and refreshes recency, or nullptr on miss.
-  const std::vector<core::ScoredDoc>* lookup(const CacheKey& key);
+  const std::vector<core::ScoredDoc>* lookup(const CacheKey& key) {
+    return cache_.lookup(key);
+  }
 
   /// Inserts (or refreshes) an entry, evicting least recently used entries
   /// until both the count and byte bounds hold. An entry larger than the
   /// whole byte budget is dropped.
-  void insert(const CacheKey& key, std::vector<core::ScoredDoc> topk);
+  void insert(const CacheKey& key, std::vector<core::ScoredDoc> topk) {
+    const std::uint64_t bytes = entry_bytes(key, topk);
+    cache_.insert(key, std::move(topk), bytes);
+  }
 
-  std::size_t size() const { return entries_.size(); }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return cache_.size(); }
   /// Resident bytes across all entries.
-  std::uint64_t bytes() const { return bytes_; }
-  std::uint64_t byte_budget() const { return byte_budget_; }
-  const CacheStats& stats() const { return stats_; }
+  std::uint64_t bytes() const { return cache_.bytes(); }
+  std::uint64_t byte_budget() const { return cache_.byte_budget(); }
+  const util::LruStats& stats() const { return cache_.stats(); }
 
  private:
-  struct Entry {
-    CacheKey key;
-    std::vector<core::ScoredDoc> topk;
-    std::uint64_t bytes = 0;
-  };
-  using Lru = std::list<Entry>;
-
-  void evict_to_bounds();
-
-  std::size_t capacity_;
-  std::uint64_t byte_budget_;
-  std::uint64_t bytes_ = 0;
-  Lru lru_;  // front = most recent
-  std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> entries_;
-  CacheStats stats_;
+  util::ByteLruCache<CacheKey, std::vector<core::ScoredDoc>, CacheKeyHash>
+      cache_;
 };
 
 }  // namespace griffin::cluster

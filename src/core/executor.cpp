@@ -1,19 +1,11 @@
 #include "core/executor.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace griffin::core {
 
 namespace {
-/// The GPU's probe count for a split at share `alpha` — the same rounding
-/// the scheduler's estimate_split uses, so the executed partition matches
-/// the priced one.
-std::uint64_t split_share(double alpha, std::uint64_t n) {
-  const auto g = static_cast<std::uint64_t>(
-      std::llround(std::clamp(alpha, 0.0, 1.0) * static_cast<double>(n)));
-  return std::min(g, n);
-}
+/// OOM ladder rung 2 (DESIGN.md §16): re-launching a fused batch member's
+/// kernels alone after the shared launch's allocation failed.
+constexpr double kOomUnfuseCostUs = 10.0;
 
 /// The duration field of `stage` in a StepRecord or QueryMetrics.
 template <typename Breakdown>
@@ -179,9 +171,8 @@ StepExecutor::FaultAction StepExecutor::draw_fault(const StepTraits& t,
 
 void StepExecutor::abandon_gpu_step(const StepTraits& t, bool oom,
                                     StepRecord& rec, QueryMetrics& m) {
-  const auto& cfg = injector_->config();
-  const sim::Duration waste = sim::Duration::from_us(
-      oom ? cfg.oom_replan_cost_us : cfg.gpu_fault_cost_us);
+  const sim::Duration waste =
+      sim::Duration::from_us(oom ? kOomReplanCostUs : kGpuFaultCostUs);
   gpu_->set_chain(frontier_);
   gpu_->charge_fault(waste, t.stage);  // one compute op of wasted time
   // The simulated ECC error retires the step's lists' cached pages.
@@ -293,8 +284,7 @@ std::optional<sim::Timeline::Event> StepExecutor::lose_split_leg(
       !injector_->gpu_step_fault(fault_scope_, query_id_, step_index_)) {
     return std::nullopt;
   }
-  const sim::Duration waste =
-      sim::Duration::from_us(injector_->config().gpu_fault_cost_us);
+  const sim::Duration waste = sim::Duration::from_us(kGpuFaultCostUs);
   gpu_->charge_fault(waste, sim::Stage::kIntersect);
   const index::TermId ft[1] = {t};
   gpu_->fault_reset(std::span<const index::TermId>(ft, 1), m);
@@ -459,8 +449,7 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
       // Shrinking the fused launch back to a single query frees the K-way
       // working set; the relaunch overhead is the recovery cost. Only the
       // faulted query unfuses — co-batched lanes keep their tag.
-      const sim::Duration d =
-          sim::Duration::from_us(injector_->config().oom_unfuse_cost_us);
+      const sim::Duration d = sim::Duration::from_us(kOomUnfuseCostUs);
       gpu_->charge_fault(d, t.stage);
       m.faults.oom_recovery += d;
       ++m.faults.oom_unfused;

@@ -26,6 +26,13 @@
 
 namespace griffin::core {
 
+/// Wasted device time charged for an abandoned GPU step or a lost split leg
+/// (the kernel ran partway before the error surfaced).
+inline constexpr double kGpuFaultCostUs = 50.0;
+/// OOM ladder rung 3 (DESIGN.md §16): allocator stall before the step is
+/// abandoned and re-planned host-side (nothing to evict, nothing to unfuse).
+inline constexpr double kOomReplanCostUs = 25.0;
+
 /// What StepExecutor::run did with the step, and what the planner must do
 /// next (DESIGN.md §11/§16). HybridEngine::advance switches on this; the two
 /// abandon statuses both re-emit the step, differing only in how much of

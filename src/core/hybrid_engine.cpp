@@ -10,7 +10,7 @@ HybridEngine::HybridEngine(const index::InvertedIndex& idx,
       sched_(opt.scheduler, hw),
       gpu_(idx, hw, opt.gpu, injector_, opt.fault_scope),
       host_cache_(opt.cpu.decoded_cache_bytes),
-      svs_(idx, hw.cpu, cpu::SvsOptions{opt.cpu.skip_ratio}, host_cache_),
+      svs_(idx, hw.cpu, opt.cpu.skip_ratio, host_cache_),
       scorer_(idx, opt.cpu.bm25),
       exec_(hw.cpu, svs_, gpu_, scorer_, injector_, opt.fault_scope),
       planner_(idx, sched_, exec_) {}

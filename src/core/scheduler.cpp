@@ -6,6 +6,7 @@
 
 #include "cpu/simd_cost.h"
 #include "cpu/svs_step.h"
+#include "gpu/engine.h"
 #include "util/bits.h"
 
 namespace griffin::core {
@@ -40,17 +41,35 @@ double gpu_decode_penalty_ns(codec::Scheme s) {
 /// its continuous optimum.
 constexpr int kAlphaGridSteps = 32;
 
+/// kRatioThreshold multiplier when the long list is device-resident or
+/// already prefetched: the GPU owes no (visible) transfer for it, so the
+/// crossover rises.
+constexpr double kResidentRatioBoost = 4.0;
+/// kRatioThreshold multiplier when the long list is host-decoded.
+constexpr double kHostDecodedRatioScale = 0.5;
+/// Half-width (multiplicative) of the ratio-policy split band
+/// [threshold / kSplitBand, threshold * kSplitBand).
+constexpr double kSplitBand = 4.0;
+/// Never split a probe side smaller than this: the GPU leg's fixed costs
+/// (kernel launches, probe H2D, partial D2H) need work to amortize over.
+constexpr std::uint64_t kSplitMinProbe = 4096;
+
 }  // namespace
+
+std::uint64_t split_share(double alpha, std::uint64_t n) {
+  const auto g = static_cast<std::uint64_t>(
+      std::llround(std::clamp(alpha, 0.0, 1.0) * static_cast<double>(n)));
+  return std::min(g, n);
+}
 
 Placement Scheduler::cost_decide(const StepShape& s, bool allow_split) const {
   const sim::Duration t_cpu = estimate_cpu(s);
   const sim::Duration t_gpu = estimate_gpu(s);
   const sim::Duration best = sim::min(t_cpu, t_gpu);
-  if (allow_split && opt_.split && s.shorter >= opt_.split_min_probe) {
+  if (allow_split && opt_.split && s.shorter >= kSplitMinProbe) {
     const auto [alpha, t_split] = best_split(s);
     (void)alpha;
-    const double gate =
-        (1.0 - opt_.split_min_gain) * static_cast<double>(best.ps());
+    const double gate = (1.0 - kSplitMinGain) * static_cast<double>(best.ps());
     if (static_cast<double>(t_split.ps()) < gate) return Placement::kSplit;
   }
   return t_gpu < t_cpu ? Placement::kGpu : Placement::kCpu;
@@ -75,26 +94,23 @@ Placement Scheduler::decide(const StepShape& s) const {
       // A vectorized CPU cheapens the skip path the same way at every λ, so
       // the λ=128 balance point slides down by the SIMD-to-scalar cost
       // ratio (1.0 for a scalar CpuSpec).
-      if (opt_.simd_aware) threshold *= cpu::simd::crossover_scale(hw_.cpu);
+      threshold *= cpu::simd::crossover_scale(hw_.cpu);
       if (opt_.residency_aware) {
-        if (s.longer_device_resident) {
-          threshold *= opt_.resident_ratio_boost;
-        } else if (s.longer_prefetched) {
-          // The H2D is already paid (and hidden on the copy engine), so the
-          // GPU side looks like the resident case.
-          threshold *= opt_.prefetch_ratio_boost;
+        // A prefetched list's H2D is already paid (and hidden on the copy
+        // engine), so the GPU side looks like the resident case.
+        if (s.longer_device_resident || s.longer_prefetched) {
+          threshold *= kResidentRatioBoost;
         }
-        if (s.longer_host_decoded) threshold *= opt_.host_decoded_ratio_scale;
+        if (s.longer_host_decoded) threshold *= kHostDecodedRatioScale;
       }
       // Co-execution (DESIGN.md §15): near the crossover both processors
       // finish in comparable time, which is exactly where splitting one
       // step across both beats either alone. The binary rule generalizes
-      // into the band [threshold/split_band, threshold*split_band): inside
+      // into the band [threshold/kSplitBand, threshold*kSplitBand): inside
       // it the decision falls through to the three-way cost comparison;
       // outside it one processor dominates and the ratio rule stands.
-      if (opt_.split && s.shorter >= opt_.split_min_probe &&
-          ratio >= threshold / opt_.split_band &&
-          ratio < threshold * opt_.split_band) {
+      if (opt_.split && s.shorter >= kSplitMinProbe &&
+          ratio >= threshold / kSplitBand && ratio < threshold * kSplitBand) {
         return cost_decide(s, /*allow_split=*/true);
       }
       return ratio < threshold ? Placement::kGpu : Placement::kCpu;
@@ -136,10 +152,9 @@ sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
   // The estimate prices each term through cpu/simd_cost.h's effective_*
   // helpers — the same closed forms the engine charges through — so the
   // decision model and the charges can never disagree. With the vector
-  // unit off (or simd_aware disabled) every helper returns the scalar
-  // CpuSpec knob and this reduces to the pre-SIMD estimate exactly.
-  sim::CpuSpec c = hw_.cpu;
-  if (!opt_.simd_aware) c.vector.enabled = false;
+  // unit off every helper returns the scalar CpuSpec knob and this reduces
+  // to the pre-SIMD estimate exactly.
+  const sim::CpuSpec& c = hw_.cpu;
   const double ns = static_cast<double>(s.shorter);
   const double nl = static_cast<double>(s.longer);
   double cycles;
@@ -213,7 +228,7 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
   const double ratio = nl / ns;
 
   sim::Duration t;
-  if (ratio < 128.0) {
+  if (ratio < gpu::kPathRatio) {
     // Roughly five launches per step (decode + partition + merge + compact).
     t = sim::Duration::from_us(5.0 * g.kernel_launch_us);
     // A device-resident long list (gpu/list_cache.h) skips the PCIe
@@ -250,10 +265,8 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
 sim::Duration Scheduler::estimate_split(const StepShape& s,
                                         double alpha) const {
   if (s.shorter == 0) return sim::Duration();
-  alpha = std::clamp(alpha, 0.0, 1.0);
-  const auto n_gpu = static_cast<std::uint64_t>(
-      std::llround(alpha * static_cast<double>(s.shorter)));
-  const std::uint64_t n_cpu = s.shorter - std::min(n_gpu, s.shorter);
+  const std::uint64_t n_gpu = split_share(alpha, s.shorter);
+  const std::uint64_t n_cpu = s.shorter - n_gpu;
   const auto probe_xfer = [&](std::uint64_t n) {
     return sim::Duration::from_us(hw_.pcie.latency_us) +
            sim::Duration::from_ns(static_cast<double>(n) * 4.0 /
@@ -298,8 +311,7 @@ sim::Duration Scheduler::estimate_host_decode(std::uint64_t n,
   // cycles/element vs ~2 for the decode itself), and the output writes hit
   // the memory-bandwidth roofline. Underpricing here would stage decodes
   // that blow past the device step they were meant to hide under.
-  sim::CpuSpec c = hw_.cpu;
-  if (!opt_.simd_aware) c.vector.enabled = false;
+  const sim::CpuSpec& c = hw_.cpu;
   const double cycles =
       static_cast<double>(n) * (cpu::simd::effective_decode_cycles(c, sc) +
                                 cpu::simd::effective_materialize_cycles(c));

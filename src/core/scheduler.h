@@ -34,6 +34,16 @@ enum class SchedulerPolicy : std::uint8_t {
   kAlwaysSplit,
 };
 
+/// Split only when min_alpha t_split undercuts the best single-processor
+/// estimate by at least this fraction — hysteresis against splitting for
+/// wins inside the cost model's noise floor.
+inline constexpr double kSplitMinGain = 0.05;
+
+/// The GPU's probe count for a split at share `alpha` of `n` probes. The
+/// one rounding rule: the executor runs the partition the scheduler's
+/// estimate_split priced.
+std::uint64_t split_share(double alpha, std::uint64_t n);
+
 struct SchedulerOptions {
   SchedulerPolicy policy = SchedulerPolicy::kRatioThreshold;
   /// Crossover for kRatioThreshold; the paper derives block_size (=128).
@@ -43,46 +53,21 @@ struct SchedulerOptions {
   /// kCostModel zeroes the transfer/decode terms a resident list skips, and
   /// kRatioThreshold shifts its crossover — §3.2's λ=128 balances the GPU's
   /// transfer cost against the CPU's skip advantage, so removing the
-  /// transfer (device-resident long list) raises the crossover while a
-  /// pre-decoded host list cheapens the CPU side and lowers it.
+  /// transfer (device-resident or prefetched long list) raises the
+  /// crossover while a pre-decoded host list cheapens the CPU side and
+  /// lowers it.
   bool residency_aware = true;
-  /// kRatioThreshold multiplier when the long list is device-resident.
-  double resident_ratio_boost = 4.0;
-  /// kRatioThreshold multiplier when the long list is host-decoded.
-  double host_decoded_ratio_scale = 0.5;
   /// Emit kPrefetch steps: while a GPU intersect runs, start the H2D of the
   /// next term's list on the copy engine (DESIGN.md §10). Read by the
   /// Planner; kAlwaysCpu plans never place GPU steps so never prefetch.
   bool prefetch = true;
-  /// kRatioThreshold multiplier when the long list is already prefetched:
-  /// like device residency, the GPU owes no (visible) transfer for it, so
-  /// the crossover rises.
-  double prefetch_ratio_boost = 4.0;
-  /// Consume the CPU's vector-mode costs (cpu/simd_cost.h) in both
-  /// policies: kCostModel estimates CPU steps with the effective_* SIMD
-  /// costs (the same closed forms the engine charges through), and
-  /// kRatioThreshold scales its crossover by the SIMD-to-scalar cost ratio
-  /// of the skip path — a vectorized CPU claims more of the ratio spectrum,
-  /// so the GPU-favored band shrinks (DESIGN.md §13 derives the scale).
-  /// No-op for a scalar CpuSpec; off = decide as if the CPU were scalar.
-  bool simd_aware = true;
   /// Three-way co-execution (DESIGN.md §15): decide() may return kSplit,
   /// dividing the probe side between both processors. kRatioThreshold
-  /// generalizes its crossover into the band
-  /// [threshold / split_band, threshold * split_band): inside it the
+  /// generalizes its crossover into a band around it: inside it the
   /// decision falls through to the three-way cost comparison (outside it
   /// the binary ratio rule is untouched). kCostModel compares
   /// min_alpha t_split against t_cpu and t_gpu directly.
   bool split = true;
-  /// Half-width (multiplicative) of the ratio-policy split band.
-  double split_band = 4.0;
-  /// Never split a probe side smaller than this: the GPU leg's fixed costs
-  /// (kernel launches, probe H2D, partial D2H) need work to amortize over.
-  std::uint64_t split_min_probe = 4096;
-  /// Split only when min_alpha t_split undercuts the best single-processor
-  /// estimate by at least this fraction — hysteresis against splitting for
-  /// wins inside the cost model's noise floor.
-  double split_min_gain = 0.05;
   /// kAlwaysSplit (tests/ablation): pin alpha instead of deriving it from
   /// the cost model. Negative = derive. 0 and 1 are the degenerate splits
   /// (all-CPU / all-GPU through the split machinery).
@@ -141,7 +126,7 @@ class Scheduler {
   sim::Duration selective_gpu_time(double ns, const StepShape& s) const;
   /// The three-way comparison both policies share once a split is
   /// admissible: kSplit iff min_alpha t_split beats the better single
-  /// processor by split_min_gain.
+  /// processor by kSplitMinGain.
   Placement cost_decide(const StepShape& s, bool allow_split) const;
 
   SchedulerOptions opt_;

@@ -53,7 +53,7 @@ sim::Duration SvsStepper::first_pair(index::TermId a, index::TermId b,
   sim::CpuCostAccumulator acc(spec_);
   const double ratio =
       static_cast<double>(l1.size()) / static_cast<double>(l0.size());
-  if (ratio >= opt_.skip_ratio) {
+  if (ratio >= skip_ratio_) {
     // Probe side decodes fully either way — route it through the cache
     // (possible insert) before the target lookup takes any span.
     const auto probes = decode_via_cache(a, probe_scratch_, acc, m);
@@ -110,7 +110,7 @@ sim::Duration SvsStepper::partial_step(std::span<const codec::DocId> probes,
   sim::CpuCostAccumulator acc(spec_);
   const double ratio = static_cast<double>(lt.size()) /
                        static_cast<double>(probes.size());
-  if (ratio >= opt_.skip_ratio) {
+  if (ratio >= skip_ratio_) {
     if (const auto* target = cached_only(t, m)) {
       skip_intersect(probes, std::span<const codec::DocId>(*target), out, acc);
     } else {

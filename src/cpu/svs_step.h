@@ -29,21 +29,17 @@ namespace griffin::cpu {
 
 /// The CPU-side merge/skip crossover (paper §2.2): skip_intersect when
 /// |longer| / |shorter| >= this, merge below. The single definition shared
-/// by SvsOptions, CpuEngineOptions and the scheduler's CPU cost estimate —
-/// previously three literal 32.0s that could drift apart.
+/// by CpuEngineOptions and the scheduler's CPU cost estimate.
 inline constexpr double kDefaultSkipRatio = 32.0;
-
-struct SvsOptions {
-  /// Use skip_intersect when |longer| / |shorter| >= this; merge otherwise.
-  double skip_ratio = kDefaultSkipRatio;
-};
 
 class SvsStepper {
  public:
-  /// A disabled (zero-budget) `cache` charges exactly the uncached cost.
+  /// Skip-intersects when |longer| / |shorter| >= `skip_ratio`, merges
+  /// otherwise. A disabled (zero-budget) `cache` charges exactly the
+  /// uncached cost.
   SvsStepper(const index::InvertedIndex& idx, sim::CpuSpec spec,
-             SvsOptions opt, DecodedCache& cache)
-      : idx_(&idx), spec_(spec), opt_(opt), cache_(&cache) {}
+             double skip_ratio, DecodedCache& cache)
+      : idx_(&idx), spec_(spec), skip_ratio_(skip_ratio), cache_(&cache) {}
 
   // Every step below returns its host-time charge; the caller records it on
   // the timeline under the stage named here. Cache and lane counters land
@@ -95,8 +91,6 @@ class SvsStepper {
   /// Stat-free residency probe (core::StepShape::longer_host_decoded).
   bool host_decoded(index::TermId t) const { return cache_->resident(t); }
 
-  const SvsOptions& options() const { return opt_; }
-
  private:
   /// Decodes list t, serving and filling the cache when enabled. The
   /// returned span points either into the cache or into `scratch`.
@@ -110,7 +104,7 @@ class SvsStepper {
 
   const index::InvertedIndex* idx_;
   sim::CpuSpec spec_;
-  SvsOptions opt_;
+  double skip_ratio_;
   DecodedCache* cache_;
   std::vector<codec::DocId> probe_scratch_;
   std::vector<codec::DocId> out_scratch_;

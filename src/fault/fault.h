@@ -96,21 +96,6 @@ struct FaultConfig {
   /// results stay bit-identical.
   SiteConfig oom;
 
-  /// Wasted device time charged for an abandoned GPU step (the kernel ran
-  /// partway before the error surfaced).
-  double gpu_fault_cost_us = 50.0;
-  /// Ladder rung 1: host-synchronous free of one evicted cache entry
-  /// (cudaFree blocks the stream until in-flight work retires).
-  double oom_evict_cost_us = 15.0;
-  /// Rung 1 frees at least this many device-cache bytes (LRU tail first)
-  /// before the allocation is retried.
-  std::uint64_t oom_evict_bytes = std::uint64_t{1} << 20;
-  /// Ladder rung 2: re-launching a fused batch member's kernels alone after
-  /// the shared launch's allocation failed.
-  double oom_unfuse_cost_us = 10.0;
-  /// Ladder rung 3: allocator stall before the step is abandoned and
-  /// re-planned host-side (nothing to evict, nothing to unfuse).
-  double oom_replan_cost_us = 25.0;
   /// Failed attempts a single DMA may accumulate before the link-level
   /// retry is assumed successful.
   std::uint32_t pcie_max_retries = 3;
@@ -123,7 +108,7 @@ struct FaultConfig {
 };
 
 /// Per-query / per-run fault and degradation counters, threaded
-/// QueryMetrics -> ShardNode -> ClusterResult -> ServiceResult exactly like
+/// QueryMetrics -> ClusterResult -> ServiceResult exactly like
 /// CacheCounters and OverlapCounters. The engine fills the first block; the
 /// broker and service sim fill the rest.
 struct FaultCounters {

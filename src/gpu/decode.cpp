@@ -3,8 +3,6 @@
 #include <cassert>
 
 #include "codec/simple16.h"
-#include "gpu/ef_decode.h"
-#include "gpu/pfor_decode.h"
 #include "simt/collectives.h"
 #include "util/bits.h"
 
@@ -12,10 +10,6 @@ namespace griffin::gpu {
 
 namespace detail {
 
-namespace {
-
-/// Shared tail of the gap-based kernels: inclusive-scan the shared d-gaps
-/// and write the absolute docIDs (gap_i stores docid delta - 1).
 void scan_and_store(simt::Block& blk, const BlockDesc& d,
                     std::span<std::uint32_t> gaps, std::uint32_t n_gaps,
                     simt::DeviceBuffer<DocId>& out, std::uint64_t out_pos) {
@@ -32,8 +26,6 @@ void scan_and_store(simt::Block& blk, const BlockDesc& d,
     t.store(out, out_pos + t.tid(), v);
   });
 }
-
-}  // namespace
 
 void bp128_decode_one_block(simt::Block& blk, const DeviceList& list,
                             const BlockDesc& d, std::uint64_t desc_index,
@@ -255,13 +247,6 @@ sim::KernelStats decode_range(simt::Device& dev, const DeviceList& list,
                               std::size_t lo, std::size_t hi,
                               simt::DeviceBuffer<DocId>& out,
                               std::uint64_t out_base) {
-  // The dedicated kernels keep their own entry points for the ablations.
-  if (list.scheme == codec::Scheme::kEliasFano) {
-    return ef_decode_range(dev, list, lo, hi, out, out_base);
-  }
-  if (list.scheme == codec::Scheme::kPForDelta) {
-    return pfor_decode_range(dev, list, lo, hi, out, out_base);
-  }
   assert(lo < hi && hi <= list.num_blocks());
   const std::uint64_t first_off = list.host_descs[lo].out_offset;
   return simt::launch(
@@ -277,11 +262,7 @@ sim::KernelStats decode_range(simt::Device& dev, const DeviceList& list,
 sim::KernelStats decode_selected(
     simt::Device& dev, const DeviceList& list,
     const simt::DeviceBuffer<std::uint32_t>& ids_dev,
-                                 std::span<const std::uint32_t> ids,
-                                 simt::DeviceBuffer<DocId>& out) {
-  if (list.scheme == codec::Scheme::kEliasFano) {
-    return ef_decode_selected(dev, list, ids_dev, ids, out);
-  }
+    std::span<const std::uint32_t> ids, simt::DeviceBuffer<DocId>& out) {
   assert(!ids.empty());
   return simt::launch(
       dev, {static_cast<std::uint32_t>(ids.size()), list.block_size},

@@ -1,5 +1,14 @@
-#include "gpu/ef_decode.h"
-
+// Para-EF: parallel Elias-Fano decompression on the virtual GPU — the
+// paper's Algorithm 1 and first key contribution of Griffin-GPU. One SIMT
+// block decodes one 128-posting block:
+//   1. each thread popcounts one 32-bit word of the high-bits vector;
+//   2. a block-wide prefix sum turns the popcounts into element offsets
+//      (the "scheduling" phase — it assigns each output element to the word
+//      that encodes it);
+//   3. each thread recovers its element: select its set bit inside the
+//      word, rebuild the high part, fetch the low bits, concatenate.
+// The popcount/prefix-sum/scatter structure removes the serial dependence
+// that makes CPU-style EF scanning sequential.
 #include <cassert>
 
 #include "gpu/decode.h"
@@ -10,8 +19,6 @@ namespace griffin::gpu {
 
 namespace detail {
 
-/// Decodes one posting block inside one SIMT block (Algorithm 1).
-/// `out_pos` is the absolute output position of the block's first element.
 void ef_decode_one_block(simt::Block& blk, const DeviceList& list,
                          const BlockDesc& d, std::uint64_t desc_index,
                          simt::DeviceBuffer<DocId>& out,
@@ -85,43 +92,5 @@ void ef_decode_one_block(simt::Block& blk, const DeviceList& list,
 }
 
 }  // namespace detail
-
-sim::KernelStats ef_decode_range(simt::Device& dev, const DeviceList& list,
-                                 std::size_t lo, std::size_t hi,
-                                 simt::DeviceBuffer<DocId>& out,
-                                 std::uint64_t out_base) {
-  assert(list.scheme == codec::Scheme::kEliasFano);
-  assert(lo < hi && hi <= list.num_blocks());
-  const std::uint64_t first_off = list.host_descs[lo].out_offset;
-  return simt::launch(
-      dev, {static_cast<std::uint32_t>(hi - lo), list.block_size},
-      [&](simt::Block& blk) {
-        const std::size_t pb = lo + blk.block_id();
-        const BlockDesc& d = list.host_descs[pb];
-        detail::ef_decode_one_block(blk, list, d, pb, out,
-                                    out_base + d.out_offset - first_off);
-      });
-}
-
-sim::KernelStats ef_decode_selected(simt::Device& dev, const DeviceList& list,
-                                    const simt::DeviceBuffer<std::uint32_t>& ids_dev,
-                                    std::span<const std::uint32_t> ids,
-                                    simt::DeviceBuffer<DocId>& out) {
-  assert(list.scheme == codec::Scheme::kEliasFano);
-  assert(!ids.empty());
-  return simt::launch(
-      dev, {static_cast<std::uint32_t>(ids.size()), list.block_size},
-      [&](simt::Block& blk) {
-        // Lane 0 reads the block id to decode (mirrored on the host).
-        blk.for_each_thread([&](simt::Thread& t) {
-          if (t.tid() == 0) (void)t.load(ids_dev, blk.block_id());
-        });
-        const std::uint32_t pb = ids[blk.block_id()];
-        const BlockDesc& d = list.host_descs[pb];
-        detail::ef_decode_one_block(blk, list, d, pb, out,
-                                    static_cast<std::uint64_t>(blk.block_id()) *
-                                        list.block_size);
-      });
-}
 
 }  // namespace griffin::gpu

@@ -6,9 +6,12 @@
 namespace griffin::gpu {
 
 namespace {
-/// Intersection-path crossover: MergePath below this length ratio, binary
-/// search at or above. 128 = the block size, per the paper's §3.2 analysis.
-constexpr double kPathRatio = 128.0;
+/// OOM ladder rung 1 (DESIGN.md §16) frees at least this many device-cache
+/// bytes (LRU tail first) before the allocation is retried...
+constexpr std::uint64_t kOomEvictBytes = std::uint64_t{1} << 20;
+/// ...charging this host-synchronous free per evicted entry (cudaFree blocks
+/// the stream until in-flight work retires).
+constexpr double kOomEvictCostUs = 15.0;
 
 /// Cache budget: device memory minus the per-query working-set headroom.
 std::uint64_t list_cache_budget(const sim::HardwareSpec& hw,
@@ -119,13 +122,12 @@ void GpuExecutor::charge_fault(sim::Duration d, sim::Stage stage) {
 
 void GpuExecutor::oom_evict(core::QueryMetrics& m) {
   std::uint64_t entries = 0;
-  const std::uint64_t freed =
-      cache_.evict_bytes(injector_->config().oom_evict_bytes, &entries);
+  const std::uint64_t freed = cache_.evict_bytes(kOomEvictBytes, &entries);
   m.faults.oom_evictions += entries;
   m.faults.oom_evicted_bytes += freed;
   m.cache.device_evictions += entries;
-  const sim::Duration d = sim::Duration::from_us(
-      injector_->config().oom_evict_cost_us * static_cast<double>(entries));
+  const sim::Duration d =
+      sim::Duration::from_us(kOomEvictCostUs * static_cast<double>(entries));
   m.faults.oom_recovery += d;
   chain_ = tl_->record(copy_stream_, sim::Resource::kCpu,
                        sim::Stage::kTransfer, d, chain_);

@@ -23,6 +23,11 @@
 
 namespace griffin::gpu {
 
+/// Intersection-path crossover: MergePath below this length ratio, binary
+/// search at or above. 128 = the block size, per the paper's §3.2 analysis.
+/// The scheduler's GPU estimate prices the same two paths on the same rule.
+inline constexpr double kPathRatio = 128.0;
+
 struct GpuOptions {
   /// Reuse device buffers across queries from a warm memory pool: the
   /// per-step cudaMalloc overhead (tens of microseconds per allocation,
@@ -91,7 +96,7 @@ class GpuExecutor {
   void charge_fault(sim::Duration d, sim::Stage stage);
 
   /// Rung 1 of the OOM degradation ladder (DESIGN.md §16): frees at least
-  /// `FaultConfig::oom_evict_bytes` from the device list cache's LRU tail,
+  /// 1 MiB (kOomEvictBytes) from the device list cache's LRU tail,
   /// charging one host-synchronous free per entry (a transfer-stage op —
   /// it's PCIe/allocator machinery — on the CPU, issued from the copy
   /// stream and advancing the chain so the retried allocation waits the

@@ -1,9 +1,11 @@
-#include "gpu/pfor_decode.h"
-
-#include <cassert>
-
+// PForDelta decompression ported to the GPU — deliberately included as the
+// *negative* result the paper describes (§2.3, §3.1.1): unpacking the b-bit
+// slots parallelizes fine, but the exception patch chain is a linked list
+// that one lane must walk serially while the rest of the warp idles, and the
+// d-gap -> docID conversion needs an extra block scan. The ablation bench
+// (bench/ablation_pfor_gpu) contrasts this kernel with Para-EF.
 #include "gpu/decode.h"
-#include "simt/collectives.h"
+#include "util/bits.h"
 
 namespace griffin::gpu {
 
@@ -53,39 +55,10 @@ void pfor_decode_one_block(simt::Block& blk, const DeviceList& list,
     });
   }
 
-  // d-gaps -> docIDs needs a prefix sum (gap_i stores docid delta - 1).
-  if (n_gaps > 0) {
-    simt::block_inclusive_scan(blk, gaps.subspan(0, n_gaps));
-  }
-  blk.for_each_thread([&](simt::Thread& t) {
-    if (t.tid() >= d.count) return;
-    DocId v = d.first;
-    if (t.tid() > 0) {
-      v += t.sload(std::span<const std::uint32_t>(gaps), t.tid() - 1) +
-           t.tid();
-    }
-    t.store(out, out_pos + t.tid(), v);
-  });
+  // d-gaps -> docIDs needs a prefix sum.
+  scan_and_store(blk, d, gaps, n_gaps, out, out_pos);
 }
 
 }  // namespace detail
-
-sim::KernelStats pfor_decode_range(simt::Device& dev, const DeviceList& list,
-                                   std::size_t lo, std::size_t hi,
-                                   simt::DeviceBuffer<DocId>& out,
-                                   std::uint64_t out_base) {
-  assert(list.scheme == codec::Scheme::kPForDelta);
-  assert(lo < hi && hi <= list.num_blocks());
-  const std::uint64_t first_off = list.host_descs[lo].out_offset;
-
-  return simt::launch(
-      dev, {static_cast<std::uint32_t>(hi - lo), list.block_size},
-      [&](simt::Block& blk) {
-        const std::size_t pb = lo + blk.block_id();
-        const BlockDesc& d = list.host_descs[pb];
-        detail::pfor_decode_one_block(blk, list, d, pb, out,
-                                      out_base + d.out_offset - first_off);
-      });
-}
 
 }  // namespace griffin::gpu

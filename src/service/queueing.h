@@ -87,28 +87,26 @@ class FcfsServer {
 
 /// Tracks the maximum number of jobs simultaneously in the system (queued +
 /// in service), observed at arrival instants — the backlog a newly arriving
-/// query sees, itself included.
+/// query sees, itself included. Every completion is kept, sorted, so the
+/// depth at any arrival is one binary search however deep the backlog (one
+/// Duration per job, like the latency samples callers already store).
 class QueueDepthTracker {
  public:
-  /// Records a job's (arrival, completion); returns the depth at arrival.
+  /// Records a job's (arrival, completion); returns the depth at arrival:
+  /// the recorded jobs, this one included, still in the system after it.
   std::uint64_t observe(sim::Duration arrival, sim::Duration done) {
-    completions_.push_back(done);
-    std::uint64_t depth = 0;
-    for (const auto& c : completions_) {
-      if (c > arrival) ++depth;
-    }
+    auto& c = completions_;
+    c.insert(std::upper_bound(c.begin(), c.end(), done), done);
+    const auto later = std::upper_bound(c.begin(), c.end(), arrival);
+    const auto depth = static_cast<std::uint64_t>(c.end() - later);
     max_depth_ = std::max(max_depth_, depth);
-    // Old completions can never exceed a later arrival again; cap the scan.
-    if (completions_.size() > 4096) {
-      completions_.erase(completions_.begin(), completions_.begin() + 2048);
-    }
     return depth;
   }
 
   std::uint64_t max_depth() const { return max_depth_; }
 
  private:
-  std::vector<sim::Duration> completions_;
+  std::vector<sim::Duration> completions_;  ///< ascending
   std::uint64_t max_depth_ = 0;
 };
 

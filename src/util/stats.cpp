@@ -27,21 +27,24 @@ double SummaryStats::variance() const {
 
 double SummaryStats::stddev() const { return std::sqrt(variance()); }
 
-double PercentileTracker::percentile(double p) const {
-  assert(!samples_.empty());
+double nearest_rank(std::span<const double> sorted, double p) {
+  assert(!sorted.empty());
   assert(p >= 0.0 && p <= 100.0);
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  if (p <= 0.0) return samples_.front();
-  // Nearest-rank: smallest value with at least ceil(p/100 * N) samples <= it.
-  const std::size_t n = samples_.size();
+  if (p <= 0.0) return sorted.front();
+  const std::size_t n = sorted.size();
   std::size_t rank = static_cast<std::size_t>(
       std::ceil(p / 100.0 * static_cast<double>(n)));
   if (rank == 0) rank = 1;
   if (rank > n) rank = n;
-  return samples_[rank - 1];
+  return sorted[rank - 1];
+}
+
+double PercentileTracker::percentile(double p) const {
+  if (!sorted_) {
+    std::sort(samples_.begin(), samples_.end());
+    sorted_ = true;
+  }
+  return nearest_rank(samples_, p);
 }
 
 double PercentileTracker::mean() const {

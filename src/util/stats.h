@@ -6,10 +6,17 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace griffin::util {
+
+/// Nearest-rank percentile of ascending samples, p in [0, 100]: the
+/// smallest value with at least ceil(p/100 * N) samples <= it. The one rule
+/// behind PercentileTracker and cluster::HedgeController's windowed delay.
+/// Precondition: !sorted.empty().
+double nearest_rank(std::span<const double> sorted, double p);
 
 /// Streaming mean / variance / min / max (Welford).
 class SummaryStats {

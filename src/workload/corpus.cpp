@@ -6,6 +6,11 @@
 
 namespace griffin::workload {
 
+namespace {
+/// Mean document length for the (independent) BM25 length model.
+constexpr double kMeanDocLen = 320.0;
+}  // namespace
+
 std::vector<index::DocId> make_uniform_list(std::uint64_t n,
                                             index::DocId universe,
                                             util::Xoshiro256& rng) {
@@ -160,12 +165,12 @@ index::InvertedIndex generate_corpus(const CorpusConfig& cfg) {
   index::InvertedIndex idx(index::CodecPolicy{cfg.scheme, cfg.adaptive},
                            cfg.block_size);
 
-  // Document lengths: lognormal-ish around the configured mean. (Generated
+  // Document lengths: lognormal-ish around kMeanDocLen. (Generated
   // independently of the posting draws — BM25 only needs the marginal.)
   idx.docs().resize(cfg.num_docs);
   for (index::DocId d = 0; d < cfg.num_docs; ++d) {
     const double u = rng.uniform01();
-    const double len = cfg.mean_doc_len * (0.35 + 1.3 * u * u);
+    const double len = kMeanDocLen * (0.35 + 1.3 * u * u);
     idx.docs().set_length(d, static_cast<std::uint32_t>(len) + 1);
   }
 

@@ -30,8 +30,6 @@ struct CorpusConfig {
   bool adaptive = false;
   std::uint32_t block_size = codec::kDefaultBlockSize;
   std::uint64_t seed = 42;
-  /// Mean document length for the (independent) BM25 length model.
-  double mean_doc_len = 320.0;
 
   // Topical co-occurrence. Real query terms correlate (documents about a
   // topic contain that topic's vocabulary), which keeps conjunctive

@@ -136,11 +136,11 @@ TEST(ClusterBroker, UntimedMetricsModelParallelFanout) {
   // The broker charges the slowest shard plus network + merge, so the
   // fan-out must cost at least the network round trip and at most the sum
   // of all shard times plus overheads.
-  EXPECT_GE(res.metrics.total, cfg.net_rtt);
+  EXPECT_GE(res.metrics.total, cluster::kNetRtt);
   sim::Duration sum;
   for (std::uint32_t s = 0; s < broker.num_shards(); ++s) {
     sum += broker.node(s).execute(q).metrics.total;
   }
   EXPECT_LE(res.metrics.total,
-            sum + cfg.net_rtt + cfg.merge_per_shard * 4.0);
+            sum + cluster::kNetRtt + cluster::kMergePerShard * 4.0);
 }

@@ -130,7 +130,7 @@ TEST(ClusterSim, UtilizationAndDepthAreSane) {
   // Response includes the network round trip and the critical shard path.
   EXPECT_GE(res.response_ms.percentile(50),
             res.shard_critical_ms.percentile(50));
-  EXPECT_GE(res.response_ms.percentile(50), cfg.net_rtt.ms());
+  EXPECT_GE(res.response_ms.percentile(50), cluster::kNetRtt.ms());
 }
 
 TEST(ClusterSim, MoreShardsShrinkCriticalServiceTime) {

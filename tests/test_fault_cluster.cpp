@@ -186,7 +186,7 @@ TEST(FaultCluster, BreakerShortCircuitsAPersistentlyDeadPrimary) {
   const auto with = guarded.run(log);
 
   // After three crash detections the breaker opens and later queries skip
-  // the dead primary without paying crash_detect + backoff.
+  // the dead primary without paying the crash-detect timeout + backoff.
   EXPECT_EQ(with.faults.breaker_opens, 1u);
   EXPECT_GT(with.faults.breaker_short_circuits, 0u);
   EXPECT_LT(with.faults.replica_failures, without.faults.replica_failures);

@@ -77,7 +77,7 @@ TEST(FaultEngine, GpuFaultDegradesToCpuWithIdenticalResults) {
   // forced onto the CPU, so the (every-step) trigger never fires again.
   EXPECT_EQ(res.metrics.faults.gpu_faults, 1u);
   EXPECT_EQ(res.metrics.faults.gpu_wasted,
-            sim::Duration::from_us(opt.faults.gpu_fault_cost_us));
+            sim::Duration::from_us(core::kGpuFaultCostUs));
   for (const auto p : testutil::intersect_placements(res)) {
     EXPECT_EQ(p, core::Placement::kCpu);
   }
@@ -92,8 +92,7 @@ TEST(FaultEngine, GpuFaultDegradesToCpuWithIdenticalResults) {
     if (r.faulted) {
       saw_faulted = true;
       EXPECT_EQ(r.placement, core::Placement::kGpu);
-      EXPECT_EQ(r.duration,
-                sim::Duration::from_us(opt.faults.gpu_fault_cost_us));
+      EXPECT_EQ(r.duration, sim::Duration::from_us(core::kGpuFaultCostUs));
     }
   }
   EXPECT_TRUE(saw_faulted);
@@ -310,7 +309,7 @@ TEST(FaultEngine, OomLadderBottomsOutToSingleStepDegrade) {
   EXPECT_EQ(res.metrics.faults.oom_unfused, 0u);
   EXPECT_EQ(res.metrics.faults.gpu_faults, 0u);
   EXPECT_EQ(res.metrics.faults.oom_recovery,
-            sim::Duration::from_us(opt.faults.oom_replan_cost_us) *
+            sim::Duration::from_us(core::kOomReplanCostUs) *
                 double(res.metrics.faults.oom_degraded_steps));
   testutil::expect_stage_sums(res, "oom-rung3");
 
@@ -321,8 +320,7 @@ TEST(FaultEngine, OomLadderBottomsOutToSingleStepDegrade) {
   EXPECT_EQ(sum.faulted_steps, res.metrics.faults.oom_degraded_steps);
   for (const auto& r : res.trace) {
     if (r.faulted) {
-      EXPECT_EQ(r.duration,
-                sim::Duration::from_us(opt.faults.oom_replan_cost_us));
+      EXPECT_EQ(r.duration, sim::Duration::from_us(core::kOomReplanCostUs));
     }
   }
 
@@ -426,7 +424,7 @@ TEST(FaultEngine, SplitLegFaultOverDeviceResidentProbes) {
   EXPECT_EQ(res.metrics.faults.split_leg_faults, 1u);
   EXPECT_EQ(res.metrics.faults.gpu_faults, 1u);
   EXPECT_EQ(res.metrics.faults.gpu_wasted,
-            sim::Duration::from_us(cfg.gpu_fault_cost_us));
+            sim::Duration::from_us(core::kGpuFaultCostUs));
 
   EXPECT_EQ(me.exec.run(core::RankStep{}, q, res), core::StepStatus::kOk);
   me.exec.finish_query(res.metrics);

@@ -1,9 +1,11 @@
 // Para-EF (paper Algorithm 1) — functional correctness against the CPU
-// decoder plus the performance-shape properties the paper claims.
-#include "gpu/ef_decode.h"
-
+// decoder plus the performance-shape properties the paper claims — and the
+// one device decode launch path (gpu::decode_range / decode_selected)
+// checked block for block against the CPU decoder for every codec.
 #include <gtest/gtest.h>
 
+#include "codec/codec.h"
+#include "gpu/decode.h"
 #include "util/rng.h"
 #include "workload/corpus.h"
 
@@ -21,12 +23,23 @@ std::vector<DocId> gpu_decode_all(griffin::simt::Device& dev,
   griffin::pcie::TransferLedger ledger;
   gg::DeviceList dlist = gg::upload_list(dev, list, link, ledger);
   auto out = dev.alloc<DocId>(list.size());
-  const auto stats =
-      gg::ef_decode_range(dev, dlist, 0, dlist.num_blocks(), out);
+  const auto stats = gg::decode_range(dev, dlist, 0, dlist.num_blocks(), out);
   if (stats_out != nullptr) *stats_out = stats;
   std::vector<DocId> host(list.size());
   dev.download(std::span<DocId>(host), out);
   return host;
+}
+
+/// The CPU decoder's output for posting blocks [lo, hi), concatenated.
+std::vector<DocId> cpu_decode_blocks(const BlockCompressedList& list,
+                                     std::size_t lo, std::size_t hi) {
+  std::vector<DocId> out;
+  std::vector<DocId> buf(list.block_size());
+  for (std::size_t b = lo; b < hi; ++b) {
+    const std::uint32_t n = list.decode_block(b, buf.data());
+    out.insert(out.end(), buf.begin(), buf.begin() + n);
+  }
+  return out;
 }
 
 }  // namespace
@@ -60,10 +73,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 127, 128, 129, 1000, 20000),
                        ::testing::Values(1, 5, 10)));
 
-TEST(ParaEF, SelectedBlocksDecode) {
+class GpuDecodeLaunch : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(GpuDecodeLaunch, SelectedBlocksDecode) {
   griffin::util::Xoshiro256 rng(5);
   const auto docs = griffin::workload::make_uniform_list(2000, 1'000'000, rng);
-  const auto list = BlockCompressedList::build(docs, Scheme::kEliasFano);
+  const auto list = BlockCompressedList::build(docs, GetParam());
 
   griffin::simt::Device dev;
   griffin::pcie::Link link;
@@ -74,40 +89,39 @@ TEST(ParaEF, SelectedBlocksDecode) {
   auto ids_dev = dev.alloc<std::uint32_t>(ids.size());
   dev.upload(ids_dev, std::span<const std::uint32_t>(ids));
   auto out = dev.alloc<DocId>(ids.size() * list.block_size());
-  gg::ef_decode_selected(dev, dlist, ids_dev, ids, out);
+  gg::decode_selected(dev, dlist, ids_dev, ids, out);
 
   std::vector<DocId> host(out.size());
   dev.download(std::span<DocId>(host), out);
-  std::vector<DocId> buf(list.block_size());
   for (std::size_t s = 0; s < ids.size(); ++s) {
-    const std::uint32_t n = list.decode_block(ids[s], buf.data());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      EXPECT_EQ(host[s * list.block_size() + i], buf[i])
+    const auto want = cpu_decode_blocks(list, ids[s], ids[s] + 1);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(host[s * list.block_size() + i], want[i])
           << "slot " << s << " elem " << i;
     }
   }
 }
 
-TEST(ParaEF, OutBaseOffsetRespected) {
+TEST_P(GpuDecodeLaunch, OutBaseOffsetRespected) {
   griffin::util::Xoshiro256 rng(6);
   const auto docs = griffin::workload::make_uniform_list(300, 100'000, rng);
-  const auto list = BlockCompressedList::build(docs, Scheme::kEliasFano);
+  const auto list = BlockCompressedList::build(docs, GetParam());
 
   griffin::simt::Device dev;
   griffin::pcie::Link link;
   griffin::pcie::TransferLedger ledger;
   gg::DeviceList dlist = gg::upload_list(dev, list, link, ledger);
   auto out = dev.alloc<DocId>(list.size() + 64);
-  gg::ef_decode_range(dev, dlist, 0, dlist.num_blocks(), out, 64);
+  gg::decode_range(dev, dlist, 0, dlist.num_blocks(), out, 64);
   std::vector<DocId> host(list.size());
   dev.download(std::span<DocId>(host), out, 64);
-  EXPECT_EQ(host, docs);
+  EXPECT_EQ(host, cpu_decode_blocks(list, 0, list.num_blocks()));
 }
 
-TEST(ParaEF, PartialRangeDecode) {
+TEST_P(GpuDecodeLaunch, PartialRangeDecode) {
   griffin::util::Xoshiro256 rng(7);
   const auto docs = griffin::workload::make_uniform_list(1000, 500'000, rng);
-  const auto list = BlockCompressedList::build(docs, Scheme::kEliasFano);
+  const auto list = BlockCompressedList::build(docs, GetParam());
   ASSERT_GE(list.num_blocks(), 4u);
 
   griffin::simt::Device dev;
@@ -115,13 +129,18 @@ TEST(ParaEF, PartialRangeDecode) {
   griffin::pcie::TransferLedger ledger;
   gg::DeviceList dlist = gg::upload_list(dev, list, link, ledger);
   auto out = dev.alloc<DocId>(2 * list.block_size());
-  gg::ef_decode_range(dev, dlist, 1, 3, out);
+  gg::decode_range(dev, dlist, 1, 3, out);
   std::vector<DocId> host(2 * list.block_size());
   dev.download(std::span<DocId>(host), out);
-  for (std::size_t i = 0; i < 2 * list.block_size(); ++i) {
-    EXPECT_EQ(host[i], docs[list.block_size() + i]);
-  }
+  EXPECT_EQ(host, cpu_decode_blocks(list, 1, 3));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, GpuDecodeLaunch,
+    ::testing::ValuesIn(griffin::codec::all_schemes()),
+    [](const ::testing::TestParamInfo<Scheme>& info) {
+      return griffin::codec::scheme_name(info.param);
+    });
 
 TEST(ParaEF, WorkScalesLinearlyAndCoalescesWell) {
   griffin::util::Xoshiro256 rng(8);

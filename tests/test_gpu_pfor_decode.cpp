@@ -1,10 +1,8 @@
 // The PFor-on-GPU ablation kernel: functionally correct, pathologically
 // divergent — the negative result of paper §2.3/§3.1.1.
-#include "gpu/pfor_decode.h"
-
 #include <gtest/gtest.h>
 
-#include "gpu/ef_decode.h"
+#include "gpu/decode.h"
 #include "util/rng.h"
 #include "workload/corpus.h"
 
@@ -21,8 +19,7 @@ std::vector<DocId> gpu_pfor_decode_all(griffin::simt::Device& dev,
   griffin::pcie::TransferLedger ledger;
   gg::DeviceList dlist = gg::upload_list(dev, list, link, ledger);
   auto out = dev.alloc<DocId>(list.size());
-  const auto s =
-      gg::pfor_decode_range(dev, dlist, 0, dlist.num_blocks(), out);
+  const auto s = gg::decode_range(dev, dlist, 0, dlist.num_blocks(), out);
   if (stats != nullptr) *stats = s;
   std::vector<DocId> host(list.size());
   dev.download(std::span<DocId>(host), out);
@@ -98,8 +95,7 @@ TEST(GpuPFor, EFCompressesTighterAtComparableGpuSpeed) {
   gpu_pfor_decode_all(dev, pf, &pf_stats);
   gg::DeviceList def = gg::upload_list(dev, ef, link, ledger);
   auto out = dev.alloc<DocId>(ef.size());
-  const auto ef_stats =
-      gg::ef_decode_range(dev, def, 0, def.num_blocks(), out);
+  const auto ef_stats = gg::decode_range(dev, def, 0, def.num_blocks(), out);
   EXPECT_LT(ef_stats.warp_cycles, pf_stats.warp_cycles * 2.0);
   EXPECT_LT(pf_stats.warp_cycles, ef_stats.warp_cycles * 2.0);
 }

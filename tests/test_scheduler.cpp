@@ -215,8 +215,9 @@ TEST(Scheduler, HighRatioTransferChargesActualCompressedBytes) {
 // ---- Three-way co-execution (DESIGN.md §15) --------------------------------
 
 namespace {
-/// A shape big enough to clear split_min_probe, placed like a mid-query
-/// intersect (intermediate on the CPU, compressed long list at ~1 B/elem).
+/// A shape big enough to clear the 4096-probe split floor, placed like a
+/// mid-query intersect (intermediate on the CPU, compressed long list at
+/// ~1 B/elem).
 StepShape big_shape(double ratio) {
   const std::uint64_t shorter = 1u << 20;
   StepShape s = shape(shorter, static_cast<std::uint64_t>(ratio * shorter),
@@ -227,7 +228,7 @@ StepShape big_shape(double ratio) {
 }  // namespace
 
 TEST(SchedulerSplit, RatioPolicyGeneralizesIntoABand) {
-  Scheduler sched;  // defaults: threshold 128, split_band 4
+  Scheduler sched;  // defaults: threshold 128, split band [32, 512)
   // Below the band one processor dominates and the binary rule stands.
   EXPECT_EQ(sched.decide(big_shape(16.0)), Placement::kGpu);
   // Above it likewise.
@@ -243,8 +244,8 @@ TEST(SchedulerSplit, RatioPolicyGeneralizesIntoABand) {
 
 TEST(SchedulerSplit, SmallProbesNeverSplit) {
   Scheduler sched;
-  // Identical ratio, probe below split_min_probe: the GPU leg's fixed costs
-  // have nothing to amortize over, so the binary rule stands.
+  // Identical ratio, probe below the 4096-probe split floor: the GPU leg's
+  // fixed costs have nothing to amortize over, so the binary rule stands.
   StepShape s = shape(1000, 128'000, Placement::kCpu);
   EXPECT_EQ(sched.decide(s), Placement::kCpu);
   SchedulerOptions opt;
@@ -275,10 +276,9 @@ TEST(SchedulerSplit, SplitEstimateBracketsAndBeatsAtChosenAlpha) {
   const auto t_gpu = sched.estimate_gpu(s);
   const auto best = t_cpu.ps() < t_gpu.ps() ? t_cpu : t_gpu;
   // The min-gain gate: the chosen split undercuts the better single
-  // processor by at least split_min_gain.
+  // processor by at least kSplitMinGain.
   EXPECT_LT(static_cast<double>(t_split.ps()),
-            (1.0 - sched.options().split_min_gain) *
-                static_cast<double>(best.ps()));
+            (1.0 - core::kSplitMinGain) * static_cast<double>(best.ps()));
   // Degenerate alphas price (at least) the full single-processor work, so
   // the grid never prefers a sham split.
   EXPECT_GE(sched.estimate_split(s, 0.0).ps(), t_cpu.ps());
@@ -305,15 +305,4 @@ TEST(SchedulerSplit, AlwaysSplitPolicy) {
   Scheduler sched(opt);
   EXPECT_EQ(sched.decide(shape(10, 10)), Placement::kSplit);
   EXPECT_EQ(sched.decide(shape(0, 1000)), Placement::kCpu);  // nothing to do
-}
-
-TEST(SchedulerSplit, MinGainGateSuppressesMarginalSplits) {
-  // With the gain requirement cranked up no split can qualify; the
-  // three-way comparison degrades to the plain two-way one.
-  SchedulerOptions opt;
-  opt.policy = SchedulerPolicy::kCostModel;
-  opt.split_min_gain = 1.0;
-  Scheduler sched(opt);
-  EXPECT_NE(sched.decide(big_shape(128.0)), Placement::kSplit);
-  EXPECT_NE(sched.decide(big_shape(256.0)), Placement::kSplit);
 }

@@ -4,6 +4,7 @@
 
 #include "core/hybrid_engine.h"
 #include "engine_test_util.h"
+#include "service/queueing.h"
 
 using namespace griffin;
 
@@ -172,6 +173,32 @@ TEST(ServiceSimEdge, UtilizationAndDepthConsistentWithPercentiles) {
     EXPECT_GT(res.response_ms.percentile(99),
               res.service_ms.percentile(99) + 1.0);
   }
+}
+
+TEST(QueueDepth, CountsEveryJobInADeepBacklog) {
+  // 5000 jobs arrive 1 us apart and none completes before 10 s: the last
+  // arrival sees every job still in the system, however deep the backlog.
+  service::QueueDepthTracker depth;
+  const sim::Duration done = sim::Duration::from_seconds(10.0);
+  std::uint64_t last = 0;
+  for (int i = 0; i < 5000; ++i) {
+    last = depth.observe(sim::Duration::from_us(i), done);
+  }
+  EXPECT_EQ(last, 5000u);
+  EXPECT_EQ(depth.max_depth(), 5000u);
+  // Once the backlog has drained, a new arrival sees only itself.
+  EXPECT_EQ(depth.observe(done, done + sim::Duration::from_ms(1)), 1u);
+
+  // An FCFS server at 10x overload: job j finishes at (j + 1) ms, so
+  // arrival i (at i * 0.1 ms) finds i + 1 - floor(i / 10) jobs in the system.
+  service::FcfsServer server;
+  service::QueueDepthTracker fcfs_depth;
+  for (int i = 0; i < 10'000; ++i) {
+    const sim::Duration arrival = sim::Duration::from_us(100.0 * i);
+    const auto c = server.submit(arrival, sim::Duration::from_ms(1));
+    fcfs_depth.observe(arrival, c.done);
+  }
+  EXPECT_EQ(fcfs_depth.max_depth(), 9001u);
 }
 
 TEST(ServiceSimAdmission, UnboundedQueueShedsNothing) {

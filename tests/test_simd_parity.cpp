@@ -264,12 +264,6 @@ TEST(SimdCrossover, SchedulerShiftsRatioRuleWithVectorUnit) {
   if (scaled < 100.0) {
     EXPECT_EQ(simd_sched.decide(shape), griffin::core::Placement::kCpu);
   }
-
-  // simd_aware off: decide as if the CPU were scalar.
-  griffin::core::SchedulerOptions opt;
-  opt.simd_aware = false;
-  griffin::core::Scheduler off_sched(opt, avx2_hw);
-  EXPECT_EQ(off_sched.decide(shape), griffin::core::Placement::kGpu);
 }
 
 TEST(SimdCrossover, CostEstimateCheaperWithVectorUnit) {

@@ -179,7 +179,7 @@ TEST_P(SplitLegFaultParam, LostGpuLegIsRedoneBitIdentically) {
       EXPECT_EQ(got.metrics.faults.split_leg_faults, 1u) << tag;
       EXPECT_EQ(got.metrics.faults.gpu_faults, 1u) << tag;
       EXPECT_EQ(got.metrics.faults.gpu_wasted,
-                sim::Duration::from_us(faulty.faults.gpu_fault_cost_us))
+                sim::Duration::from_us(core::kGpuFaultCostUs))
           << tag;
       core::TraceSummary sum;
       sum.add(got.trace);
