@@ -1,114 +1,54 @@
 #include "simt/kernel.h"
 
+#include <bit>
+
 namespace griffin::simt {
 
-void Block::finish_region() {
-  const std::uint32_t nwarps = warps();
-  const std::uint64_t seg_bytes = spec_.mem_transaction_bytes;
+namespace detail {
 
-  // Regions end at a block barrier: every warp of the block occupies its SM
-  // slot until the slowest warp arrives, so the block's region time is the
-  // max over warps and every warp is charged it. (For balanced regions this
-  // equals the per-warp sum; for imbalanced ones — e.g. one lane serially
-  // walking a PForDelta exception chain while three warps idle — it models
-  // the idling the paper's §2.3 describes.)
-  double block_max_alu = 0.0;
-  for (std::uint32_t t = 0; t < block_dim_; ++t) {
-    block_max_alu = std::max(block_max_alu, lanes_[t].alu_);
+std::size_t OrdinalCounter::slot_of(std::uint32_t ord,
+                                    std::uint64_t key) const {
+  // Fibonacci hashing: the product's high bits index the table.
+  const std::uint64_t h =
+      (key ^ (static_cast<std::uint64_t>(ord) << 40)) * 0x9E3779B97F4A7C15ull;
+  return static_cast<std::size_t>(h >> shift_);
+}
+
+std::uint32_t OrdinalCounter::bump(std::uint32_t ord, std::uint64_t key) {
+  // Keep the load factor at or below 1/2.
+  if (2 * (live_ + 1) > table_.size()) grow();
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = slot_of(ord, key);; i = (i + 1) & mask) {
+    Entry& e = table_[i];
+    if (e.gen != gen_) {
+      e = Entry{key, gen_, ord, 1};
+      ++live_;
+      return 1;
+    }
+    if (e.key == key && e.ord == ord) return ++e.count;
   }
-  stats_.warp_cycles += block_max_alu * nwarps;
+}
 
-  for (std::uint32_t w = 0; w < nwarps; ++w) {
-    const std::uint32_t lo = w * 32;
-    const std::uint32_t hi = std::min(block_dim_, lo + 32);
+void OrdinalCounter::grow() {
+  std::vector<Entry> old(std::max<std::size_t>(64, 2 * table_.size()));
+  old.swap(table_);
+  shift_ = 64 - std::countr_zero(table_.size());
+  const std::size_t mask = table_.size() - 1;
+  for (const Entry& e : old) {
+    if (e.gen != gen_) continue;
+    std::size_t i = slot_of(e.ord, e.key);
+    while (table_[i].gen == gen_) i = (i + 1) & mask;
+    table_[i] = e;
+  }
+}
 
-    std::size_t max_global = 0;
-    std::size_t max_shared = 0;
-    for (std::uint32_t t = lo; t < hi; ++t) {
-      max_global = std::max(max_global, lanes_[t].global_.size());
-      max_shared = std::max(max_shared, lanes_[t].shared_banks_.size());
-    }
+}  // namespace detail
 
-    // Coalesce global accesses: the o-th access of every lane in the warp
-    // issues together; distinct 128-byte segments become transactions. The
-    // per-ordinal segment set is tiny (1..64), so a linear-probe dedupe into
-    // a fixed array beats sorting.
-    for (std::size_t o = 0; o < max_global; ++o) {
-      std::uint64_t segs[64];
-      std::uint32_t nsegs = 0;
-      for (std::uint32_t t = lo; t < hi; ++t) {
-        const auto& g = lanes_[t].global_;
-        if (o >= g.size()) continue;
-        stats_.global_bytes_requested += g[o].bytes;
-        const std::uint64_t s0 = g[o].addr / seg_bytes;
-        const std::uint64_t s1 = (g[o].addr + g[o].bytes - 1) / seg_bytes;
-        for (std::uint64_t s = s0; s <= s1; ++s) {
-          bool seen = false;
-          for (std::uint32_t k = 0; k < nsegs; ++k) {
-            if (segs[k] == s) {
-              seen = true;
-              break;
-            }
-          }
-          if (!seen && nsegs < 64) segs[nsegs++] = s;
-        }
-      }
-      stats_.global_transactions += nsegs;
-    }
-
-    // Atomic serialization: the o-th atomic of the warp's lanes replays once
-    // per extra lane hitting the same address.
-    {
-      std::size_t max_atomics = 0;
-      for (std::uint32_t t = lo; t < hi; ++t) {
-        max_atomics = std::max(max_atomics, lanes_[t].atomic_addrs_.size());
-      }
-      constexpr double kAtomicReplayCycles = 8.0;
-      for (std::size_t o = 0; o < max_atomics; ++o) {
-        std::uint64_t addrs[32];
-        std::uint32_t counts[32];
-        std::uint32_t n = 0;
-        std::uint32_t max_mult = 1;
-        for (std::uint32_t t = lo; t < hi; ++t) {
-          const auto& aa = lanes_[t].atomic_addrs_;
-          if (o >= aa.size()) continue;
-          bool seen = false;
-          for (std::uint32_t k = 0; k < n; ++k) {
-            if (addrs[k] == aa[o]) {
-              max_mult = std::max(max_mult, ++counts[k]);
-              seen = true;
-              break;
-            }
-          }
-          if (!seen) {
-            addrs[n] = aa[o];
-            counts[n] = 1;
-            ++n;
-          }
-        }
-        if (max_mult > 1) {
-          stats_.warp_cycles +=
-              static_cast<double>(max_mult - 1) * kAtomicReplayCycles;
-        }
-      }
-    }
-
-    // Shared-memory bank conflicts: the o-th shared access of the warp's
-    // lanes serializes by the most-contended bank.
-    for (std::size_t o = 0; o < max_shared; ++o) {
-      std::uint32_t bank_count[32] = {};
-      std::uint32_t max_mult = 0;
-      for (std::uint32_t t = lo; t < hi; ++t) {
-        const auto& s = lanes_[t].shared_banks_;
-        if (o >= s.size()) continue;
-        ++stats_.shared_accesses;
-        const std::uint32_t m = ++bank_count[s[o]];
-        max_mult = std::max(max_mult, m);
-      }
-      if (max_mult > 1) {
-        stats_.shared_conflict_cycles += static_cast<double>(max_mult - 1);
-      }
-    }
+WarpTally::WarpTally(sim::KernelStats& stats, std::size_t segment_bytes)
+    : stats_(stats), segment_shift_(std::countr_zero(segment_bytes)) {
+  if (!std::has_single_bit(segment_bytes)) {
+    throw std::invalid_argument(
+        "GpuSpec::mem_transaction_bytes must be a power of two");
   }
 }
 

@@ -6,19 +6,27 @@
 // __syncthreads of this programming model). Per-lane "registers" that must
 // survive across regions are ordinary host arrays indexed by Thread::tid().
 //
-// While a region executes, the simulator counts the work each lane performs:
-//   - ALU cycles (explicit Thread::charge plus fixed per-access costs);
-//   - global memory accesses, grouped per warp and per instruction ordinal,
-//     then coalesced into 128-byte transactions exactly as the hardware
-//     would (lane k's o-th access coalesces with lane j's o-th access);
-//   - shared-memory accesses with bank-conflict serialization (32 banks of
-//     4 bytes).
-// A warp's time for a region is the maximum over its lanes (SIMT lockstep),
-// so divergent code pays the cost the paper describes in §2.3. The counts
-// feed sim::GpuCostModel, which turns them into simulated time.
+// While a region executes, the simulator counts the work each lane performs.
+// "Ordinal o" is the o-th access of a kind a lane makes in the region; the
+// o-th accesses of a warp's lanes issue together.
+//   - ALU cycles: explicit Thread::charge plus fixed per-access costs. A
+//     region ends at a block barrier, so every warp of the block is charged
+//     the block-wide maximum lane count (SIMT lockstep: divergent code pays
+//     the cost the paper describes in §2.3).
+//   - Global memory: per warp and ordinal, each distinct 128-byte segment the
+//     lanes touch is one transaction, exactly as the hardware coalesces.
+//   - Shared memory: per warp and ordinal, the access serializes by its
+//     most-contended bank (32 banks of 4 bytes).
+//   - Atomics: per warp and ordinal, lanes hitting one address replay.
+// Lanes of a block run back to back, so a warp's lanes are consecutive and a
+// WarpTally folds each access into these counts as the lane records it; no
+// per-lane log is kept. The logged analyzer it must match lives in
+// tests/simt_reference.h as the oracle. The counts feed sim::GpuCostModel,
+// which turns them into simulated time.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -42,8 +50,146 @@ struct LaunchConfig {
 inline constexpr double kAluCycle = 1.0;
 inline constexpr double kGlobalAccessCycles = 4.0;
 inline constexpr double kSharedAccessCycles = 2.0;
+/// Replay cost per extra lane of a warp hitting one atomic address.
+inline constexpr double kAtomicReplayCycles = 8.0;
 
-class Block;
+namespace detail {
+
+/// Counts (ordinal, key) pairs for one warp: an open-addressing table whose
+/// entries carry the generation that wrote them. Entries of earlier
+/// generations read as empty, so clear() is O(1) and the table keeps its
+/// capacity from warp to warp.
+class OrdinalCounter {
+ public:
+  /// Counts one more (ord, key) and returns its count in this generation.
+  std::uint32_t bump(std::uint32_t ord, std::uint64_t key);
+  void clear() {
+    ++gen_;
+    live_ = 0;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t key = 0;
+    std::uint64_t gen = 0;
+    std::uint32_t ord = 0;
+    std::uint32_t count = 0;
+  };
+  std::size_t slot_of(std::uint32_t ord, std::uint64_t key) const;
+  void grow();
+
+  std::vector<Entry> table_;  // size 0 or a power of two
+  int shift_ = 64;            // 64 - log2(table_.size())
+  std::size_t live_ = 0;      // entries of the current generation
+  std::uint64_t gen_ = 1;
+};
+
+}  // namespace detail
+
+/// A launch's access accounting, folded in as each lane records an access.
+/// Block runs a warp's lanes back to back and calls begin_warp() at every
+/// warp boundary, so per ordinal the tally holds only what the current
+/// warp's lanes have issued so far; slots of earlier warps are recognised by
+/// their generation and read as empty. Every count goes straight into the
+/// launch's KernelStats the moment it becomes known:
+///   - a transaction when a lane touches a segment no earlier lane of its
+///     warp touched at that ordinal;
+///   - a conflict cycle when the ordinal's most-contended bank count rises
+///     above 1 (the sum is max - 1, the serialization);
+///   - a replay when the ordinal's highest atomic address multiplicity rises
+///     above 1.
+/// Every charge is an integer number of cycles, so the double sums are exact
+/// and do not depend on the order they are added in.
+class WarpTally {
+ public:
+  WarpTally(sim::KernelStats& stats, std::size_t segment_bytes);
+
+  void begin_warp() {
+    ++gen_;
+    segments_.clear();
+    atomics_.clear();
+  }
+
+  /// A lane's o-th global access: `bytes` at device address `addr`.
+  void global(std::uint32_t o, std::uint64_t addr, std::uint32_t bytes) {
+    stats_.global_bytes_requested += bytes;
+    const std::uint64_t last = (addr + bytes - 1) >> segment_shift_;
+    for (std::uint64_t s = addr >> segment_shift_; s <= last; ++s) {
+      segment(o, s);
+    }
+  }
+
+  /// A lane's o-th shared-memory access, to `bank`.
+  void shared(std::uint32_t o, std::uint32_t bank) {
+    ++stats_.shared_accesses;
+    SharedSlot& slot = slot_at(shared_, o);
+    if (slot.gen != gen_) slot = SharedSlot{gen_};
+    const std::uint8_t n = ++slot.bank_count[bank];
+    if (n > slot.max) {
+      slot.max = n;
+      if (n > 1) stats_.shared_conflict_cycles += 1.0;
+    }
+  }
+
+  /// A lane's o-th atomic, to device address `addr`.
+  void atomic(std::uint32_t o, std::uint64_t addr) {
+    AtomicSlot& slot = slot_at(atomic_, o);
+    if (slot.gen != gen_) slot = AtomicSlot{gen_};
+    const std::uint32_t n = atomics_.bump(o, addr);
+    if (n > slot.max) {
+      slot.max = n;
+      if (n > 1) stats_.warp_cycles += kAtomicReplayCycles;
+    }
+  }
+
+ private:
+  struct GlobalSlot {
+    std::uint64_t gen = 0;
+    std::uint64_t last = 0;  // segment of the previous lane's access
+    bool hashed = false;     // `last` is in segments_ (a second segment came)
+  };
+  struct SharedSlot {
+    std::uint64_t gen = 0;
+    std::uint8_t max = 0;
+    std::array<std::uint8_t, 32> bank_count{};
+  };
+  struct AtomicSlot {
+    std::uint64_t gen = 0;
+    std::uint32_t max = 0;
+  };
+
+  template <typename Slot>
+  static Slot& slot_at(std::vector<Slot>& slots, std::uint32_t o) {
+    if (o >= slots.size()) slots.resize(std::size_t{o} + 1);
+    return slots[o];
+  }
+
+  void segment(std::uint32_t o, std::uint64_t seg) {
+    GlobalSlot& slot = slot_at(global_, o);
+    if (slot.gen != gen_) {
+      // The warp's first access at this ordinal.
+      slot = GlobalSlot{gen_, seg};
+      ++stats_.global_transactions;
+    } else if (slot.last != seg) {
+      // Off the same-segment fast path: the exact distinct-segment set.
+      if (!slot.hashed) {
+        segments_.bump(o, slot.last);
+        slot.hashed = true;
+      }
+      if (segments_.bump(o, seg) == 1) ++stats_.global_transactions;
+      slot.last = seg;
+    }
+  }
+
+  sim::KernelStats& stats_;
+  int segment_shift_;
+  std::uint64_t gen_ = 1;
+  std::vector<GlobalSlot> global_;
+  std::vector<SharedSlot> shared_;
+  std::vector<AtomicSlot> atomic_;
+  detail::OrdinalCounter segments_;
+  detail::OrdinalCounter atomics_;
+};
 
 /// Per-lane execution context, valid only inside a for_each_thread region.
 class Thread {
@@ -97,14 +243,12 @@ class Thread {
   }
 
   /// Global atomic add; returns the previous value. Atomics from lanes of the
-  /// same warp hitting the same address serialize — the region analyzer adds
-  /// a replay penalty per extra hit.
+  /// same warp hitting the same address serialize — the tally adds a replay
+  /// penalty per extra hit.
   template <typename T>
   T atomic_add(DeviceBuffer<T>& buf, std::uint64_t idx, T value) {
     assert(idx < buf.size());
-    record_global(buf.device_addr(idx), sizeof(T));
-    atomic_addrs_.push_back(buf.device_addr(idx));
-    charge(2 * kAluCycle);
+    record_atomic(buf.device_addr(idx), sizeof(T));
     const T old = buf.raw()[idx];
     buf.raw()[idx] = old + value;
     return old;
@@ -114,9 +258,7 @@ class Thread {
   template <typename T>
   T atomic_max(DeviceBuffer<T>& buf, std::uint64_t idx, T value) {
     assert(idx < buf.size());
-    record_global(buf.device_addr(idx), sizeof(T));
-    atomic_addrs_.push_back(buf.device_addr(idx));
-    charge(2 * kAluCycle);
+    record_atomic(buf.device_addr(idx), sizeof(T));
     const T old = buf.raw()[idx];
     buf.raw()[idx] = std::max(old, value);
     return old;
@@ -125,43 +267,40 @@ class Thread {
  private:
   friend class Block;
 
-  struct GlobalAccess {
-    std::uint64_t addr;
-    std::uint32_t bytes;
-  };
+  Thread(std::uint32_t tid, std::uint32_t block_id, std::uint32_t dim,
+         WarpTally& tally)
+      : tally_(tally), tid_(tid), block_id_(block_id), block_dim_(dim) {}
 
   void record_global(std::uint64_t addr, std::uint32_t bytes) {
     alu_ += kGlobalAccessCycles;
-    global_.push_back({addr, bytes});
+    tally_.global(global_ord_++, addr, bytes);
   }
   void record_shared(std::uintptr_t host_addr) {
     alu_ += kSharedAccessCycles;
     // Bank = (word address) mod 32, 4-byte banks.
-    shared_banks_.push_back(static_cast<std::uint32_t>((host_addr / 4) % 32));
+    tally_.shared(shared_ord_++,
+                  static_cast<std::uint32_t>((host_addr / 4) % 32));
+  }
+  void record_atomic(std::uint64_t addr, std::uint32_t bytes) {
+    record_global(addr, bytes);
+    tally_.atomic(atomic_ord_++, addr);
+    charge(2 * kAluCycle);
   }
 
-  void reset(std::uint32_t tid, std::uint32_t block_id, std::uint32_t dim) {
-    tid_ = tid;
-    block_id_ = block_id;
-    block_dim_ = dim;
-    alu_ = 0.0;
-    global_.clear();
-    shared_banks_.clear();
-    atomic_addrs_.clear();
-  }
-
-  std::uint32_t tid_ = 0;
-  std::uint32_t block_id_ = 0;
-  std::uint32_t block_dim_ = 0;
+  WarpTally& tally_;
+  std::uint32_t tid_;
+  std::uint32_t block_id_;
+  std::uint32_t block_dim_;
   double alu_ = 0.0;
-  std::vector<GlobalAccess> global_;
-  std::vector<std::uint32_t> shared_banks_;
-  std::vector<std::uint64_t> atomic_addrs_;
+  // Accesses of each kind this lane has made in the region so far.
+  std::uint32_t global_ord_ = 0;
+  std::uint32_t shared_ord_ = 0;
+  std::uint32_t atomic_ord_ = 0;
 };
 
 /// Per-block execution context handed to the kernel body. One Block object
-/// is reused across a launch's blocks (reset per block) so lane scratch
-/// buffers keep their capacity — a pure simulator-speed concern.
+/// is reused across a launch's blocks (reset per block) so the tally's
+/// tables keep their capacity — a pure simulator-speed concern.
 class Block {
  public:
   Block(const sim::GpuSpec& spec, sim::KernelStats& stats,
@@ -173,7 +312,7 @@ class Block {
         block_dim_(block_dim),
         grid_dim_(grid_dim),
         shared_arena_(spec.shared_mem_per_block),
-        lanes_(block_dim) {
+        tally_(stats, spec.mem_transaction_bytes) {
     assert(block_dim_ > 0);
     assert(block_dim_ <= static_cast<std::uint32_t>(spec.max_threads_per_block));
   }
@@ -205,15 +344,23 @@ class Block {
   }
 
   /// Execute one region: `f(Thread&)` for every thread of the block, then an
-  /// implicit barrier. Work counters are folded into the launch stats with
-  /// the per-warp max rule.
+  /// implicit barrier. The lanes' accesses are counted as they are made.
   template <typename F>
   void for_each_thread(F&& f) {
+    double max_alu = 0.0;
     for (std::uint32_t t = 0; t < block_dim_; ++t) {
-      lanes_[t].reset(t, block_id_, block_dim_);
-      f(lanes_[t]);
+      if (t % 32 == 0) tally_.begin_warp();
+      Thread lane(t, block_id_, block_dim_, tally_);
+      f(lane);
+      max_alu = std::max(max_alu, lane.alu_);
     }
-    finish_region();
+    // The region ends at a block barrier: every warp of the block occupies
+    // its SM slot until the slowest lane arrives, so every warp is charged
+    // the block-wide maximum. (For balanced regions this equals the per-warp
+    // sum; for imbalanced ones — e.g. one lane serially walking a PForDelta
+    // exception chain while three warps idle — it models the idling the
+    // paper's §2.3 describes.)
+    stats_.warp_cycles += max_alu * warps();
     barrier();
   }
 
@@ -221,8 +368,6 @@ class Block {
   void barrier() { ++stats_.barriers; }
 
  private:
-  void finish_region();
-
   const sim::GpuSpec& spec_;
   sim::KernelStats& stats_;
   std::uint32_t block_id_;
@@ -230,7 +375,7 @@ class Block {
   std::uint32_t grid_dim_;
   std::size_t shared_used_ = 0;
   std::vector<std::byte> shared_arena_;
-  std::vector<Thread> lanes_;
+  WarpTally tally_;
 };
 
 /// Launch a kernel: `body(Block&)` once per block. Returns the counted work;

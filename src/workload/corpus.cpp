@@ -9,6 +9,37 @@ namespace griffin::workload {
 namespace {
 /// Mean document length for the (independent) BM25 length model.
 constexpr double kMeanDocLen = 320.0;
+
+/// Merges the sorted runs docs[..mid) and docs[mid..) and drops duplicates:
+/// the list a full sort + unique would give, without re-sorting the prefix.
+void merge_runs(std::vector<index::DocId>& docs, std::size_t mid) {
+  std::inplace_merge(docs.begin(),
+                     docs.begin() + static_cast<std::ptrdiff_t>(mid),
+                     docs.end());
+  docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
+}
+
+/// Merges the sorted, duplicate-free `more` into `docs` (same invariant).
+void merge_sorted(std::vector<index::DocId>& docs,
+                  const std::vector<index::DocId>& more) {
+  const std::size_t mid = docs.size();
+  docs.insert(docs.end(), more.begin(), more.end());
+  merge_runs(docs, mid);
+}
+
+/// Tops the sorted, duplicate-free `docs` up to n with uniform draws over
+/// [0, universe), one round per shortfall left by collisions.
+void top_up(std::vector<index::DocId>& docs, std::uint64_t n,
+            index::DocId universe, util::Xoshiro256& rng) {
+  while (docs.size() < n) {
+    const std::size_t have = docs.size();
+    for (std::size_t i = have; i < n; ++i) {
+      docs.push_back(static_cast<index::DocId>(rng.bounded(universe)));
+    }
+    std::sort(docs.begin() + static_cast<std::ptrdiff_t>(have), docs.end());
+    merge_runs(docs, have);
+  }
+}
 }  // namespace
 
 std::vector<index::DocId> make_uniform_list(std::uint64_t n,
@@ -37,14 +68,7 @@ std::vector<index::DocId> make_uniform_list(std::uint64_t n,
     std::sort(docs.begin(), docs.end());
     docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
   }
-  while (docs.size() < n) {
-    const std::size_t missing = n - docs.size();
-    for (std::size_t i = 0; i < missing; ++i) {
-      docs.push_back(static_cast<index::DocId>(rng.bounded(universe)));
-    }
-    std::sort(docs.begin(), docs.end());
-    docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-  }
+  top_up(docs, n, universe, rng);
   return docs;
 }
 
@@ -68,20 +92,10 @@ std::vector<index::DocId> make_topical_list(std::uint64_t n,
     for (auto& d : docs) d += topic_lo;
   }
   if (n_rest > 0) {
-    const auto rest = make_uniform_list(n_rest, universe, rng);
-    docs.insert(docs.end(), rest.begin(), rest.end());
-    std::sort(docs.begin(), docs.end());
-    docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
+    merge_sorted(docs, make_uniform_list(n_rest, universe, rng));
   }
   // Top up collisions between the two strata.
-  while (docs.size() < n) {
-    const std::size_t missing = n - docs.size();
-    for (std::size_t i = 0; i < missing; ++i) {
-      docs.push_back(static_cast<index::DocId>(rng.bounded(universe)));
-    }
-    std::sort(docs.begin(), docs.end());
-    docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-  }
+  top_up(docs, n, universe, rng);
   return docs;
 }
 
@@ -107,19 +121,9 @@ std::vector<index::DocId> make_correlated_list(
     std::sort(docs.begin(), docs.end());
   }
   if (n_rest > 0) {
-    const auto rest = make_uniform_list(n_rest, universe, rng);
-    docs.insert(docs.end(), rest.begin(), rest.end());
-    std::sort(docs.begin(), docs.end());
-    docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
+    merge_sorted(docs, make_uniform_list(n_rest, universe, rng));
   }
-  while (docs.size() < n) {
-    const std::size_t missing = n - docs.size();
-    for (std::size_t i = 0; i < missing; ++i) {
-      docs.push_back(static_cast<index::DocId>(rng.bounded(universe)));
-    }
-    std::sort(docs.begin(), docs.end());
-    docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-  }
+  top_up(docs, n, universe, rng);
   return docs;
 }
 

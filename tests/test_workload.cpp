@@ -147,6 +147,75 @@ TEST(Workload, TopicalCorpusKeepsIntersectionsLarge) {
   EXPECT_GT(overlap(t8, t16), 3 * overlap(t8, t9));
 }
 
+namespace {
+
+// FNV-1a over 32-bit values, low byte first.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+// Every document length, then every term's docIDs and tfs.
+std::uint64_t corpus_digest(const index::InvertedIndex& idx) {
+  Fnv1a f;
+  for (index::DocId d = 0; d < idx.docs().num_docs(); ++d) {
+    f.add(idx.docs().length(d));
+  }
+  std::vector<index::DocId> docs;
+  for (index::TermId t = 0; t < idx.num_terms(); ++t) {
+    const auto& pl = idx.list(t);
+    pl.docids.decode_all(docs);
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+      f.add(docs[i]);
+      f.add(pl.tf_at(i));
+    }
+  }
+  return f.h;
+}
+
+}  // namespace
+
+// The generators' output is pinned bit for bit: how they merge and
+// de-duplicate may change, the lists they return may not. The configs reach
+// the dense (Bernoulli) path, the sparse (sample-sort) path and the top-up
+// rounds of make_uniform_list, the topical and correlated strata merges,
+// and make_pair_with_ratio.
+TEST(Workload, GeneratorsMatchPinnedDigests) {
+  workload::CorpusConfig topical;
+  topical.num_docs = 20'000;
+  topical.num_terms = 300;
+  topical.num_topics = 8;
+  topical.seed = 7;
+  workload::CorpusConfig flat = topical;
+  flat.num_topics = 1;  // independent lists: make_uniform_list per term
+  flat.seed = 8;
+  EXPECT_EQ(corpus_digest(workload::generate_corpus(topical)),
+            0xfb259a5e9fda8f28ull);
+  EXPECT_EQ(corpus_digest(workload::generate_corpus(flat)),
+            0xda0a3daa97e4abceull);
+
+  util::Xoshiro256 rng(9);
+  Fnv1a lists;
+  for (const std::uint64_t n : {50ull, 2'000ull, 9'000ull}) {
+    for (const auto d :
+         workload::make_topical_list(n, 40'000, 10'000, 14'000, 0.6, rng)) {
+      lists.add(d);
+    }
+  }
+  for (const double ratio : {1.0, 8.0}) {
+    const auto pair =
+        workload::make_pair_with_ratio(12'000, ratio, 40'000, 0.4, rng);
+    for (const auto d : pair.longer) lists.add(d);
+    for (const auto d : pair.shorter) lists.add(d);
+  }
+  EXPECT_EQ(lists.h, 0xac321ace03441659ull);
+}
+
 TEST(QueryLog, TopicalQueriesDrawFromOneTopic) {
   workload::QueryLogConfig cfg;
   cfg.num_queries = 300;
