@@ -46,16 +46,24 @@ inline std::string cache_dir() {
   return dir;
 }
 
-/// Builds (or loads from cache) the corpus described by cfg. The cache key
-/// folds in every config field that affects the output.
-inline index::InvertedIndex cached_corpus(const workload::CorpusConfig& cfg) {
-  char key[256];
-  std::snprintf(key, sizeof(key), "corpus_%u_%u_%.3f_%.3f_%u_%u%s_%u_%llu.idx",
+/// The corpus cache file name for cfg: every CorpusConfig field, doubles at
+/// round-trip precision, so two configs share a file only when they build
+/// the same corpus.
+inline std::string corpus_cache_key(const workload::CorpusConfig& cfg) {
+  char key[320];
+  std::snprintf(key, sizeof(key),
+                "corpus_%u_%u_%.17g_%.17g_%u_%u%s_%u_%llu_%u_%.17g.idx",
                 cfg.num_docs, cfg.num_terms, cfg.max_list_divisor, cfg.zipf_s,
                 cfg.min_list_size, static_cast<unsigned>(cfg.scheme),
                 cfg.adaptive ? "a" : "", cfg.block_size,
-                static_cast<unsigned long long>(cfg.seed));
-  const std::string path = cache_dir() + "/" + key;
+                static_cast<unsigned long long>(cfg.seed), cfg.num_topics,
+                cfg.topic_affinity);
+  return key;
+}
+
+/// Builds (or loads from cache) the corpus described by cfg.
+inline index::InvertedIndex cached_corpus(const workload::CorpusConfig& cfg) {
+  const std::string path = cache_dir() + "/" + corpus_cache_key(cfg);
   if (std::filesystem::exists(path)) {
     try {
       return index::load_index(path);

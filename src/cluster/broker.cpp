@@ -16,13 +16,14 @@ constexpr sim::Duration kCrashDetect = sim::Duration::from_us(500);
 /// Base retry backoff after a detected replica crash; attempt i waits
 /// kRetryBackoff * 2^i (exponential).
 constexpr sim::Duration kRetryBackoff = sim::Duration::from_us(100);
+/// Submission attempts per shard before giving up; attempt i goes to
+/// replica (i mod replicas_per_shard).
+constexpr std::uint32_t kMaxAttempts = 3;
 
-/// Validates and normalizes the config the broker actually runs with: the
-/// fault seed absorbs the cluster seed so two runs differing only in `seed`
-/// see different fault placements (with every site disarmed it is never
-/// read).
+/// Normalizes the config the broker actually runs with: the fault seed
+/// absorbs the cluster seed so two runs differing only in `seed` see
+/// different fault placements (with every site disarmed it is never read).
 ClusterConfig normalize(ClusterConfig cfg) {
-  checked_window(cfg.hedge.window);
   cfg.faults.seed ^= cfg.seed * 0x9e3779b97f4a7c15ULL;
   return cfg;
 }
@@ -96,12 +97,6 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
   service::PoissonArrivals arrivals(cfg_.arrival_qps, cfg_.seed);
   ResultCache cache(cfg_.cache_capacity, cfg_.cache_budget_bytes);
   HedgeController hedge(cfg_.hedge);
-  // Per-primary-replica occupancy trackers for the bottleneck-occupancy
-  // trigger (DESIGN.md §12): fed from every shard execution's per-resource
-  // busy durations, consulted before the percentile delay would even start.
-  std::vector<ReplicaOccupancy> occupancy(
-      nodes_.size(),
-      ReplicaOccupancy(cfg_.hedge.window, cfg_.hedge.min_samples));
   std::vector<service::QueueDepthTracker> depth(nodes_.size());
   // Per-run replica queues (replica 0 = primary): runs are independent and
   // a broker can replay any number of streams back to back. Breakers are
@@ -140,7 +135,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
     // Scatter: the query reaches every shard half an RTT after arrival and
     // queues behind a replica's backlog. Under faults each shard runs an
     // attempt loop — crash detection, exponential backoff, failover to the
-    // next replica, per-replica circuit breakers — bounded by max_attempts
+    // next replica, per-replica circuit breakers — bounded by kMaxAttempts
     // and (when set) the per-shard deadline. Shards that never answer are
     // dropped from the gather: a partial result with coverage < 1.
     sim::Duration critical;  // slowest shard response, broker-side clock
@@ -160,22 +155,11 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
       res.engine_overlap += part.metrics.overlap;
       res.faults += part.metrics.faults;
       const sim::Duration svc = part.metrics.total;
-      if (can_hedge &&
-          cfg_.hedge.trigger == HedgeTrigger::kBottleneckOccupancy) {
-        ReplicaOccupancy::Sample sample;
-        for (std::size_t rr = 0; rr < sim::kNumResources; ++rr) {
-          sample.busy[rr] =
-              part.metrics.overlap.busy(static_cast<sim::Resource>(rr));
-        }
-        sample.span = svc;
-        occupancy[s].record(sample);
-      }
 
       sim::Duration t_now = t_shard;
       bool answered = false;
       sim::Duration responded;
-      for (std::uint32_t attempt = 0; attempt < cfg_.max_attempts;
-           ++attempt) {
+      for (std::uint32_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
         if (deadline_on && t_now >= deadline_at) break;
         const std::uint32_t r = attempt % replicas;
         CircuitBreaker& breaker = breakers[s][r];
@@ -207,26 +191,12 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
         if (r == 0) depth[s].observe(t_now, c.done);
         responded = c.done;
 
-        // Hedge. Latency-percentile trigger: the broker's timer fires
-        // delay after the primary submit; if the primary still owes a
-        // reply, a live replica gets a copy. Bottleneck-occupancy trigger:
-        // the primary's windowed bottleneck-resource busy fraction is at
-        // threshold, so the copy is issued at submit time — the cause
-        // (saturation) is visible before the symptom (lag) develops.
-        if (can_hedge && r == 0 && cfg_.hedge.enabled) {
-          bool fire = false;
-          sim::Duration t_hedge = t_now;
-          if (cfg_.hedge.trigger == HedgeTrigger::kBottleneckOccupancy) {
-            const auto b = occupancy[s].bottleneck();
-            fire = b.has_value() &&
-                   *b >= cfg_.hedge.occupancy_threshold &&
-                   c.done > t_now;
-          } else if (const auto delay = hedge.delay();
-                     delay && c.done > t_now + *delay) {
-            fire = true;
-            t_hedge = t_now + *delay;
-          }
-          if (fire && breakers[s][1].allow(t_hedge) &&
+        // Hedge: the broker's timer fires delay after the primary submit;
+        // if the primary still owes a reply, a live replica gets a copy.
+        const auto delay = can_hedge && r == 0 ? hedge.delay() : std::nullopt;
+        if (delay && c.done > t_now + *delay) {
+          const sim::Duration t_hedge = t_now + *delay;
+          if (breakers[s][1].allow(t_hedge) &&
               !injector_.replica_down(s, 1, t_hedge)) {
             const service::Completion hedged =
                 servers[s][1].submit(t_hedge, svc);

@@ -69,10 +69,6 @@ struct ClusterConfig {
   /// reaches the shard. A shard that has not answered by then is dropped
   /// from the gather (partial result, coverage < 1). Zero disables it.
   sim::Duration shard_deadline;
-  /// Submission attempts per shard before giving up; attempt i goes to
-  /// replica (i mod replicas_per_shard). A crashed replica costs
-  /// kCrashDetect plus a kRetryBackoff * 2^i backoff (cluster/broker.cpp).
-  std::uint32_t max_attempts = 3;
   /// Per-replica circuit breaker; open breakers short-circuit attempts
   /// without paying kCrashDetect.
   BreakerConfig breaker;

@@ -43,7 +43,6 @@ void StepExecutor::begin_query(const Query& q, sim::Timeline* shared,
   query_id_ = q.id;
   step_index_ = 0;
   batch_group_ = 0;
-  leg_faulted_ = false;
   gpu_->begin_query(*tl_, q.id, release_);
 }
 
@@ -96,7 +95,7 @@ StepExecutor::StepTraits StepExecutor::traits(const PlanStep& step) {
     r.term = d->term;
     r.resource = gpu ? sim::Resource::kGpuCompute : sim::Resource::kCpu;
     t.stage = sim::Stage::kDecode;
-    t.gpu_chain = t.gpu_compute = t.dev_alloc = gpu;
+    t.gpu_compute = t.dev_alloc = gpu;
     t.fault_terms[t.num_fault_terms++] = d->term;
   } else if (const auto* i = std::get_if<IntersectStep>(&step)) {
     r.kind = StepKind::kIntersect;
@@ -107,7 +106,6 @@ StepExecutor::StepTraits StepExecutor::traits(const PlanStep& step) {
     r.resource = i->where == Placement::kCpu ? sim::Resource::kCpu
                                              : sim::Resource::kGpuCompute;
     t.stage = sim::Stage::kIntersect;
-    t.gpu_chain = i->where != Placement::kCpu;
     t.gpu_compute = i->where == Placement::kGpu;
     // A split's GPU leg allocates too; its *compute* fault is drawn inside
     // run_split, where losing the leg degrades only the device range.
@@ -121,7 +119,6 @@ StepExecutor::StepTraits StepExecutor::traits(const PlanStep& step) {
     r.migration = x->migration;
     r.resource = h2d ? sim::Resource::kCopyH2D : sim::Resource::kCopyD2H;
     t.stage = sim::Stage::kTransfer;
-    t.gpu_chain = true;
     // Only the H2D direction allocates on the device; a D2H drain lands in
     // pinned host memory. A transfer names no terms to retire: the
     // intermediate is not a cached list.
@@ -132,7 +129,7 @@ StepExecutor::StepTraits StepExecutor::traits(const PlanStep& step) {
     r.term = p->term;
     r.resource = sim::Resource::kCopyH2D;
     t.stage = sim::Stage::kTransfer;
-    t.gpu_chain = t.dev_alloc = true;
+    t.dev_alloc = true;
   } else if (const auto* h = std::get_if<HostDecodeStep>(&step)) {
     r.kind = StepKind::kHostDecode;  // host work: kCpu placement/resource
     r.term = h->term;
@@ -173,13 +170,11 @@ void StepExecutor::abandon_gpu_step(const StepTraits& t, bool oom,
                                     StepRecord& rec, QueryMetrics& m) {
   const sim::Duration waste =
       sim::Duration::from_us(oom ? kOomReplanCostUs : kGpuFaultCostUs);
-  gpu_->set_chain(frontier_);
-  gpu_->charge_fault(waste, t.stage);  // one compute op of wasted time
+  gpu_->charge_fault(waste, t.stage, frontier_);  // one compute op
   // The simulated ECC error retires the step's lists' cached pages.
   gpu_->fault_reset(std::span<const index::TermId>(t.fault_terms.data(),
                                                    t.num_fault_terms),
                     m);
-  frontier_ = gpu_->chain();
   if (oom) {
     ++m.faults.oom_degraded_steps;
     m.faults.oom_recovery += waste;
@@ -195,63 +190,59 @@ void StepExecutor::abandon_gpu_step(const StepTraits& t, bool oom,
 sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
                                             const Query& q, QueryResult& res) {
   QueryMetrics& m = res.metrics;
+  sim::Timeline::Event at = frontier_;
   if (const auto* d = std::get_if<DecodeStep>(&step)) {
     if (d->where == Placement::kGpu) {
-      gpu_->load_single(d->term, m);
+      gpu_->load_single(d->term, at, m);
       loc_ = Placement::kGpu;
-      return gpu_->chain();
+      return at;
     }
     loc_ = Placement::kCpu;
     return cpu_op(svs_->decode_single(d->term, host_current_, m),
-                  sim::Stage::kDecode, frontier_);
+                  sim::Stage::kDecode, at);
   }
   if (const auto* i = std::get_if<IntersectStep>(&step)) {
     if (i->where == Placement::kSplit) return run_split(*i, m);
     if (i->where == Placement::kGpu) {
       // A first pair decodes its shorter list as the intermediate: the same
       // ratio, kernels and ledger order as intersecting with one.
-      if (i->first_pair) gpu_->load_single(i->probe_term, m);
-      gpu_->intersect_next(i->term, m);
+      if (i->first_pair) gpu_->load_single(i->probe_term, at, m);
+      gpu_->intersect_next(i->term, at, m);
       loc_ = Placement::kGpu;
-      return gpu_->chain();
+      return at;
     }
     const sim::Duration d =
         i->first_pair ? svs_->first_pair(i->probe_term, i->term,
                                          host_current_, m)
                       : svs_->next_step(host_current_, i->term, m);
     loc_ = Placement::kCpu;
-    return cpu_op(d, sim::Stage::kIntersect, frontier_);
+    return cpu_op(d, sim::Stage::kIntersect, at);
   }
   if (const auto* t = std::get_if<TransferStep>(&step)) {
     if (t->direction == TransferDirection::kHostToDevice) {
-      gpu_->upload_intermediate(host_current_, m);
+      gpu_->upload_intermediate(host_current_, at, m);
       loc_ = Placement::kGpu;
     } else {
       // Leaving the device: any in-flight prefetch has lost its consumer
       // (migration or final drain), so it is dropped here.
       gpu_->drop_prefetches(m);
       host_current_ =
-          gpu_->download_intermediate(gpu_->intermediate_count(), m);
+          gpu_->download_intermediate(gpu_->intermediate_count(), at, m);
       loc_ = Placement::kCpu;
     }
     if (t->migration) ++m.migrations;
-    return gpu_->chain();
+    return at;
   }
   if (const auto* p = std::get_if<PrefetchStep>(&step)) {
-    // Intermediate, location and chain unchanged: later steps don't wait
-    // on a prefetch unless they consume it.
-    gpu_->prefetch(p->term, m);
-    return frontier_;
+    return gpu_->prefetch(p->term, m);
   }
   if (const auto* h = std::get_if<HostDecodeStep>(&step)) {
     // Inter-step pipelining (DESIGN.md §15): the host core decodes a later
     // term while the device runs the current step. Recorded on the CPU
     // stream — later CPU ops serialize behind it, which is what makes the
-    // work-ahead honest — but waiting on nothing and never advancing the
-    // plan frontier: no step *depends* on it, a consumer simply finds the
-    // list in the decoded cache.
-    cpu_op(svs_->decode_ahead(h->term, m), sim::Stage::kDecode, {});
-    return frontier_;
+    // work-ahead honest — a consumer simply finds the list in the decoded
+    // cache.
+    return cpu_op(svs_->decode_ahead(h->term, m), sim::Stage::kDecode, {});
   }
   // RankStep: BM25 + partial_sort on the host. Scoring uses the query's
   // original term order, not the SvS length order: float accumulation order
@@ -263,7 +254,7 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
   scorer_->score(q.terms, host_current_, res.topk, rank);
   cpu::top_k(res.topk, q.k, rank);
   m.simd += rank.simd();
-  return cpu_op(rank.time(), sim::Stage::kRank, frontier_);
+  return cpu_op(rank.time(), sim::Stage::kRank, at);
 }
 
 sim::Timeline::Event StepExecutor::run_cpu_leg(
@@ -279,26 +270,24 @@ sim::Timeline::Event StepExecutor::run_cpu_leg(
 }
 
 std::optional<sim::Timeline::Event> StepExecutor::lose_split_leg(
-    index::TermId t, std::uint64_t n_gpu, QueryMetrics& m) {
+    index::TermId t, std::uint64_t n_gpu, sim::Timeline::Event at,
+    QueryMetrics& m) {
   if (n_gpu == 0 ||
       !injector_->gpu_step_fault(fault_scope_, query_id_, step_index_)) {
     return std::nullopt;
   }
   const sim::Duration waste = sim::Duration::from_us(kGpuFaultCostUs);
-  gpu_->charge_fault(waste, sim::Stage::kIntersect);
+  gpu_->charge_fault(waste, sim::Stage::kIntersect, at);
   const index::TermId ft[1] = {t};
   gpu_->fault_reset(std::span<const index::TermId>(ft, 1), m);
   ++m.faults.gpu_faults;
   ++m.faults.split_leg_faults;
   m.faults.gpu_wasted += waste;
-  leg_faulted_ = true;
-  return gpu_->chain();
+  return at;
 }
 
 sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
                                              QueryMetrics& m) {
-  const sim::Timeline::Event entry = frontier_;
-
   // The probes on the host: the CPU leg's range [0, n_cpu), and the GPU
   // leg's range [n_cpu, n) too when they started host-side or that leg is
   // lost and redone here.
@@ -306,35 +295,31 @@ sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
   std::vector<codec::DocId> cpu_out;
   std::vector<codec::DocId> gpu_partial;
   std::uint64_t n_cpu = 0;
-  sim::Timeline::Event cpu_ready = entry;
-  sim::Timeline::Event gpu_done = entry;
+  sim::Timeline::Event cpu_ready = frontier_;
+  sim::Timeline::Event gpu_done = frontier_;
   std::optional<sim::Timeline::Event> fault;
 
   if (loc_ == Placement::kGpu) {
     // Device-resident probes: only the CPU leg's low prefix crosses back
     // over PCIe; the kernels search the high suffix in place via the
     // probe_offset. The prefix D2H and the GPU leg run on different
-    // resources, so the kernels are chained on the step entry, not on the
+    // resources, so the kernels wait on the frontier, not on the
     // download — only the CPU leg waits the copy out.
     const std::uint64_t n = gpu_->intermediate_count();
     const std::uint64_t n_gpu = split_share(i.alpha, n);
     n_cpu = n - n_gpu;
-    gpu_->set_chain(entry);
-    fault = lose_split_leg(i.term, n_gpu, m);
+    fault = lose_split_leg(i.term, n_gpu, frontier_, m);
     if (fault) {
       // The lost leg consumed nothing: drain the WHOLE intermediate, so
       // both docID ranges run through the CPU stepper below.
-      probes_storage = gpu_->download_intermediate(n, m);
-      cpu_ready = gpu_->chain();
+      cpu_ready = *fault;
+      probes_storage = gpu_->download_intermediate(n, cpu_ready, m);
     } else {
       if (n_cpu > 0) {
-        probes_storage = gpu_->download_intermediate(n_cpu, m);
-        cpu_ready = gpu_->chain();
-        gpu_->set_chain(entry);
+        probes_storage = gpu_->download_intermediate(n_cpu, cpu_ready, m);
       }
       if (n_gpu > 0) {
-        gpu_partial = gpu_->split_intersect_device(i.term, n_cpu, m);
-        gpu_done = gpu_->chain();
+        gpu_partial = gpu_->split_intersect_device(i.term, n_cpu, gpu_done, m);
       }
     }
     // The merged result lands host-side: the device probes are spent.
@@ -346,22 +331,20 @@ sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
     if (i.first_pair) {
       cpu_ready =
           cpu_op(svs_->materialize_probes(i.probe_term, probes_storage, m),
-                 sim::Stage::kIntersect, entry);
+                 sim::Stage::kIntersect, frontier_);
     } else {
       probes_storage.swap(host_current_);
     }
     const std::uint64_t n_gpu = split_share(i.alpha, probes_storage.size());
     n_cpu = probes_storage.size() - n_gpu;
-    gpu_->set_chain(cpu_ready);
     gpu_done = cpu_ready;
     // A GPU leg lost over host-resident probes never moved them: its range
     // is simply redone host-side below.
-    fault = lose_split_leg(i.term, n_gpu, m);
+    fault = lose_split_leg(i.term, n_gpu, cpu_ready, m);
     if (!fault && n_gpu > 0) {
       gpu_partial = gpu_->split_intersect_host(
           i.term, std::span<const codec::DocId>(probes_storage).subspan(n_cpu),
-          m);
-      gpu_done = gpu_->chain();
+          gpu_done, m);
     }
   }
 
@@ -418,6 +401,7 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
   rec.query = query_id_;
   const std::size_t ops0 = tl_->num_ops();
   const std::uint64_t kernels0 = m.gpu_kernels;
+  const std::uint64_t legs0 = m.faults.split_leg_faults;
   const sim::SimdCounters simd0 = m.simd;
 
   // Pre-dispatch fault checks (DESIGN.md §11/§16): every fault fires before
@@ -438,34 +422,34 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
     ++m.faults.prefetch_faults;
     rec.faulted = true;
   } else {
-    if (t.gpu_chain) gpu_->set_chain(frontier_);
-    // The recovering OOM rungs run inside the step (chained on the
-    // frontier), so their ops land in this step's record and the retried
-    // allocation waits the recovery out on the timeline.
+    // The recovering OOM rungs run inside the step (waiting on the
+    // frontier and advancing it), so their ops land in this step's record
+    // and the retried allocation waits the recovery out on the timeline.
     if (fault == FaultAction::kEvict) {
-      gpu_->oom_evict(m);
-      frontier_ = gpu_->chain();
+      gpu_->oom_evict(frontier_, m);
     } else if (fault == FaultAction::kUnfuse) {
       // Shrinking the fused launch back to a single query frees the K-way
       // working set; the relaunch overhead is the recovery cost. Only the
       // faulted query unfuses — co-batched lanes keep their tag.
       const sim::Duration d = sim::Duration::from_us(kOomUnfuseCostUs);
-      gpu_->charge_fault(d, t.stage);
+      gpu_->charge_fault(d, t.stage, frontier_);
       m.faults.oom_recovery += d;
       ++m.faults.oom_unfused;
       set_batch(1, 0);
-      frontier_ = gpu_->chain();
     }
     rec.batch_group = batch_group_;
-    frontier_ = dispatch(step, q, res);
-    if (leg_faulted_) {
-      // run_split lost its GPU leg but completed the step host-side: the
-      // caller pins the remainder of the plan to the CPU (the device is no
-      // longer trusted for this query).
-      rec.leg_faulted = true;
-      leg_faulted_ = false;
-      status = StepStatus::kOkForceCpu;
+    const sim::Timeline::Event done = dispatch(step, q, res);
+    // The one rule for side bets: a prefetch or host decode waits on
+    // nothing in the plan, so nothing in the plan waits on it — only a
+    // consumer of its list does, through the cache it fills.
+    if (rec.kind != StepKind::kPrefetch && rec.kind != StepKind::kHostDecode) {
+      frontier_ = done;
     }
+    // A split that lost its GPU leg completed host-side: the caller pins
+    // the remainder of the plan to the CPU (the device is no longer
+    // trusted for this query).
+    rec.leg_faulted = m.faults.split_leg_faults != legs0;
+    if (rec.leg_faulted) status = StepStatus::kOkForceCpu;
   }
 
   rec.output_count = intermediate_count();

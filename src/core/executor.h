@@ -132,7 +132,6 @@ class StepExecutor : public ResidencyProbe {
   struct StepTraits {
     StepRecord rec;  ///< kind, placement, term, shape, alpha, resource, ...
     sim::Stage stage = sim::Stage::kIntersect;  ///< where recovery lands
-    bool gpu_chain = false;    ///< dispatch chains device ops off the frontier
     bool gpu_compute = false;  ///< kGpu-placed kernels (device-fault site)
     bool dev_alloc = false;    ///< allocates device memory (OOM site)
     /// The lists whose cached pages an abandon retires.
@@ -159,7 +158,8 @@ class StepExecutor : public ResidencyProbe {
   /// faulted.
   void abandon_gpu_step(const StepTraits& t, bool oom, StepRecord& rec,
                         QueryMetrics& m);
-  /// Executes the step on its backend and returns the new plan frontier.
+  /// Executes the step on its backend, waiting on the frontier, and returns
+  /// its completion.
   sim::Timeline::Event dispatch(const PlanStep& step, const Query& q,
                                 QueryResult& res);
   /// Records `d` of host work as one CPU-stream op of `stage`.
@@ -175,11 +175,12 @@ class StepExecutor : public ResidencyProbe {
   sim::Timeline::Event run_split(const IntersectStep& i, QueryMetrics& m);
   /// Draws the device fault for a split's GPU leg of `n_gpu` probes (none
   /// for an empty leg) before its kernels consume anything (DESIGN.md §16).
-  /// On a hit: charges the wasted device time on the GPU chain, retires
-  /// term t's cached pages, counts the lost leg and marks the step
-  /// leg-faulted, returning the fault's completion; nullopt otherwise.
+  /// On a hit: charges the wasted device time waiting on `at`, retires term
+  /// t's cached pages and counts the lost leg (run() reads that count),
+  /// returning the fault's completion; nullopt otherwise.
   std::optional<sim::Timeline::Event> lose_split_leg(index::TermId t,
                                                      std::uint64_t n_gpu,
+                                                     sim::Timeline::Event at,
                                                      QueryMetrics& m);
   /// The CPU leg of run_split: partial_step over the probe prefix, recorded
   /// as one CPU-stream op waiting on `ready`. Returns its completion (or
@@ -214,14 +215,10 @@ class StepExecutor : public ResidencyProbe {
   sim::Timeline::ScopeId scope_ = 0;   ///< this query's accounting scope
   std::uint64_t batch_group_ = 0;      ///< current batch tag for records
   sim::Timeline::StreamId cpu_stream_ = 0;
-  /// The plan frontier: completion of the latest step every later dependent
-  /// op must wait on. GPU steps advance it through the GpuExecutor's chain;
-  /// prefetch and host-decode steps deliberately leave it alone.
+  /// The plan frontier, the only record of what the next step waits on:
+  /// completion of the latest step every later dependent op must wait on.
+  /// run() assigns it.
   sim::Timeline::Event frontier_;
-  /// Set by run_split when an injected device fault killed the GPU leg
-  /// (the step still completed, host-side); consumed by run(), which marks
-  /// the StepRecord and returns kOkForceCpu.
-  bool leg_faulted_ = false;
 };
 
 }  // namespace griffin::core

@@ -65,7 +65,7 @@ struct RankStep {};
 /// Start the H2D upload of a later intersect's longer list on the copy
 /// engine, without waiting for it: on the asynchronous timeline
 /// (DESIGN.md §10) the transfer overlaps the preceding step's kernels. The
-/// planner stages one whenever it places an intersect on the GPU and the
+/// planner queues one whenever it places an intersect on the GPU and the
 /// following term's list is neither device-resident nor oversized; the
 /// executor drops unconsumed prefetches when the plan migrates to the CPU.
 struct PrefetchStep {
@@ -74,12 +74,11 @@ struct PrefetchStep {
 
 /// Decode a later intersect's longer list on the host, into the decoded
 /// cache, while the GPU runs the current step (inter-step pipelining,
-/// DESIGN.md §15): the planner stages one when the current intersect keeps
+/// DESIGN.md §15): the planner queues one when the current intersect keeps
 /// the device busy, the *next* term is predicted to be intersected on the
-/// CPU, and the decode is short enough to hide under the device work. Like
-/// kPrefetch it never advances the plan frontier; the host core serializes
-/// it before later CPU ops (one core), which is exactly the idle window it
-/// fills. Never changes results.
+/// CPU, and the decode is short enough to hide under the device work. The
+/// host core serializes it before later CPU ops (one core), which is
+/// exactly the idle window it fills. Never changes results.
 struct HostDecodeStep {
   index::TermId term = 0;
 };

@@ -12,7 +12,7 @@ namespace {
 /// prefetch would, hidden or not. 2x the GPU path crossover.
 constexpr double kPrefetchRatioLimit = 256.0;
 
-/// A prefetch staged during a CPU-placed intersect is only worth paying for
+/// A prefetch queued behind a CPU-placed intersect is only worth paying for
 /// when the predicted device consumer survives the intersect cutting the
 /// intermediate: the prediction must also hold at probe size shorter / this
 /// factor, else the upload is pure loss the moment the shrunken ratio
@@ -41,47 +41,46 @@ StepShape Planner::shape_for(std::uint64_t shorter, index::TermId longer_term,
 }
 
 void Planner::rewind(const PlanStep& step) {
+  clear();
   const auto* i = std::get_if<IntersectStep>(&step);
   if (i != nullptr && !i->first_pair) {
     // Un-consume the faulted step's term; next() re-decides it at the
-    // current intermediate, CPU-pinned — which triggers the normal
-    // migration Transfer + pending-Intersect sequence when the intermediate
-    // is device-resident.
+    // current intermediate, CPU-pinned — which queues the normal migration
+    // when the intermediate is device-resident.
     --next_term_;
-    stage_ = Stage::kIntersect;
     return;
   }
   // A single-term decode or the first pair: no intermediate existed yet, so
-  // replay from the start; the re-emitted step runs on the host.
+  // restart at the first step; the re-emitted step runs on the host.
   assert(i != nullptr || std::holds_alternative<DecodeStep>(step));
-  stage_ = Stage::kStart;
   next_term_ = 0;
 }
 
 void Planner::degrade_to_cpu(const PlanStep& step) {
-  force_cpu();  // also drops the staged bets on the faulted step
+  forced_cpu_ = true;
   rewind(step);
 }
 
 void Planner::force_cpu() {
   forced_cpu_ = true;
-  // Staged bets assumed a healthy device: the executor's recovery discarded
-  // the in-flight uploads, and the host core is about to be busy anyway.
-  staged_prefetch_.reset();
-  staged_host_decode_.reset();
+  // A queued bet assumed a healthy device: the executor's recovery
+  // discarded the in-flight uploads, and the host core is about to be busy
+  // anyway.
+  clear();
 }
 
 void Planner::degrade_step_to_cpu(const PlanStep& step) {
-  staged_prefetch_.reset();
-  staged_host_decode_.reset();
   if ([[maybe_unused]] const auto* t = std::get_if<TransferStep>(&step)) {
     // The H2D migration's device allocation failed before the upload, so
-    // the intermediate never left the host. The already-decided pending
-    // intersect simply runs there: flip it in place, no transfer needed.
-    assert(stage_ == Stage::kPendingIntersect &&
-           t->direction == TransferDirection::kHostToDevice);
-    pending_.where = Placement::kCpu;
-    pending_.alpha = 0.0;
+    // the intermediate never left the host. The already-decided intersect
+    // queued behind it simply runs there, and its bet is dropped.
+    assert(t->direction == TransferDirection::kHostToDevice &&
+           std::holds_alternative<IntersectStep>(queue_[tail_ - 1]));
+    IntersectStep i = std::get<IntersectStep>(queue_[tail_ - 1]);
+    i.where = Placement::kCpu;
+    i.alpha = 0.0;
+    clear();
+    push(i);
     return;
   }
   force_next_cpu_ = true;
@@ -99,30 +98,38 @@ void Planner::place(IntersectStep& step) {
   if (step.where == Placement::kSplit) {
     step.alpha = sched_->split_alpha(step.shape);
   }
-  maybe_stage_prefetch(step);
-  maybe_stage_host_decode(step);
 }
 
-void Planner::maybe_stage_prefetch(const IntersectStep& step) {
+void Planner::queue_bet(const IntersectStep& step) {
+  if (next_term_ >= terms_.size() || step.shape.shorter == 0) return;
+  const index::TermId nxt = terms_[next_term_];
+  if (prefetch_pays(step, nxt)) {
+    push(PrefetchStep{nxt});
+  } else if (host_decode_pays(step, nxt)) {
+    // Only when no prefetch bets on a device consumer of the same term:
+    // don't also bet the host core on the opposite outcome.
+    push(HostDecodeStep{nxt});
+  }
+}
+
+bool Planner::prefetch_pays(const IntersectStep& step,
+                            index::TermId nxt) const {
   const SchedulerOptions& o = sched_->options();
-  if (!o.prefetch) return;
+  if (!o.prefetch) return false;
   // A degraded query never bets an upload on the device it just stopped
   // trusting: every later consumer is CPU-pinned, so the copy would be pure
   // loss (and, armed, a pointless extra fault site).
-  if (forced_cpu_) return;
-  if (next_term_ >= terms_.size()) return;  // no later list to move
-  const index::TermId nxt = terms_[next_term_];
-  if (probe_->device_resident(nxt) || probe_->prefetched(nxt)) return;
-  if (step.shape.shorter == 0) return;
+  if (forced_cpu_) return false;
+  if (probe_->device_resident(nxt) || probe_->prefetched(nxt)) return false;
   if (step.where == Placement::kCpu) {
     // Inter-step pipelining (DESIGN.md §15): during a CPU-placed intersect
     // the copy engine sits idle, but an upload is only worth issuing when
     // the next step is actually predicted to consume the list on the
     // device (optimistic shape — the intermediate only shrinks).
-    if (!o.pipeline_idle) return;
+    if (!o.pipeline_idle) return false;
     const Placement nxt_where =
         sched_->decide(shape_for(step.shape.shorter, nxt, Placement::kCpu));
-    if (nxt_where == Placement::kCpu) return;
+    if (nxt_where == Placement::kCpu) return false;
     // The CPU intersect running under this upload usually cuts the probe
     // hard, and a smaller probe re-favors the host (the ratio grows). The
     // device prediction must survive a pessimistic shrink too, or the copy
@@ -133,7 +140,7 @@ void Planner::maybe_stage_prefetch(const IntersectStep& step) {
         1);
     if (sched_->decide(shape_for(shrunk, nxt, Placement::kCpu)) ==
         Placement::kCpu) {
-      return;
+      return false;
     }
   }
   // Gate on the ratio as known *now* (the intermediate only shrinks, so
@@ -141,33 +148,25 @@ void Planner::maybe_stage_prefetch(const IntersectStep& step) {
   // deferred transfer beats even a hidden full-payload upload.
   const double ratio = static_cast<double>(idx_->list(nxt).size()) /
                        static_cast<double>(step.shape.shorter);
-  if (ratio >= kPrefetchRatioLimit) return;
-  staged_prefetch_ = nxt;
+  return ratio < kPrefetchRatioLimit;
 }
 
-void Planner::maybe_stage_host_decode(const IntersectStep& step) {
-  const SchedulerOptions& o = sched_->options();
-  if (!o.pipeline_idle || step.where != Placement::kGpu) return;
-  if (next_term_ >= terms_.size()) return;  // no later list to decode
-  const index::TermId nxt = terms_[next_term_];
-  if (probe_->host_decoded(nxt)) return;  // nothing to work ahead on
-  if (step.shape.shorter == 0) return;
-  // A prefetch of the same term bets on a device consumer; don't also bet
-  // the host core on the opposite outcome.
-  if (staged_prefetch_.has_value() && *staged_prefetch_ == nxt) return;
+bool Planner::host_decode_pays(const IntersectStep& step,
+                               index::TermId nxt) const {
+  if (!sched_->options().pipeline_idle || step.where != Placement::kGpu) {
+    return false;
+  }
+  if (probe_->host_decoded(nxt)) return false;  // nothing to work ahead on
   // Work ahead only when the next step is predicted to run host-side (the
   // decode helps nobody otherwise) and the decode fits under the device
   // step's estimated time — a longer decode would stall the plan frontier
   // it was meant to hide under.
   const Placement nxt_where =
       sched_->decide(shape_for(step.shape.shorter, nxt, Placement::kGpu));
-  if (nxt_where != Placement::kCpu) return;
+  if (nxt_where != Placement::kCpu) return false;
   const auto& list = idx_->list(nxt).docids;
-  if (sched_->estimate_host_decode(list.size(), list.scheme()) >
-      sched_->estimate_gpu(step.shape)) {
-    return;
-  }
-  staged_host_decode_ = nxt;
+  return sched_->estimate_host_decode(list.size(), list.scheme()) <=
+         sched_->estimate_gpu(step.shape);
 }
 
 void Planner::begin(const Query& q) {
@@ -177,45 +176,30 @@ void Planner::begin(const Query& q) {
               return idx_->list(a).size() < idx_->list(b).size();
             });
   next_term_ = 0;
-  stage_ = terms_.empty() ? Stage::kDone : Stage::kStart;
-  staged_prefetch_.reset();
-  staged_host_decode_.reset();
+  clear();
   forced_cpu_ = false;
   force_next_cpu_ = false;
 }
 
-std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
-                                      std::optional<Placement> location) {
-  // A prefetch staged alongside the previous intersect goes out first,
-  // whatever the plan does next: the host issued the async copy when it
-  // issued that intersect, and an async copy cannot be recalled.
-  if (staged_prefetch_.has_value()) {
-    const index::TermId t = *staged_prefetch_;
-    staged_prefetch_.reset();
-    return PrefetchStep{t};
+void Planner::decide(std::uint64_t intermediate_count,
+                     std::optional<Placement> location) {
+  clear();
+  if (terms_.empty()) return;  // the Rank went out: the plan is complete
+  if (next_term_ == 0 && terms_.size() == 1) {
+    // Ranking is host-side (paper Figure 7), so a single-term query
+    // decodes on the host — a GPU decode would round-trip the whole list
+    // over PCIe for nothing. Only the static GPU baseline (kAlwaysGpu,
+    // i.e. the GPU-only engine) is forced to the device.
+    const bool pin_cpu = take_cpu_pin();
+    const Placement where =
+        !pin_cpu && sched_->options().policy == SchedulerPolicy::kAlwaysGpu
+            ? Placement::kGpu
+            : Placement::kCpu;
+    next_term_ = 1;
+    push(DecodeStep{terms_[0], where});
+    return;
   }
-  // Likewise for a staged host work-ahead: the host core started decoding
-  // when the device step was issued.
-  if (staged_host_decode_.has_value()) {
-    const index::TermId t = *staged_host_decode_;
-    staged_host_decode_.reset();
-    return HostDecodeStep{t};
-  }
-
-  if (stage_ == Stage::kStart) {
-    if (terms_.size() == 1) {
-      // Ranking is host-side (paper Figure 7), so a single-term query
-      // decodes on the host — a GPU decode would round-trip the whole list
-      // over PCIe for nothing. Only the static GPU baseline (kAlwaysGpu,
-      // i.e. the GPU-only engine) is forced to the device.
-      const bool pin_cpu = take_cpu_pin();
-      const Placement where =
-          !pin_cpu && sched_->options().policy == SchedulerPolicy::kAlwaysGpu
-              ? Placement::kGpu
-              : Placement::kCpu;
-      stage_ = Stage::kDrain;
-      return DecodeStep{terms_[0], where};
-    }
+  if (next_term_ == 0) {
     // First pair: no intermediate yet, decide on the raw list lengths.
     IntersectStep step;
     step.term = terms_[1];
@@ -224,58 +208,49 @@ std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
     step.shape = shape_for(idx_->list(terms_[0]).size(), terms_[1],
                            std::nullopt);
     next_term_ = 2;
-    stage_ = Stage::kIntersect;
     place(step);
-    return step;
+    push(step);
+    queue_bet(step);
+    return;
   }
-
-  if (stage_ == Stage::kPendingIntersect) {
-    stage_ = Stage::kIntersect;
-    return pending_;
-  }
-
-  if (stage_ == Stage::kIntersect) {
-    if (next_term_ >= terms_.size() || intermediate_count == 0) {
-      stage_ = Stage::kDrain;
+  if (next_term_ < terms_.size() && intermediate_count != 0) {
+    IntersectStep step;
+    step.term = terms_[next_term_];
+    step.shape = shape_for(intermediate_count, terms_[next_term_], location);
+    ++next_term_;
+    place(step);
+    // A split step consumes the intermediate wherever it lives (the
+    // executor partitions in place, downloading only the CPU leg's prefix
+    // when it is device-resident), so no migration transfer precedes it.
+    if (location.has_value() && step.where != Placement::kSplit &&
+        step.where != *location) {
+      // Migrate first; the bet goes out with the migration, and the
+      // already-decided intersect follows it.
+      push(TransferStep{step.where == Placement::kGpu
+                            ? TransferDirection::kHostToDevice
+                            : TransferDirection::kDeviceToHost,
+                        /*migration=*/true});
+      queue_bet(step);
+      push(step);
     } else {
-      IntersectStep step;
-      step.term = terms_[next_term_];
-      step.shape = shape_for(intermediate_count, terms_[next_term_], location);
-      ++next_term_;
-      place(step);
-      // A split step consumes the intermediate wherever it lives (the
-      // executor partitions in place, downloading only the CPU leg's prefix
-      // when it is device-resident), so no migration transfer precedes it.
-      if (location.has_value() && step.where != Placement::kSplit &&
-          step.where != *location) {
-        // Migrate first; the already-decided intersect stays pending (the
-        // decision is never re-evaluated at the new location).
-        pending_ = step;
-        stage_ = Stage::kPendingIntersect;
-        return TransferStep{step.where == Placement::kGpu
-                                ? TransferDirection::kHostToDevice
-                                : TransferDirection::kDeviceToHost,
-                            /*migration=*/true};
-      }
-      return step;
+      push(step);
+      queue_bet(step);
     }
+    return;
   }
-
-  if (stage_ == Stage::kDrain) {
-    stage_ = Stage::kRank;
-    if (location == Placement::kGpu) {
-      // Final drain before host-side ranking; not a migration.
-      return TransferStep{TransferDirection::kDeviceToHost,
-                          /*migration=*/false};
-    }
+  // Final drain before host-side ranking; not a migration.
+  if (location == Placement::kGpu) {
+    push(TransferStep{TransferDirection::kDeviceToHost, /*migration=*/false});
   }
+  push(RankStep{});
+  terms_.clear();
+}
 
-  if (stage_ == Stage::kRank) {
-    stage_ = Stage::kDone;
-    return RankStep{};
-  }
-
-  return std::nullopt;
+std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
+                                      std::optional<Placement> location) {
+  if (head_ == tail_) decide(intermediate_count, location);
+  if (head_ == tail_) return std::nullopt;
+  return queue_[head_++];
 }
 
 }  // namespace griffin::core

@@ -7,22 +7,23 @@
 // to the actual selectivity of the query, exactly as the monolithic engine
 // loops used to.
 //
-// State machine (DESIGN.md §8 has the diagram):
+// The plan state is one queue of steps decided but not yet emitted, in
+// emission order. A decision is made only when the queue is empty, and
+// queues one of:
 //
-//   Start ── 1 term ──> Decode ─────────────────────────┐
-//     │                                                 v
-//     └─ first pair ─> Intersect ─┬─> [Transfer] ─> Intersect ... ─┐
-//                                 │   (placement flip)             │
-//                                 └────── result empty ────────────┤
-//                                                                  v
-//                               [Transfer D2H if on GPU] ──> Rank ─> done
+//   single-term query        [Decode]
+//   first pair / same place  [Intersect, bet?]
+//   placement flip           [Transfer (migration), bet?, Intersect]
+//   nothing left / empty     [Transfer D2H if on GPU, Rank]
 //
-// A mid-query placement flip emits the Transfer first and holds the decided
-// Intersect pending — the decision is made once per step, before the
-// migration, never re-evaluated after it (re-deciding with the new location
-// could flip back and oscillate).
+// `bet` is a Prefetch or a HostDecode of the following term. A flip decides
+// its Intersect once, before the migration, and never re-evaluates it at
+// the new location (re-deciding could flip back and oscillate). Recovery
+// hooks are queue operations: they clear the queue, un-consume a term or
+// flip the queued Intersect in place.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -55,7 +56,7 @@ class Planner {
       : idx_(&idx), sched_(&sched), probe_(&probe) {}
 
   /// Starts planning a query: orders its terms shortest-list-first (SvS,
-  /// Culpepper & Moffat [11]) and resets the state machine.
+  /// Culpepper & Moffat [11]) and empties the queue.
   void begin(const Query& q);
 
   /// Emits the next step given the executed plan's current state: the
@@ -65,32 +66,29 @@ class Planner {
                                std::optional<Placement> location);
 
   /// Degraded execution after an injected GPU device fault (DESIGN.md §11):
-  /// `step` is the GPU compute step the executor abandoned. The state
-  /// machine rewinds so the same logical step is re-emitted — and every
-  /// placement decision from here on is forced to the CPU, which reuses the
-  /// existing migration path to drain the (intact) device intermediate and
-  /// finish the query host-side. Results stay bit-identical to the
-  /// fault-free run; only the timing carries the wasted device charge.
+  /// `step` is the GPU compute step the executor abandoned. Pins every
+  /// remaining decision to the CPU, then rewinds so the same logical step
+  /// is re-decided — which reuses the existing migration path to drain the
+  /// (intact) device intermediate and finish the query host-side. Results
+  /// stay bit-identical to the fault-free run; only the timing carries the
+  /// wasted device charge.
   void degrade_to_cpu(const PlanStep& step);
 
   /// Rung 3 of the OOM degradation ladder (DESIGN.md §16): the executor
   /// abandoned `step` because its device allocation failed with nothing
   /// left to evict or unfuse. Rewinds like degrade_to_cpu but pins only the
-  /// re-emitted decision to the CPU — memory pressure is transient, so
-  /// later steps decide freely and may return to the device. A faulted H2D
-  /// migration flips its pending intersect host-side in place (the
-  /// intermediate never left the host, so no step is re-emitted at all).
+  /// re-decided step to the CPU — memory pressure is transient, so later
+  /// steps decide freely and may return to the device. A faulted H2D
+  /// migration keeps only its queued intersect, flipped host-side (the
+  /// intermediate never left the host, so nothing is re-decided).
   void degrade_step_to_cpu(const PlanStep& step);
 
-  /// Pins every remaining decision to the CPU without rewinding — the
-  /// split-leg fault path (DESIGN.md §16): the step completed (CPU leg +
-  /// host-side redo of the GPU range), but the device is no longer trusted
-  /// for this query. Also drops staged prefetch/work-ahead bets.
+  /// Pins every remaining decision to the CPU and clears the queue without
+  /// rewinding — the split-leg fault path (DESIGN.md §16): the step
+  /// completed (CPU leg + host-side redo of the GPU range), but the device
+  /// is no longer trusted for this query. A split never migrates, so its
+  /// side bet is all the queue can hold.
   void force_cpu();
-
-  /// All placement decisions are pinned to the CPU for the rest of this
-  /// query (set by degrade_to_cpu/force_cpu, cleared by begin).
-  bool forced_cpu() const { return forced_cpu_; }
 
   /// The StepShape the scheduler would decide on for intersecting an
   /// intermediate of `shorter` docs at `location` with `longer_term` — the
@@ -102,17 +100,16 @@ class Planner {
   const Scheduler& scheduler() const { return *sched_; }
 
  private:
-  enum class Stage : std::uint8_t {
-    kStart,
-    kIntersect,         ///< choose + emit the next intersect (or finish)
-    kPendingIntersect,  ///< a transfer was emitted; its intersect is queued
-    kDrain,             ///< emit the final D2H transfer if still on GPU
-    kRank,
-    kDone,
-  };
+  /// Fills the empty queue with the next decision (see the table above).
+  void decide(std::uint64_t intermediate_count,
+              std::optional<Placement> location);
 
-  /// Rewinds the state machine so the abandoned decode or intersect `step`
-  /// is re-emitted by the next call to next().
+  void push(const PlanStep& step) { queue_[tail_++] = step; }
+  void clear() { head_ = tail_ = 0; }
+
+  /// Clears the queue and un-consumes the abandoned decode or intersect
+  /// `step`'s term, or restarts at the first pair, so the next call to
+  /// next() re-decides it.
   void rewind(const PlanStep& step);
 
   /// Whether the decision about to be made is pinned to the CPU (a degraded
@@ -120,38 +117,42 @@ class Planner {
   bool take_cpu_pin();
 
   /// Decides where `step` runs — the CPU when pinned, else the scheduler's
-  /// three-way choice plus the split share — and stages the side bets on
-  /// the following term (next_term_ must already point past `step`).
+  /// three-way choice plus the split share.
   void place(IntersectStep& step);
 
-  /// Called right after an intersect step is decided: if the *following*
-  /// term's list is worth moving early, stage a PrefetchStep to emit on the
-  /// next call. Device-placed (kGpu/kSplit) steps prefetch as before — the
-  /// copy engine rides under their kernels; CPU-placed steps prefetch only
-  /// under pipeline_idle and only when the next step is predicted to
-  /// consume the list on the device (DESIGN.md §15). The decision uses only
-  /// state known when the intersect is issued — a real host would enqueue
-  /// the async copy then, before the kernels' outcome exists — so a staged
-  /// prefetch is emitted even if the intersect empties the intermediate.
-  void maybe_stage_prefetch(const IntersectStep& step);
+  /// Queues the side bet on the following term after `step` was decided
+  /// (next_term_ must already point past it): a prefetch if one pays, else
+  /// a host decode if one pays. Both use only state known when the
+  /// intersect is issued — a real host would enqueue the async work then,
+  /// before the kernels' outcome exists — so a queued bet is emitted even
+  /// if the intersect empties the intermediate.
+  void queue_bet(const IntersectStep& step);
+
+  /// Whether uploading `nxt` early pays. Device-placed (kGpu/kSplit) steps
+  /// prefetch — the copy engine rides under their kernels; CPU-placed steps
+  /// prefetch only under pipeline_idle and only when the next step is
+  /// predicted to consume the list on the device (DESIGN.md §15).
+  bool prefetch_pays(const IntersectStep& step, index::TermId nxt) const;
 
   /// Inter-step pipelining, host side (DESIGN.md §15): after a kGpu
-  /// intersect is decided the host core is idle, so if the *following*
-  /// step is predicted to run on the CPU and the next term's host decode
-  /// fits under the device step's estimated time, stage a HostDecodeStep.
-  /// Split steps keep the host busy with their own CPU leg and never
-  /// work-ahead.
-  void maybe_stage_host_decode(const IntersectStep& step);
+  /// intersect is decided the host core is idle, so decoding `nxt` ahead
+  /// pays if the following step is predicted to run on the CPU and the
+  /// decode fits under the device step's estimated time. Split steps keep
+  /// the host busy with their own CPU leg and never work ahead.
+  bool host_decode_pays(const IntersectStep& step, index::TermId nxt) const;
 
   const index::InvertedIndex* idx_;
   const Scheduler* sched_;
   const ResidencyProbe* probe_;
-  std::vector<index::TermId> terms_;  ///< shortest-first
+  /// Shortest-first; emptied once the Rank is queued (nothing left to plan).
+  std::vector<index::TermId> terms_;
   std::size_t next_term_ = 0;
-  Stage stage_ = Stage::kDone;
-  IntersectStep pending_;  ///< valid in kPendingIntersect
-  std::optional<index::TermId> staged_prefetch_;
-  std::optional<index::TermId> staged_host_decode_;
+  /// Steps decided but not yet emitted, [head_, tail_) in emission order:
+  /// at most a migration, its side bet and the intersect it feeds. Fixed
+  /// storage: the queue never allocates.
+  std::array<PlanStep, 3> queue_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
   bool forced_cpu_ = false;  ///< degraded: every decision pinned to the CPU
   /// One-shot CPU pin (degrade_step_to_cpu): consumed by the next
   /// decode/intersect decision, then placements are free again.

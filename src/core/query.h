@@ -50,9 +50,8 @@ enum class StepKind : std::uint8_t {
   kPrefetch,
   /// Host-side decode of a later step's posting list into the decoded
   /// cache while the GPU runs the current intersect (DESIGN.md §15): the
-  /// idle processor works ahead on a step with no data dependence. Like
-  /// kPrefetch it never advances the plan frontier — only a later consumer
-  /// (via the host cache) benefits.
+  /// idle processor works ahead on a step with no data dependence — only a
+  /// later consumer (via the host cache) benefits.
   kHostDecode,
 };
 

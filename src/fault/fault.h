@@ -75,7 +75,7 @@ struct FaultConfig {
   SiteConfig gpu;
   /// PCIe transfer errors: per (scope, query, transfer-sequence, attempt)
   /// coordinate, checked inside pcie::TransferLedger. Each failed attempt
-  /// re-pays the full transfer time; after `pcie_max_retries` failures the
+  /// re-pays the full transfer time; after pcie::kPcieMaxRetries failures the
   /// link-level retry is assumed to have succeeded (timing-only — data is
   /// never corrupted).
   SiteConfig pcie;
@@ -96,9 +96,6 @@ struct FaultConfig {
   /// results stay bit-identical.
   SiteConfig oom;
 
-  /// Failed attempts a single DMA may accumulate before the link-level
-  /// retry is assumed successful.
-  std::uint32_t pcie_max_retries = 3;
   /// Granularity of the probabilistic replica-outage model.
   double crash_window_ms = 50.0;
   double slow_factor = 10.0;

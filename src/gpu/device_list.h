@@ -40,7 +40,6 @@ struct DeviceList {
   std::vector<BlockDesc> host_descs;  ///< host mirror (skip table)
 
   std::size_t num_blocks() const { return host_descs.size(); }
-  std::uint64_t payload_bytes() const { return blob.size() * 8; }
 
   /// Compressed payload bytes of one block.
   std::uint64_t block_payload_bytes(std::size_t b) const {

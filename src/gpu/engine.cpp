@@ -45,7 +45,6 @@ void GpuExecutor::begin_query(sim::Timeline& tl, std::uint64_t query_id,
   current_count_ = kNoIntermediate;
   prefetch_.clear();
   tl_ = &tl;
-  chain_ = sim::Timeline::Event{release};
   fault_query_ = query_id;
   transfer_seq_ = 0;
   batch_size_ = 1;
@@ -58,11 +57,11 @@ void GpuExecutor::finish_query(core::QueryMetrics& m) {
   current_ = simt::DeviceBuffer<DocId>();
   current_count_ = kNoIntermediate;
   tl_ = nullptr;
-  chain_ = sim::Timeline::Event{};
 }
 
 void GpuExecutor::charge_kernel(const sim::KernelStats& s, sim::Stage stage,
-                                core::QueryMetrics& m, std::uint32_t kernels) {
+                                sim::Timeline::Event& at, core::QueryMetrics& m,
+                                std::uint32_t kernels) {
   sim::Duration d = cost_.kernel_time(s);
   if (batch_size_ > 1) {
     // Cross-query kernel batching (DESIGN.md §12): this launch was fused
@@ -85,8 +84,7 @@ void GpuExecutor::charge_kernel(const sim::KernelStats& s, sim::Stage stage,
     d = overhead * share + body * std::max(fill, share);
   }
   m.gpu_kernels += kernels;
-  chain_ = tl_->record(compute_stream_, sim::Resource::kGpuCompute, stage, d,
-                       chain_);
+  at = tl_->record(compute_stream_, sim::Resource::kGpuCompute, stage, d, at);
 }
 
 void GpuExecutor::arm_ledger(pcie::TransferLedger& ledger,
@@ -98,10 +96,9 @@ void GpuExecutor::arm_ledger(pcie::TransferLedger& ledger,
 }
 
 void GpuExecutor::bind_ledger(pcie::TransferLedger& ledger,
-                              core::QueryMetrics& m, bool chained) {
+                              sim::Timeline::Event at, core::QueryMetrics& m) {
   arm_ledger(ledger, m);
-  ledger.bind(tl_, copy_stream_,
-              chained ? chain_ : sim::Timeline::Event{});
+  ledger.bind(tl_, copy_stream_, at);
 }
 
 void GpuExecutor::fault_reset(std::span<const index::TermId> terms,
@@ -115,12 +112,12 @@ void GpuExecutor::fault_reset(std::span<const index::TermId> terms,
   for (const index::TermId t : terms) cache_.erase(t);
 }
 
-void GpuExecutor::charge_fault(sim::Duration d, sim::Stage stage) {
-  chain_ = tl_->record(compute_stream_, sim::Resource::kGpuCompute, stage, d,
-                       chain_);
+void GpuExecutor::charge_fault(sim::Duration d, sim::Stage stage,
+                               sim::Timeline::Event& at) {
+  at = tl_->record(compute_stream_, sim::Resource::kGpuCompute, stage, d, at);
 }
 
-void GpuExecutor::oom_evict(core::QueryMetrics& m) {
+void GpuExecutor::oom_evict(sim::Timeline::Event& at, core::QueryMetrics& m) {
   std::uint64_t entries = 0;
   const std::uint64_t freed = cache_.evict_bytes(kOomEvictBytes, &entries);
   m.faults.oom_evictions += entries;
@@ -129,27 +126,26 @@ void GpuExecutor::oom_evict(core::QueryMetrics& m) {
   const sim::Duration d =
       sim::Duration::from_us(kOomEvictCostUs * static_cast<double>(entries));
   m.faults.oom_recovery += d;
-  chain_ = tl_->record(copy_stream_, sim::Resource::kCpu,
-                       sim::Stage::kTransfer, d, chain_);
+  at = tl_->record(copy_stream_, sim::Resource::kCpu, sim::Stage::kTransfer, d,
+                   at);
 }
 
-void GpuExecutor::prefetch(index::TermId t, core::QueryMetrics& m) {
+sim::Timeline::Event GpuExecutor::prefetch(index::TermId t,
+                                           core::QueryMetrics& m) {
   // Planned against slightly stale state: re-check residency and in-flight
   // status at issue time, and quietly skip when the copy is pointless.
-  if (prefetched(t) || cache_.resident(t)) return;
+  if (prefetched(t) || cache_.resident(t)) return {};
   pcie::TransferLedger ledger;
-  bind_ledger(ledger, m, /*chained=*/false);  // copy-stream order only
+  bind_ledger(ledger, {}, m);  // copy-stream order only
   Prefetched p;
   p.list = upload_list(device_, idx_->list(t).docids, link_, ledger);
   p.ready = ledger.last_event();
   p.cache_on_commit =
       cache_.enabled() && cache_.fits(DeviceListCache::entry_bytes(p.list));
   if (cache_.enabled()) ++m.cache.device_misses;
-  // The chain is NOT advanced: on the timeline the upload rides the copy
-  // engine under whatever kernels follow, and only a consumer of this term
-  // waits on p.ready.
   ++m.overlap.prefetch_issued;
   prefetch_.emplace(t, std::move(p));
+  return ledger.last_event();
 }
 
 void GpuExecutor::drop_prefetches(core::QueryMetrics& m) {
@@ -166,23 +162,24 @@ void GpuExecutor::drop_prefetches(core::QueryMetrics& m) {
 }
 
 std::optional<GpuExecutor::AcquiredList> GpuExecutor::take_prefetched(
-    index::TermId t, core::QueryMetrics& m) {
+    index::TermId t, sim::Timeline::Event& at, core::QueryMetrics& m) {
   auto it = prefetch_.find(t);
   if (it == prefetch_.end()) return std::nullopt;
   AcquiredList a;
   a.term = t;
   a.owned.emplace(std::move(it->second.list));
   a.cache_on_commit = it->second.cache_on_commit;
-  chain_ = sim::Timeline::join(chain_, it->second.ready);
+  at = sim::Timeline::join(at, it->second.ready);
   prefetch_.erase(it);
   ++m.overlap.prefetch_used;
   return a;
 }
 
 GpuExecutor::AcquiredList GpuExecutor::acquire_full(index::TermId t,
+                                                    sim::Timeline::Event& at,
                                                     core::QueryMetrics& m,
                                                     bool chunked) {
-  if (auto pf = take_prefetched(t, m)) return std::move(*pf);
+  if (auto pf = take_prefetched(t, at, m)) return std::move(*pf);
   AcquiredList a;
   a.term = t;
   if (cache_.enabled()) {
@@ -194,10 +191,10 @@ GpuExecutor::AcquiredList GpuExecutor::acquire_full(index::TermId t,
     ++m.cache.device_misses;
   }
   pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
+  bind_ledger(ledger, at, m);
   a.owned.emplace(upload_list(device_, idx_->list(t).docids, link_, ledger,
                               /*defer_payload=*/chunked));
-  join_ledger(ledger);
+  join_ledger(ledger, at);
   a.payload_deferred = chunked;
   a.cache_on_commit =
       cache_.enabled() && cache_.fits(DeviceListCache::entry_bytes(*a.owned));
@@ -211,15 +208,16 @@ void GpuExecutor::commit(AcquiredList&& a, core::QueryMetrics& m) {
   m.cache.device_evictions += evicted;
 }
 
-simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(index::TermId t,
-                                                        core::QueryMetrics& m) {
+simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(
+    index::TermId t, sim::Timeline::Event& at, core::QueryMetrics& m) {
   const auto& list = idx_->list(t).docids;
-  AcquiredList a = acquire_full(t, m, /*chunked=*/opt_.copy_chunk_bytes > 0);
+  AcquiredList a =
+      acquire_full(t, at, m, /*chunked=*/opt_.copy_chunk_bytes > 0);
   pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
+  bind_ledger(ledger, at, m);
   auto out = device_.alloc<DocId>(list.size());
   ledger.add_alloc(link_);
-  join_ledger(ledger);
+  join_ledger(ledger, at);
 
   const DeviceList& dl = a.view();
   if (!a.payload_deferred) {
@@ -227,7 +225,7 @@ simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(index::TermId t,
     // one kernel decodes it all.
     const sim::KernelStats s =
         decode_range(device_, dl, 0, dl.num_blocks(), out);
-    charge_kernel(s, sim::Stage::kDecode, m);
+    charge_kernel(s, sim::Stage::kDecode, at, m);
   } else {
     // Double buffering (DESIGN.md §10): group blocks into >= chunk-size
     // payload chunks; each chunk's H2D is an op on the copy stream chained
@@ -236,7 +234,7 @@ simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(index::TermId t,
     // own chunk's copy — so the copy of chunk i+1 runs under the decode of
     // chunk i. Per-chunk launches honestly inflate the serial cost; the
     // pipeline pays off on the critical path.
-    const sim::Timeline::Event entry = chain_;
+    const sim::Timeline::Event entry = at;
     const std::size_t nb = dl.num_blocks();
     std::size_t lo = 0;
     bool first = true;
@@ -252,10 +250,10 @@ simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(index::TermId t,
       chunk.bind(tl_, copy_stream_, entry);
       chunk.add_transfer_chunk(link_, bytes, /*h2d=*/true, first);
       first = false;
-      join_ledger(chunk);
+      join_ledger(chunk, at);
       const sim::KernelStats s = decode_range(
           device_, dl, lo, hi, out, dl.host_descs[lo].out_offset);
-      charge_kernel(s, sim::Stage::kDecode, m);
+      charge_kernel(s, sim::Stage::kDecode, at, m);
       lo = hi;
     }
   }
@@ -263,7 +261,8 @@ simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(index::TermId t,
   return out;
 }
 
-void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
+void GpuExecutor::intersect_next(index::TermId t, sim::Timeline::Event& at,
+                                 core::QueryMetrics& m) {
   assert(has_intermediate());
   const auto& lt = idx_->list(t).docids;
   const double ratio =
@@ -273,50 +272,53 @@ void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
                 static_cast<double>(current_count_);
 
   pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
+  bind_ledger(ledger, at, m);
   GpuIntersectResult r;
   if (ratio < kPathRatio) {
-    auto dt = decode_full_list(t, m);
+    auto dt = decode_full_list(t, at, m);
     r = mergepath_intersect(device_, current_, current_count_, dt, lt.size(),
                             link_, ledger);
   } else {
-    r = binary_search_over(t, current_, current_count_, 0, ledger, m);
+    r = binary_search_over(t, current_, current_count_, 0, ledger, at, m);
   }
-  join_ledger(ledger);
-  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
+  join_ledger(ledger, at);
+  charge_kernel(r.stats, sim::Stage::kIntersect, at, m, r.kernels);
   current_ = std::move(r.result);
   current_count_ = r.count;
 }
 
-void GpuExecutor::load_single(index::TermId t, core::QueryMetrics& m) {
-  current_ = decode_full_list(t, m);
+void GpuExecutor::load_single(index::TermId t, sim::Timeline::Event& at,
+                              core::QueryMetrics& m) {
+  current_ = decode_full_list(t, at, m);
   current_count_ = idx_->list(t).size();
 }
 
 void GpuExecutor::upload_intermediate(std::span<const DocId> docs,
+                                      sim::Timeline::Event& at,
                                       core::QueryMetrics& m) {
   pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
+  bind_ledger(ledger, at, m);
   current_ = device_.alloc<DocId>(std::max<std::size_t>(docs.size(), 1));
   ledger.add_alloc(link_);
   device_.upload(current_, docs);
   ledger.add_transfer(link_, docs.size_bytes(), /*h2d=*/true);
-  join_ledger(ledger);
+  join_ledger(ledger, at);
   current_count_ = docs.size();
 }
 
 std::vector<DocId> GpuExecutor::download_intermediate(std::uint64_t n,
+                                                     sim::Timeline::Event& at,
                                                      core::QueryMetrics& m) {
   assert(has_intermediate());
   assert(n <= current_count_);
-  return download_partial(current_, n, m);
+  return download_partial(current_, n, at, m);
 }
 
 GpuIntersectResult GpuExecutor::binary_search_over(
     index::TermId t, const simt::DeviceBuffer<DocId>& probes, std::uint64_t np,
     std::uint64_t probe_offset, pcie::TransferLedger& ledger,
-    core::QueryMetrics& m) {
-  if (auto pf = take_prefetched(t, m)) {
+    sim::Timeline::Event& at, core::QueryMetrics& m) {
+  if (auto pf = take_prefetched(t, at, m)) {
     // The prefetch already paid the full payload upload on the copy engine:
     // search it like a resident list, and cache it once the kernels ran.
     GpuIntersectResult r =
@@ -346,46 +348,49 @@ GpuIntersectResult GpuExecutor::binary_search_over(
 
 std::vector<DocId> GpuExecutor::download_partial(
     const simt::DeviceBuffer<DocId>& buf, std::uint64_t count,
-    core::QueryMetrics& m) {
+    sim::Timeline::Event& at, core::QueryMetrics& m) {
   std::vector<DocId> out(count);
   pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);  // bound after the kernels: the D2H waits them out
+  // Bound after the kernels: the D2H waits them out.
+  bind_ledger(ledger, at, m);
   device_.download(std::span<DocId>(out), buf);
   ledger.add_transfer(link_, count * sizeof(DocId), /*h2d=*/false);
-  join_ledger(ledger);
+  join_ledger(ledger, at);
   return out;
 }
 
 std::vector<DocId> GpuExecutor::split_leg(
     index::TermId t, const simt::DeviceBuffer<DocId>& probes, std::uint64_t np,
     std::uint64_t probe_offset, pcie::TransferLedger& ledger,
-    core::QueryMetrics& m) {
+    sim::Timeline::Event& at, core::QueryMetrics& m) {
   GpuIntersectResult r =
-      binary_search_over(t, probes, np, probe_offset, ledger, m);
-  join_ledger(ledger);
-  charge_kernel(r.stats, sim::Stage::kIntersect, m, r.kernels);
-  return download_partial(r.result, r.count, m);
+      binary_search_over(t, probes, np, probe_offset, ledger, at, m);
+  join_ledger(ledger, at);
+  charge_kernel(r.stats, sim::Stage::kIntersect, at, m, r.kernels);
+  return download_partial(r.result, r.count, at, m);
 }
 
 std::vector<DocId> GpuExecutor::split_intersect_host(
-    index::TermId t, std::span<const DocId> probes, core::QueryMetrics& m) {
+    index::TermId t, std::span<const DocId> probes, sim::Timeline::Event& at,
+    core::QueryMetrics& m) {
   pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
+  bind_ledger(ledger, at, m);
   auto dprobes = device_.alloc<DocId>(std::max<std::size_t>(probes.size(), 1));
   ledger.add_alloc(link_);
   device_.upload(dprobes, probes);
   ledger.add_transfer(link_, probes.size_bytes(), /*h2d=*/true);
-  return split_leg(t, dprobes, probes.size(), 0, ledger, m);
+  return split_leg(t, dprobes, probes.size(), 0, ledger, at, m);
 }
 
 std::vector<DocId> GpuExecutor::split_intersect_device(
-    index::TermId t, std::uint64_t probe_offset, core::QueryMetrics& m) {
+    index::TermId t, std::uint64_t probe_offset, sim::Timeline::Event& at,
+    core::QueryMetrics& m) {
   assert(has_intermediate());
   assert(probe_offset <= current_count_);
   pcie::TransferLedger ledger;
-  bind_ledger(ledger, m);
+  bind_ledger(ledger, at, m);
   return split_leg(t, current_, current_count_ - probe_offset, probe_offset,
-                   ledger, m);
+                   ledger, at, m);
 }
 
 }  // namespace griffin::gpu

@@ -54,6 +54,9 @@ struct GpuOptions {
 
 /// Step-level GPU execution over one index. Holds the device, the cost
 /// model, and the current (device-resident, decoded) intermediate result.
+/// Every step that feeds the plan takes `at`, the event its first op waits
+/// on, and leaves its completion there (DESIGN.md §10); the caller owns the
+/// plan frontier.
 class GpuExecutor {
  public:
   /// `injector` is the engine's fault injector (DESIGN.md §11), always
@@ -69,8 +72,7 @@ class GpuExecutor {
   /// stream on `tl` (core/executor.h passes its own), on which every charge
   /// of the query is recorded as a stage-tagged op (DESIGN.md §10).
   /// `query_id` keys fault coordinates. On a shared multi-tenant timeline,
-  /// `release` is the query's admission time: the streams open there and
-  /// the initial chain waits it out.
+  /// `release` is the query's admission time: the streams open there.
   void begin_query(sim::Timeline& tl, std::uint64_t query_id = 0,
                    sim::Duration release = {});
 
@@ -91,33 +93,29 @@ class GpuExecutor {
                    core::QueryMetrics& m);
 
   /// Charges the wasted device time of an abandoned GPU step as a compute
-  /// op of `stage`, advancing the chain so the recovery steps wait out the
-  /// fault like real work.
-  void charge_fault(sim::Duration d, sim::Stage stage);
+  /// op of `stage`, so the recovery steps wait out the fault like real work.
+  void charge_fault(sim::Duration d, sim::Stage stage,
+                    sim::Timeline::Event& at);
 
   /// Rung 1 of the OOM degradation ladder (DESIGN.md §16): frees at least
   /// 1 MiB (kOomEvictBytes) from the device list cache's LRU tail,
   /// charging one host-synchronous free per entry (a transfer-stage op —
   /// it's PCIe/allocator machinery — on the CPU, issued from the copy
-  /// stream and advancing the chain so the retried allocation waits the
-  /// frees out). Counts into m.faults and m.cache.
-  void oom_evict(core::QueryMetrics& m);
+  /// stream; the retried allocation waits the frees out). Counts into
+  /// m.faults and m.cache.
+  void oom_evict(sim::Timeline::Event& at, core::QueryMetrics& m);
 
   /// Drops unconsumed prefetches (counting them into m) and releases
   /// per-query device state.
   void finish_query(core::QueryMetrics& m);
 
-  /// The event every dependent op of this query waits on (the executor
-  /// threads it across steps as the plan frontier).
-  sim::Timeline::Event chain() const { return chain_; }
-  void set_chain(sim::Timeline::Event e) { chain_ = e; }
-
   /// Starts the asynchronous H2D of term t's full list on the copy engine
-  /// (kPrefetch step): the transfer ops order only behind earlier copies
-  /// and leave the chain alone, so on the timeline the upload rides under
-  /// the surrounding kernels. A later intersect/decode consuming t waits on
-  /// its completion event. No-op if t is already resident or in flight.
-  void prefetch(index::TermId t, core::QueryMetrics& m);
+  /// (kPrefetch step): the transfer ops order only behind earlier copies,
+  /// so on the timeline the upload rides under the surrounding kernels. A
+  /// later intersect/decode consuming t waits on the returned completion.
+  /// No-op (returning a default event) if t is already resident or in
+  /// flight.
+  sim::Timeline::Event prefetch(index::TermId t, core::QueryMetrics& m);
 
   /// Discards in-flight prefetches (CPU migration / end of query); fully
   /// landed lists still enter the device cache — the transfer was paid.
@@ -133,20 +131,24 @@ class GpuExecutor {
   /// MergePath kernel below the length ratio λ = 128, binary search over
   /// skip pointers at or above it (§3.1). A GPU first pair is load_single
   /// of its shorter list followed by this.
-  void intersect_next(index::TermId t, core::QueryMetrics& m);
+  void intersect_next(index::TermId t, sim::Timeline::Event& at,
+                      core::QueryMetrics& m);
 
   /// Decodes a single list to the device as the intermediate (single-term
   /// queries, and the probe side of a GPU first pair).
-  void load_single(index::TermId t, core::QueryMetrics& m);
+  void load_single(index::TermId t, sim::Timeline::Event& at,
+                   core::QueryMetrics& m);
 
   /// Uploads a host intermediate result (CPU -> GPU migration).
-  void upload_intermediate(std::span<const DocId> docs, core::QueryMetrics& m);
+  void upload_intermediate(std::span<const DocId> docs,
+                           sim::Timeline::Event& at, core::QueryMetrics& m);
 
   /// Downloads the first n elements of the device intermediate without
   /// consuming it: all of it for a migration or the final drain, the CPU
   /// leg's probe prefix in a split (DESIGN.md §15). In-flight prefetches
   /// are left alone: a transfer step leaving the device drops them first.
   std::vector<DocId> download_intermediate(std::uint64_t n,
+                                           sim::Timeline::Event& at,
                                            core::QueryMetrics& m);
 
   // ---- Co-execution support (DESIGN.md §15) ----------------------------
@@ -159,6 +161,7 @@ class GpuExecutor {
   /// intermediate untouched.
   std::vector<DocId> split_intersect_host(index::TermId t,
                                           std::span<const DocId> probes,
+                                          sim::Timeline::Event& at,
                                           core::QueryMetrics& m);
 
   /// GPU leg of a split intersect when the probes are the device-resident
@@ -167,6 +170,7 @@ class GpuExecutor {
   /// caller drops it.
   std::vector<DocId> split_intersect_device(index::TermId t,
                                             std::uint64_t probe_offset,
+                                            sim::Timeline::Event& at,
                                             core::QueryMetrics& m);
 
   /// Releases the device intermediate without charges: a split step leaves
@@ -213,19 +217,21 @@ class GpuExecutor {
   };
   /// With chunked=true, a miss uploads the skip table only and leaves the
   /// payload charge to the caller (payload_deferred).
-  AcquiredList acquire_full(index::TermId t, core::QueryMetrics& m,
-                            bool chunked = false);
+  AcquiredList acquire_full(index::TermId t, sim::Timeline::Event& at,
+                            core::QueryMetrics& m, bool chunked);
   void commit(AcquiredList&& a, core::QueryMetrics& m);
   /// Takes term t's prefetched list if one is in flight: the consumer
-  /// inherits the full upload (and its completion event, joined into the
-  /// chain) without new transfer charges.
+  /// inherits the full upload (and its completion event, joined into `at`)
+  /// without new transfer charges.
   std::optional<AcquiredList> take_prefetched(index::TermId t,
+                                              sim::Timeline::Event& at,
                                               core::QueryMetrics& m);
 
   /// Uploads + Para-EF-decodes a full list; returns the decoded buffer.
   /// With chunking on (copy_chunk_bytes > 0), a miss pipelines chunked H2D
   /// against per-chunk decode kernels.
   simt::DeviceBuffer<DocId> decode_full_list(index::TermId t,
+                                             sim::Timeline::Event& at,
                                              core::QueryMetrics& m);
   /// Binary search of list t over `np` probes starting at `probe_offset`,
   /// with the one target acquisition every high-ratio intersect uses:
@@ -237,6 +243,7 @@ class GpuExecutor {
                                         std::uint64_t np,
                                         std::uint64_t probe_offset,
                                         pcie::TransferLedger& ledger,
+                                        sim::Timeline::Event& at,
                                         core::QueryMetrics& m);
   /// The GPU leg of a split over `probes`: binary_search_over, its kernel
   /// charge, then the D2H of the partial matches.
@@ -244,31 +251,34 @@ class GpuExecutor {
                                const simt::DeviceBuffer<DocId>& probes,
                                std::uint64_t np, std::uint64_t probe_offset,
                                pcie::TransferLedger& ledger,
-                               core::QueryMetrics& m);
+                               sim::Timeline::Event& at, core::QueryMetrics& m);
   /// The one D2H routine: `count` elements of `buf` on a fresh ledger bound
   /// after the kernels that produced them (so the copy waits them out on
   /// the timeline).
   std::vector<DocId> download_partial(const simt::DeviceBuffer<DocId>& buf,
                                       std::uint64_t count,
+                                      sim::Timeline::Event& at,
                                       core::QueryMetrics& m);
   /// Records one (possibly batch-fused) launch as a compute op of `stage`
-  /// chained on the frontier, and counts its `kernels` into m.
+  /// waiting on `at`, and counts its `kernels` into m.
   void charge_kernel(const sim::KernelStats& s, sim::Stage stage,
-                     core::QueryMetrics& m, std::uint32_t kernels = 1);
-  /// Joins a ledger's last transfer into the chain: the kernels that follow
-  /// read what it moved.
-  void join_ledger(const pcie::TransferLedger& ledger) {
-    chain_ = sim::Timeline::join(chain_, ledger.last_event());
+                     sim::Timeline::Event& at, core::QueryMetrics& m,
+                     std::uint32_t kernels = 1);
+  /// Joins a ledger's last transfer into `at`: the kernels that follow read
+  /// what it moved.
+  static void join_ledger(const pcie::TransferLedger& ledger,
+                          sim::Timeline::Event& at) {
+    at = sim::Timeline::join(at, ledger.last_event());
   }
   /// Arms PCIe fault injection on a ledger while the pcie site is armed
   /// (every ledger charging transfers for this query must pass through here
   /// or bind_ledger so DMAs draw consecutive fault coordinates).
   void arm_ledger(pcie::TransferLedger& ledger, core::QueryMetrics& m);
   /// Arms the ledger for fault injection and binds it to the timeline's
-  /// copy stream, chained on the current plan frontier (chain_) — or on
-  /// nothing, for prefetches, which order only behind earlier copies.
-  void bind_ledger(pcie::TransferLedger& ledger, core::QueryMetrics& m,
-                   bool chained = true);
+  /// copy stream, waiting on `at` (a default event for prefetches, which
+  /// order only behind earlier copies).
+  void bind_ledger(pcie::TransferLedger& ledger, sim::Timeline::Event at,
+                   core::QueryMetrics& m);
 
   const index::InvertedIndex* idx_;
   sim::HardwareSpec hw_;
@@ -293,7 +303,6 @@ class GpuExecutor {
   std::uint32_t batch_size_ = 1;  ///< current cross-query batch width
   sim::Timeline::StreamId copy_stream_ = 0;
   sim::Timeline::StreamId compute_stream_ = 0;
-  sim::Timeline::Event chain_;  ///< current plan-frontier event
 
   const fault::FaultInjector* injector_;
   std::uint32_t fault_scope_;       ///< shard id (0 standalone)

@@ -14,6 +14,10 @@
 
 namespace griffin::pcie {
 
+/// Failed attempts a single DMA may accumulate before the link-level retry
+/// is assumed successful.
+inline constexpr std::uint32_t kPcieMaxRetries = 3;
+
 class Link {
  public:
   explicit Link(sim::PcieSpec spec = {}) : spec_(spec) {}
@@ -76,8 +80,8 @@ struct TransferLedger {
   /// its transfer id from `*transfer_seq` (a per-query counter shared by all
   /// the query's ledgers) and asks the injector per attempt; each failed
   /// attempt re-pays the full transfer time on the same copy engine, capped
-  /// at the injector's pcie_max_retries, after which the link-level retry is
-  /// assumed to have succeeded. Timing-only: data is never corrupted.
+  /// at kPcieMaxRetries, after which the link-level retry is assumed to have
+  /// succeeded. Timing-only: data is never corrupted.
   void arm_faults(const fault::FaultInjector* injector, std::uint32_t scope,
                   std::uint64_t query, std::uint64_t* transfer_seq,
                   fault::FaultCounters* counters) {
@@ -128,8 +132,7 @@ struct TransferLedger {
   void charge_retries(sim::Duration t, bool h2d) {
     if (injector_ == nullptr) return;
     const std::uint64_t id = (*transfer_seq_)++;
-    const std::uint32_t max_retries = injector_->config().pcie_max_retries;
-    for (std::uint32_t attempt = 0; attempt < max_retries; ++attempt) {
+    for (std::uint32_t attempt = 0; attempt < kPcieMaxRetries; ++attempt) {
       if (!injector_->pcie_error(fault_scope_, fault_query_, id, attempt)) {
         break;
       }

@@ -70,7 +70,6 @@ class FcfsServer {
   }
 
   sim::Duration free_at() const { return free_at_; }
-  sim::Duration busy_total() const { return busy_; }
   std::uint64_t jobs() const { return jobs_; }
 
   /// Busy fraction over [0, horizon]; 0 for an empty horizon.

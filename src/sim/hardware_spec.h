@@ -29,9 +29,6 @@ struct CpuVectorSpec {
   /// separate from plain ALU ops because shuffle-based merge and the
   /// bit-unpack networks are shuffle-port-bound on real cores.
   double shuffle_cycles = 1.0;
-  /// Cycles per *element* gathered from non-contiguous addresses. Cores
-  /// without a hardware gather (SSE4) emulate with insert/extract.
-  double gather_cycles = 2.0;
   /// Fixed cycles to enter one vectorized loop (masks, alignment, loads of
   /// the shift/shuffle constants) — charged once per loop.
   double block_setup_cycles = 8.0;
@@ -65,7 +62,6 @@ struct CpuSpec {
   /// measured CPU merge (hundreds of ms at 10M elements).
   double merge_step_cycles = 25.0;
   double branch_miss_cycles = 16.0;     ///< mispredicted data-dependent branch
-  double cache_miss_cycles = 180.0;     ///< DRAM-latency pointer chase
   double pfor_decode_cycles = 2.5;      ///< per element, cache-hot block
   double pfor_exception_cycles = 7.0;   ///< per exception (patch chain step)
   double ef_decode_cycles = 3.0;        ///< per element, cache-hot block
@@ -75,21 +71,21 @@ struct CpuSpec {
 
   /// The paper's Xeon E5-2609v2 with its integer SIMD unit switched on:
   /// Ivy Bridge executes integer vector ops at 128 bits (SSE4.2), one
-  /// ALU-port issue per cycle, no hardware gather. Same core model as the
-  /// scalar default — only the vector parameters differ, so any crossover
-  /// shift is attributable to the lanes alone.
+  /// ALU-port issue per cycle. Same core model as the scalar default — only
+  /// the vector parameters differ, so any crossover shift is attributable
+  /// to the lanes alone.
   static CpuSpec sse4_testbed() {
     CpuSpec s;
     s.vector = CpuVectorSpec{/*enabled=*/true, /*lanes=*/4,
                              /*vector_op_cycles=*/1.0, /*shuffle_cycles=*/1.0,
-                             /*gather_cycles=*/2.0, /*block_setup_cycles=*/8.0,
+                             /*block_setup_cycles=*/8.0,
                              /*scalar_tail_cycles=*/2.0, "sse4"};
     return s;
   }
 
   /// A modern AVX2 profile (Haswell-and-later integer SIMD): 256-bit
   /// integer vectors, two vector-ALU issue ports, one shuffle port (so
-  /// cross-lane permutes don't get the 2x issue win), hardware gather.
+  /// cross-lane permutes don't get the 2x issue win).
   /// Clock and memory bandwidth are deliberately pinned to the testbed's —
   /// the preset isolates the vector-width effect on the §3.2 crossover
   /// (EXPERIMENTS.md "Calibration" records the parameter choices).
@@ -97,7 +93,7 @@ struct CpuSpec {
     CpuSpec s;
     s.vector = CpuVectorSpec{/*enabled=*/true, /*lanes=*/8,
                              /*vector_op_cycles=*/0.5, /*shuffle_cycles=*/1.0,
-                             /*gather_cycles=*/1.0, /*block_setup_cycles=*/6.0,
+                             /*block_setup_cycles=*/6.0,
                              /*scalar_tail_cycles=*/2.0, "avx2"};
     return s;
   }
@@ -105,7 +101,6 @@ struct CpuSpec {
 
 struct GpuSpec {
   int sm_count = 13;                   ///< K20 SMX units
-  int lanes_per_warp = 32;
   /// Warp-instruction execution slots chip-wide per cycle: each SMX has 192
   /// cores = 6 warp-widths.
   int warp_slots_per_cycle = 13 * 6;
@@ -137,9 +132,6 @@ struct HardwareSpec {
   /// fast path). A cluster-serving cost assumption, so it lives with the
   /// rest of the machine model rather than as a constant in the shard code.
   double absent_term_probe_us = 2.0;
-
-  /// The paper's testbed (§4.1). Also the default-constructed value.
-  static HardwareSpec paper_testbed() { return HardwareSpec{}; }
 };
 
 }  // namespace griffin::sim

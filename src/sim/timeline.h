@@ -170,7 +170,6 @@ class Timeline {
     assert(s < scopes_.size());
     return scopes_[s];
   }
-  std::size_t num_scopes() const { return scopes_.size(); }
 
   const std::vector<Op>& ops() const { return ops_; }
   std::size_t num_ops() const { return ops_.size(); }

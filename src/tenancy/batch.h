@@ -24,12 +24,13 @@ namespace griffin::tenancy {
 
 struct BatchOptions {
   bool enabled = true;
-  /// How far ahead of the leader's frontier a co-tenant step may be and
-  /// still join its batch — the launch-coalescing window a batching driver
-  /// would hold a kernel for. Modeled after the kernel launch overhead
-  /// (~10us): waiting longer than a couple of launches defeats the purpose.
-  sim::Duration window = sim::Duration::from_us(20.0);
 };
+
+/// How far ahead of the leader's frontier a co-tenant step may be and still
+/// join its batch — the launch-coalescing window a batching GPU runtime
+/// would hold a kernel for. Modeled after the kernel launch overhead (~10us):
+/// waiting longer than a couple of launches defeats the purpose.
+inline constexpr sim::Duration kBatchWindow = sim::Duration::from_us(20.0);
 
 /// Cap on queries fused into one launch.
 inline constexpr std::size_t kMaxBatch = 8;
@@ -67,7 +68,7 @@ class BatchComposer {
 
   /// Composes the batch led by `leader` (the min-frontier lane): every
   /// other candidate whose step has the same batchable kind and whose
-  /// frontier lies within `window` of the leader's joins, up to kMaxBatch
+  /// frontier lies within kBatchWindow of the leader's joins, up to kMaxBatch
   /// members. Returns the member lane indices in ascending order (the
   /// deterministic execution order); a batch of one means "unbatched".
   std::vector<std::size_t> compose(
@@ -82,7 +83,7 @@ class BatchComposer {
       if (batchable_kind(*c.step) != kind) continue;
       // The leader has the earliest frontier; a member may only be ahead
       // by the coalescing window.
-      if (c.frontier - leader.frontier > opt_.window) continue;
+      if (c.frontier - leader.frontier > kBatchWindow) continue;
       members.push_back(c.lane);
     }
     std::sort(members.begin(), members.end());

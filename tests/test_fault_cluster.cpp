@@ -244,7 +244,6 @@ TEST(FaultCluster, NonDegradedQueriesMatchFaultFreeBitsUnderCrashChurn) {
   auto churn = cfg;
   churn.faults.crash.probability = 0.25;
   churn.faults.crash_window_ms = 20.0;
-  churn.max_attempts = 2;
   cluster::ClusterBroker broker(idx, churn);
   const auto res = broker.run(log);
 

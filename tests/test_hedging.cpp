@@ -48,32 +48,21 @@ TEST(HedgeController, WindowBoundsMemoryAndAdapts) {
   cluster::HedgeConfig cfg;
   cfg.enabled = true;
   cfg.min_samples = 1;
-  cfg.window = 8;
   cluster::HedgeController ctl(cfg);
+  const std::uint32_t w = cluster::kHedgeWindow;
 
   // An old slow regime...
-  for (int i = 0; i < 100; ++i) ctl.record(sim::Duration::from_ms(1000));
-  EXPECT_EQ(ctl.window_size(), 8u);
-  EXPECT_EQ(ctl.observations(), 100u);
+  for (std::uint32_t i = 0; i < 3 * w; ++i) {
+    ctl.record(sim::Duration::from_ms(1000));
+  }
+  EXPECT_EQ(ctl.window_size(), w);
+  EXPECT_EQ(ctl.observations(), 3 * w);
   EXPECT_DOUBLE_EQ(ctl.delay()->ms(), 1000.0);
-  // ...is fully forgotten after `window` new observations: the estimate
+  // ...is fully forgotten after kHedgeWindow new observations: the estimate
   // tracks the current regime instead of being outvoted by stale history.
-  for (int i = 0; i < 8; ++i) ctl.record(sim::Duration::from_ms(1));
-  EXPECT_EQ(ctl.window_size(), 8u);
+  for (std::uint32_t i = 0; i < w; ++i) ctl.record(sim::Duration::from_ms(1));
+  EXPECT_EQ(ctl.window_size(), w);
   EXPECT_DOUBLE_EQ(ctl.delay()->ms(), 1.0);
-}
-
-TEST(HedgeController, ZeroWindowIsRejected) {
-  // Every estimate is windowed: an empty window is a config error, for the
-  // percentile controller and the occupancy tracker alike.
-  cluster::HedgeConfig cfg;
-  cfg.window = 0;
-  EXPECT_THROW(cluster::HedgeController{cfg}, std::invalid_argument);
-  EXPECT_THROW(cluster::ReplicaOccupancy(0, 1), std::invalid_argument);
-  cluster::ClusterConfig ccfg;
-  ccfg.hedge.window = 0;
-  EXPECT_THROW(cluster::ClusterBroker(testutil::small_index(), ccfg),
-               std::invalid_argument);
 }
 
 TEST(HedgeController, PercentileMatchesNearestRank) {
@@ -144,118 +133,6 @@ TEST(Hedging, CrashedSecondarySuppressesHedges) {
   EXPECT_EQ(without.faults.degraded_queries, 0u);
 }
 
-TEST(ReplicaOccupancy, WarmupThenWindowedBottleneck) {
-  cluster::ReplicaOccupancy occ(/*window=*/4, /*min_samples=*/3);
-  cluster::ReplicaOccupancy::Sample s;
-  s.busy[std::size_t(sim::Resource::kCopyH2D)] = sim::Duration::from_us(30);
-  s.busy[std::size_t(sim::Resource::kGpuCompute)] = sim::Duration::from_us(10);
-  s.span = sim::Duration::from_us(40);
-
-  occ.record(s);
-  occ.record(s);
-  EXPECT_FALSE(occ.bottleneck().has_value());  // warming up
-  occ.record(s);
-  ASSERT_TRUE(occ.bottleneck().has_value());
-  // Bottleneck = max busy / span = 30/40, span-weighted over the window.
-  EXPECT_DOUBLE_EQ(*occ.bottleneck(), 0.75);
-  EXPECT_EQ(occ.bottleneck_resource(), sim::Resource::kCopyH2D);
-}
-
-TEST(ReplicaOccupancy, WindowForgetsOldRegime) {
-  cluster::ReplicaOccupancy occ(/*window=*/4, /*min_samples=*/1);
-  cluster::ReplicaOccupancy::Sample hot;
-  hot.busy[std::size_t(sim::Resource::kGpuCompute)] =
-      sim::Duration::from_us(90);
-  hot.span = sim::Duration::from_us(100);
-  cluster::ReplicaOccupancy::Sample cool;
-  cool.busy[std::size_t(sim::Resource::kGpuCompute)] =
-      sim::Duration::from_us(10);
-  cool.span = sim::Duration::from_us(100);
-
-  for (int i = 0; i < 16; ++i) occ.record(hot);
-  EXPECT_DOUBLE_EQ(*occ.bottleneck(), 0.9);
-  // After `window` cool samples, the hot regime has fully slid out.
-  for (int i = 0; i < 4; ++i) occ.record(cool);
-  EXPECT_DOUBLE_EQ(*occ.bottleneck(), 0.1);
-  EXPECT_EQ(occ.observations(), 20u);
-}
-
-TEST(ReplicaOccupancy, CanExceedOneUnderContention) {
-  // A shared device can be busier than one query-span's worth of time
-  // (several queries' charges land inside one span): the fraction is a
-  // load signal, not a probability, and must not be clamped.
-  cluster::ReplicaOccupancy occ(/*window=*/4, /*min_samples=*/1);
-  cluster::ReplicaOccupancy::Sample s;
-  s.busy[std::size_t(sim::Resource::kCpu)] = sim::Duration::from_us(25);
-  s.span = sim::Duration::from_us(10);
-  occ.record(s);
-  EXPECT_DOUBLE_EQ(*occ.bottleneck(), 2.5);
-}
-
-TEST(Hedging, OccupancyTriggerFiresAndStaysDeterministic) {
-  // The bottleneck-occupancy trigger hedges on the cause (a saturated
-  // resource) at submit time instead of waiting out a percentile delay.
-  // With a permissive threshold it must fire once warmed; the run stays
-  // bit-deterministic across replays.
-  const auto& idx = testutil::small_index();
-  const auto log = hedge_log(idx, 200, 74);
-
-  cluster::ClusterConfig cfg;
-  cfg.num_shards = 2;
-  cfg.replicas_per_shard = 2;
-  cfg.arrival_qps = 150.0;
-  cfg.seed = 11;
-  cfg.hedge.enabled = true;
-  cfg.hedge.trigger = cluster::HedgeTrigger::kBottleneckOccupancy;
-  cfg.hedge.occupancy_threshold = 0.05;  // any busy primary trips it
-  cfg.hedge.min_samples = 20;
-  cfg.faults.slow.probability = 0.1;
-  cfg.faults.slow_factor = 20.0;
-
-  cluster::ClusterBroker broker(idx, cfg);
-  const auto res = broker.run(log);
-  EXPECT_GT(res.hedge.issued, 0u);
-  EXPECT_EQ(res.response_ms.count(), log.size());
-
-  cluster::ClusterBroker again(idx, cfg);
-  const auto replay = again.run(log);
-  EXPECT_EQ(res.hedge.issued, replay.hedge.issued);
-  EXPECT_EQ(res.hedge.won, replay.hedge.won);
-  EXPECT_DOUBLE_EQ(res.response_ms.percentile(99),
-                   replay.response_ms.percentile(99));
-}
-
-TEST(Hedging, OccupancyTriggerRespectsThresholdAndWarmup) {
-  // An unreachable threshold must never hedge, even with the same load
-  // that trips the permissive one — and neither trigger fires before
-  // min_samples observations.
-  const auto& idx = testutil::small_index();
-  const auto log = hedge_log(idx, 200, 74);
-
-  cluster::ClusterConfig cfg;
-  cfg.num_shards = 2;
-  cfg.replicas_per_shard = 2;
-  cfg.arrival_qps = 150.0;
-  cfg.seed = 11;
-  cfg.hedge.enabled = true;
-  cfg.hedge.trigger = cluster::HedgeTrigger::kBottleneckOccupancy;
-  cfg.hedge.occupancy_threshold = 1e9;  // nothing is ever this saturated
-  cfg.hedge.min_samples = 20;
-  cfg.faults.slow.probability = 0.1;
-  cfg.faults.slow_factor = 20.0;
-
-  cluster::ClusterBroker never(idx, cfg);
-  EXPECT_EQ(never.run(log).hedge.issued, 0u);
-
-  // Warm-up: with min_samples beyond the whole run, the permissive
-  // threshold still cannot fire.
-  auto cold = cfg;
-  cold.hedge.occupancy_threshold = 0.05;
-  cold.hedge.min_samples = 100000;
-  cluster::ClusterBroker warming(idx, cold);
-  EXPECT_EQ(warming.run(log).hedge.issued, 0u);
-}
-
 TEST(Hedging, HedgingStillCutsTailWithWindowedEstimator) {
   // The pre-window behavior cut the straggler tail (test_cluster_sim); the
   // windowed estimator must preserve that headline effect.
@@ -277,7 +154,6 @@ TEST(Hedging, HedgingStillCutsTailWithWindowedEstimator) {
   hedged_cfg.hedge.enabled = true;
   hedged_cfg.hedge.percentile = 90.0;
   hedged_cfg.hedge.min_samples = 40;
-  hedged_cfg.hedge.window = 64;  // small window, same effect
   cluster::ClusterBroker hedged(idx, hedged_cfg);
   const auto with = hedged.run(log);
 

@@ -162,7 +162,6 @@ TEST(Tenancy, BatchingFiresAndIsAttributable) {
   const auto queries = tenant_queries(30, 9);
   tenancy::TenancyOptions opt;
   opt.max_concurrency = 6;
-  opt.batch.window = sim::Duration::from_us(200.0);
   tenancy::DeviceManager dm(idx, {}, opt);
   // A warm-up load on the same manager first: batch_groups() must count the
   // measured run alone, not everything since construction.
@@ -394,7 +393,6 @@ TEST(TenancyFaults, OomInsideAFusedBatchUnfusesOnlyTheHitQuery) {
 
   tenancy::TenancyOptions opt;
   opt.max_concurrency = 6;
-  opt.batch.window = sim::Duration::from_us(200.0);
   opt.engine.gpu.list_cache = false;
   opt.engine.faults.oom.triggers.push_back(
       {/*query=*/victim, /*scope=*/0});
