@@ -83,7 +83,6 @@ int main() {
     ccfg.faults.seed = 42;
     ccfg.shard_deadline = deadline;
     ccfg.breaker.enabled = breaker;
-    ccfg.breaker.failure_threshold = 3;
     ccfg.breaker.open_duration = sim::Duration::from_ms(100.0);
     return ccfg;
   };

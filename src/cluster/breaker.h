@@ -15,10 +15,11 @@
 
 namespace griffin::cluster {
 
+/// Consecutive failures that open the breaker.
+inline constexpr std::uint32_t kBreakerFailureThreshold = 3;
+
 struct BreakerConfig {
   bool enabled = false;
-  /// Consecutive failures that open the breaker.
-  std::uint32_t failure_threshold = 3;
   /// Open time before the half-open probe window.
   sim::Duration open_duration = sim::Duration::from_ms(50);
 };
@@ -50,7 +51,7 @@ class CircuitBreaker {
       return true;
     }
     ++consecutive_failures_;
-    if (!open_ && consecutive_failures_ >= cfg_.failure_threshold) {
+    if (!open_ && consecutive_failures_ >= kBreakerFailureThreshold) {
       open_ = true;
       opened_at_ = now;
       return true;

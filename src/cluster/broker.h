@@ -123,7 +123,6 @@ struct ClusterResult {
   /// Per-query outcomes; filled only when ClusterConfig::record_outcomes.
   std::vector<QueryOutcome> outcomes;
 
-  double mean_response_ms() const { return response_ms.mean(); }
   double mean_coverage() const {
     return gathered_queries == 0 ? 1.0
                                  : coverage_sum / double(gathered_queries);

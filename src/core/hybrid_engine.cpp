@@ -11,7 +11,7 @@ HybridEngine::HybridEngine(const index::InvertedIndex& idx,
       gpu_(idx, hw, opt.gpu, injector_, opt.fault_scope),
       host_cache_(opt.cpu.decoded_cache_bytes),
       svs_(idx, hw.cpu, opt.cpu.skip_ratio, host_cache_),
-      scorer_(idx, opt.cpu.bm25),
+      scorer_(idx),
       exec_(hw.cpu, svs_, gpu_, scorer_, injector_, opt.fault_scope),
       planner_(idx, sched_, exec_) {}
 
@@ -90,17 +90,16 @@ CpuEngine::CpuEngine(const index::InvertedIndex& idx, sim::CpuSpec spec,
 namespace griffin::gpu {
 
 namespace {
-core::HybridOptions gpu_only(GpuOptions opt, cpu::Bm25Params bm25) {
+core::HybridOptions gpu_only(GpuOptions opt) {
   core::HybridOptions h;
   h.scheduler.policy = core::SchedulerPolicy::kAlwaysGpu;
   h.gpu = opt;
-  h.cpu.bm25 = bm25;
   return h;
 }
 }  // namespace
 
 GpuEngine::GpuEngine(const index::InvertedIndex& idx, sim::HardwareSpec hw,
-                     GpuOptions opt, cpu::Bm25Params bm25)
-    : core::HybridEngine(idx, hw, gpu_only(opt, bm25)) {}
+                     GpuOptions opt)
+    : core::HybridEngine(idx, hw, gpu_only(opt)) {}
 
 }  // namespace griffin::gpu

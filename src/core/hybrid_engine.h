@@ -123,7 +123,7 @@ namespace griffin::gpu {
 class GpuEngine : public core::HybridEngine {
  public:
   GpuEngine(const index::InvertedIndex& idx, sim::HardwareSpec hw = {},
-            GpuOptions opt = {}, cpu::Bm25Params bm25 = {});
+            GpuOptions opt = {});
 };
 
 }  // namespace griffin::gpu

@@ -149,11 +149,10 @@ std::pair<double, sim::Duration> Scheduler::best_split(
 }
 
 sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
-  // The estimate prices each term through cpu/simd_cost.h's effective_*
-  // helpers — the same closed forms the engine charges through — so the
-  // decision model and the charges can never disagree. With the vector
-  // unit off every helper returns the scalar CpuSpec knob and this reduces
-  // to the pre-SIMD estimate exactly.
+  // The estimate prices each term per element of the LoopCost entries the
+  // engine charges (cpu/simd_cost.h), so the decision model and the charges
+  // read one cost. With the vector unit off every entry prices at its
+  // scalar CpuSpec knob and this reduces to the pre-SIMD estimate exactly.
   const sim::CpuSpec& c = hw_.cpu;
   const double ns = static_cast<double>(s.shorter);
   const double nl = static_cast<double>(s.longer);
@@ -161,6 +160,8 @@ sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
   if (s.shorter == 0) return sim::Duration();
   const double ratio = nl / ns;
   const bool host_decoded = opt_.residency_aware && s.longer_host_decoded;
+  const double decode = cpu::simd::per_element(
+      c, cpu::simd::decode_cost(c, s.longer_scheme));
   if (ratio >= cpu::kDefaultSkipRatio) {
     // Skip-pointer probing: log-time skip search per probe plus a full
     // block decode per distinct touched block (the paper-faithful CPU
@@ -172,22 +173,16 @@ sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
     const double touched =
         nblocks * (1.0 - std::exp(-probes / std::max(nblocks, 1.0)));
     cycles = probes * cpu::simd::effective_probe_search_cycles(c, steps);
-    if (!host_decoded) {
-      cycles += touched * 128.0 *
-                cpu::simd::effective_decode_cycles(c, s.longer_scheme);
-    }
+    if (!host_decoded) cycles += touched * 128.0 * decode;
   } else {
     // Full decode + merge; a host-decoded long list merges without decode.
-    cycles = (ns + nl) * cpu::simd::effective_merge_step_cycles(c);
-    if (!host_decoded) {
-      cycles += nl * cpu::simd::effective_decode_cycles(c, s.longer_scheme);
-    }
+    cycles = (ns + nl) * cpu::simd::per_element(c, cpu::simd::merge_cost(c));
+    if (!host_decoded) cycles += nl * decode;
   }
   sim::Duration t = sim::Duration::from_cycles(cycles, c.clock_ghz);
   // Migration: intermediate currently on the GPU must come back first.
   if (s.current_location == Placement::kGpu) {
-    t += sim::Duration::from_us(hw_.pcie.latency_us) +
-         sim::Duration::from_ns(ns * 4.0 / hw_.pcie.bandwidth_gbps);
+    t += link_.transfer_time(ns * 4.0);
   }
   return t;
 }
@@ -208,11 +203,7 @@ sim::Duration Scheduler::selective_gpu_time(double ns,
   const double blocks = std::min(ns, nl / 128.0);
   assert(s.longer == 0 || s.longer_bytes > 0);
   const double bpe = static_cast<double>(s.longer_bytes) / std::max(nl, 1.0);
-  if (!resident) {
-    t += sim::Duration::from_us(hw_.pcie.latency_us) +
-         sim::Duration::from_ns(blocks * 128.0 * bpe /
-                                hw_.pcie.bandwidth_gbps);
-  }
+  if (!resident) t += link_.transfer_time(blocks * 128.0 * bpe);
   t += sim::Duration::from_ns(ns * std::log2(std::max(nl / 128.0, 2.0)) *
                               128.0 / g.mem_bandwidth_gbps);
   t += sim::Duration::from_ns(blocks * 128.0 *
@@ -242,9 +233,7 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
     // cost their max, not their sum.
     sim::Duration xfer;
     if (!resident) {
-      xfer = sim::Duration::from_us(hw_.pcie.latency_us) +
-             sim::Duration::from_ns(static_cast<double>(s.longer_bytes) /
-                                    hw_.pcie.bandwidth_gbps);
+      xfer = link_.transfer_time(static_cast<double>(s.longer_bytes));
     }
     const double touched_bytes = (ns + nl) * 12.0;  // decode + merge traffic
     const sim::Duration mem =
@@ -256,8 +245,7 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
   }
   // Migration: intermediate currently on the CPU must be shipped over.
   if (s.current_location == Placement::kCpu) {
-    t += sim::Duration::from_us(hw_.pcie.latency_us) +
-         sim::Duration::from_ns(ns * 4.0 / hw_.pcie.bandwidth_gbps);
+    t += link_.transfer_time(ns * 4.0);
   }
   return t;
 }
@@ -268,9 +256,7 @@ sim::Duration Scheduler::estimate_split(const StepShape& s,
   const std::uint64_t n_gpu = split_share(alpha, s.shorter);
   const std::uint64_t n_cpu = s.shorter - n_gpu;
   const auto probe_xfer = [&](std::uint64_t n) {
-    return sim::Duration::from_us(hw_.pcie.latency_us) +
-           sim::Duration::from_ns(static_cast<double>(n) * 4.0 /
-                                  hw_.pcie.bandwidth_gbps);
+    return link_.transfer_time(static_cast<double>(n) * 4.0);
   };
 
   // CPU leg: the (1-alpha) low range through the same closed form as a
@@ -309,16 +295,16 @@ sim::Duration Scheduler::estimate_host_decode(std::uint64_t n,
   // Mirrors decode_all's full charge, not just the per-element decode: the
   // materialization surcharge dominates a full-list decode (24 scalar
   // cycles/element vs ~2 for the decode itself), and the output writes hit
-  // the memory-bandwidth roofline. Underpricing here would stage decodes
-  // that blow past the device step they were meant to hide under.
+  // the memory-bandwidth roofline of the accumulator decode_all charges.
+  // Underpricing here would stage decodes that blow past the device step
+  // they were meant to hide under.
   const sim::CpuSpec& c = hw_.cpu;
-  const double cycles =
-      static_cast<double>(n) * (cpu::simd::effective_decode_cycles(c, sc) +
-                                cpu::simd::effective_materialize_cycles(c));
-  const sim::Duration compute = sim::Duration::from_cycles(cycles, c.clock_ghz);
-  const sim::Duration bw = sim::Duration::from_ns(
-      static_cast<double>(n) * 4.0 / c.mem_bandwidth_gbps);
-  return sim::max(compute, bw);
+  sim::CpuCostAccumulator acc(c);
+  acc.add_cycles(static_cast<double>(n) *
+                 (cpu::simd::per_element(c, cpu::simd::decode_cost(c, sc)) +
+                  cpu::simd::per_element(c, cpu::simd::materialize_cost(c))));
+  acc.add_bytes(n * sizeof(codec::DocId));
+  return acc.time();
 }
 
 }  // namespace griffin::core

@@ -19,6 +19,7 @@
 #include <optional>
 
 #include "core/query.h"
+#include "pcie/link.h"
 #include "sim/hardware_spec.h"
 
 namespace griffin::core {
@@ -86,7 +87,7 @@ struct SchedulerOptions {
 class Scheduler {
  public:
   explicit Scheduler(SchedulerOptions opt = {}, sim::HardwareSpec hw = {})
-      : opt_(opt), hw_(hw) {}
+      : opt_(opt), hw_(hw), link_(hw.pcie) {}
 
   const SchedulerOptions& options() const { return opt_; }
 
@@ -131,6 +132,8 @@ class Scheduler {
 
   SchedulerOptions opt_;
   sim::HardwareSpec hw_;
+  /// Prices every PCIe term with the executors' own transfer formula.
+  pcie::Link link_;
 };
 
 }  // namespace griffin::core

@@ -18,9 +18,9 @@ double Bm25Scorer::idf(std::uint64_t df) const {
 double Bm25Scorer::term_score(std::uint32_t tf, std::uint64_t df,
                               std::uint32_t doc_len) const {
   const double norm =
-      params_.k1 * (1.0 - params_.b +
-                    params_.b * static_cast<double>(doc_len) /
-                        std::max(avg_len_, 1.0));
+      kBm25K1 * (1.0 - kBm25B +
+                 kBm25B * static_cast<double>(doc_len) /
+                     std::max(avg_len_, 1.0));
   const double t = static_cast<double>(tf);
   return idf(df) * t / (t + norm);
 }

@@ -12,15 +12,14 @@
 
 namespace griffin::cpu {
 
-struct Bm25Params {
-  double k1 = 0.9;
-  double b = 0.4;
-};
+/// BM25 term-frequency saturation and length normalization.
+inline constexpr double kBm25K1 = 0.9;
+inline constexpr double kBm25B = 0.4;
 
 class Bm25Scorer {
  public:
-  explicit Bm25Scorer(const index::InvertedIndex& idx, Bm25Params p = {})
-      : idx_(&idx), params_(p), avg_len_(idx.docs().avg_length()) {}
+  explicit Bm25Scorer(const index::InvertedIndex& idx)
+      : idx_(&idx), avg_len_(idx.docs().avg_length()) {}
 
   /// Robertson-Sparck-Jones idf with the +1 floor (never negative).
   double idf(std::uint64_t df) const;
@@ -39,7 +38,6 @@ class Bm25Scorer {
 
  private:
   const index::InvertedIndex* idx_;
-  Bm25Params params_;
   double avg_len_;
 };
 

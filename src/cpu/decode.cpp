@@ -4,50 +4,6 @@
 
 namespace griffin::cpu {
 
-namespace {
-/// Vector-mode charges for one cache-hot block decode of `m` under the
-/// lane-accounting model (cpu/simd_cost.h). Bit-identical output — the
-/// functional decode below is shared with the scalar path.
-void charge_block_simd(const codec::BlockMeta& m, codec::Scheme scheme,
-                       sim::CpuCostAccumulator& acc) {
-  const std::uint64_t n = m.count;
-  switch (scheme) {
-    case codec::Scheme::kPForDelta:
-      // SIMD-BP128-style slot unpack + vectorized delta prefix-sum; the
-      // exception patch chain stays scalar (data-dependent branches).
-      simd::charge_loop(acc, n, simd::kUnpackOps + simd::kDeltaOps,
-                        simd::kDeltaShuffles);
-      acc.pfor_exceptions(m.hdr.pfor().n_exceptions);
-      break;
-    case codec::Scheme::kEliasFano:
-      // The unary high-bits scan stays word-serial; the packed lower bits
-      // unpack like a bit-packed slot, then merge via the same prefix adds.
-      acc.add_cycles(simd::kEfHighScalarCycles * static_cast<double>(n));
-      simd::charge_loop(acc, n, simd::kEfLowerOps + simd::kDeltaOps,
-                        simd::kDeltaShuffles);
-      break;
-    case codec::Scheme::kVarByte:
-      simd::charge_loop(acc, n, simd::kVByteSimdOps, simd::kVByteSimdShuffles);
-      acc.add_cycles(simd::kVByteSimdResidueCycles * static_cast<double>(n));
-      break;
-    case codec::Scheme::kSimple16:
-      // Selector-switch dispatch is not lane-parallel: scalar either way.
-      acc.add_cycles(simd::kSimple16ScalarCycles * static_cast<double>(n));
-      break;
-    case codec::Scheme::kBitPack128:
-      // PForDelta's fast path with the exception patching deleted — the
-      // codec the vector unit likes best.
-      simd::charge_loop(acc, n, simd::kUnpackOps + simd::kDeltaOps,
-                        simd::kDeltaShuffles);
-      break;
-    case codec::Scheme::kRePair:
-      // Grammar expansion is pointer chasing: scalar in both modes.
-      acc.add_cycles(simd::kRePairExpandCycles * static_cast<double>(n));
-      break;
-  }
-}
-}  // namespace
-
 std::uint64_t block_payload_bytes(const BlockCompressedList& list,
                                   std::size_t b) {
   const auto& metas = list.metas();
@@ -61,32 +17,11 @@ std::uint64_t block_payload_bytes(const BlockCompressedList& list,
 std::uint32_t decode_block(const BlockCompressedList& list, std::size_t b,
                            DocId* out, sim::CpuCostAccumulator& acc) {
   const codec::BlockMeta& m = list.meta(b);
-  if (simd::enabled(acc.spec())) {
-    charge_block_simd(m, list.scheme(), acc);
-  } else {
-    switch (list.scheme()) {
-      case codec::Scheme::kPForDelta:
-        acc.pfor_regulars(m.count > 0 ? m.count - 1u : 0u);
-        acc.pfor_exceptions(m.hdr.pfor().n_exceptions);
-        break;
-      case codec::Scheme::kEliasFano:
-        acc.ef_elements(m.count);
-        break;
-      case codec::Scheme::kVarByte:
-        acc.add_cycles(simd::kVByteScalarCycles * m.count);
-        break;
-      case codec::Scheme::kSimple16:
-        acc.add_cycles(simd::kSimple16ScalarCycles * m.count);
-        break;
-      case codec::Scheme::kBitPack128:
-        // Same slot-unpack + delta work as PForDelta's regulars, and by
-        // construction no exceptions.
-        acc.pfor_regulars(m.count > 0 ? m.count - 1u : 0u);
-        break;
-      case codec::Scheme::kRePair:
-        acc.add_cycles(simd::kRePairExpandCycles * m.count);
-        break;
-    }
+  simd::charge(acc, m.count, simd::decode_cost(acc.spec(), list.scheme()));
+  // PForDelta's exception patch chain stays scalar in both modes
+  // (data-dependent branches).
+  if (list.scheme() == codec::Scheme::kPForDelta) {
+    acc.pfor_exceptions(m.hdr.pfor().n_exceptions);
   }
   acc.add_bytes(block_payload_bytes(list, b));
   return list.decode_block(b, out);
@@ -101,16 +36,8 @@ void decode_all(const BlockCompressedList& list, std::vector<DocId>& out,
   }
   // Full materialization: the decoded array leaves cache, and the output
   // writes count against memory bandwidth (unlike the cache-hot per-block
-  // decodes the intersection loops use). In vector mode the stores stream
-  // out ceil(n/lanes) at a time; a scalar residue covers the block-loop
-  // control and skip-table touches that don't vectorize.
-  if (simd::enabled(acc.spec())) {
-    acc.add_cycles(simd::kMaterializeResidueCycles *
-                   static_cast<double>(list.size()));
-    simd::charge_loop(acc, list.size(), simd::kStoreOps);
-  } else {
-    acc.decode_materialize(list.size());
-  }
+  // decodes the intersection loops use).
+  simd::charge(acc, list.size(), simd::materialize_cost(acc.spec()));
   acc.add_bytes(list.size() * sizeof(DocId));
 }
 

@@ -1,5 +1,5 @@
 // Options of the CPU side of an engine stack: the SvS stepper's merge/skip
-// crossover, the host decoded-postings cache and BM25. The CPU-only engine
+// crossover and the host decoded-postings cache. The CPU-only engine
 // itself, cpu::CpuEngine, is the hybrid engine pinned to the CPU
 // (kAlwaysCpu) and is declared next to it in core/hybrid_engine.h
 // (DESIGN.md §8).
@@ -18,7 +18,6 @@ struct CpuEngineOptions {
   /// Host-memory budget for the decoded-postings cache
   /// (cpu/decoded_cache.h); 0 disables it.
   std::size_t decoded_cache_bytes = std::size_t{1} << 30;
-  Bm25Params bm25;
 };
 
 }  // namespace griffin::cpu

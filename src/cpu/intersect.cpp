@@ -9,26 +9,6 @@
 namespace griffin::cpu {
 
 namespace {
-/// Cycles per binary-search step beyond the mispredict charge.
-constexpr double kProbeCycles = 3.0;
-/// A data-dependent binary-search branch mispredicts about half the time.
-constexpr double kMissFraction = 0.5;
-
-/// Merge-advance charge: scalar pays the branchy per-step cost; vector mode
-/// charges the shuffle-based block merge (Lemire et al.) as one vectorized
-/// loop — ceil(steps/lanes) iterations of the compare/minmax network plus
-/// the compaction shuffle (cpu/simd_cost.h has the issue counts).
-void charge_merge_steps(sim::CpuCostAccumulator& acc, std::uint64_t steps) {
-  if (!simd::enabled(acc.spec())) {
-    acc.merge_steps(steps);
-    return;
-  }
-  const sim::CpuVectorSpec& v = acc.spec().vector;
-  simd::charge_loop(acc, steps,
-                    simd::kMergeOpsPerLane * v.lanes + simd::kMergeFixedOps,
-                    simd::kMergeShufflesPerLane * v.lanes);
-}
-
 /// Aggregated search charge for `probes` skip/gallop searches totalling
 /// `steps` binary levels. Vector mode absorbs the last
 /// search_levels_absorbed() levels of each probe into one branchless
@@ -48,9 +28,9 @@ void charge_search_steps(sim::CpuCostAccumulator& acc, std::uint64_t steps,
 }  // namespace
 
 void charge_binary_steps(sim::CpuCostAccumulator& acc, std::uint64_t steps) {
-  acc.add_cycles(static_cast<double>(steps) * kProbeCycles);
-  acc.branch_misses(
-      static_cast<std::uint64_t>(static_cast<double>(steps) * kMissFraction));
+  acc.add_cycles(static_cast<double>(steps) * simd::kProbeCycles);
+  acc.branch_misses(static_cast<std::uint64_t>(static_cast<double>(steps) *
+                                               simd::kMissFraction));
 }
 
 void merge_intersect(std::span<const DocId> a, std::span<const DocId> b,
@@ -68,7 +48,7 @@ void merge_intersect(std::span<const DocId> a, std::span<const DocId> b,
       ++j;
     }
   }
-  charge_merge_steps(acc, i + j);
+  simd::charge(acc, i + j, simd::merge_cost(acc.spec()));
   acc.add_bytes((i + j) * sizeof(DocId));
 }
 
@@ -100,7 +80,7 @@ void merge_intersect(std::span<const DocId> a, const BlockCompressedList& b,
       ++steps;
     }
   }
-  charge_merge_steps(acc, steps);
+  simd::charge(acc, steps, simd::merge_cost(acc.spec()));
   acc.add_bytes(steps * sizeof(DocId));
 }
 
@@ -137,7 +117,7 @@ void merge_intersect(const BlockCompressedList& a, const BlockCompressedList& b,
     if (i == an) ++ablk;
     if (j == bn) ++bblk;
   }
-  charge_merge_steps(acc, steps);
+  simd::charge(acc, steps, simd::merge_cost(acc.spec()));
   acc.add_bytes(steps * sizeof(DocId));
 }
 

@@ -7,17 +7,23 @@
 // the charged cycles, never the produced docIDs (tests/test_simd_parity.cpp
 // pins this).
 //
-// Per-algorithm issue counts below are *calibrated*, exactly like the scalar
-// knobs in sim::CpuSpec (EXPERIMENTS.md "Calibration"): they are chosen so
-// the modeled speedups land inside the ranges Lemire, Boytsov & Kurz
-// measured ("SIMD Compression and the Intersection of Sorted Integers",
-// PAPERS.md) — 4-8x full-list decode (SIMD-BP128-style bit-unpacking with
-// vectorized delta + streaming stores), 2-5x merge intersection (shuffle-
-// based block merge), and a modest 1.3-1.8x on the branch-bound skip/gallop
-// search (vector compare only replaces the last levels of each binary
-// search). The scheduler's estimates (core/scheduler.cpp) consume the same
-// effective_* helpers the engines charge through, so the decision model and
-// the charges can never disagree.
+// Each per-element loop the engines charge — a block decode per codec, the
+// decode_all materialization and the merge step — is described once, as a
+// LoopCost entry. charge() turns an entry into the exact charge for n
+// elements (cpu/decode.cpp, cpu/intersect.cpp); per_element() turns the
+// same entry into the per-element closed form the scheduler's estimates
+// price with (core/scheduler.cpp). Neither side keeps its own copy of a
+// cost. Searches are priced per probe, not per element (the end of this
+// file).
+//
+// The per-iteration issue counts are *calibrated*, like the scalar knobs in
+// sim::CpuSpec (EXPERIMENTS.md "Calibration"): they are chosen so the
+// modeled speedups land inside the ranges Lemire, Boytsov & Kurz measured
+// ("SIMD Compression and the Intersection of Sorted Integers", PAPERS.md) —
+// 4-8x full-list decode (SIMD-BP128-style bit-unpacking with vectorized
+// delta + streaming stores), 2-5x merge intersection (shuffle-based block
+// merge), and a modest 1.3-1.8x on the branch-bound skip/gallop search
+// (vector compare only replaces the last levels of each binary search).
 #pragma once
 
 #include <algorithm>
@@ -30,7 +36,7 @@
 
 namespace griffin::cpu::simd {
 
-// ---- Per-vector-iteration issue counts (algorithm constants) ----
+// ---- Per-vector-iteration issue counts shared by several loops ----
 // A "vector op" is an ALU-port issue (shift/and/or/add/min/max/compare), a
 // "shuffle" a shuffle-port issue (pshufb/permute). Costs per issue come
 // from sim::CpuVectorSpec.
@@ -42,47 +48,10 @@ inline constexpr double kUnpackOps = 4.0;
 /// plus the broadcast of the running base.
 inline constexpr double kDeltaOps = 2.0;
 inline constexpr double kDeltaShuffles = 2.0;
-/// Full materialization (decode_all): vectorized streaming store of the
-/// reconstructed docIDs plus the loop's address bookkeeping.
-inline constexpr double kStoreOps = 2.0;
-/// Per-element scalar residue a vectorized full decode cannot hide: block
-/// loop control, skip-table reads, exception-patch branches.
-inline constexpr double kMaterializeResidueCycles = 2.0;
-/// Elias-Fano: the unary high-bits scan stays word-serial (popcount-guided,
-/// not lane-parallel), charged per element even in SIMD mode...
-inline constexpr double kEfHighScalarCycles = 1.0;
-/// ...while the packed lower bits unpack exactly like a bit-packed slot.
-inline constexpr double kEfLowerOps = 4.0;
-/// Shuffle-based two-list block merge (Lemire et al. §5): per vector
-/// iteration, both frontier vectors load, run a compare/minmax network, and
-/// the matches compact through one lookup shuffle. The network's depth
-/// scales with the vector width, so the shuffle count is per-lane.
-inline constexpr double kMergeOpsPerLane = 1.5;
-inline constexpr double kMergeShufflesPerLane = 1.25;
-inline constexpr double kMergeFixedOps = 4.0;  ///< loads + movemask + store
 /// SIMD gallop/binary search: the last levels of each probe's binary search
 /// are replaced by a branchless compare of one lanes-wide vector window...
 inline constexpr double kSearchWindowOps = 2.0;      ///< cmp + movemask
 inline constexpr double kSearchWindowShuffles = 1.0; ///< broadcast the key
-// ---- Per-codec scalar/SIMD decode constants (codec zoo) ----
-// The block-decode cost of each scheme, shared by cpu/decode.cpp's charges
-// and the scheduler's per-codec estimates (effective_decode_cycles below).
-
-/// Modeled per-element scalar VByte decode cost (branchy byte loop).
-inline constexpr double kVByteScalarCycles = 3.5;
-/// Simple16 unpacks ~a word of values per switch dispatch: very fast.
-inline constexpr double kSimple16ScalarCycles = 1.8;
-/// SIMD VByte (masked-shuffle varint decode): per vector iteration, the
-/// length mask gathers into one lookup shuffle; a per-element scalar residue
-/// covers the control-byte bookkeeping.
-inline constexpr double kVByteSimdOps = 2.0;
-inline constexpr double kVByteSimdShuffles = 3.0;
-inline constexpr double kVByteSimdResidueCycles = 1.0;
-/// Re-Pair grammar expansion: per output element, a stack pop, a
-/// terminal/nonterminal branch, and a data-dependent rule fetch. Pointer
-/// chasing — it does not vectorize, so the cost is mode-independent.
-inline constexpr double kRePairExpandCycles = 2.5;
-
 /// ...which absorbs ceil(log2(lanes)) branchy levels per probe.
 inline int search_levels_absorbed(const sim::CpuVectorSpec& v) {
   return static_cast<int>(
@@ -137,82 +106,116 @@ inline void charge_probe_windows(sim::CpuCostAccumulator& acc,
                       cycles);
 }
 
-// ---- Effective per-element / per-step costs ----
-//
-// Closed forms of the charges above (setup and tail amortized away), shared
-// by the scheduler's estimates so decisions track what the engines charge.
-// Each returns the *scalar* spec cost when the vector unit is disabled.
+// ---- The LoopCost table ----
 
-/// Cache-hot PForDelta block decode, per element (the intersection path).
-inline double effective_pfor_decode_cycles(const sim::CpuSpec& s) {
-  if (!enabled(s)) return s.pfor_decode_cycles;
-  return iter_cycles(s.vector, kUnpackOps + kDeltaOps, kDeltaShuffles) /
-         s.vector.lanes;
-}
+/// One per-element CPU loop. Scalar mode pays `scalar` cycles per element.
+/// In vector mode a loop that vectorizes pays `residue` scalar cycles per
+/// element (the work its vector body cannot hide) plus one charge_loop at
+/// (`ops`, `shuffles`) issues per vector iteration; one that does not
+/// vectorize pays `scalar` in both modes.
+struct LoopCost {
+  double scalar = 0.0;
+  bool vectorized = true;
+  double ops = 0.0;
+  double shuffles = 0.0;
+  double residue = 0.0;
+  /// Scalar mode pays only the count - 1 d-gap slots of a block (its first
+  /// docID comes from the skip table's BlockMeta::first).
+  bool gap_slots_only = false;
+};
 
-/// Cache-hot Elias-Fano block decode, per element.
-inline double effective_ef_decode_cycles(const sim::CpuSpec& s) {
-  if (!enabled(s)) return s.ef_decode_cycles;
-  return kEfHighScalarCycles +
-         iter_cycles(s.vector, kEfLowerOps + kDeltaOps, kDeltaShuffles) /
-             s.vector.lanes;
-}
-
-/// Full-list materialization surcharge, per element (decode_all).
-inline double effective_materialize_cycles(const sim::CpuSpec& s) {
-  if (!enabled(s)) return s.decode_materialize_cycles;
-  return kMaterializeResidueCycles +
-         iter_cycles(s.vector, kStoreOps, 0.0) / s.vector.lanes;
-}
-
-/// Cache-hot BP128 block decode, per element: the same slot-unpack +
-/// vectorized delta as PForDelta's regular path, with no exception patching
-/// at all — the codec exists to hit exactly this fast path.
-inline double effective_bp128_decode_cycles(const sim::CpuSpec& s) {
-  if (!enabled(s)) return s.pfor_decode_cycles;
-  return iter_cycles(s.vector, kUnpackOps + kDeltaOps, kDeltaShuffles) /
-         s.vector.lanes;
-}
-
-/// Cache-hot VByte block decode, per element.
-inline double effective_vbyte_decode_cycles(const sim::CpuSpec& s) {
-  if (!enabled(s)) return kVByteScalarCycles;
-  return kVByteSimdResidueCycles +
-         iter_cycles(s.vector, kVByteSimdOps, kVByteSimdShuffles) /
-             s.vector.lanes;
-}
-
-/// Cache-hot per-element block decode cost of `scheme` — the codec-aware
-/// closed form the scheduler prices decode terms through. Matches the charge
-/// switches in cpu/decode.cpp scheme for scheme.
-inline double effective_decode_cycles(const sim::CpuSpec& s,
-                                      codec::Scheme scheme) {
+/// Cache-hot decode of one posting block of `scheme` (the intersection
+/// path). PForDelta's exception patch chain is not in the entry: it stays a
+/// per-exception scalar charge (cpu/decode.cpp).
+inline LoopCost decode_cost(const sim::CpuSpec& s, codec::Scheme scheme) {
   switch (scheme) {
-    case codec::Scheme::kPForDelta: return effective_pfor_decode_cycles(s);
-    case codec::Scheme::kEliasFano: return effective_ef_decode_cycles(s);
-    case codec::Scheme::kVarByte: return effective_vbyte_decode_cycles(s);
-    case codec::Scheme::kSimple16: return kSimple16ScalarCycles;
-    case codec::Scheme::kBitPack128: return effective_bp128_decode_cycles(s);
-    case codec::Scheme::kRePair: return kRePairExpandCycles;
+    case codec::Scheme::kPForDelta:
+    case codec::Scheme::kBitPack128:
+      // Slot unpack + vectorized delta prefix-sum; BP128 is PForDelta's
+      // fast path with the exception patching deleted.
+      return {.scalar = s.pfor_decode_cycles,
+              .ops = kUnpackOps + kDeltaOps,
+              .shuffles = kDeltaShuffles,
+              .gap_slots_only = true};
+    case codec::Scheme::kVarByte:
+      // Branchy byte loop scalar; masked-shuffle varint decode vectorized:
+      // the length mask gathers into one lookup shuffle, and the residue
+      // covers the control-byte bookkeeping.
+      return {.scalar = 3.5, .ops = 2.0, .shuffles = 3.0, .residue = 1.0};
+    case codec::Scheme::kSimple16:
+      // Unpacks ~a word of values per selector-switch dispatch: very fast,
+      // and not lane-parallel.
+      return {.scalar = 1.8, .vectorized = false};
+    case codec::Scheme::kRePair:
+      // Grammar expansion: per output element a stack pop, a terminal /
+      // nonterminal branch and a data-dependent rule fetch. Pointer
+      // chasing does not vectorize.
+      return {.scalar = 2.5, .vectorized = false};
+    case codec::Scheme::kEliasFano:
+      break;
   }
-  return effective_ef_decode_cycles(s);
+  // Elias-Fano: the unary high-bits scan stays word-serial (popcount-guided,
+  // not lane-parallel), a residue even in vector mode; the packed lower bits
+  // unpack like a bit-packed slot and merge via the same prefix adds.
+  return {.scalar = s.ef_decode_cycles,
+          .ops = kUnpackOps + kDeltaOps,
+          .shuffles = kDeltaShuffles,
+          .residue = 1.0};
+}
+
+/// Full-list materialization surcharge of decode_all: the decoded array
+/// leaves cache. Vectorized, the stores stream out ceil(n/lanes) at a time
+/// (streaming store + address bookkeeping); the residue covers the block
+/// loop control, skip-table reads and exception-patch branches that do not
+/// vectorize.
+inline LoopCost materialize_cost(const sim::CpuSpec& s) {
+  return {.scalar = s.decode_materialize_cycles, .ops = 2.0, .residue = 2.0};
 }
 
 /// One two-pointer merge advance (compare + advance + conditional emit).
-inline double effective_merge_step_cycles(const sim::CpuSpec& s) {
-  if (!enabled(s)) return s.merge_step_cycles;
-  const sim::CpuVectorSpec& v = s.vector;
-  const double per_iter =
-      iter_cycles(v, kMergeOpsPerLane * v.lanes + kMergeFixedOps,
-                  kMergeShufflesPerLane * v.lanes);
-  return per_iter / v.lanes;
+/// Vectorized, it is the shuffle-based block merge (Lemire et al. §5): per
+/// vector iteration both frontier vectors load, run a compare/minmax
+/// network whose depth scales with the vector width (1.5 ops and 1.25
+/// shuffles per lane), and the matches compact through one lookup shuffle
+/// (4 fixed ops: loads + movemask + store).
+inline LoopCost merge_cost(const sim::CpuSpec& s) {
+  const int lanes = s.vector.lanes;
+  return {.scalar = s.merge_step_cycles,
+          .ops = 1.5 * lanes + 4.0,
+          .shuffles = 1.25 * lanes};
 }
+
+/// Charges `n` elements of loop `c` (scalar or vector per the accumulator's
+/// spec).
+inline void charge(sim::CpuCostAccumulator& acc, std::uint64_t n,
+                   const LoopCost& c) {
+  if (!enabled(acc.spec()) || !c.vectorized) {
+    const std::uint64_t paid = c.gap_slots_only && n > 0 ? n - 1 : n;
+    acc.add_cycles(static_cast<double>(paid) * c.scalar);
+    return;
+  }
+  acc.add_cycles(c.residue * static_cast<double>(n));
+  charge_loop(acc, n, c.ops, c.shuffles);
+}
+
+/// Cycles per element of loop `c` with setup and tail amortized away: the
+/// closed form of charge() the scheduler prices with.
+inline double per_element(const sim::CpuSpec& s, const LoopCost& c) {
+  if (!enabled(s) || !c.vectorized) return c.scalar;
+  return c.residue + iter_cycles(s.vector, c.ops, c.shuffles) / s.vector.lanes;
+}
+
+// ---- Search costs ----
+
+/// Scalar binary-search level (cpu/intersect.cpp's charge_binary_steps):
+/// cycles per level beyond the mispredict charge...
+inline constexpr double kProbeCycles = 3.0;
+/// ...for a data-dependent branch that mispredicts about half the time.
+inline constexpr double kMissFraction = 0.5;
 
 /// One branchy binary-search level (probe + data-dependent branch), scalar.
 inline double scalar_search_step_cycles(const sim::CpuSpec& s) {
-  // Matches cpu/intersect.cpp's charge_binary_steps: kProbeCycles plus the
-  // expected half-rate mispredict.
-  return 3.0 + 0.5 * s.branch_miss_cycles;
+  return kProbeCycles + kMissFraction * s.branch_miss_cycles;
 }
 
 /// Skip/gallop search cost for one probe that walks `levels` binary-search
@@ -242,10 +245,11 @@ inline double crossover_scale(const sim::CpuSpec& s,
   const double levels =
       static_cast<double>(util::ceil_log2(std::max(block_size, 2u))) + 7.0;
   const double block = static_cast<double>(block_size);
+  const LoopCost ef = decode_cost(s, codec::Scheme::kEliasFano);
   const double scalar =
-      block * s.ef_decode_cycles + levels * scalar_search_step_cycles(s);
-  const double simd = block * effective_ef_decode_cycles(s) +
-                      effective_probe_search_cycles(s, levels);
+      block * ef.scalar + levels * scalar_search_step_cycles(s);
+  const double simd =
+      block * per_element(s, ef) + effective_probe_search_cycles(s, levels);
   return simd / scalar;
 }
 

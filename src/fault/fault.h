@@ -169,13 +169,10 @@ struct FaultCounters {
     return *this;
   }
 
-  bool any() const {
-    return gpu_faults + pcie_errors + prefetch_faults + oom_faults +
-               replica_failures + failovers + slow_replicas + breaker_opens +
-               breaker_short_circuits + deadline_misses + shards_dropped +
-               degraded_queries + shed_queries !=
-           0;
-  }
+  bool operator==(const FaultCounters&) const = default;
+  /// True when any counter moved: compares every field, so it cannot drift
+  /// from the struct.
+  bool any() const { return *this != FaultCounters{}; }
 };
 
 /// Stateless decision oracle over a FaultConfig. Every question is a pure

@@ -229,20 +229,6 @@ void decode_one_block(simt::Block& blk, const DeviceList& list,
 
 }  // namespace detail
 
-bool gpu_parallel_decode(codec::Scheme s) {
-  switch (s) {
-    case codec::Scheme::kEliasFano:
-    case codec::Scheme::kPForDelta:
-    case codec::Scheme::kBitPack128:
-    case codec::Scheme::kRePair:
-      return true;
-    case codec::Scheme::kVarByte:
-    case codec::Scheme::kSimple16:
-      return false;
-  }
-  return false;
-}
-
 sim::KernelStats decode_range(simt::Device& dev, const DeviceList& list,
                               std::size_t lo, std::size_t hi,
                               simt::DeviceBuffer<DocId>& out,

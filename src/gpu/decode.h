@@ -15,11 +15,6 @@
 
 namespace griffin::gpu {
 
-/// True when the scheme has a lane-parallel device kernel; false for the
-/// serial-fallback codecs (the scheduler charges those a per-posting
-/// penalty, and the adaptive selector's tie-break prefers parallel ones).
-bool gpu_parallel_decode(codec::Scheme s);
-
 /// Decodes posting blocks [lo, hi) of any device list into out, at
 /// positions out_base + (desc.out_offset - descs[lo].out_offset) onward.
 sim::KernelStats decode_range(simt::Device& dev, const DeviceList& list,

@@ -24,11 +24,12 @@ class Link {
 
   const sim::PcieSpec& spec() const { return spec_; }
 
-  /// Time for one host->device or device->host DMA of `bytes`.
-  sim::Duration transfer_time(std::uint64_t bytes) const {
+  /// Time for one host->device or device->host DMA of `bytes`. A double,
+  /// so the scheduler's estimates price their fractional expected sizes
+  /// through the same formula the ledger charges.
+  sim::Duration transfer_time(double bytes) const {
     return sim::Duration::from_us(spec_.latency_us) +
-           sim::Duration::from_ns(static_cast<double>(bytes) /
-                                  spec_.bandwidth_gbps);
+           sim::Duration::from_ns(bytes / spec_.bandwidth_gbps);
   }
 
   /// Time for one chunk of a larger DMA split for double buffering: the

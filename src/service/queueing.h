@@ -94,12 +94,24 @@ class QueueDepthTracker {
   /// Records a job's (arrival, completion); returns the depth at arrival:
   /// the recorded jobs, this one included, still in the system after it.
   std::uint64_t observe(sim::Duration arrival, sim::Duration done) {
-    auto& c = completions_;
-    c.insert(std::upper_bound(c.begin(), c.end(), done), done);
-    const auto later = std::upper_bound(c.begin(), c.end(), arrival);
-    const auto depth = static_cast<std::uint64_t>(c.end() - later);
+    record(done);
+    const std::uint64_t depth = in_system(arrival);
     max_depth_ = std::max(max_depth_, depth);
     return depth;
+  }
+
+  /// Records a job's completion without observing a depth.
+  void record(sim::Duration done) {
+    auto& c = completions_;
+    c.insert(std::upper_bound(c.begin(), c.end(), done), done);
+  }
+
+  /// The recorded jobs still in the system at `t`: those completing after
+  /// it.
+  std::uint64_t in_system(sim::Duration t) const {
+    const auto& c = completions_;
+    return static_cast<std::uint64_t>(
+        c.end() - std::upper_bound(c.begin(), c.end(), t));
   }
 
   std::uint64_t max_depth() const { return max_depth_; }

@@ -26,28 +26,18 @@ ServiceResult run_service(std::span<const sim::Duration> service_times,
   ServiceResult res;
   PoissonArrivals arrivals(cfg.arrival_qps, cfg.seed);
   FcfsServer server;
-  QueueDepthTracker depth;
-
-  // Admission control: completion times of admitted queries, in submit
-  // order. FCFS completions are nondecreasing, so a head pointer gives the
-  // in-system count at any arrival in O(1) amortized.
-  std::vector<sim::Duration> done_times;
-  if (cfg.max_queue_depth > 0) done_times.reserve(service_times.size());
-  std::size_t head = 0;
+  QueueDepthTracker depth;  // admitted queries only
 
   for (const sim::Duration service : service_times) {
     const sim::Duration arrival = arrivals.next();
-    if (cfg.max_queue_depth > 0) {
-      while (head < done_times.size() && done_times[head] <= arrival) ++head;
-      if (done_times.size() - head >= cfg.max_queue_depth) {
-        // The queue is full: shed instead of letting the backlog (and every
-        // later response time) grow without bound.
-        ++res.faults.shed_queries;
-        continue;
-      }
+    if (cfg.max_queue_depth > 0 &&
+        depth.in_system(arrival) >= cfg.max_queue_depth) {
+      // The queue is full: shed instead of letting the backlog (and every
+      // later response time) grow without bound.
+      ++res.faults.shed_queries;
+      continue;
     }
     const Completion c = server.submit(arrival, service);
-    if (cfg.max_queue_depth > 0) done_times.push_back(c.done);
     res.service_ms.add(service.ms());
     res.response_ms.add((c.done - arrival).ms());
     depth.observe(arrival, c.done);

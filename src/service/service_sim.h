@@ -63,7 +63,6 @@ struct ServiceResult {
   /// executing overload only) plus queries shed by admission control.
   fault::FaultCounters faults;
 
-  double mean_response_ms() const { return response_ms.mean(); }
   std::uint64_t shed_queries() const { return faults.shed_queries; }
 };
 

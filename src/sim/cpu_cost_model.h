@@ -75,12 +75,7 @@ class CpuCostAccumulator {
   // Convenience charges matching the CpuSpec knobs.
   void merge_steps(std::uint64_t n) { cycles_ += n * spec_->merge_step_cycles; }
   void branch_misses(std::uint64_t n) { cycles_ += n * spec_->branch_miss_cycles; }
-  void pfor_regulars(std::uint64_t n) { cycles_ += n * spec_->pfor_decode_cycles; }
   void pfor_exceptions(std::uint64_t n) { cycles_ += n * spec_->pfor_exception_cycles; }
-  void ef_elements(std::uint64_t n) { cycles_ += n * spec_->ef_decode_cycles; }
-  void decode_materialize(std::uint64_t n) {
-    cycles_ += n * spec_->decode_materialize_cycles;
-  }
   void scores(std::uint64_t n) { cycles_ += n * spec_->score_cycles; }
   void heap_steps(std::uint64_t n) { cycles_ += n * spec_->heap_step_cycles; }
 

@@ -70,7 +70,7 @@ void DeviceManager::finish(Lane& lane, std::vector<TenantResult>& results) {
   out.finish = done;
   lane.free_at = done;
   lane.active = false;
-  finishes_.push_back(done);
+  finished_.record(done);
   assert(active_ > 0);
   --active_;
 }
@@ -119,7 +119,7 @@ void DeviceManager::step(std::vector<TenantResult>& results) {
 std::vector<TenantResult> DeviceManager::run(
     std::span<const TenantQuery> load, std::uint32_t max_in_system) {
   tl_.reset();
-  finishes_.clear();
+  finished_ = service::QueueDepthTracker{};
   run_faults_ = fault::FaultCounters{};
   composer_ = BatchComposer(opt_.batch);
   for (auto& lane : lanes_) {
@@ -132,16 +132,13 @@ std::vector<TenantResult> DeviceManager::run(
   std::deque<std::size_t> pending;  // arrived, not yet admitted (FIFO)
   std::size_t next_arrival = 0;
 
-  const auto in_system_at = [&](sim::Duration t) {
-    std::uint64_t n = active_ + pending.size();
-    for (const sim::Duration f : finishes_) {
-      if (f > t) ++n;
-    }
-    return n;
-  };
+  // In system at an arrival: the in-flight and queued queries, plus the
+  // finished ones that complete after it.
   const auto ingest = [&](std::size_t i) {
     results[i].arrival = load[i].arrival;
-    if (max_in_system > 0 && in_system_at(load[i].arrival) >= max_in_system) {
+    if (max_in_system > 0 &&
+        active_ + pending.size() + finished_.in_system(load[i].arrival) >=
+            max_in_system) {
       results[i].shed = true;
       ++results[i].result.metrics.faults.shed_queries;
       ++run_faults_.shed_queries;

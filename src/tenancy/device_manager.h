@@ -33,6 +33,7 @@
 #include "core/hybrid_engine.h"
 #include "fault/fault.h"
 #include "index/inverted_index.h"
+#include "service/queueing.h"
 #include "sim/hardware_spec.h"
 #include "sim/timeline.h"
 #include "tenancy/batch.h"
@@ -122,9 +123,9 @@ class DeviceManager {
   fault::FaultCounters run_faults_;  ///< rollup of the last run()
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::uint32_t active_ = 0;  ///< lanes with an in-flight query
-  /// Completion times of finished queries in the current run() — the
-  /// in-system count at an arrival needs "finished later than t".
-  std::vector<sim::Duration> finishes_;
+  /// Completions of the current run()'s finished queries — the in-system
+  /// count at an arrival needs "finished later than t".
+  service::QueueDepthTracker finished_;
 };
 
 }  // namespace griffin::tenancy

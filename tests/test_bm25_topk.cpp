@@ -61,8 +61,7 @@ TEST(Bm25, LongerDocsPenalized) {
 
 TEST(Bm25, ScoreAgainstManualComputation) {
   const auto idx = tiny_index();
-  gc::Bm25Params params;
-  gc::Bm25Scorer scorer(idx, params);
+  gc::Bm25Scorer scorer(idx);
   griffin::sim::CpuCostAccumulator acc(spec);
 
   const std::vector<griffin::index::TermId> terms{0, 1};

@@ -180,7 +180,6 @@ TEST(FaultCluster, BreakerShortCircuitsAPersistentlyDeadPrimary) {
 
   auto breaker_cfg = cfg;
   breaker_cfg.breaker.enabled = true;
-  breaker_cfg.breaker.failure_threshold = 3;
   breaker_cfg.breaker.open_duration = sim::Duration::from_seconds(30);
   cluster::ClusterBroker guarded(idx, breaker_cfg);
   const auto with = guarded.run(log);
@@ -198,9 +197,9 @@ TEST(FaultCluster, BreakerShortCircuitsAPersistentlyDeadPrimary) {
 }
 
 TEST(FaultCluster, CircuitBreakerStateMachine) {
+  static_assert(cluster::kBreakerFailureThreshold == 3);
   cluster::BreakerConfig cfg;
   cfg.enabled = true;
-  cfg.failure_threshold = 2;
   cfg.open_duration = sim::Duration::from_ms(10);
   cluster::CircuitBreaker br(cfg);
 
@@ -208,7 +207,10 @@ TEST(FaultCluster, CircuitBreakerStateMachine) {
   using State = cluster::CircuitBreaker::State;
 
   EXPECT_TRUE(br.allow(t(0)));
-  EXPECT_FALSE(br.record_failure(t(0)));  // 1 of 2
+  EXPECT_FALSE(br.record_failure(t(0)));  // 1 of 3
+  EXPECT_TRUE(br.allow(t(0.5)));
+  EXPECT_FALSE(br.record_failure(t(0.5)));  // 2 of 3
+  EXPECT_EQ(br.state(t(0.5)), State::kClosed);
   EXPECT_TRUE(br.allow(t(1)));
   EXPECT_TRUE(br.record_failure(t(1)));  // threshold: opens
   EXPECT_EQ(br.state(t(2)), State::kOpen);

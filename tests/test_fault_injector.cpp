@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace griffin;
 
 TEST(FaultInjector, DisarmedSitesNeverFire) {
@@ -192,4 +194,31 @@ TEST(FaultCounters, AccumulateAndDetect) {
   EXPECT_EQ(a.shed_queries, 1u);
   EXPECT_EQ(a.gpu_wasted, sim::Duration::from_us(100));
   EXPECT_EQ(a.pcie_retry_time, sim::Duration::from_us(7));
+}
+
+TEST(FaultCounters, AnySeesEveryField) {
+  using F = fault::FaultCounters;
+  constexpr std::uint64_t F::*kCounts[] = {
+      &F::gpu_faults,         &F::pcie_errors,       &F::split_leg_faults,
+      &F::prefetch_faults,    &F::oom_faults,        &F::oom_evictions,
+      &F::oom_evicted_bytes,  &F::oom_unfused,       &F::oom_degraded_steps,
+      &F::replica_failures,   &F::failovers,         &F::slow_replicas,
+      &F::breaker_opens,      &F::breaker_short_circuits,
+      &F::deadline_misses,    &F::shards_dropped,    &F::degraded_queries,
+      &F::shed_queries};
+  constexpr sim::Duration F::*kTimes[] = {&F::gpu_wasted, &F::pcie_retry_time,
+                                          &F::oom_recovery, &F::backoff_time};
+  // Every field is 8 bytes: a field added to the struct but not to these
+  // lists fails the build here.
+  static_assert(sizeof(F) == 8 * (std::size(kCounts) + std::size(kTimes)));
+  for (std::size_t i = 0; i < std::size(kCounts); ++i) {
+    F f;
+    f.*kCounts[i] = 1;
+    EXPECT_TRUE(f.any()) << "count field " << i;
+  }
+  for (std::size_t i = 0; i < std::size(kTimes); ++i) {
+    F f;
+    f.*kTimes[i] = sim::Duration::from_ps(1);
+    EXPECT_TRUE(f.any()) << "time field " << i;
+  }
 }

@@ -186,6 +186,9 @@ TEST(QueueDepth, CountsEveryJobInADeepBacklog) {
   }
   EXPECT_EQ(last, 5000u);
   EXPECT_EQ(depth.max_depth(), 5000u);
+  // in_system counts the recorded jobs completing strictly after t.
+  EXPECT_EQ(depth.in_system(done - sim::Duration::from_ps(1)), 5000u);
+  EXPECT_EQ(depth.in_system(done), 0u);
   // Once the backlog has drained, a new arrival sees only itself.
   EXPECT_EQ(depth.observe(done, done + sim::Duration::from_ms(1)), 1u);
 

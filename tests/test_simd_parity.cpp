@@ -127,6 +127,48 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(700, 30'000),
                        ::testing::Values(1.0, 4.0, 60.0, 300.0)));
 
+// ---- The LoopCost table: charge() and per_element() read one entry.
+
+TEST(SimdLoopCost, ChargeAgreesWithPerElementForEveryLoop) {
+  constexpr std::uint64_t n = 1024;  // a multiple of every preset's lanes
+  const double nd = static_cast<double>(n);
+  for (const auto& spec : all_specs()) {
+    struct Loop {
+      const char* name;
+      gc::simd::LoopCost cost;
+      bool gap_slots;  // scalar mode charges n - 1 elements
+    };
+    std::vector<Loop> loops = {
+        {"merge", gc::simd::merge_cost(spec), false},
+        {"materialize", gc::simd::materialize_cost(spec), false},
+        {"pfor", gc::simd::decode_cost(spec, Scheme::kPForDelta), true},
+        {"ef", gc::simd::decode_cost(spec, Scheme::kEliasFano), false},
+        {"vbyte", gc::simd::decode_cost(spec, Scheme::kVarByte), false},
+        {"simple16", gc::simd::decode_cost(spec, Scheme::kSimple16), false},
+        {"bp128", gc::simd::decode_cost(spec, Scheme::kBitPack128), true},
+        {"repair", gc::simd::decode_cost(spec, Scheme::kRePair), false}};
+    for (const Loop& l : loops) {
+      sim::CpuCostAccumulator acc(spec);
+      gc::simd::charge(acc, n, l.cost);
+      const double per = gc::simd::per_element(spec, l.cost);
+      if (!l.cost.vectorized) {
+        EXPECT_DOUBLE_EQ(acc.cycles(), nd * l.cost.scalar)
+            << spec.vector.name << " " << l.name;
+        EXPECT_DOUBLE_EQ(per, l.cost.scalar);
+      } else if (gc::simd::enabled(spec)) {
+        EXPECT_DOUBLE_EQ(acc.cycles(),
+                         nd * per + spec.vector.block_setup_cycles)
+            << spec.vector.name << " " << l.name;
+      } else {
+        EXPECT_DOUBLE_EQ(acc.cycles(),
+                         (l.gap_slots ? nd - 1.0 : nd) * l.cost.scalar)
+            << spec.vector.name << " " << l.name;
+        EXPECT_DOUBLE_EQ(per, l.cost.scalar);
+      }
+    }
+  }
+}
+
 // ---- Lane-accounting invariants: charged vector ops == ceil(n/lanes).
 
 TEST(SimdLaneAccounting, ChargeLoopCountsCeilNOverLanes) {
