@@ -21,6 +21,7 @@
 #include <variant>
 #include <vector>
 
+#include "codec/block_codec.h"
 #include "core/query.h"
 #include "index/io.h"
 #include "util/stats.h"
@@ -283,7 +284,9 @@ inline const char* placement_name(core::Placement p) {
   return "?";
 }
 
-/// One StepRecord as a JSON object (durations in microseconds).
+/// One StepRecord as a JSON object (durations in microseconds). An
+/// intersect carries its whole StepShape, so Scheduler::decide(shape) can be
+/// replayed from the line.
 inline Json step_json(const core::StepRecord& r) {
   Json j = Json::object();
   j["kind"] = step_kind_name(r.kind);
@@ -302,14 +305,29 @@ inline Json step_json(const core::StepRecord& r) {
     if (r.placement == core::Placement::kSplit) j["alpha"] = r.alpha;
     j["shorter"] = r.shape.shorter;
     j["longer"] = r.shape.longer;
+    j["longer_bytes"] = r.shape.longer_bytes;
+    j["longer_scheme"] = codec::scheme_name(r.shape.longer_scheme);
     j["longer_device_resident"] = r.shape.longer_device_resident;
     j["longer_host_decoded"] = r.shape.longer_host_decoded;
     j["longer_prefetched"] = r.shape.longer_prefetched;
+    if (r.shape.current_location) {
+      j["current_location"] = placement_name(*r.shape.current_location);
+    }
   }
   if (r.kind == core::StepKind::kTransfer) j["migration"] = r.migration;
   if (r.faulted) j["faulted"] = true;
+  if (r.leg_faulted) j["leg_faulted"] = true;
   j["output_count"] = r.output_count;
   if (r.gpu_kernels > 0) j["gpu_kernels"] = r.gpu_kernels;
+  if (r.simd.loops > 0) {
+    Json simd = Json::object();
+    simd["loops"] = r.simd.loops;
+    simd["vector_ops"] = r.simd.vector_ops;
+    simd["useful_lanes"] = r.simd.useful_lanes;
+    simd["charged_lanes"] = r.simd.charged_lanes;
+    simd["tail_elems"] = r.simd.tail_elems;
+    j["simd"] = std::move(simd);
+  }
   j["us"] = r.duration.us();
   if (r.decode.ps() > 0) j["decode_us"] = r.decode.us();
   if (r.intersect.ps() > 0) j["intersect_us"] = r.intersect.us();

@@ -150,7 +150,7 @@ int main() {
       // off here to reproduce the figure's conditions.
       gpu::GpuOptions gopt;
       gopt.pooled_memory = false;
-      gopt.list_cache = false;
+      gopt.list_cache_bytes = 0;
       gpu::GpuEngine gpu_engine(idx, {}, gopt);
       const auto gpu_res = gpu_engine.execute(q);
       const auto* gpu_step = nth_intersect(gpu_res.trace, 2);

@@ -27,9 +27,10 @@ namespace {
 
 struct CacheConfig {
   const char* name;
-  bool device;                       // GPU list cache on?
-  std::size_t device_headroom;       // headroom when on (budget = mem - this)
-  std::size_t host_bytes;            // host decoded-cache budget (0 = off)
+  std::uint64_t device_bytes;  // GPU list-cache budget (0 = off)
+  std::size_t host_bytes;      // host decoded-cache budget (0 = off)
+
+  bool any() const { return device_bytes != 0 || host_bytes != 0; }
 };
 
 struct RunResult {
@@ -64,8 +65,7 @@ RunResult run_stream(const index::InvertedIndex& idx,
                      core::SchedulerPolicy policy, const CacheConfig& cc) {
   core::HybridOptions opt;
   opt.scheduler.policy = policy;
-  opt.gpu.list_cache = cc.device;
-  opt.gpu.list_cache_headroom_bytes = cc.device_headroom;
+  opt.gpu.list_cache_bytes = cc.device_bytes;
   opt.cpu.decoded_cache_bytes = cc.host_bytes;
   core::HybridEngine engine(idx, {}, opt);
   return run_warmed(engine, stream);
@@ -113,15 +113,16 @@ int main() {
   const auto idx = bench::cached_corpus(cfg);
 
   const std::size_t device_mem = sim::HardwareSpec{}.pcie.device_mem_bytes;
+  // The default device budget leaves 1 GiB of the 5 GiB device for the
+  // per-query working set.
+  const std::uint64_t device_default = gpu::GpuOptions{}.list_cache_bytes;
   const CacheConfig configs[] = {
-      {"off", false, 0, 0},
-      // Default headroom (1 GiB) leaves ~4 GiB of the 5 GiB device for lists.
-      {"device", true, std::size_t{1} << 30, 0},
-      {"dev+host", true, std::size_t{1} << 30, std::size_t{1} << 30},
+      {"off", 0, 0},
+      {"device", device_default, 0},
+      {"dev+host", device_default, std::size_t{1} << 30},
       // Tight budgets (512 KiB device, 64 KiB host) force eviction churn:
       // the hot head should still hit while the tail cycles through.
-      {"tight", true, device_mem - (std::size_t{512} << 10),
-       std::size_t{64} << 10},
+      {"tight", std::uint64_t{512} << 10, std::size_t{64} << 10},
   };
 
   bench::print_header(
@@ -153,10 +154,9 @@ int main() {
       const RunResult baseline = run_stream(idx, stream, policy, configs[0]);
 
       for (const CacheConfig& cc : configs) {
-        const RunResult r = cc.device || cc.host_bytes != 0
-                                ? run_stream(idx, stream, policy, cc)
-                                : RunResult{};
-        const RunResult& cur = (cc.device || cc.host_bytes != 0) ? r : baseline;
+        const RunResult r =
+            cc.any() ? run_stream(idx, stream, policy, cc) : RunResult{};
+        const RunResult& cur = cc.any() ? r : baseline;
         const bool same = identical_topk(baseline, cur);
         all_identical = all_identical && same;
 

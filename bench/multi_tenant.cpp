@@ -71,12 +71,7 @@ int main() {
     scfg.arrival_qps = qps;
     const auto rb = service::run_service(
         std::span<const sim::Duration>(base_times), scfg);
-    std::array<double, sim::kNumResources> ub{};
-    if (rb.horizon.ps() > 0) {
-      for (std::size_t r = 0; r < sim::kNumResources; ++r) {
-        ub[r] = base_overlap.busy(static_cast<sim::Resource>(r)) / rb.horizon;
-      }
-    }
+    const auto ub = base_overlap.busy_fractions(rb.horizon);
     const double base_qps_out =
         rb.horizon.ms() > 0.0
             ? 1000.0 * double(rb.response_ms.count()) / rb.horizon.ms()

@@ -79,7 +79,7 @@ int main() {
     for (const std::size_t chunk : chunks) {
       gpu::GpuOptions gopt;
       gopt.pooled_memory = false;
-      gopt.list_cache = false;  // fresh uploads: the overlap-relevant case
+      gopt.list_cache_bytes = 0;  // fresh uploads: the overlap-relevant case
       gopt.copy_chunk_bytes = chunk;
       gpu::GpuEngine engine(idx, {}, gopt);
       const auto res = engine.execute(q);

@@ -38,20 +38,6 @@ int main() {
   const auto grif_times = service::measure_service_times(
       griffin, log, nullptr, nullptr, &grif_overlap);
 
-  // Per-resource busy fraction of a run: the engines' summed timeline busy
-  // over the FCFS makespan at this load (the same rule the engine-executing
-  // run_service overload applies).
-  const auto fractions = [](const core::OverlapCounters& o,
-                            sim::Duration horizon) {
-    std::array<double, sim::kNumResources> u{};
-    if (horizon.ps() > 0) {
-      for (std::size_t r = 0; r < sim::kNumResources; ++r) {
-        u[r] = o.busy(static_cast<sim::Resource>(r)) / horizon;
-      }
-    }
-    return u;
-  };
-
   std::printf("%-10s %-9s %12s %12s %12s %12s %8s\n", "load(qps)", "engine",
               "util", "p50 resp", "p95 resp", "p99 resp", "h2d");
   bench::Json rows = bench::Json::array();
@@ -62,8 +48,10 @@ int main() {
         std::span<const sim::Duration>(cpu_times), scfg);
     const auto rg = service::run_service(
         std::span<const sim::Duration>(grif_times), scfg);
-    const auto uc = fractions(cpu_overlap, rc.horizon);
-    const auto ug = fractions(grif_overlap, rg.horizon);
+    // Per-resource busy fraction of a run: the engines' summed timeline
+    // busy over the FCFS makespan at this load.
+    const auto uc = cpu_overlap.busy_fractions(rc.horizon);
+    const auto ug = grif_overlap.busy_fractions(rg.horizon);
     std::printf("%-10.0f %-9s %11.0f%% %11.2f %11.2f %11.2f %7.1f%%\n", qps,
                 "cpu", 100.0 * rc.utilization, rc.response_ms.percentile(50),
                 rc.response_ms.percentile(95), rc.response_ms.percentile(99),

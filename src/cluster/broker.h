@@ -153,7 +153,6 @@ class ClusterBroker {
   ShardNode& node(std::uint32_t s) { return *nodes_[s]; }
   const ShardNode& node(std::uint32_t s) const { return *nodes_[s]; }
   const ClusterConfig& config() const { return cfg_; }
-  const fault::FaultInjector& injector() const { return injector_; }
 
  private:
   ClusterConfig cfg_;  ///< normalized: fault seed mixed with the seed

@@ -7,12 +7,11 @@
 // conjunctive query ignores term order, but BM25 sums per-term scores in
 // query order, so "a b" and "b a" can differ in the last float bit and must
 // not share an entry. k participates because a k=10 entry cannot serve a
-// k=100 request. The LRU itself is util::ByteLruCache, shared with the
-// device list cache and the host decoded cache.
+// k=100 request. The cache is a util::ByteLruCache, like the device list
+// cache and the host decoded cache.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/query.h"
@@ -34,49 +33,22 @@ struct CacheKeyHash {
   std::size_t operator()(const CacheKey& key) const;
 };
 
-/// The broker's LRU of merged top-k lists, on the shared
-/// util::ByteLruCache: this wrapper only sizes the entries.
-class ResultCache {
- public:
-  /// capacity = max resident entries (0 = no count bound); byte_budget
-  /// bounds resident memory in bytes (0 = no byte bound) — entry sizes vary
-  /// with k and term count, so a count bound alone does not actually bound
-  /// broker memory. Both zero disables the cache entirely (lookups always
-  /// miss, inserts are dropped).
-  explicit ResultCache(std::size_t capacity, std::uint64_t byte_budget = 0)
-      : cache_(capacity, byte_budget) {}
-
-  bool enabled() const { return cache_.enabled(); }
-
-  /// Resident bytes of one entry: key terms + scored docs + bookkeeping.
-  static std::uint64_t entry_bytes(const CacheKey& key,
-                                   const std::vector<core::ScoredDoc>& topk) {
+/// Resident bytes of one entry: key terms + scored docs + bookkeeping.
+struct ResultBytes {
+  std::uint64_t operator()(const CacheKey& key,
+                           const std::vector<core::ScoredDoc>& topk) const {
     return 64 + key.terms.size() * sizeof(index::TermId) +
            topk.size() * sizeof(core::ScoredDoc);
   }
-
-  /// Returns the cached top-k and refreshes recency, or nullptr on miss.
-  const std::vector<core::ScoredDoc>* lookup(const CacheKey& key) {
-    return cache_.lookup(key);
-  }
-
-  /// Inserts (or refreshes) an entry, evicting least recently used entries
-  /// until both the count and byte bounds hold. An entry larger than the
-  /// whole byte budget is dropped.
-  void insert(const CacheKey& key, std::vector<core::ScoredDoc> topk) {
-    const std::uint64_t bytes = entry_bytes(key, topk);
-    cache_.insert(key, std::move(topk), bytes);
-  }
-
-  std::size_t size() const { return cache_.size(); }
-  /// Resident bytes across all entries.
-  std::uint64_t bytes() const { return cache_.bytes(); }
-  std::uint64_t byte_budget() const { return cache_.byte_budget(); }
-  const util::LruStats& stats() const { return cache_.stats(); }
-
- private:
-  util::ByteLruCache<CacheKey, std::vector<core::ScoredDoc>, CacheKeyHash>
-      cache_;
 };
+
+/// The broker's LRU of merged top-k lists. Constructed as (capacity,
+/// byte_budget): capacity bounds resident entries, byte_budget resident
+/// bytes (0 = no bound for either) — entry sizes vary with k and term
+/// count, so a count bound alone does not actually bound broker memory.
+/// Both zero disables the cache entirely (lookups always miss, inserts are
+/// dropped).
+using ResultCache = util::ByteLruCache<CacheKey, std::vector<core::ScoredDoc>,
+                                       ResultBytes, CacheKeyHash>;
 
 }  // namespace griffin::cluster

@@ -29,9 +29,6 @@ class ShardNode {
   /// the engine is skipped and only a dictionary-lookup cost is charged.
   core::QueryResult execute(const core::Query& q);
 
-  std::uint32_t id() const { return shard_.id; }
-  const index::IndexShard& shard() const { return shard_; }
-
   /// Simulated cost of discovering a query term is absent from this shard's
   /// dictionary (the short-circuit path of execute()); comes from
   /// HardwareSpec::absent_term_probe_us.

@@ -1,5 +1,7 @@
 #include "core/executor.h"
 
+#include "core/scheduler.h"
+
 namespace griffin::core {
 
 namespace {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/plan.h"
-#include "core/planner.h"
 #include "core/query.h"
 #include "cpu/bm25.h"
 #include "cpu/svs_step.h"
@@ -53,7 +52,7 @@ enum class StepStatus : std::uint8_t {
   kFaultStep,
 };
 
-class StepExecutor : public ResidencyProbe {
+class StepExecutor {
  public:
   /// Ranking is unconditionally CPU-side under `rank_spec`. `injector` is
   /// the engine's fault injector (DESIGN.md §11), the same one `gpu` holds:
@@ -100,17 +99,6 @@ class StepExecutor : public ResidencyProbe {
   std::uint64_t intermediate_count() const;
   /// Where the intermediate lives; nullopt before the first step.
   std::optional<Placement> location() const { return loc_; }
-
-  // ResidencyProbe: stat-free cache probes for the planner's StepShapes.
-  bool device_resident(index::TermId t) const override {
-    return gpu_->device_resident(t);
-  }
-  bool host_decoded(index::TermId t) const override {
-    return svs_->host_decoded(t);
-  }
-  bool prefetched(index::TermId t) const override {
-    return gpu_->prefetched(t);
-  }
 
   const sim::Timeline& timeline() const { return *tl_; }
 

@@ -9,11 +9,11 @@ HybridEngine::HybridEngine(const index::InvertedIndex& idx,
     : injector_(opt.faults),
       sched_(opt.scheduler, hw),
       gpu_(idx, hw, opt.gpu, injector_, opt.fault_scope),
-      host_cache_(opt.cpu.decoded_cache_bytes),
+      host_cache_(0, opt.cpu.decoded_cache_bytes),
       svs_(idx, hw.cpu, opt.cpu.skip_ratio, host_cache_),
       scorer_(idx),
       exec_(hw.cpu, svs_, gpu_, scorer_, injector_, opt.fault_scope),
-      planner_(idx, sched_, exec_) {}
+      planner_(idx, sched_, gpu_, svs_) {}
 
 QueryResult HybridEngine::execute(const Query& q) {
   if (q.terms.empty()) return {};

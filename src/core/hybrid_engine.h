@@ -77,10 +77,8 @@ class HybridEngine : public Engine {
   /// the result.
   QueryResult finish();
 
-  const Scheduler& scheduler() const { return sched_; }
   const gpu::GpuExecutor& executor() const { return gpu_; }
   const cpu::DecodedCache& decoded_cache() const { return host_cache_; }
-  const fault::FaultInjector& injector() const { return injector_; }
   /// The step executor itself, for harnesses that feed it hand-built steps
   /// instead of planned ones.
   StepExecutor& step_executor() { return exec_; }

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
+#include "cpu/svs_step.h"
+#include "gpu/engine.h"
+
 namespace griffin::core {
 
 namespace {
@@ -33,9 +36,9 @@ StepShape Planner::shape_for(std::uint64_t shorter, index::TermId longer_term,
   s.longer_scheme = idx_->list(longer_term).docids.scheme();
   // Residency bits from the two cache tiers: cold caches leave both false,
   // so the first queries decide exactly as the paper's rule does.
-  s.longer_device_resident = probe_->device_resident(longer_term);
-  s.longer_host_decoded = probe_->host_decoded(longer_term);
-  s.longer_prefetched = probe_->prefetched(longer_term);
+  s.longer_device_resident = gpu_->device_resident(longer_term);
+  s.longer_host_decoded = svs_->host_decoded(longer_term);
+  s.longer_prefetched = gpu_->prefetched(longer_term);
   s.current_location = location;
   return s;
 }
@@ -120,7 +123,7 @@ bool Planner::prefetch_pays(const IntersectStep& step,
   // trusting: every later consumer is CPU-pinned, so the copy would be pure
   // loss (and, armed, a pointless extra fault site).
   if (forced_cpu_) return false;
-  if (probe_->device_resident(nxt) || probe_->prefetched(nxt)) return false;
+  if (gpu_->device_resident(nxt) || gpu_->prefetched(nxt)) return false;
   if (step.where == Placement::kCpu) {
     // Inter-step pipelining (DESIGN.md §15): during a CPU-placed intersect
     // the copy engine sits idle, but an upload is only worth issuing when
@@ -156,7 +159,7 @@ bool Planner::host_decode_pays(const IntersectStep& step,
   if (!sched_->options().pipeline_idle || step.where != Placement::kGpu) {
     return false;
   }
-  if (probe_->host_decoded(nxt)) return false;  // nothing to work ahead on
+  if (svs_->host_decoded(nxt)) return false;  // nothing to work ahead on
   // Work ahead only when the next step is predicted to run host-side (the
   // decode helps nobody otherwise) and the decode fits under the device
   // step's estimated time — a longer decode would stall the plan frontier

@@ -1,11 +1,11 @@
-// The incremental query planner (DESIGN.md §8). Wraps the Scheduler plus
-// the two cache-residency probes and emits the next physical step
-// (core/plan.h) from the current intermediate-result state — the planner is
-// where "which processor runs the next intersection" (paper §3.2) lives,
-// and nowhere else. The executor (core/executor.h) feeds the observed
-// intermediate size and location back in after every step, so plans react
-// to the actual selectivity of the query, exactly as the monolithic engine
-// loops used to.
+// The incremental query planner (DESIGN.md §8). Wraps the Scheduler, reads
+// cache residency from the two backends that own the caches, and emits the
+// next physical step (core/plan.h) from the current intermediate-result
+// state — the planner is where "which processor runs the next intersection"
+// (paper §3.2) lives, and nowhere else. The executor (core/executor.h)
+// feeds the observed intermediate size and location back in after every
+// step, so plans react to the actual selectivity of the query, exactly as
+// the monolithic engine loops used to.
 //
 // The plan state is one queue of steps decided but not yet emitted, in
 // emission order. A decision is made only when the queue is empty, and
@@ -32,28 +32,25 @@
 #include "core/query.h"
 #include "core/scheduler.h"
 
-namespace griffin::core {
+namespace griffin::gpu {
+class GpuExecutor;
+}
+namespace griffin::cpu {
+class SvsStepper;
+}
 
-/// Stat-free cache-residency probes feeding StepShape's residency bits: the
-/// device-resident compressed-list cache (gpu/list_cache.h) and the host
-/// decoded-postings cache (cpu/decoded_cache.h). StepExecutor implements
-/// this over its two backends; a cold (or disabled) cache reports false,
-/// which reproduces the paper rule's decisions exactly.
-class ResidencyProbe {
- public:
-  virtual ~ResidencyProbe() = default;
-  virtual bool device_resident(index::TermId t) const = 0;
-  virtual bool host_decoded(index::TermId t) const = 0;
-  /// Term has an in-flight (or landed) kPrefetch upload this query
-  /// (DESIGN.md §10); fills StepShape::longer_prefetched.
-  virtual bool prefetched(index::TermId /*t*/) const { return false; }
-};
+namespace griffin::core {
 
 class Planner {
  public:
+  /// StepShape's residency bits come from stat-free probes of the two
+  /// backends: `gpu`'s device list cache and in-flight prefetches
+  /// (gpu/list_cache.h, DESIGN.md §10) and `svs`'s host decoded cache
+  /// (cpu/decoded_cache.h). A cold (or disabled) cache reports false, which
+  /// reproduces the paper rule's decisions exactly.
   Planner(const index::InvertedIndex& idx, const Scheduler& sched,
-          const ResidencyProbe& probe)
-      : idx_(&idx), sched_(&sched), probe_(&probe) {}
+          const gpu::GpuExecutor& gpu, const cpu::SvsStepper& svs)
+      : idx_(&idx), sched_(&sched), gpu_(&gpu), svs_(&svs) {}
 
   /// Starts planning a query: orders its terms shortest-list-first (SvS,
   /// Culpepper & Moffat [11]) and empties the queue.
@@ -92,12 +89,10 @@ class Planner {
 
   /// The StepShape the scheduler would decide on for intersecting an
   /// intermediate of `shorter` docs at `location` with `longer_term` — the
-  /// probes fill the residency bits. Public so trace consumers (tests, the
-  /// scheduling ablation) can rebuild shapes the way the planner does.
+  /// backends fill the residency bits. Public so trace consumers (tests,
+  /// the scheduling ablation) can rebuild shapes the way the planner does.
   StepShape shape_for(std::uint64_t shorter, index::TermId longer_term,
                       std::optional<Placement> location) const;
-
-  const Scheduler& scheduler() const { return *sched_; }
 
  private:
   /// Fills the empty queue with the next decision (see the table above).
@@ -143,7 +138,8 @@ class Planner {
 
   const index::InvertedIndex* idx_;
   const Scheduler* sched_;
-  const ResidencyProbe* probe_;
+  const gpu::GpuExecutor* gpu_;
+  const cpu::SvsStepper* svs_;
   /// Shortest-first; emptied once the Rank is queued (nothing left to plan).
   std::vector<index::TermId> terms_;
   std::size_t next_term_ = 0;

@@ -4,6 +4,7 @@
 // without cycles.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -292,6 +293,19 @@ struct OverlapCounters {
       case sim::Resource::kCopyD2H: return d2h_busy;
     }
     return {};
+  }
+
+  /// Busy fraction of each resource (sim::Resource order) over `span`, such
+  /// as a run's makespan; all zero for an empty span.
+  std::array<double, sim::kNumResources> busy_fractions(
+      sim::Duration span) const {
+    std::array<double, sim::kNumResources> f{};
+    if (span.ps() > 0) {
+      for (std::size_t r = 0; r < sim::kNumResources; ++r) {
+        f[r] = busy(static_cast<sim::Resource>(r)) / span;
+      }
+    }
+    return f;
   }
 
   OverlapCounters& operator+=(const OverlapCounters& o) {

@@ -16,42 +16,17 @@
 
 namespace griffin::cpu {
 
-class DecodedCache {
- public:
-  /// byte_budget = 0 disables the cache.
-  explicit DecodedCache(std::uint64_t byte_budget) : cache_(0, byte_budget) {}
-
-  /// Host footprint of a decoded list: the DocId array plus bookkeeping.
-  static std::uint64_t entry_bytes(std::size_t n) {
-    return 64 + n * sizeof(codec::DocId);
+/// Host footprint of a decoded list: the DocId array plus bookkeeping.
+struct DecodedBytes {
+  std::uint64_t operator()(index::TermId /*t*/,
+                           const std::vector<codec::DocId>& docs) const {
+    return 64 + docs.size() * sizeof(codec::DocId);
   }
-
-  bool enabled() const { return cache_.enabled(); }
-  bool fits(std::uint64_t bytes) const { return cache_.fits(bytes); }
-
-  /// Counts a hit/miss and refreshes recency.
-  const std::vector<codec::DocId>* lookup(index::TermId t) {
-    return cache_.lookup(t);
-  }
-
-  /// Stat-free residency probe for the scheduler (core::StepShape).
-  bool resident(index::TermId t) const { return cache_.peek(t) != nullptr; }
-
-  const std::vector<codec::DocId>* insert(index::TermId t,
-                                          std::vector<codec::DocId> docs,
-                                          std::uint64_t* evicted = nullptr) {
-    const std::uint64_t bytes = entry_bytes(docs.size());
-    return cache_.insert(t, std::move(docs), bytes, evicted);
-  }
-
-  std::uint64_t bytes() const { return cache_.bytes(); }
-  std::uint64_t byte_budget() const { return cache_.byte_budget(); }
-  std::size_t size() const { return cache_.size(); }
-  const util::LruStats& stats() const { return cache_.stats(); }
-  void clear() { cache_.clear(); }
-
- private:
-  util::ByteLruCache<index::TermId, std::vector<codec::DocId>> cache_;
 };
+
+/// byte_budget = 0 disables the cache; the engine builds it with no
+/// entry-count bound (CpuEngineOptions::decoded_cache_bytes).
+using DecodedCache = util::ByteLruCache<index::TermId,
+                                        std::vector<codec::DocId>, DecodedBytes>;
 
 }  // namespace griffin::cpu

@@ -23,8 +23,7 @@ std::span<const codec::DocId> SvsStepper::decode_via_cache(
   ++m.cache.host_misses;
   scratch.clear();
   decode_all(list, scratch, acc);  // the fill pays exactly the uncached cost
-  const std::uint64_t bytes = DecodedCache::entry_bytes(scratch.size());
-  if (cache_->fits(bytes)) {
+  if (cache_->fits(t, scratch)) {
     std::uint64_t evicted = 0;
     const auto* stored = cache_->insert(t, std::move(scratch), &evicted);
     m.cache.host_evictions += evicted;

@@ -12,14 +12,6 @@ constexpr std::uint64_t kOomEvictBytes = std::uint64_t{1} << 20;
 /// ...charging this host-synchronous free per evicted entry (cudaFree blocks
 /// the stream until in-flight work retires).
 constexpr double kOomEvictCostUs = 15.0;
-
-/// Cache budget: device memory minus the per-query working-set headroom.
-std::uint64_t list_cache_budget(const sim::HardwareSpec& hw,
-                                const GpuOptions& opt) {
-  if (!opt.list_cache) return 0;
-  if (hw.pcie.device_mem_bytes <= opt.list_cache_headroom_bytes) return 0;
-  return hw.pcie.device_mem_bytes - opt.list_cache_headroom_bytes;
-}
 }  // namespace
 
 GpuExecutor::GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw,
@@ -29,7 +21,7 @@ GpuExecutor::GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw,
       hw_(hw),
       opt_(opt),
       device_(hw.gpu, hw.pcie.device_mem_bytes),
-      cache_(list_cache_budget(hw, opt)),
+      cache_(0, opt.list_cache_bytes),
       cost_(hw.gpu),
       link_([&] {
         sim::PcieSpec spec = hw.pcie;
@@ -37,7 +29,9 @@ GpuExecutor::GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw,
         return pcie::Link(spec);
       }()),
       injector_(&injector),
-      fault_scope_(fault_scope) {}
+      fault_scope_(fault_scope) {
+  assert(opt.list_cache_bytes <= hw.pcie.device_mem_bytes);
+}
 
 void GpuExecutor::begin_query(sim::Timeline& tl, std::uint64_t query_id,
                               sim::Duration release) {
@@ -140,8 +134,6 @@ sim::Timeline::Event GpuExecutor::prefetch(index::TermId t,
   Prefetched p;
   p.list = upload_list(device_, idx_->list(t).docids, link_, ledger);
   p.ready = ledger.last_event();
-  p.cache_on_commit =
-      cache_.enabled() && cache_.fits(DeviceListCache::entry_bytes(p.list));
   if (cache_.enabled()) ++m.cache.device_misses;
   ++m.overlap.prefetch_issued;
   prefetch_.emplace(t, std::move(p));
@@ -152,11 +144,9 @@ void GpuExecutor::drop_prefetches(core::QueryMetrics& m) {
   for (auto& [term, p] : prefetch_) {
     ++m.overlap.prefetch_dropped;
     // The full payload landed and was paid for; keeping it costs nothing.
-    if (p.cache_on_commit) {
-      std::uint64_t evicted = 0;
-      cache_.insert(term, std::move(p.list), &evicted);
-      m.cache.device_evictions += evicted;
-    }
+    std::uint64_t evicted = 0;
+    cache_.insert(term, std::move(p.list), &evicted);
+    m.cache.device_evictions += evicted;
   }
   prefetch_.clear();
 }
@@ -168,7 +158,6 @@ std::optional<GpuExecutor::AcquiredList> GpuExecutor::take_prefetched(
   AcquiredList a;
   a.term = t;
   a.owned.emplace(std::move(it->second.list));
-  a.cache_on_commit = it->second.cache_on_commit;
   at = sim::Timeline::join(at, it->second.ready);
   prefetch_.erase(it);
   ++m.overlap.prefetch_used;
@@ -196,13 +185,11 @@ GpuExecutor::AcquiredList GpuExecutor::acquire_full(index::TermId t,
                               /*defer_payload=*/chunked));
   join_ledger(ledger, at);
   a.payload_deferred = chunked;
-  a.cache_on_commit =
-      cache_.enabled() && cache_.fits(DeviceListCache::entry_bytes(*a.owned));
   return a;
 }
 
 void GpuExecutor::commit(AcquiredList&& a, core::QueryMetrics& m) {
-  if (!a.cache_on_commit || !a.owned.has_value()) return;
+  if (!a.owned.has_value()) return;
   std::uint64_t evicted = 0;
   cache_.insert(a.term, std::move(*a.owned), &evicted);
   m.cache.device_evictions += evicted;

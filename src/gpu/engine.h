@@ -34,14 +34,13 @@ struct GpuOptions {
   /// several allocations per step) is a one-time warmup cost in a serving
   /// system, not a per-query cost. Disable to charge every allocation.
   bool pooled_memory = true;
-  /// Keep fully uploaded compressed lists device-resident across queries in
-  /// an LRU (gpu/list_cache.h): hot terms skip the H2D payload transfer and
-  /// allocations the paper's §2.3 identifies as the GPU's handicap.
-  bool list_cache = true;
-  /// Device memory reserved for per-query working set (decoded outputs,
-  /// intermediates); the cache budget is device_mem_bytes minus this. A
-  /// headroom >= device memory disables the cache.
-  std::size_t list_cache_headroom_bytes = std::size_t{1} << 30;
+  /// Device-memory budget for keeping fully uploaded compressed lists
+  /// resident across queries in an LRU (gpu/list_cache.h): hot terms skip
+  /// the H2D payload transfer and allocations the paper's §2.3 identifies
+  /// as the GPU's handicap. 0 disables the cache. The default leaves 1 GiB
+  /// of the 5 GiB device for the per-query working set (decoded outputs,
+  /// intermediates); it may not exceed PcieSpec::device_mem_bytes.
+  std::uint64_t list_cache_bytes = std::uint64_t{4} << 30;
   /// Double-buffer full-list uploads (DESIGN.md §10): split the payload H2D
   /// into block-granular chunks of at least this many bytes, so the copy of
   /// chunk i+1 overlaps the Para-EF decode of chunk i on the timeline. Each
@@ -189,15 +188,13 @@ class GpuExecutor {
 
   const simt::Device& device() const { return device_; }
   const DeviceListCache& list_cache() const { return cache_; }
-  const sim::HardwareSpec& hw() const { return hw_; }
-  const pcie::Link& link() const { return link_; }
 
  private:
   static constexpr std::uint64_t kNoIntermediate = ~std::uint64_t{0};
 
   /// A fully uploaded list for one step: either a pointer into the cache
   /// (hit) or an owned fresh upload (miss / cache disabled). The owned case
-  /// is handed to the cache by commit() *after* the step's kernels ran, so
+  /// is offered to the cache by commit() *after* the step's kernels ran, so
   /// an insert can never evict a list another pointer still references.
   struct AcquiredList {
     /// Cache hit only (points into the cache). The owned case reads through
@@ -207,7 +204,6 @@ class GpuExecutor {
     const DeviceList* cached = nullptr;
     std::optional<DeviceList> owned;
     index::TermId term = 0;
-    bool cache_on_commit = false;
     /// Fresh miss upload whose payload transfer was *not* charged yet
     /// (chunked acquire): the caller pays it per chunk, interleaved with
     /// the per-chunk decode kernels (double buffering).
@@ -295,7 +291,6 @@ class GpuExecutor {
   struct Prefetched {
     DeviceList list;
     sim::Timeline::Event ready;
-    bool cache_on_commit = false;
   };
   std::map<index::TermId, Prefetched> prefetch_;
 

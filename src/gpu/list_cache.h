@@ -1,11 +1,11 @@
 // Device-resident posting-list cache: an LRU of uploaded DeviceLists keyed
 // by TermId, bounded by a byte budget carved out of the modeled device
-// memory (PcieSpec::device_mem_bytes minus a working-set headroom). The
-// paper identifies the PCIe transfer as the overhead the scheduler must
-// amortize (§2.3); GPU-resident inverted indexes are how follow-up systems
-// (GENIE, GPUSparse) remove it for hot terms — a term whose compressed list
-// is already on the device skips the payload transfer and allocation
-// charges entirely on later queries.
+// memory (GpuOptions::list_cache_bytes). The paper identifies the PCIe
+// transfer as the overhead the scheduler must amortize (§2.3); GPU-resident
+// inverted indexes are how follow-up systems (GENIE, GPUSparse) remove it
+// for hot terms — a term whose compressed list is already on the device
+// skips the payload transfer and allocation charges entirely on later
+// queries.
 //
 // Entries hold the *compressed* list (payload blob + skip table), exactly
 // what upload_list places on the device: decoded outputs stay per-query
@@ -22,57 +22,18 @@
 
 namespace griffin::gpu {
 
-class DeviceListCache {
- public:
-  /// byte_budget = 0 disables the cache.
-  explicit DeviceListCache(std::uint64_t byte_budget)
-      : cache_(0, byte_budget) {}
-
-  /// Device-memory footprint of a list once uploaded: payload blob words
-  /// plus the packed per-block descriptors.
-  static std::uint64_t entry_bytes(const DeviceList& l) {
+/// Device-memory footprint of a list once uploaded: payload blob words plus
+/// the packed per-block descriptors.
+struct DeviceListBytes {
+  std::uint64_t operator()(index::TermId /*t*/, const DeviceList& l) const {
     return l.blob.size() * sizeof(std::uint64_t) +
            l.descs.size() * sizeof(BlockDesc);
   }
-
-  bool enabled() const { return cache_.enabled(); }
-  bool fits(std::uint64_t bytes) const { return cache_.fits(bytes); }
-
-  /// Counts a hit/miss and refreshes recency.
-  const DeviceList* lookup(index::TermId t) { return cache_.lookup(t); }
-
-  /// Stat-free residency probe for the scheduler (core::StepShape).
-  bool resident(index::TermId t) const { return cache_.peek(t) != nullptr; }
-
-  /// Takes ownership of a fully uploaded list. Returns the resident entry
-  /// (or nullptr when it cannot fit); `evicted` receives the eviction count.
-  const DeviceList* insert(index::TermId t, DeviceList list,
-                           std::uint64_t* evicted = nullptr) {
-    const std::uint64_t bytes = entry_bytes(list);
-    return cache_.insert(t, std::move(list), bytes, evicted);
-  }
-
-  /// Invalidates one term's entry (an injected device fault may have
-  /// corrupted it; DESIGN.md §11). Returns true when it was resident.
-  bool erase(index::TermId t) { return cache_.erase(t); }
-
-  /// Frees at least `min_bytes` of device memory from the LRU tail (or
-  /// everything, if the cache is smaller) — rung 1 of the OOM degradation
-  /// ladder (DESIGN.md §16). Destroying the entries un-reserves the device
-  /// memory immediately. Returns bytes freed; `entries` gets the count.
-  std::uint64_t evict_bytes(std::uint64_t min_bytes,
-                            std::uint64_t* entries = nullptr) {
-    return cache_.evict_bytes(min_bytes, entries);
-  }
-
-  std::uint64_t bytes() const { return cache_.bytes(); }
-  std::uint64_t byte_budget() const { return cache_.byte_budget(); }
-  std::size_t size() const { return cache_.size(); }
-  const util::LruStats& stats() const { return cache_.stats(); }
-  void clear() { cache_.clear(); }
-
- private:
-  util::ByteLruCache<index::TermId, DeviceList> cache_;
 };
+
+/// byte_budget = 0 disables the cache; the GpuExecutor builds it with no
+/// entry-count bound.
+using DeviceListCache =
+    util::ByteLruCache<index::TermId, DeviceList, DeviceListBytes>;
 
 }  // namespace griffin::gpu

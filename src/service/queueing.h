@@ -36,8 +36,6 @@ class PoissonArrivals {
     return clock_;
   }
 
-  sim::Duration now() const { return clock_; }
-
  private:
   static constexpr double kMaxGapSeconds = 3600.0;
   util::Xoshiro256 rng_;
@@ -49,7 +47,6 @@ class PoissonArrivals {
 struct Completion {
   sim::Duration start;  ///< service begins (>= arrival)
   sim::Duration done;   ///< service ends
-  sim::Duration wait() const { return start; }
 };
 
 /// Single FCFS server: one job at a time, work-conserving. submit() is the
@@ -65,12 +62,10 @@ class FcfsServer {
     const sim::Duration done = start + service;
     free_at_ = done;
     busy_ += service;
-    ++jobs_;
     return {start, done};
   }
 
   sim::Duration free_at() const { return free_at_; }
-  std::uint64_t jobs() const { return jobs_; }
 
   /// Busy fraction over [0, horizon]; 0 for an empty horizon.
   double utilization(sim::Duration horizon) const {
@@ -81,7 +76,6 @@ class FcfsServer {
  private:
   sim::Duration free_at_;
   sim::Duration busy_;
-  std::uint64_t jobs_ = 0;
 };
 
 /// Tracks the maximum number of jobs simultaneously in the system (queued +

@@ -68,12 +68,7 @@ ServiceResult run_service(core::Engine& engine,
   // Sequential service never overlaps queries, so these are honest busy
   // fractions of the whole run — the single-tenant baseline the
   // multi-tenant overload is compared against.
-  if (res.horizon.ps() > 0) {
-    for (std::size_t r = 0; r < sim::kNumResources; ++r) {
-      res.resource_utilization[r] =
-          overlap.busy(static_cast<sim::Resource>(r)) / res.horizon;
-    }
-  }
+  res.resource_utilization = overlap.busy_fractions(res.horizon);
   return res;
 }
 

@@ -1,14 +1,16 @@
-// Generic byte-budgeted LRU cache shared by the repository's caching tiers
-// (gpu/list_cache.h, cpu/decoded_cache.h, cluster/result_cache.h): classic
-// doubly-linked-list + hash-map LRU with O(1) lookup/insert/evict, bounded
-// by an entry count, a byte budget, or both. The *caller* supplies the byte
-// size of each entry — values here are opaque (device buffers, decoded
-// vectors, merged top-k lists), only the accounting is shared.
+// Generic byte-budgeted LRU cache behind every caching tier of the
+// repository (gpu/list_cache.h, cpu/decoded_cache.h,
+// cluster/result_cache.h): classic doubly-linked-list + hash-map LRU with
+// O(1) lookup/insert/evict, bounded by an entry count, a byte budget, or
+// both. Each tier is an instantiation whose `Size` functor,
+// `std::uint64_t operator()(const Key&, const Value&) const`, gives an
+// entry's resident bytes; the cache sizes every value itself, before it
+// takes ownership, so no caller has to size a value it is giving away.
 //
-// Lifetime contract: `lookup`/`peek`/`insert` return pointers into the
-// cache. A later `insert` may evict the pointed-to entry, so callers must
-// finish using a returned pointer before the next insert (the engines'
-// acquire -> use -> commit step ordering guarantees this).
+// Lifetime contract: `lookup`/`insert` return pointers into the cache. A
+// later `insert` may evict the pointed-to entry, so callers must finish
+// using a returned pointer before the next insert (the engines' acquire ->
+// use -> commit step ordering guarantees this).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,8 @@ struct LruStats {
   }
 };
 
-template <typename Key, typename Value, typename Hash = std::hash<Key>>
+template <typename Key, typename Value, typename Size,
+          typename Hash = std::hash<Key>>
 class ByteLruCache {
  public:
   /// max_entries = 0 means no count bound; byte_budget = 0 means no byte
@@ -42,11 +45,11 @@ class ByteLruCache {
 
   bool enabled() const { return max_entries_ != 0 || byte_budget_ != 0; }
 
-  /// True iff an entry of `bytes` could ever be resident: an oversized
-  /// entry would evict the whole cache and still bust the budget, so
-  /// callers skip the insert for those.
-  bool fits(std::uint64_t bytes) const {
-    return enabled() && (byte_budget_ == 0 || bytes <= byte_budget_);
+  /// True iff `value`, which the caller still owns, could ever be resident
+  /// under `key`: an oversized entry would evict the whole cache and still
+  /// bust the budget, so insert() drops those.
+  bool fits(const Key& key, const Value& value) const {
+    return fits_bytes(Size{}(key, value));
   }
 
   /// Returns the resident value and refreshes recency, or nullptr.
@@ -64,20 +67,17 @@ class ByteLruCache {
 
   /// Residency probe: no stats, no recency refresh (the scheduler asks
   /// "would this step hit?" without committing to the step).
-  const Value* peek(const Key& key) const {
-    const auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second->value;
-  }
+  bool resident(const Key& key) const { return map_.contains(key); }
 
-  /// Inserts (or replaces) an entry of `bytes` bytes, evicting from the LRU
+  /// Sizes `value`, then inserts (or replaces) it, evicting from the LRU
   /// tail until back under both bounds. Returns a pointer to the resident
   /// value, or nullptr when the entry cannot be resident (`!fits`) — the
   /// value is dropped in that case. `evicted`, when non-null, receives the
   /// number of entries evicted by this insert.
-  Value* insert(const Key& key, Value value, std::uint64_t bytes,
-                std::uint64_t* evicted = nullptr) {
+  Value* insert(const Key& key, Value value, std::uint64_t* evicted = nullptr) {
     if (evicted != nullptr) *evicted = 0;
-    if (!fits(bytes)) return nullptr;
+    const std::uint64_t bytes = Size{}(key, value);
+    if (!fits_bytes(bytes)) return nullptr;
     const auto it = map_.find(key);
     if (it != map_.end()) {
       bytes_ -= it->second->bytes;
@@ -130,15 +130,8 @@ class ByteLruCache {
 
   std::size_t size() const { return lru_.size(); }
   std::uint64_t bytes() const { return bytes_; }
-  std::size_t max_entries() const { return max_entries_; }
   std::uint64_t byte_budget() const { return byte_budget_; }
   const LruStats& stats() const { return stats_; }
-
-  void clear() {
-    lru_.clear();
-    map_.clear();
-    bytes_ = 0;
-  }
 
  private:
   struct Entry {
@@ -147,6 +140,10 @@ class ByteLruCache {
     std::uint64_t bytes = 0;
   };
   using Lru = std::list<Entry>;
+
+  bool fits_bytes(std::uint64_t bytes) const {
+    return enabled() && (byte_budget_ == 0 || bytes <= byte_budget_);
+  }
 
   void evict_to_bounds(std::uint64_t* evicted) {
     // The `size() > 1` guard keeps the just-inserted front entry resident:

@@ -1,5 +1,5 @@
 // The host decoded-postings cache (DESIGN.md §7): unit behavior of the
-// DecodedCache wrapper, and the CpuEngine / HybridEngine integration —
+// DecodedCache type, and the CpuEngine / HybridEngine integration —
 // results must be bit-identical with the cache on, off, cold, warm, and
 // while a tiny budget forces evictions.
 #include "cpu/decoded_cache.h"
@@ -14,12 +14,21 @@
 
 using namespace griffin;
 
+namespace {
+
+/// The host cache's footprint of a decoded list of n postings.
+std::uint64_t decoded_bytes(std::size_t n) {
+  return cpu::DecodedBytes{}(0, std::vector<codec::DocId>(n));
+}
+
+}  // namespace
+
 TEST(DecodedCache, InsertLookupAndByteAccounting) {
-  cpu::DecodedCache cache(cpu::DecodedCache::entry_bytes(10) * 2);
+  cpu::DecodedCache cache(0, decoded_bytes(10) * 2);
   EXPECT_TRUE(cache.enabled());
   std::vector<codec::DocId> docs{1, 2, 3};
   ASSERT_NE(cache.insert(7, docs), nullptr);
-  EXPECT_EQ(cache.bytes(), cpu::DecodedCache::entry_bytes(3));
+  EXPECT_EQ(cache.bytes(), decoded_bytes(3));
   ASSERT_NE(cache.lookup(7), nullptr);
   EXPECT_EQ(*cache.lookup(7), docs);
   EXPECT_TRUE(cache.resident(7));
@@ -28,7 +37,7 @@ TEST(DecodedCache, InsertLookupAndByteAccounting) {
 
 TEST(DecodedCache, TinyBudgetEvictsLeastRecent) {
   // Room for two 8-element lists, not three.
-  cpu::DecodedCache cache(cpu::DecodedCache::entry_bytes(8) * 2);
+  cpu::DecodedCache cache(0, decoded_bytes(8) * 2);
   const std::vector<codec::DocId> docs(8, 42);
   std::uint64_t evicted = 0;
   cache.insert(1, docs);
@@ -42,7 +51,7 @@ TEST(DecodedCache, TinyBudgetEvictsLeastRecent) {
 }
 
 TEST(DecodedCache, ZeroBudgetDisables) {
-  cpu::DecodedCache cache(0);
+  cpu::DecodedCache cache(0, 0);
   EXPECT_FALSE(cache.enabled());
   EXPECT_EQ(cache.insert(1, std::vector<codec::DocId>{1}), nullptr);
   EXPECT_FALSE(cache.resident(1));
@@ -141,7 +150,7 @@ TEST(CpuDecodedCache, EvictionUnderPressureStaysCorrect) {
   const index::TermId probes[] = {100, 150, 200, 250};
   std::uint64_t budget = 0;
   for (const auto t : probes) {
-    budget += cpu::DecodedCache::entry_bytes(idx.list(t).size());
+    budget += decoded_bytes(idx.list(t).size());
   }
   budget /= 2;
   cpu::CpuEngine cached(idx, {}, cpu_opts(budget));
@@ -166,7 +175,7 @@ TEST(CpuDecodedCache, EvictionUnderPressureStaysCorrect) {
 TEST(HybridDecodedCache, BitIdenticalWithBothTiersOnAndOff) {
   const auto& idx = testutil::small_index();
   core::HybridOptions off;
-  off.gpu.list_cache = false;
+  off.gpu.list_cache_bytes = 0;
   off.cpu.decoded_cache_bytes = 0;
   core::HybridEngine uncached(idx, {}, off);
   core::HybridEngine cached(idx);  // both tiers on by default

@@ -290,7 +290,7 @@ TEST(FaultEngine, OomEvictsDeviceCacheAndProceedsOnTheGpu) {
 TEST(FaultEngine, OomLadderBottomsOutToSingleStepDegrade) {
   const auto& idx = testutil::small_index();
   core::HybridOptions opt = gpu_heavy_options();
-  opt.gpu.list_cache = false;      // rung 1 has nothing to evict
+  opt.gpu.list_cache_bytes = 0;    // rung 1 has nothing to evict
   opt.scheduler.prefetch = false;  // no optional uploads drawing OOM draws
   opt.faults.oom.triggers.push_back({/*query=*/0, /*scope=*/0});
 
@@ -466,8 +466,9 @@ TEST(FaultEngine, FaultedPrefetchIsDroppedWithoutPoisoningTheCache) {
   ASSERT_EQ(me.exec.run(core::PrefetchStep{30}, q, res),
             core::StepStatus::kOk);
   EXPECT_EQ(res.metrics.faults.prefetch_faults, 1u);
-  EXPECT_FALSE(me.exec.prefetched(30));       // never went in flight
-  EXPECT_FALSE(me.exec.device_resident(30));  // never entered the cache
+  const gpu::GpuExecutor& device = me.engine.executor();
+  EXPECT_FALSE(device.prefetched(30));       // never went in flight
+  EXPECT_FALSE(device.device_resident(30));  // never entered the cache
   EXPECT_EQ(res.metrics.overlap.prefetch_issued, 0u);
 
   // The drop is a zero-duration faulted record: nothing was charged.

@@ -14,16 +14,31 @@
 
 using namespace griffin;
 
-using IntCache = util::ByteLruCache<int, std::string>;
+namespace {
+
+/// A test value that carries its own resident size, so each case below
+/// states its byte arithmetic directly.
+struct Sized {
+  std::string s;
+  std::uint64_t bytes = 0;
+};
+struct SizedBytes {
+  std::uint64_t operator()(int /*key*/, const Sized& v) const {
+    return v.bytes;
+  }
+};
+using IntCache = util::ByteLruCache<int, Sized, SizedBytes>;
+
+}  // namespace
 
 TEST(ByteLruCache, LookupRefreshesRecencyAndByteBudgetEvictsTail) {
   IntCache cache(0, 100);
-  cache.insert(1, "a", 40);
-  cache.insert(2, "b", 40);
+  cache.insert(1, {"a", 40});
+  cache.insert(2, {"b", 40});
   ASSERT_NE(cache.lookup(1), nullptr);  // 1 is now most recent
   // 40+40+40 > 100: evicts the LRU tail, which is 2 (not 1).
   std::uint64_t evicted = 0;
-  cache.insert(3, "c", 40, &evicted);
+  cache.insert(3, {"c", 40}, &evicted);
   EXPECT_EQ(evicted, 1u);
   EXPECT_EQ(cache.lookup(2), nullptr);
   EXPECT_NE(cache.lookup(1), nullptr);
@@ -34,9 +49,9 @@ TEST(ByteLruCache, LookupRefreshesRecencyAndByteBudgetEvictsTail) {
 
 TEST(ByteLruCache, OversizedEntryIsDroppedNotInserted) {
   IntCache cache(0, 100);
-  cache.insert(1, "small", 60);
-  EXPECT_FALSE(cache.fits(101));
-  EXPECT_EQ(cache.insert(2, "huge", 101), nullptr);
+  cache.insert(1, {"small", 60});
+  EXPECT_FALSE(cache.fits(2, {"huge", 101}));
+  EXPECT_EQ(cache.insert(2, {"huge", 101}), nullptr);
   // The oversized insert neither stored the entry nor disturbed the rest.
   EXPECT_EQ(cache.lookup(2), nullptr);
   EXPECT_NE(cache.lookup(1), nullptr);
@@ -45,9 +60,9 @@ TEST(ByteLruCache, OversizedEntryIsDroppedNotInserted) {
 
 TEST(ByteLruCache, EntryCountBoundEvicts) {
   IntCache cache(2, 0);
-  cache.insert(1, "a", 1);
-  cache.insert(2, "b", 1);
-  cache.insert(3, "c", 1);
+  cache.insert(1, {"a", 1});
+  cache.insert(2, {"b", 1});
+  cache.insert(3, {"c", 1});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.lookup(1), nullptr);  // oldest gone
   EXPECT_NE(cache.lookup(2), nullptr);
@@ -57,27 +72,27 @@ TEST(ByteLruCache, EntryCountBoundEvicts) {
 TEST(ByteLruCache, DisabledCacheStoresNothing) {
   IntCache cache(0, 0);
   EXPECT_FALSE(cache.enabled());
-  EXPECT_FALSE(cache.fits(1));
-  EXPECT_EQ(cache.insert(1, "a", 1), nullptr);
+  EXPECT_FALSE(cache.fits(1, {"a", 1}));
+  EXPECT_EQ(cache.insert(1, {"a", 1}), nullptr);
   EXPECT_EQ(cache.lookup(1), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ByteLruCache, ReplaceUpdatesBytesAndKeepsSingleEntry) {
   IntCache cache(0, 100);
-  cache.insert(1, "a", 30);
-  cache.insert(1, "bigger", 70);
+  cache.insert(1, {"a", 30});
+  cache.insert(1, {"bigger", 70});
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.bytes(), 70u);
-  EXPECT_EQ(*cache.lookup(1), "bigger");
+  EXPECT_EQ(cache.lookup(1)->s, "bigger");
 }
 
 TEST(ByteLruCache, StatsCountHitsMissesInsertionsEvictions) {
   IntCache cache(1, 0);
-  cache.lookup(7);          // miss
-  cache.insert(7, "a", 1);  // insertion
-  cache.lookup(7);          // hit
-  cache.insert(8, "b", 1);  // insertion + eviction of 7
+  cache.lookup(7);            // miss
+  cache.insert(7, {"a", 1});  // insertion
+  cache.lookup(7);            // hit
+  cache.insert(8, {"b", 1});  // insertion + eviction of 7
   const auto& s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);
@@ -86,13 +101,42 @@ TEST(ByteLruCache, StatsCountHitsMissesInsertionsEvictions) {
   EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 }
 
-TEST(ByteLruCache, PeekDoesNotTouchStatsOrRecency) {
+TEST(ByteLruCache, ResidentDoesNotTouchStatsOrRecency) {
   IntCache cache(0, 100);
-  cache.insert(1, "a", 40);
-  cache.insert(2, "b", 40);
-  ASSERT_NE(cache.peek(1), nullptr);  // no recency refresh...
-  cache.insert(3, "c", 40);
-  EXPECT_EQ(cache.peek(1), nullptr);  // ...so 1 was still the LRU tail
+  cache.insert(1, {"a", 40});
+  cache.insert(2, {"b", 40});
+  ASSERT_TRUE(cache.resident(1));  // no recency refresh...
+  cache.insert(3, {"c", 40});
+  EXPECT_FALSE(cache.resident(1));  // ...so 1 was still the LRU tail
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(ByteLruCache, SizesTheValueItStores) {
+  // 8 bytes per element: the size is read off the value the cache stores,
+  // after the caller has moved it in.
+  struct VectorBytes {
+    std::uint64_t operator()(int /*key*/, const std::vector<int>& v) const {
+      return 8 * v.size();
+    }
+  };
+  util::ByteLruCache<int, std::vector<int>, VectorBytes> cache(0, 100);
+  std::vector<int> five(5, 1);
+  const std::vector<int>* stored = cache.insert(1, std::move(five));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->size(), 5u);
+  EXPECT_EQ(cache.bytes(), 40u);
+
+  // 13 elements = 104 bytes: over the whole budget, so the insert returns
+  // nullptr and the resident bytes do not move.
+  std::vector<int> thirteen(13, 2);
+  EXPECT_FALSE(cache.fits(2, thirteen));
+  EXPECT_EQ(cache.insert(2, std::move(thirteen)), nullptr);
+  EXPECT_EQ(cache.bytes(), 40u);
+  EXPECT_FALSE(cache.resident(2));
+  EXPECT_TRUE(cache.resident(1));
+
+  // The residency probes counted no hit or miss.
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
 }
@@ -127,7 +171,7 @@ std::vector<core::Query> repeated_log(std::uint32_t num_terms) {
 TEST(GpuListCache, BitIdenticalColdWarmAndDisabled) {
   const auto& idx = testutil::small_index();
   gpu::GpuOptions off;
-  off.list_cache = false;
+  off.list_cache_bytes = 0;
   gpu::GpuEngine uncached(idx, {}, off);
   gpu::GpuEngine cached(idx);  // cache on by default
 
@@ -165,13 +209,12 @@ TEST(GpuListCache, WarmQueryIsCheaperAndHitsEveryList) {
 
 TEST(GpuListCache, EvictionUnderPressureStaysCorrect) {
   const auto& idx = testutil::small_index();
-  const std::size_t device_mem = sim::HardwareSpec{}.pcie.device_mem_bytes;
   gpu::GpuOptions tight;
   // Budget of 64 KiB: a few lists at most, so a varied stream churns.
-  tight.list_cache_headroom_bytes = device_mem - (std::size_t{64} << 10);
+  tight.list_cache_bytes = std::uint64_t{64} << 10;
   gpu::GpuEngine cached(idx, {}, tight);
   gpu::GpuOptions off;
-  off.list_cache = false;
+  off.list_cache_bytes = 0;
   gpu::GpuEngine uncached(idx, {}, off);
 
   const auto log = repeated_log(static_cast<std::uint32_t>(idx.num_terms()));
@@ -189,10 +232,17 @@ TEST(GpuListCache, EvictionUnderPressureStaysCorrect) {
   EXPECT_GT(totals.device_hits, 0u);  // the hot head still hits
 }
 
-TEST(GpuListCache, DisabledByHeadroomLargerThanDeviceMemory) {
+TEST(GpuListCache, ZeroBudgetDisables) {
   const auto& idx = testutil::small_index();
+  gpu::GpuOptions budgeted;
+  budgeted.list_cache_bytes = std::uint64_t{3} << 20;
+  const gpu::GpuEngine sized(idx, {}, budgeted);
+  EXPECT_TRUE(sized.executor().list_cache().enabled());
+  EXPECT_EQ(sized.executor().list_cache().byte_budget(),
+            budgeted.list_cache_bytes);
+
   gpu::GpuOptions opt;
-  opt.list_cache_headroom_bytes = sim::HardwareSpec{}.pcie.device_mem_bytes;
+  opt.list_cache_bytes = 0;
   gpu::GpuEngine engine(idx, {}, opt);
   EXPECT_FALSE(engine.executor().list_cache().enabled());
   core::Query q;

@@ -77,7 +77,7 @@ void expect_identical_traces(const std::vector<core::StepRecord>& a,
 
 core::HybridOptions caches_off_options() {
   core::HybridOptions opt;
-  opt.gpu.list_cache = false;
+  opt.gpu.list_cache_bytes = 0;
   opt.cpu.decoded_cache_bytes = 0;
   return opt;
 }

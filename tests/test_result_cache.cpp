@@ -10,6 +10,7 @@
 
 using namespace griffin;
 using cluster::CacheKey;
+using cluster::ResultBytes;
 using cluster::ResultCache;
 
 namespace {
@@ -67,7 +68,7 @@ TEST(ResultCache, KeyDistinguishesKTermsAndTermOrder) {
 }
 
 TEST(ResultCache, HitReturnsInsertedResults) {
-  ResultCache cache(4);
+  ResultCache cache(4, 0);
   const auto key = cluster::make_cache_key(make_query({1, 2}, 10));
   EXPECT_EQ(cache.lookup(key), nullptr);
   cache.insert(key, docs({5, 9}));
@@ -81,7 +82,7 @@ TEST(ResultCache, HitReturnsInsertedResults) {
 }
 
 TEST(ResultCache, EvictsLeastRecentlyUsed) {
-  ResultCache cache(2);
+  ResultCache cache(2, 0);
   const auto k1 = cluster::make_cache_key(make_query({1}, 10));
   const auto k2 = cluster::make_cache_key(make_query({2}, 10));
   const auto k3 = cluster::make_cache_key(make_query({3}, 10));
@@ -98,7 +99,7 @@ TEST(ResultCache, EvictsLeastRecentlyUsed) {
 }
 
 TEST(ResultCache, ReinsertRefreshesInsteadOfDuplicating) {
-  ResultCache cache(2);
+  ResultCache cache(2, 0);
   const auto k1 = cluster::make_cache_key(make_query({1}, 10));
   cache.insert(k1, docs({1}));
   cache.insert(k1, docs({1, 2}));
@@ -110,7 +111,7 @@ TEST(ResultCache, ReinsertRefreshesInsteadOfDuplicating) {
 }
 
 TEST(ResultCache, ZeroCapacityDisables) {
-  ResultCache cache(0);
+  ResultCache cache(0, 0);
   const auto k1 = cluster::make_cache_key(make_query({1}, 10));
   cache.insert(k1, docs({1}));
   EXPECT_EQ(cache.size(), 0u);
@@ -119,16 +120,16 @@ TEST(ResultCache, ZeroCapacityDisables) {
 }
 
 TEST(ResultCache, BytesTrackResidentEntries) {
-  ResultCache cache(4);
+  ResultCache cache(4, 0);
   EXPECT_EQ(cache.bytes(), 0u);
   const auto k1 = cluster::make_cache_key(make_query({1, 2}, 10));
   const auto d1 = docs({5, 9, 11});
   cache.insert(k1, d1);
-  EXPECT_EQ(cache.bytes(), ResultCache::entry_bytes(k1, d1));
+  EXPECT_EQ(cache.bytes(), ResultBytes{}(k1, d1));
   // Refreshing with a differently sized top-k re-accounts, not accumulates.
   const auto d2 = docs({5});
   cache.insert(k1, d2);
-  EXPECT_EQ(cache.bytes(), ResultCache::entry_bytes(k1, d2));
+  EXPECT_EQ(cache.bytes(), ResultBytes{}(k1, d2));
 }
 
 TEST(ResultCache, ByteBudgetEvictsLeastRecentlyUsed) {
@@ -137,7 +138,7 @@ TEST(ResultCache, ByteBudgetEvictsLeastRecentlyUsed) {
   const auto k3 = cluster::make_cache_key(make_query({3}, 10));
   const auto entry = docs({1, 2, 3, 4});
   // Room for two entries of this shape, no count bound.
-  ResultCache cache(0, ResultCache::entry_bytes(k1, entry) * 2);
+  ResultCache cache(0, ResultBytes{}(k1, entry) * 2);
   EXPECT_TRUE(cache.enabled());
   cache.insert(k1, entry);
   cache.insert(k2, entry);
@@ -155,7 +156,7 @@ TEST(ResultCache, EntryLargerThanBudgetIsDropped) {
   const auto k1 = cluster::make_cache_key(make_query({1}, 10));
   const auto small = docs({1});
   const auto big = docs({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  ResultCache cache(0, ResultCache::entry_bytes(k1, small) + 8);
+  ResultCache cache(0, ResultBytes{}(k1, small) + 8);
   cache.insert(k1, small);
   EXPECT_EQ(cache.size(), 1u);
   const auto k2 = cluster::make_cache_key(make_query({2}, 10));

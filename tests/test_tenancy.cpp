@@ -393,7 +393,7 @@ TEST(TenancyFaults, OomInsideAFusedBatchUnfusesOnlyTheHitQuery) {
 
   tenancy::TenancyOptions opt;
   opt.max_concurrency = 6;
-  opt.engine.gpu.list_cache = false;
+  opt.engine.gpu.list_cache_bytes = 0;
   opt.engine.faults.oom.triggers.push_back(
       {/*query=*/victim, /*scope=*/0});
   tenancy::DeviceManager dm(idx, {}, opt);
