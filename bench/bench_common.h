@@ -24,6 +24,7 @@
 #include "codec/block_codec.h"
 #include "core/query.h"
 #include "index/io.h"
+#include "util/fields.h"
 #include "util/stats.h"
 #include "workload/corpus.h"
 #include "workload/querylog.h"
@@ -96,6 +97,22 @@ inline workload::CorpusConfig paper_corpus_config() {
   cfg.topic_affinity = 0.45;
   cfg.seed = 20260705;
   return cfg;
+}
+
+/// The pair micro-index of crossover, coexec and overlap: terms 0 and 1 are
+/// the shorter list and term 2 the longer, so a {0, 1, 2} query's first
+/// intersect is the identity and leaves the shorter list as the resident
+/// intermediate, and its second is the steady-state step against the longer
+/// list.
+inline index::InvertedIndex pair_index(const workload::ListPair& pair,
+                                       index::DocId universe,
+                                       codec::Scheme scheme) {
+  index::InvertedIndex idx(scheme);
+  idx.docs().resize(universe);
+  idx.add_list(pair.shorter);
+  idx.add_list(pair.shorter);
+  idx.add_list(pair.longer);
+  return idx;
 }
 
 inline workload::QueryLogConfig paper_query_config(
@@ -284,6 +301,20 @@ inline const char* placement_name(core::Placement p) {
   return "?";
 }
 
+inline Json counter_value(std::uint64_t n) { return n; }
+inline Json counter_value(sim::Duration d) { return d.us(); }
+
+/// A counter struct (sim::SimdCounters, core::CacheCounters,
+/// core::OverlapCounters, fault::FaultCounters) as a JSON object: each field
+/// of C::fields() under its key, in list order, durations in microseconds.
+template <class C>
+Json counters_json(const C& c) {
+  Json j = Json::object();
+  util::for_each_field<C>(
+      [&](const auto& f) { j[f.key] = counter_value(c.*f.member); });
+  return j;
+}
+
 /// One StepRecord as a JSON object (durations in microseconds). An
 /// intersect carries its whole StepShape, so Scheduler::decide(shape) can be
 /// replayed from the line.
@@ -319,15 +350,7 @@ inline Json step_json(const core::StepRecord& r) {
   if (r.leg_faulted) j["leg_faulted"] = true;
   j["output_count"] = r.output_count;
   if (r.gpu_kernels > 0) j["gpu_kernels"] = r.gpu_kernels;
-  if (r.simd.loops > 0) {
-    Json simd = Json::object();
-    simd["loops"] = r.simd.loops;
-    simd["vector_ops"] = r.simd.vector_ops;
-    simd["useful_lanes"] = r.simd.useful_lanes;
-    simd["charged_lanes"] = r.simd.charged_lanes;
-    simd["tail_elems"] = r.simd.tail_elems;
-    j["simd"] = std::move(simd);
-  }
+  if (r.simd.loops > 0) j["simd"] = counters_json(r.simd);
   j["us"] = r.duration.us();
   if (r.decode.ps() > 0) j["decode_us"] = r.decode.us();
   if (r.intersect.ps() > 0) j["intersect_us"] = r.intersect.us();
@@ -394,20 +417,6 @@ class TraceWriter {
   std::uint64_t records_ = 0;
 };
 
-/// Copy/compute-overlap counters (DESIGN.md §10) as a JSON object.
-inline Json overlap_json(const core::OverlapCounters& o) {
-  Json j = Json::object();
-  j["saved_us"] = o.saved.us();
-  j["prefetch_issued"] = o.prefetch_issued;
-  j["prefetch_used"] = o.prefetch_used;
-  j["prefetch_dropped"] = o.prefetch_dropped;
-  j["cpu_busy_us"] = o.cpu_busy.us();
-  j["gpu_busy_us"] = o.gpu_busy.us();
-  j["h2d_busy_us"] = o.h2d_busy.us();
-  j["d2h_busy_us"] = o.d2h_busy.us();
-  return j;
-}
-
 /// Per-resource busy fractions (sim::Resource order) as a JSON object.
 inline Json resource_utilization_json(
     const std::array<double, sim::kNumResources>& u) {
@@ -415,34 +424,6 @@ inline Json resource_utilization_json(
   for (std::size_t r = 0; r < sim::kNumResources; ++r) {
     j[sim::resource_name(static_cast<sim::Resource>(r))] = u[r];
   }
-  return j;
-}
-
-/// Fault/degradation counters (DESIGN.md §11/§16) as a JSON object.
-inline Json fault_json(const fault::FaultCounters& f) {
-  Json j = Json::object();
-  j["gpu_faults"] = f.gpu_faults;
-  j["pcie_errors"] = f.pcie_errors;
-  j["split_leg_faults"] = f.split_leg_faults;
-  j["prefetch_faults"] = f.prefetch_faults;
-  j["oom_faults"] = f.oom_faults;
-  j["oom_evictions"] = f.oom_evictions;
-  j["oom_evicted_bytes"] = f.oom_evicted_bytes;
-  j["oom_unfused"] = f.oom_unfused;
-  j["oom_degraded_steps"] = f.oom_degraded_steps;
-  j["gpu_wasted_us"] = f.gpu_wasted.us();
-  j["pcie_retry_us"] = f.pcie_retry_time.us();
-  j["oom_recovery_us"] = f.oom_recovery.us();
-  j["replica_failures"] = f.replica_failures;
-  j["failovers"] = f.failovers;
-  j["slow_replicas"] = f.slow_replicas;
-  j["backoff_us"] = f.backoff_time.us();
-  j["breaker_opens"] = f.breaker_opens;
-  j["breaker_short_circuits"] = f.breaker_short_circuits;
-  j["deadline_misses"] = f.deadline_misses;
-  j["shards_dropped"] = f.shards_dropped;
-  j["degraded_queries"] = f.degraded_queries;
-  j["shed_queries"] = f.shed_queries;
   return j;
 }
 

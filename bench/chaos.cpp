@@ -13,7 +13,7 @@
 //   2. disarmed == silent — an armed injector whose faults never fire is
 //      bit-identical to a disarmed one, down to total picoseconds;
 //   3. determinism — every cell, rebuilt and rerun, reproduces its digest,
-//      fault counters, and total time exactly;
+//      fault and overlap counters, and total time exactly;
 //   4. stage identity — decode + intersect + transfer + rank ==
 //      total + overlap.saved per query, faults included;
 //   5. fault coverage — armed schedules actually fire their sites (a chaos
@@ -149,12 +149,6 @@ CellResult run_cell(Mode mode, const index::InvertedIndex& idx,
       note(r.result.metrics);
       out.total = sim::max(out.total, r.finish);
     }
-    // The engine-level rollup equals the per-query sum by construction;
-    // trust but verify (it is the surface the service sim reads).
-    if (dm.run_faults().gpu_faults != out.faults.gpu_faults ||
-        dm.run_faults().oom_faults != out.faults.oom_faults) {
-      out.stage_identity = false;
-    }
   } else {
     core::HybridOptions opt;
     if (mode == Mode::kSplit) {
@@ -226,12 +220,8 @@ int main() {
       // 3. determinism: rebuild + rerun reproduces everything.
       check(a.digest == b.digest, "rerun digest differs", where);
       check(a.total == b.total, "rerun total time differs", where);
-      check(a.faults.gpu_faults == b.faults.gpu_faults &&
-                a.faults.pcie_errors == b.faults.pcie_errors &&
-                a.faults.oom_faults == b.faults.oom_faults &&
-                a.faults.oom_recovery == b.faults.oom_recovery &&
-                a.faults.gpu_wasted == b.faults.gpu_wasted,
-            "rerun fault counters differ", where);
+      check(a.faults == b.faults, "rerun fault counters differ", where);
+      check(a.overlap == b.overlap, "rerun overlap counters differ", where);
       // 4. per-query stage identity held everywhere.
       check(a.stage_identity, "stage identity broke", where);
       // 6. prefetch conservation.
@@ -279,7 +269,7 @@ int main() {
       cell["parity"] = a.digest == ref.h;
       cell["deterministic"] = a.digest == b.digest && a.total == b.total;
       cell["stage_identity"] = a.stage_identity;
-      cell["faults"] = bench::fault_json(a.faults);
+      cell["faults"] = bench::counters_json(a.faults);
       cells.push_back(std::move(cell));
     }
     std::printf("\n");
@@ -299,9 +289,11 @@ int main() {
       load.push_back({queries[i], sim::Duration::from_us(10.0 * double(i))});
     }
     const auto results = dm.run(load, /*max_in_system=*/8);
+    core::RunTotals run;
     std::uint64_t shed = 0;
     std::uint64_t answered = 0;
     for (const auto& r : results) {
+      run.add(r.result);
       if (r.shed) {
         ++shed;
         check(r.result.topk.empty(), "shed query has results",
@@ -312,8 +304,8 @@ int main() {
     }
     check(shed + answered == queries.size(), "shed + answered != offered",
           "tenancy/shed");
-    check(shed == dm.run_faults().shed_queries,
-          "shed rollup != observed sheds", "tenancy/shed");
+    check(shed == run.faults.shed_queries, "shed fold != observed sheds",
+          "tenancy/shed");
     check(shed > 0, "admission control never shed", "tenancy/shed");
     std::printf(
         "admission control, armed: offered %zu = answered %llu + shed "

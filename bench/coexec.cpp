@@ -36,37 +36,44 @@ struct RunStats {
   std::uint64_t prefetch_issued = 0;
   std::uint64_t prefetch_used = 0;
   double overlap_saved_ms = 0.0;
-  std::uint64_t digest = 0;  ///< FNV over top-k docs and score bits
+  /// FNV over top-k docs and score bits.
+  std::uint64_t digest = 14695981039346656037ull;
 };
 
 void fold_digest(std::uint64_t& d, std::uint64_t v) {
   d = (d ^ v) * 1099511628211ull;
 }
 
-RunStats run_workload(const index::InvertedIndex& idx, const Config& cfg,
-                      const std::vector<core::Query>& log) {
+/// Adds one executed query to a run's stats. The saved time is summed in
+/// ms as doubles, query by query, which is the JSON's overlap_saved_ms.
+void fold(RunStats& st, const core::QueryResult& res) {
+  st.latency.add(res.metrics.total.ms());
+  core::TraceSummary sum;
+  sum.add(res.trace);
+  st.split_steps += sum.split_intersects;
+  st.host_decodes += sum.host_decode_steps;
+  st.prefetch_issued += res.metrics.overlap.prefetch_issued;
+  st.prefetch_used += res.metrics.overlap.prefetch_used;
+  st.overlap_saved_ms += res.metrics.overlap.saved.ms();
+  fold_digest(st.digest, res.metrics.result_count);
+  for (const auto& d : res.topk) {
+    fold_digest(st.digest, d.doc);
+    fold_digest(st.digest, std::bit_cast<std::uint32_t>(d.score));
+  }
+}
+
+core::HybridOptions options(const Config& cfg) {
   core::HybridOptions opt;
   opt.scheduler.split = cfg.split;
   opt.scheduler.pipeline_idle = cfg.pipeline;
-  core::HybridEngine engine(idx, {}, opt);
+  return opt;
+}
+
+RunStats run_workload(const index::InvertedIndex& idx, const Config& cfg,
+                      const std::vector<core::Query>& log) {
+  core::HybridEngine engine(idx, {}, options(cfg));
   RunStats st;
-  st.digest = 14695981039346656037ull;
-  for (const auto& q : log) {
-    const auto res = engine.execute(q);
-    st.latency.add(res.metrics.total.ms());
-    core::TraceSummary sum;
-    sum.add(res.trace);
-    st.split_steps += sum.split_intersects;
-    st.host_decodes += sum.host_decode_steps;
-    st.prefetch_issued += res.metrics.overlap.prefetch_issued;
-    st.prefetch_used += res.metrics.overlap.prefetch_used;
-    st.overlap_saved_ms += res.metrics.overlap.saved.ms();
-    fold_digest(st.digest, res.metrics.result_count);
-    for (const auto& d : res.topk) {
-      fold_digest(st.digest, d.doc);
-      fold_digest(st.digest, std::bit_cast<std::uint32_t>(d.score));
-    }
-  }
+  for (const auto& q : log) fold(st, engine.execute(q));
   return st;
 }
 
@@ -96,11 +103,8 @@ std::vector<BandPair> band_targeted_pairs() {
     const auto pair = workload::make_pair_with_ratio(
         static_cast<std::uint64_t>(lambda * static_cast<double>(shorter)),
         lambda, universe, 0.4, rng);
-    BandPair bp{index::InvertedIndex(codec::Scheme::kVarByte), {}};
-    bp.idx.docs().resize(universe);
-    bp.idx.add_list(pair.shorter);
-    bp.idx.add_list(pair.shorter);
-    bp.idx.add_list(pair.longer);
+    BandPair bp{bench::pair_index(pair, universe, codec::Scheme::kVarByte),
+                {}};
     bp.q.terms = {0, 1, 2};
     bp.q.k = 10;
     out.push_back(std::move(bp));
@@ -110,26 +114,9 @@ std::vector<BandPair> band_targeted_pairs() {
 
 RunStats run_pairs(const std::vector<BandPair>& pairs, const Config& cfg) {
   RunStats st;
-  st.digest = 14695981039346656037ull;
   for (const auto& bp : pairs) {
-    core::HybridOptions opt;
-    opt.scheduler.split = cfg.split;
-    opt.scheduler.pipeline_idle = cfg.pipeline;
-    core::HybridEngine engine(bp.idx, {}, opt);
-    const auto res = engine.execute(bp.q);
-    st.latency.add(res.metrics.total.ms());
-    core::TraceSummary sum;
-    sum.add(res.trace);
-    st.split_steps += sum.split_intersects;
-    st.host_decodes += sum.host_decode_steps;
-    st.prefetch_issued += res.metrics.overlap.prefetch_issued;
-    st.prefetch_used += res.metrics.overlap.prefetch_used;
-    st.overlap_saved_ms += res.metrics.overlap.saved.ms();
-    fold_digest(st.digest, res.metrics.result_count);
-    for (const auto& d : res.topk) {
-      fold_digest(st.digest, d.doc);
-      fold_digest(st.digest, std::bit_cast<std::uint32_t>(d.score));
-    }
+    core::HybridEngine engine(bp.idx, {}, options(cfg));
+    fold(st, engine.execute(bp.q));
   }
   return st;
 }

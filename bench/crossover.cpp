@@ -46,18 +46,6 @@ const core::StepRecord* nth_intersect(const std::vector<core::StepRecord>& t,
   return nullptr;
 }
 
-/// Builds the pair micro-index: term 0 and 1 are the shorter list (so the
-/// first step's output *is* the shorter list), term 2 the longer.
-index::InvertedIndex make_pair_index(const workload::ListPair& pair,
-                                     index::DocId universe) {
-  index::InvertedIndex idx(codec::Scheme::kEliasFano);
-  idx.docs().resize(universe);
-  idx.add_list(pair.shorter);
-  idx.add_list(pair.shorter);
-  idx.add_list(pair.longer);
-  return idx;
-}
-
 struct Preset {
   const char* name;
   sim::CpuSpec spec;
@@ -115,7 +103,8 @@ int main() {
     for (int p = 0; p < pairs_per_group; ++p) {
       const auto pair =
           workload::make_pair_with_ratio(longer_size, mid, universe, 0.4, rng);
-      const auto idx = make_pair_index(pair, universe);
+      const auto idx =
+          bench::pair_index(pair, universe, codec::Scheme::kEliasFano);
       core::Query q;
       q.terms = {0, 1, 2};
       q.k = 10;

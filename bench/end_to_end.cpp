@@ -47,8 +47,7 @@ int main() {
   bench::TraceWriter trace_out("end_to_end");
 
   bench::Json group_rows = bench::Json::array();
-  core::CacheCounters grif_cache;
-  core::OverlapCounters grif_overlap;
+  core::RunTotals grif_run;
   util::SummaryStats all_cpu, all_gpu, all_grif, all_cost;
   std::uint64_t query_id = 0;
   for (const auto& [g, queries] : groups) {
@@ -60,8 +59,7 @@ int main() {
       gpu_ms += gpu_res.metrics.total.ms();
       const auto grif_res = griffin.execute(q);
       grif_ms += grif_res.metrics.total.ms();
-      grif_cache += grif_res.metrics.cache;
-      grif_overlap += grif_res.metrics.overlap;
+      grif_run.add(grif_res);
       const auto cost_res = griffin_cost.execute(q);
       cost_ms += cost_res.metrics.total.ms();
       trace_out.write("cpu", query_id, q, cpu_res);
@@ -145,12 +143,12 @@ int main() {
   root["cost_model_speedup_vs_cpu"] = all_cpu.mean() / all_cost.mean();
   root["cost_model_speedup_vs_gpu"] = all_gpu.mean() / all_cost.mean();
   bench::Json cachej = bench::Json::object();
-  cachej["device_hit_rate"] = grif_cache.device_hit_rate();
-  cachej["host_hit_rate"] = grif_cache.host_hit_rate();
-  cachej["device_hits"] = grif_cache.device_hits;
-  cachej["host_hits"] = grif_cache.host_hits;
+  cachej["device_hit_rate"] = grif_run.engine_cache.device_hit_rate();
+  cachej["host_hit_rate"] = grif_run.engine_cache.host_hit_rate();
+  cachej["device_hits"] = grif_run.engine_cache.device_hits;
+  cachej["host_hits"] = grif_run.engine_cache.host_hits;
   root["griffin_cache"] = std::move(cachej);
-  root["griffin_overlap"] = bench::overlap_json(grif_overlap);
+  root["griffin_overlap"] = bench::counters_json(grif_run.engine_overlap);
   bench::write_bench_json("end_to_end", root);
   // The fast-mode speedup_vs_cpu floor, pinned by the repo-root
   // BENCH_end_to_end.json after the three-way split scheduler and

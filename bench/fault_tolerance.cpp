@@ -72,7 +72,7 @@ int main() {
     ccfg.replicas_per_shard = 2;
     ccfg.arrival_qps = qps;
     ccfg.seed = 2028;
-    ccfg.faults.crash.probability = rate;
+    ccfg.faults.crash_probability = rate;
     ccfg.faults.crash_window_ms = window_ms;
     // Engine-level faults ride the same rate, scaled down: device faults,
     // DMA errors and memory pressure are rarer than whole-replica trouble
@@ -150,7 +150,7 @@ int main() {
         row["mean_coverage"] = res.mean_coverage();
         row["min_coverage"] = res.min_coverage;
         row["degraded_fraction"] = degraded_frac;
-        row["faults"] = bench::fault_json(res.faults);
+        row["faults"] = bench::counters_json(res.faults);
         rows.push_back(std::move(row));
       }
     }
@@ -184,7 +184,7 @@ int main() {
     row["breaker"] = breaker;
     row["response_ms"] = bench::latency_json(res.response_ms);
     row["mean_coverage"] = res.mean_coverage();
-    row["faults"] = bench::fault_json(res.faults);
+    row["faults"] = bench::counters_json(res.faults);
     outage_rows.push_back(std::move(row));
   }
   std::printf("\n");
@@ -245,7 +245,7 @@ int main() {
       row["fault_rate"] = rate;
       row["mean_ms"] = mean_ms;
       row["parity"] = parity;
-      row["faults"] = bench::fault_json(f);
+      row["faults"] = bench::counters_json(f);
       split_rows.push_back(std::move(row));
     }
   }
@@ -276,10 +276,12 @@ int main() {
     }
     const auto results = dm.run(load);
     util::PercentileTracker resp;
+    core::RunTotals run;
     for (const auto& r : results) {
       resp.add((r.finish - r.arrival).ms());
+      run.add(r.result);
     }
-    const auto& f = dm.run_faults();
+    const auto& f = run.faults;
     std::printf("%-6.2f %9.3f %9.3f %8llu %8llu %8llu %8llu %8llu\n", rate,
                 resp.percentile(50), resp.percentile(99),
                 static_cast<unsigned long long>(f.gpu_faults),
@@ -291,7 +293,7 @@ int main() {
     row["fault_rate"] = rate;
     row["response_ms"] = bench::latency_json(resp);
     row["batch_groups"] = dm.batch_groups();
-    row["faults"] = bench::fault_json(f);
+    row["faults"] = bench::counters_json(f);
     tenancy_rows.push_back(std::move(row));
   }
   std::printf("\n");

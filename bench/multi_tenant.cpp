@@ -43,9 +43,9 @@ int main() {
   // ---- Sequential FCFS baseline (one query owns the device at a time) ----
   core::HybridEngine griffin(idx);
   std::fprintf(stderr, "[multi_tenant] measuring sequential baseline...\n");
-  core::OverlapCounters base_overlap;
-  const auto base_times = service::measure_service_times(
-      griffin, log, nullptr, nullptr, &base_overlap);
+  core::RunTotals base_run;
+  const auto base_times =
+      service::measure_service_times(griffin, log, &base_run);
 
   // The sweep is in units of the sequential node's capacity (1/mean
   // service time): rho < 1 is comfortable, rho ~ 1 saturates a sequential
@@ -71,7 +71,7 @@ int main() {
     scfg.arrival_qps = qps;
     const auto rb = service::run_service(
         std::span<const sim::Duration>(base_times), scfg);
-    const auto ub = base_overlap.busy_fractions(rb.horizon);
+    const auto ub = base_run.engine_overlap.busy_fractions(rb.horizon);
     const double base_qps_out =
         rb.horizon.ms() > 0.0
             ? 1000.0 * double(rb.response_ms.count()) / rb.horizon.ms()
@@ -132,7 +132,7 @@ int main() {
         cell["batch_groups"] = device.batch_groups();
         cell["batched_steps"] = rt.trace.batched_steps;
         cell["overlap_saved_us"] = rt.engine_overlap.saved.us();
-        cell["shed"] = rt.shed_queries();
+        cell["shed"] = rt.faults.shed_queries;
         rows.push_back(std::move(cell));
       }
     }

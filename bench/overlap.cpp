@@ -24,16 +24,6 @@ using namespace griffin;
 
 namespace {
 
-index::InvertedIndex make_pair_index(const workload::ListPair& pair,
-                                     index::DocId universe) {
-  index::InvertedIndex idx(codec::Scheme::kEliasFano);
-  idx.docs().resize(universe);
-  idx.add_list(pair.shorter);
-  idx.add_list(pair.shorter);
-  idx.add_list(pair.longer);
-  return idx;
-}
-
 const char* chunk_label(std::size_t bytes, char* buf, std::size_t n) {
   if (bytes == 0) {
     std::snprintf(buf, n, "off");
@@ -72,7 +62,8 @@ int main() {
   for (const std::uint64_t len : lengths) {
     const auto pair = workload::make_pair_with_ratio(len, 4.0, universe,
                                                      0.4, rng);
-    const auto idx = make_pair_index(pair, universe);
+    const auto idx =
+        bench::pair_index(pair, universe, codec::Scheme::kEliasFano);
     core::Query q;
     q.terms = {0, 1, 2};
     q.k = 10;
@@ -132,21 +123,19 @@ int main() {
       if (!dbuf) opt.gpu.copy_chunk_bytes = 0;
       core::HybridEngine engine(idx, {}, opt);
       double serial_ms = 0.0, critical_ms = 0.0;
-      sim::Duration h2d_busy;
       core::OverlapCounters overlap;
       for (const auto& q : log) {
         const auto res = engine.execute(q);
         const auto& m = res.metrics;
         serial_ms += (m.total + m.overlap.saved).ms();
         critical_ms += m.total.ms();
-        h2d_busy += m.overlap.h2d_busy;
         overlap += m.overlap;
       }
       const auto n = static_cast<double>(log.size());
       serial_ms /= n;
       critical_ms /= n;
       const double h2d_util =
-          critical_ms > 0.0 ? h2d_busy.ms() / n / critical_ms : 0.0;
+          critical_ms > 0.0 ? overlap.h2d_busy.ms() / n / critical_ms : 0.0;
       char label[32];
       std::snprintf(label, sizeof(label), "prefetch=%d dbuffer=%d",
                     prefetch ? 1 : 0, dbuf ? 1 : 0);
@@ -181,7 +170,7 @@ int main() {
       row["saved_ms"] = serial_ms - critical_ms;
       row["h2d_utilization"] = h2d_util;
       row["resource_utilization"] = bench::resource_utilization_json(util);
-      row["overlap"] = bench::overlap_json(overlap);
+      row["overlap"] = bench::counters_json(overlap);
       configs.push_back(std::move(row));
     }
   }

@@ -31,12 +31,12 @@ int main() {
 
   // One execution pass per engine; the load sweep reuses the times.
   std::fprintf(stderr, "[service_load] measuring service times...\n");
-  core::OverlapCounters cpu_overlap;
-  const auto cpu_times = service::measure_service_times(
-      cpu_engine, log, nullptr, nullptr, &cpu_overlap);
-  core::OverlapCounters grif_overlap;
-  const auto grif_times = service::measure_service_times(
-      griffin, log, nullptr, nullptr, &grif_overlap);
+  core::RunTotals cpu_run;
+  const auto cpu_times =
+      service::measure_service_times(cpu_engine, log, &cpu_run);
+  core::RunTotals grif_run;
+  const auto grif_times =
+      service::measure_service_times(griffin, log, &grif_run);
 
   std::printf("%-10s %-9s %12s %12s %12s %12s %8s\n", "load(qps)", "engine",
               "util", "p50 resp", "p95 resp", "p99 resp", "h2d");
@@ -50,8 +50,8 @@ int main() {
         std::span<const sim::Duration>(grif_times), scfg);
     // Per-resource busy fraction of a run: the engines' summed timeline
     // busy over the FCFS makespan at this load.
-    const auto uc = cpu_overlap.busy_fractions(rc.horizon);
-    const auto ug = grif_overlap.busy_fractions(rg.horizon);
+    const auto uc = cpu_run.engine_overlap.busy_fractions(rc.horizon);
+    const auto ug = grif_run.engine_overlap.busy_fractions(rg.horizon);
     std::printf("%-10.0f %-9s %11.0f%% %11.2f %11.2f %11.2f %7.1f%%\n", qps,
                 "cpu", 100.0 * rc.utilization, rc.response_ms.percentile(50),
                 rc.response_ms.percentile(95), rc.response_ms.percentile(99),
@@ -82,7 +82,7 @@ int main() {
   root["fast_mode"] = bench::fast_mode();
   root["queries"] = static_cast<std::uint64_t>(log.size());
   root["loads"] = std::move(rows);
-  root["griffin_overlap"] = bench::overlap_json(grif_overlap);
+  root["griffin_overlap"] = bench::counters_json(grif_run.engine_overlap);
   bench::write_bench_json("service_load", root);
   return 0;
 }

@@ -69,7 +69,7 @@ int main() {
   root["cpu"] = bench::latency_json(cpu_ms);
   root["griffin"] = bench::latency_json(grif_ms);
   root["mean_speedup"] = cpu_ms.mean() / grif_ms.mean();
-  root["griffin_overlap"] = bench::overlap_json(grif_overlap);
+  root["griffin_overlap"] = bench::counters_json(grif_overlap);
   bench::write_bench_json("tail_latency", root);
   return 0;
 }

@@ -149,11 +149,8 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
       // answer in the same service time: one engine run serves all
       // attempts, and retries never change the bits a shard returns.
       core::QueryResult part = node.execute(q);
+      res.add(part);
       parts[s] = std::move(part.topk);
-      res.engine_cache += part.metrics.cache;
-      res.trace.add(part.trace);
-      res.engine_overlap += part.metrics.overlap;
-      res.faults += part.metrics.faults;
       const sim::Duration svc = part.metrics.total;
 
       sim::Duration t_now = t_shard;

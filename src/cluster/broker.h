@@ -57,7 +57,8 @@ struct ClusterConfig {
 
   /// Fault-injection schedule (DESIGN.md §11). Engine sites (gpu, pcie) are
   /// copied into every shard's HybridOptions with fault_scope = shard id;
-  /// cluster sites (crash, slow, outages) drive the broker's attempt loop.
+  /// the cluster ones (crash_probability, slow, outages) drive the broker's
+  /// attempt loop.
   /// The slow site is the straggler model: the *primary* replica's service
   /// time is multiplied by slow_factor (a GC pause, a flaky disk, a noisy
   /// neighbor), while the hedge replica runs at normal speed — the scenario
@@ -89,22 +90,17 @@ struct QueryOutcome {
   std::vector<core::ScoredDoc> topk;
 };
 
-struct ClusterResult {
+/// One timed replay. The core::RunTotals members sum every shard execution
+/// in the run (how the cluster's work split across processors, stages and
+/// cache tiers), and `faults` adds the broker's own failure handling to the
+/// shards' engine-level faults.
+struct ClusterResult : core::RunTotals {
   util::PercentileTracker response_ms;  ///< arrival -> merged answer
   /// Critical-path shard time per cache-missing query: max over shards of
   /// (queueing + service) as the broker observes it.
   util::PercentileTracker shard_critical_ms;
   util::LruStats cache;
   HedgeStats hedge;
-  /// Shard-engine cache-tier counters (device list cache + host decoded
-  /// cache), summed over every shard execution in the run.
-  core::CacheCounters engine_cache;
-  /// Plan-step aggregate (QueryResult::trace) over every shard execution in
-  /// the run: how the cluster's work split across processors and stages.
-  core::TraceSummary trace;
-  /// Copy/compute-overlap counters (DESIGN.md §10) summed over every shard
-  /// execution in the run.
-  core::OverlapCounters engine_overlap;
   /// Resident bytes in the broker's result cache at the end of the run.
   std::uint64_t result_cache_bytes = 0;
   std::vector<double> shard_utilization;  ///< primary replica, per shard
@@ -112,9 +108,6 @@ struct ClusterResult {
   std::uint64_t cache_hits_served = 0;
   sim::Duration horizon;  ///< last event in the run
 
-  /// Fault and degradation counters: engine-level faults summed over every
-  /// shard execution plus the broker's own failure handling.
-  fault::FaultCounters faults;
   /// Coverage (shards answered / total) accumulated over gathered (cache-
   /// missing) queries; mean_coverage() is 1.0 exactly when nothing degraded.
   double coverage_sum = 0.0;

@@ -15,6 +15,7 @@
 #include "sim/cpu_cost_model.h"
 #include "sim/time.h"
 #include "sim/timeline.h"
+#include "util/fields.h"
 
 namespace griffin::core {
 
@@ -141,9 +142,9 @@ struct StepRecord {
   sim::Resource resource = sim::Resource::kCpu;
 };
 
-/// Order-free aggregate of step records: the cluster/service layers fold
-/// every executed query's trace into one of these (per shard node, per
-/// broker run, per service run) the same way CacheCounters flow.
+/// Order-free aggregate of step records: RunTotals::add folds every
+/// executed query's trace into one of these (per broker run, per service
+/// run), next to the run's CacheCounters.
 struct TraceSummary {
   std::uint64_t steps = 0;
   std::uint64_t decode_steps = 0;
@@ -207,25 +208,7 @@ struct TraceSummary {
   void add(std::span<const StepRecord> trace) {
     for (const auto& r : trace) add(r);
   }
-  TraceSummary& operator+=(const TraceSummary& o) {
-    steps += o.steps;
-    decode_steps += o.decode_steps;
-    intersect_steps += o.intersect_steps;
-    transfer_steps += o.transfer_steps;
-    rank_steps += o.rank_steps;
-    prefetch_steps += o.prefetch_steps;
-    cpu_intersects += o.cpu_intersects;
-    gpu_intersects += o.gpu_intersects;
-    split_intersects += o.split_intersects;
-    host_decode_steps += o.host_decode_steps;
-    migrations += o.migrations;
-    faulted_steps += o.faulted_steps;
-    leg_faulted_steps += o.leg_faulted_steps;
-    batched_steps += o.batched_steps;
-    step_time += o.step_time;
-    simd += o.simd;
-    return *this;
-  }
+  bool operator==(const TraceSummary&) const = default;
 
   /// Fraction of single-processor intersects that ran on the GPU. Split
   /// steps engage both processors at once, so they are excluded here and
@@ -242,7 +225,8 @@ struct TraceSummary {
 /// device-resident compressed-list cache (gpu/list_cache.h) and the host
 /// decoded-postings cache (cpu/decoded_cache.h). Pure counters — the time
 /// saved by a hit shows up as *absent* charges in the stage durations, so
-/// decode + intersect + transfer + rank still sums to total.
+/// decode + intersect + transfer + rank still sums to total. `+=` comes
+/// from fields() (util/fields.h).
 struct CacheCounters {
   std::uint64_t device_hits = 0;
   std::uint64_t device_misses = 0;
@@ -251,15 +235,20 @@ struct CacheCounters {
   std::uint64_t host_misses = 0;
   std::uint64_t host_evictions = 0;
 
-  CacheCounters& operator+=(const CacheCounters& o) {
-    device_hits += o.device_hits;
-    device_misses += o.device_misses;
-    device_evictions += o.device_evictions;
-    host_hits += o.host_hits;
-    host_misses += o.host_misses;
-    host_evictions += o.host_evictions;
-    return *this;
+  static constexpr auto fields() {
+    using C = CacheCounters;
+    return std::tuple{util::field("device_hits", &C::device_hits),
+                      util::field("device_misses", &C::device_misses),
+                      util::field("device_evictions", &C::device_evictions),
+                      util::field("host_hits", &C::host_hits),
+                      util::field("host_misses", &C::host_misses),
+                      util::field("host_evictions", &C::host_evictions)};
   }
+
+  CacheCounters& operator+=(const CacheCounters& o) {
+    return util::add_fields(*this, o);
+  }
+  bool operator==(const CacheCounters&) const = default;
 
   static double rate(std::uint64_t hits, std::uint64_t misses) {
     const std::uint64_t n = hits + misses;
@@ -273,7 +262,8 @@ struct CacheCounters {
 /// picosecond difference between the serial stage sum and the critical
 /// path, so QueryMetrics::total + overlap.saved reproduces the stage sums
 /// bit-exactly; the busy durations measure copy-engine occupancy for
-/// utilization reporting.
+/// utilization reporting. `+=` and the bench JSON, in list order, come from
+/// fields() (util/fields.h).
 struct OverlapCounters {
   std::uint64_t prefetch_issued = 0;   ///< kPrefetch uploads started
   std::uint64_t prefetch_used = 0;     ///< consumed by a later GPU step
@@ -283,6 +273,18 @@ struct OverlapCounters {
   sim::Duration gpu_busy;              ///< kernel-pipeline busy time
   sim::Duration h2d_busy;              ///< H2D copy-engine busy time
   sim::Duration d2h_busy;              ///< D2H copy-engine busy time
+
+  static constexpr auto fields() {
+    using O = OverlapCounters;
+    return std::tuple{util::field("saved_us", &O::saved),
+                      util::field("prefetch_issued", &O::prefetch_issued),
+                      util::field("prefetch_used", &O::prefetch_used),
+                      util::field("prefetch_dropped", &O::prefetch_dropped),
+                      util::field("cpu_busy_us", &O::cpu_busy),
+                      util::field("gpu_busy_us", &O::gpu_busy),
+                      util::field("h2d_busy_us", &O::h2d_busy),
+                      util::field("d2h_busy_us", &O::d2h_busy)};
+  }
 
   /// Busy time of one resource, mapped from the timeline's resource enum.
   sim::Duration busy(sim::Resource r) const {
@@ -309,16 +311,9 @@ struct OverlapCounters {
   }
 
   OverlapCounters& operator+=(const OverlapCounters& o) {
-    prefetch_issued += o.prefetch_issued;
-    prefetch_used += o.prefetch_used;
-    prefetch_dropped += o.prefetch_dropped;
-    saved += o.saved;
-    cpu_busy += o.cpu_busy;
-    gpu_busy += o.gpu_busy;
-    h2d_busy += o.h2d_busy;
-    d2h_busy += o.d2h_busy;
-    return *this;
+    return util::add_fields(*this, o);
   }
+  bool operator==(const OverlapCounters&) const = default;
 };
 
 /// Per-query latency breakdown in simulated time, settled once when the
@@ -349,6 +344,23 @@ struct QueryResult {
   /// One record per executed plan step (core/executor.h appends them); the
   /// introspection/replay surface for scheduling experiments.
   std::vector<StepRecord> trace;
+};
+
+/// The run-level sum of per-query counters: a run folds each QueryResult
+/// through add(). service::ServiceResult and cluster::ClusterResult extend
+/// it and add their own sheds and broker failures to `faults`.
+struct RunTotals {
+  CacheCounters engine_cache;      ///< engine cache-tier counters
+  TraceSummary trace;              ///< plan-step aggregate
+  OverlapCounters engine_overlap;  ///< copy/compute-overlap counters
+  fault::FaultCounters faults;     ///< per-query faults, plus the owner's
+
+  void add(const QueryResult& r) {
+    engine_cache += r.metrics.cache;
+    trace.add(r.trace);
+    engine_overlap += r.metrics.overlap;
+    faults += r.metrics.faults;
+  }
 };
 
 /// Common interface: execute one query over a fixed index.

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace griffin::fault {
@@ -80,9 +81,10 @@ struct FaultConfig {
   /// never corrupted).
   SiteConfig pcie;
   /// Replica crashes: per (shard, replica, time-window) coordinate — a
-  /// window hashing under the probability is an outage of one
+  /// window hashing under this probability is an outage of one
   /// `crash_window_ms`, so recovery happens naturally at the next window.
-  SiteConfig crash;
+  /// Scripted crashes are `outages`.
+  double crash_probability = 0.0;
   /// Slow replicas (the straggler model): per (query, shard) coordinate,
   /// multiplying the primary replica's service time by `slow_factor`.
   SiteConfig slow;
@@ -104,10 +106,10 @@ struct FaultConfig {
   std::uint64_t seed = 1;
 };
 
-/// Per-query / per-run fault and degradation counters, threaded
-/// QueryMetrics -> ClusterResult -> ServiceResult exactly like
-/// CacheCounters and OverlapCounters. The engine fills the first block; the
-/// broker and service sim fill the rest.
+/// Per-query / per-run fault and degradation counters. The engine fills the
+/// first block per query; core::RunTotals::add sums them over a run, and the
+/// broker and service sim add the rest. fields() is the one list of members
+/// (util/fields.h): `+=` and the bench JSON are generated from it.
 struct FaultCounters {
   // Engine-level (per query, summed upward).
   std::uint64_t gpu_faults = 0;   ///< GPU steps abandoned mid-query
@@ -143,32 +145,36 @@ struct FaultCounters {
   // Service-level (per run).
   std::uint64_t shed_queries = 0;  ///< rejected by admission control
 
-  FaultCounters& operator+=(const FaultCounters& o) {
-    gpu_faults += o.gpu_faults;
-    pcie_errors += o.pcie_errors;
-    split_leg_faults += o.split_leg_faults;
-    prefetch_faults += o.prefetch_faults;
-    oom_faults += o.oom_faults;
-    oom_evictions += o.oom_evictions;
-    oom_evicted_bytes += o.oom_evicted_bytes;
-    oom_unfused += o.oom_unfused;
-    oom_degraded_steps += o.oom_degraded_steps;
-    gpu_wasted += o.gpu_wasted;
-    pcie_retry_time += o.pcie_retry_time;
-    oom_recovery += o.oom_recovery;
-    replica_failures += o.replica_failures;
-    failovers += o.failovers;
-    slow_replicas += o.slow_replicas;
-    backoff_time += o.backoff_time;
-    breaker_opens += o.breaker_opens;
-    breaker_short_circuits += o.breaker_short_circuits;
-    deadline_misses += o.deadline_misses;
-    shards_dropped += o.shards_dropped;
-    degraded_queries += o.degraded_queries;
-    shed_queries += o.shed_queries;
-    return *this;
+  static constexpr auto fields() {
+    using F = FaultCounters;
+    return std::tuple{
+        util::field("gpu_faults", &F::gpu_faults),
+        util::field("pcie_errors", &F::pcie_errors),
+        util::field("split_leg_faults", &F::split_leg_faults),
+        util::field("prefetch_faults", &F::prefetch_faults),
+        util::field("oom_faults", &F::oom_faults),
+        util::field("oom_evictions", &F::oom_evictions),
+        util::field("oom_evicted_bytes", &F::oom_evicted_bytes),
+        util::field("oom_unfused", &F::oom_unfused),
+        util::field("oom_degraded_steps", &F::oom_degraded_steps),
+        util::field("gpu_wasted_us", &F::gpu_wasted),
+        util::field("pcie_retry_us", &F::pcie_retry_time),
+        util::field("oom_recovery_us", &F::oom_recovery),
+        util::field("replica_failures", &F::replica_failures),
+        util::field("failovers", &F::failovers),
+        util::field("slow_replicas", &F::slow_replicas),
+        util::field("backoff_us", &F::backoff_time),
+        util::field("breaker_opens", &F::breaker_opens),
+        util::field("breaker_short_circuits", &F::breaker_short_circuits),
+        util::field("deadline_misses", &F::deadline_misses),
+        util::field("shards_dropped", &F::shards_dropped),
+        util::field("degraded_queries", &F::degraded_queries),
+        util::field("shed_queries", &F::shed_queries)};
   }
 
+  FaultCounters& operator+=(const FaultCounters& o) {
+    return util::add_fields(*this, o);
+  }
   bool operator==(const FaultCounters&) const = default;
   /// True when any counter moved: compares every field, so it cannot drift
   /// from the struct.
@@ -181,11 +187,11 @@ struct FaultCounters {
 class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig cfg) : cfg_(std::move(cfg)) {
-    validate(cfg_.gpu);
-    validate(cfg_.pcie);
-    validate(cfg_.crash);
-    validate(cfg_.slow);
-    validate(cfg_.oom);
+    validate(cfg_.gpu.probability);
+    validate(cfg_.pcie.probability);
+    validate(cfg_.crash_probability);
+    validate(cfg_.slow.probability);
+    validate(cfg_.oom.probability);
   }
 
   const FaultConfig& config() const { return cfg_; }
@@ -244,7 +250,7 @@ class FaultInjector {
 
   /// Is (shard, replica) unreachable at simulated instant `t`? Scripted
   /// outages are checked first; otherwise each crash window of
-  /// `crash_window_ms` is down independently with the site probability, so
+  /// `crash_window_ms` is down independently with `crash_probability`, so
   /// a crashed replica recovers at the next window boundary.
   bool replica_down(std::uint32_t shard, std::uint32_t replica,
                     sim::Duration t) const {
@@ -254,13 +260,13 @@ class FaultInjector {
         return true;
       }
     }
-    if (cfg_.crash.probability <= 0.0 || cfg_.crash_window_ms <= 0.0) {
+    if (cfg_.crash_probability <= 0.0 || cfg_.crash_window_ms <= 0.0) {
       return false;
     }
     const auto window = static_cast<std::uint64_t>(
         t.ms() / cfg_.crash_window_ms);
     return coord01(cfg_.seed, kCrashSalt, shard, replica, window) <
-           cfg_.crash.probability;
+           cfg_.crash_probability;
   }
 
   /// Does query `query` run `slow_factor` slow on shard `shard`'s primary?
@@ -279,10 +285,10 @@ class FaultInjector {
   static constexpr std::uint64_t kSlowSalt = 0x534c4f575f524550ULL;
   static constexpr std::uint64_t kOomSalt = 0x4f4f4d5f50524553ULL;
 
-  static void validate(SiteConfig& s) {
-    assert(s.probability >= 0.0 && s.probability <= 1.0 &&
+  static void validate(double& probability) {
+    assert(probability >= 0.0 && probability <= 1.0 &&
            "fault site probability outside [0,1]");
-    s.probability = clamp01(s.probability);
+    probability = clamp01(probability);
   }
 
   FaultConfig cfg_;

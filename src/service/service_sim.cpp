@@ -6,16 +6,12 @@ namespace griffin::service {
 
 std::vector<sim::Duration> measure_service_times(
     core::Engine& engine, const std::vector<core::Query>& queries,
-    core::CacheCounters* cache, core::TraceSummary* trace,
-    core::OverlapCounters* overlap, fault::FaultCounters* faults) {
+    core::RunTotals* totals) {
   std::vector<sim::Duration> times;
   times.reserve(queries.size());
   for (const auto& q : queries) {
     const auto res = engine.execute(q);
-    if (cache != nullptr) *cache += res.metrics.cache;
-    if (trace != nullptr) trace->add(res.trace);
-    if (overlap != nullptr) *overlap += res.metrics.overlap;
-    if (faults != nullptr) *faults += res.metrics.faults;
+    if (totals != nullptr) totals->add(res);
     times.push_back(res.metrics.total);
   }
   return times;
@@ -52,23 +48,18 @@ ServiceResult run_service(std::span<const sim::Duration> service_times,
 ServiceResult run_service(core::Engine& engine,
                           const std::vector<core::Query>& queries,
                           const ServiceConfig& cfg) {
-  core::CacheCounters cache;
-  core::TraceSummary trace;
-  core::OverlapCounters overlap;
-  fault::FaultCounters faults;
-  const auto times = measure_service_times(engine, queries, &cache, &trace,
-                                           &overlap, &faults);
+  core::RunTotals totals;
+  const auto times = measure_service_times(engine, queries, &totals);
   ServiceResult res = run_service(std::span<const sim::Duration>(times), cfg);
-  res.engine_cache = cache;
-  res.trace = trace;
-  res.engine_overlap = overlap;
-  res.faults += faults;
+  // The queueing pass counted the sheds; the execution pass the rest.
+  totals.faults += res.faults;
+  static_cast<core::RunTotals&>(res) = totals;
   // Per-resource busy fractions over the FCFS makespan: the summed
   // per-query timeline busy divided by when the server finally freed.
   // Sequential service never overlaps queries, so these are honest busy
   // fractions of the whole run — the single-tenant baseline the
   // multi-tenant overload is compared against.
-  res.resource_utilization = overlap.busy_fractions(res.horizon);
+  res.resource_utilization = res.engine_overlap.busy_fractions(res.horizon);
   return res;
 }
 
@@ -86,17 +77,12 @@ ServiceResult run_service(tenancy::DeviceManager& device,
   const auto outcomes = device.run(load, cfg.max_queue_depth);
   QueueDepthTracker depth;
   for (const auto& out : outcomes) {
-    if (out.shed) {
-      ++res.faults.shed_queries;
-      continue;
-    }
+    // A shed result is empty but for its shed_queries count of 1.
+    res.add(out.result);
+    if (out.shed) continue;
     res.service_ms.add(out.result.metrics.total.ms());
     res.response_ms.add((out.finish - out.arrival).ms());
     depth.observe(out.arrival, out.finish);
-    res.engine_cache += out.result.metrics.cache;
-    res.trace.add(out.result.trace);
-    res.engine_overlap += out.result.metrics.overlap;
-    res.faults += out.result.metrics.faults;
   }
   res.resource_utilization = device.busy_fractions();
   res.horizon = device.timeline().critical_path();

@@ -36,7 +36,11 @@ struct ServiceConfig {
   std::uint32_t max_queue_depth = 0;
 };
 
-struct ServiceResult {
+/// One service run. The core::RunTotals members sum the executed queries
+/// (the engine and multi-tenant overloads; zero in the precomputed-
+/// service-times overload), and `faults` also counts the queries shed by
+/// admission control.
+struct ServiceResult : core::RunTotals {
   util::PercentileTracker response_ms;  ///< queueing + service
   util::PercentileTracker service_ms;   ///< engine latency alone
   /// Busy fraction of the server as a whole: the FCFS server's busy/span
@@ -52,18 +56,6 @@ struct ServiceResult {
   /// idle. The denominator of the utilization fractions.
   sim::Duration horizon;
   std::uint64_t max_queue_depth = 0;
-  /// Engine cache-tier counters summed over the run (only filled by the
-  /// engine-executing overload of run_service; zero otherwise).
-  core::CacheCounters engine_cache;
-  /// Plan-step aggregate (QueryResult::trace) over the run (same caveat).
-  core::TraceSummary trace;
-  /// Copy/compute-overlap counters over the run (same caveat).
-  core::OverlapCounters engine_overlap;
-  /// Fault counters: engine-level faults from the execution pass (engine-
-  /// executing overload only) plus queries shed by admission control.
-  fault::FaultCounters faults;
-
-  std::uint64_t shed_queries() const { return faults.shed_queries; }
 };
 
 /// Queueing simulation over precomputed per-query service times (engine
@@ -88,13 +80,9 @@ ServiceResult run_service(tenancy::DeviceManager& device,
                           const ServiceConfig& cfg);
 
 /// One execution pass: the service-time vector for a query set. When
-/// `cache` / `trace` / `overlap` / `faults` are non-null, the engines'
-/// per-query cache-tier counters, plan-step traces, overlap counters, and
-/// fault counters are summed into them.
+/// `totals` is non-null, every executed query is added to it.
 std::vector<sim::Duration> measure_service_times(
     core::Engine& engine, const std::vector<core::Query>& queries,
-    core::CacheCounters* cache = nullptr, core::TraceSummary* trace = nullptr,
-    core::OverlapCounters* overlap = nullptr,
-    fault::FaultCounters* faults = nullptr);
+    core::RunTotals* totals = nullptr);
 
 }  // namespace griffin::service

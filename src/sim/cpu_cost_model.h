@@ -9,6 +9,7 @@
 
 #include "sim/hardware_spec.h"
 #include "sim/time.h"
+#include "util/fields.h"
 
 namespace griffin::sim {
 
@@ -16,13 +17,23 @@ namespace griffin::sim {
 /// the CPU mirror of simt/'s per-warp work counts. One vectorized loop over
 /// n elements charges exactly ceil(n/lanes) vector iterations; the lanes
 /// those iterations *could* have filled versus the elements they actually
-/// processed is the vector efficiency traces report.
+/// processed is the vector efficiency traces report. `+=`, `-` and the
+/// trace JSON's `simd` object come from fields() (util/fields.h).
 struct SimdCounters {
   std::uint64_t loops = 0;         ///< vectorized loops entered
   std::uint64_t vector_ops = 0;    ///< Σ ceil(n/lanes) over loops
   std::uint64_t useful_lanes = 0;  ///< Σ n (elements actually processed)
   std::uint64_t charged_lanes = 0; ///< Σ ceil(n/lanes)*lanes (slots paid for)
   std::uint64_t tail_elems = 0;    ///< Σ n mod lanes (masked-tail elements)
+
+  static constexpr auto fields() {
+    using S = SimdCounters;
+    return std::tuple{util::field("loops", &S::loops),
+                      util::field("vector_ops", &S::vector_ops),
+                      util::field("useful_lanes", &S::useful_lanes),
+                      util::field("charged_lanes", &S::charged_lanes),
+                      util::field("tail_elems", &S::tail_elems)};
+  }
 
   /// Fraction of paid-for lane slots that did useful work (0 when no
   /// vectorized loop ran — scalar mode, GPU-placed steps, transfers).
@@ -33,21 +44,12 @@ struct SimdCounters {
   }
 
   SimdCounters& operator+=(const SimdCounters& o) {
-    loops += o.loops;
-    vector_ops += o.vector_ops;
-    useful_lanes += o.useful_lanes;
-    charged_lanes += o.charged_lanes;
-    tail_elems += o.tail_elems;
-    return *this;
+    return util::add_fields(*this, o);
   }
   friend SimdCounters operator-(SimdCounters a, const SimdCounters& b) {
-    a.loops -= b.loops;
-    a.vector_ops -= b.vector_ops;
-    a.useful_lanes -= b.useful_lanes;
-    a.charged_lanes -= b.charged_lanes;
-    a.tail_elems -= b.tail_elems;
-    return a;
+    return util::subtract_fields(a, b);
   }
+  bool operator==(const SimdCounters&) const = default;
 };
 
 class CpuCostAccumulator {

@@ -63,7 +63,6 @@ void DeviceManager::admit(Lane& lane, const TenantQuery& tq,
 void DeviceManager::finish(Lane& lane, std::vector<TenantResult>& results) {
   TenantResult& out = results[lane.slot];
   out.result = lane.engine.finish();
-  run_faults_ += out.result.metrics.faults;
   const sim::Duration done = lane.release + out.result.metrics.total;
   out.arrival = lane.arrival;
   out.release = lane.release;
@@ -120,7 +119,6 @@ std::vector<TenantResult> DeviceManager::run(
     std::span<const TenantQuery> load, std::uint32_t max_in_system) {
   tl_.reset();
   finished_ = service::QueueDepthTracker{};
-  run_faults_ = fault::FaultCounters{};
   composer_ = BatchComposer(opt_.batch);
   for (auto& lane : lanes_) {
     lane->active = false;
@@ -141,7 +139,6 @@ std::vector<TenantResult> DeviceManager::run(
             max_in_system) {
       results[i].shed = true;
       ++results[i].result.metrics.faults.shed_queries;
-      ++run_faults_.shed_queries;
       return;
     }
     pending.push_back(i);

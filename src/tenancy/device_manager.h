@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/hybrid_engine.h"
-#include "fault/fault.h"
 #include "index/inverted_index.h"
 #include "service/queueing.h"
 #include "sim/hardware_spec.h"
@@ -71,7 +70,9 @@ struct TenantResult {
   sim::Duration arrival;
   sim::Duration release;  ///< admission time (streams opened here)
   sim::Duration finish;   ///< release + result.metrics.total
-  bool shed = false;      ///< rejected by admission control; result empty
+  /// Rejected by admission control; the result is empty but for
+  /// metrics.faults.shed_queries = 1, which core::RunTotals::add counts.
+  bool shed = false;
 };
 
 class DeviceManager {
@@ -100,12 +101,6 @@ class DeviceManager {
   /// StepRecord::batch_group ids are exactly 1..batch_groups().
   std::uint64_t batch_groups() const { return composer_.groups(); }
 
-  /// Engine-level fault counters aggregated across every query of the last
-  /// run(), shed rejections included — the per-query counters live in each
-  /// TenantResult's metrics; this is the device-wide rollup the service sim
-  /// and the chaos harness read.
-  const fault::FaultCounters& run_faults() const { return run_faults_; }
-
   const TenancyOptions& options() const { return opt_; }
 
  private:
@@ -120,7 +115,6 @@ class DeviceManager {
   TenancyOptions opt_;
   sim::Timeline tl_;
   BatchComposer composer_;
-  fault::FaultCounters run_faults_;  ///< rollup of the last run()
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::uint32_t active_ = 0;  ///< lanes with an in-flight query
   /// Completions of the current run()'s finished queries — the in-system

@@ -244,7 +244,7 @@ TEST(FaultCluster, NonDegradedQueriesMatchFaultFreeBitsUnderCrashChurn) {
   const auto ref = clean.run(log);
 
   auto churn = cfg;
-  churn.faults.crash.probability = 0.25;
+  churn.faults.crash_probability = 0.25;
   churn.faults.crash_window_ms = 20.0;
   cluster::ClusterBroker broker(idx, churn);
   const auto res = broker.run(log);
@@ -314,7 +314,7 @@ TEST(FaultCluster, FaultRunsAreDeterministic) {
   const auto log = fault_log(idx, 60, 99);
 
   auto cfg = base_config();
-  cfg.faults.crash.probability = 0.15;
+  cfg.faults.crash_probability = 0.15;
   cfg.faults.crash_window_ms = 25.0;
   cfg.faults.slow.probability = 0.1;
   cfg.breaker.enabled = true;
@@ -324,14 +324,7 @@ TEST(FaultCluster, FaultRunsAreDeterministic) {
   cluster::ClusterBroker b(idx, cfg);
   const auto ra = a.run(log);
   const auto rb = b.run(log);
-  EXPECT_EQ(ra.faults.replica_failures, rb.faults.replica_failures);
-  EXPECT_EQ(ra.faults.failovers, rb.faults.failovers);
-  EXPECT_EQ(ra.faults.slow_replicas, rb.faults.slow_replicas);
-  EXPECT_EQ(ra.faults.breaker_opens, rb.faults.breaker_opens);
-  EXPECT_EQ(ra.faults.breaker_short_circuits,
-            rb.faults.breaker_short_circuits);
-  EXPECT_EQ(ra.faults.deadline_misses, rb.faults.deadline_misses);
-  EXPECT_EQ(ra.faults.degraded_queries, rb.faults.degraded_queries);
+  EXPECT_EQ(ra.faults, rb.faults);
   EXPECT_DOUBLE_EQ(ra.coverage_sum, rb.coverage_sum);
   EXPECT_DOUBLE_EQ(ra.response_ms.mean(), rb.response_ms.mean());
   EXPECT_DOUBLE_EQ(ra.response_ms.percentile(99),

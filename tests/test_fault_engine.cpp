@@ -241,9 +241,7 @@ TEST(FaultEngine, FaultRunsAreDeterministic) {
     const auto ra = a.execute(q);
     const auto rb = b.execute(q);
     EXPECT_EQ(ra.metrics.total, rb.metrics.total);
-    EXPECT_EQ(ra.metrics.faults.gpu_faults, rb.metrics.faults.gpu_faults);
-    EXPECT_EQ(ra.metrics.faults.pcie_errors, rb.metrics.faults.pcie_errors);
-    EXPECT_EQ(ra.metrics.faults.gpu_wasted, rb.metrics.faults.gpu_wasted);
+    EXPECT_EQ(ra.metrics.faults, rb.metrics.faults);
     EXPECT_EQ(ra.trace.size(), rb.trace.size());
   }
 }

@@ -1,14 +1,51 @@
 // The fault injector's contract (DESIGN.md §11): decisions are pure hashes
 // of (seed, site, coordinate) — deterministic, order-independent, and
 // consuming nothing when a site is disarmed — plus scripted triggers and
-// outages that land faults exactly where a test points.
+// outages that land faults exactly where a test points. Also: every field
+// the counter structs list (util/fields.h) is summed and compared.
 #include "fault/fault.h"
 
 #include <gtest/gtest.h>
 
-#include <iterator>
+#include <type_traits>
+
+#include "core/query.h"
 
 using namespace griffin;
+
+namespace {
+
+/// Sets one listed counter field to 1 (1 ps for a duration).
+template <class C, class F>
+void set_one(C& c, const F& f) {
+  if constexpr (std::is_same_v<typename F::type, sim::Duration>) {
+    c.*f.member = sim::Duration::from_ps(1);
+  } else {
+    c.*f.member = 1;
+  }
+}
+
+/// Sets each field of C::fields() alone: `==` tells it from an empty C, `+=`
+/// doubles exactly that field (once per listing; the defaulted `==` sees
+/// every member), and `-`, where C has one, undoes the `+=`.
+template <class C>
+void expect_every_field_summed_and_compared() {
+  util::for_each_field<C>([](const auto& f) {
+    C one;
+    set_one(one, f);
+    EXPECT_NE(one, C{}) << f.key;
+    C two;
+    two.*f.member = one.*f.member + one.*f.member;
+    C sum = one;
+    sum += one;
+    EXPECT_EQ(sum, two) << f.key;
+    if constexpr (requires { sum - one; }) {
+      EXPECT_EQ(sum - one, one) << f.key;
+    }
+  });
+}
+
+}  // namespace
 
 TEST(FaultInjector, DisarmedSitesNeverFire) {
   const fault::FaultConfig cfg;  // all probabilities zero, no triggers
@@ -25,7 +62,7 @@ TEST(FaultInjector, DecisionsAreDeterministicAndOrderFree) {
   fault::FaultConfig cfg;
   cfg.gpu.probability = 0.3;
   cfg.pcie.probability = 0.3;
-  cfg.crash.probability = 0.3;
+  cfg.crash_probability = 0.3;
   cfg.slow.probability = 0.3;
   cfg.seed = 42;
   const fault::FaultInjector a(cfg);
@@ -105,7 +142,7 @@ TEST(FaultInjector, ScriptedOutageIsHalfOpenInterval) {
 
 TEST(FaultInjector, CrashWindowsRecoverAtBoundaries) {
   fault::FaultConfig cfg;
-  cfg.crash.probability = 0.3;
+  cfg.crash_probability = 0.3;
   cfg.crash_window_ms = 10.0;
   cfg.seed = 11;
   const fault::FaultInjector inj(cfg);
@@ -197,28 +234,18 @@ TEST(FaultCounters, AccumulateAndDetect) {
 }
 
 TEST(FaultCounters, AnySeesEveryField) {
-  using F = fault::FaultCounters;
-  constexpr std::uint64_t F::*kCounts[] = {
-      &F::gpu_faults,         &F::pcie_errors,       &F::split_leg_faults,
-      &F::prefetch_faults,    &F::oom_faults,        &F::oom_evictions,
-      &F::oom_evicted_bytes,  &F::oom_unfused,       &F::oom_degraded_steps,
-      &F::replica_failures,   &F::failovers,         &F::slow_replicas,
-      &F::breaker_opens,      &F::breaker_short_circuits,
-      &F::deadline_misses,    &F::shards_dropped,    &F::degraded_queries,
-      &F::shed_queries};
-  constexpr sim::Duration F::*kTimes[] = {&F::gpu_wasted, &F::pcie_retry_time,
-                                          &F::oom_recovery, &F::backoff_time};
-  // Every field is 8 bytes: a field added to the struct but not to these
-  // lists fails the build here.
-  static_assert(sizeof(F) == 8 * (std::size(kCounts) + std::size(kTimes)));
-  for (std::size_t i = 0; i < std::size(kCounts); ++i) {
-    F f;
-    f.*kCounts[i] = 1;
-    EXPECT_TRUE(f.any()) << "count field " << i;
-  }
-  for (std::size_t i = 0; i < std::size(kTimes); ++i) {
-    F f;
-    f.*kTimes[i] = sim::Duration::from_ps(1);
-    EXPECT_TRUE(f.any()) << "time field " << i;
-  }
+  // fields() names every member (the build checks it), so walking it sets
+  // each member alone once.
+  util::for_each_field<fault::FaultCounters>([](const auto& f) {
+    fault::FaultCounters c;
+    set_one(c, f);
+    EXPECT_TRUE(c.any()) << f.key;
+  });
+}
+
+TEST(Counters, EveryListedFieldIsSummedAndCompared) {
+  expect_every_field_summed_and_compared<sim::SimdCounters>();
+  expect_every_field_summed_and_compared<core::CacheCounters>();
+  expect_every_field_summed_and_compared<core::OverlapCounters>();
+  expect_every_field_summed_and_compared<fault::FaultCounters>();
 }

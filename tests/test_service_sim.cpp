@@ -91,8 +91,14 @@ TEST(ServiceSim, DeterministicPerSeed) {
 }
 
 TEST(ServiceSim, WorksWithRealEngines) {
+  // The engine overload's run totals are exactly the fold of the same
+  // queries through a second engine of the same preset, faults included.
   const auto& idx = testutil::small_index();
-  cpu::CpuEngine engine(idx);
+  core::HybridOptions opt;
+  opt.scheduler.policy = core::SchedulerPolicy::kAlwaysGpu;
+  opt.faults.gpu.probability = 0.1;
+  opt.faults.seed = 5;
+  core::HybridEngine engine(idx, {}, opt);
   workload::QueryLogConfig qcfg;
   qcfg.num_queries = 40;
   qcfg.seed = 50;
@@ -103,6 +109,15 @@ TEST(ServiceSim, WorksWithRealEngines) {
   const auto res = service::run_service(engine, log, cfg);
   EXPECT_EQ(res.response_ms.count(), log.size());
   EXPECT_GT(res.utilization, 0.0);
+
+  core::HybridEngine twin(idx, {}, opt);
+  core::RunTotals want;
+  for (const auto& q : log) want.add(twin.execute(q));
+  EXPECT_GT(want.faults.gpu_faults, 0u);
+  EXPECT_EQ(res.engine_cache, want.engine_cache);
+  EXPECT_EQ(res.trace, want.trace);
+  EXPECT_EQ(res.engine_overlap, want.engine_overlap);
+  EXPECT_EQ(res.faults, want.faults);
 }
 
 TEST(ServiceSimEdge, EmptyQuerySetIsWellDefined) {

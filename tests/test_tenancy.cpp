@@ -12,6 +12,7 @@
 
 #include "core/hybrid_engine.h"
 #include "engine_test_util.h"
+#include "service/queueing.h"
 #include "service/service_sim.h"
 
 using namespace griffin;
@@ -38,6 +39,13 @@ std::vector<tenancy::TenantQuery> dense_load(
         {queries[i], sim::Duration::from_us(gap_us * double(i))});
   }
   return load;
+}
+
+/// A run's results folded the way the service sim folds them.
+core::RunTotals fold(const std::vector<tenancy::TenantResult>& results) {
+  core::RunTotals run;
+  for (const auto& r : results) run.add(r.result);
+  return run;
 }
 
 /// Bit-exact top-k comparison: doc ids equal and score *bits* equal — the
@@ -145,8 +153,7 @@ TEST(Tenancy, ScopeAccountingPartitionsTheSharedClocks) {
 
   // Per-query busy durations sum to the global per-resource busy, and no
   // resource is busy longer than the horizon.
-  core::OverlapCounters sum;
-  for (const auto& r : results) sum += r.result.metrics.overlap;
+  const core::OverlapCounters sum = fold(results).engine_overlap;
   for (std::size_t r = 0; r < sim::kNumResources; ++r) {
     const auto res = static_cast<sim::Resource>(r);
     EXPECT_EQ(sum.busy(res).ps(), tl.busy(res).ps()) << sim::resource_name(res);
@@ -303,7 +310,7 @@ TEST(TenancyFaults, ArmedButSilentTenancyIsBitIdenticalToDisarmed) {
               rb[i].result.metrics.total.ps()) << "query " << i;
     expect_bit_identical_topk(rb[i].result.topk, ra[i].result.topk, i);
   }
-  EXPECT_FALSE(b.run_faults().any());
+  EXPECT_FALSE(fold(rb).faults.any());
   EXPECT_EQ(a.batch_groups(), b.batch_groups());
 }
 
@@ -338,14 +345,14 @@ TEST(TenancyFaults, ArmedTenancyKeepsGoldenParityAndIsDeterministic) {
     testutil::expect_stage_sums(got[i].result, "query " + std::to_string(i),
                                 got[i].release);
   }
-  // The run actually injected something.
-  EXPECT_TRUE(dm.run_faults().any());
-  EXPECT_GT(dm.run_faults().gpu_faults + dm.run_faults().oom_faults, 0u);
-  EXPECT_EQ(dm.run_faults().gpu_faults, twin.run_faults().gpu_faults);
-  EXPECT_EQ(dm.run_faults().oom_faults, twin.run_faults().oom_faults);
+  // The run actually injected something, and the twin injected the same.
+  const fault::FaultCounters faults = fold(got).faults;
+  EXPECT_TRUE(faults.any());
+  EXPECT_GT(faults.gpu_faults + faults.oom_faults, 0u);
+  EXPECT_EQ(faults, fold(again).faults);
 }
 
-TEST(TenancyFaults, RunFaultsIsTheExactPerQueryRollup) {
+TEST(TenancyFaults, ShedResultsCountThemselves) {
   const auto& idx = testutil::large_index();
   const auto queries = tenant_queries(30, 59);
   const auto load = dense_load(queries, 15.0);
@@ -356,29 +363,22 @@ TEST(TenancyFaults, RunFaultsIsTheExactPerQueryRollup) {
   opt.engine.faults.oom.probability = 0.1;
   opt.engine.faults.seed = 7;
   tenancy::DeviceManager dm(idx, {}, opt);
-  // A tight admission bound so the shed path contributes too.
+  // A tight admission bound so the shed path fires under armed faults.
   const auto results = dm.run(load, /*max_in_system=*/6);
 
-  fault::FaultCounters sum;
+  // A shed result's only count is its own shed, so a fold of the run's
+  // results counts every shed exactly once.
+  fault::FaultCounters one_shed;
+  one_shed.shed_queries = 1;
   std::uint64_t shed = 0;
   for (const auto& r : results) {
-    sum += r.result.metrics.faults;
-    shed += r.shed ? 1 : 0;
+    if (!r.shed) continue;
+    ++shed;
+    EXPECT_EQ(r.result.metrics.faults, one_shed);
+    EXPECT_TRUE(r.result.trace.empty());
   }
   EXPECT_GT(shed, 0u);
-  const auto& roll = dm.run_faults();
-  EXPECT_EQ(roll.gpu_faults, sum.gpu_faults);
-  EXPECT_EQ(roll.pcie_errors, sum.pcie_errors);
-  EXPECT_EQ(roll.split_leg_faults, sum.split_leg_faults);
-  EXPECT_EQ(roll.prefetch_faults, sum.prefetch_faults);
-  EXPECT_EQ(roll.oom_faults, sum.oom_faults);
-  EXPECT_EQ(roll.oom_evictions, sum.oom_evictions);
-  EXPECT_EQ(roll.oom_unfused, sum.oom_unfused);
-  EXPECT_EQ(roll.oom_degraded_steps, sum.oom_degraded_steps);
-  EXPECT_EQ(roll.gpu_wasted.ps(), sum.gpu_wasted.ps());
-  EXPECT_EQ(roll.oom_recovery.ps(), sum.oom_recovery.ps());
-  EXPECT_EQ(roll.shed_queries, sum.shed_queries);
-  EXPECT_EQ(roll.shed_queries, shed);
+  EXPECT_EQ(fold(results).faults.shed_queries, shed);
 }
 
 TEST(TenancyFaults, OomInsideAFusedBatchUnfusesOnlyTheHitQuery) {
@@ -423,7 +423,7 @@ TEST(TenancyFaults, OomInsideAFusedBatchUnfusesOnlyTheHitQuery) {
   // and/or re-planned host-side, and the whole ladder cost is on the clock.
   EXPECT_GT(vf.oom_unfused + vf.oom_degraded_steps, 0u);
   EXPECT_GT(vf.oom_recovery.ps(), 0);
-  EXPECT_EQ(dm.run_faults().oom_unfused, vf.oom_unfused);
+  EXPECT_EQ(fold(results).faults.oom_unfused, vf.oom_unfused);
 
   // The batch machinery itself kept running for everyone else.
   EXPECT_GT(dm.batch_groups(), 0u);
@@ -472,7 +472,7 @@ TEST(TenancyService, MultiTenantServiceLoopRunsAndSheds) {
 TEST(TenancyService, ServiceFaultsAggregateTheArmedDeviceExactly) {
   // End-to-end counter plumbing: engine-level faults injected inside the
   // multi-tenant device surface in ServiceResult::faults — and the service
-  // view equals the device's own rollup plus nothing.
+  // view equals a fold of the device's own results plus nothing.
   const auto& idx = testutil::small_index();
   workload::QueryLogConfig qcfg;
   qcfg.num_queries = 100;
@@ -495,15 +495,14 @@ TEST(TenancyService, ServiceFaultsAggregateTheArmedDeviceExactly) {
 
   EXPECT_TRUE(out.faults.any());
   EXPECT_GT(out.faults.gpu_faults + out.faults.oom_faults, 0u);
-  const auto& roll = dm.run_faults();
-  EXPECT_EQ(out.faults.gpu_faults, roll.gpu_faults);
-  EXPECT_EQ(out.faults.pcie_errors, roll.pcie_errors);
-  EXPECT_EQ(out.faults.oom_faults, roll.oom_faults);
-  EXPECT_EQ(out.faults.oom_degraded_steps, roll.oom_degraded_steps);
-  EXPECT_EQ(out.faults.oom_evictions, roll.oom_evictions);
-  EXPECT_EQ(out.faults.shed_queries, roll.shed_queries);
-  EXPECT_EQ(out.faults.gpu_wasted.ps(), roll.gpu_wasted.ps());
-  EXPECT_EQ(out.faults.oom_recovery.ps(), roll.oom_recovery.ps());
+  // A twin device fed the same Poisson arrivals and admission bound.
+  service::PoissonArrivals arrivals(cfg.arrival_qps, cfg.seed);
+  std::vector<tenancy::TenantQuery> load;
+  for (const auto& q : queries) load.push_back({q, arrivals.next()});
+  tenancy::DeviceManager twin(idx, {}, opt);
+  const core::RunTotals run = fold(twin.run(load, cfg.max_queue_depth));
+  EXPECT_EQ(out.faults, run.faults);
+  EXPECT_EQ(out.trace, run.trace);
 
   // Shed + answered conserves the offered load.
   EXPECT_EQ(out.response_ms.count() + out.faults.shed_queries,
@@ -514,8 +513,6 @@ TEST(TenancyService, ServiceFaultsAggregateTheArmedDeviceExactly) {
   // *same* device differs legitimately — its lane caches stay warm.)
   tenancy::DeviceManager dm2(idx, {}, opt);
   const auto out2 = service::run_service(dm2, queries, cfg);
-  EXPECT_EQ(out2.faults.gpu_faults, out.faults.gpu_faults);
-  EXPECT_EQ(out2.faults.oom_faults, out.faults.oom_faults);
-  EXPECT_EQ(out2.faults.shed_queries, out.faults.shed_queries);
+  EXPECT_EQ(out2.faults, out.faults);
   EXPECT_DOUBLE_EQ(out2.response_ms.mean(), out.response_ms.mean());
 }
