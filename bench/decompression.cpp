@@ -12,7 +12,11 @@
 // only the charged time moves, and the PFor/EF speedups should land inside
 // Lemire-Boytsov-Kurz's measured 4-8x full-decode range (EXPERIMENTS.md
 // "Calibration").
+//
+// The exit code gates Figure 12's shape (bench::Gates): the GPU/CPU speedup
+// is below 2 up to 10K postings and above 10 from 100K on.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -47,6 +51,7 @@ int main() {
   std::printf("%-10s %14s %14s %10s\n", "list size", "CPU PFor (ms)",
               "GPU ParaEF(ms)", "speedup");
 
+  bench::Gates gates("decompression");
   bench::Json rows = bench::Json::array();
   std::vector<std::uint64_t> sizes{1'000, 10'000, 100'000, 1'000'000,
                                    10'000'000};
@@ -85,14 +90,21 @@ int main() {
     }
     cpu_ms /= reps;
     gpu_ms /= reps;
+    const double speedup = cpu_ms / gpu_ms;
     std::printf("%-10llu %14.3f %14.3f %9.1fx\n",
-                static_cast<unsigned long long>(n), cpu_ms, gpu_ms,
-                cpu_ms / gpu_ms);
+                static_cast<unsigned long long>(n), cpu_ms, gpu_ms, speedup);
+    if (n <= 10'000) {
+      gates.check(speedup < 2.0, "speedup not below 2 at list size " +
+                                     std::to_string(n));
+    } else if (n >= 100'000) {
+      gates.check(speedup > 10.0, "speedup not above 10 at list size " +
+                                      std::to_string(n));
+    }
     bench::Json row = bench::Json::object();
     row["list_size"] = n;
     row["cpu_pfor_ms"] = cpu_ms;
     row["gpu_paraef_ms"] = gpu_ms;
-    row["speedup"] = cpu_ms / gpu_ms;
+    row["speedup"] = speedup;
     rows.push_back(std::move(row));
   }
 
@@ -144,5 +156,5 @@ int main() {
   root["simd_ablation_list_size"] = abl_n;
   root["simd_ablation"] = std::move(simd_rows);
   bench::write_bench_json("decompression", root);
-  return 0;
+  return gates.exit_code();
 }

@@ -11,7 +11,11 @@
 // branch-bound skip/binary search (a modest 1.3-1.8x — vector compares
 // only replace the last levels of each search). Outputs are bit-identical;
 // only charged time moves.
+//
+// The exit code gates Figure 13's GPU ordering (bench::Gates): GPU merge
+// beats GPU binary search at every size.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -110,6 +114,7 @@ int main() {
               "longer", "CPUmerge", "CMsse4", "CMavx2", "CPUbinary", "CBsse4",
               "CBavx2", "GPUmerge", "GPUbinary", "GM/CM", "GB/CB");
 
+  bench::Gates gates("intersection");
   bench::Json rows = bench::Json::array();
   std::vector<std::uint64_t> sizes{1'000, 10'000, 100'000, 1'000'000,
                                    10'000'000};
@@ -133,6 +138,8 @@ int main() {
     GpuSide g;
     const double gm = g.merge_ms(la, lb);
     const double gb = g.binary_ms(la, lb);
+    gates.check(gm < gb, "GPU merge not faster than GPU binary search at " +
+                             std::to_string(n));
 
     std::printf("%-10llu %11.3f %11.3f %11.3f %11.3f %11.3f %11.3f %11.3f "
                 "%11.3f %7.1fx %7.1fx\n",
@@ -160,5 +167,5 @@ int main() {
   root["fast_mode"] = bench::fast_mode();
   root["rows"] = std::move(rows);
   bench::write_bench_json("intersection", root);
-  return 0;
+  return gates.exit_code();
 }

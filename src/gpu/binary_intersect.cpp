@@ -103,8 +103,7 @@ GpuIntersectResult binary_search_intersect(simt::Device& dev,
   dev.upload(slots_dev, std::span<const std::uint32_t>(slot_of_block));
   ledger.add_transfer(link, nb * 4, true);
 
-  sim::KernelStats dec = decode_selected(dev, target, ids_dev, ids, decoded);
-  res.stats.merge(dec);
+  res.stats += decode_selected(dev, target, ids_dev, ids, decoded);
   ++res.kernels;
 
   // --- Launch 3: per-probe binary search inside its decoded block, with
@@ -165,7 +164,7 @@ GpuIntersectResult binary_search_intersect(simt::Device& dev,
           if (t.tid() == 0) t.store(block_counts, blk.block_id(), block_total);
         });
       });
-  res.stats.merge(search);
+  res.stats += search;
   ++res.kernels;
 
   std::vector<std::uint32_t> counts_host(pblocks);
@@ -174,7 +173,7 @@ GpuIntersectResult binary_search_intersect(simt::Device& dev,
 
   CompactResult c =
       compact_segments(dev, temp, counts_host, kThreads, link, ledger);
-  res.stats.merge(c.stats);
+  res.stats += c.stats;
   ++res.kernels;
   res.result = std::move(c.data);
   res.count = c.count;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "codec/codec.h"
 #include "codec/simple16.h"
 #include "simt/collectives.h"
 #include "util/bits.h"
@@ -225,6 +226,42 @@ void decode_one_block(simt::Block& blk, const DeviceList& list,
   }
 }
 
+/// Decodes posting block `pb` of `list` to out[out_pos..]. The block's first
+/// decode on this device copy runs its SIMT body and records the counts the
+/// body added; a later one adds those counts and writes the docIDs with the
+/// host codec. DESIGN.md §5 lists why both give the same numbers. An output
+/// that does not start on a memory segment always simulates, and neither
+/// reads nor writes the record.
+void decode_block(const simt::Device& dev, simt::Block& blk,
+                  const DeviceList& list, std::size_t pb,
+                  simt::DeviceBuffer<DocId>& out, std::uint64_t out_pos) {
+  const BlockDesc& d = list.host_descs[pb];
+  if (out_pos * sizeof(DocId) % dev.spec().mem_transaction_bytes != 0) {
+    decode_one_block(blk, list, d, pb, out, out_pos);
+    return;
+  }
+  if (list.decode_records.empty()) {
+    list.decode_records.resize(list.num_blocks());
+  }
+  BlockDecodeRecord& rec = list.decode_records[pb];
+  if (!rec.recorded()) {
+    rec.record(blk.measure([&](simt::Block& b) {
+      decode_one_block(b, list, d, pb, out, out_pos);
+    }));
+    return;
+  }
+  blk.replay(rec.counts());
+  assert(out_pos + d.count <= out.size());
+  // Simulator-only host access to device storage, as Device::upload does:
+  // the same blob bytes the kernel reads, decoded by the host codec.
+  codec::codec_for(list.scheme)
+      .decode_block(std::span<const std::uint64_t>(list.blob.raw(),
+                                                   list.blob.size()),
+                    codec::BlockMeta{d.first, d.last, d.bit_offset, d.count,
+                                     d.hdr},
+                    out.raw() + out_pos);
+}
+
 }  // namespace
 
 }  // namespace detail
@@ -234,14 +271,16 @@ sim::KernelStats decode_range(simt::Device& dev, const DeviceList& list,
                               simt::DeviceBuffer<DocId>& out,
                               std::uint64_t out_base) {
   assert(lo < hi && hi <= list.num_blocks());
+  // The decode records were measured under this device's GpuSpec.
+  assert(list.blob.device() == &dev);
   const std::uint64_t first_off = list.host_descs[lo].out_offset;
   return simt::launch(
       dev, {static_cast<std::uint32_t>(hi - lo), list.block_size},
       [&](simt::Block& blk) {
         const std::size_t pb = lo + blk.block_id();
-        const BlockDesc& d = list.host_descs[pb];
-        detail::decode_one_block(blk, list, d, pb, out,
-                                 out_base + d.out_offset - first_off);
+        detail::decode_block(
+            dev, blk, list, pb, out,
+            out_base + list.host_descs[pb].out_offset - first_off);
       });
 }
 
@@ -250,18 +289,19 @@ sim::KernelStats decode_selected(
     const simt::DeviceBuffer<std::uint32_t>& ids_dev,
     std::span<const std::uint32_t> ids, simt::DeviceBuffer<DocId>& out) {
   assert(!ids.empty());
+  // The decode records were measured under this device's GpuSpec.
+  assert(list.blob.device() == &dev);
   return simt::launch(
       dev, {static_cast<std::uint32_t>(ids.size()), list.block_size},
       [&](simt::Block& blk) {
-        // Lane 0 reads the block id to decode (mirrored on the host).
+        // Lane 0 reads the block id to decode (mirrored on the host). This
+        // load belongs to the launch, not the block, so it always simulates.
         blk.for_each_thread([&](simt::Thread& t) {
           if (t.tid() == 0) (void)t.load(ids_dev, blk.block_id());
         });
-        const std::uint32_t pb = ids[blk.block_id()];
-        const BlockDesc& d = list.host_descs[pb];
-        detail::decode_one_block(blk, list, d, pb, out,
-                                 static_cast<std::uint64_t>(blk.block_id()) *
-                                     list.block_size);
+        detail::decode_block(dev, blk, list, ids[blk.block_id()], out,
+                             static_cast<std::uint64_t>(blk.block_id()) *
+                                 list.block_size);
       });
 }
 

@@ -9,6 +9,12 @@
 // that have no lane-parallel structure — decoding those on the device is
 // priced, not hidden, which is exactly what the scheduler's per-codec
 // penalty models.
+//
+// Both entry points send every block through one record-or-replay step: a
+// block's first decode from a device copy runs its body and records the
+// counts in the DeviceList; later decodes add the recorded counts and write
+// the docIDs with the host codec. Blocks whose output does not start on a
+// memory segment always run their body (DESIGN.md §5).
 #pragma once
 
 #include "gpu/device_list.h"

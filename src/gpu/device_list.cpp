@@ -1,8 +1,36 @@
 #include "gpu/device_list.h"
 
 #include <cassert>
+#include <cmath>
+#include <type_traits>
 
 namespace griffin::gpu {
+
+void BlockDecodeRecord::record(const sim::KernelStats& s) {
+  assert(s.blocks == 0 && s.warps == 0);
+  // Each count fits below the unrecorded marker and each cycle count is
+  // whole (every SIMT charge is), so counts() restores it exactly.
+  auto pack = [](auto v) {
+    assert(v < kUnrecorded);
+    if constexpr (std::is_floating_point_v<decltype(v)>) {
+      assert(v >= 0 && v == std::floor(v));
+    }
+    return static_cast<std::uint32_t>(v);
+  };
+  std::size_t i = 0;
+  std::apply(
+      [&](const auto&... f) { ((counts_[i++] = pack(s.*f.member)), ...); },
+      sim::KernelStats::body_fields());
+}
+
+sim::KernelStats BlockDecodeRecord::counts() const {
+  assert(recorded());
+  sim::KernelStats s;
+  std::size_t i = 0;
+  std::apply([&](const auto&... f) { ((s.*f.member = counts_[i++]), ...); },
+             sim::KernelStats::body_fields());
+  return s;
+}
 
 DeviceList upload_list(simt::Device& dev, const codec::BlockCompressedList& list,
                        const pcie::Link& link, pcie::TransferLedger& ledger,

@@ -3,9 +3,15 @@
 // its skip table across the modeled PCIe link; the host keeps the skip table
 // too because the scheduler (and block-selection logic) reads it for free,
 // exactly as a real host-side driver would.
+//
+// A device copy also carries the simulator's record of each posting block's
+// decode counts (DESIGN.md §5): host memory, not modeled device memory, and
+// gone with the copy.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "codec/block_codec.h"
@@ -30,6 +36,30 @@ struct BlockDesc {
   std::uint64_t out_offset = 0;
 };
 
+/// The counts one posting block's decode body added on a device copy:
+/// sim::KernelStats::body_fields(), one uint32_t each (24 B per block).
+class BlockDecodeRecord {
+ public:
+  bool recorded() const { return counts_[0] != kUnrecorded; }
+
+  /// Stores `s`, the counts the block's first decode added.
+  void record(const sim::KernelStats& s);
+
+  /// The recorded counts (blocks and warps zero: the launch sets those).
+  sim::KernelStats counts() const;
+
+ private:
+  static constexpr std::uint32_t kUnrecorded = ~std::uint32_t{0};
+  static constexpr std::size_t kFields =
+      std::tuple_size_v<decltype(sim::KernelStats::body_fields())>;
+
+  std::array<std::uint32_t, kFields> counts_ = [] {
+    std::array<std::uint32_t, kFields> a;
+    a.fill(kUnrecorded);
+    return a;
+  }();
+};
+
 /// A compressed list resident in device memory.
 struct DeviceList {
   codec::Scheme scheme = codec::Scheme::kEliasFano;
@@ -38,6 +68,12 @@ struct DeviceList {
   simt::DeviceBuffer<std::uint64_t> blob;
   simt::DeviceBuffer<BlockDesc> descs;
   std::vector<BlockDesc> host_descs;  ///< host mirror (skip table)
+  /// Per posting block, the counts of its first decode on this copy, sized
+  /// by that decode (gpu/decode.cpp). A memo of a pure function of the
+  /// copy's bytes that the const decode entry points fill, hence mutable.
+  /// Simulator host memory: DeviceListBytes does not count it, and it lives
+  /// and dies with the copy (cache entry, prefetch, or a query's own upload).
+  mutable std::vector<BlockDecodeRecord> decode_records;
 
   std::size_t num_blocks() const { return host_descs.size(); }
 

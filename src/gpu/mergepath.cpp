@@ -185,7 +185,7 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
           if (t.tid() == 0) t.store(block_counts, bid, block_total);
         });
       });
-  res.stats.merge(merge_stats);
+  res.stats += merge_stats;
   ++res.kernels;
 
   // --- Offsets round trip + Launch 3: compaction. ---
@@ -195,7 +195,7 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
 
   CompactResult c =
       compact_segments(dev, temp, counts_host, span, link, ledger);
-  res.stats.merge(c.stats);
+  res.stats += c.stats;
   ++res.kernels;
   res.result = std::move(c.data);
   res.count = c.count;

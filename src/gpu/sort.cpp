@@ -76,7 +76,7 @@ SelectResult radix_sort_topk(simt::Device& dev,
     dev.upload(hist, std::span<const std::uint32_t>(zeros));
     ledger.add_transfer(link, kBuckets * 4, true);
 
-    res.stats.merge(histogram_pass(dev, *src, n, shift, 0, 32, hist));
+    res.stats += histogram_pass(dev, *src, n, shift, 0, 32, hist);
     ++res.kernels;
 
     // Small round trip: exclusive scan of the 256 bucket counts.
@@ -109,7 +109,7 @@ SelectResult radix_sort_topk(simt::Device& dev,
             t.charge(simt::kAluCycle);
           });
         });
-    res.stats.merge(scatter);
+    res.stats += scatter;
     ++res.kernels;
     std::swap(src, dst);
   }
@@ -144,8 +144,8 @@ SelectResult bucket_select_topk(simt::Device& dev,
     const int shift = 24 - 8 * pass;
     dev.upload(hist, std::span<const std::uint32_t>(zeros));
     ledger.add_transfer(link, kBuckets * 4, true);
-    res.stats.merge(histogram_pass(dev, items, n, shift, prefix,
-                                   pass == 0 ? 32 : shift + 8, hist));
+    res.stats += histogram_pass(dev, items, n, shift, prefix,
+                                pass == 0 ? 32 : shift + 8, hist);
     ++res.kernels;
 
     std::vector<std::uint32_t> h(kBuckets);
@@ -201,7 +201,7 @@ SelectResult bucket_select_topk(simt::Device& dev,
           if (t.tid() == 0) t.store(block_counts, blk.block_id(), total);
         });
       });
-  res.stats.merge(sel);
+  res.stats += sel;
   ++res.kernels;
 
   std::vector<std::uint32_t> counts_host(pblocks);

@@ -15,10 +15,12 @@
 
 #include "sim/hardware_spec.h"
 #include "sim/time.h"
+#include "util/fields.h"
 
 namespace griffin::sim {
 
-/// Work counted during one kernel launch by the SIMT simulator.
+/// Work counted during one kernel launch by the SIMT simulator. `+=`, `-`
+/// and `==` come from fields() (util/fields.h).
 struct KernelStats {
   std::uint64_t blocks = 0;
   std::uint64_t warps = 0;
@@ -32,16 +34,32 @@ struct KernelStats {
   double shared_conflict_cycles = 0.0;     ///< extra cycles from bank conflicts
   std::uint64_t barriers = 0;              ///< block barriers, summed over blocks
 
-  void merge(const KernelStats& o) {
-    blocks += o.blocks;
-    warps += o.warps;
-    warp_cycles += o.warp_cycles;
-    global_transactions += o.global_transactions;
-    global_bytes_requested += o.global_bytes_requested;
-    shared_accesses += o.shared_accesses;
-    shared_conflict_cycles += o.shared_conflict_cycles;
-    barriers += o.barriers;
+  /// The counts a block's body adds as it runs; the launch sets blocks and
+  /// warps. A device list's decode record (gpu/device_list.h) packs these.
+  static constexpr auto body_fields() {
+    using K = KernelStats;
+    return std::tuple{
+        util::field("warp_cycles", &K::warp_cycles),
+        util::field("global_transactions", &K::global_transactions),
+        util::field("global_bytes_requested", &K::global_bytes_requested),
+        util::field("shared_accesses", &K::shared_accesses),
+        util::field("shared_conflict_cycles", &K::shared_conflict_cycles),
+        util::field("barriers", &K::barriers)};
   }
+  static constexpr auto fields() {
+    using K = KernelStats;
+    return std::tuple_cat(std::tuple{util::field("blocks", &K::blocks),
+                                     util::field("warps", &K::warps)},
+                          body_fields());
+  }
+
+  KernelStats& operator+=(const KernelStats& o) {
+    return util::add_fields(*this, o);
+  }
+  friend KernelStats operator-(KernelStats a, const KernelStats& b) {
+    return util::subtract_fields(a, b);
+  }
+  bool operator==(const KernelStats&) const = default;
 
   /// Fraction of each memory transaction that was useful data (1.0 = fully
   /// coalesced). Diagnostic only; not used by the time model.

@@ -30,6 +30,7 @@ class UntypedBuffer {
   UntypedBuffer& operator=(UntypedBuffer&& o) noexcept;
 
   std::uint64_t base() const { return base_; }
+  const Device* device() const { return dev_; }
   std::size_t bytes() const { return storage_.size(); }
   std::byte* data() { return storage_.data(); }
   const std::byte* data() const { return storage_.data(); }
@@ -57,6 +58,8 @@ class DeviceBuffer {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// The Device that allocated this buffer (null once moved from).
+  const Device* device() const { return raw_.device(); }
   std::uint64_t device_addr(std::size_t idx) const {
     return raw_.base() + idx * sizeof(T);
   }

@@ -23,6 +23,11 @@
 // per-lane log is kept. The logged analyzer it must match lives in
 // tests/simt_reference.h as the oracle. The counts feed sim::GpuCostModel,
 // which turns them into simulated time.
+//
+// A kernel executes functionally on every launch, with one exception: a
+// device list's posting-block decode runs its body the first time the block
+// is decoded from that device copy, and later decodes replay the counts that
+// run added (Block::measure / Block::replay; gpu/decode.cpp, DESIGN.md §5).
 #pragma once
 
 #include <algorithm>
@@ -366,6 +371,18 @@ class Block {
 
   /// Explicit extra barrier (per-block __syncthreads).
   void barrier() { ++stats_.barriers; }
+
+  /// Runs `body(*this)` and returns the counts it added to the launch.
+  template <typename F>
+  sim::KernelStats measure(F&& body) {
+    const sim::KernelStats before = stats_;
+    body(*this);
+    return stats_ - before;
+  }
+
+  /// Adds counts that measure() returned for an earlier run of a body this
+  /// block would repeat exactly (gpu/decode.cpp's decode records).
+  void replay(const sim::KernelStats& counts) { stats_ += counts; }
 
  private:
   const sim::GpuSpec& spec_;

@@ -105,7 +105,7 @@ TEST(GpuCostModel, CoalescingEfficiencyDiagnostic) {
   EXPECT_DOUBLE_EQ(s.coalescing_efficiency(spec), 0.1);
 }
 
-TEST(GpuCostModel, StatsMerge) {
+TEST(GpuCostModel, StatsSum) {
   gsim::KernelStats a, b;
   a.blocks = 1;
   a.warps = 2;
@@ -117,7 +117,7 @@ TEST(GpuCostModel, StatsMerge) {
   b.warp_cycles = 20;
   b.global_transactions = 7;
   b.shared_accesses = 9;
-  a.merge(b);
+  a += b;
   EXPECT_EQ(a.blocks, 4u);
   EXPECT_EQ(a.warps, 6u);
   EXPECT_DOUBLE_EQ(a.warp_cycles, 30.0);

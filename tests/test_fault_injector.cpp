@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "core/query.h"
+#include "sim/gpu_cost_model.h"
 
 using namespace griffin;
 
@@ -248,4 +249,5 @@ TEST(Counters, EveryListedFieldIsSummedAndCompared) {
   expect_every_field_summed_and_compared<core::CacheCounters>();
   expect_every_field_summed_and_compared<core::OverlapCounters>();
   expect_every_field_summed_and_compared<fault::FaultCounters>();
+  expect_every_field_summed_and_compared<sim::KernelStats>();
 }

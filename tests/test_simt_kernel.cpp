@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "simt_reference.h"
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace gs = griffin::simt;
@@ -438,14 +439,9 @@ void expect_same_stats(const griffin::sim::KernelStats& got,
                        const griffin::sim::KernelStats& want,
                        std::uint64_t c) {
   SCOPED_TRACE("case " + std::to_string(c));
-  EXPECT_EQ(got.blocks, want.blocks);
-  EXPECT_EQ(got.warps, want.warps);
-  EXPECT_EQ(got.warp_cycles, want.warp_cycles);  // exact: integer cycles
-  EXPECT_EQ(got.global_transactions, want.global_transactions);
-  EXPECT_EQ(got.global_bytes_requested, want.global_bytes_requested);
-  EXPECT_EQ(got.shared_accesses, want.shared_accesses);
-  EXPECT_EQ(got.shared_conflict_cycles, want.shared_conflict_cycles);
-  EXPECT_EQ(got.barriers, want.barriers);
+  // Exact for the double counts too: every charge is whole cycles.
+  griffin::util::for_each_field<griffin::sim::KernelStats>(
+      [&](const auto& f) { EXPECT_EQ(got.*f.member, want.*f.member) << f.key; });
 }
 
 }  // namespace
