@@ -54,10 +54,10 @@ inline std::string cache_dir() {
 inline std::string corpus_cache_key(const workload::CorpusConfig& cfg) {
   char key[320];
   std::snprintf(key, sizeof(key),
-                "corpus_%u_%u_%.17g_%.17g_%u_%u%s_%u_%llu_%u_%.17g.idx",
+                "corpus_%u_%u_%.17g_%.17g_%u_%u%s_%llu_%u_%.17g.idx",
                 cfg.num_docs, cfg.num_terms, cfg.max_list_divisor, cfg.zipf_s,
                 cfg.min_list_size, static_cast<unsigned>(cfg.scheme),
-                cfg.adaptive ? "a" : "", cfg.block_size,
+                cfg.adaptive ? "a" : "",
                 static_cast<unsigned long long>(cfg.seed), cfg.num_topics,
                 cfg.topic_affinity);
   return key;

@@ -1,13 +1,13 @@
-// Co-execution ablation (DESIGN.md §15). Four engine configurations —
-// step splitting on/off x inter-step pipelining on/off — run the same two
-// workloads:
+// Co-execution ablation (DESIGN.md §15). Two engine configurations — step
+// splitting off (`baseline`) and on (`split`), both with the engine's
+// default inter-step pipelining — run the same two workloads:
 //   * the paper's mixed query log (splits fire only where the scheduler's
 //     band admits them);
 //   * a band-targeted set of pair queries whose list-length ratios land
 //     inside the split band [lambda_lo, lambda_hi], where co-executing one
 //     step is exactly what the three-way scheduler is for.
-// Results must be bit-identical across all four configurations (the
-// features move work between processors, never change it); the bench
+// Results must be bit-identical across both configurations (splitting
+// moves work between processors, never changes it); the bench
 // asserts that and records a top-k digest, which doubles as the
 // determinism anchor: two runs of this bench must emit byte-identical
 // JSON, and CI diffs them.
@@ -26,7 +26,6 @@ namespace {
 struct Config {
   const char* name;
   bool split;
-  bool pipeline;
 };
 
 struct RunStats {
@@ -65,7 +64,6 @@ void fold(RunStats& st, const core::QueryResult& res) {
 core::HybridOptions options(const Config& cfg) {
   core::HybridOptions opt;
   opt.scheduler.split = cfg.split;
-  opt.scheduler.pipeline_idle = cfg.pipeline;
   return opt;
 }
 
@@ -137,7 +135,7 @@ bench::Json stats_json(const RunStats& st) {
 
 int main() {
   bench::print_header(
-      "Co-execution ablation: split steps and inter-step pipelining",
+      "Co-execution ablation: split steps",
       "intra-query CPU+GPU parallelism on top of per-step placement");
 
   const auto corpus_cfg = bench::paper_corpus_config();
@@ -148,10 +146,8 @@ int main() {
   const auto banded = band_targeted_pairs();
 
   const Config configs[] = {
-      {"baseline", false, false},
-      {"split", true, false},
-      {"pipeline", false, true},
-      {"split+pipeline", true, true},
+      {"baseline", false},
+      {"split", true},
   };
 
   bench::Gates gates("coexec");

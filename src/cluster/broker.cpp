@@ -81,6 +81,7 @@ core::QueryResult ClusterBroker::execute(const core::Query& q) {
     out.metrics.cache += part.metrics.cache;
     out.metrics.overlap += part.metrics.overlap;
     out.metrics.faults += part.metrics.faults;
+    out.metrics.simd += part.metrics.simd;
     // The merged result's trace is the concatenation of the shard plans in
     // shard order: every step the cluster executed for this query.
     out.trace.insert(out.trace.end(), part.trace.begin(), part.trace.end());

@@ -91,13 +91,6 @@ void BlockCompressedList::decode_all(std::vector<DocId>& out) const {
   }
 }
 
-std::size_t BlockCompressedList::find_block(DocId target) const {
-  const auto it = std::lower_bound(
-      metas_.begin(), metas_.end(), target,
-      [](const BlockMeta& m, DocId t) { return m.last < t; });
-  return static_cast<std::size_t>(it - metas_.begin());
-}
-
 std::uint64_t BlockCompressedList::compressed_bytes() const {
   // Payload + the parts of the skip table a deployment must keep: first/last
   // docID, offset, count, and the small per-scheme header. One constant for

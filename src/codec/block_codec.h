@@ -108,10 +108,6 @@ class BlockCompressedList {
   /// Decodes the whole list.
   void decode_all(std::vector<DocId>& out) const;
 
-  /// Smallest block index whose last docID is >= target (binary search over
-  /// the skip table); num_blocks() if no such block.
-  std::size_t find_block(DocId target) const;
-
   /// Compressed footprint including the skip table (what the compression-
   /// ratio experiment, Table 1, measures — and what the cache tiers budget).
   std::uint64_t compressed_bytes() const;

@@ -292,43 +292,15 @@ const PostingCodec& codec_for(Scheme s) {
 
 std::span<const Scheme> all_schemes() { return kAllSchemes; }
 
-ListShape analyze_list(std::span<const DocId> docids) {
-  ListShape shape;
-  shape.length = docids.size();
-  if (docids.empty()) return shape;
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(docids.back()) - docids.front() + 1;
-  shape.density =
-      static_cast<double>(docids.size()) / static_cast<double>(span);
-  std::uint32_t max_gap = 0;
-  std::uint64_t repeats = 0, pairs = 0;
-  std::uint32_t prev_gap = 0;
-  for (std::size_t i = 1; i < docids.size(); ++i) {
-    const std::uint32_t gap = docids[i] - docids[i - 1] - 1;
-    max_gap = std::max(max_gap, gap);
-    if (i > 1) {
-      ++pairs;
-      if (gap == prev_gap) ++repeats;
-    }
-    prev_gap = gap;
-  }
-  shape.max_gap_bits = max_gap == 0 ? 0 : util::floor_log2(max_gap) + 1;
-  shape.gap_repeat_fraction =
-      pairs == 0 ? 0.0
-                 : static_cast<double>(repeats) / static_cast<double>(pairs);
-  return shape;
-}
-
 Scheme select_scheme(std::span<const DocId> docids, std::uint32_t block_size) {
-  const ListShape shape = analyze_list(docids);
   const EncodeOptions opt;
   Scheme best = kSelectionOrder[0];
   std::uint64_t best_bits = ~std::uint64_t{0};
   for (Scheme s : kSelectionOrder) {
-    // Whole-list shape gates eligibility (conservative: a >28-bit gap that
-    // happens to straddle a block boundary still disqualifies Simple16).
-    if (s == Scheme::kSimple16 && shape.max_gap_bits > 28) continue;
     const PostingCodec& c = codec_for(s);
+    // The whole list gates eligibility (conservative: a >28-bit gap that
+    // happens to straddle a block boundary still disqualifies Simple16).
+    if (!c.can_encode(docids)) continue;
     std::uint64_t bits = 0;
     for (std::size_t lo = 0; lo < docids.size(); lo += block_size) {
       const std::size_t hi = std::min(docids.size(), lo + block_size);

@@ -60,25 +60,13 @@ const PostingCodec& codec_for(Scheme s);
 /// Every registered scheme, in enum order.
 std::span<const Scheme> all_schemes();
 
-/// Shape features of a docID list, the selection policy's inputs (exposed
-/// for tests and the workload-stats bench).
-struct ListShape {
-  std::uint64_t length = 0;
-  double density = 0.0;  ///< length / (last - first + 1)
-  /// Fraction of d-gaps equal to their predecessor — the repetitiveness
-  /// signal Re-Pair exploits.
-  double gap_repeat_fraction = 0.0;
-  std::uint32_t max_gap_bits = 0;  ///< bit width of the largest d-gap
-};
-
-ListShape analyze_list(std::span<const DocId> docids);
-
 /// Adaptive per-list codec choice: among the schemes that can represent the
-/// list (Simple16 drops out when max_gap_bits > 28), pick the one with the
-/// smallest exact encoded size; ties break toward the earlier scheme in
-/// kSelectionOrder (decode-friendlier codecs first). Exhaustive sizing makes
-/// the CI invariant — adaptive total <= every fixed scheme's total — hold
-/// by construction.
+/// whole list (PostingCodec::can_encode; Simple16 drops out when any gap - 1
+/// needs more than 28 bits), pick the one with the smallest exact encoded
+/// size; ties break toward the earlier scheme in kSelectionOrder
+/// (decode-friendlier codecs first). Exhaustive sizing makes the CI
+/// invariant — adaptive total <= every fixed scheme's total — hold by
+/// construction.
 Scheme select_scheme(std::span<const DocId> docids,
                      std::uint32_t block_size = kDefaultBlockSize);
 

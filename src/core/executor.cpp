@@ -24,21 +24,20 @@ sim::Duration& stage_field(Breakdown& b, sim::Stage stage) {
 
 void StepExecutor::begin_query(const Query& q, sim::Timeline* shared,
                                sim::Duration release) {
+  if (shared == nullptr) {
+    // Private timeline: the query owns the device, so it starts on a wiped
+    // timeline at time zero.
+    own_tl_.reset();
+    shared = &own_tl_;
+    release = sim::Duration();
+  }
   host_current_.clear();
   loc_.reset();
-  if (shared == nullptr) {
-    // Private timeline: the query owns the device, wipe and restart.
-    tl_ = &own_tl_;
-    release_ = sim::Duration();
-    tl_->reset();
-    scope_ = 0;
-  } else {
-    // Shared timeline: the device keeps running; this query gets its own
-    // accounting scope and streams opened at its admission time.
-    tl_ = shared;
-    release_ = release;
-    scope_ = tl_->scope();
-  }
+  // The device keeps running: this query gets its own accounting scope and
+  // streams opened at its admission time.
+  tl_ = shared;
+  release_ = release;
+  scope_ = tl_->scope();
   tl_->set_scope(scope_);
   cpu_stream_ = tl_->stream(release_);
   frontier_ = sim::Timeline::Event{release_};

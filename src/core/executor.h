@@ -71,12 +71,13 @@ class StepExecutor {
 
   /// Resets per-query state (host intermediate, device buffers) and opens
   /// the query's streams (DESIGN.md §10): one CPU stream here, one copy +
-  /// one compute stream inside the GpuExecutor. By default the query owns
-  /// a private timeline, which is reset. With a `shared` multi-tenant
-  /// timeline (DESIGN.md §12) that timeline is left intact: the streams
-  /// open at `release` (the admission time) inside a fresh accounting
-  /// scope, so ops from co-admitted queries contend for the same
-  /// per-resource busy clocks. The query keys fault coordinates.
+  /// one compute stream inside the GpuExecutor, in a fresh accounting scope.
+  /// By default the query owns a private timeline, which is reset, and its
+  /// streams open at time zero. With a `shared` multi-tenant timeline
+  /// (DESIGN.md §12) that timeline is left intact: the streams open at
+  /// `release` (the admission time), so ops from co-admitted queries
+  /// contend for the same per-resource busy clocks. The query keys fault
+  /// coordinates.
   void begin_query(const Query& q, sim::Timeline* shared = nullptr,
                    sim::Duration release = {});
 

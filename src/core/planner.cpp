@@ -117,8 +117,7 @@ void Planner::queue_bet(const IntersectStep& step) {
 
 bool Planner::prefetch_pays(const IntersectStep& step,
                             index::TermId nxt) const {
-  const SchedulerOptions& o = sched_->options();
-  if (!o.prefetch) return false;
+  if (!sched_->options().prefetch) return false;
   // A degraded query never bets an upload on the device it just stopped
   // trusting: every later consumer is CPU-pinned, so the copy would be pure
   // loss (and, armed, a pointless extra fault site).
@@ -129,7 +128,6 @@ bool Planner::prefetch_pays(const IntersectStep& step,
     // the copy engine sits idle, but an upload is only worth issuing when
     // the next step is actually predicted to consume the list on the
     // device (optimistic shape — the intermediate only shrinks).
-    if (!o.pipeline_idle) return false;
     const Placement nxt_where =
         sched_->decide(shape_for(step.shape.shorter, nxt, Placement::kCpu));
     if (nxt_where == Placement::kCpu) return false;
@@ -156,9 +154,7 @@ bool Planner::prefetch_pays(const IntersectStep& step,
 
 bool Planner::host_decode_pays(const IntersectStep& step,
                                index::TermId nxt) const {
-  if (!sched_->options().pipeline_idle || step.where != Placement::kGpu) {
-    return false;
-  }
+  if (step.where != Placement::kGpu) return false;
   if (svs_->host_decoded(nxt)) return false;  // nothing to work ahead on
   // Work ahead only when the next step is predicted to run host-side (the
   // decode helps nobody otherwise) and the decode fits under the device

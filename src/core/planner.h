@@ -125,8 +125,8 @@ class Planner {
 
   /// Whether uploading `nxt` early pays. Device-placed (kGpu/kSplit) steps
   /// prefetch — the copy engine rides under their kernels; CPU-placed steps
-  /// prefetch only under pipeline_idle and only when the next step is
-  /// predicted to consume the list on the device (DESIGN.md §15).
+  /// prefetch only when the next step is predicted to consume the list on
+  /// the device (inter-step pipelining, DESIGN.md §15).
   bool prefetch_pays(const IntersectStep& step, index::TermId nxt) const;
 
   /// Inter-step pipelining, host side (DESIGN.md §15): after a kGpu

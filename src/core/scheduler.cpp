@@ -123,9 +123,6 @@ Placement Scheduler::decide(const StepShape& s) const {
 }
 
 double Scheduler::split_alpha(const StepShape& s) const {
-  if (opt_.forced_split_alpha >= 0.0) {
-    return std::min(opt_.forced_split_alpha, 1.0);
-  }
   return best_split(s).first;
 }
 

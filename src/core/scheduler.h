@@ -73,12 +73,6 @@ struct SchedulerOptions {
   /// the cost model. Negative = derive. 0 and 1 are the degenerate splits
   /// (all-CPU / all-GPU through the split machinery).
   double forced_split_alpha = -1.0;
-  /// Inter-step pipelining (DESIGN.md §15): the planner marks steps with no
-  /// data dependence so the executor issues them on whichever processor the
-  /// current step leaves idle — kPrefetch uploads during CPU-placed
-  /// intersects (the copy engine is free) and kHostDecode work-ahead during
-  /// GPU-placed ones (the host core is free).
-  bool pipeline_idle = true;
 };
 
 // StepShape (the scheduler's per-step input) lives in core/query.h so trace

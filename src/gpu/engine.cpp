@@ -151,26 +151,17 @@ void GpuExecutor::drop_prefetches(core::QueryMetrics& m) {
   prefetch_.clear();
 }
 
-std::optional<GpuExecutor::AcquiredList> GpuExecutor::take_prefetched(
+std::optional<GpuExecutor::AcquiredList> GpuExecutor::acquire_paid(
     index::TermId t, sim::Timeline::Event& at, core::QueryMetrics& m) {
-  auto it = prefetch_.find(t);
-  if (it == prefetch_.end()) return std::nullopt;
   AcquiredList a;
   a.term = t;
-  a.owned.emplace(std::move(it->second.list));
-  at = sim::Timeline::join(at, it->second.ready);
-  prefetch_.erase(it);
-  ++m.overlap.prefetch_used;
-  return a;
-}
-
-GpuExecutor::AcquiredList GpuExecutor::acquire_full(index::TermId t,
-                                                    sim::Timeline::Event& at,
-                                                    core::QueryMetrics& m,
-                                                    bool chunked) {
-  if (auto pf = take_prefetched(t, at, m)) return std::move(*pf);
-  AcquiredList a;
-  a.term = t;
+  if (auto it = prefetch_.find(t); it != prefetch_.end()) {
+    a.owned.emplace(std::move(it->second.list));
+    at = sim::Timeline::join(at, it->second.ready);
+    prefetch_.erase(it);
+    ++m.overlap.prefetch_used;
+    return a;
+  }
   if (cache_.enabled()) {
     if (const DeviceList* hit = cache_.lookup(t)) {
       ++m.cache.device_hits;  // transfer + allocation charges skipped
@@ -179,6 +170,16 @@ GpuExecutor::AcquiredList GpuExecutor::acquire_full(index::TermId t,
     }
     ++m.cache.device_misses;
   }
+  return std::nullopt;
+}
+
+GpuExecutor::AcquiredList GpuExecutor::acquire_full(index::TermId t,
+                                                    sim::Timeline::Event& at,
+                                                    core::QueryMetrics& m,
+                                                    bool chunked) {
+  if (auto paid = acquire_paid(t, at, m)) return std::move(*paid);
+  AcquiredList a;
+  a.term = t;
   pcie::TransferLedger ledger;
   bind_ledger(ledger, at, m);
   a.owned.emplace(upload_list(device_, idx_->list(t).docids, link_, ledger,
@@ -305,28 +306,20 @@ GpuIntersectResult GpuExecutor::binary_search_over(
     index::TermId t, const simt::DeviceBuffer<DocId>& probes, std::uint64_t np,
     std::uint64_t probe_offset, pcie::TransferLedger& ledger,
     sim::Timeline::Event& at, core::QueryMetrics& m) {
-  if (auto pf = take_prefetched(t, at, m)) {
-    // The prefetch already paid the full payload upload on the copy engine:
-    // search it like a resident list, and cache it once the kernels ran.
+  if (auto paid = acquire_paid(t, at, m)) {
+    // Prefetched or resident: the full payload is on the device, so no
+    // transfers and no deferred block charging. A consumed prefetch enters
+    // the cache once the kernels ran.
     GpuIntersectResult r =
-        binary_search_intersect(device_, probes, np, pf->view(), link_, ledger,
-                                /*deferred_payload=*/false, probe_offset);
-    commit(std::move(*pf), m);
+        binary_search_intersect(device_, probes, np, paid->view(), link_,
+                                ledger, /*deferred_payload=*/false,
+                                probe_offset);
+    commit(std::move(*paid), m);
     return r;
-  }
-  if (const DeviceList* resident =
-          cache_.enabled() ? cache_.lookup(t) : nullptr) {
-    // Fully device-resident: no transfers at all, and the payload needs no
-    // deferred block charging.
-    ++m.cache.device_hits;
-    return binary_search_intersect(device_, probes, np, *resident, link_,
-                                   ledger, /*deferred_payload=*/false,
-                                   probe_offset);
   }
   // Miss: the deferred upload moves only the skip table plus candidate
   // blocks (§3.1.2), so the payload is never fully paid for — such a
   // partially transferred list must not enter the cache.
-  if (cache_.enabled()) ++m.cache.device_misses;
   DeviceList dlist = upload_list(device_, idx_->list(t).docids, link_, ledger,
                                  /*defer_payload=*/true);
   return binary_search_intersect(device_, probes, np, dlist, link_, ledger,

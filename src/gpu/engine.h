@@ -193,14 +193,15 @@ class GpuExecutor {
   static constexpr std::uint64_t kNoIntermediate = ~std::uint64_t{0};
 
   /// A fully uploaded list for one step: either a pointer into the cache
-  /// (hit) or an owned fresh upload (miss / cache disabled). The owned case
+  /// (hit) or an owned upload (a taken prefetch, or a fresh upload on a miss
+  /// or with the cache disabled). The owned case
   /// is offered to the cache by commit() *after* the step's kernels ran, so
   /// an insert can never evict a list another pointer still references.
   struct AcquiredList {
     /// Cache hit only (points into the cache). The owned case reads through
     /// view() instead of a raw pointer: a pointer into our own `owned` would
     /// dangle whenever the AcquiredList itself is moved (e.g. out of
-    /// take_prefetched's optional).
+    /// acquire_paid's optional).
     const DeviceList* cached = nullptr;
     std::optional<DeviceList> owned;
     index::TermId term = 0;
@@ -211,17 +212,20 @@ class GpuExecutor {
 
     const DeviceList& view() const { return owned.has_value() ? *owned : *cached; }
   };
-  /// With chunked=true, a miss uploads the skip table only and leaves the
-  /// payload charge to the caller (payload_deferred).
+  /// The copy of term t whose full upload is already paid for, if any: an
+  /// in-flight prefetch (taken, its completion event joined into `at`,
+  /// counted as used) or else a device cache hit. Counts the cache hit or
+  /// miss while the cache is enabled; nullopt leaves the upload to the
+  /// caller.
+  std::optional<AcquiredList> acquire_paid(index::TermId t,
+                                           sim::Timeline::Event& at,
+                                           core::QueryMetrics& m);
+  /// acquire_paid, else a fresh full upload. With chunked=true, that upload
+  /// moves the skip table only and leaves the payload charge to the caller
+  /// (payload_deferred).
   AcquiredList acquire_full(index::TermId t, sim::Timeline::Event& at,
                             core::QueryMetrics& m, bool chunked);
   void commit(AcquiredList&& a, core::QueryMetrics& m);
-  /// Takes term t's prefetched list if one is in flight: the consumer
-  /// inherits the full upload (and its completion event, joined into `at`)
-  /// without new transfer charges.
-  std::optional<AcquiredList> take_prefetched(index::TermId t,
-                                              sim::Timeline::Event& at,
-                                              core::QueryMetrics& m);
 
   /// Uploads + Para-EF-decodes a full list; returns the decoded buffer.
   /// With chunking on (copy_chunk_bytes > 0), a miss pipelines chunked H2D
@@ -231,9 +235,9 @@ class GpuExecutor {
                                              core::QueryMetrics& m);
   /// Binary search of list t over `np` probes starting at `probe_offset`,
   /// with the one target acquisition every high-ratio intersect uses:
-  /// prefetched > cache hit > deferred (skip table + candidate blocks only)
-  /// upload, counting device hits/misses and committing a consumed prefetch
-  /// to the cache once the kernels ran.
+  /// acquire_paid, else a deferred (skip table + candidate blocks only)
+  /// upload into `ledger`. A consumed prefetch enters the cache once the
+  /// kernels ran.
   GpuIntersectResult binary_search_over(index::TermId t,
                                         const simt::DeviceBuffer<DocId>& probes,
                                         std::uint64_t np,

@@ -22,17 +22,10 @@ ServiceResult run_service(std::span<const sim::Duration> service_times,
   ServiceResult res;
   PoissonArrivals arrivals(cfg.arrival_qps, cfg.seed);
   FcfsServer server;
-  QueueDepthTracker depth;  // admitted queries only
+  QueueDepthTracker depth;
 
   for (const sim::Duration service : service_times) {
     const sim::Duration arrival = arrivals.next();
-    if (cfg.max_queue_depth > 0 &&
-        depth.in_system(arrival) >= cfg.max_queue_depth) {
-      // The queue is full: shed instead of letting the backlog (and every
-      // later response time) grow without bound.
-      ++res.faults.shed_queries;
-      continue;
-    }
     const Completion c = server.submit(arrival, service);
     res.service_ms.add(service.ms());
     res.response_ms.add((c.done - arrival).ms());
@@ -51,8 +44,6 @@ ServiceResult run_service(core::Engine& engine,
   core::RunTotals totals;
   const auto times = measure_service_times(engine, queries, &totals);
   ServiceResult res = run_service(std::span<const sim::Duration>(times), cfg);
-  // The queueing pass counted the sheds; the execution pass the rest.
-  totals.faults += res.faults;
   static_cast<core::RunTotals&>(res) = totals;
   // Per-resource busy fractions over the FCFS makespan: the summed
   // per-query timeline busy divided by when the server finally freed.
@@ -74,12 +65,9 @@ ServiceResult run_service(tenancy::DeviceManager& device,
     load.push_back({q, arrivals.next()});
   }
 
-  const auto outcomes = device.run(load, cfg.max_queue_depth);
   QueueDepthTracker depth;
-  for (const auto& out : outcomes) {
-    // A shed result is empty but for its shed_queries count of 1.
+  for (const auto& out : device.run(load)) {
     res.add(out.result);
-    if (out.shed) continue;
     res.service_ms.add(out.result.metrics.total.ms());
     res.response_ms.add((out.finish - out.arrival).ms());
     depth.observe(out.arrival, out.finish);

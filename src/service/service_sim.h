@@ -29,17 +29,13 @@ struct ServiceConfig {
   /// (gaps capped at one simulated hour; see service/queueing.h).
   double arrival_qps = 100.0;
   std::uint64_t seed = 99;
-  /// Admission control (DESIGN.md §11): a query arriving while this many
-  /// queries are already in the system (queued + in service) is shed — no
-  /// service, no response sample, counted in ServiceResult::faults. Zero
-  /// disables shedding (the unbounded legacy queue).
-  std::uint32_t max_queue_depth = 0;
 };
 
 /// One service run. The core::RunTotals members sum the executed queries
 /// (the engine and multi-tenant overloads; zero in the precomputed-
-/// service-times overload), and `faults` also counts the queries shed by
-/// admission control.
+/// service-times overload). Every offered query is answered: the queues are
+/// unbounded, and admission control lives in DeviceManager::run's
+/// `max_in_system` (DESIGN.md §11).
 struct ServiceResult : core::RunTotals {
   util::PercentileTracker response_ms;  ///< queueing + service
   util::PercentileTracker service_ms;   ///< engine latency alone
@@ -72,8 +68,7 @@ ServiceResult run_service(core::Engine& engine,
 /// and run concurrently through the DeviceManager's shared timeline — a
 /// query completes when its critical path through the *shared* device
 /// finishes, so queueing, contention, and cross-query batching all shape
-/// the response distribution. `cfg.max_queue_depth` sheds at arrival as in
-/// the FCFS overloads. resource_utilization comes from the shared
+/// the response distribution. resource_utilization comes from the shared
 /// timeline's busy clocks; `utilization` is the bottleneck resource's.
 ServiceResult run_service(tenancy::DeviceManager& device,
                           const std::vector<core::Query>& queries,

@@ -88,44 +88,4 @@ std::uint32_t block_exclusive_scan(Block& blk, std::span<std::uint32_t> data) {
   return total;
 }
 
-std::uint64_t block_reduce_sum(Block& blk,
-                               std::span<const std::uint32_t> data) {
-  const std::size_t n = data.size();
-  if (n == 0) return 0;
-  const std::uint32_t dim = blk.dim();
-  const std::size_t chunk = util::div_ceil(n, dim);
-  auto partial = blk.shared<std::uint32_t>(dim);
-
-  blk.for_each_thread([&](Thread& t) {
-    const std::size_t lo = static_cast<std::size_t>(t.tid()) * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    std::uint32_t acc = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      acc += t.sload(data, i);
-      t.charge(kAluCycle);
-    }
-    t.sstore(std::span<std::uint32_t>(partial), t.tid(), acc);
-  });
-
-  // Tree reduction over the per-thread partials (models the cost; the exact
-  // value is re-derived from the untouched input below so non-power-of-two
-  // block dims cannot introduce a folding error).
-  for (std::uint32_t stride = dim / 2; stride >= 1; stride /= 2) {
-    blk.for_each_thread([&](Thread& t) {
-      if (t.tid() < stride && t.tid() + stride < dim) {
-        const std::uint32_t a =
-            t.sload(std::span<const std::uint32_t>(partial), t.tid());
-        const std::uint32_t b =
-            t.sload(std::span<const std::uint32_t>(partial), t.tid() + stride);
-        t.sstore(std::span<std::uint32_t>(partial), t.tid(), a + b);
-        t.charge(kAluCycle);
-      }
-    });
-    if (stride == 1) break;
-  }
-  std::uint64_t grand = 0;
-  for (std::uint32_t v : data) grand += v;
-  return grand;
-}
-
 }  // namespace griffin::simt

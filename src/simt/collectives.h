@@ -19,7 +19,4 @@ void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data);
 /// In-place exclusive prefix sum; returns the total of the input.
 std::uint32_t block_exclusive_scan(Block& blk, std::span<std::uint32_t> data);
 
-/// Block-wide sum reduction of a shared array.
-std::uint64_t block_reduce_sum(Block& blk, std::span<const std::uint32_t> data);
-
 }  // namespace griffin::simt

@@ -81,12 +81,11 @@ class DeviceManager {
                 TenancyOptions opt = {});
   ~DeviceManager();
 
-  /// Runs the whole load through the shared device. `max_in_system` > 0
-  /// sheds a query at arrival when that many queries are already in the
-  /// system (admitted-but-unfinished + queued), mirroring the FCFS
-  /// service sim's admission control. Resets the shared timeline and the
-  /// batch-group counter; per-lane caches persist across run() calls (a
-  /// warm serving system).
+  /// Runs the whole load through the shared device. `max_in_system` > 0 is
+  /// admission control (DESIGN.md §11): a query arriving while that many
+  /// queries are already in the system (admitted-but-unfinished + queued)
+  /// is shed. Resets the shared timeline and the batch-group counter;
+  /// per-lane caches persist across run() calls (a warm serving system).
   std::vector<TenantResult> run(std::span<const TenantQuery> load,
                                 std::uint32_t max_in_system = 0);
 

@@ -72,33 +72,6 @@ std::vector<index::DocId> make_uniform_list(std::uint64_t n,
   return docs;
 }
 
-std::vector<index::DocId> make_topical_list(std::uint64_t n,
-                                            index::DocId universe,
-                                            index::DocId topic_lo,
-                                            index::DocId topic_hi,
-                                            double affinity,
-                                            util::Xoshiro256& rng) {
-  assert(topic_lo < topic_hi && topic_hi <= universe);
-  const std::uint64_t width = topic_hi - topic_lo;
-  // The topic range can only hold `width` postings; cap the topical share.
-  std::uint64_t n_topic = static_cast<std::uint64_t>(
-      affinity * static_cast<double>(n));
-  n_topic = std::min(n_topic, width * 3 / 4);
-  const std::uint64_t n_rest = n - n_topic;
-
-  std::vector<index::DocId> docs;
-  if (n_topic > 0) {
-    docs = make_uniform_list(n_topic, static_cast<index::DocId>(width), rng);
-    for (auto& d : docs) d += topic_lo;
-  }
-  if (n_rest > 0) {
-    merge_sorted(docs, make_uniform_list(n_rest, universe, rng));
-  }
-  // Top up collisions between the two strata.
-  top_up(docs, n, universe, rng);
-  return docs;
-}
-
 std::vector<index::DocId> make_correlated_list(
     std::uint64_t n, index::DocId universe,
     std::span<const index::DocId> topic_order, double affinity,
@@ -166,8 +139,7 @@ std::uint64_t list_size_for_rank(const CorpusConfig& cfg, std::uint32_t rank) {
 
 index::InvertedIndex generate_corpus(const CorpusConfig& cfg) {
   util::Xoshiro256 rng(cfg.seed);
-  index::InvertedIndex idx(index::CodecPolicy{cfg.scheme, cfg.adaptive},
-                           cfg.block_size);
+  index::InvertedIndex idx(index::CodecPolicy{cfg.scheme, cfg.adaptive});
 
   // Document lengths: lognormal-ish around kMeanDocLen. (Generated
   // independently of the posting draws — BM25 only needs the marginal.)

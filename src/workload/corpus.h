@@ -28,7 +28,6 @@ struct CorpusConfig {
   /// Route each list through codec::select_scheme instead of compressing
   /// everything with `scheme` (which stays the index's headline scheme).
   bool adaptive = false;
-  std::uint32_t block_size = codec::kDefaultBlockSize;
   std::uint64_t seed = 42;
 
   // Topical co-occurrence. Real query terms correlate (documents about a
@@ -58,16 +57,6 @@ std::vector<index::DocId> make_uniform_list(std::uint64_t n,
                                             index::DocId universe,
                                             util::Xoshiro256& rng);
 
-/// Like make_uniform_list, but `affinity` of the postings concentrate in
-/// [topic_lo, topic_hi) — two lists sharing a topic overlap far more than
-/// independent ones.
-std::vector<index::DocId> make_topical_list(std::uint64_t n,
-                                            index::DocId universe,
-                                            index::DocId topic_lo,
-                                            index::DocId topic_hi,
-                                            double affinity,
-                                            util::Xoshiro256& rng);
-
 /// Strongly correlated topical list: the topical share samples (at ~50%
 /// density) a prefix window of `topic_order` — a per-topic shuffled doc
 /// ranking shared by every term of the topic. Documents early in the order
@@ -91,7 +80,8 @@ ListPair make_pair_with_ratio(std::uint64_t longer_size, double ratio,
                               index::DocId universe, double containment,
                               util::Xoshiro256& rng);
 
-/// Generates the full synthetic index (Zipf list sizes, tf, doc lengths).
+/// Generates the full synthetic index (Zipf list sizes, tf, doc lengths),
+/// compressed in blocks of codec::kDefaultBlockSize (128) postings.
 index::InvertedIndex generate_corpus(const CorpusConfig& cfg);
 
 /// The per-rank list size the config implies (exposed for tests/benches).

@@ -71,23 +71,6 @@ TEST(BlockCodec, DecodeSingleBlock) {
   }
 }
 
-TEST(BlockCodec, FindBlock) {
-  const auto docs = random_docids(2000, 4'000'000, 9);
-  const auto list = gc::BlockCompressedList::build(docs, gc::Scheme::kPForDelta);
-
-  // Every docid must be findable in its own block.
-  for (std::size_t i = 0; i < docs.size(); i += 37) {
-    const std::size_t b = list.find_block(docs[i]);
-    ASSERT_LT(b, list.num_blocks());
-    EXPECT_LE(list.meta(b).first, docs[i]);
-    EXPECT_GE(list.meta(b).last, docs[i]);
-  }
-  // A target above the last docid maps past the end.
-  EXPECT_EQ(list.find_block(list.last_docid() + 1), list.num_blocks());
-  // A target below the first docid maps to block 0.
-  EXPECT_EQ(list.find_block(0), 0u);
-}
-
 TEST(BlockCodec, EFBeatsPForOnCompressionForTypicalGaps) {
   // Table 1's direction: EF compresses typical (geometric-gap) posting
   // lists tighter than PForDelta.

@@ -153,15 +153,6 @@ TEST(CodecZoo, SelectionIsExactlyMinimal) {
   EXPECT_EQ(gc::select_scheme(rep), gc::Scheme::kRePair);
 }
 
-TEST(CodecZoo, AnalyzeListShape) {
-  std::vector<gc::DocId> docs{10, 20, 30, 40, 50};  // gaps all 10
-  const gc::ListShape shape = gc::analyze_list(docs);
-  EXPECT_EQ(shape.length, 5u);
-  EXPECT_DOUBLE_EQ(shape.density, 5.0 / 41.0);
-  EXPECT_DOUBLE_EQ(shape.gap_repeat_fraction, 1.0);  // all gaps equal
-  EXPECT_EQ(shape.max_gap_bits, 4u);                 // gap-1 = 9 -> 4 bits
-}
-
 TEST(CodecZoo, TaggedHeaderViews) {
   const gc::PForHeader ph{7, 3, 42};
   const gc::BlockHeader hp = gc::BlockHeader::from_pfor(ph);

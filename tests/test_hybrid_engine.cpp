@@ -171,3 +171,61 @@ TEST(HybridEngine, FasterThanBothStaticEnginesOnMixedQuery) {
   EXPECT_LE(h.metrics.total.ps(),
             static_cast<std::int64_t>(g.metrics.total.ps() * 1.05));
 }
+
+TEST(HybridEngine, HostDecodeWorksAheadForTheNextCpuStep) {
+  // Inter-step pipelining, host side (DESIGN.md §15). Two short, balanced
+  // lists intersect on the GPU; the third is 300 times longer, so its step
+  // is predicted host-side. While the device runs the first step, the idle
+  // host core decodes the long list into the decoded cache, and the CPU
+  // intersect that follows finds it there.
+  const index::DocId universe = 1'000'000;
+  std::vector<index::DocId> a, b, c;
+  for (index::DocId i = 0; i < 4'800; ++i) c.push_back(200 * i);
+  for (index::DocId j = 0; j < 16; ++j) a.push_back(60'000 * j);  // all in c
+  for (index::DocId j = 0; j < 16; ++j) {
+    b.push_back(60'000 * j + (j % 2 == 0 ? 0 : 7));  // even j: in a and c
+  }
+  b.push_back(999'999);
+  index::InvertedIndex idx(codec::Scheme::kEliasFano);
+  idx.docs().resize(universe);
+  for (index::DocId d = 0; d < universe; ++d) {
+    idx.docs().set_length(d, 100 + d % 97);
+  }
+  idx.add_list(a);
+  idx.add_list(b);
+  idx.add_list(c);
+
+  core::HybridEngine engine(idx);
+  core::Query q;
+  q.terms = {0, 1, 2};
+  q.k = 10;
+  const auto res = engine.execute(q);
+
+  std::size_t decode_at = res.trace.size();
+  std::size_t intersect_at = res.trace.size();
+  for (std::size_t i = 0; i < res.trace.size(); ++i) {
+    const auto& r = res.trace[i];
+    if (r.term != 2) continue;
+    if (r.kind == core::StepKind::kHostDecode) decode_at = i;
+    if (r.kind == core::StepKind::kIntersect) intersect_at = i;
+  }
+  const auto placements = testutil::intersect_placements(res);
+  ASSERT_EQ(placements.size(), 2u);
+  EXPECT_EQ(placements[0], core::Placement::kGpu);
+  ASSERT_LT(intersect_at, res.trace.size());
+  EXPECT_LT(decode_at, intersect_at);  // the work-ahead came first
+  const auto& consumer = res.trace[intersect_at];
+  EXPECT_EQ(consumer.placement, core::Placement::kCpu);
+  EXPECT_TRUE(consumer.shape.longer_host_decoded);
+  EXPECT_EQ(res.metrics.cache.host_hits, 1u);
+
+  // Working ahead moves no result: the CPU engine's top-k, bit for bit.
+  cpu::CpuEngine cpu_engine(idx);
+  const auto want = cpu_engine.execute(q);
+  ASSERT_EQ(res.topk.size(), 8u);
+  ASSERT_EQ(want.topk.size(), res.topk.size());
+  for (std::size_t i = 0; i < want.topk.size(); ++i) {
+    EXPECT_EQ(res.topk[i].doc, want.topk[i].doc) << "rank " << i;
+    EXPECT_EQ(res.topk[i].score, want.topk[i].score) << "rank " << i;
+  }
+}

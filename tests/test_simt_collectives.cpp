@@ -60,28 +60,6 @@ TEST(Collectives, ExclusiveScanAndTotal) {
   EXPECT_EQ(result, (std::vector<std::uint32_t>{0, 3, 4, 8, 9, 14, 23, 25}));
 }
 
-TEST(Collectives, ReduceSum) {
-  gs::Device dev;
-  griffin::util::Xoshiro256 rng(17);
-  for (const std::size_t n : {1u, 5u, 64u, 100u, 1000u}) {
-    for (const std::uint32_t dim : {32u, 96u, 128u}) {  // incl. non-pow2 dim
-      std::vector<std::uint32_t> data(n);
-      std::uint64_t expect = 0;
-      for (auto& x : data) {
-        x = static_cast<std::uint32_t>(rng.bounded(1000));
-        expect += x;
-      }
-      std::uint64_t got = 0;
-      gs::launch(dev, {1, dim}, [&](gs::Block& blk) {
-        auto sh = blk.shared<std::uint32_t>(n);
-        std::copy(data.begin(), data.end(), sh.begin());
-        got = gs::block_reduce_sum(blk, sh);
-      });
-      EXPECT_EQ(got, expect) << "n=" << n << " dim=" << dim;
-    }
-  }
-}
-
 TEST(Collectives, ScanChargesLogDepthBarriers) {
   gs::Device dev;
   const auto stats = gs::launch(dev, {1, 128}, [&](gs::Block& blk) {

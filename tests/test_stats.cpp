@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/prefix_sum.h"
-
 namespace gu = griffin::util;
 
 TEST(SummaryStats, MeanVarMinMax) {
@@ -70,18 +68,4 @@ TEST(LogHistogram, BucketsAndCdf) {
   EXPECT_DOUBLE_EQ(h.cdf(0), 0.2);
   EXPECT_DOUBLE_EQ(h.cdf(1), 0.4);
   EXPECT_DOUBLE_EQ(h.cdf(h.bucket_count() - 1), 1.0);
-}
-
-TEST(PrefixSum, InclusiveExclusive) {
-  std::vector<int> v{1, 2, 3, 4};
-  gu::inclusive_scan_inplace(std::span<int>(v));
-  EXPECT_EQ(v, (std::vector<int>{1, 3, 6, 10}));
-
-  std::vector<int> w{1, 2, 3, 4};
-  const int total = gu::exclusive_scan_inplace(std::span<int>(w));
-  EXPECT_EQ(total, 10);
-  EXPECT_EQ(w, (std::vector<int>{0, 1, 3, 6}));
-
-  std::vector<int> empty;
-  EXPECT_EQ(gu::exclusive_scan_inplace(std::span<int>(empty)), 0);
 }
