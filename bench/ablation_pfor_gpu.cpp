@@ -32,7 +32,7 @@ int main() {
 
   auto run_pfor = [&](std::uint8_t forced_b, const char* label) {
     const auto list = codec::BlockCompressedList::build(
-        docs, codec::Scheme::kPForDelta, 128, forced_b);
+        docs, codec::Scheme::kPForDelta, forced_b);
     simt::Device dev(hw.gpu, hw.pcie.device_mem_bytes);
     pcie::TransferLedger ledger;
     gpu::DeviceList dl = gpu::upload_list(dev, list, link, ledger);

@@ -6,9 +6,10 @@
 //
 // The bench drives everything through the engines' recorded plans
 // (QueryResult::trace): scheme 1c replays the first intersect step's
-// StepShape from the CPU pass through a residency-blind ratio Scheduler —
-// the exact decision a whole-query planner would make — and the second
-// table reports how each policy's executed steps split across processors.
+// StepShape from the CPU pass, residency bits cleared, through the ratio
+// Scheduler — the exact decision a whole-query planner would make — and
+// the second table reports how each policy's executed steps split across
+// processors.
 //
 // Every policy runs on engines of its own: an engine that already ran the
 // same queries starts with warm device and host caches. The exit code gates
@@ -115,9 +116,13 @@ int main() {
   // by the paper's ratio rule with residency folded out (a one-shot planner
   // has no cache state to consult). Single-term queries have no intersect
   // step; ratio 1 puts them on the GPU.
-  core::SchedulerOptions whole_opt;
-  whole_opt.residency_aware = false;
-  const core::Scheduler whole(whole_opt);
+  for (auto& shape : first_shape) {
+    if (!shape.has_value()) continue;
+    shape->longer_device_resident = false;
+    shape->longer_host_decoded = false;
+    shape->longer_prefetched = false;
+  }
+  const core::Scheduler whole;
   cpu::CpuEngine whole_cpu(idx);
   gpu::GpuEngine whole_gpu(idx);
   const auto r_whole =

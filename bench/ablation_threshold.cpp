@@ -2,7 +2,8 @@
 // threshold should equal the compression block size (128): above it, the
 // short list has fewer elements than the long list has blocks, so skippable
 // blocks must exist (Figure 9). This bench sweeps the threshold on a fixed
-// query log, and then shows the optimal threshold tracking the block size.
+// query log over an index of 128-posting blocks and reports each threshold's
+// mean latency and the best swept one (BENCH_ablation_threshold.json).
 #include <cstdio>
 #include <vector>
 
@@ -43,15 +44,24 @@ int main() {
       "Ablation: scheduler crossover threshold sweep",
       "paper picks 128 = block size via Figure 8 + the Figure 9 argument");
 
+  // The always-GPU arm is an infinite threshold; JSON has no infinity.
+  const auto threshold_json = [](double thr) {
+    return thr >= 1e18 ? bench::Json("inf") : bench::Json(thr);
+  };
   std::printf("%-12s %16s\n", "threshold", "mean latency(ms)");
   double best = 1e30;
   double best_thr = 0;
+  bench::Json rows = bench::Json::array();
   for (const double thr : {8.0, 32.0, 64.0, 128.0, 256.0, 1024.0, 1e18}) {
     const double ms = mean_latency_ms(idx, log, thr);
     if (ms < best) {
       best = ms;
       best_thr = thr;
     }
+    bench::Json row = bench::Json::object();
+    row["threshold"] = threshold_json(thr);
+    row["mean_ms"] = ms;
+    rows.push_back(std::move(row));
     if (thr >= 1e18) {
       std::printf("%-12s %16.3f   (= always GPU)\n", "inf", ms);
     } else {
@@ -60,5 +70,13 @@ int main() {
   }
   std::printf("(threshold 0 would be the CPU-only engine)\n");
   std::printf("\nBest swept threshold: %.0f (paper's choice: 128)\n", best_thr);
+
+  bench::Json root = bench::Json::object();
+  root["bench"] = "ablation_threshold";
+  root["fast_mode"] = bench::fast_mode();
+  root["queries"] = static_cast<std::uint64_t>(log.size());
+  root["thresholds"] = std::move(rows);
+  root["best_threshold"] = threshold_json(best_thr);
+  bench::write_bench_json("ablation_threshold", root);
   return 0;
 }

@@ -202,13 +202,14 @@ int main() {
         cg >= 0 ? std::sqrt(groups[static_cast<std::size_t>(cg)].lo *
                             groups[static_cast<std::size_t>(cg)].hi)
                 : -1.0;
-    const double scale = cpu::simd::crossover_scale(presets[pi].spec);
+    const double threshold = core::SchedulerOptions{}.ratio_threshold *
+                             cpu::simd::crossover_scale(presets[pi].spec);
     if (cg >= 0) {
       std::printf("\n%-6s crossover enters group [%.0f,%.0f) "
                   "(measured point %.0f; scheduler threshold %.1f)",
                   presets[pi].name, groups[static_cast<std::size_t>(cg)].lo,
                   groups[static_cast<std::size_t>(cg)].hi, measured_ratio,
-                  128.0 * scale);
+                  threshold);
     } else {
       std::printf("\n%-6s: no crossover within the swept ratios", presets[pi].name);
     }
@@ -216,7 +217,7 @@ int main() {
     pr["name"] = presets[pi].name;
     pr["crossover_group"] = cg;
     pr["measured_crossover_ratio"] = measured_ratio;
-    pr["scheduler_threshold"] = 128.0 * scale;
+    pr["scheduler_threshold"] = threshold;
     pr["simd_decode_speedup"] = decode_speedup[pi];
     preset_rows.push_back(std::move(pr));
   }

@@ -22,10 +22,8 @@ std::string scheme_name(Scheme s) {
 
 BlockCompressedList BlockCompressedList::build(std::span<const DocId> docids,
                                                Scheme scheme,
-                                               std::uint32_t block_size,
                                                std::uint8_t pfor_forced_b) {
   if (docids.empty()) throw std::invalid_argument("empty posting list");
-  if (block_size == 0) throw std::invalid_argument("block size must be > 0");
 
   const PostingCodec& codec = codec_for(scheme);
   EncodeOptions opt;
@@ -33,13 +31,12 @@ BlockCompressedList BlockCompressedList::build(std::span<const DocId> docids,
 
   BlockCompressedList list;
   list.scheme_ = scheme;
-  list.block_size_ = block_size;
   list.size_ = docids.size();
-  list.metas_.reserve(util::div_ceil(docids.size(), block_size));
+  list.metas_.reserve(util::div_ceil(docids.size(), kBlockSize));
 
   std::uint64_t bit_pos = 0;
-  for (std::size_t lo = 0; lo < docids.size(); lo += block_size) {
-    const std::size_t hi = std::min(docids.size(), lo + block_size);
+  for (std::size_t lo = 0; lo < docids.size(); lo += kBlockSize) {
+    const std::size_t hi = std::min(docids.size(), lo + kBlockSize);
     const std::span<const DocId> block = docids.subspan(lo, hi - lo);
     if (!codec.can_encode(block)) {
       throw std::invalid_argument(
@@ -62,14 +59,13 @@ BlockCompressedList BlockCompressedList::build(std::span<const DocId> docids,
 }
 
 BlockCompressedList BlockCompressedList::from_parts(
-    Scheme scheme, std::uint32_t block_size, std::uint64_t size,
-    std::vector<std::uint64_t> blob, std::vector<BlockMeta> metas) {
+    Scheme scheme, std::uint64_t size, std::vector<std::uint64_t> blob,
+    std::vector<BlockMeta> metas) {
   if (size == 0 || metas.empty()) {
     throw std::invalid_argument("from_parts: empty list");
   }
   BlockCompressedList list;
   list.scheme_ = scheme;
-  list.block_size_ = block_size;
   list.size_ = size;
   list.blob_ = std::move(blob);
   list.metas_ = std::move(metas);

@@ -1,6 +1,6 @@
 // Block-partitioned compressed posting lists with skip pointers (paper
-// Figure 2). DocIDs are split into fixed-size blocks (128 by default — the
-// constant behind the paper's ratio-128 crossover analysis, §3.2); each block
+// Figure 2). DocIDs are split into blocks of kBlockSize (128) postings — the
+// constant behind the paper's ratio-128 crossover analysis, §3.2; each block
 // is compressed independently, and a skip table stores every block's first
 // and last docID plus its offset, so intersections can locate and decompress
 // only the blocks that can possibly contain matches.
@@ -36,7 +36,12 @@ inline constexpr int kNumSchemes = 6;
 
 std::string scheme_name(Scheme s);
 
-inline constexpr std::uint32_t kDefaultBlockSize = 128;
+/// Postings per block, for every list. The scheduler's λ crossover, the GPU
+/// path rule, the block buffers and the device decode slot stride read it.
+inline constexpr std::uint32_t kBlockSize = 128;
+/// Binary-search depth inside one block.
+inline constexpr std::uint32_t kBlockSizeLog2 = 7;
+static_assert(kBlockSize == 1u << kBlockSizeLog2);
 
 /// Tagged per-scheme block header. One fixed shape covers every codec so the
 /// skip table (and the GPU's BlockDesc mirror) stays a POD array; the
@@ -61,7 +66,7 @@ struct BlockHeader {
 
 /// Skip-table entry: one per block. Carries the tagged per-scheme header
 /// inline so a block is decodable from (meta, blob) alone — which is exactly
-/// what the GPU kernels receive.
+/// what the GPU kernels receive (gpu::BlockDesc extends it).
 struct BlockMeta {
   DocId first = 0;               ///< first docID in the block
   DocId last = 0;                ///< last docID in the block
@@ -69,6 +74,17 @@ struct BlockMeta {
   std::uint16_t count = 0;       ///< postings in the block
   BlockHeader hdr;               ///< per-scheme header (tagged)
 };
+
+/// Payload bytes of block `b` of a skip table (of BlockMeta or a type derived
+/// from it) over a blob of `blob_words` words: the next block's bit offset,
+/// or the blob's end, minus this block's, rounded up to bytes.
+template <typename SkipTable>
+std::uint64_t block_payload_bytes(const SkipTable& skip,
+                                  std::uint64_t blob_words, std::size_t b) {
+  const std::uint64_t end =
+      b + 1 < skip.size() ? skip[b + 1].bit_offset : blob_words * 64;
+  return (end - skip[b].bit_offset + 7) / 8;
+}
 
 class BlockCompressedList {
  public:
@@ -80,18 +96,15 @@ class BlockCompressedList {
   /// slot width (0 = automatic 90%-coverage rule); it exposes the
   /// compression-ratio-vs-decode-speed trade-off of §2.3 for the ablations.
   static BlockCompressedList build(std::span<const DocId> docids, Scheme scheme,
-                                   std::uint32_t block_size = kDefaultBlockSize,
                                    std::uint8_t pfor_forced_b = 0);
 
   /// Reassembles a list from previously serialized parts (index/io.h).
-  static BlockCompressedList from_parts(Scheme scheme, std::uint32_t block_size,
-                                        std::uint64_t size,
+  static BlockCompressedList from_parts(Scheme scheme, std::uint64_t size,
                                         std::vector<std::uint64_t> blob,
                                         std::vector<BlockMeta> metas);
 
   std::uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::uint32_t block_size() const { return block_size_; }
   std::size_t num_blocks() const { return metas_.size(); }
   Scheme scheme() const { return scheme_; }
 
@@ -102,7 +115,7 @@ class BlockCompressedList {
   DocId first_docid() const { return metas_.front().first; }
   DocId last_docid() const { return metas_.back().last; }
 
-  /// Decodes block b into out (room for block_size() values); returns count.
+  /// Decodes block b into out (room for kBlockSize values); returns count.
   std::uint32_t decode_block(std::size_t b, DocId* out) const;
 
   /// Decodes the whole list.
@@ -119,7 +132,6 @@ class BlockCompressedList {
 
  private:
   Scheme scheme_ = Scheme::kPForDelta;
-  std::uint32_t block_size_ = kDefaultBlockSize;
   std::uint64_t size_ = 0;
   std::vector<std::uint64_t> blob_;
   std::vector<BlockMeta> metas_;

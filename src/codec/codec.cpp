@@ -292,7 +292,7 @@ const PostingCodec& codec_for(Scheme s) {
 
 std::span<const Scheme> all_schemes() { return kAllSchemes; }
 
-Scheme select_scheme(std::span<const DocId> docids, std::uint32_t block_size) {
+Scheme select_scheme(std::span<const DocId> docids) {
   const EncodeOptions opt;
   Scheme best = kSelectionOrder[0];
   std::uint64_t best_bits = ~std::uint64_t{0};
@@ -302,8 +302,8 @@ Scheme select_scheme(std::span<const DocId> docids, std::uint32_t block_size) {
     // happens to straddle a block boundary still disqualifies Simple16).
     if (!c.can_encode(docids)) continue;
     std::uint64_t bits = 0;
-    for (std::size_t lo = 0; lo < docids.size(); lo += block_size) {
-      const std::size_t hi = std::min(docids.size(), lo + block_size);
+    for (std::size_t lo = 0; lo < docids.size(); lo += kBlockSize) {
+      const std::size_t hi = std::min(docids.size(), lo + kBlockSize);
       bits += c.encoded_bits(docids.subspan(lo, hi - lo), opt);
     }
     if (bits < best_bits) {

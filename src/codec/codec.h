@@ -67,8 +67,7 @@ std::span<const Scheme> all_schemes();
 /// (decode-friendlier codecs first). Exhaustive sizing makes the CI
 /// invariant — adaptive total <= every fixed scheme's total — hold by
 /// construction.
-Scheme select_scheme(std::span<const DocId> docids,
-                     std::uint32_t block_size = kDefaultBlockSize);
+Scheme select_scheme(std::span<const DocId> docids);
 
 /// Tie-break preference order for select_scheme: GPU-parallel and
 /// vector-friendly decoders before byte/selector/grammar codecs.

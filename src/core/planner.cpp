@@ -12,8 +12,8 @@ namespace {
 /// Don't prefetch a list longer than this ratio times the current
 /// intermediate: above it the binary-search path's deferred transfer (skip
 /// table + candidate blocks only) moves less data than the full payload a
-/// prefetch would, hidden or not. 2x the GPU path crossover.
-constexpr double kPrefetchRatioLimit = 256.0;
+/// prefetch would, hidden or not.
+constexpr double kPrefetchRatioLimit = 2 * gpu::kPathRatio;
 
 /// A prefetch queued behind a CPU-placed intersect is only worth paying for
 /// when the predicted device consumer survives the intersect cutting the

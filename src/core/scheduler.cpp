@@ -7,7 +7,6 @@
 #include "cpu/simd_cost.h"
 #include "cpu/svs_step.h"
 #include "gpu/engine.h"
-#include "util/bits.h"
 
 namespace griffin::core {
 
@@ -34,6 +33,11 @@ double gpu_decode_penalty_ns(codec::Scheme s) {
   }
   return 0.0;
 }
+
+/// Hand-fit like the penalty above: roughly five kernel launches per GPU
+/// step on either path, and the merge path's decode + merge traffic.
+constexpr double kLaunchesPerStep = 5.0;
+constexpr double kMergeBytesPerPosting = 12.0;
 
 /// The split alpha grid: 1/32 granularity, endpoints excluded (degenerate
 /// splits are the single-processor decisions). Coarse enough to stay cheap,
@@ -95,14 +99,12 @@ Placement Scheduler::decide(const StepShape& s) const {
       // the λ=128 balance point slides down by the SIMD-to-scalar cost
       // ratio (1.0 for a scalar CpuSpec).
       threshold *= cpu::simd::crossover_scale(hw_.cpu);
-      if (opt_.residency_aware) {
-        // A prefetched list's H2D is already paid (and hidden on the copy
-        // engine), so the GPU side looks like the resident case.
-        if (s.longer_device_resident || s.longer_prefetched) {
-          threshold *= kResidentRatioBoost;
-        }
-        if (s.longer_host_decoded) threshold *= kHostDecodedRatioScale;
+      // A prefetched list's H2D is already paid (and hidden on the copy
+      // engine), so the GPU side looks like the resident case.
+      if (s.longer_device_resident || s.longer_prefetched) {
+        threshold *= kResidentRatioBoost;
       }
+      if (s.longer_host_decoded) threshold *= kHostDecodedRatioScale;
       // Co-execution (DESIGN.md §15): near the crossover both processors
       // finish in comparable time, which is exactly where splitting one
       // step across both beats either alone. The binary rule generalizes
@@ -156,7 +158,6 @@ sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
   double cycles;
   if (s.shorter == 0) return sim::Duration();
   const double ratio = nl / ns;
-  const bool host_decoded = opt_.residency_aware && s.longer_host_decoded;
   const double decode = cpu::simd::per_element(
       c, cpu::simd::decode_cost(c, s.longer_scheme));
   if (ratio >= cpu::kDefaultSkipRatio) {
@@ -165,21 +166,23 @@ sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
     // baseline — see cpu/intersect.h). A host-decoded target skips the
     // block decodes: probes binary-search the cached decoded array directly.
     const double probes = ns;
-    const double steps = std::log2(std::max(nl / 128.0, 2.0)) + 7.0;
-    const double nblocks = nl / 128.0;
+    // Skip-table search over the blocks, then the in-block search.
+    const double nblocks = nl / codec::kBlockSize;
+    const double steps =
+        std::log2(std::max(nblocks, 2.0)) + codec::kBlockSizeLog2;
     const double touched =
         nblocks * (1.0 - std::exp(-probes / std::max(nblocks, 1.0)));
     cycles = probes * cpu::simd::effective_probe_search_cycles(c, steps);
-    if (!host_decoded) cycles += touched * 128.0 * decode;
+    if (!s.longer_host_decoded) cycles += touched * codec::kBlockSize * decode;
   } else {
     // Full decode + merge; a host-decoded long list merges without decode.
     cycles = (ns + nl) * cpu::simd::per_element(c, cpu::simd::merge_cost(c));
-    if (!host_decoded) cycles += nl * decode;
+    if (!s.longer_host_decoded) cycles += nl * decode;
   }
   sim::Duration t = sim::Duration::from_cycles(cycles, c.clock_ghz);
   // Migration: intermediate currently on the GPU must come back first.
   if (s.current_location == Placement::kGpu) {
-    t += link_.transfer_time(ns * 4.0);
+    t += link_.transfer_time(ns * sizeof(codec::DocId));
   }
   return t;
 }
@@ -188,22 +191,23 @@ sim::Duration Scheduler::selective_gpu_time(double ns,
                                             const StepShape& s) const {
   const auto& g = hw_.gpu;
   const double nl = static_cast<double>(s.longer);
-  // Roughly five launches per step (search + decode + search + compact);
-  // the engines run on a warm device-memory pool, so no allocation charges.
-  sim::Duration t = sim::Duration::from_us(5.0 * g.kernel_launch_us);
-  const bool resident = opt_.residency_aware &&
-                        (s.longer_device_resident || s.longer_prefetched);
+  // The engines run on a warm device-memory pool, so no allocation charges.
+  sim::Duration t =
+      sim::Duration::from_us(kLaunchesPerStep * g.kernel_launch_us);
+  const bool resident = s.longer_device_resident || s.longer_prefetched;
   // Only candidate blocks move and decode; the transfer term uses the
   // list's actual compressed density. The planner always fills
   // longer_bytes from the list's real compressed size — a guessed density
   // here would silently skew every crossover downstream.
-  const double blocks = std::min(ns, nl / 128.0);
+  const double blocks = std::min(ns, nl / codec::kBlockSize);
   assert(s.longer == 0 || s.longer_bytes > 0);
   const double bpe = static_cast<double>(s.longer_bytes) / std::max(nl, 1.0);
-  if (!resident) t += link_.transfer_time(blocks * 128.0 * bpe);
-  t += sim::Duration::from_ns(ns * std::log2(std::max(nl / 128.0, 2.0)) *
-                              128.0 / g.mem_bandwidth_gbps);
-  t += sim::Duration::from_ns(blocks * 128.0 *
+  if (!resident) t += link_.transfer_time(blocks * codec::kBlockSize * bpe);
+  // Each skip-table search level is one memory transaction per probe.
+  t += sim::Duration::from_ns(
+      ns * std::log2(std::max(nl / codec::kBlockSize, 2.0)) *
+      static_cast<double>(g.mem_transaction_bytes) / g.mem_bandwidth_gbps);
+  t += sim::Duration::from_ns(blocks * codec::kBlockSize *
                               gpu_decode_penalty_ns(s.longer_scheme));
   return t;
 }
@@ -217,14 +221,12 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
 
   sim::Duration t;
   if (ratio < gpu::kPathRatio) {
-    // Roughly five launches per step (decode + partition + merge + compact).
-    t = sim::Duration::from_us(5.0 * g.kernel_launch_us);
+    t = sim::Duration::from_us(kLaunchesPerStep * g.kernel_launch_us);
     // A device-resident long list (gpu/list_cache.h) skips the PCIe
     // transfer terms entirely — §2.3's overhead is exactly what the cache
     // removes. A prefetched one (DESIGN.md §10) already paid them on the
     // copy engine.
-    const bool resident = opt_.residency_aware &&
-                          (s.longer_device_resident || s.longer_prefetched);
+    const bool resident = s.longer_device_resident || s.longer_prefetched;
     // Transfer the compressed long list, decode everything, merge. With
     // double buffering the H2D streams under the decode, so the two terms
     // cost their max, not their sum.
@@ -232,7 +234,7 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
     if (!resident) {
       xfer = link_.transfer_time(static_cast<double>(s.longer_bytes));
     }
-    const double touched_bytes = (ns + nl) * 12.0;  // decode + merge traffic
+    const double touched_bytes = (ns + nl) * kMergeBytesPerPosting;
     const sim::Duration mem =
         sim::Duration::from_ns(touched_bytes / g.mem_bandwidth_gbps);
     t += sim::max(xfer, mem);
@@ -242,7 +244,7 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
   }
   // Migration: intermediate currently on the CPU must be shipped over.
   if (s.current_location == Placement::kCpu) {
-    t += link_.transfer_time(ns * 4.0);
+    t += link_.transfer_time(ns * sizeof(codec::DocId));
   }
   return t;
 }
@@ -253,7 +255,7 @@ sim::Duration Scheduler::estimate_split(const StepShape& s,
   const std::uint64_t n_gpu = split_share(alpha, s.shorter);
   const std::uint64_t n_cpu = s.shorter - n_gpu;
   const auto probe_xfer = [&](std::uint64_t n) {
-    return link_.transfer_time(static_cast<double>(n) * 4.0);
+    return link_.transfer_time(static_cast<double>(n) * sizeof(codec::DocId));
   };
 
   // CPU leg: the (1-alpha) low range through the same closed form as a

@@ -5,9 +5,16 @@
 // threshold favors the GPU (everything must be decompressed anyway, so the
 // parallel decode + MergePath win), λ at or above favors the CPU (skip
 // pointers let it avoid most decompression, and there is no transfer cost).
-// The default threshold equals the compression block size (128): when
-// λ > block size, the short list has fewer elements than the long list has
-// blocks, so skippable blocks *must* exist (the paper's Figure 9 argument).
+// The default threshold equals the compression block size
+// (codec::kBlockSize, 128): when λ > block size, the short list has fewer
+// elements than the long list has blocks, so skippable blocks *must* exist
+// (the paper's Figure 9 argument).
+//
+// Both policies read StepShape's residency bits: kCostModel zeroes the
+// transfer/decode terms a resident list skips, and kRatioThreshold raises
+// its crossover for a device-resident or prefetched long list (no transfer
+// left to balance) and lowers it for a host-decoded one. Cleared bits give
+// the cold rule.
 //
 // A cost-aware policy (closed-form estimates fed by the same HardwareSpec
 // the engines charge against) is included as the extension the paper
@@ -47,17 +54,8 @@ std::uint64_t split_share(double alpha, std::uint64_t n);
 
 struct SchedulerOptions {
   SchedulerPolicy policy = SchedulerPolicy::kRatioThreshold;
-  /// Crossover for kRatioThreshold; the paper derives block_size (=128).
-  double ratio_threshold = 128.0;
-  /// Fold list residency (StepShape's *_resident bits, filled from the
-  /// device list cache and the host decoded cache) into the decision:
-  /// kCostModel zeroes the transfer/decode terms a resident list skips, and
-  /// kRatioThreshold shifts its crossover — §3.2's λ=128 balances the GPU's
-  /// transfer cost against the CPU's skip advantage, so removing the
-  /// transfer (device-resident or prefetched long list) raises the
-  /// crossover while a pre-decoded host list cheapens the CPU side and
-  /// lowers it.
-  bool residency_aware = true;
+  /// Crossover for kRatioThreshold; the paper derives the block size.
+  double ratio_threshold = codec::kBlockSize;
   /// Emit kPrefetch steps: while a GPU intersect runs, start the H2D of the
   /// next term's list on the copy engine (DESIGN.md §10). Read by the
   /// Planner; kAlwaysCpu plans never place GPU steps so never prefetch.

@@ -1,6 +1,7 @@
 #include "cpu/bm25.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "cpu/decode.h"
@@ -36,11 +37,10 @@ void Bm25Scorer::score(std::span<const index::TermId> terms,
   // Result docs ascend, so each term's postings are walked once with a
   // block + in-block cursor (the tf sits right next to the docID it was
   // intersected from; no per-result binary search is needed).
-  std::vector<codec::DocId> buf;
+  std::array<codec::DocId, codec::kBlockSize> buf{};
   for (index::TermId t : terms) {
     const index::PostingList& pl = idx_->list(t);
     const auto& list = pl.docids;
-    buf.resize(list.block_size());
     std::size_t cur = 0;
     std::size_t decoded_block = SIZE_MAX;
     std::uint32_t decoded_n = 0;
@@ -59,7 +59,7 @@ void Bm25Scorer::score(std::span<const index::TermId> terms,
       }
       while (in_block < decoded_n && buf[in_block] < d) ++in_block;
       acc.merge_steps(1);
-      const std::uint64_t pos = cur * list.block_size() + in_block;
+      const std::uint64_t pos = cur * codec::kBlockSize + in_block;
       const std::uint32_t tf = pl.tf_at(pos);
       out[i].score += static_cast<float>(
           term_score(tf, idx_->df(t), idx_->docs().length(d)));

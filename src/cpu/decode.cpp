@@ -4,16 +4,6 @@
 
 namespace griffin::cpu {
 
-std::uint64_t block_payload_bytes(const BlockCompressedList& list,
-                                  std::size_t b) {
-  const auto& metas = list.metas();
-  const std::uint64_t begin = metas[b].bit_offset;
-  const std::uint64_t end = b + 1 < metas.size()
-                                ? metas[b + 1].bit_offset
-                                : list.blob().size() * 64;
-  return (end - begin + 7) / 8;
-}
-
 std::uint32_t decode_block(const BlockCompressedList& list, std::size_t b,
                            DocId* out, sim::CpuCostAccumulator& acc) {
   const codec::BlockMeta& m = list.meta(b);
@@ -23,7 +13,8 @@ std::uint32_t decode_block(const BlockCompressedList& list, std::size_t b,
   if (list.scheme() == codec::Scheme::kPForDelta) {
     acc.pfor_exceptions(m.hdr.pfor().n_exceptions);
   }
-  acc.add_bytes(block_payload_bytes(list, b));
+  acc.add_bytes(
+      codec::block_payload_bytes(list.metas(), list.blob().size(), b));
   return list.decode_block(b, out);
 }
 

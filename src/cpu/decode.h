@@ -15,12 +15,9 @@ namespace griffin::cpu {
 using codec::BlockCompressedList;
 using codec::DocId;
 
-/// Compressed payload size of one block, in bytes (for bandwidth charging).
-std::uint64_t block_payload_bytes(const BlockCompressedList& list,
-                                  std::size_t b);
-
-/// Decodes block b of `list` into out (room for list.block_size() values);
-/// returns the element count and charges `acc`.
+/// Decodes block b of `list` into out (room for codec::kBlockSize values);
+/// returns the element count and charges `acc`, the streamed bytes included
+/// (codec::block_payload_bytes).
 std::uint32_t decode_block(const BlockCompressedList& list, std::size_t b,
                            DocId* out, sim::CpuCostAccumulator& acc);
 

@@ -1,6 +1,7 @@
 #include "cpu/intersect.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "cpu/simd_cost.h"
@@ -56,7 +57,7 @@ void merge_intersect(std::span<const DocId> a, const BlockCompressedList& b,
                      std::vector<DocId>& out, sim::CpuCostAccumulator& acc) {
   out.clear();
   if (a.empty()) return;
-  std::vector<DocId> buf(b.block_size());
+  std::array<DocId, codec::kBlockSize> buf{};
   std::size_t i = 0;
   std::uint64_t steps = 0;
   for (std::size_t blk = 0; blk < b.num_blocks() && i < a.size(); ++blk) {
@@ -87,7 +88,7 @@ void merge_intersect(std::span<const DocId> a, const BlockCompressedList& b,
 void merge_intersect(const BlockCompressedList& a, const BlockCompressedList& b,
                      std::vector<DocId>& out, sim::CpuCostAccumulator& acc) {
   out.clear();
-  std::vector<DocId> abuf(a.block_size()), bbuf(b.block_size());
+  std::array<DocId, codec::kBlockSize> abuf{}, bbuf{};
   std::size_t ablk = 0, bblk = 0;
   std::uint32_t an = 0, bn = 0;
   std::size_t i = 0, j = 0;
@@ -127,7 +128,7 @@ void skip_intersect(std::span<const DocId> probes,
   out.clear();
   if (probes.empty()) return;
   const auto metas = target.metas();
-  std::vector<DocId> buf(target.block_size());
+  std::array<DocId, codec::kBlockSize> buf{};
   std::size_t cur = 0;              // current block cursor (monotone)
   std::size_t decoded_block = SIZE_MAX;
   std::uint32_t decoded_n = 0;

@@ -233,18 +233,17 @@ inline double effective_probe_search_cycles(const sim::CpuSpec& s,
 
 /// How far the §3.2 ratio crossover shifts when this CPU's vector unit is
 /// on: the SIMD-to-scalar cost ratio of the skip path at the crossover
-/// shape (λ = block size, where each probe touches a distinct block — one
+/// shape (λ = kBlockSize, where each probe touches a distinct block — one
 /// block decode + one skip search per probe). The GPU side is unchanged and
 /// its selective path also scales with the probe count there, so the
 /// balance ratio λ* scales by this same factor (DESIGN.md §13 derives it).
 /// Returns 1.0 for a scalar CPU; < 1 otherwise (a faster CPU claims more of
 /// the ratio spectrum, so the GPU-favored band shrinks).
-inline double crossover_scale(const sim::CpuSpec& s,
-                              std::uint32_t block_size = 128) {
+inline double crossover_scale(const sim::CpuSpec& s) {
   if (!enabled(s)) return 1.0;
-  const double levels =
-      static_cast<double>(util::ceil_log2(std::max(block_size, 2u))) + 7.0;
-  const double block = static_cast<double>(block_size);
+  // The skip search and the in-block search, each log2(kBlockSize) deep.
+  const double levels = 2.0 * codec::kBlockSizeLog2;
+  const double block = codec::kBlockSize;
   const LoopCost ef = decode_cost(s, codec::Scheme::kEliasFano);
   const double scalar =
       block * ef.scalar + levels * scalar_search_step_cycles(s);

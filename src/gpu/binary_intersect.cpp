@@ -96,7 +96,7 @@ GpuIntersectResult binary_search_intersect(simt::Device& dev,
   auto ids_dev = dev.alloc<std::uint32_t>(ids.size());
   auto slots_dev = dev.alloc<std::uint32_t>(nb);
   auto decoded = dev.alloc<DocId>(static_cast<std::uint64_t>(ids.size()) *
-                                  target.block_size);
+                                  codec::kBlockSize);
   for (int i = 0; i < 3; ++i) ledger.add_alloc(link);
   dev.upload(ids_dev, std::span<const std::uint32_t>(ids));
   ledger.add_transfer(link, ids.size() * 4, true);
@@ -129,7 +129,7 @@ GpuIntersectResult binary_search_intersect(simt::Device& dev,
               const std::uint32_t slot = t.load(slots_dev, bidx);
               const std::uint32_t n = target.host_descs[bidx].count;
               const std::uint64_t base =
-                  static_cast<std::uint64_t>(slot) * target.block_size;
+                  static_cast<std::uint64_t>(slot) * codec::kBlockSize;
               std::uint32_t lo = 0, hi = n;
               while (lo < hi) {
                 const std::uint32_t mid = (lo + hi) / 2;

@@ -257,9 +257,7 @@ void decode_block(const simt::Device& dev, simt::Block& blk,
   codec::codec_for(list.scheme)
       .decode_block(std::span<const std::uint64_t>(list.blob.raw(),
                                                    list.blob.size()),
-                    codec::BlockMeta{d.first, d.last, d.bit_offset, d.count,
-                                     d.hdr},
-                    out.raw() + out_pos);
+                    d, out.raw() + out_pos);
 }
 
 }  // namespace
@@ -275,7 +273,7 @@ sim::KernelStats decode_range(simt::Device& dev, const DeviceList& list,
   assert(list.blob.device() == &dev);
   const std::uint64_t first_off = list.host_descs[lo].out_offset;
   return simt::launch(
-      dev, {static_cast<std::uint32_t>(hi - lo), list.block_size},
+      dev, {static_cast<std::uint32_t>(hi - lo), codec::kBlockSize},
       [&](simt::Block& blk) {
         const std::size_t pb = lo + blk.block_id();
         detail::decode_block(
@@ -292,7 +290,7 @@ sim::KernelStats decode_selected(
   // The decode records were measured under this device's GpuSpec.
   assert(list.blob.device() == &dev);
   return simt::launch(
-      dev, {static_cast<std::uint32_t>(ids.size()), list.block_size},
+      dev, {static_cast<std::uint32_t>(ids.size()), codec::kBlockSize},
       [&](simt::Block& blk) {
         // Lane 0 reads the block id to decode (mirrored on the host). This
         // load belongs to the launch, not the block, so it always simulates.
@@ -301,7 +299,7 @@ sim::KernelStats decode_selected(
         });
         detail::decode_block(dev, blk, list, ids[blk.block_id()], out,
                              static_cast<std::uint64_t>(blk.block_id()) *
-                                 list.block_size);
+                                 codec::kBlockSize);
       });
 }
 

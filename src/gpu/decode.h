@@ -30,7 +30,7 @@ sim::KernelStats decode_range(simt::Device& dev, const DeviceList& list,
 
 /// Decodes an arbitrary subset of posting blocks (ids ascending, device copy
 /// in `ids_dev`, host copy in `ids`). Block ids[i] lands at out slot
-/// i * list.block_size (slots are fixed-stride so callers can index them).
+/// i * codec::kBlockSize (slots are fixed-stride so callers can index them).
 sim::KernelStats decode_selected(
     simt::Device& dev, const DeviceList& list,
     const simt::DeviceBuffer<std::uint32_t>& ids_dev,

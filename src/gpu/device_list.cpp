@@ -37,21 +37,13 @@ DeviceList upload_list(simt::Device& dev, const codec::BlockCompressedList& list
                        bool defer_payload) {
   DeviceList d;
   d.scheme = list.scheme();
-  d.block_size = list.block_size();
   d.size = list.size();
 
   d.host_descs.reserve(list.num_blocks());
   std::uint64_t offset = 0;
   for (const codec::BlockMeta& m : list.metas()) {
-    BlockDesc b;
-    b.first = m.first;
-    b.last = m.last;
-    b.bit_offset = m.bit_offset;
-    b.count = m.count;
-    b.hdr = m.hdr;
-    b.out_offset = offset;
+    d.host_descs.push_back(BlockDesc{m, offset});
     offset += m.count;
-    d.host_descs.push_back(b);
   }
   assert(offset == d.size);
 
@@ -74,7 +66,9 @@ void charge_block_payload_upload(const DeviceList& list,
                                  const pcie::Link& link,
                                  pcie::TransferLedger& ledger) {
   std::uint64_t bytes = 0;
-  for (std::uint32_t b : ids) bytes += list.block_payload_bytes(b);
+  for (std::uint32_t b : ids) {
+    bytes += codec::block_payload_bytes(list.host_descs, list.blob.size(), b);
+  }
   if (bytes > 0) ledger.add_transfer(link, bytes, /*h2d=*/true);
 }
 

@@ -23,18 +23,15 @@ namespace griffin::gpu {
 
 using codec::DocId;
 
-/// POD per-block descriptor as laid out in device memory: the skip entry
-/// plus the tagged per-scheme header, so any codec's kernel decodes a block
-/// from (desc, blob) alone.
-struct BlockDesc {
-  std::uint32_t first = 0;
-  std::uint32_t last = 0;
-  std::uint64_t bit_offset = 0;
-  std::uint16_t count = 0;
-  codec::BlockHeader hdr;
+/// POD per-block descriptor as laid out in device memory: the host skip
+/// entry (with its tagged per-scheme header, so any codec's kernel decodes a
+/// block from (desc, blob) alone) plus the block's output position.
+struct BlockDesc : codec::BlockMeta {
   /// Exclusive prefix of counts: position of the block's first posting.
   std::uint64_t out_offset = 0;
 };
+// The skip table's H2D bytes and the descriptor loads' segments read this.
+static_assert(sizeof(codec::BlockMeta) == 32 && sizeof(BlockDesc) == 40);
 
 /// The counts one posting block's decode body added on a device copy:
 /// sim::KernelStats::body_fields(), one uint32_t each (24 B per block).
@@ -63,7 +60,6 @@ class BlockDecodeRecord {
 /// A compressed list resident in device memory.
 struct DeviceList {
   codec::Scheme scheme = codec::Scheme::kEliasFano;
-  std::uint32_t block_size = codec::kDefaultBlockSize;
   std::uint64_t size = 0;
   simt::DeviceBuffer<std::uint64_t> blob;
   simt::DeviceBuffer<BlockDesc> descs;
@@ -76,15 +72,6 @@ struct DeviceList {
   mutable std::vector<BlockDecodeRecord> decode_records;
 
   std::size_t num_blocks() const { return host_descs.size(); }
-
-  /// Compressed payload bytes of one block.
-  std::uint64_t block_payload_bytes(std::size_t b) const {
-    const std::uint64_t begin = host_descs[b].bit_offset;
-    const std::uint64_t end = b + 1 < host_descs.size()
-                                  ? host_descs[b + 1].bit_offset
-                                  : blob.size() * 64;
-    return (end - begin + 7) / 8;
-  }
 };
 
 /// Uploads `list` to the device, charging allocations and transfers. With

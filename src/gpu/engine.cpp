@@ -230,7 +230,7 @@ simt::DeviceBuffer<DocId> GpuExecutor::decode_full_list(
       std::uint64_t bytes = 0;
       std::size_t hi = lo;
       while (hi < nb && (hi == lo || bytes < opt_.copy_chunk_bytes)) {
-        bytes += dl.block_payload_bytes(hi);
+        bytes += codec::block_payload_bytes(dl.host_descs, dl.blob.size(), hi);
         ++hi;
       }
       pcie::TransferLedger chunk;

@@ -24,9 +24,9 @@
 namespace griffin::gpu {
 
 /// Intersection-path crossover: MergePath below this length ratio, binary
-/// search at or above. 128 = the block size, per the paper's §3.2 analysis.
+/// search at or above. It is the block size, per the paper's §3.2 analysis.
 /// The scheduler's GPU estimate prices the same two paths on the same rule.
-inline constexpr double kPathRatio = 128.0;
+inline constexpr double kPathRatio = codec::kBlockSize;
 
 struct GpuOptions {
   /// Reuse device buffers across queries from a warm memory pool: the
@@ -127,8 +127,8 @@ class GpuExecutor {
   }
 
   /// Intersects the current intermediate result with another list: the
-  /// MergePath kernel below the length ratio λ = 128, binary search over
-  /// skip pointers at or above it (§3.1). A GPU first pair is load_single
+  /// MergePath kernel below the length ratio λ = kPathRatio, binary search
+  /// over skip pointers at or above it (§3.1). A GPU first pair is load_single
   /// of its shorter list followed by this.
   void intersect_next(index::TermId t, sim::Timeline::Event& at,
                       core::QueryMetrics& m);

@@ -7,9 +7,8 @@ namespace griffin::index {
 
 TermId InvertedIndex::add_list(std::span<const DocId> docids,
                                std::span<const std::uint32_t> freqs) {
-  const Scheme s = policy_.adaptive
-                       ? codec::select_scheme(docids, block_size_)
-                       : policy_.fixed;
+  const Scheme s =
+      policy_.adaptive ? codec::select_scheme(docids) : policy_.fixed;
   return add_list_as(s, docids, freqs);
 }
 
@@ -20,7 +19,7 @@ TermId InvertedIndex::add_list_as(Scheme scheme, std::span<const DocId> docids,
     throw std::invalid_argument("freqs size mismatch");
   }
   PostingList pl;
-  pl.docids = codec::BlockCompressedList::build(docids, scheme, block_size_);
+  pl.docids = codec::BlockCompressedList::build(docids, scheme);
   pl.freqs.resize(docids.size(), 1);
   for (std::size_t i = 0; i < freqs.size(); ++i) {
     pl.freqs[i] = static_cast<std::uint8_t>(std::min<std::uint32_t>(freqs[i], 255));
@@ -62,7 +61,7 @@ void IndexBuilder::add_document(
 }
 
 InvertedIndex IndexBuilder::build() {
-  InvertedIndex idx(policy_, block_size_);
+  InvertedIndex idx(policy_);
   idx.docs().resize(doc_lengths_.size());
   for (DocId d = 0; d < doc_lengths_.size(); ++d) {
     idx.docs().set_length(d, doc_lengths_[d]);

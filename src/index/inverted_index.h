@@ -63,18 +63,14 @@ struct PostingList {
 
 class InvertedIndex {
  public:
-  InvertedIndex(Scheme scheme, std::uint32_t block_size = codec::kDefaultBlockSize)
-      : policy_{scheme, false}, block_size_(block_size) {}
-  InvertedIndex(CodecPolicy policy,
-                std::uint32_t block_size = codec::kDefaultBlockSize)
-      : policy_(policy), block_size_(block_size) {}
+  explicit InvertedIndex(Scheme scheme) : policy_{scheme, false} {}
+  explicit InvertedIndex(CodecPolicy policy) : policy_(policy) {}
 
   /// The index's headline scheme (the fixed scheme; under an adaptive
   /// policy individual lists may differ — ask list(t).docids.scheme()).
   Scheme scheme() const { return policy_.fixed; }
   const CodecPolicy& policy() const { return policy_; }
   bool adaptive() const { return policy_.adaptive; }
-  std::uint32_t block_size() const { return block_size_; }
 
   /// Adds a posting list for the next TermId; returns that id. `docids` must
   /// be strictly increasing; freqs parallel (empty = all-1). Under an
@@ -83,8 +79,8 @@ class InvertedIndex {
                   std::span<const std::uint32_t> freqs = {});
 
   /// Adds a posting list compressed with an explicit scheme, bypassing the
-  /// policy (shard extraction preserving source schemes; forced-scheme
-  /// parity tests).
+  /// policy (forced-scheme parity tests). Shard extraction does not use it:
+  /// a shard's sub-list goes through add_list (index/shard.h).
   TermId add_list_as(Scheme scheme, std::span<const DocId> docids,
                      std::span<const std::uint32_t> freqs = {});
 
@@ -132,7 +128,6 @@ class InvertedIndex {
 
  private:
   CodecPolicy policy_;
-  std::uint32_t block_size_;
   std::vector<PostingList> lists_;
   std::vector<std::uint64_t> df_override_;
   DocTable docs_;
@@ -143,12 +138,8 @@ class InvertedIndex {
 /// order (the natural order of a crawl pass).
 class IndexBuilder {
  public:
-  explicit IndexBuilder(Scheme scheme,
-                        std::uint32_t block_size = codec::kDefaultBlockSize)
-      : policy_{scheme, false}, block_size_(block_size) {}
-  explicit IndexBuilder(CodecPolicy policy,
-                        std::uint32_t block_size = codec::kDefaultBlockSize)
-      : policy_(policy), block_size_(block_size) {}
+  explicit IndexBuilder(Scheme scheme) : policy_{scheme, false} {}
+  explicit IndexBuilder(CodecPolicy policy) : policy_(policy) {}
 
   /// Registers a document given its bag of words as (term, tf) pairs.
   /// Length (token count) is the sum of tfs.
@@ -166,7 +157,6 @@ class IndexBuilder {
     std::vector<std::uint32_t> tfs;
   };
   CodecPolicy policy_;
-  std::uint32_t block_size_;
   std::vector<Accum> postings_;  // by TermId
   std::vector<std::uint32_t> doc_lengths_;
   DocId max_doc_ = 0;

@@ -9,10 +9,10 @@ namespace griffin::index {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x4752494646494E31ull;  // "GRIFFIN1"
-// v3: codec policy (fixed scheme + adaptive flag), a scheme byte per list,
-// and field-by-field BlockMeta records (no struct padding on disk). Older
-// versions are rejected.
-constexpr std::uint32_t kVersion = 3;
+// v4: codec policy (fixed scheme + adaptive flag), a scheme byte per list,
+// and field-by-field BlockMeta records (no struct padding on disk). v3 also
+// stored a block size, now always codec::kBlockSize. Older versions fail.
+constexpr std::uint32_t kVersion = 4;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -96,7 +96,6 @@ void save_index(const InvertedIndex& idx, const std::string& path) {
   write_pod(f.get(), kVersion);
   write_pod<std::uint8_t>(f.get(), static_cast<std::uint8_t>(idx.scheme()));
   write_pod<std::uint8_t>(f.get(), idx.adaptive() ? 1 : 0);
-  write_pod<std::uint32_t>(f.get(), idx.block_size());
 
   // Document table.
   const auto& docs = idx.docs();
@@ -136,9 +135,8 @@ InvertedIndex load_index(const std::string& path) {
   CodecPolicy policy;
   policy.fixed = static_cast<codec::Scheme>(read_pod<std::uint8_t>(f.get()));
   policy.adaptive = read_pod<std::uint8_t>(f.get()) != 0;
-  const auto block_size = read_pod<std::uint32_t>(f.get());
 
-  InvertedIndex idx(policy, block_size);
+  InvertedIndex idx(policy);
   const auto ndocs = read_pod<std::uint64_t>(f.get());
   idx.docs().resize(ndocs);
   for (std::uint64_t d = 0; d < ndocs; ++d) {
@@ -159,7 +157,7 @@ InvertedIndex load_index(const std::string& path) {
     }
     PostingList pl;
     pl.docids = codec::BlockCompressedList::from_parts(
-        scheme, block_size, size, std::move(blob), std::move(metas));
+        scheme, size, std::move(blob), std::move(metas));
     pl.freqs = read_vec<std::uint8_t>(f.get());
     if (pl.freqs.size() != pl.docids.size()) {
       throw std::runtime_error("index load: freqs/docids size mismatch");

@@ -26,7 +26,7 @@ std::vector<IndexShard> extract_shards(const InvertedIndex& full,
   std::vector<IndexShard> shards(num_shards);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     shards[s].id = s;
-    shards[s].index = InvertedIndex(full.policy(), full.block_size());
+    shards[s].index = InvertedIndex(full.policy());
     // Full DocTable copy: global N / avg length / per-doc lengths, and the
     // global docID space stays addressable from every shard.
     shards[s].index.docs() = full.docs();

@@ -48,9 +48,15 @@ struct IndexShard {
 };
 
 /// Splits `full` into shards following `doc_shard` (docID -> shard id; one
-/// entry per document, values < num_shards). Preserves scheme/block size,
-/// copies the full DocTable into every shard, and installs global-df
-/// overrides so per-shard BM25 equals global BM25 exactly.
+/// entry per document, values < num_shards). Copies the full DocTable into
+/// every shard and installs global-df overrides so per-shard BM25 equals
+/// global BM25 exactly.
+///
+/// Codec contract: each sub-list enters its shard through add_list under
+/// `full`'s CodecPolicy. A fixed-scheme index's shards keep the scheme; an
+/// adaptive index's shard lists carry select_scheme of their own sub-list,
+/// which may differ from the source's. Forcing the source scheme could fail:
+/// sub-list gaps merge source gaps, and Simple16 cannot encode one ≥ 2^28.
 std::vector<IndexShard> extract_shards(const InvertedIndex& full,
                                        std::span<const std::uint32_t> doc_shard,
                                        std::uint32_t num_shards);

@@ -81,7 +81,7 @@ ListPair make_pair_with_ratio(std::uint64_t longer_size, double ratio,
                               util::Xoshiro256& rng);
 
 /// Generates the full synthetic index (Zipf list sizes, tf, doc lengths),
-/// compressed in blocks of codec::kDefaultBlockSize (128) postings.
+/// compressed in blocks of codec::kBlockSize (128) postings.
 index::InvertedIndex generate_corpus(const CorpusConfig& cfg);
 
 /// The per-rank list size the config implies (exposed for tests/benches).

@@ -86,7 +86,7 @@ TEST(Bm25, ScoreAgainstManualComputation) {
 
 TEST(Bm25, TfLookupAcrossBlocks) {
   // A list spanning several blocks: tf positions must line up globally.
-  InvertedIndex idx(griffin::codec::Scheme::kEliasFano, 128);
+  InvertedIndex idx(griffin::codec::Scheme::kEliasFano);
   const std::uint32_t n = 1000;
   idx.docs().resize(n * 3);
   std::vector<DocId> docs(n);

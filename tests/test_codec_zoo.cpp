@@ -57,11 +57,11 @@ TEST(CodecZoo, RandomizedPerCodecBlockRoundTrips) {
         std::vector<gc::DocId> out;
         list.decode_all(out);
         ASSERT_EQ(out, docs) << gc::scheme_name(s) << " n=" << n;
-        std::vector<gc::DocId> buf(list.block_size());
+        std::vector<gc::DocId> buf(gc::kBlockSize);
         for (std::size_t b = 0; b < list.num_blocks(); ++b) {
           const std::uint32_t cnt = list.decode_block(b, buf.data());
           for (std::uint32_t i = 0; i < cnt; ++i) {
-            ASSERT_EQ(buf[i], docs[b * list.block_size() + i])
+            ASSERT_EQ(buf[i], docs[b * gc::kBlockSize + i])
                 << gc::scheme_name(s) << " block " << b;
           }
         }

@@ -37,7 +37,7 @@ std::vector<DocId> gpu_decode_all(griffin::simt::Device& dev,
 std::vector<DocId> cpu_decode_blocks(const BlockCompressedList& list,
                                      std::size_t lo, std::size_t hi) {
   std::vector<DocId> out;
-  std::vector<DocId> buf(list.block_size());
+  std::vector<DocId> buf(griffin::codec::kBlockSize);
   for (std::size_t b = lo; b < hi; ++b) {
     const std::uint32_t n = list.decode_block(b, buf.data());
     out.insert(out.end(), buf.begin(), buf.begin() + n);
@@ -72,13 +72,13 @@ Decoded decode_ids(griffin::simt::Device& dev, const gg::DeviceList& dlist,
                    const std::vector<std::uint32_t>& ids) {
   auto ids_dev = dev.alloc<std::uint32_t>(ids.size());
   dev.upload(ids_dev, std::span<const std::uint32_t>(ids));
-  auto out = dev.alloc<DocId>(ids.size() * dlist.block_size);
+  auto out = dev.alloc<DocId>(ids.size() * griffin::codec::kBlockSize);
   Decoded d;
   d.stats = gg::decode_selected(dev, dlist, ids_dev, ids, out);
   std::vector<DocId> slots(out.size());
   dev.download(std::span<DocId>(slots), out);
   for (std::size_t s = 0; s < ids.size(); ++s) {
-    const auto begin = slots.begin() + s * dlist.block_size;
+    const auto begin = slots.begin() + s * griffin::codec::kBlockSize;
     d.docs.insert(d.docs.end(), begin,
                   begin + dlist.host_descs[ids[s]].count);
   }
@@ -156,7 +156,7 @@ TEST_P(GpuDecodeLaunch, SelectedBlocksDecode) {
   const std::vector<std::uint32_t> ids{1, 3, 7, 15};
   auto ids_dev = dev.alloc<std::uint32_t>(ids.size());
   dev.upload(ids_dev, std::span<const std::uint32_t>(ids));
-  auto out = dev.alloc<DocId>(ids.size() * list.block_size());
+  auto out = dev.alloc<DocId>(ids.size() * griffin::codec::kBlockSize);
   gg::decode_selected(dev, dlist, ids_dev, ids, out);
 
   std::vector<DocId> host(out.size());
@@ -164,7 +164,7 @@ TEST_P(GpuDecodeLaunch, SelectedBlocksDecode) {
   for (std::size_t s = 0; s < ids.size(); ++s) {
     const auto want = cpu_decode_blocks(list, ids[s], ids[s] + 1);
     for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(host[s * list.block_size() + i], want[i])
+      EXPECT_EQ(host[s * griffin::codec::kBlockSize + i], want[i])
           << "slot " << s << " elem " << i;
     }
   }
@@ -196,9 +196,9 @@ TEST_P(GpuDecodeLaunch, PartialRangeDecode) {
   griffin::pcie::Link link;
   griffin::pcie::TransferLedger ledger;
   gg::DeviceList dlist = gg::upload_list(dev, list, link, ledger);
-  auto out = dev.alloc<DocId>(2 * list.block_size());
+  auto out = dev.alloc<DocId>(2 * griffin::codec::kBlockSize);
   gg::decode_range(dev, dlist, 1, 3, out);
-  std::vector<DocId> host(2 * list.block_size());
+  std::vector<DocId> host(2 * griffin::codec::kBlockSize);
   dev.download(std::span<DocId>(host), out);
   EXPECT_EQ(host, cpu_decode_blocks(list, 1, 3));
 }

@@ -70,7 +70,7 @@ TEST(GpuPFor, ExceptionChainIsTheBottleneck) {
   griffin::sim::KernelStats auto_stats, forced_stats;
   const auto auto_b = BlockCompressedList::build(docs, Scheme::kPForDelta);
   const auto small_b =
-      BlockCompressedList::build(docs, Scheme::kPForDelta, 128, 3);
+      BlockCompressedList::build(docs, Scheme::kPForDelta, 3);
   EXPECT_EQ(gpu_pfor_decode_all(dev, auto_b, &auto_stats), docs);
   EXPECT_EQ(gpu_pfor_decode_all(dev, small_b, &forced_stats), docs);
   EXPECT_GT(forced_stats.warp_cycles, auto_stats.warp_cycles * 3.0);

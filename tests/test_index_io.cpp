@@ -30,7 +30,6 @@ TEST(IndexIO, RoundTripPreservesEverything) {
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded.scheme(), idx.scheme());
-  EXPECT_EQ(loaded.block_size(), idx.block_size());
   EXPECT_EQ(loaded.num_terms(), idx.num_terms());
   EXPECT_EQ(loaded.docs().num_docs(), idx.docs().num_docs());
   EXPECT_EQ(loaded.total_postings(), idx.total_postings());
@@ -65,7 +64,7 @@ TEST(IndexIO, PForSchemeRoundTrips) {
 
 TEST(IndexIO, MixedSchemeRoundTrip) {
   // One list per codec (explicitly forced) plus one adaptively selected —
-  // the v3 format must preserve each list's own scheme and the index's
+  // the v4 format must preserve each list's own scheme and the index's
   // adaptive policy flag.
   index::InvertedIndex idx(index::CodecPolicy{codec::Scheme::kEliasFano, true});
   util::Xoshiro256 rng(21);
@@ -97,20 +96,20 @@ TEST(IndexIO, MixedSchemeRoundTrip) {
   }
 }
 
-TEST(IndexIO, RejectsLegacyV2File) {
-  // Only v3 is read: a v2 header (single-scheme, raw-meta era) fails the
-  // version check before any payload is touched.
-  const std::string path = temp_path("griffin_test_index_v2.bin");
+TEST(IndexIO, RejectsLegacyV3File) {
+  // Only v4 is read: a v3 header (which still stored a block size) fails
+  // the version check before any payload is touched.
+  const std::string path = temp_path("griffin_test_index_v3.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const std::uint64_t magic = 0x4752494646494E31ull;
-  const std::uint32_t version = 2;
+  const std::uint32_t version = 3;
   std::fwrite(&magic, sizeof(magic), 1, f);
   std::fwrite(&version, sizeof(version), 1, f);
   std::fclose(f);
   try {
     index::load_index(path);
-    ADD_FAILURE() << "a v2 file loaded";
+    ADD_FAILURE() << "a v3 file loaded";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "index load: version mismatch");
   }

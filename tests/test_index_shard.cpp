@@ -5,7 +5,9 @@
 #include <numeric>
 
 #include "cluster/partitioner.h"
+#include "codec/codec.h"
 #include "engine_test_util.h"
+#include "util/rng.h"
 
 using namespace griffin;
 
@@ -102,6 +104,45 @@ TEST(IndexShard, ShardsCarryGlobalStatistics) {
       EXPECT_EQ(s.index.df(local), idx.list(global).size());
       EXPECT_LE(s.index.list(local).size(), idx.list(global).size());
       EXPECT_EQ(s.local_term[global], local);
+    }
+  }
+}
+
+TEST(IndexShard, ShardListsFollowTheSourceCodecPolicy) {
+  // The codec contract of extraction (index/shard.h): a fixed-scheme index's
+  // shards keep its scheme, and an adaptive index's shard lists carry
+  // select_scheme of their own sub-list.
+  constexpr index::DocId kDocs = 200'000;
+  std::vector<index::DocId> run(5'000);
+  std::iota(run.begin(), run.end(), index::DocId{1'000});
+  util::Xoshiro256 rng(7);
+  const auto sparse = workload::make_uniform_list(3'000, kDocs, rng);
+  const auto doc_shard = cluster::assign_docs(
+      cluster::PartitionStrategy::kRoundRobin, kDocs, 4);
+
+  for (const bool adaptive : {false, true}) {
+    index::InvertedIndex idx(
+        index::CodecPolicy{codec::Scheme::kPForDelta, adaptive});
+    idx.add_list(run);
+    idx.add_list(sparse);
+    idx.docs().resize(kDocs);
+    const auto shards = index::extract_shards(idx, doc_shard, 4);
+    for (const auto& s : shards) {
+      for (index::TermId t = 0; t < s.index.num_terms(); ++t) {
+        const auto& docids = s.index.list(t).docids;
+        const codec::Scheme want =
+            adaptive ? codec::select_scheme(decode(s.index.list(t)))
+                     : codec::Scheme::kPForDelta;
+        EXPECT_EQ(docids.scheme(), want)
+            << "adaptive=" << adaptive << " shard " << s.id << " term " << t;
+      }
+      if (adaptive) {
+        // The run's sub-list is a run of stride 4: the selector picks
+        // another codec for it than for the whole run.
+        EXPECT_NE(s.index.list(s.local_term[0]).docids.scheme(),
+                  idx.list(0).docids.scheme())
+            << "shard " << s.id;
+      }
     }
   }
 }

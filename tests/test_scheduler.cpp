@@ -103,16 +103,6 @@ TEST(Scheduler, HostDecodedLowersRatioCrossover) {
   EXPECT_EQ(sched.decide(s), Placement::kCpu);
 }
 
-TEST(Scheduler, ResidencyAwarenessCanBeDisabled) {
-  SchedulerOptions opt;
-  opt.residency_aware = false;
-  Scheduler sched(opt);
-  StepShape s = shape(1000, 200'000);
-  s.longer_device_resident = true;
-  s.longer_host_decoded = true;
-  EXPECT_EQ(sched.decide(s), Placement::kCpu);  // bits ignored: plain 128 rule
-}
-
 TEST(Scheduler, CostModelDropsTransferForDeviceResidentList) {
   Scheduler sched;
   const StepShape cold = shape(100'000, 200'000, Placement::kGpu);

@@ -99,7 +99,7 @@ TEST(Simple16, BlockCodecDenseAndSparseBlocks) {
     docs.push_back(d);
   }
   const auto list =
-      gc::BlockCompressedList::build(docs, gc::Scheme::kSimple16, 64);
+      gc::BlockCompressedList::build(docs, gc::Scheme::kSimple16);
   std::vector<gc::DocId> out;
   list.decode_all(out);
   EXPECT_EQ(out, docs);
