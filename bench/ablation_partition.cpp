@@ -2,7 +2,10 @@
 // pair of staging tiles fits in shared memory (paper §3.1.2). Too-small
 // partitions waste the partition-search work and under-fill warps; too-big
 // ones overflow shared memory. This sweeps items-per-thread (partition size
-// = items_per_thread x 128 threads).
+// = items_per_thread x 128 threads). It is the only bench that runs
+// mergepath_intersect with a non-default MergeTuning, so ctest byte-compares
+// its fast-mode JSON (every row's KernelStats included) against the
+// committed BENCH_ablation_partition.json.
 #include <cstdio>
 #include <vector>
 
@@ -37,6 +40,7 @@ int main() {
   std::printf("%-16s %12s %14s %12s\n", "items/thread", "partition",
               "kernel time(ms)", "warp cycles");
 
+  bench::Json rows = bench::Json::array();
   for (const std::uint32_t vt : {1u, 2u, 4u, 8u, 16u, 32u}) {
     gpu::MergeTuning tuning;
     tuning.items_per_thread = vt;
@@ -47,8 +51,23 @@ int main() {
     const double ms = (model.kernel_time(r.stats) + ledger.total).ms();
     std::printf("%-16u %12u %14.3f %12.0f\n", vt, vt * tuning.threads, ms,
                 r.stats.warp_cycles);
+    bench::Json row = bench::Json::object();
+    row["items_per_thread"] = vt;
+    row["partition"] = vt * tuning.threads;
+    row["kernel_ms"] = ms;
+    row["matches"] = r.count;
+    row["stats"] = bench::counters_json(r.stats);
+    rows.push_back(std::move(row));
   }
   std::printf("\n(default: 8 items/thread -> 1024-element partitions, the\n"
               "ModernGPU-style setting the paper builds on)\n");
+
+  bench::Json root = bench::Json::object();
+  root["bench"] = "ablation_partition";
+  root["fast_mode"] = bench::fast_mode();
+  root["longer"] = static_cast<std::uint64_t>(pair.longer.size());
+  root["shorter"] = static_cast<std::uint64_t>(pair.shorter.size());
+  root["rows"] = std::move(rows);
+  bench::write_bench_json("ablation_partition", root);
   return 0;
 }

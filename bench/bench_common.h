@@ -302,11 +302,13 @@ inline const char* placement_name(core::Placement p) {
 }
 
 inline Json counter_value(std::uint64_t n) { return n; }
+inline Json counter_value(double x) { return x; }
 inline Json counter_value(sim::Duration d) { return d.us(); }
 
 /// A counter struct (sim::SimdCounters, core::CacheCounters,
-/// core::OverlapCounters, fault::FaultCounters) as a JSON object: each field
-/// of C::fields() under its key, in list order, durations in microseconds.
+/// core::OverlapCounters, fault::FaultCounters, sim::KernelStats) as a JSON
+/// object: each field of C::fields() under its key, in list order, durations
+/// in microseconds.
 template <class C>
 Json counters_json(const C& c) {
   Json j = Json::object();

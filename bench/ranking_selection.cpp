@@ -4,7 +4,14 @@
 // result-set sizes real queries produce, because tiny inputs cannot amortize
 // GPU launch, allocation and transfer overheads. GPU columns include the
 // score-list upload and all kernels/round trips.
+//
+// The exit code gates Figure 7's shape (bench::Gates): CPU partial_sort is
+// below both GPU selects for every list of at most 10^4 entries, and
+// bucketSelect is below partial_sort from 10^6 entries on. It is the only
+// bench that runs gpu/sort.cpp, and ctest byte-compares its fast-mode JSON
+// against the committed BENCH_ranking_selection.json.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -28,6 +35,8 @@ int main() {
   std::printf("%-10s %14s %18s %16s\n", "list size", "CPU psort (ms)",
               "GPU bucketSel (ms)", "GPU radix (ms)");
 
+  bench::Gates gates("ranking_selection");
+  bench::Json rows = bench::Json::array();
   std::vector<std::uint64_t> sizes{1'000, 10'000, 100'000, 1'000'000,
                                    10'000'000};
   if (bench::fast_mode()) sizes.pop_back();
@@ -73,10 +82,32 @@ int main() {
     std::printf("%-10llu %14.3f %18.3f %16.3f\n",
                 static_cast<unsigned long long>(n), cpu_ms, bucket_ms,
                 radix_ms);
+    if (n <= 10'000) {
+      gates.check(cpu_ms < bucket_ms && cpu_ms < radix_ms,
+                  "partial_sort not below both GPU selects at list size " +
+                      std::to_string(n));
+    } else if (n >= 1'000'000) {
+      gates.check(bucket_ms < cpu_ms,
+                  "bucketSelect not below partial_sort at list size " +
+                      std::to_string(n));
+    }
+    bench::Json row = bench::Json::object();
+    row["list_size"] = n;
+    row["cpu_ms"] = cpu_ms;
+    row["bucket_ms"] = bucket_ms;
+    row["radix_ms"] = radix_ms;
+    rows.push_back(std::move(row));
   }
   std::printf(
       "\nNote: real conjunctive queries rarely match more than a few\n"
       "thousand documents (paper §3.1.3), where the CPU rank wins outright —\n"
       "Griffin therefore always ranks on the CPU.\n");
-  return 0;
+
+  bench::Json root = bench::Json::object();
+  root["bench"] = "ranking_selection";
+  root["fast_mode"] = bench::fast_mode();
+  root["k"] = 10;
+  root["rows"] = std::move(rows);
+  bench::write_bench_json("ranking_selection", root);
+  return gates.exit_code();
 }

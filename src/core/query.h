@@ -29,6 +29,7 @@ struct Query {
 struct ScoredDoc {
   index::DocId doc = 0;
   float score = 0.0f;
+  bool operator==(const ScoredDoc&) const = default;
 };
 
 /// Where one intersection step ran — the scheduler's decision trail.
@@ -77,6 +78,7 @@ struct StepShape {
   /// transfer for it (scheduler crossover shifts accordingly).
   bool longer_prefetched = false;
   std::optional<Placement> current_location;  ///< where the intermediate lives
+  bool operator==(const StepShape&) const = default;
 };
 
 /// One executed plan step, as appended to QueryResult::trace. The duration
@@ -140,6 +142,7 @@ struct StepRecord {
   /// The step's primary resource: compute unit for decode/intersect, the
   /// copy engine for transfer/prefetch, the host for rank.
   sim::Resource resource = sim::Resource::kCpu;
+  bool operator==(const StepRecord&) const = default;
 };
 
 /// Order-free aggregate of step records: RunTotals::add folds every
@@ -336,6 +339,7 @@ struct QueryMetrics {
   OverlapCounters overlap;        ///< copy/compute-overlap accounting
   fault::FaultCounters faults;    ///< injected-fault / degradation counters
   sim::SimdCounters simd;         ///< lane accounting over the CPU's vector loops
+  bool operator==(const QueryMetrics&) const = default;
 };
 
 struct QueryResult {
@@ -344,6 +348,7 @@ struct QueryResult {
   /// One record per executed plan step (core/executor.h appends them); the
   /// introspection/replay surface for scheduling experiments.
   std::vector<StepRecord> trace;
+  bool operator==(const QueryResult&) const = default;
 };
 
 /// The run-level sum of per-query counters: a run folds each QueryResult

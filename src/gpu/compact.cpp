@@ -8,7 +8,7 @@ CompactResult compact_segments(simt::Device& dev,
                                const simt::DeviceBuffer<DocId>& temp,
                                std::span<const std::uint32_t> counts_host,
                                std::uint32_t stride, const pcie::Link& link,
-                               pcie::TransferLedger& ledger) {
+                               pcie::TransferLedger& ledger, bool launch) {
   CompactResult res;
   const std::size_t nblocks = counts_host.size();
   std::vector<std::uint64_t> offsets(nblocks, 0);
@@ -26,6 +26,7 @@ CompactResult compact_segments(simt::Device& dev,
   ledger.add_alloc(link);
   dev.upload(offsets_dev, std::span<const std::uint64_t>(offsets));
   ledger.add_transfer(link, nblocks * 8, /*h2d=*/true);
+  if (!launch) return res;
 
   res.stats = simt::launch(
       dev, {static_cast<std::uint32_t>(nblocks), 128}, [&](simt::Block& blk) {

@@ -2,7 +2,9 @@
 // block produced up to `stride` matches at temp[block * stride]; gather them
 // into one contiguous device array. The per-block counts are tiny, so the
 // offsets are computed on the host (one small D2H + H2D round trip), as real
-// implementations commonly do.
+// implementations commonly do. A replayed MergePath step (gpu/mergepath.h)
+// makes the same allocations and copies but skips the launch: its caller
+// writes the gathered matches.
 #pragma once
 
 #include <span>
@@ -21,6 +23,7 @@ CompactResult compact_segments(simt::Device& dev,
                                const simt::DeviceBuffer<DocId>& temp,
                                std::span<const std::uint32_t> counts_host,
                                std::uint32_t stride, const pcie::Link& link,
-                               pcie::TransferLedger& ledger);
+                               pcie::TransferLedger& ledger,
+                               bool launch = true);
 
 }  // namespace griffin::gpu

@@ -37,6 +37,7 @@ void GpuExecutor::begin_query(sim::Timeline& tl, std::uint64_t query_id,
                               sim::Duration release) {
   current_ = simt::DeviceBuffer<DocId>();
   current_count_ = kNoIntermediate;
+  terms_.clear();
   prefetch_.clear();
   tl_ = &tl;
   fault_query_ = query_id;
@@ -50,6 +51,7 @@ void GpuExecutor::finish_query(core::QueryMetrics& m) {
   drop_prefetches(m);
   current_ = simt::DeviceBuffer<DocId>();
   current_count_ = kNoIntermediate;
+  terms_.clear();
   tl_ = nullptr;
 }
 
@@ -263,9 +265,17 @@ void GpuExecutor::intersect_next(index::TermId t, sim::Timeline::Event& at,
   bind_ledger(ledger, at, m);
   GpuIntersectResult r;
   if (ratio < kPathRatio) {
+    // A known term set fixes the intermediate, so an earlier step with the
+    // same set and term counted exactly what this one would.
+    MergeRecord* record = nullptr;
+    if (!terms_.empty()) {
+      std::vector<index::TermId> key = terms_;
+      key.push_back(t);
+      record = &merge_records_[std::move(key)];
+    }
     auto dt = decode_full_list(t, at, m);
     r = mergepath_intersect(device_, current_, current_count_, dt, lt.size(),
-                            link_, ledger);
+                            link_, ledger, {}, record);
   } else {
     r = binary_search_over(t, current_, current_count_, 0, ledger, at, m);
   }
@@ -273,12 +283,17 @@ void GpuExecutor::intersect_next(index::TermId t, sim::Timeline::Event& at,
   charge_kernel(r.stats, sim::Stage::kIntersect, at, m, r.kernels);
   current_ = std::move(r.result);
   current_count_ = r.count;
+  if (!terms_.empty()) {
+    const auto it = std::lower_bound(terms_.begin(), terms_.end(), t);
+    if (it == terms_.end() || *it != t) terms_.insert(it, t);
+  }
 }
 
 void GpuExecutor::load_single(index::TermId t, sim::Timeline::Event& at,
                               core::QueryMetrics& m) {
   current_ = decode_full_list(t, at, m);
   current_count_ = idx_->list(t).size();
+  terms_.assign(1, t);
 }
 
 void GpuExecutor::upload_intermediate(std::span<const DocId> docs,
@@ -292,6 +307,7 @@ void GpuExecutor::upload_intermediate(std::span<const DocId> docs,
   ledger.add_transfer(link_, docs.size_bytes(), /*h2d=*/true);
   join_ledger(ledger, at);
   current_count_ = docs.size();
+  terms_.clear();
 }
 
 std::vector<DocId> GpuExecutor::download_intermediate(std::uint64_t n,

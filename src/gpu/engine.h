@@ -177,6 +177,7 @@ class GpuExecutor {
   void drop_intermediate() {
     current_ = simt::DeviceBuffer<DocId>();
     current_count_ = kNoIntermediate;
+    terms_.clear();
   }
 
   bool has_intermediate() const { return current_count_ != kNoIntermediate; }
@@ -188,6 +189,8 @@ class GpuExecutor {
 
   const simt::Device& device() const { return device_; }
   const DeviceListCache& list_cache() const { return cache_; }
+  /// MergePath steps recorded so far, one per (term set, next term).
+  std::size_t merge_records() const { return merge_records_.size(); }
 
  private:
   static constexpr std::uint64_t kNoIntermediate = ~std::uint64_t{0};
@@ -289,6 +292,14 @@ class GpuExecutor {
   pcie::Link link_;
   simt::DeviceBuffer<DocId> current_;
   std::uint64_t current_count_ = kNoIntermediate;
+  /// The sorted terms whose intersection current_ holds: started by
+  /// load_single, extended by intersect_next, and cleared wherever current_
+  /// is replaced by anything else (empty = not known).
+  std::vector<index::TermId> terms_;
+  /// Merge records (DESIGN.md §5): one per MergePath step this executor
+  /// ran, keyed by its term set's sorted terms followed by the next term.
+  /// The index is immutable, so the key fixes both inputs.
+  std::map<std::vector<index::TermId>, MergeRecord> merge_records_;
 
   /// A kPrefetch upload awaiting its consumer. Ordered map: drop order (and
   /// therefore cache-insert order) must be deterministic.

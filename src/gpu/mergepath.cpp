@@ -1,5 +1,6 @@
 #include "gpu/mergepath.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "simt/collectives.h"
@@ -50,7 +51,8 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
                                        std::uint64_t nb,
                                        const pcie::Link& link,
                                        pcie::TransferLedger& ledger,
-                                       MergeTuning tuning) {
+                                       MergeTuning tuning,
+                                       MergeRecord* record) {
   const std::uint32_t span = tuning.items_per_thread * tuning.threads;
   assert(span >= 2);
   // Two staging tiles of span+2 DocIds must fit the 48 KB shared budget.
@@ -73,6 +75,40 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
   auto temp = dev.alloc<DocId>(static_cast<std::uint64_t>(nblocks) * span);
   auto block_counts = dev.alloc<std::uint32_t>(nblocks);
   for (int i = 0; i < 4; ++i) ledger.add_alloc(link);
+
+  // --- After launches 1-2: offsets round trip + Launch 3: compaction. ---
+  // A replay runs this tail too: the recorded block counts stand in for
+  // launches 1-2, and the host writes the matches in place of launch 3.
+  const bool replay = record != nullptr && record->recorded();
+  const auto gather = [&] {
+    std::vector<std::uint32_t> counts_host(nblocks);
+    dev.download(std::span<std::uint32_t>(counts_host), block_counts);
+    ledger.add_transfer(link, nblocks * 4, /*h2d=*/false);
+
+    CompactResult c = compact_segments(dev, temp, counts_host, span, link,
+                                       ledger, /*launch=*/!replay);
+    ++res.kernels;
+    if (replay) {
+      // Simulator-only host access to device storage, as Device::upload does.
+      [[maybe_unused]] const DocId* end = std::set_intersection(
+          a.raw(), a.raw() + na, b.raw(), b.raw() + nb, c.data.raw());
+      assert(static_cast<std::uint64_t>(end - c.data.raw()) == c.count);
+    } else {
+      res.stats += c.stats;
+      if (record != nullptr) *record = {res.stats, std::move(counts_host)};
+    }
+    res.result = std::move(c.data);
+    res.count = c.count;
+  };
+  if (replay) {
+    assert(record->block_counts.size() == nblocks);
+    std::copy(record->block_counts.begin(), record->block_counts.end(),
+              block_counts.raw());
+    res.stats = record->stats;
+    res.kernels = 2;
+    gather();
+    return res;
+  }
 
   // --- Launch 1: block-level partition (one thread per cross diagonal). ---
   res.stats = simt::launch(
@@ -187,18 +223,7 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
       });
   res.stats += merge_stats;
   ++res.kernels;
-
-  // --- Offsets round trip + Launch 3: compaction. ---
-  std::vector<std::uint32_t> counts_host(nblocks);
-  dev.download(std::span<std::uint32_t>(counts_host), block_counts);
-  ledger.add_transfer(link, nblocks * 4, /*h2d=*/false);
-
-  CompactResult c =
-      compact_segments(dev, temp, counts_host, span, link, ledger);
-  res.stats += c.stats;
-  ++res.kernels;
-  res.result = std::move(c.data);
-  res.count = c.count;
+  gather();
   return res;
 }
 

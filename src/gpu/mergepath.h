@@ -13,6 +13,11 @@
 //      (coalesced), threads sub-partition in shared and serially intersect
 //      ~kItemsPerThread elements each, then a block scan compacts matches;
 //   3. compact: gather per-block match segments into one contiguous array.
+//
+// A call given a MergeRecord that an earlier call over the same inputs
+// filled replays it: the same allocations, ledger charges and host<->device
+// copies in the same order, the recorded counts in place of the three
+// launches, and the matches written by std::set_intersection (DESIGN.md §5).
 #pragma once
 
 #include "gpu/compact.h"
@@ -34,6 +39,16 @@ struct MergeTuning {
   std::uint32_t threads = kMergeBlockThreads;
 };
 
+/// What one mergepath_intersect counted, for a later call over the same
+/// inputs: the stats of its three launches and the per-block match counts
+/// the merge launch leaves for the host (their sum is the match count).
+struct MergeRecord {
+  sim::KernelStats stats;
+  std::vector<std::uint32_t> block_counts;
+
+  bool recorded() const { return !block_counts.empty(); }
+};
+
 struct GpuIntersectResult {
   simt::DeviceBuffer<DocId> result;
   std::uint64_t count = 0;
@@ -43,7 +58,10 @@ struct GpuIntersectResult {
 
 /// Intersects two decoded, ascending device arrays (first `na` elements of
 /// a, `nb` of b). Transfers for the tiny offset round trip are charged to
-/// `ledger`; kernel work is returned in the result.
+/// `ledger`; kernel work is returned in the result. With a `record` that is
+/// already recorded, the caller vouches that a, b, na, nb and the tuning
+/// are those it was recorded with, and the call replays it; with an empty
+/// one, the call simulates and fills it.
 GpuIntersectResult mergepath_intersect(simt::Device& dev,
                                        const simt::DeviceBuffer<DocId>& a,
                                        std::uint64_t na,
@@ -51,6 +69,7 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
                                        std::uint64_t nb,
                                        const pcie::Link& link,
                                        pcie::TransferLedger& ledger,
-                                       MergeTuning tuning = {});
+                                       MergeTuning tuning = {},
+                                       MergeRecord* record = nullptr);
 
 }  // namespace griffin::gpu

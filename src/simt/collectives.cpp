@@ -1,17 +1,21 @@
 #include "simt/collectives.h"
 
+#include <numeric>
+
 #include "util/bits.h"
 
 namespace griffin::simt {
 
-void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data) {
+namespace {
+
+/// The inclusive scan's SIMT body over `data`, with its two per-thread sums
+/// arrays already allocated.
+void inclusive_body(Block& blk, std::span<std::uint32_t> data,
+                    std::span<std::uint32_t> sums,
+                    std::span<std::uint32_t> sums_alt) {
   const std::size_t n = data.size();
-  if (n == 0) return;
   const std::uint32_t dim = blk.dim();
   const std::size_t chunk = util::div_ceil(n, dim);
-
-  auto sums = blk.shared<std::uint32_t>(dim);
-  auto sums_alt = blk.shared<std::uint32_t>(dim);
 
   // Phase 1: each thread scans its own chunk in place and records the total.
   blk.for_each_thread([&](Thread& t) {
@@ -23,7 +27,7 @@ void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data) {
       t.sstore(data, i, acc);
       t.charge(kAluCycle);
     }
-    t.sstore(std::span<std::uint32_t>(sums), t.tid(), acc);
+    t.sstore(sums, t.tid(), acc);
   });
 
   // Phase 2: Hillis-Steele inclusive scan of the per-thread sums. Only the
@@ -62,14 +66,11 @@ void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data) {
   });
 }
 
-std::uint32_t block_exclusive_scan(Block& blk, std::span<std::uint32_t> data) {
-  if (data.empty()) return 0;
-  block_inclusive_scan(blk, data);
-  // Shift right by one (in parallel, reading before writing via double read
-  // region split: read into registers, barrier, write).
+/// Turns an inclusive scan into an exclusive one: shift right by one (read
+/// into registers, barrier, write).
+void shift_body(Block& blk, std::span<std::uint32_t> data) {
   const std::size_t n = data.size();
-  const std::uint32_t dim = blk.dim();
-  const std::size_t chunk = util::div_ceil(n, dim);
+  const std::size_t chunk = util::div_ceil(n, blk.dim());
   std::vector<std::uint32_t> regs(n);  // per-lane registers across the barrier
   blk.for_each_thread([&](Thread& t) {
     const std::size_t lo = static_cast<std::size_t>(t.tid()) * chunk;
@@ -79,12 +80,48 @@ std::uint32_t block_exclusive_scan(Block& blk, std::span<std::uint32_t> data) {
                        : t.sload(std::span<const std::uint32_t>(data), i - 1);
     }
   });
-  std::uint32_t total = data[n - 1];
   blk.for_each_thread([&](Thread& t) {
     const std::size_t lo = static_cast<std::size_t>(t.tid()) * chunk;
     const std::size_t hi = std::min(n, lo + chunk);
     for (std::size_t i = lo; i < hi; ++i) t.sstore(data, i, regs[i]);
   });
+}
+
+/// A non-empty scan: the SIMT body the first time the launch meets its
+/// shape, the recorded counts and a host prefix sum after that. Both paths
+/// allocate the same two sums arrays.
+void scan(Block& blk, std::span<std::uint32_t> data, bool exclusive) {
+  const ScanShape shape = blk.scan_shape(data, exclusive);
+  auto sums = blk.shared<std::uint32_t>(blk.dim());
+  auto sums_alt = blk.shared<std::uint32_t>(blk.dim());
+  blk.scan_once(
+      shape,
+      [&](Block& b) {
+        inclusive_body(b, data, sums, sums_alt);
+        if (exclusive) shift_body(b, data);
+      },
+      [&] {
+        if (exclusive) {
+          std::exclusive_scan(data.begin(), data.end(), data.begin(),
+                              std::uint32_t{0});
+        } else {
+          std::inclusive_scan(data.begin(), data.end(), data.begin());
+        }
+      });
+}
+
+}  // namespace
+
+void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data) {
+  if (data.empty()) return;
+  scan(blk, data, /*exclusive=*/false);
+}
+
+std::uint32_t block_exclusive_scan(Block& blk, std::span<std::uint32_t> data) {
+  if (data.empty()) return 0;
+  const std::uint32_t total =
+      std::accumulate(data.begin(), data.end(), std::uint32_t{0});
+  scan(blk, data, /*exclusive=*/true);
   return total;
 }
 

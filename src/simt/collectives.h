@@ -2,6 +2,10 @@
 // their simulated cost (shared-memory traffic, barriers, log-depth rounds)
 // emerges from the same accounting as user kernels. Call them from a kernel
 // body at block scope (between for_each_thread regions).
+//
+// A scan's counts depend only on its ScanShape within a launch, so the first
+// scan of each shape runs the SIMT body and later ones replay its counts
+// and write the prefix sum on the host (Block::scan_once, DESIGN.md §5).
 #pragma once
 
 #include <cstdint>

@@ -24,10 +24,18 @@
 // tests/simt_reference.h as the oracle. The counts feed sim::GpuCostModel,
 // which turns them into simulated time.
 //
-// A kernel executes functionally on every launch, with one exception: a
-// device list's posting-block decode runs its body the first time the block
-// is decoded from that device copy, and later decodes replay the counts that
-// run added (Block::measure / Block::replay; gpu/decode.cpp, DESIGN.md §5).
+// A kernel executes functionally on every launch, with three exceptions that
+// replay counts an earlier run recorded (DESIGN.md §5):
+//   - a block scan runs its body the first time its launch meets its
+//     ScanShape; later scans of that shape in the launch replay the counts
+//     and write the prefix sum on the host (Block::scan_once,
+//     simt/collectives.cpp);
+//   - a device list's posting-block decode runs its body the first time the
+//     block is decoded from that device copy (Block::measure / Block::replay,
+//     gpu/decode.cpp);
+//   - a GpuExecutor's MergePath step skips its launches and repeats an
+//     earlier step's counts when it intersects the same term set with the
+//     same list (gpu/mergepath.h).
 #pragma once
 
 #include <algorithm>
@@ -38,6 +46,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/gpu_cost_model.h"
@@ -303,6 +312,20 @@ class Thread {
   std::uint32_t atomic_ord_ = 0;
 };
 
+/// Everything a block scan's counts depend on besides its launch (GpuSpec,
+/// block dim and the shared arena's host address are fixed per launch):
+/// inclusive or exclusive, its length, where its data sits in the shared
+/// arena, and the arena bytes in use when it starts (where its two sums
+/// arrays go). Lanes of a partly filled chunk phase mix data and sums
+/// accesses in one ordinal, so both offsets matter.
+struct ScanShape {
+  bool exclusive = false;
+  std::size_t n = 0;
+  std::size_t offset = 0;
+  std::size_t used = 0;
+  bool operator==(const ScanShape&) const = default;
+};
+
 /// Per-block execution context handed to the kernel body. One Block object
 /// is reused across a launch's blocks (reset per block) so the tally's
 /// tables keep their capacity — a pure simulator-speed concern.
@@ -381,8 +404,34 @@ class Block {
   }
 
   /// Adds counts that measure() returned for an earlier run of a body this
-  /// block would repeat exactly (gpu/decode.cpp's decode records).
+  /// block would repeat exactly (scan and decode records).
   void replay(const sim::KernelStats& counts) { stats_ += counts; }
+
+  /// The shape of a scan over `data`, a span of this block's shared arena,
+  /// that starts now.
+  ScanShape scan_shape(std::span<const std::uint32_t> data,
+                       bool exclusive) const {
+    const auto* p = reinterpret_cast<const std::byte*>(data.data());
+    assert(p >= shared_arena_.data() &&
+           p + data.size_bytes() <= shared_arena_.data() + shared_used_);
+    return {exclusive, data.size(),
+            static_cast<std::size_t>(p - shared_arena_.data()), shared_used_};
+  }
+
+  /// Runs `body(*this)` the first time this launch meets `shape` and keeps
+  /// the counts it added; a later call with that shape adds them and runs
+  /// `host()`, which must leave the block's data as the body would.
+  template <typename Body, typename Host>
+  void scan_once(const ScanShape& shape, Body&& body, Host&& host) {
+    for (const auto& [s, counts] : scans_) {
+      if (s == shape) {
+        replay(counts);
+        host();
+        return;
+      }
+    }
+    scans_.emplace_back(shape, measure(body));
+  }
 
  private:
   const sim::GpuSpec& spec_;
@@ -393,6 +442,8 @@ class Block {
   std::size_t shared_used_ = 0;
   std::vector<std::byte> shared_arena_;
   WarpTally tally_;
+  /// The launch's scan records: each shape's counts from its first run.
+  std::vector<std::pair<ScanShape, sim::KernelStats>> scans_;
 };
 
 /// Launch a kernel: `body(Block&)` once per block. Returns the counted work;
