@@ -26,7 +26,8 @@ int main() {
   util::Xoshiro256 rng(99);
 
   const std::uint64_t n = bench::fast_mode() ? 200'000 : 2'000'000;
-  const auto pair = workload::make_pair_with_ratio(n, 2.0, 64'000'000, 0.4, rng);
+  const auto pair =
+      workload::make_pair_with_ratio(n, 2.0, 64'000'000, 0.4, rng);
 
   simt::Device dev(hw.gpu, hw.pcie.device_mem_bytes);
   auto da = dev.alloc<index::DocId>(pair.shorter.size());
@@ -49,11 +50,11 @@ int main() {
                                       pair.longer.size(), link, ledger,
                                       tuning);
     const double ms = (model.kernel_time(r.stats) + ledger.total).ms();
-    std::printf("%-16u %12u %14.3f %12.0f\n", vt, vt * tuning.threads, ms,
-                r.stats.warp_cycles);
+    std::printf("%-16u %12u %14.3f %12.0f\n", vt,
+                vt * gpu::kMergeBlockThreads, ms, r.stats.warp_cycles);
     bench::Json row = bench::Json::object();
     row["items_per_thread"] = vt;
-    row["partition"] = vt * tuning.threads;
+    row["partition"] = vt * gpu::kMergeBlockThreads;
     row["kernel_ms"] = ms;
     row["matches"] = r.count;
     row["stats"] = bench::counters_json(r.stats);

@@ -492,10 +492,12 @@ class Gates {
 // ---- Table printing ----
 
 inline void print_header(const char* title, const char* paper_note) {
-  std::printf("\n================================================================\n");
+  std::printf(
+      "\n================================================================\n");
   std::printf("%s\n", title);
   std::printf("paper: %s\n", paper_note);
-  std::printf("================================================================\n");
+  std::printf(
+      "================================================================\n");
 }
 
 inline void print_row_labels(const char* a) { std::printf("%s\n", a); }

@@ -172,11 +172,11 @@ int main() {
     if (cpu_wins_pipelined && pipelined_crossover_group < 0) {
       pipelined_crossover_group = static_cast<int>(gi);
     }
-    std::printf("[%4.0f,%4.0f) %11.3f %11.3f %11.3f %11.3f %11.3f %8s %8s %8s\n",
-                groups[gi].lo, groups[gi].hi, cpu_ms[0], cpu_ms[1], cpu_ms[2],
-                gpu_ms, gpu_pipe_ms, cpu_ms[0] < gpu_ms ? "CPU" : "GPU",
-                cpu_ms[1] < gpu_ms ? "CPU" : "GPU",
-                cpu_ms[2] < gpu_ms ? "CPU" : "GPU");
+    std::printf(
+        "[%4.0f,%4.0f) %11.3f %11.3f %11.3f %11.3f %11.3f %8s %8s %8s\n",
+        groups[gi].lo, groups[gi].hi, cpu_ms[0], cpu_ms[1], cpu_ms[2], gpu_ms,
+        gpu_pipe_ms, cpu_ms[0] < gpu_ms ? "CPU" : "GPU",
+        cpu_ms[1] < gpu_ms ? "CPU" : "GPU", cpu_ms[2] < gpu_ms ? "CPU" : "GPU");
 
     bench::Json row = bench::Json::object();
     row["ratio_lo"] = groups[gi].lo;
@@ -211,7 +211,8 @@ int main() {
                   groups[static_cast<std::size_t>(cg)].hi, measured_ratio,
                   threshold);
     } else {
-      std::printf("\n%-6s: no crossover within the swept ratios", presets[pi].name);
+      std::printf("\n%-6s: no crossover within the swept ratios",
+                  presets[pi].name);
     }
     bench::Json pr = bench::Json::object();
     pr["name"] = presets[pi].name;

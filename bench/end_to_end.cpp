@@ -93,8 +93,8 @@ int main() {
     group_rows.push_back(std::move(row));
   }
 
-  std::printf("\nAverage across groups: Griffin %.1fx vs CPU-only (paper ~10x), "
-              "%.2fx vs GPU-only (paper ~1.5x)\n",
+  std::printf("\nAverage across groups: Griffin %.1fx vs CPU-only "
+              "(paper ~10x), %.2fx vs GPU-only (paper ~1.5x)\n",
               all_cpu.mean() / all_grif.mean(),
               all_gpu.mean() / all_grif.mean());
   std::printf("Cost-model scheduler (extension): %.1fx vs CPU-only, "

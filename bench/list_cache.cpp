@@ -201,7 +201,8 @@ int main() {
   // the host tier barely registers above; the CPU-only engine is where it
   // pays (skip-path probe decodes recur on the hot head). Same bit-identical
   // gate against a cache-off CPU baseline.
-  std::printf("\nHost decoded-postings tier (CPU-only engine, same streams):\n");
+  std::printf(
+      "\nHost decoded-postings tier (CPU-only engine, same streams):\n");
   std::printf("%-5s %-9s %9s %9s %9s %7s %8s %5s\n", "zipf", "cache",
               "mean(ms)", "p50(ms)", "p99(ms)", "host-h%", "evict", "same");
 

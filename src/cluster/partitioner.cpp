@@ -30,7 +30,8 @@ std::vector<std::uint32_t> assign_docs(PartitionStrategy strategy,
       const std::uint64_t width =
           (num_docs + num_shards - 1) / std::uint64_t{num_shards};
       for (std::uint64_t d = 0; d < num_docs; ++d) {
-        map[d] = static_cast<std::uint32_t>(d / std::max<std::uint64_t>(width, 1));
+        map[d] =
+            static_cast<std::uint32_t>(d / std::max<std::uint64_t>(width, 1));
       }
       break;
     }

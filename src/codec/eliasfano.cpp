@@ -15,7 +15,8 @@ std::uint8_t ef_low_bits(std::uint64_t universe, std::uint64_t n) {
 std::uint64_t ef_encoded_bits(std::uint32_t universe, std::uint64_t n) {
   if (n == 0) return 0;
   const std::uint8_t b = ef_low_bits(universe, n);
-  const std::uint64_t high_bits = (static_cast<std::uint64_t>(universe) >> b) + n + 1;
+  const std::uint64_t high_bits =
+      (static_cast<std::uint64_t>(universe) >> b) + n + 1;
   const std::uint64_t hb_words = util::div_ceil(high_bits, 32);
   return hb_words * 32 + n * b;
 }
@@ -35,8 +36,8 @@ EFHeader ef_encode(std::span<const std::uint32_t> values,
   const std::uint64_t hb_start = bit_pos;
   const std::uint64_t low_start = hb_start + 32ull * hdr.hb_words;
   const std::uint64_t end_bits = low_start + n * hdr.b;
-  blob.resize(std::max<std::size_t>(blob.size(), util::words_for_bits(end_bits)),
-              0);
+  blob.resize(
+      std::max<std::size_t>(blob.size(), util::words_for_bits(end_bits)), 0);
 
   [[maybe_unused]] std::uint32_t prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -76,8 +77,9 @@ void ef_decode(std::span<const std::uint64_t> blob, std::uint64_t bit_pos,
       const std::uint64_t high = pos - i;
       std::uint64_t low = 0;
       if (hdr.b > 0) {
-        low = util::read_bits(blob.data(), low_start + static_cast<std::uint64_t>(i) * hdr.b,
-                              hdr.b);
+        low = util::read_bits(
+            blob.data(), low_start + static_cast<std::uint64_t>(i) * hdr.b,
+            hdr.b);
       }
       out[i] = static_cast<std::uint32_t>((high << hdr.b) | low);
       ++i;

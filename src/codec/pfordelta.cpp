@@ -72,8 +72,8 @@ PForHeader pfor_encode(std::span<const std::uint32_t> values,
   const std::uint64_t exc_bits_start = util::round_up(bit_pos + slots_bits, 32);
   const std::uint64_t end_bits =
       exc_bits_start + 32ull * plan.exceptions.size();
-  blob.resize(std::max<std::size_t>(blob.size(), util::words_for_bits(end_bits)),
-              0);
+  blob.resize(
+      std::max<std::size_t>(blob.size(), util::words_for_bits(end_bits)), 0);
 
   // Pack the slots: regular values verbatim, exception slots hold the
   // distance to the next exception (0 for the last one).
@@ -87,8 +87,9 @@ PForHeader pfor_encode(std::span<const std::uint32_t> values,
     } else {
       slot = values[i];
     }
-    util::write_bits(blob.data(), bit_pos + static_cast<std::uint64_t>(i) * plan.b,
-                     plan.b, slot);
+    util::write_bits(blob.data(),
+                     bit_pos + static_cast<std::uint64_t>(i) * plan.b, plan.b,
+                     slot);
   }
 
   // Append the true exception values, uncompressed, in chain order.

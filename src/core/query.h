@@ -165,7 +165,8 @@ struct TraceSummary {
   /// Split steps that completed with their GPU leg redone on the CPU after
   /// an injected device fault (StepRecord::leg_faulted).
   std::uint64_t leg_faulted_steps = 0;
-  std::uint64_t batched_steps = 0;   ///< steps coalesced into a cross-query batch
+  /// Steps coalesced into a cross-query batch.
+  std::uint64_t batched_steps = 0;
   /// Summed StepRecord::duration — the *serial* stage time, i.e. per query
   /// QueryMetrics::total (critical path) + overlap.saved.
   sim::Duration step_time;
@@ -338,7 +339,7 @@ struct QueryMetrics {
   CacheCounters cache;            ///< per-query cache-tier counters
   OverlapCounters overlap;        ///< copy/compute-overlap accounting
   fault::FaultCounters faults;    ///< injected-fault / degradation counters
-  sim::SimdCounters simd;         ///< lane accounting over the CPU's vector loops
+  sim::SimdCounters simd;         ///< lane accounting over CPU vector loops
   bool operator==(const QueryMetrics&) const = default;
 };
 

@@ -26,7 +26,7 @@ struct DecodedBytes {
 
 /// byte_budget = 0 disables the cache; the engine builds it with no
 /// entry-count bound (CpuEngineOptions::decoded_cache_bytes).
-using DecodedCache = util::ByteLruCache<index::TermId,
-                                        std::vector<codec::DocId>, DecodedBytes>;
+using DecodedCache =
+    util::ByteLruCache<index::TermId, std::vector<codec::DocId>, DecodedBytes>;
 
 }  // namespace griffin::cpu

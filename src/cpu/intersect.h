@@ -42,8 +42,9 @@ void skip_intersect(std::span<const DocId> probes,
 /// the target): the same galloping + binary search over a plain sorted
 /// array. No block decode is ever charged — that is exactly what the cache
 /// saves — only the search steps and the touched bytes.
-void skip_intersect(std::span<const DocId> probes, std::span<const DocId> target,
-                    std::vector<DocId>& out, sim::CpuCostAccumulator& acc);
+void skip_intersect(std::span<const DocId> probes,
+                    std::span<const DocId> target, std::vector<DocId>& out,
+                    sim::CpuCostAccumulator& acc);
 
 /// Binary search cost helper shared by the skip variants: `steps` probe steps
 /// of a branchy binary search.

@@ -63,7 +63,8 @@ inline bool enabled(const sim::CpuSpec& s) {
 }
 
 /// ceil(n / lanes): the vector iterations one loop over n elements charges.
-inline std::uint64_t vector_iters(std::uint64_t n, const sim::CpuVectorSpec& v) {
+inline std::uint64_t vector_iters(std::uint64_t n,
+                                  const sim::CpuVectorSpec& v) {
   const auto lanes = static_cast<std::uint64_t>(v.lanes);
   return (n + lanes - 1) / lanes;
 }
@@ -85,9 +86,10 @@ inline void charge_loop(sim::CpuCostAccumulator& acc, std::uint64_t n,
   const sim::CpuVectorSpec& v = acc.spec().vector;
   const std::uint64_t iters = vector_iters(n, v);
   const std::uint64_t tail = n % static_cast<std::uint64_t>(v.lanes);
-  const double cycles = v.block_setup_cycles +
-                        static_cast<double>(iters) * iter_cycles(v, ops, shuffles) +
-                        static_cast<double>(tail) * v.scalar_tail_cycles;
+  const double cycles =
+      v.block_setup_cycles +
+      static_cast<double>(iters) * iter_cycles(v, ops, shuffles) +
+      static_cast<double>(tail) * v.scalar_tail_cycles;
   acc.add_vector_loop(n, iters, cycles);
 }
 

@@ -13,9 +13,9 @@ constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 constexpr std::uint32_t kThreads = 128;
 }  // namespace
 
-GpuIntersectResult binary_search_intersect(simt::Device& dev,
-                                           const simt::DeviceBuffer<DocId>& probes,
-                                           std::uint64_t np,
+GpuIntersectResult binary_search_intersect(
+    simt::Device& dev, const simt::DeviceBuffer<DocId>& probes,
+    std::uint64_t np,
                                            const DeviceList& target,
                                            const pcie::Link& link,
                                            pcie::TransferLedger& ledger,

@@ -23,9 +23,9 @@ namespace griffin::gpu {
 /// charged (paper §3.1.2). A nonzero probe_offset runs the kernel over a
 /// suffix of a device-resident probe buffer — the GPU leg of a split
 /// intersect (DESIGN.md §15) — without slicing or re-uploading it.
-GpuIntersectResult binary_search_intersect(simt::Device& dev,
-                                           const simt::DeviceBuffer<DocId>& probes,
-                                           std::uint64_t np,
+GpuIntersectResult binary_search_intersect(
+    simt::Device& dev, const simt::DeviceBuffer<DocId>& probes,
+    std::uint64_t np,
                                            const DeviceList& target,
                                            const pcie::Link& link,
                                            pcie::TransferLedger& ledger,

@@ -250,7 +250,7 @@ void decode_block(const simt::Device& dev, simt::Block& blk,
     }));
     return;
   }
-  blk.replay(rec.counts());
+  blk.add_counts(rec.counts());
   assert(out_pos + d.count <= out.size());
   // Simulator-only host access to device storage, as Device::upload does:
   // the same blob bytes the kernel reads, decoded by the host codec.

@@ -32,7 +32,8 @@ sim::KernelStats BlockDecodeRecord::counts() const {
   return s;
 }
 
-DeviceList upload_list(simt::Device& dev, const codec::BlockCompressedList& list,
+DeviceList upload_list(simt::Device& dev,
+                       const codec::BlockCompressedList& list,
                        const pcie::Link& link, pcie::TransferLedger& ledger,
                        bool defer_payload) {
   DeviceList d;

@@ -79,7 +79,8 @@ struct DeviceList {
 /// paper's high-ratio path binary-searches the skip pointers first and
 /// "only transfers, decompresses, and processes those blocks" (§3.1.2); pay
 /// for the selected blocks later via charge_block_payload_upload.
-DeviceList upload_list(simt::Device& dev, const codec::BlockCompressedList& list,
+DeviceList upload_list(simt::Device& dev,
+                       const codec::BlockCompressedList& list,
                        const pcie::Link& link, pcie::TransferLedger& ledger,
                        bool defer_payload = false);
 

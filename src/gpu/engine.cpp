@@ -72,8 +72,9 @@ void GpuExecutor::charge_kernel(const sim::KernelStats& s, sim::Stage stage,
     const sim::Duration overhead =
         sim::Duration::from_us(hw_.gpu.kernel_launch_us);
     const sim::Duration body = sim::max(d - overhead, sim::Duration());
-    const double resident = static_cast<double>(hw_.gpu.sm_count) *
-                            static_cast<double>(hw_.gpu.max_resident_warps_per_sm);
+    const double resident =
+        static_cast<double>(hw_.gpu.sm_count) *
+        static_cast<double>(hw_.gpu.max_resident_warps_per_sm);
     const double fill =
         std::min(1.0, static_cast<double>(s.warps) / resident);
     const double share = 1.0 / static_cast<double>(batch_size_);

@@ -213,7 +213,9 @@ class GpuExecutor {
     /// the per-chunk decode kernels (double buffering).
     bool payload_deferred = false;
 
-    const DeviceList& view() const { return owned.has_value() ? *owned : *cached; }
+    const DeviceList& view() const {
+      return owned.has_value() ? *owned : *cached;
+    }
   };
   /// The copy of term t whose full upload is already paid for, if any: an
   /// in-flight prefetch (taken, its completion event joined into `at`,

@@ -14,6 +14,14 @@
 //      ~kItemsPerThread elements each, then a block scan compacts matches;
 //   3. compact: gather per-block match segments into one contiguous array.
 //
+// Launch 2 runs 128 threads in 4 full warps. Its staging copy and its
+// sub-partition + merge region are counted from the staged tile instead of
+// lane by lane: the staging copy in closed form per (warp, ordinal), the
+// merge region from each lane's shared-access stream, generated natively in
+// the order the lane makes the accesses. Both give exactly the SIMT counts
+// (DESIGN.md §5, tile counts; tests/mergepath_reference.h keeps the all-SIMT
+// launch as the oracle).
+//
 // A call given a MergeRecord that an earlier call over the same inputs
 // filled replays it: the same allocations, ledger charges and host<->device
 // copies in the same order, the recorded counts in place of the three
@@ -31,12 +39,12 @@ inline constexpr std::uint32_t kItemsPerThread = 8;
 /// fits comfortably in the 48 KB shared budget).
 inline constexpr std::uint32_t kMergeBlockThreads = 128;
 
-/// Partitioning knobs, exposed for the partition-size ablation
-/// (bench/ablation_partition): one block covers items_per_thread * threads
-/// elements of A+B, which bounds the shared-memory staging tiles.
+/// The partitioning knob, exposed for the partition-size ablation
+/// (bench/ablation_partition): one merge block covers items_per_thread *
+/// kMergeBlockThreads elements of A+B, which bounds the shared-memory staging
+/// tiles.
 struct MergeTuning {
   std::uint32_t items_per_thread = kItemsPerThread;
-  std::uint32_t threads = kMergeBlockThreads;
 };
 
 /// What one mergepath_intersect counted, for a later call over the same

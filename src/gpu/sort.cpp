@@ -115,7 +115,8 @@ SelectResult radix_sort_topk(simt::Device& dev,
   }
 
   // After 4 passes `src` is ascending by key; take the top k from the end.
-  const std::uint32_t kk = static_cast<std::uint32_t>(std::min<std::uint64_t>(k, n));
+  const std::uint32_t kk =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(k, n));
   std::vector<DevScored> tail(kk);
   dev.download(std::span<DevScored>(tail), *src, n - kk);
   ledger.add_transfer(link, kk * sizeof(DevScored), false);
@@ -130,7 +131,8 @@ SelectResult bucket_select_topk(simt::Device& dev,
                                 pcie::TransferLedger& ledger) {
   SelectResult res;
   if (n == 0) return res;
-  const std::uint32_t kk = static_cast<std::uint32_t>(std::min<std::uint64_t>(k, n));
+  const std::uint32_t kk =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(k, n));
 
   auto hist = dev.alloc<std::uint32_t>(kBuckets);
   ledger.add_alloc(link);
@@ -165,7 +167,8 @@ SelectResult bucket_select_topk(simt::Device& dev,
 
   // Compact everything >= kth_key (>= kk elements; == kk unless keys tie).
   const std::uint32_t pblocks = simt::blocks_for(n, kThreads);
-  auto temp = dev.alloc<DevScored>(static_cast<std::uint64_t>(pblocks) * kThreads);
+  auto temp =
+      dev.alloc<DevScored>(static_cast<std::uint64_t>(pblocks) * kThreads);
   auto block_counts = dev.alloc<std::uint32_t>(pblocks);
   ledger.add_alloc(link);
   ledger.add_alloc(link);

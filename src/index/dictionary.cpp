@@ -10,7 +10,8 @@ template <typename Fn>
 void for_each_token(std::string_view text, Fn&& fn) {
   std::size_t i = 0;
   while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
+    while (i < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[i]))) {
       ++i;
     }
     std::size_t j = i;
@@ -65,7 +66,8 @@ std::optional<TermId> Dictionary::find(std::string_view term) const {
 
 std::vector<TermId> Dictionary::tokenize_interning(std::string_view text) {
   std::vector<TermId> out;
-  for_each_token(text, [&](const std::string& tok) { out.push_back(add(tok)); });
+  for_each_token(text,
+                 [&](const std::string& tok) { out.push_back(add(tok)); });
   return out;
 }
 

@@ -22,7 +22,8 @@ TermId InvertedIndex::add_list_as(Scheme scheme, std::span<const DocId> docids,
   pl.docids = codec::BlockCompressedList::build(docids, scheme);
   pl.freqs.resize(docids.size(), 1);
   for (std::size_t i = 0; i < freqs.size(); ++i) {
-    pl.freqs[i] = static_cast<std::uint8_t>(std::min<std::uint32_t>(freqs[i], 255));
+    pl.freqs[i] =
+        static_cast<std::uint8_t>(std::min<std::uint32_t>(freqs[i], 255));
   }
   lists_.push_back(std::move(pl));
   return static_cast<TermId>(lists_.size() - 1);

@@ -140,7 +140,8 @@ InvertedIndex load_index(const std::string& path) {
   const auto ndocs = read_pod<std::uint64_t>(f.get());
   idx.docs().resize(ndocs);
   for (std::uint64_t d = 0; d < ndocs; ++d) {
-    idx.docs().set_length(static_cast<DocId>(d), read_pod<std::uint32_t>(f.get()));
+    idx.docs().set_length(static_cast<DocId>(d),
+                          read_pod<std::uint32_t>(f.get()));
   }
 
   const auto nterms = read_pod<std::uint64_t>(f.get());

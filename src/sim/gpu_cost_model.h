@@ -28,11 +28,12 @@ struct KernelStats {
   /// means a warp takes as long as its slowest lane, so divergence inflates
   /// this term.
   double warp_cycles = 0.0;
-  std::uint64_t global_transactions = 0;   ///< coalesced 128B transactions
-  std::uint64_t global_bytes_requested = 0;///< bytes the lanes actually asked for
+  std::uint64_t global_transactions = 0;  ///< coalesced 128B transactions
+  /// Bytes the lanes actually asked for.
+  std::uint64_t global_bytes_requested = 0;
   std::uint64_t shared_accesses = 0;
-  double shared_conflict_cycles = 0.0;     ///< extra cycles from bank conflicts
-  std::uint64_t barriers = 0;              ///< block barriers, summed over blocks
+  double shared_conflict_cycles = 0.0;  ///< extra cycles from bank conflicts
+  std::uint64_t barriers = 0;  ///< block barriers, summed over blocks
 
   /// The counts a block's body adds as it runs; the launch sets blocks and
   /// warps. A device list's decode record (gpu/device_list.h) packs these.
@@ -92,18 +93,21 @@ class GpuCostModel {
     // Memory-bandwidth bound.
     const double mem_bytes = static_cast<double>(s.global_transactions) *
                              static_cast<double>(spec_.mem_transaction_bytes);
-    const Duration mem = Duration::from_ns(mem_bytes / spec_.mem_bandwidth_gbps);
+    const Duration mem =
+        Duration::from_ns(mem_bytes / spec_.mem_bandwidth_gbps);
 
     // Latency bound: each warp's transactions are dependent (serial within
     // the warp); warps overlap up to the resident-warp limit, beyond which
     // they run in additional "rounds".
-    const double resident = static_cast<double>(spec_.sm_count) *
-                            static_cast<double>(spec_.max_resident_warps_per_sm);
+    const double resident =
+        static_cast<double>(spec_.sm_count) *
+        static_cast<double>(spec_.max_resident_warps_per_sm);
     const double rounds =
         std::ceil(static_cast<double>(s.warps) / resident);
     const double per_warp_txns = static_cast<double>(s.global_transactions) /
                                  static_cast<double>(s.warps);
-    const double per_warp_cycles = compute_cycles / static_cast<double>(s.warps);
+    const double per_warp_cycles =
+        compute_cycles / static_cast<double>(s.warps);
     const Duration serial_warp =
         Duration::from_ns(per_warp_txns * spec_.mem_latency_ns) +
         Duration::from_cycles(per_warp_cycles, spec_.core_clock_ghz);

@@ -39,8 +39,12 @@ class Duration {
   constexpr double ms() const { return static_cast<double>(ps_) * 1e-9; }
   constexpr double seconds() const { return static_cast<double>(ps_) * 1e-12; }
 
-  constexpr Duration operator+(Duration o) const { return Duration(ps_ + o.ps_); }
-  constexpr Duration operator-(Duration o) const { return Duration(ps_ - o.ps_); }
+  constexpr Duration operator+(Duration o) const {
+    return Duration(ps_ + o.ps_);
+  }
+  constexpr Duration operator-(Duration o) const {
+    return Duration(ps_ - o.ps_);
+  }
   constexpr Duration& operator+=(Duration o) { ps_ += o.ps_; return *this; }
   constexpr Duration& operator-=(Duration o) { ps_ -= o.ps_; return *this; }
   constexpr Duration operator*(double k) const {

@@ -24,18 +24,23 @@
 // tests/simt_reference.h as the oracle. The counts feed sim::GpuCostModel,
 // which turns them into simulated time.
 //
-// A kernel executes functionally on every launch, with three exceptions that
-// replay counts an earlier run recorded (DESIGN.md §5):
+// A kernel executes functionally on every launch, with four exceptions that
+// add counts without running a SIMT body lane by lane (DESIGN.md §5). Three
+// replay counts an earlier run recorded:
 //   - a block scan runs its body the first time its launch meets its
 //     ScanShape; later scans of that shape in the launch replay the counts
 //     and write the prefix sum on the host (Block::scan_once,
 //     simt/collectives.cpp);
 //   - a device list's posting-block decode runs its body the first time the
-//     block is decoded from that device copy (Block::measure / Block::replay,
-//     gpu/decode.cpp);
+//     block is decoded from that device copy (Block::measure /
+//     Block::add_counts, gpu/decode.cpp);
 //   - a GpuExecutor's MergePath step skips its launches and repeats an
 //     earlier step's counts when it intersects the same term set with the
 //     same list (gpu/mergepath.h).
+// The fourth computes them: MergePath's merge launch counts its staging copy
+// and its sub-partition + merge region from the staged tile, generating each
+// lane's access stream natively (tile counts, gpu/mergepath.cpp; the
+// all-SIMT oracle is tests/mergepath_reference.h).
 #pragma once
 
 #include <algorithm>
@@ -342,7 +347,8 @@ class Block {
         shared_arena_(spec.shared_mem_per_block),
         tally_(stats, spec.mem_transaction_bytes) {
     assert(block_dim_ > 0);
-    assert(block_dim_ <= static_cast<std::uint32_t>(spec.max_threads_per_block));
+    assert(block_dim_ <=
+           static_cast<std::uint32_t>(spec.max_threads_per_block));
   }
 
   /// Rewinds per-block state for the next block of the same launch.
@@ -403,9 +409,11 @@ class Block {
     return stats_ - before;
   }
 
-  /// Adds counts that measure() returned for an earlier run of a body this
-  /// block would repeat exactly (scan and decode records).
-  void replay(const sim::KernelStats& counts) { stats_ += counts; }
+  /// Adds counts the block's work earns without running its SIMT body:
+  /// what measure() returned for an earlier run of a body this block would
+  /// repeat exactly (scan and decode records), or counts computed from the
+  /// body's inputs (MergePath's tile counts).
+  void add_counts(const sim::KernelStats& counts) { stats_ += counts; }
 
   /// The shape of a scan over `data`, a span of this block's shared arena,
   /// that starts now.
@@ -425,7 +433,7 @@ class Block {
   void scan_once(const ScanShape& shape, Body&& body, Host&& host) {
     for (const auto& [s, counts] : scans_) {
       if (s == shape) {
-        replay(counts);
+        add_counts(counts);
         host();
         return;
       }

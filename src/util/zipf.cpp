@@ -47,8 +47,9 @@ double ZipfSampler::h_integral_inverse(double x) const {
 std::uint64_t ZipfSampler::operator()(Xoshiro256& rng) const {
   if (n_ == 1) return 1;
   for (;;) {
-    const double u = h_integral_num_elements_ +
-                     rng.uniform01() * (h_integral_x1_ - h_integral_num_elements_);
+    const double u =
+        h_integral_num_elements_ +
+        rng.uniform01() * (h_integral_x1_ - h_integral_num_elements_);
     const double x = h_integral_inverse(u);
     double k = std::floor(x + 0.5);
     if (k < 1.0) {

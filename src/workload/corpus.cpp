@@ -134,7 +134,8 @@ std::uint64_t list_size_for_rank(const CorpusConfig& cfg, std::uint32_t rank) {
   const double sz = max_size / std::pow(static_cast<double>(rank), cfg.zipf_s);
   return std::max<std::uint64_t>(
       cfg.min_list_size,
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(sz), cfg.num_docs / 2));
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(sz),
+                              cfg.num_docs / 2));
 }
 
 index::InvertedIndex generate_corpus(const CorpusConfig& cfg) {

@@ -61,7 +61,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BlockCodec, DecodeSingleBlock) {
   const auto docs = random_docids(1000, 1'000'000, 3);
-  const auto list = gc::BlockCompressedList::build(docs, gc::Scheme::kEliasFano);
+  const auto list =
+      gc::BlockCompressedList::build(docs, gc::Scheme::kEliasFano);
   std::vector<gc::DocId> buf(gc::kBlockSize);
   for (std::size_t b = 0; b < list.num_blocks(); ++b) {
     const std::uint32_t n = list.decode_block(b, buf.data());

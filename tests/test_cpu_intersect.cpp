@@ -41,7 +41,8 @@ TEST(CpuIntersect, PaperSvSExample) {
   // §2.1.2: PPoPP / Austria / 2018.
   const std::vector<DocId> ppopp{11, 15, 17, 38, 60};
   const std::vector<DocId> austria{3, 5, 8, 11, 13, 15, 17, 38, 46, 60, 65};
-  const std::vector<DocId> y2018{2, 4, 6, 11, 13, 14, 15, 19, 25, 33, 38, 60, 70};
+  const std::vector<DocId> y2018{2,  4,  6,  11, 13, 14, 15,
+                                 19, 25, 33, 38, 60, 70};
   griffin::sim::CpuCostAccumulator acc(spec);
   std::vector<DocId> tmp, out;
   gc::merge_intersect(std::span<const DocId>(ppopp),

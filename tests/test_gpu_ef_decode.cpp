@@ -19,9 +19,9 @@ using griffin::codec::Scheme;
 
 namespace {
 
-std::vector<DocId> gpu_decode_all(griffin::simt::Device& dev,
-                                  const BlockCompressedList& list,
-                                  griffin::sim::KernelStats* stats_out = nullptr) {
+std::vector<DocId> gpu_decode_all(
+    griffin::simt::Device& dev, const BlockCompressedList& list,
+    griffin::sim::KernelStats* stats_out = nullptr) {
   griffin::pcie::Link link;
   griffin::pcie::TransferLedger ledger;
   gg::DeviceList dlist = gg::upload_list(dev, list, link, ledger);
@@ -107,7 +107,9 @@ void expect_same_stats(const griffin::sim::KernelStats& got,
                        const griffin::sim::KernelStats& want) {
   EXPECT_EQ(got, want);
   griffin::util::for_each_field<griffin::sim::KernelStats>(
-      [&](const auto& f) { EXPECT_EQ(got.*f.member, want.*f.member) << f.key; });
+      [&](const auto& f) {
+        EXPECT_EQ(got.*f.member, want.*f.member) << f.key;
+      });
 }
 
 }  // namespace
@@ -288,7 +290,8 @@ TEST(ParaEF, WorkScalesLinearlyAndCoalescesWell) {
       griffin::workload::make_uniform_list(10'000, 320'000, rng);
   const auto big_docs =
       griffin::workload::make_uniform_list(100'000, 3'200'000, rng);
-  gpu_decode_all(dev, BlockCompressedList::build(small_docs, Scheme::kEliasFano),
+  gpu_decode_all(dev,
+                 BlockCompressedList::build(small_docs, Scheme::kEliasFano),
                  &small_stats);
   gpu_decode_all(dev, BlockCompressedList::build(big_docs, Scheme::kEliasFano),
                  &big_stats);

@@ -1,12 +1,15 @@
 // MergePath intersection (paper §3.1.2, Figures 5-6): exactness against
 // std::set_intersection across sizes/ratios, the paper's worked example, and
-// the load-balance property the partitioning exists to provide.
+// the load-balance property the partitioning exists to provide. The merge
+// launch's tile counts are checked against the all-SIMT oracle in
+// mergepath_reference.h, field for field.
 #include "gpu/mergepath.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "mergepath_reference.h"
 #include "util/rng.h"
 #include "workload/corpus.h"
 
@@ -46,6 +49,54 @@ std::vector<DocId> run_mergepath(Gpu& g, std::span<const DocId> a,
   std::vector<DocId> host(r.count);
   g.dev.download(std::span<DocId>(host), r.result);
   return host;
+}
+
+/// Whole-struct equality, with a per-field report when it fails.
+void expect_same_stats(const griffin::sim::KernelStats& got,
+                       const griffin::sim::KernelStats& want) {
+  EXPECT_EQ(got, want);
+  griffin::util::for_each_field<griffin::sim::KernelStats>(
+      [&](const auto& f) {
+        EXPECT_EQ(got.*f.member, want.*f.member) << f.key;
+      });
+}
+
+/// Runs gpu::mergepath_intersect and the all-SIMT oracle on the same inputs,
+/// each on its own device so both see the same device addresses (their
+/// shared arenas sit at different host addresses, which shifts every bank
+/// alike), and requires the same counts, matches, launches and ledger.
+void expect_matches_oracle(std::span<const DocId> a, std::span<const DocId> b,
+                           std::uint32_t items_per_thread) {
+  SCOPED_TRACE(::testing::Message() << "|A|=" << a.size() << " |B|="
+                                    << b.size() << " vt=" << items_per_thread);
+  Gpu g, o;
+  auto ga = g.up(a);
+  auto gb = g.up(b);
+  auto oa = o.up(a);
+  auto ob = o.up(b);
+  const auto got =
+      gg::mergepath_intersect(g.dev, ga, a.size(), gb, b.size(), g.link,
+                              g.ledger, gg::MergeTuning{items_per_thread});
+  const auto want = gg::reference::mergepath_intersect(
+      o.dev, oa, a.size(), ob, b.size(), o.link, o.ledger, items_per_thread);
+  expect_same_stats(got.stats, want.stats);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.kernels, want.kernels);
+  EXPECT_EQ(g.ledger.total, o.ledger.total);
+  EXPECT_EQ(g.ledger.transfers, o.ledger.transfers);
+  EXPECT_EQ(g.ledger.allocs, o.ledger.allocs);
+  std::vector<DocId> got_docs(got.count);
+  g.dev.download(std::span<DocId>(got_docs), got.result);
+  std::vector<DocId> want_docs(want.count);
+  o.dev.download(std::span<DocId>(want_docs), want.result);
+  EXPECT_EQ(got_docs, want_docs);
+  EXPECT_EQ(got_docs, reference(a, b));
+}
+
+std::vector<DocId> iota_list(std::size_t n, DocId first, DocId stride = 1) {
+  std::vector<DocId> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = first + stride * i;
+  return v;
 }
 
 }  // namespace
@@ -106,6 +157,7 @@ TEST_P(MergePathParam, MatchesReference) {
   Gpu g;
   EXPECT_EQ(run_mergepath(g, pair.shorter, pair.longer),
             reference(pair.shorter, pair.longer));
+  expect_matches_oracle(pair.shorter, pair.longer, gg::kItemsPerThread);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -113,6 +165,63 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(100, 1023, 1024, 1025, 60000),
                        ::testing::Values(1.0, 3.0, 15.0),
                        ::testing::Values(0.0, 0.4, 1.0)));
+
+/// Tile shapes at every partition size bench/ablation_partition sweeps.
+class MergePathTiles : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(MergePathTiles, CountsMatchTheSimtOracle) {
+  const std::uint32_t vt = GetParam();
+  const std::size_t span = std::size_t{vt} * gg::kMergeBlockThreads;
+  const std::vector<DocId> none;
+  const std::vector<DocId> one{1000};
+  const auto many = iota_list(3 * span + 77, 0, 3);
+
+  // Empty and one-element sides.
+  expect_matches_oracle(none, many, vt);
+  expect_matches_oracle(many, none, vt);
+  expect_matches_oracle(one, one, vt);
+  expect_matches_oracle(one, many, vt);
+  expect_matches_oracle(many, one, vt);
+  expect_matches_oracle(std::vector<DocId>{7}, one, vt);
+
+  // A wholly below B and B wholly below A: whole tiles of one list, so la
+  // or lb reaches span, and one tile holds the switch.
+  const auto low = iota_list(2 * span + 5, 0);
+  const auto high = iota_list(span + 300, 10 * static_cast<DocId>(span));
+  expect_matches_oracle(low, high, vt);
+  expect_matches_oracle(high, low, vt);
+
+  // Five A elements below all of B, and |B| a multiple of 32: the last
+  // tile's B part starts off a segment boundary and ends on one, so the
+  // staging run that lb cuts short ends exactly at a segment edge.
+  const auto head = iota_list(5, 0);
+  const auto tail = iota_list(2 * span + 64, 10);
+  expect_matches_oracle(head, tail, vt);
+  expect_matches_oracle(tail, head, vt);
+
+  // B is A plus one lower element, so every even diagonal lands inside an
+  // equal pair: both nudge checks load at every boundary, the second nudge
+  // fires at every block and even lane boundary, and tiles grow to
+  // la + lb = span + 1, the most a tile can hold.
+  const auto a = iota_list(4 * span + 3, 5, 2);
+  std::vector<DocId> b{1};
+  b.insert(b.end(), a.begin(), a.end());
+  expect_matches_oracle(a, b, vt);
+  expect_matches_oracle(b, a, vt);
+
+  // Totals around whole tiles and over several tiles, partial overlap: tiles
+  // start off segment boundaries, so runs cut short by lb cross segments.
+  for (const std::size_t total :
+       {span - 1, span, span + 1, 2 * span + 1, 7 * span + 3}) {
+    griffin::util::Xoshiro256 rng(vt * 1000 + total);
+    const auto pair = griffin::workload::make_pair_with_ratio(
+        total * 2 / 3, 2.0, 4 * total, 0.5, rng);
+    expect_matches_oracle(pair.shorter, pair.longer, vt);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AblationSizes, MergePathTiles,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u));
 
 TEST(MergePath, LoadBalancedWorkAcrossWarps) {
   // The core claim of MergePath: partitions are even, so per-warp work is

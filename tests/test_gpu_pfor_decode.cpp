@@ -12,9 +12,9 @@ using griffin::codec::DocId;
 using griffin::codec::Scheme;
 
 namespace {
-std::vector<DocId> gpu_pfor_decode_all(griffin::simt::Device& dev,
-                                       const BlockCompressedList& list,
-                                       griffin::sim::KernelStats* stats = nullptr) {
+std::vector<DocId> gpu_pfor_decode_all(
+    griffin::simt::Device& dev, const BlockCompressedList& list,
+    griffin::sim::KernelStats* stats = nullptr) {
   griffin::pcie::Link link;
   griffin::pcie::TransferLedger ledger;
   gg::DeviceList dlist = gg::upload_list(dev, list, link, ledger);

@@ -32,7 +32,8 @@ std::vector<std::uint32_t> reference_inclusive(std::vector<std::uint32_t> v) {
 
 }  // namespace
 
-class ScanTest : public ::testing::TestWithParam<std::tuple<int, std::uint32_t>> {};
+class ScanTest
+    : public ::testing::TestWithParam<std::tuple<int, std::uint32_t>> {};
 
 TEST_P(ScanTest, MatchesReference) {
   const auto [n, dim] = GetParam();

@@ -441,7 +441,9 @@ void expect_same_stats(const griffin::sim::KernelStats& got,
   SCOPED_TRACE("case " + std::to_string(c));
   // Exact for the double counts too: every charge is whole cycles.
   griffin::util::for_each_field<griffin::sim::KernelStats>(
-      [&](const auto& f) { EXPECT_EQ(got.*f.member, want.*f.member) << f.key; });
+      [&](const auto& f) {
+        EXPECT_EQ(got.*f.member, want.*f.member) << f.key;
+      });
 }
 
 }  // namespace
