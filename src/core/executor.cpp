@@ -331,7 +331,7 @@ sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
     // data dependency.
     if (i.first_pair) {
       cpu_ready =
-          cpu_op(svs_->materialize_probes(i.probe_term, probes_storage, m),
+          cpu_op(svs_->decode_single(i.probe_term, probes_storage, m),
                  sim::Stage::kIntersect, frontier_);
     } else {
       probes_storage.swap(host_current_);

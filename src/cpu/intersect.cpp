@@ -26,6 +26,39 @@ void charge_search_steps(sim::CpuCostAccumulator& acc, std::uint64_t steps,
   charge_binary_steps(acc, steps - absorbed);
   simd::charge_probe_windows(acc, probes);
 }
+
+/// merge_intersect's read position in one view: a decoded span is its one
+/// block; a compressed list decodes its next block into `buf` only once the
+/// current one is used up.
+struct BlockCursor {
+  explicit BlockCursor(const PostingView& v) {
+    if (const auto* d = std::get_if<std::span<const DocId>>(&v)) {
+      data = d->data();
+      n = d->size();
+    } else {
+      list = &std::get<1>(v).get();
+    }
+  }
+
+  /// Elements remain in the current block or in a block not yet decoded.
+  bool more() const {
+    return i < n || (list != nullptr && next_block < list->num_blocks());
+  }
+
+  void fill(sim::CpuCostAccumulator& acc) {
+    if (i < n) return;
+    n = decode_block(*list, next_block++, buf.data(), acc);
+    data = buf.data();
+    i = 0;
+  }
+
+  const BlockCompressedList* list = nullptr;
+  std::size_t next_block = 0;
+  std::array<DocId, codec::kBlockSize> buf{};
+  const DocId* data = nullptr;
+  std::size_t n = 0;
+  std::size_t i = 0;
+};
 }  // namespace
 
 void charge_binary_steps(sim::CpuCostAccumulator& acc, std::uint64_t steps) {
@@ -34,89 +67,26 @@ void charge_binary_steps(sim::CpuCostAccumulator& acc, std::uint64_t steps) {
                                                simd::kMissFraction));
 }
 
-void merge_intersect(std::span<const DocId> a, std::span<const DocId> b,
-                     std::vector<DocId>& out, sim::CpuCostAccumulator& acc) {
+void merge_intersect(PostingView a, PostingView b, std::vector<DocId>& out,
+                     sim::CpuCostAccumulator& acc) {
   out.clear();
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  simd::charge(acc, i + j, simd::merge_cost(acc.spec()));
-  acc.add_bytes((i + j) * sizeof(DocId));
-}
-
-void merge_intersect(std::span<const DocId> a, const BlockCompressedList& b,
-                     std::vector<DocId>& out, sim::CpuCostAccumulator& acc) {
-  out.clear();
-  if (a.empty()) return;
-  std::array<DocId, codec::kBlockSize> buf{};
-  std::size_t i = 0;
+  BlockCursor x(a), y(b);
   std::uint64_t steps = 0;
-  for (std::size_t blk = 0; blk < b.num_blocks() && i < a.size(); ++blk) {
-    // A merge still skips a block whose whole range lies below the current
-    // probe front? No — a merge must scan; but if the *remaining* probe side
-    // starts above the block's last docid, the block contributes nothing and
-    // a real implementation would still decode it to advance. We decode it
-    // and charge for the scan, staying faithful to a pure merge.
-    const std::uint32_t n = decode_block(b, blk, buf.data(), acc);
-    std::size_t j = 0;
-    while (i < a.size() && j < n) {
-      if (a[i] < buf[j]) {
-        ++i;
-      } else if (buf[j] < a[i]) {
-        ++j;
+  while (x.more() && y.more()) {
+    x.fill(acc);
+    y.fill(acc);
+    while (x.i < x.n && y.i < y.n) {
+      if (x.data[x.i] < y.data[y.i]) {
+        ++x.i;
+      } else if (y.data[y.i] < x.data[x.i]) {
+        ++y.i;
       } else {
-        out.push_back(a[i]);
-        ++i;
-        ++j;
+        out.push_back(x.data[x.i]);
+        ++x.i;
+        ++y.i;
       }
       ++steps;
     }
-  }
-  simd::charge(acc, steps, simd::merge_cost(acc.spec()));
-  acc.add_bytes(steps * sizeof(DocId));
-}
-
-void merge_intersect(const BlockCompressedList& a, const BlockCompressedList& b,
-                     std::vector<DocId>& out, sim::CpuCostAccumulator& acc) {
-  out.clear();
-  std::array<DocId, codec::kBlockSize> abuf{}, bbuf{};
-  std::size_t ablk = 0, bblk = 0;
-  std::uint32_t an = 0, bn = 0;
-  std::size_t i = 0, j = 0;
-  std::uint64_t steps = 0;
-
-  while (ablk < a.num_blocks() && bblk < b.num_blocks()) {
-    if (i == an) {
-      an = decode_block(a, ablk, abuf.data(), acc);
-      i = 0;
-    }
-    if (j == bn) {
-      bn = decode_block(b, bblk, bbuf.data(), acc);
-      j = 0;
-    }
-    while (i < an && j < bn) {
-      if (abuf[i] < bbuf[j]) {
-        ++i;
-      } else if (bbuf[j] < abuf[i]) {
-        ++j;
-      } else {
-        out.push_back(abuf[i]);
-        ++i;
-        ++j;
-      }
-      ++steps;
-    }
-    if (i == an) ++ablk;
-    if (j == bn) ++bblk;
   }
   simd::charge(acc, steps, simd::merge_cost(acc.spec()));
   acc.add_bytes(steps * sizeof(DocId));

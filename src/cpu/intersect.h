@@ -7,7 +7,9 @@
 // All variants compute exact intersections and charge the CPU cost model.
 #pragma once
 
+#include <functional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "codec/block_codec.h"
@@ -16,18 +18,19 @@
 
 namespace griffin::cpu {
 
-/// Decoded × decoded streaming merge.
-void merge_intersect(std::span<const DocId> a, std::span<const DocId> b,
-                     std::vector<DocId>& out, sim::CpuCostAccumulator& acc);
+/// One posting list as an intersect reads it: decoded (a span, e.g. a host
+/// decoded-cache entry) or compressed (decoded block by block on demand).
+using PostingView =
+    std::variant<std::span<const DocId>,
+                 std::reference_wrapper<const BlockCompressedList>>;
 
-/// Decoded × compressed: merge against lazily decoded blocks (every block up
-/// to the exhaustion point is decoded — merges scan everything).
-void merge_intersect(std::span<const DocId> a, const BlockCompressedList& b,
-                     std::vector<DocId>& out, sim::CpuCostAccumulator& acc);
-
-/// Compressed × compressed block-wise merge.
-void merge_intersect(const BlockCompressedList& a, const BlockCompressedList& b,
-                     std::vector<DocId>& out, sim::CpuCostAccumulator& acc);
+/// Streaming merge of two views. A compressed side decodes its blocks
+/// lazily, in list order, each only once the previous one is used up and
+/// the other side has elements left (a merge scans everything up to the
+/// exhaustion point); a decoded side is one block with no decode charge.
+/// Charges one merge step and sizeof(DocId) bytes per loop iteration.
+void merge_intersect(PostingView a, PostingView b, std::vector<DocId>& out,
+                     sim::CpuCostAccumulator& acc);
 
 /// Decoded probes × compressed target via skip pointers. `probes` must be
 /// ascending. Only candidate blocks of `target` are decoded, each in full:

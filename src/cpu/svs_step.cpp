@@ -1,9 +1,9 @@
 #include "cpu/svs_step.h"
 
 #include <cassert>
+#include <variant>
 
 #include "cpu/decode.h"
-#include "cpu/intersect.h"
 
 namespace griffin::cpu {
 
@@ -32,48 +32,46 @@ std::span<const codec::DocId> SvsStepper::decode_via_cache(
   return scratch;
 }
 
-const std::vector<codec::DocId>* SvsStepper::cached_only(
-    index::TermId t, core::QueryMetrics& m) {
-  if (!cache_->enabled()) return nullptr;
-  const auto* hit = cache_->lookup(t);
-  if (hit != nullptr) {
-    ++m.cache.host_hits;
-  } else {
+PostingView SvsStepper::view(index::TermId t, core::QueryMetrics& m) {
+  if (cache_->enabled()) {
+    if (const auto* hit = cache_->lookup(t)) {
+      ++m.cache.host_hits;
+      return std::span<const codec::DocId>(*hit);
+    }
     ++m.cache.host_misses;
   }
-  return hit;
+  return std::cref(idx_->list(t).docids);
+}
+
+void SvsStepper::intersect(std::span<const codec::DocId> probes,
+                           index::TermId t, std::vector<codec::DocId>& out,
+                           sim::CpuCostAccumulator& acc,
+                           core::QueryMetrics& m) {
+  const double ratio = static_cast<double>(idx_->list(t).docids.size()) /
+                       static_cast<double>(probes.size());
+  const PostingView target = view(t, m);
+  if (ratio >= skip_ratio_) {
+    std::visit([&](const auto& v) { skip_intersect(probes, v, out, acc); },
+               target);
+  } else {
+    merge_intersect(probes, target, out, acc);
+  }
 }
 
 sim::Duration SvsStepper::first_pair(index::TermId a, index::TermId b,
                                      std::vector<codec::DocId>& out,
                                      core::QueryMetrics& m) {
-  const auto& l0 = idx_->list(a).docids;
-  const auto& l1 = idx_->list(b).docids;
-  sim::CpuCostAccumulator acc(spec_);
   const double ratio =
-      static_cast<double>(l1.size()) / static_cast<double>(l0.size());
+      static_cast<double>(idx_->list(b).docids.size()) /
+      static_cast<double>(idx_->list(a).docids.size());
+  sim::CpuCostAccumulator acc(spec_);
   if (ratio >= skip_ratio_) {
     // Probe side decodes fully either way — route it through the cache
     // (possible insert) before the target lookup takes any span.
-    const auto probes = decode_via_cache(a, probe_scratch_, acc, m);
-    if (const auto* target = cached_only(b, m)) {
-      skip_intersect(probes, std::span<const codec::DocId>(*target), out, acc);
-    } else {
-      skip_intersect(probes, l1, out, acc);
-    }
+    intersect(decode_via_cache(a, probe_scratch_, acc, m), b, out, acc, m);
   } else {
-    const auto* d0 = cached_only(a, m);
-    const auto* d1 = cached_only(b, m);
-    if (d0 != nullptr && d1 != nullptr) {
-      merge_intersect(std::span<const codec::DocId>(*d0),
-                      std::span<const codec::DocId>(*d1), out, acc);
-    } else if (d0 != nullptr) {
-      merge_intersect(std::span<const codec::DocId>(*d0), l1, out, acc);
-    } else if (d1 != nullptr) {
-      merge_intersect(std::span<const codec::DocId>(*d1), l0, out, acc);
-    } else {
-      merge_intersect(l0, l1, out, acc);
-    }
+    const PostingView va = view(a, m);
+    merge_intersect(va, view(b, m), out, acc);
   }
   m.simd += acc.simd();
   return acc.time();
@@ -89,40 +87,14 @@ sim::Duration SvsStepper::next_step(std::vector<codec::DocId>& current,
   return d;
 }
 
-sim::Duration SvsStepper::materialize_probes(index::TermId t,
-                                             std::vector<codec::DocId>& out,
-                                             core::QueryMetrics& m) {
-  sim::CpuCostAccumulator acc(spec_);
-  const auto probes = decode_via_cache(t, probe_scratch_, acc, m);
-  out.assign(probes.begin(), probes.end());
-  m.simd += acc.simd();
-  return acc.time();
-}
-
 sim::Duration SvsStepper::partial_step(std::span<const codec::DocId> probes,
                                        index::TermId t,
                                        std::vector<codec::DocId>& out,
                                        core::QueryMetrics& m) {
   out.clear();
   if (probes.empty()) return {};
-  const auto& lt = idx_->list(t).docids;
   sim::CpuCostAccumulator acc(spec_);
-  const double ratio = static_cast<double>(lt.size()) /
-                       static_cast<double>(probes.size());
-  if (ratio >= skip_ratio_) {
-    if (const auto* target = cached_only(t, m)) {
-      skip_intersect(probes, std::span<const codec::DocId>(*target), out, acc);
-    } else {
-      skip_intersect(probes, lt, out, acc);
-    }
-  } else {
-    if (const auto* target = cached_only(t, m)) {
-      merge_intersect(probes, std::span<const codec::DocId>(*target), out,
-                      acc);
-    } else {
-      merge_intersect(probes, lt, out, acc);
-    }
-  }
+  intersect(probes, t, out, acc, m);
   m.simd += acc.simd();
   return acc.time();
 }
@@ -130,10 +102,10 @@ sim::Duration SvsStepper::partial_step(std::span<const codec::DocId> probes,
 sim::Duration SvsStepper::decode_ahead(index::TermId t,
                                        core::QueryMetrics& m) {
   if (host_decoded(t)) return {};  // already paid — nothing to work ahead on
-  sim::CpuCostAccumulator acc(spec_);
-  decode_via_cache(t, probe_scratch_, acc, m);
-  m.simd += acc.simd();
-  return acc.time();
+  // The cache keeps the list; this copy is dropped at return, so no
+  // stepper buffer stays holding it.
+  std::vector<codec::DocId> decoded;
+  return decode_single(t, decoded, m);
 }
 
 sim::Duration SvsStepper::decode_single(index::TermId t,

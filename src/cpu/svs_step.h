@@ -22,6 +22,7 @@
 
 #include "core/query.h"
 #include "cpu/decoded_cache.h"
+#include "cpu/intersect.h"
 #include "sim/cpu_cost_model.h"
 #include "sim/hardware_spec.h"
 
@@ -56,19 +57,13 @@ class SvsStepper {
   sim::Duration next_step(std::vector<codec::DocId>& current, index::TermId t,
                           core::QueryMetrics& m);
 
-  /// Single-term query: decodes the whole list. Decode stage.
+  /// Decodes list t whole into `out`, via the cache. Decode stage for a
+  /// single-term query; a split first pair's probe side is Intersect stage,
+  /// like the unsplit skip path's probe decode.
   sim::Duration decode_single(index::TermId t, std::vector<codec::DocId>& out,
                               core::QueryMetrics& m);
 
   // ---- Co-execution support (DESIGN.md §15) ----------------------------
-
-  /// Materializes the probe side of a split first-pair intersect: decodes
-  /// list t fully (via the cache, like the skip path's probe decode) into
-  /// `out`. Intersect stage — the decode is part of the intersect step,
-  /// exactly as in the unsplit skip path.
-  sim::Duration materialize_probes(index::TermId t,
-                                   std::vector<codec::DocId>& out,
-                                   core::QueryMetrics& m);
 
   /// The CPU leg of a split intersect: intersects the (sorted, decoded)
   /// probe range with list t into `out`. Chooses skip vs merge by the
@@ -98,9 +93,15 @@ class SvsStepper {
       index::TermId t, std::vector<codec::DocId>& scratch,
       sim::CpuCostAccumulator& acc, core::QueryMetrics& m);
 
-  /// Lookup-only (never fills): the cached decoded list or nullptr.
-  const std::vector<codec::DocId>* cached_only(index::TermId t,
-                                               core::QueryMetrics& m);
+  /// Lookup-only (never fills): list t as the cache holds it decoded, else
+  /// compressed. Counts the hit or miss when the cache is enabled.
+  PostingView view(index::TermId t, core::QueryMetrics& m);
+
+  /// probes × list t into `out`, charging `acc`: skip_intersect when
+  /// |t| / |probes| >= skip_ratio_, merge_intersect below.
+  void intersect(std::span<const codec::DocId> probes, index::TermId t,
+                 std::vector<codec::DocId>& out, sim::CpuCostAccumulator& acc,
+                 core::QueryMetrics& m);
 
   const index::InvertedIndex* idx_;
   sim::CpuSpec spec_;

@@ -215,11 +215,7 @@ class FaultInjector {
   /// a simulated device fault? Asked only for GPU-placed compute steps.
   bool gpu_step_fault(std::uint32_t scope, std::uint64_t query,
                       std::uint64_t step) const {
-    if (!cfg_.gpu.armed()) return false;
-    if (cfg_.gpu.triggered(query, scope)) return true;
-    return cfg_.gpu.probability > 0.0 &&
-           coord01(cfg_.seed, kGpuSalt, scope, query, step) <
-               cfg_.gpu.probability;
+    return fires(cfg_.gpu, kGpuSalt, scope, query, step);
   }
 
   /// Does the device allocation behind plan step `step` of query `query`
@@ -229,11 +225,7 @@ class FaultInjector {
   /// same coordinates.
   bool oom_fault(std::uint32_t scope, std::uint64_t query,
                  std::uint64_t step) const {
-    if (!cfg_.oom.armed()) return false;
-    if (cfg_.oom.triggered(query, scope)) return true;
-    return cfg_.oom.probability > 0.0 &&
-           coord01(cfg_.seed, kOomSalt, scope, query, step) <
-               cfg_.oom.probability;
+    return fires(cfg_.oom, kOomSalt, scope, query, step);
   }
 
   /// Does attempt `attempt` of DMA number `transfer` within query `query`
@@ -241,11 +233,8 @@ class FaultInjector {
   /// the (query, scope) pair — the retry then succeeds.
   bool pcie_error(std::uint32_t scope, std::uint64_t query,
                   std::uint64_t transfer, std::uint32_t attempt) const {
-    if (!cfg_.pcie.armed()) return false;
-    if (attempt == 0 && cfg_.pcie.triggered(query, scope)) return true;
-    return cfg_.pcie.probability > 0.0 &&
-           coord01(cfg_.seed, kPcieSalt, scope, query,
-                   (transfer << 8) | attempt) < cfg_.pcie.probability;
+    return fires(cfg_.pcie, kPcieSalt, scope, query,
+                 (transfer << 8) | attempt, attempt == 0);
   }
 
   /// Is (shard, replica) unreachable at simulated instant `t`? Scripted
@@ -271,11 +260,7 @@ class FaultInjector {
 
   /// Does query `query` run `slow_factor` slow on shard `shard`'s primary?
   bool slow(std::uint64_t query, std::uint32_t shard) const {
-    if (!cfg_.slow.armed()) return false;
-    if (cfg_.slow.triggered(query, shard)) return true;
-    return cfg_.slow.probability > 0.0 &&
-           coord01(cfg_.seed, kSlowSalt, shard, query, 0) <
-               cfg_.slow.probability;
+    return fires(cfg_.slow, kSlowSalt, shard, query, 0);
   }
 
  private:
@@ -284,6 +269,17 @@ class FaultInjector {
   static constexpr std::uint64_t kCrashSalt = 0x435241534857494eULL;
   static constexpr std::uint64_t kSlowSalt = 0x534c4f575f524550ULL;
   static constexpr std::uint64_t kOomSalt = 0x4f4f4d5f50524553ULL;
+
+  /// The one site rule: a disarmed site never fires; a scripted trigger
+  /// for (query, scope) fires when `scripted` lets it; otherwise the
+  /// coordinate (scope, query, c) fires under the site's probability.
+  bool fires(const SiteConfig& site, std::uint64_t salt, std::uint32_t scope,
+             std::uint64_t query, std::uint64_t c, bool scripted = true) const {
+    if (!site.armed()) return false;
+    if (scripted && site.triggered(query, scope)) return true;
+    return site.probability > 0.0 &&
+           coord01(cfg_.seed, salt, scope, query, c) < site.probability;
+  }
 
   static void validate(double& probability) {
     assert(probability >= 0.0 && probability <= 1.0 &&

@@ -38,22 +38,6 @@ ServiceResult run_service(std::span<const sim::Duration> service_times,
   return res;
 }
 
-ServiceResult run_service(core::Engine& engine,
-                          const std::vector<core::Query>& queries,
-                          const ServiceConfig& cfg) {
-  core::RunTotals totals;
-  const auto times = measure_service_times(engine, queries, &totals);
-  ServiceResult res = run_service(std::span<const sim::Duration>(times), cfg);
-  static_cast<core::RunTotals&>(res) = totals;
-  // Per-resource busy fractions over the FCFS makespan: the summed
-  // per-query timeline busy divided by when the server finally freed.
-  // Sequential service never overlaps queries, so these are honest busy
-  // fractions of the whole run — the single-tenant baseline the
-  // multi-tenant overload is compared against.
-  res.resource_utilization = res.engine_overlap.busy_fractions(res.horizon);
-  return res;
-}
-
 ServiceResult run_service(tenancy::DeviceManager& device,
                           const std::vector<core::Query>& queries,
                           const ServiceConfig& cfg) {

@@ -32,21 +32,23 @@ struct ServiceConfig {
 };
 
 /// One service run. The core::RunTotals members sum the executed queries
-/// (the engine and multi-tenant overloads; zero in the precomputed-
-/// service-times overload). Every offered query is answered: the queues are
-/// unbounded, and admission control lives in DeviceManager::run's
-/// `max_in_system` (DESIGN.md §11).
+/// in the multi-tenant overload; the precomputed-service-times overload
+/// leaves them zero (measure_service_times fills its caller's totals).
+/// Every offered query is answered: the queues are unbounded, and admission
+/// control lives in DeviceManager::run's `max_in_system` (DESIGN.md §11).
 struct ServiceResult : core::RunTotals {
   util::PercentileTracker response_ms;  ///< queueing + service
   util::PercentileTracker service_ms;   ///< engine latency alone
   /// Busy fraction of the server as a whole: the FCFS server's busy/span
-  /// in the single-server overloads, the bottleneck resource's fraction in
+  /// in the single-server overload, the bottleneck resource's fraction in
   /// the multi-tenant overload.
   double utilization = 0.0;
   /// Per-resource busy fractions (indexed by sim::Resource) of the run's
-  /// span: from summed per-query timeline busy in the engine overload,
-  /// from the shared timeline in the multi-tenant overload. Zero in the
-  /// precomputed-service-times overload, which has no resource data.
+  /// span, from the shared timeline in the multi-tenant overload. Zero in
+  /// the precomputed-service-times overload, which has no resource data; a
+  /// caller holding the measured RunTotals takes
+  /// `engine_overlap.busy_fractions(horizon)` (bench/multi_tenant's
+  /// sequential baseline).
   std::array<double, sim::kNumResources> resource_utilization{};
   /// The run's makespan: when the server (or shared device) finally went
   /// idle. The denominator of the utilization fractions.
@@ -57,11 +59,6 @@ struct ServiceResult : core::RunTotals {
 /// Queueing simulation over precomputed per-query service times (engine
 /// latencies are deterministic, so load sweeps reuse one execution pass).
 ServiceResult run_service(std::span<const sim::Duration> service_times,
-                          const ServiceConfig& cfg);
-
-/// Convenience: executes each query once through `engine`, then simulates.
-ServiceResult run_service(core::Engine& engine,
-                          const std::vector<core::Query>& queries,
                           const ServiceConfig& cfg);
 
 /// Multi-tenant service simulation (DESIGN.md §12): queries arrive Poisson

@@ -27,6 +27,10 @@ griffin::sim::CpuSpec spec;
 }  // namespace
 
 TEST(CpuIntersect, DecodedMergeSmall) {
+  // PPoPP × Austria (§2.1.2): the two-pointer merge runs 10 compare-and-
+  // advance iterations (5 matches, 5 lone advances of b) before a runs out,
+  // and charges one merge step and one DocId read per iteration, as the
+  // block-wise merges do — a match is one step, not two.
   const std::vector<DocId> a{11, 15, 17, 38, 60};
   const std::vector<DocId> b{3, 5, 8, 11, 13, 15, 17, 38, 46, 60, 65};
   griffin::sim::CpuCostAccumulator acc(spec);
@@ -34,7 +38,8 @@ TEST(CpuIntersect, DecodedMergeSmall) {
   gc::merge_intersect(std::span<const DocId>(a), std::span<const DocId>(b),
                       out, acc);
   EXPECT_EQ(out, (std::vector<DocId>{11, 15, 17, 38, 60}));
-  EXPECT_GT(acc.cycles(), 0.0);
+  EXPECT_DOUBLE_EQ(acc.cycles(), 10 * spec.merge_step_cycles);
+  EXPECT_EQ(acc.bytes(), 10 * sizeof(DocId));
 }
 
 TEST(CpuIntersect, PaperSvSExample) {
@@ -95,6 +100,12 @@ TEST_P(CpuIntersectParam, AllVariantsMatchReference) {
   {
     griffin::sim::CpuCostAccumulator acc(spec);
     std::vector<DocId> out;
+    gc::merge_intersect(la, std::span<const DocId>(pair.longer), out, acc);
+    EXPECT_EQ(out, expect) << "compressed x decoded";
+  }
+  {
+    griffin::sim::CpuCostAccumulator acc(spec);
+    std::vector<DocId> out;
     gc::merge_intersect(la, lb, out, acc);
     EXPECT_EQ(out, expect) << "compressed x compressed";
   }
@@ -128,6 +139,26 @@ TEST(CpuIntersect, SkipDecodesFewerBlocksAtHighRatio) {
   EXPECT_EQ(out1, out2);
   // At ratio 512 the skip variant must be far cheaper than the full merge.
   EXPECT_LT(skip_acc.time().ps() * 5, merge_acc.time().ps());
+}
+
+TEST(CpuIntersect, DecodedTargetMergesNoDearerThanCompressed) {
+  // What a host decoded-cache hit saves on the merge path: against the
+  // decoded target the merge pays the same steps and no block decode, so it
+  // may not cost more than against the compressed target, decodes included
+  // (a 48,231 × 200,000 Elias-Fano pair with 24,515 matches).
+  griffin::util::Xoshiro256 rng(3);
+  const auto pair = griffin::workload::make_pair_with_ratio(
+      200'000, 4.0, 4'000'000, 0.5, rng);
+  const auto lb = BlockCompressedList::build(pair.longer, Scheme::kEliasFano);
+  griffin::sim::CpuCostAccumulator decoded_acc(spec), compressed_acc(spec);
+  std::vector<DocId> out1, out2;
+  gc::merge_intersect(std::span<const DocId>(pair.shorter),
+                      std::span<const DocId>(pair.longer), out1, decoded_acc);
+  gc::merge_intersect(std::span<const DocId>(pair.shorter), lb, out2,
+                      compressed_acc);
+  EXPECT_EQ(out1, out2);
+  EXPECT_LE(decoded_acc.cycles(), compressed_acc.cycles());
+  EXPECT_LE(decoded_acc.time().ps(), compressed_acc.time().ps());
 }
 
 TEST(CpuIntersect, MergeCheaperAtEqualLengths) {

@@ -39,13 +39,11 @@ std::vector<DocId> reference(std::span<const DocId> a,
 }
 
 std::vector<DocId> run_mergepath(Gpu& g, std::span<const DocId> a,
-                                 std::span<const DocId> b,
-                                 griffin::sim::KernelStats* stats = nullptr) {
+                                 std::span<const DocId> b) {
   auto da = g.up(a);
   auto db = g.up(b);
   auto r = gg::mergepath_intersect(g.dev, da, a.size(), db, b.size(), g.link,
                                    g.ledger);
-  if (stats != nullptr) *stats = r.stats;
   std::vector<DocId> host(r.count);
   g.dev.download(std::span<DocId>(host), r.result);
   return host;
@@ -224,9 +222,12 @@ INSTANTIATE_TEST_SUITE_P(AblationSizes, MergePathTiles,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u));
 
 TEST(MergePath, LoadBalancedWorkAcrossWarps) {
-  // The core claim of MergePath: partitions are even, so per-warp work is
-  // too. Compare counted warp cycles against the ideal (total/warps): the
-  // max imbalance should be small.
+  // The core claim of MergePath: launch 1 cuts the merge path into equal
+  // spans however the values are distributed, so every block's work is
+  // even. Measure the cut: each block stages the A + B elements between
+  // its two boundaries, and a boundary sits on its diagonal i * span or
+  // one element before it (the equal-pair nudge), so every block but the
+  // last stages span - 1 to span + 1 elements.
   Gpu g;
   griffin::util::Xoshiro256 rng(77);
   // Heavily skewed value distribution (clustered) — naive static
@@ -240,12 +241,34 @@ TEST(MergePath, LoadBalancedWorkAcrossWarps) {
     if (rng.uniform01() < 0.5) b.push_back(d + (i % 2));
   }
   b.erase(std::unique(b.begin(), b.end()), b.end());
+  EXPECT_EQ(run_mergepath(g, a, b), reference(a, b));
+  // gpu::mergepath_intersect partitions exactly as the oracle does...
+  expect_matches_oracle(a, b, gg::kItemsPerThread);
 
-  griffin::sim::KernelStats stats;
-  const auto got = run_mergepath(g, a, b, &stats);
-  EXPECT_EQ(got, reference(a, b));
-  // Sanity on the counted work: merge stage dominates and scales with n.
-  EXPECT_GT(stats.warp_cycles, 1000.0);
+  // ...so the oracle's search yields the boundaries launch 1 writes.
+  const std::uint64_t span = gg::kItemsPerThread * gg::kMergeBlockThreads;
+  const std::uint64_t total = a.size() + b.size();
+  const std::uint64_t nblocks = (total + span - 1) / span;
+  std::vector<gg::reference::Boundary> bounds;
+  griffin::simt::launch(g.dev, {1, 1}, [&](griffin::simt::Block& blk) {
+    blk.for_each_thread([&](griffin::simt::Thread& t) {
+      for (std::uint64_t i = 0; i <= nblocks; ++i) {
+        bounds.push_back(gg::reference::merge_path_search(
+            std::min(i * span, total), a.size(), b.size(),
+            [&](std::uint64_t k) { return a[k]; },
+            [&](std::uint64_t k) { return b[k]; }, t));
+      }
+    });
+  });
+  ASSERT_GT(nblocks, 100u);
+  EXPECT_EQ(bounds.front().a + bounds.front().b, 0u);
+  EXPECT_EQ(bounds.back().a + bounds.back().b, total);
+  for (std::uint64_t i = 0; i + 1 < nblocks; ++i) {
+    const std::uint64_t staged = (bounds[i + 1].a - bounds[i].a) +
+                                 (bounds[i + 1].b - bounds[i].b);
+    EXPECT_GE(staged, span - 1) << "block " << i;
+    EXPECT_LE(staged, span + 1) << "block " << i;
+  }
 }
 
 TEST(MergePath, CountsTransfersForOffsetsRoundTrip) {

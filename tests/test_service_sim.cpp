@@ -26,6 +26,17 @@ class FixedEngine : public core::Engine {
   double ms_;
 };
 
+/// The single-server service run: one execution pass through `engine`,
+/// then the FCFS simulation over its service times. `totals`, when
+/// non-null, sums the executed queries.
+service::ServiceResult serve(core::Engine& engine,
+                             const std::vector<core::Query>& queries,
+                             const service::ServiceConfig& cfg,
+                             core::RunTotals* totals = nullptr) {
+  const auto times = service::measure_service_times(engine, queries, totals);
+  return service::run_service(std::span<const sim::Duration>(times), cfg);
+}
+
 std::vector<core::Query> n_queries(std::size_t n) {
   std::vector<core::Query> qs(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -41,7 +52,7 @@ TEST(ServiceSim, LightLoadResponseEqualsService) {
   FixedEngine engine(1.0);  // 1 ms service
   service::ServiceConfig cfg;
   cfg.arrival_qps = 10.0;  // 100 ms between arrivals: no queueing
-  const auto res = service::run_service(engine, n_queries(500), cfg);
+  const auto res = serve(engine, n_queries(500), cfg);
   EXPECT_NEAR(res.response_ms.mean(), res.service_ms.mean(), 0.05);
   EXPECT_LT(res.utilization, 0.05);
 }
@@ -50,7 +61,7 @@ TEST(ServiceSim, HeavyLoadAddsQueueingDelay) {
   FixedEngine engine(1.0);
   service::ServiceConfig cfg;
   cfg.arrival_qps = 900.0;  // rho = 0.9: significant queueing
-  const auto res = service::run_service(engine, n_queries(2000), cfg);
+  const auto res = serve(engine, n_queries(2000), cfg);
   EXPECT_GT(res.response_ms.mean(), res.service_ms.mean() * 2.0);
   EXPECT_GT(res.utilization, 0.7);
   EXPECT_GT(res.max_queue_depth, 2u);
@@ -60,7 +71,7 @@ TEST(ServiceSim, OverloadUtilizationSaturates) {
   FixedEngine engine(1.0);
   service::ServiceConfig cfg;
   cfg.arrival_qps = 5000.0;  // rho = 5: unstable queue
-  const auto res = service::run_service(engine, n_queries(1000), cfg);
+  const auto res = serve(engine, n_queries(1000), cfg);
   EXPECT_GT(res.utilization, 0.95);
   // Response time is dominated by waiting behind the backlog.
   EXPECT_GT(res.response_ms.percentile(99),
@@ -75,7 +86,7 @@ TEST(ServiceSim, LongQueriesInflateOthersTails) {
   queries[300].terms = {999};
   service::ServiceConfig cfg;
   cfg.arrival_qps = 500.0;
-  const auto res = service::run_service(engine, queries, cfg);
+  const auto res = serve(engine, queries, cfg);
   EXPECT_GT(res.response_ms.percentile(99.9), 50.0);
   EXPECT_LE(res.service_ms.percentile(90), 1.1);
 }
@@ -84,14 +95,14 @@ TEST(ServiceSim, DeterministicPerSeed) {
   FixedEngine engine(2.0);
   service::ServiceConfig cfg;
   cfg.arrival_qps = 400.0;
-  const auto a = service::run_service(engine, n_queries(300), cfg);
-  const auto b = service::run_service(engine, n_queries(300), cfg);
+  const auto a = serve(engine, n_queries(300), cfg);
+  const auto b = serve(engine, n_queries(300), cfg);
   EXPECT_DOUBLE_EQ(a.response_ms.mean(), b.response_ms.mean());
   EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
 }
 
 TEST(ServiceSim, WorksWithRealEngines) {
-  // The engine overload's run totals are exactly the fold of the same
+  // The execution pass's run totals are exactly the fold of the same
   // queries through a second engine of the same preset, faults included.
   const auto& idx = testutil::small_index();
   core::HybridOptions opt;
@@ -106,7 +117,8 @@ TEST(ServiceSim, WorksWithRealEngines) {
       qcfg, static_cast<std::uint32_t>(idx.num_terms()));
   service::ServiceConfig cfg;
   cfg.arrival_qps = 2000.0;
-  const auto res = service::run_service(engine, log, cfg);
+  core::RunTotals got;
+  const auto res = serve(engine, log, cfg, &got);
   EXPECT_EQ(res.response_ms.count(), log.size());
   EXPECT_GT(res.utilization, 0.0);
 
@@ -114,10 +126,10 @@ TEST(ServiceSim, WorksWithRealEngines) {
   core::RunTotals want;
   for (const auto& q : log) want.add(twin.execute(q));
   EXPECT_GT(want.faults.gpu_faults, 0u);
-  EXPECT_EQ(res.engine_cache, want.engine_cache);
-  EXPECT_EQ(res.trace, want.trace);
-  EXPECT_EQ(res.engine_overlap, want.engine_overlap);
-  EXPECT_EQ(res.faults, want.faults);
+  EXPECT_EQ(got.engine_cache, want.engine_cache);
+  EXPECT_EQ(got.trace, want.trace);
+  EXPECT_EQ(got.engine_overlap, want.engine_overlap);
+  EXPECT_EQ(got.faults, want.faults);
 }
 
 TEST(ServiceSimEdge, EmptyQuerySetIsWellDefined) {
@@ -136,7 +148,7 @@ TEST(ServiceSimEdge, ZeroQpsDegradesToNoQueueing) {
   FixedEngine engine(1.0);
   service::ServiceConfig cfg;
   cfg.arrival_qps = 0.0;
-  const auto res = service::run_service(engine, n_queries(100), cfg);
+  const auto res = serve(engine, n_queries(100), cfg);
   EXPECT_EQ(res.response_ms.count(), 100u);
   EXPECT_DOUBLE_EQ(res.response_ms.mean(), res.service_ms.mean());
   EXPECT_DOUBLE_EQ(res.response_ms.percentile(99),
@@ -149,7 +161,7 @@ TEST(ServiceSimEdge, NearZeroQpsDoesNotOverflowTheClock) {
   FixedEngine engine(1.0);
   service::ServiceConfig cfg;
   cfg.arrival_qps = 1e-9;  // a raw exponential gap would overflow int64 ps
-  const auto res = service::run_service(engine, n_queries(200), cfg);
+  const auto res = serve(engine, n_queries(200), cfg);
   EXPECT_EQ(res.response_ms.count(), 200u);
   for (const double r : res.response_ms.samples()) {
     EXPECT_GE(r, 0.0);  // an overflow would wrap negative
@@ -166,7 +178,7 @@ TEST(ServiceSimEdge, UtilizationAndDepthConsistentWithPercentiles) {
   {
     service::ServiceConfig cfg;
     cfg.arrival_qps = 1.0;
-    const auto res = service::run_service(engine, n_queries(500), cfg);
+    const auto res = serve(engine, n_queries(500), cfg);
     EXPECT_LE(res.max_queue_depth, 2u);  // rare back-to-back Poisson gaps
     EXPECT_LT(res.utilization, 0.05);
     EXPECT_NEAR(res.response_ms.percentile(99),
@@ -177,7 +189,7 @@ TEST(ServiceSimEdge, UtilizationAndDepthConsistentWithPercentiles) {
   {
     service::ServiceConfig cfg;
     cfg.arrival_qps = 950.0;
-    const auto res = service::run_service(engine, n_queries(2000), cfg);
+    const auto res = serve(engine, n_queries(2000), cfg);
     EXPECT_GT(res.max_queue_depth, 1u);
     EXPECT_GT(res.utilization, 0.5);
     EXPECT_LE(res.utilization, 1.0);
@@ -223,7 +235,8 @@ TEST(ServiceSimAdmission, UnboundedQueueShedsNothing) {
   FixedEngine engine(1.0);
   service::ServiceConfig cfg;
   cfg.arrival_qps = 5000.0;  // rho = 5: the FCFS queue grows, never sheds
-  const auto res = service::run_service(engine, n_queries(500), cfg);
-  EXPECT_EQ(res.faults.shed_queries, 0u);
+  core::RunTotals totals;
+  const auto res = serve(engine, n_queries(500), cfg, &totals);
+  EXPECT_EQ(totals.faults.shed_queries, 0u);
   EXPECT_EQ(res.response_ms.count(), 500u);
 }
