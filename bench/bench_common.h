@@ -337,8 +337,10 @@ inline Json step_json(const core::StepRecord& r) {
   if (r.kind == core::StepKind::kIntersect) {
     if (r.placement == core::Placement::kSplit) j["alpha"] = r.alpha;
     j["shorter"] = r.shape.shorter;
+    j["shorter_terms"] = r.shape.terms;
     j["longer"] = r.shape.longer;
     j["longer_bytes"] = r.shape.longer_bytes;
+    j["longer_density"] = r.shape.longer_density;
     j["longer_scheme"] = codec::scheme_name(r.shape.longer_scheme);
     j["longer_device_resident"] = r.shape.longer_device_resident;
     j["longer_host_decoded"] = r.shape.longer_host_decoded;

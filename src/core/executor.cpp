@@ -245,10 +245,11 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
     // cache.
     return cpu_op(svs_->decode_ahead(h->term, m), sim::Stage::kDecode, {});
   }
-  // RankStep: BM25 + partial_sort on the host. Scoring uses the query's
-  // original term order, not the SvS length order: float accumulation order
-  // is then a property of the query alone, so a document-partitioned shard
-  // (whose local list lengths differ) produces bit-identical scores to the
+  // RankStep: BM25 + partial_sort on the host, reading each tf at the
+  // position its intersect carried. Scoring uses the query's original term
+  // order, not the SvS length order: float accumulation order is then a
+  // property of the query alone, so a document-partitioned shard (whose
+  // local list lengths differ) produces bit-identical scores to the
   // unpartitioned index (cluster/broker.h).
   m.result_count = host_current_.size();
   sim::CpuCostAccumulator rank(rank_spec_);
@@ -259,15 +260,10 @@ sim::Timeline::Event StepExecutor::dispatch(const PlanStep& step,
 }
 
 sim::Timeline::Event StepExecutor::run_cpu_leg(
-    std::span<const codec::DocId> probes, index::TermId t,
-    std::vector<codec::DocId>& out, sim::Timeline::Event ready,
-    QueryMetrics& m) {
-  if (probes.empty()) {
-    out.clear();
-    return ready;
-  }
-  return cpu_op(svs_->partial_step(probes, t, out, m),
-                sim::Stage::kIntersect, ready);
+    const Rows& probes, std::uint64_t lo, std::uint64_t hi, index::TermId t,
+    Rows& out, sim::Timeline::Event ready, QueryMetrics& m) {
+  const sim::Duration d = svs_->partial_step(probes, lo, hi, t, out, m);
+  return lo == hi ? ready : cpu_op(d, sim::Stage::kIntersect, ready);
 }
 
 std::optional<sim::Timeline::Event> StepExecutor::lose_split_leg(
@@ -289,12 +285,12 @@ std::optional<sim::Timeline::Event> StepExecutor::lose_split_leg(
 
 sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
                                              QueryMetrics& m) {
-  // The probes on the host: the CPU leg's range [0, n_cpu), and the GPU
-  // leg's range [n_cpu, n) too when they started host-side or that leg is
+  // The probes on the host: the CPU leg's rows [0, n_cpu), and the GPU
+  // leg's rows [n_cpu, n) too when they started host-side or that leg is
   // lost and redone here.
-  std::vector<codec::DocId> probes_storage;
-  std::vector<codec::DocId> cpu_out;
-  std::vector<codec::DocId> gpu_partial;
+  Rows probes;
+  Rows cpu_out;
+  Rows gpu_partial;
   std::uint64_t n_cpu = 0;
   sim::Timeline::Event cpu_ready = frontier_;
   sim::Timeline::Event gpu_done = frontier_;
@@ -314,10 +310,11 @@ sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
       // The lost leg consumed nothing: drain the WHOLE intermediate, so
       // both docID ranges run through the CPU stepper below.
       cpu_ready = *fault;
-      probes_storage = gpu_->download_intermediate(n, cpu_ready, m);
+      probes = gpu_->download_intermediate(n, cpu_ready, m);
     } else {
+      probes.terms = gpu_->intermediate_terms();
       if (n_cpu > 0) {
-        probes_storage = gpu_->download_intermediate(n_cpu, cpu_ready, m);
+        probes = gpu_->download_intermediate(n_cpu, cpu_ready, m);
       }
       if (n_gpu > 0) {
         gpu_partial = gpu_->split_intersect_device(i.term, n_cpu, gpu_done, m);
@@ -330,28 +327,25 @@ sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
     // decodes first; the device leg then waits on that op like any real
     // data dependency.
     if (i.first_pair) {
-      cpu_ready =
-          cpu_op(svs_->decode_single(i.probe_term, probes_storage, m),
-                 sim::Stage::kIntersect, frontier_);
+      cpu_ready = cpu_op(svs_->decode_single(i.probe_term, probes, m),
+                         sim::Stage::kIntersect, frontier_);
     } else {
-      probes_storage.swap(host_current_);
+      probes = std::move(host_current_);
     }
-    const std::uint64_t n_gpu = split_share(i.alpha, probes_storage.size());
-    n_cpu = probes_storage.size() - n_gpu;
+    const std::uint64_t n_gpu = split_share(i.alpha, probes.size());
+    n_cpu = probes.size() - n_gpu;
     gpu_done = cpu_ready;
     // A GPU leg lost over host-resident probes never moved them: its range
     // is simply redone host-side below.
     fault = lose_split_leg(i.term, n_gpu, cpu_ready, m);
     if (!fault && n_gpu > 0) {
-      gpu_partial = gpu_->split_intersect_host(
-          i.term, std::span<const codec::DocId>(probes_storage).subspan(n_cpu),
-          gpu_done, m);
+      gpu_partial =
+          gpu_->split_intersect_host(i.term, probes, n_cpu, gpu_done, m);
     }
   }
 
-  const std::span<const codec::DocId> probes(probes_storage);
   const sim::Timeline::Event cpu_done =
-      run_cpu_leg(probes.first(n_cpu), i.term, cpu_out, cpu_ready, m);
+      run_cpu_leg(probes, 0, n_cpu, i.term, cpu_out, cpu_ready, m);
   if (fault) {
     // The lost leg's range through the CPU stepper: partial_step over
     // [0, n_cpu) then [n_cpu, n) concatenates to exactly the unsplit
@@ -359,13 +353,13 @@ sim::Timeline::Event StepExecutor::run_split(const IntersectStep& i,
     // remainder of the plan gets pinned host-side (run() returns
     // kOkForceCpu). The redo waits out both the CPU leg (same core) and the
     // fault (the host learns of the abort when the device signals it).
-    gpu_done = run_cpu_leg(probes.subspan(n_cpu), i.term, gpu_partial,
+    gpu_done = run_cpu_leg(probes, n_cpu, probes.size(), i.term, gpu_partial,
                            sim::Timeline::join(cpu_done, *fault), m);
   }
 
   // The ranges are docID-disjoint and each partial is sorted, so the
-  // concatenation is exactly the unsplit intersection.
-  cpu_out.insert(cpu_out.end(), gpu_partial.begin(), gpu_partial.end());
+  // row-wise concatenation is exactly the unsplit intersection.
+  cpu_out.append(gpu_partial);
   host_current_ = std::move(cpu_out);
   loc_ = Placement::kCpu;
   return sim::Timeline::join(cpu_done, gpu_done);

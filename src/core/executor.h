@@ -19,6 +19,7 @@
 
 #include "core/plan.h"
 #include "core/query.h"
+#include "core/rows.h"
 #include "cpu/bm25.h"
 #include "cpu/svs_step.h"
 #include "gpu/engine.h"
@@ -98,6 +99,9 @@ class StepExecutor {
 
   /// Current intermediate-result size, wherever it lives.
   std::uint64_t intermediate_count() const;
+  /// The host-side intermediate: what the last rank step scored, until the
+  /// next query begins.
+  const Rows& host_rows() const { return host_current_; }
   /// Where the intermediate lives; nullopt before the first step.
   std::optional<Placement> location() const { return loc_; }
 
@@ -171,13 +175,12 @@ class StepExecutor {
                                                      std::uint64_t n_gpu,
                                                      sim::Timeline::Event at,
                                                      QueryMetrics& m);
-  /// The CPU leg of run_split: partial_step over the probe prefix, recorded
-  /// as one CPU-stream op waiting on `ready`. Returns its completion (or
-  /// `ready` unchanged for an empty leg).
-  sim::Timeline::Event run_cpu_leg(std::span<const codec::DocId> probes,
-                                   index::TermId t,
-                                   std::vector<codec::DocId>& out,
-                                   sim::Timeline::Event ready,
+  /// A CPU leg of run_split: partial_step over probe rows [lo, hi),
+  /// recorded as one CPU-stream op waiting on `ready`. Returns its
+  /// completion (or `ready` unchanged for an empty leg).
+  sim::Timeline::Event run_cpu_leg(const Rows& probes, std::uint64_t lo,
+                                   std::uint64_t hi, index::TermId t,
+                                   Rows& out, sim::Timeline::Event ready,
                                    QueryMetrics& m);
   /// Derives rec's stage split, duration and issue/start/end from the ops
   /// its step recorded: [ops0, end) of the timeline, since co-tenant steps
@@ -194,7 +197,7 @@ class StepExecutor {
   std::uint32_t fault_scope_;
   std::uint64_t query_id_ = 0;
   std::uint64_t step_index_ = 0;  ///< fault coordinate of the next step
-  std::vector<codec::DocId> host_current_;  ///< valid when loc_ == kCpu
+  Rows host_current_;  ///< valid when loc_ == kCpu
   std::optional<Placement> loc_;
   /// Private single-tenant timeline; tl_ points here unless begin_query()
   /// was handed a DeviceManager-owned shared timeline.

@@ -27,8 +27,15 @@ StepShape Planner::shape_for(std::uint64_t shorter, index::TermId longer_term,
                              std::optional<Placement> location) const {
   StepShape s;
   s.shorter = shorter;
+  // The intermediate after next_term_ terms: the first pair's probe list
+  // (next_term_ 0), the intermediate decide() places, and the one a bet
+  // predicts for (next_term_ already past the step it rides on).
+  s.terms = std::max<std::uint32_t>(static_cast<std::uint32_t>(next_term_), 1);
   s.longer = idx_->list(longer_term).size();
   s.longer_bytes = idx_->list(longer_term).docids.compressed_bytes();
+  s.longer_density =
+      static_cast<double>(idx_->df(longer_term)) /
+      static_cast<double>(std::max<std::size_t>(idx_->docs().num_docs(), 1));
   // Every codec stores at least a header for a nonempty list; the
   // scheduler's transfer terms divide by this, so a zero here means a list
   // was built outside index construction.

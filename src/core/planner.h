@@ -89,7 +89,9 @@ class Planner {
 
   /// The StepShape the scheduler would decide on for intersecting an
   /// intermediate of `shorter` docs at `location` with `longer_term` — the
-  /// backends fill the residency bits. Public so trace consumers (tests,
+  /// backends fill the residency bits, and the terms consumed so far the
+  /// intermediate's width, so a bet queued after a step predicts from the
+  /// shape the next decision will see. Public so trace consumers (tests,
   /// the scheduling ablation) can rebuild shapes the way the planner does.
   StepShape shape_for(std::uint64_t shorter, index::TermId longer_term,
                       std::optional<Placement> location) const;

@@ -63,8 +63,18 @@ enum class StepKind : std::uint8_t {
 /// state plus the cache-residency probes).
 struct StepShape {
   std::uint64_t shorter = 0;       ///< current intermediate (or short list)
+  /// Terms the shorter side holds: 1 for a list, more for an intermediate,
+  /// whose rows carry one position column per term (core/rows.h). Its row
+  /// width prices the intermediate's PCIe crossings.
+  std::uint32_t terms = 1;
   std::uint64_t longer = 0;        ///< next posting list length
   std::uint64_t longer_bytes = 0;  ///< its compressed payload bytes
+  /// The share of the collection's documents that hold the long list's
+  /// term (collection-wide df / N, so a shard reads the global share): the
+  /// chance that one probe matches when docIDs fall independently. The
+  /// split's GPU leg prices its partial's D2H at the expected matches; 1
+  /// prices every probe matching.
+  double longer_density = 1.0;
   /// The long list's compression scheme: the cost model prices the CPU
   /// decode through the per-codec lane model and charges the GPU a decode
   /// penalty for codecs with no lane-parallel kernel (gpu/decode.h).

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/rows.h"
 #include "cpu/simd_cost.h"
 #include "cpu/svs_step.h"
 #include "gpu/engine.h"
@@ -147,6 +148,11 @@ std::pair<double, sim::Duration> Scheduler::best_split(
   return {best_a, best_t};
 }
 
+sim::Duration Scheduler::rows_xfer(std::uint64_t n,
+                                   std::uint32_t terms) const {
+  return link_.transfer_time(static_cast<double>(Rows::bytes(n, terms)));
+}
+
 sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
   // The estimate prices each term per element of the LoopCost entries the
   // engine charges (cpu/simd_cost.h), so the decision model and the charges
@@ -181,9 +187,7 @@ sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
   }
   sim::Duration t = sim::Duration::from_cycles(cycles, c.clock_ghz);
   // Migration: intermediate currently on the GPU must come back first.
-  if (s.current_location == Placement::kGpu) {
-    t += link_.transfer_time(ns * sizeof(codec::DocId));
-  }
+  if (s.current_location == Placement::kGpu) t += rows_xfer(s.shorter, s.terms);
   return t;
 }
 
@@ -243,9 +247,7 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
     t = selective_gpu_time(ns, s);
   }
   // Migration: intermediate currently on the CPU must be shipped over.
-  if (s.current_location == Placement::kCpu) {
-    t += link_.transfer_time(ns * sizeof(codec::DocId));
-  }
+  if (s.current_location == Placement::kCpu) t += rows_xfer(s.shorter, s.terms);
   return t;
 }
 
@@ -254,9 +256,6 @@ sim::Duration Scheduler::estimate_split(const StepShape& s,
   if (s.shorter == 0) return sim::Duration();
   const std::uint64_t n_gpu = split_share(alpha, s.shorter);
   const std::uint64_t n_cpu = s.shorter - n_gpu;
-  const auto probe_xfer = [&](std::uint64_t n) {
-    return link_.transfer_time(static_cast<double>(n) * sizeof(codec::DocId));
-  };
 
   // CPU leg: the (1-alpha) low range through the same closed form as a
   // whole CPU step of that size — the leg's own ratio picks its skip/merge
@@ -268,21 +267,28 @@ sim::Duration Scheduler::estimate_split(const StepShape& s,
     cs.shorter = n_cpu;
     cs.current_location = Placement::kCpu;  // migration priced here, not there
     cpu_leg = estimate_cpu(cs);
-    if (s.current_location == Placement::kGpu) cpu_leg += probe_xfer(n_cpu);
+    if (s.current_location == Placement::kGpu) {
+      cpu_leg += rows_xfer(n_cpu, s.terms);
+    }
   }
 
   // GPU leg: the alpha high range always runs the selective binary-search
   // path (the only kernel the split executes), pays the probe H2D when the
-  // probes start host-side, and always pays the D2H of its partial (bounded
-  // by the probe count — every match is a probe).
+  // probes start host-side, and always pays the D2H of its partial: the
+  // probes' expected matches, one column wider.
   sim::Duration gpu_leg;
   if (n_gpu > 0) {
     StepShape gs = s;
     gs.shorter = n_gpu;
     gs.current_location = Placement::kGpu;
     gpu_leg = selective_gpu_time(static_cast<double>(n_gpu), gs);
-    if (s.current_location != Placement::kGpu) gpu_leg += probe_xfer(n_gpu);
-    gpu_leg += probe_xfer(n_gpu);
+    if (s.current_location != Placement::kGpu) {
+      gpu_leg += rows_xfer(n_gpu, s.terms);
+    }
+    const double hit = std::clamp(s.longer_density, 0.0, 1.0);
+    const auto matches = static_cast<std::uint64_t>(
+        std::llround(hit * static_cast<double>(n_gpu)));
+    gpu_leg += rows_xfer(matches, s.terms + 1);
   }
 
   // The legs run concurrently on the timeline: the step costs their max.

@@ -102,8 +102,9 @@ class Scheduler {
   ///   max(alpha-share on the GPU + its transfers,
   ///       (1-alpha)-share on the CPU + its migration D2H).
   /// The GPU leg always prices the selective binary-search path (the only
-  /// kernel the split executes) plus the probe H2D and the partial's D2H;
-  /// the CPU leg reuses estimate_cpu on its share.
+  /// kernel the split executes) plus the probe H2D and the D2H of the
+  /// partial's expected matches (StepShape::longer_density); the CPU leg
+  /// reuses estimate_cpu on its share.
   sim::Duration estimate_split(const StepShape& s, double alpha) const;
   /// Estimated host-side decode time of a `n`-posting list in scheme `s`
   /// (the kHostDecode work-ahead gate: hide it under the device step only
@@ -111,6 +112,9 @@ class Scheduler {
   sim::Duration estimate_host_decode(std::uint64_t n, codec::Scheme sc) const;
 
  private:
+  /// One PCIe crossing of `n` rows of an intermediate of `terms` terms,
+  /// priced at the width the ledger charges (core::Rows::bytes).
+  sim::Duration rows_xfer(std::uint64_t n, std::uint32_t terms) const;
   /// {best alpha, its estimate_split} over the deterministic alpha grid.
   std::pair<double, sim::Duration> best_split(const StepShape& s) const;
   /// The selective (binary-search over skip table, candidate blocks only)

@@ -1,11 +1,9 @@
 #include "cpu/bm25.h"
 
 #include <algorithm>
-#include <array>
+#include <cassert>
 #include <cmath>
 
-#include "cpu/decode.h"
-#include "cpu/intersect.h"
 #include "util/bits.h"
 
 namespace griffin::cpu {
@@ -16,55 +14,49 @@ double Bm25Scorer::idf(std::uint64_t df) const {
   return std::log(1.0 + (n - d + 0.5) / (d + 0.5));
 }
 
-double Bm25Scorer::term_score(std::uint32_t tf, std::uint64_t df,
+double Bm25Scorer::term_score(std::uint32_t tf, double idf,
                               std::uint32_t doc_len) const {
   const double norm =
       kBm25K1 * (1.0 - kBm25B +
                  kBm25B * static_cast<double>(doc_len) /
                      std::max(avg_len_, 1.0));
   const double t = static_cast<double>(tf);
-  return idf(df) * t / (t + norm);
+  return idf * t / (t + norm);
 }
 
 void Bm25Scorer::score(std::span<const index::TermId> terms,
-                       std::span<const index::DocId> docs,
+                       const core::Rows& rows,
                        std::vector<core::ScoredDoc>& out,
                        sim::CpuCostAccumulator& acc) const {
+  const auto docs = rows.docs();
   out.assign(docs.size(), core::ScoredDoc{});
   for (std::size_t i = 0; i < docs.size(); ++i) out[i].doc = docs[i];
   if (docs.empty()) return;
 
-  // Result docs ascend, so each term's postings are walked once with a
-  // block + in-block cursor (the tf sits right next to the docID it was
-  // intersected from; no per-result binary search is needed).
-  std::array<codec::DocId, codec::kBlockSize> buf{};
+  // One cache line holds this many tfs (one byte each).
+  constexpr std::uint64_t kTfsPerLine = 64;
   for (index::TermId t : terms) {
+    const auto col = static_cast<std::size_t>(
+        std::find(rows.terms.begin(), rows.terms.end(), t) -
+        rows.terms.begin());
+    assert(col < rows.terms.size());
     const index::PostingList& pl = idx_->list(t);
-    const auto& list = pl.docids;
-    std::size_t cur = 0;
-    std::size_t decoded_block = SIZE_MAX;
-    std::uint32_t decoded_n = 0;
-    std::uint32_t in_block = 0;
-
+    const double w = idf(idx_->df(t));
+    // A column's positions ascend with the rows' docIDs, so its tf reads
+    // stream through the list's tf array: one line per new line touched.
+    std::uint64_t lines = 0;
+    std::uint64_t line = ~std::uint64_t{0};
     for (std::size_t i = 0; i < docs.size(); ++i) {
-      const codec::DocId d = docs[i];
-      // Every result doc is guaranteed to appear in every term's list.
-      while (cur < list.num_blocks() && list.meta(cur).last < d) ++cur;
-      charge_binary_steps(acc, 1);
-      if (cur >= list.num_blocks()) break;
-      if (decoded_block != cur) {
-        decoded_n = decode_block(list, cur, buf.data(), acc);
-        decoded_block = cur;
-        in_block = 0;
+      const std::uint32_t pos = rows.position(col, i);
+      if (pos / kTfsPerLine != line) {
+        line = pos / kTfsPerLine;
+        ++lines;
       }
-      while (in_block < decoded_n && buf[in_block] < d) ++in_block;
-      acc.merge_steps(1);
-      const std::uint64_t pos = cur * codec::kBlockSize + in_block;
-      const std::uint32_t tf = pl.tf_at(pos);
       out[i].score += static_cast<float>(
-          term_score(tf, idx_->df(t), idx_->docs().length(d)));
-      acc.scores(1);
+          term_score(pl.tf_at(pos), w, idx_->docs().length(docs[i])));
     }
+    acc.scores(docs.size());
+    acc.add_bytes(docs.size() * sizeof(std::uint32_t) + lines * kTfsPerLine);
   }
 }
 

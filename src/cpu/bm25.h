@@ -1,12 +1,16 @@
 // BM25 ranking (Robertson & Walker [26]; paper §2.1.3). Scoring always runs
 // on the CPU — the paper's Figure 7 shows GPU selection/sorting loses at the
 // small result counts real queries produce, and Griffin follows that finding.
+// Each result's tf is read at the position its intersect found it at
+// (core/rows.h; DESIGN.md §5, rank model): no posting block is decoded and
+// no skip entry walked a second time.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "core/query.h"
+#include "core/rows.h"
 #include "index/inverted_index.h"
 #include "sim/cpu_cost_model.h"
 
@@ -24,15 +28,15 @@ class Bm25Scorer {
   /// Robertson-Sparck-Jones idf with the +1 floor (never negative).
   double idf(std::uint64_t df) const;
 
-  /// BM25 contribution of one (term, doc) pair.
-  double term_score(std::uint32_t tf, std::uint64_t df,
-                    std::uint32_t doc_len) const;
+  /// BM25 contribution of one (term, doc) pair, given the term's idf.
+  double term_score(std::uint32_t tf, double idf, std::uint32_t doc_len) const;
 
-  /// Scores every doc in `docs` (ascending) against all `terms`; appends
-  /// ScoredDocs to out and charges the rank-stage accumulator. Looks up each
-  /// term's tf by walking that term's block structure monotonically.
-  void score(std::span<const index::TermId> terms,
-             std::span<const index::DocId> docs,
+  /// Scores every row of `rows` against all `terms` (the query's own order,
+  /// so the float sums do not depend on the plan), writing one ScoredDoc per
+  /// row to out and charging the rank-stage accumulator: per (term, row) a
+  /// BM25 score, the position read, and the tf read's cache line when it
+  /// starts a new one. Every term must be one of rows.terms.
+  void score(std::span<const index::TermId> terms, const core::Rows& rows,
              std::vector<core::ScoredDoc>& out,
              sim::CpuCostAccumulator& acc) const;
 

@@ -47,13 +47,18 @@ struct BlockCursor {
 
   void fill(sim::CpuCostAccumulator& acc) {
     if (i < n) return;
+    base = next_block * codec::kBlockSize;
     n = decode_block(*list, next_block++, buf.data(), acc);
     data = buf.data();
     i = 0;
   }
 
+  /// List position of the current element.
+  std::uint32_t pos() const { return static_cast<std::uint32_t>(base + i); }
+
   const BlockCompressedList* list = nullptr;
   std::size_t next_block = 0;
+  std::size_t base = 0;  ///< list position of the current block's first
   std::array<DocId, codec::kBlockSize> buf{};
   const DocId* data = nullptr;
   std::size_t n = 0;
@@ -68,7 +73,7 @@ void charge_binary_steps(sim::CpuCostAccumulator& acc, std::uint64_t steps) {
 }
 
 void merge_intersect(PostingView a, PostingView b, std::vector<DocId>& out,
-                     sim::CpuCostAccumulator& acc) {
+                     sim::CpuCostAccumulator& acc, MatchPositions* at) {
   out.clear();
   BlockCursor x(a), y(b);
   std::uint64_t steps = 0;
@@ -82,6 +87,10 @@ void merge_intersect(PostingView a, PostingView b, std::vector<DocId>& out,
         ++y.i;
       } else {
         out.push_back(x.data[x.i]);
+        if (at != nullptr) {
+          at->rows.push_back(x.pos());
+          at->pos.push_back(y.pos());
+        }
         ++x.i;
         ++y.i;
       }
@@ -94,7 +103,7 @@ void merge_intersect(PostingView a, PostingView b, std::vector<DocId>& out,
 
 void skip_intersect(std::span<const DocId> probes,
                     const BlockCompressedList& target, std::vector<DocId>& out,
-                    sim::CpuCostAccumulator& acc) {
+                    sim::CpuCostAccumulator& acc, MatchPositions* at) {
   out.clear();
   if (probes.empty()) return;
   const auto metas = target.metas();
@@ -108,7 +117,8 @@ void skip_intersect(std::span<const DocId> probes,
   const bool vec = simd::enabled(acc.spec());
   std::uint64_t vec_steps = 0, vec_searches = 0;
 
-  for (DocId p : probes) {
+  for (std::size_t row = 0; row < probes.size(); ++row) {
+    const DocId p = probes[row];
     // Gallop over the skip table from the cursor, then binary search the
     // bracketed range — the skip-pointer search of Figure 2.
     if (cur >= metas.size()) break;
@@ -160,20 +170,28 @@ void skip_intersect(std::span<const DocId> probes,
     } else {
       charge_binary_steps(acc, levels);
     }
-    if (it != hi_it && *it == p) out.push_back(p);
+    if (it != hi_it && *it == p) {
+      out.push_back(p);
+      if (at != nullptr) {
+        at->rows.push_back(static_cast<std::uint32_t>(row));
+        at->pos.push_back(static_cast<std::uint32_t>(
+            cur * codec::kBlockSize + static_cast<std::size_t>(it - lo_it)));
+      }
+    }
   }
   if (vec) charge_search_steps(acc, vec_steps, vec_searches);
 }
 
 void skip_intersect(std::span<const DocId> probes,
                     std::span<const DocId> target, std::vector<DocId>& out,
-                    sim::CpuCostAccumulator& acc) {
+                    sim::CpuCostAccumulator& acc, MatchPositions* at) {
   out.clear();
   if (probes.empty() || target.empty()) return;
   std::size_t cur = 0;  // search front (probes ascend, so it only advances)
   std::uint64_t steps = 0;
   std::uint64_t searches = 0;
-  for (const DocId p : probes) {
+  for (std::size_t row = 0; row < probes.size(); ++row) {
+    const DocId p = probes[row];
     if (cur >= target.size()) break;
     // Gallop from the front, then binary-search the bracketed range.
     std::size_t step = 1;
@@ -197,6 +215,10 @@ void skip_intersect(std::span<const DocId> probes,
     ++searches;
     if (cur < target.size() && target[cur] == p) {
       out.push_back(p);
+      if (at != nullptr) {
+        at->rows.push_back(static_cast<std::uint32_t>(row));
+        at->pos.push_back(static_cast<std::uint32_t>(cur));
+      }
       ++cur;
     }
   }

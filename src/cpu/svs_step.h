@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/query.h"
+#include "core/rows.h"
 #include "cpu/decoded_cache.h"
 #include "cpu/intersect.h"
 #include "sim/cpu_cost_model.h"
@@ -46,33 +47,32 @@ class SvsStepper {
   // the timeline under the stage named here. Cache and lane counters land
   // in `m` directly.
 
-  /// First pair of a query: both sides are full lists, |a| <= |b|.
-  /// Intersect stage.
-  sim::Duration first_pair(index::TermId a, index::TermId b,
-                           std::vector<codec::DocId>& out,
+  /// First pair of a query: both sides are full lists, |a| <= |b|. `out`
+  /// carries both lists' positions. Intersect stage.
+  sim::Duration first_pair(index::TermId a, index::TermId b, core::Rows& out,
                            core::QueryMetrics& m);
 
-  /// Intersects the current (decoded, non-empty) intermediate with list t
-  /// in place: partial_step over all of it. Intersect stage.
-  sim::Duration next_step(std::vector<codec::DocId>& current, index::TermId t,
+  /// Intersects the current (non-empty) intermediate with list t in place:
+  /// partial_step over all of it. Intersect stage.
+  sim::Duration next_step(core::Rows& current, index::TermId t,
                           core::QueryMetrics& m);
 
-  /// Decodes list t whole into `out`, via the cache. Decode stage for a
-  /// single-term query; a split first pair's probe side is Intersect stage,
-  /// like the unsplit skip path's probe decode.
-  sim::Duration decode_single(index::TermId t, std::vector<codec::DocId>& out,
+  /// Decodes list t whole into `out`, via the cache: one term, no column.
+  /// Decode stage for a single-term query; a split first pair's probe side
+  /// is Intersect stage, like the unsplit skip path's probe decode.
+  sim::Duration decode_single(index::TermId t, core::Rows& out,
                               core::QueryMetrics& m);
 
   // ---- Co-execution support (DESIGN.md §15) ----------------------------
 
-  /// The CPU leg of a split intersect: intersects the (sorted, decoded)
-  /// probe range with list t into `out`. Chooses skip vs merge by the
-  /// leg's own length ratio — next_step is this over the whole
-  /// intermediate — so a degenerate alpha=0 split computes exactly what the
-  /// unsplit CPU step would. An empty range charges nothing. Intersect
-  /// stage.
-  sim::Duration partial_step(std::span<const codec::DocId> probes,
-                             index::TermId t, std::vector<codec::DocId>& out,
+  /// The CPU leg of a split intersect: intersects rows [lo, hi) of `probes`
+  /// with list t into `out`, which carries the probes' columns plus t's.
+  /// Chooses skip vs merge by the leg's own length ratio — next_step is
+  /// this over the whole intermediate — so a degenerate alpha=0 split
+  /// computes exactly what the unsplit CPU step would. An empty range
+  /// charges nothing. Intersect stage.
+  sim::Duration partial_step(const core::Rows& probes, std::uint64_t lo,
+                             std::uint64_t hi, index::TermId t, core::Rows& out,
                              core::QueryMetrics& m);
 
   /// Inter-step pipelining (kHostDecode): decodes list t into the decoded
@@ -97,18 +97,25 @@ class SvsStepper {
   /// compressed. Counts the hit or miss when the cache is enabled.
   PostingView view(index::TermId t, core::QueryMetrics& m);
 
-  /// probes × list t into `out`, charging `acc`: skip_intersect when
-  /// |t| / |probes| >= skip_ratio_, merge_intersect below.
+  /// probes × list t into docs_ and at_, charging `acc`: skip_intersect
+  /// when |t| / |probes| >= skip_ratio_, merge_intersect below.
   void intersect(std::span<const codec::DocId> probes, index::TermId t,
-                 std::vector<codec::DocId>& out, sim::CpuCostAccumulator& acc,
-                 core::QueryMetrics& m);
+                 sim::CpuCostAccumulator& acc, core::QueryMetrics& m);
+
+  /// Builds `out` from the matches in docs_ and at_: their docIDs, the
+  /// columns of `in` gathered by each match's row (offset by `lo`), and
+  /// their positions in list t. Charges the column traffic to `acc`.
+  void gather(const core::Rows& in, std::uint64_t lo, index::TermId t,
+              core::Rows& out, sim::CpuCostAccumulator& acc) const;
 
   const index::InvertedIndex* idx_;
   sim::CpuSpec spec_;
   double skip_ratio_;
   DecodedCache* cache_;
   std::vector<codec::DocId> probe_scratch_;
-  std::vector<codec::DocId> out_scratch_;
+  std::vector<codec::DocId> docs_;
+  MatchPositions at_;
+  core::Rows out_scratch_;
 };
 
 }  // namespace griffin::cpu

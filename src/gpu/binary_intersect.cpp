@@ -15,12 +15,11 @@ constexpr std::uint32_t kThreads = 128;
 
 GpuIntersectResult binary_search_intersect(
     simt::Device& dev, const simt::DeviceBuffer<DocId>& probes,
-    std::uint64_t np,
-                                           const DeviceList& target,
-                                           const pcie::Link& link,
-                                           pcie::TransferLedger& ledger,
-                                           bool deferred_payload,
-                                           std::uint64_t probe_offset) {
+    std::uint64_t np, const DeviceList& target, const pcie::Link& link,
+    pcie::TransferLedger& ledger, bool deferred_payload,
+    std::uint64_t probe_offset, std::uint32_t probe_terms,
+    std::uint64_t first_row) {
+  const ProbeRows probe{&probes, probe_offset + np, probe_terms, first_row};
   GpuIntersectResult res;
   if (np == 0 || target.size == 0) {
     res.result = dev.alloc<DocId>(1);
@@ -107,9 +106,11 @@ GpuIntersectResult binary_search_intersect(
   ++res.kernels;
 
   // --- Launch 3: per-probe binary search inside its decoded block, with
-  // block-level compaction of the matches. ---
+  // block-level compaction of the matches, their rows and their positions
+  // in the list (three planes of temp). ---
   const std::uint32_t pblocks = simt::blocks_for(np, kThreads);
-  auto temp = dev.alloc<DocId>(static_cast<std::uint64_t>(pblocks) * kThreads);
+  const std::uint64_t plane = static_cast<std::uint64_t>(pblocks) * kThreads;
+  auto temp = dev.alloc<DocId>(3 * plane);
   auto block_counts = dev.alloc<std::uint32_t>(pblocks);
   ledger.add_alloc(link);
   ledger.add_alloc(link);
@@ -118,6 +119,7 @@ GpuIntersectResult binary_search_intersect(
       dev, {pblocks, kThreads}, [&](simt::Block& blk) {
         auto counts = blk.shared<std::uint32_t>(blk.dim());
         std::vector<DocId> match(blk.dim(), 0);
+        std::vector<std::uint32_t> match_pos(blk.dim(), 0);
         std::vector<bool> has(blk.dim(), false);
 
         blk.for_each_thread([&](simt::Thread& t) {
@@ -142,6 +144,8 @@ GpuIntersectResult binary_search_intersect(
               }
               if (lo < n && t.load(decoded, base + lo) == p) {
                 match[t.tid()] = p;
+                match_pos[t.tid()] = static_cast<std::uint32_t>(
+                    target.host_descs[bidx].out_offset + lo);
                 has[t.tid()] = true;
                 found = 1;
               }
@@ -157,9 +161,12 @@ GpuIntersectResult binary_search_intersect(
           if (has[t.tid()]) {
             const std::uint32_t off =
                 t.sload(std::span<const std::uint32_t>(counts), t.tid());
-            t.store(temp,
-                    static_cast<std::uint64_t>(blk.block_id()) * kThreads + off,
-                    match[t.tid()]);
+            const std::uint64_t seg =
+                static_cast<std::uint64_t>(blk.block_id()) * kThreads + off;
+            t.store(temp, seg, match[t.tid()]);
+            t.store(temp, plane + seg,
+                    static_cast<DocId>(probe_offset + t.gid()));
+            t.store(temp, 2 * plane + seg, match_pos[t.tid()]);
           }
           if (t.tid() == 0) t.store(block_counts, blk.block_id(), block_total);
         });
@@ -172,7 +179,7 @@ GpuIntersectResult binary_search_intersect(
   ledger.add_transfer(link, pblocks * 4, false);
 
   CompactResult c =
-      compact_segments(dev, temp, counts_host, kThreads, link, ledger);
+      compact_segments(dev, temp, counts_host, kThreads, probe, link, ledger);
   res.stats += c.stats;
   ++res.kernels;
   res.result = std::move(c.data);

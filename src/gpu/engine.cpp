@@ -35,9 +35,7 @@ GpuExecutor::GpuExecutor(const index::InvertedIndex& idx, sim::HardwareSpec hw,
 
 void GpuExecutor::begin_query(sim::Timeline& tl, std::uint64_t query_id,
                               sim::Duration release) {
-  current_ = simt::DeviceBuffer<DocId>();
-  current_count_ = kNoIntermediate;
-  terms_.clear();
+  drop_intermediate();
   prefetch_.clear();
   tl_ = &tl;
   fault_query_ = query_id;
@@ -49,10 +47,15 @@ void GpuExecutor::begin_query(sim::Timeline& tl, std::uint64_t query_id,
 
 void GpuExecutor::finish_query(core::QueryMetrics& m) {
   drop_prefetches(m);
+  drop_intermediate();
+  tl_ = nullptr;
+}
+
+void GpuExecutor::drop_intermediate() {
   current_ = simt::DeviceBuffer<DocId>();
   current_count_ = kNoIntermediate;
-  terms_.clear();
-  tl_ = nullptr;
+  cols_.clear();
+  recordable_ = false;
 }
 
 void GpuExecutor::charge_kernel(const sim::KernelStats& s, sim::Stage stage,
@@ -261,6 +264,7 @@ void GpuExecutor::intersect_next(index::TermId t, sim::Timeline::Event& at,
           ? kPathRatio  // empty intermediate: nothing to merge anyway
           : static_cast<double>(lt.size()) /
                 static_cast<double>(current_count_);
+  const auto terms = static_cast<std::uint32_t>(cols_.size());
 
   pcie::TransferLedger ledger;
   bind_ledger(ledger, at, m);
@@ -269,59 +273,62 @@ void GpuExecutor::intersect_next(index::TermId t, sim::Timeline::Event& at,
     // A known term set fixes the intermediate, so an earlier step with the
     // same set and term counted exactly what this one would.
     MergeRecord* record = nullptr;
-    if (!terms_.empty()) {
-      std::vector<index::TermId> key = terms_;
+    if (recordable_) {
+      std::vector<index::TermId> key = cols_;
+      std::sort(key.begin(), key.end());
       key.push_back(t);
       record = &merge_records_[std::move(key)];
     }
     auto dt = decode_full_list(t, at, m);
     r = mergepath_intersect(device_, current_, current_count_, dt, lt.size(),
-                            link_, ledger, {}, record);
+                            link_, ledger, {}, record, terms);
   } else {
-    r = binary_search_over(t, current_, current_count_, 0, ledger, at, m);
+    r = binary_search_over(t, current_, current_count_, 0, terms, 0, ledger, at,
+                           m);
   }
   join_ledger(ledger, at);
   charge_kernel(r.stats, sim::Stage::kIntersect, at, m, r.kernels);
   current_ = std::move(r.result);
   current_count_ = r.count;
-  if (!terms_.empty()) {
-    const auto it = std::lower_bound(terms_.begin(), terms_.end(), t);
-    if (it == terms_.end() || *it != t) terms_.insert(it, t);
-  }
+  cols_.push_back(t);
 }
 
 void GpuExecutor::load_single(index::TermId t, sim::Timeline::Event& at,
                               core::QueryMetrics& m) {
   current_ = decode_full_list(t, at, m);
   current_count_ = idx_->list(t).size();
-  terms_.assign(1, t);
+  cols_.assign(1, t);
+  recordable_ = true;
 }
 
-void GpuExecutor::upload_intermediate(std::span<const DocId> docs,
+void GpuExecutor::upload_intermediate(const core::Rows& rows,
                                       sim::Timeline::Event& at,
                                       core::QueryMetrics& m) {
   pcie::TransferLedger ledger;
   bind_ledger(ledger, at, m);
-  current_ = device_.alloc<DocId>(std::max<std::size_t>(docs.size(), 1));
+  current_ = device_.alloc<DocId>(std::max<std::size_t>(rows.words.size(), 1));
   ledger.add_alloc(link_);
-  device_.upload(current_, docs);
-  ledger.add_transfer(link_, docs.size_bytes(), /*h2d=*/true);
+  device_.upload(current_, std::span<const DocId>(rows.words));
+  ledger.add_transfer(link_, core::Rows::bytes(rows.size(), rows.terms.size()),
+                      /*h2d=*/true);
   join_ledger(ledger, at);
-  current_count_ = docs.size();
-  terms_.clear();
+  current_count_ = rows.size();
+  cols_ = rows.terms;
+  recordable_ = false;
 }
 
-std::vector<DocId> GpuExecutor::download_intermediate(std::uint64_t n,
-                                                     sim::Timeline::Event& at,
-                                                     core::QueryMetrics& m) {
+core::Rows GpuExecutor::download_intermediate(std::uint64_t n,
+                                              sim::Timeline::Event& at,
+                                              core::QueryMetrics& m) {
   assert(has_intermediate());
   assert(n <= current_count_);
-  return download_partial(current_, n, at, m);
+  return download_rows(current_, current_count_, n, cols_, at, m);
 }
 
 GpuIntersectResult GpuExecutor::binary_search_over(
     index::TermId t, const simt::DeviceBuffer<DocId>& probes, std::uint64_t np,
-    std::uint64_t probe_offset, pcie::TransferLedger& ledger,
+    std::uint64_t probe_offset, std::uint32_t probe_terms,
+    std::uint64_t first_row, pcie::TransferLedger& ledger,
     sim::Timeline::Event& at, core::QueryMetrics& m) {
   if (auto paid = acquire_paid(t, at, m)) {
     // Prefetched or resident: the full payload is on the device, so no
@@ -330,7 +337,7 @@ GpuIntersectResult GpuExecutor::binary_search_over(
     GpuIntersectResult r =
         binary_search_intersect(device_, probes, np, paid->view(), link_,
                                 ledger, /*deferred_payload=*/false,
-                                probe_offset);
+                                probe_offset, probe_terms, first_row);
     commit(std::move(*paid), m);
     return r;
   }
@@ -340,54 +347,81 @@ GpuIntersectResult GpuExecutor::binary_search_over(
   DeviceList dlist = upload_list(device_, idx_->list(t).docids, link_, ledger,
                                  /*defer_payload=*/true);
   return binary_search_intersect(device_, probes, np, dlist, link_, ledger,
-                                 /*deferred_payload=*/true, probe_offset);
+                                 /*deferred_payload=*/true, probe_offset,
+                                 probe_terms, first_row);
 }
 
-std::vector<DocId> GpuExecutor::download_partial(
-    const simt::DeviceBuffer<DocId>& buf, std::uint64_t count,
-    sim::Timeline::Event& at, core::QueryMetrics& m) {
-  std::vector<DocId> out(count);
+core::Rows GpuExecutor::download_rows(const simt::DeviceBuffer<DocId>& buf,
+                                      std::uint64_t rows, std::uint64_t n,
+                                      std::vector<index::TermId> terms,
+                                      sim::Timeline::Event& at,
+                                      core::QueryMetrics& m) {
+  core::Rows out;
+  out.terms = std::move(terms);
+  const std::uint32_t width = core::Rows::width(out.terms.size());
+  out.words.resize(n * width);
   pcie::TransferLedger ledger;
   // Bound after the kernels: the D2H waits them out.
   bind_ledger(ledger, at, m);
-  device_.download(std::span<DocId>(out), buf);
-  ledger.add_transfer(link_, count * sizeof(DocId), /*h2d=*/false);
+  // Each column's first n rows; one strided DMA moves them all.
+  for (std::uint32_t w = 0; w < width; ++w) {
+    device_.download(std::span<DocId>(out.words).subspan(w * n, n), buf,
+                     w * rows);
+  }
+  ledger.add_transfer(link_, core::Rows::bytes(n, out.terms.size()),
+                      /*h2d=*/false);
   join_ledger(ledger, at);
   return out;
 }
 
-std::vector<DocId> GpuExecutor::split_leg(
-    index::TermId t, const simt::DeviceBuffer<DocId>& probes, std::uint64_t np,
-    std::uint64_t probe_offset, pcie::TransferLedger& ledger,
-    sim::Timeline::Event& at, core::QueryMetrics& m) {
+core::Rows GpuExecutor::split_leg(index::TermId t,
+                                  const simt::DeviceBuffer<DocId>& probes,
+                                  std::uint64_t np, std::uint64_t probe_offset,
+                                  std::uint64_t first_row,
+                                  const std::vector<index::TermId>& terms,
+                                  pcie::TransferLedger& ledger,
+                                  sim::Timeline::Event& at,
+                                  core::QueryMetrics& m) {
   GpuIntersectResult r =
-      binary_search_over(t, probes, np, probe_offset, ledger, at, m);
+      binary_search_over(t, probes, np, probe_offset,
+                         static_cast<std::uint32_t>(terms.size()), first_row,
+                         ledger, at, m);
   join_ledger(ledger, at);
   charge_kernel(r.stats, sim::Stage::kIntersect, at, m, r.kernels);
-  return download_partial(r.result, r.count, at, m);
+  std::vector<index::TermId> out_terms = terms;
+  out_terms.push_back(t);
+  return download_rows(r.result, r.count, r.count, std::move(out_terms), at,
+                       m);
 }
 
-std::vector<DocId> GpuExecutor::split_intersect_host(
-    index::TermId t, std::span<const DocId> probes, sim::Timeline::Event& at,
-    core::QueryMetrics& m) {
+core::Rows GpuExecutor::split_intersect_host(index::TermId t,
+                                             const core::Rows& probes,
+                                             std::uint64_t lo,
+                                             sim::Timeline::Event& at,
+                                             core::QueryMetrics& m) {
+  const core::Rows leg = probes.slice(lo, probes.size());
   pcie::TransferLedger ledger;
   bind_ledger(ledger, at, m);
-  auto dprobes = device_.alloc<DocId>(std::max<std::size_t>(probes.size(), 1));
+  auto dprobes =
+      device_.alloc<DocId>(std::max<std::size_t>(leg.words.size(), 1));
   ledger.add_alloc(link_);
-  device_.upload(dprobes, probes);
-  ledger.add_transfer(link_, probes.size_bytes(), /*h2d=*/true);
-  return split_leg(t, dprobes, probes.size(), 0, ledger, at, m);
+  device_.upload(dprobes, std::span<const DocId>(leg.words));
+  ledger.add_transfer(link_, core::Rows::bytes(leg.size(), leg.terms.size()),
+                      /*h2d=*/true);
+  // A single list's rows are its positions: the leg starts at row lo.
+  return split_leg(t, dprobes, leg.size(), 0, lo, leg.terms, ledger, at, m);
 }
 
-std::vector<DocId> GpuExecutor::split_intersect_device(
-    index::TermId t, std::uint64_t probe_offset, sim::Timeline::Event& at,
-    core::QueryMetrics& m) {
+core::Rows GpuExecutor::split_intersect_device(index::TermId t,
+                                               std::uint64_t probe_offset,
+                                               sim::Timeline::Event& at,
+                                               core::QueryMetrics& m) {
   assert(has_intermediate());
   assert(probe_offset <= current_count_);
   pcie::TransferLedger ledger;
   bind_ledger(ledger, at, m);
-  return split_leg(t, current_, current_count_ - probe_offset, probe_offset,
-                   ledger, at, m);
+  return split_leg(t, current_, current_count_ - probe_offset, probe_offset, 0,
+                   cols_, ledger, at, m);
 }
 
 }  // namespace griffin::gpu

@@ -12,6 +12,7 @@
 #include <optional>
 
 #include "core/query.h"
+#include "core/rows.h"
 #include "gpu/binary_intersect.h"
 #include "gpu/decode.h"
 #include "gpu/device_list.h"
@@ -52,7 +53,8 @@ struct GpuOptions {
 };
 
 /// Step-level GPU execution over one index. Holds the device, the cost
-/// model, and the current (device-resident, decoded) intermediate result.
+/// model, and the current (device-resident, decoded) intermediate result,
+/// laid out as core::Rows: its docIDs, then one position column per term.
 /// Every step that feeds the plan takes `at`, the event its first op waits
 /// on, and leaves its completion there (DESIGN.md §10); the caller owns the
 /// plan frontier.
@@ -138,50 +140,49 @@ class GpuExecutor {
   void load_single(index::TermId t, sim::Timeline::Event& at,
                    core::QueryMetrics& m);
 
-  /// Uploads a host intermediate result (CPU -> GPU migration).
-  void upload_intermediate(std::span<const DocId> docs,
-                           sim::Timeline::Event& at, core::QueryMetrics& m);
+  /// Uploads a host intermediate result, every column of it in one DMA
+  /// (CPU -> GPU migration).
+  void upload_intermediate(const core::Rows& rows, sim::Timeline::Event& at,
+                           core::QueryMetrics& m);
 
-  /// Downloads the first n elements of the device intermediate without
-  /// consuming it: all of it for a migration or the final drain, the CPU
-  /// leg's probe prefix in a split (DESIGN.md §15). In-flight prefetches
-  /// are left alone: a transfer step leaving the device drops them first.
-  std::vector<DocId> download_intermediate(std::uint64_t n,
-                                           sim::Timeline::Event& at,
-                                           core::QueryMetrics& m);
+  /// Downloads the first n rows of the device intermediate, every column,
+  /// in one DMA, without consuming it: all of it for a migration or the
+  /// final drain, the CPU leg's probe prefix in a split (DESIGN.md §15).
+  /// In-flight prefetches are left alone: a transfer step leaving the
+  /// device drops them first.
+  core::Rows download_intermediate(std::uint64_t n, sim::Timeline::Event& at,
+                                   core::QueryMetrics& m);
 
   // ---- Co-execution support (DESIGN.md §15) ----------------------------
 
-  /// GPU leg of a split intersect over host-resident probes: uploads the
-  /// probe range, binary-searches list t over it (selected blocks only —
+  /// GPU leg of a split intersect over host-resident probes: uploads probe
+  /// rows [lo, n), binary-searches list t over them (selected blocks only —
   /// the split's GPU leg always runs the §3.1.2 path), and downloads the
   /// partial result. The D2H is charged on its own ledger bound *after* the
   /// kernels, so on the timeline it waits them out. Leaves any device
   /// intermediate untouched.
-  std::vector<DocId> split_intersect_host(index::TermId t,
-                                          std::span<const DocId> probes,
-                                          sim::Timeline::Event& at,
-                                          core::QueryMetrics& m);
+  core::Rows split_intersect_host(index::TermId t, const core::Rows& probes,
+                                  std::uint64_t lo, sim::Timeline::Event& at,
+                                  core::QueryMetrics& m);
 
   /// GPU leg of a split intersect when the probes are the device-resident
   /// intermediate: runs over its [probe_offset, count) suffix in place (no
   /// re-upload) and downloads the partial. The intermediate stays until the
   /// caller drops it.
-  std::vector<DocId> split_intersect_device(index::TermId t,
-                                            std::uint64_t probe_offset,
-                                            sim::Timeline::Event& at,
-                                            core::QueryMetrics& m);
+  core::Rows split_intersect_device(index::TermId t, std::uint64_t probe_offset,
+                                    sim::Timeline::Event& at,
+                                    core::QueryMetrics& m);
 
   /// Releases the device intermediate without charges: a split step leaves
   /// its merged result host-side, so the device probes are spent.
-  void drop_intermediate() {
-    current_ = simt::DeviceBuffer<DocId>();
-    current_count_ = kNoIntermediate;
-    terms_.clear();
-  }
+  void drop_intermediate();
 
   bool has_intermediate() const { return current_count_ != kNoIntermediate; }
   std::uint64_t intermediate_count() const { return current_count_; }
+  /// The terms the device intermediate holds, in column order.
+  const std::vector<index::TermId>& intermediate_terms() const {
+    return cols_;
+  }
 
   /// True when term t's compressed list is resident in the device cache
   /// (stat-free; feeds core::StepShape::longer_device_resident).
@@ -238,8 +239,10 @@ class GpuExecutor {
   simt::DeviceBuffer<DocId> decode_full_list(index::TermId t,
                                              sim::Timeline::Event& at,
                                              core::QueryMetrics& m);
-  /// Binary search of list t over `np` probes starting at `probe_offset`,
-  /// with the one target acquisition every high-ratio intersect uses:
+  /// Binary search of list t over `np` probe rows starting at
+  /// `probe_offset`, of an intermediate of `probe_terms` terms (a single
+  /// list's rows numbered from `first_row`), with the one target
+  /// acquisition every high-ratio intersect uses:
   /// acquire_paid, else a deferred (skip table + candidate blocks only)
   /// upload into `ledger`. A consumed prefetch enters the cache once the
   /// kernels ran.
@@ -247,23 +250,27 @@ class GpuExecutor {
                                         const simt::DeviceBuffer<DocId>& probes,
                                         std::uint64_t np,
                                         std::uint64_t probe_offset,
+                                        std::uint32_t probe_terms,
+                                        std::uint64_t first_row,
                                         pcie::TransferLedger& ledger,
                                         sim::Timeline::Event& at,
                                         core::QueryMetrics& m);
-  /// The GPU leg of a split over `probes`: binary_search_over, its kernel
-  /// charge, then the D2H of the partial matches.
-  std::vector<DocId> split_leg(index::TermId t,
-                               const simt::DeviceBuffer<DocId>& probes,
-                               std::uint64_t np, std::uint64_t probe_offset,
-                               pcie::TransferLedger& ledger,
-                               sim::Timeline::Event& at, core::QueryMetrics& m);
-  /// The one D2H routine: `count` elements of `buf` on a fresh ledger bound
-  /// after the kernels that produced them (so the copy waits them out on
-  /// the timeline).
-  std::vector<DocId> download_partial(const simt::DeviceBuffer<DocId>& buf,
-                                      std::uint64_t count,
-                                      sim::Timeline::Event& at,
-                                      core::QueryMetrics& m);
+  /// The GPU leg of a split over probe rows of `terms`: binary_search_over,
+  /// its kernel charge, then the D2H of the partial matches.
+  core::Rows split_leg(index::TermId t, const simt::DeviceBuffer<DocId>& probes,
+                       std::uint64_t np, std::uint64_t probe_offset,
+                       std::uint64_t first_row,
+                       const std::vector<index::TermId>& terms,
+                       pcie::TransferLedger& ledger, sim::Timeline::Event& at,
+                       core::QueryMetrics& m);
+  /// The one D2H routine: the first `n` of the `rows` rows of `buf`, an
+  /// intermediate of `terms`, every column in one DMA on a fresh ledger
+  /// bound after the kernels that produced them (so the copy waits them out
+  /// on the timeline).
+  core::Rows download_rows(const simt::DeviceBuffer<DocId>& buf,
+                           std::uint64_t rows, std::uint64_t n,
+                           std::vector<index::TermId> terms,
+                           sim::Timeline::Event& at, core::QueryMetrics& m);
   /// Records one (possibly batch-fused) launch as a compute op of `stage`
   /// waiting on `at`, and counts its `kernels` into m.
   void charge_kernel(const sim::KernelStats& s, sim::Stage stage,
@@ -294,13 +301,15 @@ class GpuExecutor {
   pcie::Link link_;
   simt::DeviceBuffer<DocId> current_;
   std::uint64_t current_count_ = kNoIntermediate;
-  /// The sorted terms whose intersection current_ holds: started by
-  /// load_single, extended by intersect_next, and cleared wherever current_
-  /// is replaced by anything else (empty = not known).
-  std::vector<index::TermId> terms_;
+  /// The terms current_ holds, in column order.
+  std::vector<index::TermId> cols_;
+  /// current_ was built on the device alone, from load_single through
+  /// intersect_next, so its terms fix its contents and layout.
+  bool recordable_ = false;
   /// Merge records (DESIGN.md §5): one per MergePath step this executor
-  /// ran, keyed by its term set's sorted terms followed by the next term.
-  /// The index is immutable, so the key fixes both inputs.
+  /// ran, keyed by its terms sorted (repeats kept, so the key also fixes
+  /// the column count) followed by the next term. The index is immutable,
+  /// so the key fixes both inputs.
   std::map<std::vector<index::TermId>, MergeRecord> merge_records_;
 
   /// A kPrefetch upload awaiting its consumer. Ordered map: drop order (and

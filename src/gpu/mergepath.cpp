@@ -22,9 +22,11 @@ struct Boundary {
 };
 
 /// Merge-path crossing: smallest a such that the path at diagonal `diag`
-/// passes between A[a-1] and B[diag-a]. After the search, equal pairs
-/// straddling the boundary are pulled into the right-hand partition so no
-/// match can be split (docIDs are unique per list, so one nudge suffices).
+/// passes between A[a-1] and B[diag-a]. After the search, an equal pair
+/// straddling the boundary (A[a] == B[b-1]) is pulled into the right-hand
+/// partition so no match can be split (docIDs are unique per list, so one
+/// nudge suffices). The mirrored case A[a-1] == B[b] cannot arise: the
+/// search predicate is monotone, so A[a-1] < B[b] whenever both exist.
 /// `step()` runs once per search step. The two loads of every comparison
 /// are sequenced, A's before B's, because their order fixes each load's
 /// ordinal and so the counted transactions and conflicts.
@@ -46,14 +48,6 @@ Boundary merge_path_search(std::uint64_t diag, std::uint64_t na,
     }
   }
   Boundary r{lo, diag - lo};
-  if (r.a > 0 && r.b < nb) {
-    const DocId va = load_a(r.a - 1);
-    const DocId vb = load_b(r.b);
-    if (va == vb) {
-      --r.a;  // keep the equal pair together, in the right partition
-      return r;
-    }
-  }
   if (r.b > 0 && r.a < na) {
     const DocId va = load_a(r.a);
     const DocId vb = load_b(r.b - 1);
@@ -79,13 +73,15 @@ class TileCounter {
       : vt_(items_per_thread),
         segment_shift_(std::countr_zero(segment_bytes)),
         // A search over at most span + 1 elements takes at most
-        // bit_width(span + 1) steps of two loads, plus four nudge loads.
-        probe_cap_(2 * std::bit_width(vt_ * kMergeBlockThreads + 1) + 4),
+        // bit_width(span + 1) steps of two loads, plus two nudge loads.
+        probe_cap_(2 * std::bit_width(vt_ * kMergeBlockThreads + 1) + 2),
         // A lane's slice spans at most vt + 1 diagonals (the last lane takes
         // the remainder), so its merge loop runs at most vt + 2 times.
         match_cap_(vt_ + 2),
         probes_((kMergeBlockThreads + 1) * probe_cap_),
         matches_(kMergeBlockThreads * match_cap_),
+        match_a_(matches_.size()),
+        match_b_(matches_.size()),
         table_(32 * (2 * probe_cap_ + 2 * match_cap_ + 1)) {
     assert(std::has_single_bit(segment_bytes));
   }
@@ -185,8 +181,8 @@ class TileCounter {
   /// folded, in the order the lane makes the accesses, into a per-warp table
   /// of counts per (ordinal, bank). A diagonal is lane t's first search and
   /// lane t - 1's second, so each is run once and its probes are folded into
-  /// both lanes' streams. Writes counts[] and each lane's matches (see
-  /// matches()).
+  /// both lanes' streams. Writes counts[] and each lane's matches with
+  /// their tile indices (see matches()).
   sim::KernelStats merge(std::span<const DocId> sa, std::uint64_t la,
                          std::span<const DocId> sb, std::uint64_t lb,
                          std::span<std::uint32_t> counts) {
@@ -238,6 +234,8 @@ class TileCounter {
           touch(probes_[(t + 1) * probe_cap_ + k]);
         }
         DocId* out = &matches_[t * match_cap_];
+        std::uint32_t* out_a = &match_a_[t * match_cap_];
+        std::uint32_t* out_b = &match_b_[t * match_cap_];
         std::uint64_t i = s.bd.a, j = s.bd.b;
         std::uint32_t n = 0;
         std::uint32_t iters = 0;
@@ -246,8 +244,11 @@ class TileCounter {
           const DocId vb = sb[j];
           touch(static_cast<std::uint32_t>((bank_a + i) % 32));
           touch(static_cast<std::uint32_t>((bank_b + j) % 32));
-          // Branch-free step: va is kept only if it matches.
+          // Branch-free step: va and its indices are kept only if it
+          // matches.
           out[n] = va;
+          out_a[n] = static_cast<std::uint32_t>(i);
+          out_b[n] = static_cast<std::uint32_t>(j);
           n += va == vb;
           i += va <= vb;
           j += vb <= va;
@@ -290,6 +291,13 @@ class TileCounter {
   std::span<const DocId> matches(std::uint32_t t) const {
     return {matches_.data() + t * match_cap_, matches_n_[t]};
   }
+  /// Their indices in the staged A and B tiles.
+  std::span<const std::uint32_t> match_a(std::uint32_t t) const {
+    return {match_a_.data() + t * match_cap_, matches_n_[t]};
+  }
+  std::span<const std::uint32_t> match_b(std::uint32_t t) const {
+    return {match_b_.data() + t * match_cap_, matches_n_[t]};
+  }
 
  private:
   struct Search {
@@ -305,12 +313,50 @@ class TileCounter {
   /// Bank of each shared load of diagonal d's search, at d * probe_cap_.
   std::vector<std::uint16_t> probes_;
   std::array<Search, kMergeBlockThreads + 1> searches_;
-  /// Lane t's matches at t * match_cap_, matches_n_[t] of them.
+  /// Lane t's matches at t * match_cap_, matches_n_[t] of them, and their
+  /// tile indices.
   std::vector<DocId> matches_;
+  std::vector<std::uint32_t> match_a_;
+  std::vector<std::uint32_t> match_b_;
   std::array<std::uint32_t, kMergeBlockThreads> matches_n_{};
   /// The current warp's shared accesses per (ordinal, bank), row-major.
   std::vector<std::uint16_t> table_;
 };
+
+/// A replay's stand-in for the merge and compaction launches: writes the
+/// matches of a[0, na) and b[0, nb), a's columns gathered by row and the
+/// matches' positions in b into `out`, laid out as compact_segments lays
+/// them out. Simulator-only host access to device storage, as
+/// Device::upload does.
+void write_matches(ProbeRows a, const simt::DeviceBuffer<DocId>& b,
+                   std::uint64_t nb, simt::DeviceBuffer<DocId>& out,
+                   std::uint64_t count) {
+  const DocId* x = a.buf->raw();
+  const DocId* y = b.raw();
+  DocId* o = out.raw();
+  const std::uint64_t na = a.rows;
+  const std::uint32_t in_cols = core::Rows::columns(a.terms);
+  const std::uint32_t cols = core::Rows::columns(a.terms + 1);
+  std::uint64_t i = 0, j = 0, k = 0;
+  while (i < na && j < nb) {
+    if (x[i] < y[j]) {
+      ++i;
+    } else if (y[j] < x[i]) {
+      ++j;
+    } else {
+      o[k] = x[i];
+      for (std::uint32_t c = 0; c < in_cols; ++c) {
+        o[(1 + c) * count + k] = x[(1 + c) * na + i];
+      }
+      if (in_cols == 0) o[count + k] = static_cast<DocId>(i);
+      o[cols * count + k] = static_cast<DocId>(j);
+      ++k;
+      ++i;
+      ++j;
+    }
+  }
+  assert(k == count);
+}
 
 }  // namespace
 
@@ -322,47 +368,49 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
                                        const pcie::Link& link,
                                        pcie::TransferLedger& ledger,
                                        MergeTuning tuning,
-                                       MergeRecord* record) {
+                                       MergeRecord* record,
+                                       std::uint32_t a_terms) {
   const std::uint32_t span = tuning.items_per_thread * kMergeBlockThreads;
   assert(span >= 2);
   // Two staging tiles of span+2 DocIds must fit the 48 KB shared budget.
   assert((span + 2) * 2 * sizeof(DocId) + 4096 <=
          dev.spec().shared_mem_per_block);
+  const ProbeRows probe{&a, na, a_terms};
   GpuIntersectResult res;
   if (na == 0 || nb == 0) {
     res.result = dev.alloc<DocId>(1);
     ledger.add_alloc(link);
     return res;
   }
-  assert(na <= a.size() && nb <= b.size());
+  assert(na * core::Rows::width(a_terms) <= a.size() && nb <= b.size());
 
   const std::uint64_t total = na + nb;
   const std::uint32_t nblocks =
       static_cast<std::uint32_t>(util::div_ceil(total, span));
+  // The scatter's three planes: docIDs, rows in A, positions in B.
+  const std::uint64_t plane = static_cast<std::uint64_t>(nblocks) * span;
 
   auto aparts = dev.alloc<std::uint64_t>(nblocks + 1);
   auto bparts = dev.alloc<std::uint64_t>(nblocks + 1);
-  auto temp = dev.alloc<DocId>(static_cast<std::uint64_t>(nblocks) * span);
+  auto temp = dev.alloc<DocId>(3 * plane);
   auto block_counts = dev.alloc<std::uint32_t>(nblocks);
   for (int i = 0; i < 4; ++i) ledger.add_alloc(link);
 
   // --- After launches 1-2: offsets round trip + Launch 3: compaction. ---
   // A replay runs this tail too: the recorded block counts stand in for
-  // launches 1-2, and the host writes the matches in place of launch 3.
+  // launches 1-2, and the host writes the matches and their positions in
+  // place of launch 3.
   const bool replay = record != nullptr && record->recorded();
   const auto gather = [&] {
     std::vector<std::uint32_t> counts_host(nblocks);
     dev.download(std::span<std::uint32_t>(counts_host), block_counts);
     ledger.add_transfer(link, nblocks * 4, /*h2d=*/false);
 
-    CompactResult c = compact_segments(dev, temp, counts_host, span, link,
-                                       ledger, /*launch=*/!replay);
+    CompactResult c = compact_segments(dev, temp, counts_host, span, probe,
+                                       link, ledger, /*launch=*/!replay);
     ++res.kernels;
     if (replay) {
-      // Simulator-only host access to device storage, as Device::upload does.
-      [[maybe_unused]] const DocId* end = std::set_intersection(
-          a.raw(), a.raw() + na, b.raw(), b.raw() + nb, c.data.raw());
-      assert(static_cast<std::uint64_t>(end - c.data.raw()) == c.count);
+      write_matches(probe, b, nb, c.data, c.count);
     } else {
       res.stats += c.stats;
       if (record != nullptr) *record = {res.stats, std::move(counts_host)};
@@ -406,7 +454,7 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
       dev, {nblocks, kMergeBlockThreads}, [&](simt::Block& blk) {
         const std::uint32_t bid = blk.block_id();
 
-        // Shared staging (+2 covers the boundary nudges).
+        // Shared staging (+2 covers the boundary nudge).
         auto sa = blk.shared<DocId>(span + 2);
         auto sb = blk.shared<DocId>(span + 2);
         auto counts = blk.shared<std::uint32_t>(blk.dim());
@@ -434,15 +482,20 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
         const std::uint32_t block_total =
             simt::block_exclusive_scan(blk, counts);
 
-        // Scatter matches to the block's temp segment; store the count.
+        // Scatter each match, its row in A and its position in B to the
+        // block's temp segment of each plane; store the count.
         blk.for_each_thread([&](simt::Thread& t) {
           const std::uint32_t off =
               t.sload(std::span<const std::uint32_t>(counts), t.tid());
           const std::span<const DocId> out = tiles.matches(t.tid());
+          const std::span<const std::uint32_t> ia = tiles.match_a(t.tid());
+          const std::span<const std::uint32_t> ib = tiles.match_b(t.tid());
           for (std::size_t k = 0; k < out.size(); ++k) {
-            t.store(temp,
-                    static_cast<std::uint64_t>(bid) * span + off + k,
-                    out[k]);
+            const std::uint64_t seg =
+                static_cast<std::uint64_t>(bid) * span + off + k;
+            t.store(temp, seg, out[k]);
+            t.store(temp, plane + seg, static_cast<DocId>(a0 + ia[k]));
+            t.store(temp, 2 * plane + seg, static_cast<DocId>(b0 + ib[k]));
           }
           if (t.tid() == 0) t.store(block_counts, bid, block_total);
         });

@@ -12,7 +12,9 @@
 //   2. merge: each block stages its A/B segments into shared memory
 //      (coalesced), threads sub-partition in shared and serially intersect
 //      ~kItemsPerThread elements each, then a block scan compacts matches;
-//   3. compact: gather per-block match segments into one contiguous array.
+//   3. compact: gather per-block match segments into one contiguous
+//      intermediate, with the probe side's position columns gathered by
+//      each match's row and the matches' positions in B (gpu/compact.h).
 //
 // Launch 2 runs 128 threads in 4 full warps. Its staging copy and its
 // sub-partition + merge region are counted from the staged tile instead of
@@ -25,7 +27,8 @@
 // A call given a MergeRecord that an earlier call over the same inputs
 // filled replays it: the same allocations, ledger charges and host<->device
 // copies in the same order, the recorded counts in place of the three
-// launches, and the matches written by std::set_intersection (DESIGN.md §5).
+// launches, and the matches and their positions written by a host merge
+// (DESIGN.md §5).
 #pragma once
 
 #include "gpu/compact.h"
@@ -58,18 +61,23 @@ struct MergeRecord {
 };
 
 struct GpuIntersectResult {
+  /// `count` rows of an intermediate one term wider than the probe side
+  /// (core/rows.h).
   simt::DeviceBuffer<DocId> result;
   std::uint64_t count = 0;
   sim::KernelStats stats;  ///< merged across all launches
   std::uint32_t kernels = 0;
 };
 
-/// Intersects two decoded, ascending device arrays (first `na` elements of
-/// a, `nb` of b). Transfers for the tiny offset round trip are charged to
-/// `ledger`; kernel work is returned in the result. With a `record` that is
-/// already recorded, the caller vouches that a, b, na, nb and the tuning
-/// are those it was recorded with, and the call replays it; with an empty
-/// one, the call simulates and fills it.
+/// Intersects two decoded, ascending device arrays: `na` rows of a, an
+/// intermediate of `a_terms` terms (core/rows.h: 1 for a single decoded
+/// list), and `nb` docIDs of b. The result carries a's columns gathered by
+/// each match's row and the matches' positions in b. Transfers for the tiny
+/// offset round trip are charged to `ledger`; kernel work is returned in
+/// the result. With a `record` that is already recorded, the caller vouches
+/// that a, b, na, nb, a_terms and the tuning are those it was recorded
+/// with, and the call replays it; with an empty one, the call simulates and
+/// fills it.
 GpuIntersectResult mergepath_intersect(simt::Device& dev,
                                        const simt::DeviceBuffer<DocId>& a,
                                        std::uint64_t na,
@@ -78,6 +86,7 @@ GpuIntersectResult mergepath_intersect(simt::Device& dev,
                                        const pcie::Link& link,
                                        pcie::TransferLedger& ledger,
                                        MergeTuning tuning = {},
-                                       MergeRecord* record = nullptr);
+                                       MergeRecord* record = nullptr,
+                                       std::uint32_t a_terms = 1);
 
 }  // namespace griffin::gpu

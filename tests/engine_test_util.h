@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "bm25_walk_reference.h"
 #include "core/query.h"
+#include "core/rows.h"
 #include "cpu/bm25.h"
 #include "workload/corpus.h"
 #include "workload/querylog.h"
@@ -74,7 +76,8 @@ inline std::vector<index::DocId> reference_matches(
   return current;
 }
 
-/// Brute-force top-k (same scorer, same tie-breaks as the engines).
+/// Brute-force top-k: the walk-based scorer (tests/bm25_walk_reference.h)
+/// over the reference matches, the engines' tie-breaks.
 inline std::vector<core::ScoredDoc> reference_topk(
     const index::InvertedIndex& idx, const core::Query& q) {
   const auto matches = reference_matches(idx, q);
@@ -83,9 +86,26 @@ inline std::vector<core::ScoredDoc> reference_topk(
   const sim::CpuSpec spec{};
   sim::CpuCostAccumulator acc{spec};
   std::vector<core::ScoredDoc> scored;
-  scorer.score(q.terms, matches, scored, acc);
+  cpu::reference::walk_score(scorer, idx, q.terms, matches, scored, acc);
   cpu::top_k(scored, q.k, acc);
   return scored;
+}
+
+/// Every carried position points at its row's docID: for each column,
+/// entry p of row r is r's docID's index in that column's term's list.
+inline void expect_positions(const index::InvertedIndex& idx,
+                             const core::Rows& rows, const std::string& label) {
+  const auto docs = rows.docs();
+  for (std::size_t c = 0; c < rows.terms.size(); ++c) {
+    std::vector<index::DocId> list;
+    idx.list(rows.terms[c]).docids.decode_all(list);
+    for (std::size_t r = 0; r < docs.size(); ++r) {
+      const std::uint32_t p = rows.position(c, r);
+      ASSERT_LT(p, list.size()) << label << " term " << rows.terms[c];
+      ASSERT_EQ(list[p], docs[r]) << label << " term " << rows.terms[c]
+                                  << " row " << r;
+    }
+  }
 }
 
 /// The placement of every completed intersect step, in plan order: the

@@ -7,7 +7,8 @@
 // executed lane by lane through simt::Thread, so the simulator's WarpTally
 // counts each access as the lane makes it. It shares no counting code with
 // src/gpu/mergepath.cpp, so a differential test can require the two to agree
-// on every KernelStats field, the matches, the launch count and the ledger.
+// on every KernelStats field, the matches and their positions, the launch
+// count and the ledger.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +26,7 @@ struct Boundary {
   std::uint64_t a, b;
 };
 
-/// Merge-path crossing at diagonal `diag`, then the boundary nudges. The two
+/// Merge-path crossing at diagonal `diag`, then the boundary nudge. The two
 /// loads of every comparison are sequenced, A's before B's, because their
 /// order fixes each load's ordinal.
 template <typename LoadA, typename LoadB>
@@ -46,14 +47,6 @@ Boundary merge_path_search(std::uint64_t diag, std::uint64_t na,
     }
   }
   Boundary r{lo, diag - lo};
-  if (r.a > 0 && r.b < nb) {
-    const DocId va = load_a(r.a - 1);
-    const DocId vb = load_b(r.b);
-    if (va == vb) {
-      --r.a;
-      return r;
-    }
-  }
   if (r.b > 0 && r.a < na) {
     const DocId va = load_a(r.a);
     const DocId vb = load_b(r.b - 1);
@@ -67,9 +60,11 @@ inline GpuIntersectResult mergepath_intersect(
     simt::Device& dev, const simt::DeviceBuffer<DocId>& a, std::uint64_t na,
     const simt::DeviceBuffer<DocId>& b, std::uint64_t nb,
     const pcie::Link& link, pcie::TransferLedger& ledger,
-    std::uint32_t items_per_thread = kItemsPerThread) {
+    std::uint32_t items_per_thread = kItemsPerThread,
+    std::uint32_t a_terms = 1) {
   const std::uint32_t threads = kMergeBlockThreads;
   const std::uint32_t span = items_per_thread * threads;
+  const ProbeRows probe{&a, na, a_terms};
   GpuIntersectResult res;
   if (na == 0 || nb == 0) {
     res.result = dev.alloc<DocId>(1);
@@ -82,7 +77,8 @@ inline GpuIntersectResult mergepath_intersect(
       static_cast<std::uint32_t>(util::div_ceil(total, span));
   auto aparts = dev.alloc<std::uint64_t>(nblocks + 1);
   auto bparts = dev.alloc<std::uint64_t>(nblocks + 1);
-  auto temp = dev.alloc<DocId>(static_cast<std::uint64_t>(nblocks) * span);
+  const std::uint64_t plane = static_cast<std::uint64_t>(nblocks) * span;
+  auto temp = dev.alloc<DocId>(3 * plane);
   auto block_counts = dev.alloc<std::uint32_t>(nblocks);
   for (int i = 0; i < 4; ++i) ledger.add_alloc(link);
 
@@ -104,7 +100,11 @@ inline GpuIntersectResult mergepath_intersect(
   ++res.kernels;
 
   // Launch 2: staged merge-intersect, one block per partition.
-  std::vector<std::vector<DocId>> matches(threads);
+  struct Match {
+    DocId doc;
+    std::uint64_t i, j;  // indices in the staged tiles
+  };
+  std::vector<std::vector<Match>> matches(threads);
   res.stats += simt::launch(
       dev, {nblocks, threads}, [&](simt::Block& blk) {
         const std::uint32_t bid = blk.block_id();
@@ -166,7 +166,7 @@ inline GpuIntersectResult mergepath_intersect(
             } else if (vb < va) {
               ++j;
             } else {
-              out.push_back(va);
+              out.push_back({va, i, j});
               ++i;
               ++j;
             }
@@ -183,8 +183,11 @@ inline GpuIntersectResult mergepath_intersect(
               t.sload(std::span<const std::uint32_t>(counts), t.tid());
           const auto& out = matches[t.tid()];
           for (std::size_t k = 0; k < out.size(); ++k) {
-            t.store(temp, static_cast<std::uint64_t>(bid) * span + off + k,
-                    out[k]);
+            const std::uint64_t seg =
+                static_cast<std::uint64_t>(bid) * span + off + k;
+            t.store(temp, seg, out[k].doc);
+            t.store(temp, plane + seg, static_cast<DocId>(a0 + out[k].i));
+            t.store(temp, 2 * plane + seg, static_cast<DocId>(b0 + out[k].j));
           }
           if (t.tid() == 0) t.store(block_counts, bid, block_total);
         });
@@ -196,7 +199,7 @@ inline GpuIntersectResult mergepath_intersect(
   dev.download(std::span<std::uint32_t>(counts_host), block_counts);
   ledger.add_transfer(link, nblocks * 4, /*h2d=*/false);
   CompactResult c =
-      compact_segments(dev, temp, counts_host, span, link, ledger);
+      compact_segments(dev, temp, counts_host, span, probe, link, ledger);
   ++res.kernels;
   res.stats += c.stats;
   res.result = std::move(c.data);

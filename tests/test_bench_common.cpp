@@ -38,8 +38,10 @@ TEST(StepJson, IntersectLineCarriesTheWholeShape) {
   r.kind = core::StepKind::kIntersect;
   r.placement = core::Placement::kSplit;
   r.shape.shorter = 10;
+  r.shape.terms = 3;
   r.shape.longer = 5000;
   r.shape.longer_bytes = 1234;
+  r.shape.longer_density = 0.25;
   r.shape.longer_scheme = codec::Scheme::kPForDelta;
   r.shape.longer_device_resident = true;
   r.shape.longer_host_decoded = true;
@@ -53,7 +55,9 @@ TEST(StepJson, IntersectLineCarriesTheWholeShape) {
   r.simd.tail_elems = 2;
   const std::string line = bench::step_json(r).dump_line();
   for (const char* key :
-       {"\"longer_bytes\":1234", "\"longer_scheme\":\"PForDelta\"",
+       {"\"shorter_terms\":3", "\"longer_bytes\":1234",
+        "\"longer_density\":0.25",
+        "\"longer_scheme\":\"PForDelta\"",
         "\"longer_device_resident\":true", "\"longer_host_decoded\":true",
         "\"longer_prefetched\":true", "\"current_location\":\"gpu\"",
         "\"leg_faulted\":true",

@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "bm25_walk_reference.h"
+#include "core/rows.h"
+#include "cpu/intersect.h"
 #include "index/inverted_index.h"
 
 namespace gc = griffin::cpu;
@@ -42,10 +45,10 @@ TEST(Bm25, IdfDecreasesWithDf) {
 TEST(Bm25, TermScoreIncreasesWithTfSaturating) {
   const auto idx = tiny_index();
   gc::Bm25Scorer scorer(idx);
-  const double s1 = scorer.term_score(1, 2, 100);
-  const double s2 = scorer.term_score(2, 2, 100);
-  const double s10 = scorer.term_score(10, 2, 100);
-  const double s100 = scorer.term_score(100, 2, 100);
+  const double s1 = scorer.term_score(1, scorer.idf(2), 100);
+  const double s2 = scorer.term_score(2, scorer.idf(2), 100);
+  const double s10 = scorer.term_score(10, scorer.idf(2), 100);
+  const double s100 = scorer.term_score(100, scorer.idf(2), 100);
   EXPECT_LT(s1, s2);
   EXPECT_LT(s2, s10);
   EXPECT_LT(s10, s100);
@@ -56,7 +59,8 @@ TEST(Bm25, TermScoreIncreasesWithTfSaturating) {
 TEST(Bm25, LongerDocsPenalized) {
   const auto idx = tiny_index();
   gc::Bm25Scorer scorer(idx);
-  EXPECT_GT(scorer.term_score(3, 2, 50), scorer.term_score(3, 2, 500));
+  EXPECT_GT(scorer.term_score(3, scorer.idf(2), 50),
+            scorer.term_score(3, scorer.idf(2), 500));
 }
 
 TEST(Bm25, ScoreAgainstManualComputation) {
@@ -65,18 +69,23 @@ TEST(Bm25, ScoreAgainstManualComputation) {
   griffin::sim::CpuCostAccumulator acc(spec);
 
   const std::vector<griffin::index::TermId> terms{0, 1};
-  const std::vector<DocId> docs{1, 3};
+  // Docs 1 and 3 sit at positions 1 and 3 of t0's list, 0 and 1 of t1's.
+  griffin::core::Rows rows;
+  rows.terms = terms;
+  rows.words = {1, 3, 1, 3, 0, 1};
   std::vector<ScoredDoc> out;
-  scorer.score(terms, docs, out, acc);
+  scorer.score(terms, rows, out, acc);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].doc, 1u);
   EXPECT_EQ(out[1].doc, 3u);
 
   // Manual: doc 1 has tf(t0)=1, tf(t1)=2; doc 3 has tf(t0)=1, tf(t1)=5.
-  const double expect1 = scorer.term_score(1, 4, idx.docs().length(1)) +
-                         scorer.term_score(2, 2, idx.docs().length(1));
-  const double expect3 = scorer.term_score(1, 4, idx.docs().length(3)) +
-                         scorer.term_score(5, 2, idx.docs().length(3));
+  const double idf0 = scorer.idf(4);
+  const double idf1 = scorer.idf(2);
+  const double expect1 = scorer.term_score(1, idf0, idx.docs().length(1)) +
+                         scorer.term_score(2, idf1, idx.docs().length(1));
+  const double expect3 = scorer.term_score(1, idf0, idx.docs().length(3)) +
+                         scorer.term_score(5, idf1, idx.docs().length(3));
   EXPECT_NEAR(out[0].score, expect1, 1e-5);
   EXPECT_NEAR(out[1].score, expect3, 1e-5);
   // Doc 3's heavy tf on the rare term should rank it above doc 1 despite
@@ -98,17 +107,39 @@ TEST(Bm25, TfLookupAcrossBlocks) {
   }
   idx.add_list(docs, tfs);
 
+  // A second list holding every doc, so an intersect carries positions in
+  // both lists.
+  std::vector<DocId> all(n * 3);
+  for (std::uint32_t i = 0; i < n * 3; ++i) all[i] = i;
+  idx.add_list(all);
+
   gc::Bm25Scorer scorer(idx);
   griffin::sim::CpuCostAccumulator acc(spec);
-  const std::vector<griffin::index::TermId> terms{0};
-  // Sample docs across block boundaries.
+  // Sample docs across block boundaries, as the skip path finds them in
+  // list 0 and carries their positions.
   const std::vector<DocId> probe{0, 3, 127 * 3, 128 * 3, 129 * 3, 500 * 3,
                                  999 * 3};
+  std::vector<DocId> matched;
+  gc::MatchPositions at;
+  gc::skip_intersect(probe, idx.list(0).docids, matched, acc, &at);
+  ASSERT_EQ(matched, probe);
+  griffin::core::Rows rows;
+  rows.terms = {1, 0};
+  rows.words = matched;
+  for (const DocId d : matched) rows.words.push_back(d);  // list 1: doc = pos
+  rows.words.insert(rows.words.end(), at.pos.begin(), at.pos.end());
+
+  const std::vector<griffin::index::TermId> terms{0};
   std::vector<ScoredDoc> out;
-  scorer.score(terms, probe, out, acc);
+  scorer.score(terms, rows, out, acc);
+  std::vector<ScoredDoc> walked;
+  gc::reference::walk_score(scorer, idx, terms, probe, walked, acc);
+  EXPECT_EQ(out, walked);
   for (std::size_t i = 0; i < probe.size(); ++i) {
     const std::uint32_t pos = probe[i] / 3;
-    const double expect = scorer.term_score(1 + (pos % 7), n, 200);
+    EXPECT_EQ(at.pos[i], pos) << "probe " << i;
+    const double expect =
+        scorer.term_score(1 + (pos % 7), scorer.idf(n), 200);
     EXPECT_NEAR(out[i].score, expect, 1e-5) << "probe " << i;
   }
 }

@@ -175,3 +175,50 @@ TEST(CpuIntersect, MergeCheaperAtEqualLengths) {
   EXPECT_EQ(out1, out2);
   EXPECT_LT(merge_acc.time().ps(), skip_acc.time().ps());
 }
+
+TEST(CpuIntersect, EveryVariantEmitsMatchPositions) {
+  // Each match's row on the probe side and its position in the target, for
+  // every variant over compressed and decoded views: both lists span many
+  // blocks, so a position off by a block or a row shows.
+  griffin::util::Xoshiro256 rng(31);
+  const auto pair = griffin::workload::make_pair_with_ratio(
+      3'000, 40.0, 10'000'000, 0.5, rng);
+  const auto& a = pair.shorter;
+  const auto& b = pair.longer;
+  const auto la = BlockCompressedList::build(a, Scheme::kEliasFano);
+  const auto lb = BlockCompressedList::build(b, Scheme::kEliasFano);
+  const auto want = reference_intersect(a, b);
+  const auto index_in = [](const std::vector<DocId>& list, DocId d) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(list.begin(), list.end(), d) - list.begin());
+  };
+  const auto check = [&](const char* label, auto&& run) {
+    griffin::sim::CpuCostAccumulator acc(spec);
+    std::vector<DocId> out;
+    gc::MatchPositions at;
+    run(out, acc, at);
+    ASSERT_EQ(out, want) << label;
+    ASSERT_EQ(at.rows.size(), want.size()) << label;
+    ASSERT_EQ(at.pos.size(), want.size()) << label;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(at.rows[k], index_in(a, want[k])) << label << " match " << k;
+      EXPECT_EQ(at.pos[k], index_in(b, want[k])) << label << " match " << k;
+    }
+  };
+  const std::span<const DocId> da(a), db(b);
+  check("merge compressed", [&](auto& out, auto& acc, auto& at) {
+    gc::merge_intersect(std::cref(la), std::cref(lb), out, acc, &at);
+  });
+  check("merge decoded", [&](auto& out, auto& acc, auto& at) {
+    gc::merge_intersect(da, db, out, acc, &at);
+  });
+  check("merge mixed", [&](auto& out, auto& acc, auto& at) {
+    gc::merge_intersect(da, std::cref(lb), out, acc, &at);
+  });
+  check("skip compressed", [&](auto& out, auto& acc, auto& at) {
+    gc::skip_intersect(da, lb, out, acc, &at);
+  });
+  check("skip decoded", [&](auto& out, auto& acc, auto& at) {
+    gc::skip_intersect(da, db, out, acc, &at);
+  });
+}

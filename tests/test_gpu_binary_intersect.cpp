@@ -1,5 +1,7 @@
 // Parallel binary-search intersection over skip pointers (the high-ratio
-// GPU path): exactness, selective decode, and the §2.3 coalescing story.
+// GPU path): exactness, the rows it emits (the probes' position columns
+// gathered by row, each match's position in the list), selective decode,
+// and the §2.3 coalescing story.
 #include "gpu/binary_intersect.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@ namespace gg = griffin::gpu;
 using griffin::codec::BlockCompressedList;
 using griffin::codec::DocId;
 using griffin::codec::Scheme;
+using griffin::core::Rows;
 
 namespace {
 
@@ -48,7 +51,75 @@ std::vector<DocId> run_binary(Gpu& g, std::span<const DocId> probes,
   return host;
 }
 
+/// Probe rows [offset, n) of `probes`, an intermediate of `terms` terms
+/// with made-up position columns (a single list's rows are positions from
+/// `first_row` on) × `target`; returns every word of the result.
+std::vector<DocId> run_rows(Gpu& g, std::span<const DocId> probes,
+                            std::uint64_t offset, std::uint32_t terms,
+                            std::uint64_t first_row,
+                            std::span<const DocId> target) {
+  const std::uint32_t columns = Rows::columns(terms);
+  std::vector<DocId> buf(probes.begin(), probes.end());
+  for (std::uint32_t c = 0; c < columns; ++c) {
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      buf.push_back(static_cast<DocId>(i * 5 + c * 999'983));
+    }
+  }
+  auto dp = g.dev.alloc<DocId>(std::max<std::size_t>(buf.size(), 1));
+  g.dev.upload(dp, std::span<const DocId>(buf));
+  const auto list = BlockCompressedList::build(target, Scheme::kEliasFano);
+  gg::DeviceList dlist = gg::upload_list(g.dev, list, g.link, g.ledger);
+  auto r = gg::binary_search_intersect(g.dev, dp, probes.size() - offset,
+                                       dlist, g.link, g.ledger, false, offset,
+                                       terms, first_row);
+  std::vector<DocId> rows(r.count * Rows::width(terms + 1));
+  g.dev.download(std::span<DocId>(rows), r.result);
+
+  // By set semantics: the matches, the probes' columns by row (the row from
+  // first_row on when there are none), each match's index in the target.
+  std::vector<DocId> docs;
+  std::vector<std::size_t> at;
+  for (std::size_t i = offset; i < probes.size(); ++i) {
+    if (std::binary_search(target.begin(), target.end(), probes[i])) {
+      docs.push_back(probes[i]);
+      at.push_back(i);
+    }
+  }
+  std::vector<DocId> want(docs);
+  for (std::uint32_t c = 0; c < std::max(columns, 1u); ++c) {
+    for (const std::size_t i : at) {
+      want.push_back(columns == 0 ? static_cast<DocId>(first_row + i)
+                                  : buf[(1 + c) * probes.size() + i]);
+    }
+  }
+  for (const DocId d : docs) {
+    want.push_back(static_cast<DocId>(
+        std::lower_bound(target.begin(), target.end(), d) - target.begin()));
+  }
+  EXPECT_EQ(rows, want);
+  return rows;
+}
+
 }  // namespace
+
+TEST(GpuBinaryIntersect, RowsCarryPositions) {
+  griffin::util::Xoshiro256 rng(5);
+  const auto pair = griffin::workload::make_pair_with_ratio(
+      300'000, 150.0, 50'000'000, 0.6, rng);
+  const std::span<const DocId> probes(pair.shorter);
+  {
+    Gpu g;  // a single list: its rows are its positions
+    run_rows(g, probes, 0, 1, 0, pair.longer);
+  }
+  {
+    Gpu g;  // an intermediate of three terms, searched from a suffix
+    run_rows(g, probes, probes.size() / 3, 3, 0, pair.longer);
+  }
+  {
+    Gpu g;  // a split leg's uploaded suffix of a single list
+    run_rows(g, probes.subspan(500), 0, 1, 500, pair.longer);
+  }
+}
 
 TEST(GpuBinaryIntersect, SmallKnownCase) {
   Gpu g;

@@ -2,7 +2,9 @@
 // std::set_intersection across sizes/ratios, the paper's worked example, and
 // the load-balance property the partitioning exists to provide. The merge
 // launch's tile counts are checked against the all-SIMT oracle in
-// mergepath_reference.h, field for field.
+// mergepath_reference.h, field for field, and so are the rows: the matches,
+// A's position columns gathered by row, and each match's position in B. A
+// recorded step's replay must reproduce the simulated step exactly.
 #include "gpu/mergepath.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 namespace gg = griffin::gpu;
 using griffin::codec::DocId;
+using griffin::core::Rows;
 
 namespace {
 
@@ -59,36 +62,100 @@ void expect_same_stats(const griffin::sim::KernelStats& got,
       });
 }
 
-/// Runs gpu::mergepath_intersect and the all-SIMT oracle on the same inputs,
-/// each on its own device so both see the same device addresses (their
-/// shared arenas sit at different host addresses, which shifts every bank
-/// alike), and requires the same counts, matches, launches and ledger.
+/// A as an intersect's probe side, an intermediate of `terms` terms: its
+/// docIDs, then its position columns (core/rows.h) of made-up values.
+std::vector<DocId> with_columns(std::span<const DocId> a,
+                                std::uint32_t terms) {
+  std::vector<DocId> v(a.begin(), a.end());
+  for (std::uint32_t c = 0; c < Rows::columns(terms); ++c) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      v.push_back(static_cast<DocId>(i * 7 + c * 1'000'003));
+    }
+  }
+  return v;
+}
+
+/// The intersect's rows by set semantics: the matches, A's columns gathered
+/// by each match's row (its row itself when A has none), then each match's
+/// position in B.
+std::vector<DocId> reference_rows(std::span<const DocId> a,
+                                  std::span<const DocId> b,
+                                  std::uint32_t terms) {
+  const std::uint32_t columns = Rows::columns(terms);
+  const auto a_rows = with_columns(a, terms);
+  const auto docs = reference(a, b);
+  std::vector<DocId> rows(docs);
+  const auto index_in = [](std::span<const DocId> list, DocId d) {
+    return static_cast<DocId>(std::lower_bound(list.begin(), list.end(), d) -
+                              list.begin());
+  };
+  for (std::uint32_t c = 0; c < std::max(columns, 1u); ++c) {
+    for (const DocId d : docs) {
+      const DocId row = index_in(a, d);
+      rows.push_back(columns == 0 ? row : a_rows[(1 + c) * a.size() + row]);
+    }
+  }
+  for (const DocId d : docs) rows.push_back(index_in(b, d));
+  return rows;
+}
+
+/// All of a result over a probe side of `terms` terms: `count` rows one
+/// term wider.
+std::vector<DocId> download_rows(Gpu& g, const gg::GpuIntersectResult& r,
+                                 std::uint32_t terms) {
+  std::vector<DocId> rows(r.count * Rows::width(terms + 1));
+  g.dev.download(std::span<DocId>(rows), r.result);
+  return rows;
+}
+
+/// Runs gpu::mergepath_intersect and the all-SIMT oracle on the same inputs
+/// (A an intermediate of `terms` terms), each on its own device so both
+/// see the same device addresses (their shared arenas sit at different host
+/// addresses, which shifts every bank alike), and requires the same counts,
+/// rows, launches and ledger. Then replays the step from the record it
+/// filled, on a third device, and requires the same again.
 void expect_matches_oracle(std::span<const DocId> a, std::span<const DocId> b,
-                           std::uint32_t items_per_thread) {
-  SCOPED_TRACE(::testing::Message() << "|A|=" << a.size() << " |B|="
-                                    << b.size() << " vt=" << items_per_thread);
-  Gpu g, o;
-  auto ga = g.up(a);
+                           std::uint32_t items_per_thread,
+                           std::uint32_t terms = 1) {
+  SCOPED_TRACE(::testing::Message()
+               << "|A|=" << a.size() << " |B|=" << b.size()
+               << " vt=" << items_per_thread << " terms=" << terms);
+  const auto a_rows = with_columns(a, terms);
+  Gpu g, o, r;
+  auto ga = g.up(a_rows);
   auto gb = g.up(b);
-  auto oa = o.up(a);
+  auto oa = o.up(a_rows);
   auto ob = o.up(b);
-  const auto got =
-      gg::mergepath_intersect(g.dev, ga, a.size(), gb, b.size(), g.link,
-                              g.ledger, gg::MergeTuning{items_per_thread});
+  auto ra = r.up(a_rows);
+  auto rb = r.up(b);
+  gg::MergeRecord record;
+  const auto got = gg::mergepath_intersect(
+      g.dev, ga, a.size(), gb, b.size(), g.link, g.ledger,
+      gg::MergeTuning{items_per_thread}, &record, terms);
   const auto want = gg::reference::mergepath_intersect(
-      o.dev, oa, a.size(), ob, b.size(), o.link, o.ledger, items_per_thread);
+      o.dev, oa, a.size(), ob, b.size(), o.link, o.ledger, items_per_thread,
+      terms);
   expect_same_stats(got.stats, want.stats);
   EXPECT_EQ(got.count, want.count);
   EXPECT_EQ(got.kernels, want.kernels);
   EXPECT_EQ(g.ledger.total, o.ledger.total);
   EXPECT_EQ(g.ledger.transfers, o.ledger.transfers);
   EXPECT_EQ(g.ledger.allocs, o.ledger.allocs);
-  std::vector<DocId> got_docs(got.count);
-  g.dev.download(std::span<DocId>(got_docs), got.result);
-  std::vector<DocId> want_docs(want.count);
-  o.dev.download(std::span<DocId>(want_docs), want.result);
-  EXPECT_EQ(got_docs, want_docs);
-  EXPECT_EQ(got_docs, reference(a, b));
+  const auto got_rows = download_rows(g, got, terms);
+  EXPECT_EQ(got_rows, download_rows(o, want, terms));
+  EXPECT_EQ(got_rows, reference_rows(a, b, terms));
+
+  if (!record.recorded()) return;  // an empty side launches nothing
+  const auto replay = gg::mergepath_intersect(
+      r.dev, ra, a.size(), rb, b.size(), r.link, r.ledger,
+      gg::MergeTuning{items_per_thread}, &record, terms);
+  expect_same_stats(replay.stats, got.stats);
+  EXPECT_EQ(replay.count, got.count);
+  EXPECT_EQ(replay.kernels, got.kernels);
+  EXPECT_EQ(r.ledger.total, g.ledger.total);
+  EXPECT_EQ(r.ledger.transfers, g.ledger.transfers);
+  EXPECT_EQ(r.ledger.allocs, g.ledger.allocs);
+  EXPECT_EQ(download_rows(r, replay, terms), got_rows);
 }
 
 std::vector<DocId> iota_list(std::size_t n, DocId first, DocId stride = 1) {
@@ -156,6 +223,8 @@ TEST_P(MergePathParam, MatchesReference) {
   EXPECT_EQ(run_mergepath(g, pair.shorter, pair.longer),
             reference(pair.shorter, pair.longer));
   expect_matches_oracle(pair.shorter, pair.longer, gg::kItemsPerThread);
+  // A mid-query intermediate: three terms' columns ride along.
+  expect_matches_oracle(pair.shorter, pair.longer, gg::kItemsPerThread, 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -198,14 +267,15 @@ TEST_P(MergePathTiles, CountsMatchTheSimtOracle) {
   expect_matches_oracle(tail, head, vt);
 
   // B is A plus one lower element, so every even diagonal lands inside an
-  // equal pair: both nudge checks load at every boundary, the second nudge
-  // fires at every block and even lane boundary, and tiles grow to
+  // equal pair: the nudge check loads at every boundary, fires at every
+  // block and even lane boundary, and tiles grow to
   // la + lb = span + 1, the most a tile can hold.
   const auto a = iota_list(4 * span + 3, 5, 2);
   std::vector<DocId> b{1};
   b.insert(b.end(), a.begin(), a.end());
   expect_matches_oracle(a, b, vt);
   expect_matches_oracle(b, a, vt);
+  expect_matches_oracle(a, b, vt, 2);
 
   // Totals around whole tiles and over several tiles, partial overlap: tiles
   // start off segment boundaries, so runs cut short by lb cross segments.

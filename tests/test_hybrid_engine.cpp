@@ -229,3 +229,60 @@ TEST(HybridEngine, HostDecodeWorksAheadForTheNextCpuStep) {
     EXPECT_EQ(res.topk[i].score, want.topk[i].score) << "rank " << i;
   }
 }
+
+TEST(HybridEngine, BetsPredictFromTheNextDecisionsShape) {
+  // A bet queued after an intersect predicts where the next step runs from
+  // Planner::shape_for. Fed the intermediate the bet predicted for, the
+  // next decision must see that very shape, its row width included, and
+  // place the step where the bet assumed. The planner is driven by hand at
+  // an intermediate size where the width alone decides the placement: a
+  // two-term intermediate migrates three words a row, a single list one.
+  const auto& idx = testutil::small_index();
+  core::SchedulerOptions so;
+  so.policy = core::SchedulerPolicy::kCostModel;
+  const core::Scheduler sched(so);
+  const fault::FaultInjector injector(fault::FaultConfig{});
+  const gpu::GpuExecutor gpu(idx, {}, {}, injector, 0);
+  cpu::DecodedCache cache(0, 0);
+  const cpu::SvsStepper svs(idx, sim::CpuSpec{}, cpu::kDefaultSkipRatio,
+                            cache);
+  core::Planner planner(idx, sched, gpu, svs);
+
+  core::Query q;
+  q.terms = {0, 1, 2};  // the three longest lists; term 2 is the shortest
+  planner.begin(q);
+  const auto first = planner.next(0, std::nullopt);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(std::holds_alternative<core::IntersectStep>(*first));
+  const auto& pair = std::get<core::IntersectStep>(*first);
+  ASSERT_TRUE(pair.first_pair);
+  const auto loc = pair.where == core::Placement::kGpu ? core::Placement::kGpu
+                                                       : core::Placement::kCpu;
+
+  std::uint64_t margin = 0;
+  for (std::uint64_t n = 1; n <= idx.list(pair.probe_term).size(); ++n) {
+    core::StepShape wide = planner.shape_for(n, 0, loc);
+    wide.terms = 2;
+    core::StepShape narrow = wide;
+    narrow.terms = 1;
+    if (sched.decide(wide) != sched.decide(narrow)) {
+      margin = n;
+      break;
+    }
+  }
+  ASSERT_GT(margin, 0u) << "no intermediate size where the width decides";
+  const core::StepShape predicted = planner.shape_for(margin, 0, loc);
+  EXPECT_EQ(predicted.terms, 2u);
+
+  // Drain the first pair's bet, then decide the next step at that size.
+  std::optional<core::PlanStep> step;
+  do {
+    step = planner.next(margin, loc);
+  } while (step.has_value() &&
+           !std::holds_alternative<core::IntersectStep>(*step));
+  ASSERT_TRUE(step.has_value());
+  const auto& next = std::get<core::IntersectStep>(*step);
+  EXPECT_EQ(next.term, 0u);
+  EXPECT_EQ(next.shape, predicted);
+  EXPECT_EQ(next.where, sched.decide(predicted));
+}

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rows.h"
+
 using namespace griffin;
 using core::Placement;
 using core::Scheduler;
@@ -206,13 +208,16 @@ TEST(Scheduler, HighRatioTransferChargesActualCompressedBytes) {
 
 namespace {
 /// A shape big enough to clear the 4096-probe split floor, placed like a
-/// mid-query intersect (intermediate on the CPU, compressed long list at
-/// ~1 B/elem).
+/// mid-query intersect: a two-term intermediate on the CPU, the compressed
+/// long list at ~1 B/elem, in a collection of 2^31 documents (the smallest
+/// power of two that holds the longest list these tests build, at ratio
+/// 2000), so a probe matches with probability longer / 2^31.
 StepShape big_shape(double ratio) {
   const std::uint64_t shorter = 1u << 20;
   StepShape s = shape(shorter, static_cast<std::uint64_t>(ratio * shorter),
                       Placement::kCpu);
-  s.longer_bytes = s.longer;
+  s.terms = 2;
+  s.longer_density = static_cast<double>(s.longer) / 2147483648.0;
   return s;
 }
 }  // namespace
@@ -272,6 +277,25 @@ TEST(SchedulerSplit, SplitEstimateBracketsAndBeatsAtChosenAlpha) {
   // Degenerate alphas price (at least) the full single-processor work, so
   // the grid never prefers a sham split.
   EXPECT_GE(sched.estimate_split(s, 0.0).ps(), t_cpu.ps());
+}
+
+TEST(SchedulerSplit, PartialPricedAtExpectedMatches) {
+  // At alpha 1 the GPU leg is the whole estimate, and only its partial's
+  // D2H reads the density: the probes' expected matches cross PCIe, each
+  // row one term wider than the probe side (core::Rows::bytes).
+  Scheduler sched;
+  const pcie::Link link(sim::HardwareSpec{}.pcie);
+  StepShape s = big_shape(128.0);
+  const auto leg = [&](double density) {
+    s.longer_density = density;
+    return sched.estimate_split(s, 1.0).ps();
+  };
+  const auto d2h = [&](std::uint64_t rows) {
+    const auto bytes = static_cast<double>(core::Rows::bytes(rows, 3));
+    return link.transfer_time(bytes).ps();
+  };
+  EXPECT_EQ(leg(1.0) - leg(0.25), d2h(s.shorter) - d2h(s.shorter / 4));
+  EXPECT_GT(leg(0.25), leg(0.0));
 }
 
 TEST(SchedulerSplit, AlphaIsDeterministicAndForceable) {
