@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -306,14 +307,30 @@ inline Json counter_value(double x) { return x; }
 inline Json counter_value(sim::Duration d) { return d.us(); }
 
 /// A counter struct (sim::SimdCounters, core::CacheCounters,
-/// core::OverlapCounters, fault::FaultCounters, sim::KernelStats) as a JSON
-/// object: each field of C::fields() under its key, in list order, durations
-/// in microseconds.
+/// core::OverlapCounters, fault::FaultCounters, sim::KernelStats,
+/// util::LruStats, core::QueryMetrics) as a JSON object: each field of
+/// C::fields() under its key, in list order, durations in microseconds and
+/// a listed member as its own nested object.
 template <class C>
 Json counters_json(const C& c) {
   Json j = Json::object();
-  util::for_each_field<C>(
-      [&](const auto& f) { j[f.key] = counter_value(c.*f.member); });
+  util::for_each_field<C>([&](const auto& f) {
+    using T = typename std::remove_cvref_t<decltype(f)>::type;
+    if constexpr (util::Listed<T>) {
+      j[f.key] = counters_json(c.*f.member);
+    } else {
+      j[f.key] = counter_value(c.*f.member);
+    }
+  });
+  return j;
+}
+
+/// An engine's cache-tier counters with both hit rates: the cache block
+/// every bench that reports the engine tiers writes.
+inline Json cache_json(const core::CacheCounters& c) {
+  Json j = counters_json(c);
+  j["device_hit_rate"] = c.device_hit_rate();
+  j["host_hit_rate"] = c.host_hit_rate();
   return j;
 }
 

@@ -120,16 +120,10 @@ int main() {
         row["utilization"] = util;
         row["result_cache_hit_rate"] = res.cache.hit_rate();
         row["result_cache_bytes"] = res.result_cache_bytes;
+        row["result_cache_counters"] = bench::counters_json(res.cache);
         row["hedges_issued"] = res.hedge.issued;
         row["hedges_won"] = res.hedge.won;
-        bench::Json ec = bench::Json::object();
-        ec["device_hit_rate"] = res.engine_cache.device_hit_rate();
-        ec["host_hit_rate"] = res.engine_cache.host_hit_rate();
-        ec["device_hits"] = res.engine_cache.device_hits;
-        ec["device_evictions"] = res.engine_cache.device_evictions;
-        ec["host_hits"] = res.engine_cache.host_hits;
-        ec["host_evictions"] = res.engine_cache.host_evictions;
-        row["engine_cache"] = std::move(ec);
+        row["engine_cache"] = bench::cache_json(res.engine_cache);
         rows.push_back(std::move(row));
       }
     }

@@ -211,12 +211,7 @@ int main() {
   root["speedup_vs_gpu"] = all_gpu.mean() / all_grif.mean();
   root["cost_model_speedup_vs_cpu"] = all_cpu.mean() / all_cost.mean();
   root["cost_model_speedup_vs_gpu"] = all_gpu.mean() / all_cost.mean();
-  bench::Json cachej = bench::Json::object();
-  cachej["device_hit_rate"] = grif_run.engine_cache.device_hit_rate();
-  cachej["host_hit_rate"] = grif_run.engine_cache.host_hit_rate();
-  cachej["device_hits"] = grif_run.engine_cache.device_hits;
-  cachej["host_hits"] = grif_run.engine_cache.host_hits;
-  root["griffin_cache"] = std::move(cachej);
+  root["griffin_cache"] = bench::cache_json(grif_run.engine_cache);
   root["griffin_overlap"] = bench::counters_json(grif_run.engine_overlap);
   root["scale_trend"] = std::move(scale_rows);
   bench::write_bench_json("end_to_end", root);

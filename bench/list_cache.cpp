@@ -176,16 +176,7 @@ int main() {
         row["policy"] = policy_name(policy);
         row["cache"] = cc.name;
         row["latency_ms"] = bench::latency_json(cur.lat_ms);
-        bench::Json cache = bench::Json::object();
-        cache["device_hits"] = cur.cache.device_hits;
-        cache["device_misses"] = cur.cache.device_misses;
-        cache["device_evictions"] = cur.cache.device_evictions;
-        cache["device_hit_rate"] = cur.cache.device_hit_rate();
-        cache["host_hits"] = cur.cache.host_hits;
-        cache["host_misses"] = cur.cache.host_misses;
-        cache["host_evictions"] = cur.cache.host_evictions;
-        cache["host_hit_rate"] = cur.cache.host_hit_rate();
-        row["cache_counters"] = cache;
+        row["cache_counters"] = bench::cache_json(cur.cache);
         row["identical_to_baseline"] = same;
         row["speedup_mean_vs_off"] = baseline.lat_ms.mean() / cur.lat_ms.mean();
         row["speedup_p99_vs_off"] =
@@ -242,10 +233,7 @@ int main() {
       row["zipf_s"] = zipf;
       row["cache"] = hc.name;
       row["latency_ms"] = bench::latency_json(cur.lat_ms);
-      row["host_hits"] = cur.cache.host_hits;
-      row["host_misses"] = cur.cache.host_misses;
-      row["host_evictions"] = cur.cache.host_evictions;
-      row["host_hit_rate"] = cur.cache.host_hit_rate();
+      row["cache_counters"] = bench::cache_json(cur.cache);
       row["identical_to_baseline"] = same;
       row["speedup_mean_vs_off"] = baseline.lat_ms.mean() / cur.lat_ms.mean();
       cpu_runs.push_back(std::move(row));
@@ -309,8 +297,7 @@ int main() {
         row["cache"] = cc.name;
         row["zipf_s"] = zipf;
         row["latency_ms"] = bench::latency_json(r.lat_ms);
-        row["device_hit_rate"] = r.cache.device_hit_rate();
-        row["device_evictions"] = r.cache.device_evictions;
+        row["cache_counters"] = bench::cache_json(r.cache);
         row["compressed_docid_bytes"] = cidx.compressed_docid_bytes();
         row["identical_to_baseline"] = same;
         row["speedup_mean_vs_off"] = baseline.lat_ms.mean() / r.lat_ms.mean();

@@ -53,9 +53,9 @@ int main() {
                 c.metrics.total.ms(), g.metrics.total.ms(),
                 h.metrics.total.ms(), plan.c_str());
 
-    // All three configurations must agree on the results.
-    if (c.topk.size() != h.topk.size() ||
-        (c.topk.size() > 0 && c.topk[0].doc != h.topk[0].doc)) {
+    // All three configurations must agree on the results: the same docs
+    // with the same scores, in the same order.
+    if (g.topk != c.topk || h.topk != c.topk) {
       std::printf("ENGINE DISAGREEMENT on query %llu!\n",
                   static_cast<unsigned long long>(q.id));
       return 1;

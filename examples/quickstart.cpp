@@ -69,7 +69,8 @@ int main() {
   cost_opt.scheduler.policy = core::SchedulerPolicy::kCostModel;
   core::HybridEngine cost_engine(idx, {}, cost_opt);
   const auto res2 = cost_engine.execute(q);
-  std::printf("with the cost-model scheduler: %.1f us (same results)\n",
-              res2.metrics.total.us());
-  return 0;
+  const bool same = res2.topk == res.topk;
+  std::printf("with the cost-model scheduler: %.1f us (%s results)\n",
+              res2.metrics.total.us(), same ? "same" : "DIFFERENT");
+  return same ? 0 : 1;
 }

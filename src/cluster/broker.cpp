@@ -75,19 +75,15 @@ core::QueryResult ClusterBroker::execute(const core::Query& q) {
   for (auto& node : nodes_) {
     core::QueryResult part = node->execute(q);
     slowest = sim::max(slowest, part.metrics.total);
-    out.metrics.result_count += part.metrics.result_count;
-    out.metrics.gpu_kernels += part.metrics.gpu_kernels;
-    out.metrics.migrations += part.metrics.migrations;
-    out.metrics.cache += part.metrics.cache;
-    out.metrics.overlap += part.metrics.overlap;
-    out.metrics.faults += part.metrics.faults;
-    out.metrics.simd += part.metrics.simd;
+    out.metrics += part.metrics;
     // The merged result's trace is the concatenation of the shard plans in
     // shard order: every step the cluster executed for this query.
     out.trace.insert(out.trace.end(), part.trace.begin(), part.trace.end());
     parts.push_back(std::move(part.topk));
   }
   out.topk = merge_topk(parts, q.k);
+  // Every counter and stage duration is the shards' sum; the latency is the
+  // parallel fan-out's.
   out.metrics.total =
       slowest + kNetRtt + kMergePerShard * double(nodes_.size());
   return out;
@@ -119,18 +115,21 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
     const auto& q = queries[qi];
     const sim::Duration t_arrival = arrivals.next();
 
+    // The broker counts its result cache's lookups, insertions and
+    // evictions where it makes them; the cache itself counts nothing.
     const CacheKey key = make_cache_key(q);
     if (cache.enabled()) {
       if (const auto* hit = cache.lookup(key); hit != nullptr) {
+        ++res.cache.hits;
         const sim::Duration done = t_arrival + kCacheHitLatency;
         res.response_ms.add((done - t_arrival).ms());
         res.horizon = sim::max(res.horizon, done);
-        ++res.cache_hits_served;
         if (cfg_.record_outcomes) {
           res.outcomes.push_back({qi, true, false, 1.0, *hit});
         }
         continue;
       }
+      ++res.cache.misses;
     }
 
     // Scatter: the query reaches every shard half an RTT after arrival and
@@ -263,9 +262,12 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
     if (cacheable || cfg_.record_outcomes) {
       auto merged = merge_topk(parts, q.k);
       if (cacheable) {
-        cache.insert(key, cfg_.record_outcomes
-                              ? merged
-                              : std::move(merged));
+        std::uint64_t evicted = 0;
+        if (cache.insert(key, cfg_.record_outcomes ? merged : std::move(merged),
+                         &evicted) != nullptr) {
+          ++res.cache.insertions;
+        }
+        res.cache.evictions += evicted;
       }
       if (cfg_.record_outcomes) {
         res.outcomes.push_back(
@@ -279,7 +281,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
     res.max_queue_depth =
         std::max(res.max_queue_depth, depth[s].max_depth());
   }
-  res.cache = cache.stats();
+  res.cache_hits_served = res.cache.hits;
   res.result_cache_bytes = cache.bytes();
   return res;
 }

@@ -99,13 +99,15 @@ struct ClusterResult : core::RunTotals {
   /// Critical-path shard time per cache-missing query: max over shards of
   /// (queueing + service) as the broker observes it.
   util::PercentileTracker shard_critical_ms;
+  /// Result-cache lookups, insertions and evictions, counted by the broker
+  /// as it makes them.
   util::LruStats cache;
   HedgeStats hedge;
   /// Resident bytes in the broker's result cache at the end of the run.
   std::uint64_t result_cache_bytes = 0;
   std::vector<double> shard_utilization;  ///< primary replica, per shard
   std::uint64_t max_queue_depth = 0;      ///< across primary replicas
-  std::uint64_t cache_hits_served = 0;
+  std::uint64_t cache_hits_served = 0;  ///< = cache.hits
   sim::Duration horizon;  ///< last event in the run
 
   /// Coverage (shards answered / total) accumulated over gathered (cache-
@@ -131,7 +133,9 @@ class ClusterBroker {
 
   /// Untimed scatter-gather: executes on every shard and merges. Returns
   /// the exact global top-k (the equivalence the cluster tests sweep).
-  /// Metrics model the parallel fan-out: total = slowest shard + merge.
+  /// The metrics are the shards' sum (QueryMetrics::operator+=), except
+  /// `total`, which models the parallel fan-out: slowest shard + network
+  /// round trip + merge.
   core::QueryResult execute(const core::Query& q);
 
   /// Timed replay of a query stream: Poisson arrivals, per-replica FCFS

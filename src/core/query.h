@@ -16,6 +16,7 @@
 #include "sim/time.h"
 #include "sim/timeline.h"
 #include "util/fields.h"
+#include "util/lru_cache.h"
 
 namespace griffin::core {
 
@@ -239,8 +240,9 @@ struct TraceSummary {
 /// device-resident compressed-list cache (gpu/list_cache.h) and the host
 /// decoded-postings cache (cpu/decoded_cache.h). Pure counters — the time
 /// saved by a hit shows up as *absent* charges in the stage durations, so
-/// decode + intersect + transfer + rank still sums to total. `+=` comes
-/// from fields() (util/fields.h).
+/// decode + intersect + transfer + rank still sums to total. The engines
+/// count each lookup and eviction here as they make it (the caches count
+/// nothing). `+=` and the bench JSON come from fields() (util/fields.h).
 struct CacheCounters {
   std::uint64_t device_hits = 0;
   std::uint64_t device_misses = 0;
@@ -264,12 +266,12 @@ struct CacheCounters {
   }
   bool operator==(const CacheCounters&) const = default;
 
-  static double rate(std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t n = hits + misses;
-    return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
+  double device_hit_rate() const {
+    return util::hit_rate(device_hits, device_misses);
   }
-  double device_hit_rate() const { return rate(device_hits, device_misses); }
-  double host_hit_rate() const { return rate(host_hits, host_misses); }
+  double host_hit_rate() const {
+    return util::hit_rate(host_hits, host_misses);
+  }
 };
 
 /// Asynchronous-execution counters (DESIGN.md §10). `saved` is the exact
@@ -336,7 +338,9 @@ struct OverlapCounters {
 /// overlapping kernels — while the four stage durations are the serial op
 /// sums per stage, so the stage identity is
 ///   decode + intersect + transfer + rank == total + overlap.saved.
-/// Per-step placements live in QueryResult::trace.
+/// Per-step placements live in QueryResult::trace. `+=` and the bench JSON
+/// come from fields() (util/fields.h), sub-structs included; a sum of
+/// several queries' metrics (the broker's shard merge) sums `total` too.
 struct QueryMetrics {
   sim::Duration total;
   sim::Duration decode;
@@ -350,6 +354,26 @@ struct QueryMetrics {
   OverlapCounters overlap;        ///< copy/compute-overlap accounting
   fault::FaultCounters faults;    ///< injected-fault / degradation counters
   sim::SimdCounters simd;         ///< lane accounting over CPU vector loops
+
+  static constexpr auto fields() {
+    using Q = QueryMetrics;
+    return std::tuple{util::field("total_us", &Q::total),
+                      util::field("decode_us", &Q::decode),
+                      util::field("intersect_us", &Q::intersect),
+                      util::field("transfer_us", &Q::transfer),
+                      util::field("rank_us", &Q::rank),
+                      util::field("gpu_kernels", &Q::gpu_kernels),
+                      util::field("migrations", &Q::migrations),
+                      util::field("result_count", &Q::result_count),
+                      util::field("cache", &Q::cache),
+                      util::field("overlap", &Q::overlap),
+                      util::field("faults", &Q::faults),
+                      util::field("simd", &Q::simd)};
+  }
+
+  QueryMetrics& operator+=(const QueryMetrics& o) {
+    return util::add_fields(*this, o);
+  }
   bool operator==(const QueryMetrics&) const = default;
 };
 

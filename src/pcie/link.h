@@ -56,8 +56,9 @@ class Link {
 ///
 /// When bound to a sim::Timeline (DESIGN.md §10), each charge is recorded
 /// as a transfer-stage op on the bound stream (H2D and D2H on their
-/// respective copy engines, allocations on the host, since cudaMalloc is
-/// host-synchronous), chained so the ledger's ops execute in order after
+/// respective copy engines, unpooled allocations on the host, since
+/// cudaMalloc is host-synchronous; a pooled allocation records no op),
+/// chained so the ledger's ops execute in order after
 /// the `dep` event it was bound with. `last_event()` is the completion of
 /// the most recent op — the event kernels consuming the transferred data
 /// wait on. Unbound (the kernel-level benches), the ledger is just the
@@ -113,10 +114,16 @@ struct TransferLedger {
     total += t;
     record(h2d ? sim::Resource::kCopyH2D : sim::Resource::kCopyD2H, t);
   }
+  /// One device allocation. An unpooled one holds the host core for
+  /// alloc_time (cudaMalloc is host-synchronous); a pooled one costs nothing
+  /// and records no op, so the ops chained behind it do not wait for the
+  /// host core.
   void add_alloc(const Link& link) {
     ++allocs;
-    total += link.alloc_time();
-    record(sim::Resource::kCpu, link.alloc_time());
+    const sim::Duration t = link.alloc_time();
+    if (t.ps() == 0) return;
+    total += t;
+    record(sim::Resource::kCpu, t);
   }
   void reset() { *this = TransferLedger{}; }
 

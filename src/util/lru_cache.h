@@ -11,6 +11,11 @@
 // later `insert` may evict the pointed-to entry, so callers must finish
 // using a returned pointer before the next insert (the engines' acquire ->
 // use -> commit step ordering guarantees this).
+//
+// The cache is a container and counts nothing: its owner counts each
+// lookup, insertion and eviction where it makes it, from what `lookup`,
+// `insert` and `evict_bytes` return (core::CacheCounters for the engine
+// tiers, LruStats for the broker's result cache).
 #pragma once
 
 #include <cstdint>
@@ -18,20 +23,34 @@
 #include <unordered_map>
 #include <utility>
 
+#include "util/fields.h"
+
 namespace griffin::util {
 
-/// Lifetime counters of one cache instance (per-query deltas are tracked
-/// separately in core::CacheCounters).
+/// hits / (hits + misses), or 0 before the first lookup.
+inline double hit_rate(std::uint64_t hits, std::uint64_t misses) {
+  const std::uint64_t n = hits + misses;
+  return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
+}
+
+/// One cache's lookup counts, kept by its owner (the broker's result cache:
+/// cluster::ClusterResult::cache). The bench JSON comes from fields().
 struct LruStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
 
-  double hit_rate() const {
-    const std::uint64_t n = hits + misses;
-    return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
+  static constexpr auto fields() {
+    using L = LruStats;
+    return std::tuple{util::field("hits", &L::hits),
+                      util::field("misses", &L::misses),
+                      util::field("insertions", &L::insertions),
+                      util::field("evictions", &L::evictions)};
   }
+
+  double hit_rate() const { return util::hit_rate(hits, misses); }
+  bool operator==(const LruStats&) const = default;
 };
 
 template <typename Key, typename Value, typename Size,
@@ -53,19 +72,14 @@ class ByteLruCache {
   }
 
   /// Returns the resident value and refreshes recency, or nullptr.
-  /// Counts a hit or a miss.
   Value* lookup(const Key& key) {
     const auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++stats_.misses;
-      return nullptr;
-    }
-    ++stats_.hits;
+    if (it == map_.end()) return nullptr;
     lru_.splice(lru_.begin(), lru_, it->second);
     return &it->second->value;
   }
 
-  /// Residency probe: no stats, no recency refresh (the scheduler asks
+  /// Residency probe: no recency refresh (the scheduler asks
   /// "would this step hit?" without committing to the step).
   bool resident(const Key& key) const { return map_.contains(key); }
 
@@ -89,7 +103,6 @@ class ByteLruCache {
       lru_.push_front(Entry{key, std::move(value), bytes});
       map_.emplace(lru_.front().key, lru_.begin());
       bytes_ += bytes;
-      ++stats_.insertions;
     }
     evict_to_bounds(evicted);
     return &lru_.front().value;
@@ -97,9 +110,8 @@ class ByteLruCache {
 
   /// Evicts LRU-tail entries until at least `min_bytes` have been freed (or
   /// the cache is empty) — the memory-pressure valve the GPU engine's OOM
-  /// degradation ladder pulls (DESIGN.md §16). Counts real evictions;
-  /// `entries`, when non-null, receives how many were dropped. Returns the
-  /// bytes actually freed.
+  /// degradation ladder pulls (DESIGN.md §16). `entries`, when non-null,
+  /// receives how many were dropped. Returns the bytes actually freed.
   std::uint64_t evict_bytes(std::uint64_t min_bytes,
                             std::uint64_t* entries = nullptr) {
     std::uint64_t freed = 0;
@@ -109,7 +121,6 @@ class ByteLruCache {
       bytes_ -= lru_.back().bytes;
       map_.erase(lru_.back().key);
       lru_.pop_back();
-      ++stats_.evictions;
       ++n;
     }
     if (entries != nullptr) *entries = n;
@@ -117,8 +128,8 @@ class ByteLruCache {
   }
 
   /// Drops one entry (fault invalidation — e.g. an ECC error retiring a
-  /// cached device list). Not an eviction: the entry did not age out, so the
-  /// eviction counter is untouched. Returns true when something was removed.
+  /// cached device list). Not an eviction: the entry did not age out.
+  /// Returns true when something was removed.
   bool erase(const Key& key) {
     const auto it = map_.find(key);
     if (it == map_.end()) return false;
@@ -131,7 +142,6 @@ class ByteLruCache {
   std::size_t size() const { return lru_.size(); }
   std::uint64_t bytes() const { return bytes_; }
   std::uint64_t byte_budget() const { return byte_budget_; }
-  const LruStats& stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -152,7 +162,6 @@ class ByteLruCache {
       bytes_ -= lru_.back().bytes;
       map_.erase(lru_.back().key);
       lru_.pop_back();
-      ++stats_.evictions;
       if (evicted != nullptr) ++*evicted;
     }
   }
@@ -167,7 +176,6 @@ class ByteLruCache {
   std::uint64_t bytes_ = 0;
   Lru lru_;  // front = most recent
   std::unordered_map<Key, typename Lru::iterator, Hash> map_;
-  LruStats stats_;
 };
 
 }  // namespace griffin::util

@@ -16,10 +16,14 @@ using namespace griffin;
 
 namespace {
 
-/// Sets one listed counter field to 1 (1 ps for a duration).
+/// Sets one listed counter field to 1 (1 ps for a duration); a listed
+/// struct member gets every one of its own fields set.
 template <class C, class F>
 void set_one(C& c, const F& f) {
-  if constexpr (std::is_same_v<typename F::type, sim::Duration>) {
+  using T = typename F::type;
+  if constexpr (util::Listed<T>) {
+    util::for_each_field<T>([&](const auto& g) { set_one(c.*f.member, g); });
+  } else if constexpr (std::is_same_v<T, sim::Duration>) {
     c.*f.member = sim::Duration::from_ps(1);
   } else {
     c.*f.member = 1;
@@ -36,7 +40,8 @@ void expect_every_field_summed_and_compared() {
     set_one(one, f);
     EXPECT_NE(one, C{}) << f.key;
     C two;
-    two.*f.member = one.*f.member + one.*f.member;
+    two.*f.member = one.*f.member;
+    two.*f.member += one.*f.member;
     C sum = one;
     sum += one;
     EXPECT_EQ(sum, two) << f.key;
@@ -250,4 +255,5 @@ TEST(Counters, EveryListedFieldIsSummedAndCompared) {
   expect_every_field_summed_and_compared<core::OverlapCounters>();
   expect_every_field_summed_and_compared<fault::FaultCounters>();
   expect_every_field_summed_and_compared<sim::KernelStats>();
+  expect_every_field_summed_and_compared<core::QueryMetrics>();
 }

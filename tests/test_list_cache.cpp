@@ -87,29 +87,32 @@ TEST(ByteLruCache, ReplaceUpdatesBytesAndKeepsSingleEntry) {
   EXPECT_EQ(cache.lookup(1)->s, "bigger");
 }
 
-TEST(ByteLruCache, StatsCountHitsMissesInsertionsEvictions) {
+TEST(ByteLruCache, ReturnsReportHitsMissesInsertionsEvictions) {
+  // The cache counts nothing; its owner counts from these returns.
   IntCache cache(1, 0);
-  cache.lookup(7);            // miss
-  cache.insert(7, {"a", 1});  // insertion
-  cache.lookup(7);            // hit
-  cache.insert(8, {"b", 1});  // insertion + eviction of 7
-  const auto& s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.insertions, 2u);
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
+  EXPECT_EQ(cache.lookup(7), nullptr);  // miss
+  std::uint64_t evicted = 99;
+  EXPECT_NE(cache.insert(7, {"a", 1}, &evicted), nullptr);  // insertion
+  EXPECT_EQ(evicted, 0u);
+  EXPECT_NE(cache.lookup(7), nullptr);  // hit
+  EXPECT_NE(cache.insert(8, {"b", 1}, &evicted), nullptr);  // insertion...
+  EXPECT_EQ(evicted, 1u);                                   // ...evicting 7
+  EXPECT_EQ(cache.lookup(7), nullptr);
+
+  // The memory-pressure valve reports the entries and bytes it freed.
+  std::uint64_t entries = 0;
+  EXPECT_EQ(cache.evict_bytes(1, &entries), 1u);  // 8 held one byte
+  EXPECT_EQ(entries, 1u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ByteLruCache, ResidentDoesNotTouchStatsOrRecency) {
+TEST(ByteLruCache, ResidentDoesNotTouchRecency) {
   IntCache cache(0, 100);
   cache.insert(1, {"a", 40});
   cache.insert(2, {"b", 40});
   ASSERT_TRUE(cache.resident(1));  // no recency refresh...
   cache.insert(3, {"c", 40});
   EXPECT_FALSE(cache.resident(1));  // ...so 1 was still the LRU tail
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(ByteLruCache, SizesTheValueItStores) {
@@ -135,10 +138,6 @@ TEST(ByteLruCache, SizesTheValueItStores) {
   EXPECT_EQ(cache.bytes(), 40u);
   EXPECT_FALSE(cache.resident(2));
   EXPECT_TRUE(cache.resident(1));
-
-  // The residency probes counted no hit or miss.
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 // ---- GpuEngine integration ----

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/timeline.h"
+
 namespace gp = griffin::pcie;
 using griffin::sim::Duration;
 
@@ -43,4 +45,45 @@ TEST(TransferLedger, AccumulatesDirectionsAndAllocs) {
   ledger.reset();
   EXPECT_EQ(ledger.transfers, 0u);
   EXPECT_EQ(ledger.total.ps(), 0);
+}
+
+TEST(TransferLedger, PooledAllocationRecordsNoOp) {
+  // The host core runs a 100 us op while a copy stream allocates and then
+  // uploads. An unpooled allocation is host-synchronous: it queues behind
+  // that op and holds the core for alloc_time, and the upload chained
+  // behind it waits both out. A pooled one (alloc_us = 0) costs nothing and
+  // records no op, so the upload starts at once.
+  using griffin::sim::Resource;
+  using griffin::sim::Stage;
+  using griffin::sim::Timeline;
+  for (const bool pooled : {false, true}) {
+    griffin::sim::PcieSpec spec;
+    if (pooled) spec.alloc_us = 0.0;
+    const gp::Link link(spec);
+    Timeline tl;
+    const auto host = tl.stream();
+    tl.record(host, Resource::kCpu, Stage::kIntersect, Duration::from_us(100));
+    gp::TransferLedger ledger;
+    ledger.bind(&tl, tl.stream(), {});
+    ledger.add_alloc(link);
+    ledger.add_transfer(link, 4096, true);
+
+    EXPECT_EQ(ledger.allocs, 1u);
+    EXPECT_EQ(ledger.total.ps(),
+              (link.alloc_time() + link.transfer_time(4096)).ps());
+    const auto& upload = tl.ops().back();
+    EXPECT_EQ(upload.resource, Resource::kCopyH2D);
+    if (pooled) {
+      EXPECT_EQ(tl.num_ops(), 2u);  // the host op and the upload
+      EXPECT_EQ(upload.start.ps(), 0);
+    } else {
+      ASSERT_EQ(tl.num_ops(), 3u);
+      const auto& alloc = tl.ops()[1];
+      EXPECT_EQ(alloc.resource, Resource::kCpu);
+      EXPECT_EQ(alloc.stage, Stage::kTransfer);
+      EXPECT_EQ(alloc.start.ps(), Duration::from_us(100).ps());
+      EXPECT_EQ(upload.start.ps(), alloc.end.ps());
+      EXPECT_EQ((alloc.end - alloc.start).ps(), link.alloc_time().ps());
+    }
+  }
 }

@@ -124,7 +124,11 @@ TEST(QueryTrace, ColdCachesDoNotPerturbTheTrace) {
     core::HybridEngine without_caches(idx, {}, caches_off_options());
     const auto a = with_caches.execute(log[i]);
     const auto b = without_caches.execute(log[i]);
-    expect_identical_traces(a.trace, b.trace, "q" + std::to_string(i));
+    // Appended, not `"q" + std::to_string(i)`: GCC 12 reports a false
+    // -Wrestrict on that temporary in Release builds.
+    std::string label = "q";
+    label += std::to_string(i);
+    expect_identical_traces(a.trace, b.trace, label);
     EXPECT_EQ(a.metrics.total, b.metrics.total);
   }
 }

@@ -70,15 +70,14 @@ TEST(ResultCache, KeyDistinguishesKTermsAndTermOrder) {
 TEST(ResultCache, HitReturnsInsertedResults) {
   ResultCache cache(4, 0);
   const auto key = cluster::make_cache_key(make_query({1, 2}, 10));
-  EXPECT_EQ(cache.lookup(key), nullptr);
-  cache.insert(key, docs({5, 9}));
-  const auto* hit = cache.lookup(key);
+  EXPECT_EQ(cache.lookup(key), nullptr);  // miss
+  std::uint64_t evicted = 99;
+  EXPECT_NE(cache.insert(key, docs({5, 9}), &evicted), nullptr);  // insertion
+  EXPECT_EQ(evicted, 0u);
+  const auto* hit = cache.lookup(key);  // hit
   ASSERT_NE(hit, nullptr);
   ASSERT_EQ(hit->size(), 2u);
   EXPECT_EQ((*hit)[0].doc, 5u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_NEAR(cache.stats().hit_rate(), 0.5, 1e-12);
 }
 
 TEST(ResultCache, EvictsLeastRecentlyUsed) {
@@ -86,37 +85,40 @@ TEST(ResultCache, EvictsLeastRecentlyUsed) {
   const auto k1 = cluster::make_cache_key(make_query({1}, 10));
   const auto k2 = cluster::make_cache_key(make_query({2}, 10));
   const auto k3 = cluster::make_cache_key(make_query({3}, 10));
-  cache.insert(k1, docs({1}));
-  cache.insert(k2, docs({2}));
+  std::uint64_t evicted = 99;
+  cache.insert(k1, docs({1}), &evicted);
+  EXPECT_EQ(evicted, 0u);
+  cache.insert(k2, docs({2}), &evicted);
+  EXPECT_EQ(evicted, 0u);
   // Touch k1 so k2 becomes the LRU victim.
   EXPECT_NE(cache.lookup(k1), nullptr);
-  cache.insert(k3, docs({3}));
+  cache.insert(k3, docs({3}), &evicted);
+  EXPECT_EQ(evicted, 1u);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_NE(cache.lookup(k1), nullptr);
   EXPECT_EQ(cache.lookup(k2), nullptr);  // evicted
   EXPECT_NE(cache.lookup(k3), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(ResultCache, ReinsertRefreshesInsteadOfDuplicating) {
   ResultCache cache(2, 0);
   const auto k1 = cluster::make_cache_key(make_query({1}, 10));
   cache.insert(k1, docs({1}));
-  cache.insert(k1, docs({1, 2}));
+  std::uint64_t evicted = 99;
+  EXPECT_NE(cache.insert(k1, docs({1, 2}), &evicted), nullptr);
+  EXPECT_EQ(evicted, 0u);
   EXPECT_EQ(cache.size(), 1u);
   const auto* hit = cache.lookup(k1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(ResultCache, ZeroCapacityDisables) {
   ResultCache cache(0, 0);
   const auto k1 = cluster::make_cache_key(make_query({1}, 10));
-  cache.insert(k1, docs({1}));
+  EXPECT_EQ(cache.insert(k1, docs({1})), nullptr);  // no insertion
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.lookup(k1), nullptr);
-  EXPECT_EQ(cache.stats().insertions, 0u);
 }
 
 TEST(ResultCache, BytesTrackResidentEntries) {
@@ -140,15 +142,17 @@ TEST(ResultCache, ByteBudgetEvictsLeastRecentlyUsed) {
   // Room for two entries of this shape, no count bound.
   ResultCache cache(0, ResultBytes{}(k1, entry) * 2);
   EXPECT_TRUE(cache.enabled());
-  cache.insert(k1, entry);
-  cache.insert(k2, entry);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  cache.insert(k3, entry);
+  std::uint64_t evicted = 99;
+  cache.insert(k1, entry, &evicted);
+  EXPECT_EQ(evicted, 0u);
+  cache.insert(k2, entry, &evicted);
+  EXPECT_EQ(evicted, 0u);
+  cache.insert(k3, entry, &evicted);
+  EXPECT_EQ(evicted, 1u);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.lookup(k1), nullptr);  // evicted
   EXPECT_NE(cache.lookup(k2), nullptr);
   EXPECT_NE(cache.lookup(k3), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.bytes(), cache.byte_budget());
 }
 
@@ -164,4 +168,25 @@ TEST(ResultCache, EntryLargerThanBudgetIsDropped) {
   EXPECT_EQ(cache.lookup(k2), nullptr);
   EXPECT_NE(cache.lookup(k1), nullptr);  // existing entry undisturbed
   EXPECT_LE(cache.bytes(), cache.byte_budget());
+}
+
+TEST(ResultCache, BrokerCountsEachLookupInsertionAndEviction) {
+  // A one-entry result cache over the stream a, a, b, a: a misses and is
+  // inserted, hits, b misses and is inserted (evicting a), a misses again
+  // and is inserted (evicting b). The broker counts each event once, and
+  // cache_hits_served is the same count as cache.hits.
+  const auto& idx = testutil::small_index();
+  cluster::ClusterConfig cfg;
+  cfg.num_shards = 2;
+  cfg.cache_capacity = 1;
+  cluster::ClusterBroker broker(idx, cfg);
+  const auto a = make_query({0, 1}, 10);
+  const auto b = make_query({1, 2}, 10);
+  const auto res = broker.run({a, a, b, a});
+  EXPECT_EQ(res.cache, (util::LruStats{.hits = 1,
+                                       .misses = 3,
+                                       .insertions = 3,
+                                       .evictions = 2}));
+  EXPECT_EQ(res.cache_hits_served, 1u);
+  EXPECT_EQ(res.gathered_queries, 3u);
 }

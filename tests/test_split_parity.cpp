@@ -219,6 +219,36 @@ TEST(SplitParity, AlwaysSplitPlacesSplitSteps) {
   EXPECT_EQ(sum.split_intersects, splits);
 }
 
+// ---- Timing: a pooled device allocation (the default) costs nothing and
+// ---- records no op (DESIGN.md §10), so the host core runs only the CPU
+// ---- stream's ops.
+
+TEST(SplitTiming, CpuLegStartsWhenItsProbesAreReady) {
+  // Every host op starts at its issue: when its inputs are ready and the
+  // CPU stream's previous op is done. That includes a forced alpha = 0.5
+  // split's CPU leg, which is recorded after its GPU leg's allocations,
+  // copies and kernels and must not queue behind them.
+  const auto& idx = index_for(Scheme::kEliasFano);
+  HybridEngine engine(idx, {}, split_options(0.5));
+  const auto queries = random_queries(4242, 12);
+  std::uint64_t splits = 0;
+  std::uint64_t host_ops = 0;
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const auto res = engine.execute(queries[qi]);
+    for (const auto p : testutil::intersect_placements(res)) {
+      if (p == Placement::kSplit) ++splits;
+    }
+    for (const auto& op : engine.step_executor().timeline().ops()) {
+      if (op.resource != sim::Resource::kCpu) continue;
+      ++host_ops;
+      EXPECT_NE(op.stage, sim::Stage::kTransfer) << "q" << qi;  // no alloc
+      EXPECT_EQ(op.start.ps(), op.issue.ps()) << "q" << qi;
+    }
+  }
+  EXPECT_GT(splits, 0u);
+  EXPECT_GT(host_ops, splits);  // each split's CPU leg, and more
+}
+
 // ---- The real policies (ratio band + cost model) agree with the all-CPU
 // ---- reference wherever their three-way decisions land.
 
