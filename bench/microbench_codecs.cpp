@@ -47,31 +47,6 @@ void decode_bench(benchmark::State& state, codec::Scheme scheme) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_EncodePFor(benchmark::State& s) {
-  encode_bench(s, codec::Scheme::kPForDelta);
-}
-void BM_EncodeEF(benchmark::State& s) {
-  encode_bench(s, codec::Scheme::kEliasFano);
-}
-void BM_EncodeBP128(benchmark::State& s) {
-  encode_bench(s, codec::Scheme::kBitPack128);
-}
-void BM_EncodeRePair(benchmark::State& s) {
-  encode_bench(s, codec::Scheme::kRePair);
-}
-void BM_DecodePFor(benchmark::State& s) {
-  decode_bench(s, codec::Scheme::kPForDelta);
-}
-void BM_DecodeEF(benchmark::State& s) {
-  decode_bench(s, codec::Scheme::kEliasFano);
-}
-void BM_DecodeBP128(benchmark::State& s) {
-  decode_bench(s, codec::Scheme::kBitPack128);
-}
-void BM_DecodeRePair(benchmark::State& s) {
-  decode_bench(s, codec::Scheme::kRePair);
-}
-
 void BM_SelectScheme(benchmark::State& state) {
   const auto docs = docs_for(state.range(0));
   for (auto _ : state) {
@@ -115,16 +90,6 @@ void BM_SkipIntersect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pair.shorter.size());
 }
 
-BENCHMARK(BM_EncodePFor)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_EncodeEF)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_EncodeBP128)->Arg(1 << 14)->Arg(1 << 18);
-// Re-Pair's greedy pairing is the one super-linear encoder; keep its sizes
-// below the bit-packers' so the bench stays a microbench.
-BENCHMARK(BM_EncodeRePair)->Arg(1 << 12)->Arg(1 << 14);
-BENCHMARK(BM_DecodePFor)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_DecodeEF)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_DecodeBP128)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_DecodeRePair)->Arg(1 << 12)->Arg(1 << 14);
 BENCHMARK(BM_SelectScheme)->Arg(1 << 14)->Arg(1 << 18);
 BENCHMARK(BM_MergeIntersect)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_SkipIntersect)->Arg(1 << 18)->Arg(1 << 21);
@@ -157,6 +122,17 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Encode and decode for every registered codec, so the list cannot drift
+  // from the registry.
+  for (const codec::Scheme s : codec::all_schemes()) {
+    const std::string name = codec::scheme_name(s);
+    for (const auto& [kind, fn] : {std::pair{"BM_Encode/", &encode_bench},
+                                   std::pair{"BM_Decode/", &decode_bench}}) {
+      benchmark::RegisterBenchmark((kind + name).c_str(), fn, s)
+          ->Arg(1 << 14)
+          ->Arg(1 << 18);
+    }
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   JsonCaptureReporter reporter;

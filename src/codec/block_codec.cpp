@@ -14,8 +14,6 @@ std::string scheme_name(Scheme s) {
     case Scheme::kEliasFano: return "EF";
     case Scheme::kVarByte: return "VByte";
     case Scheme::kSimple16: return "Simple16";
-    case Scheme::kBitPack128: return "BP128";
-    case Scheme::kRePair: return "RePair";
   }
   return "?";
 }

@@ -23,16 +23,16 @@ namespace griffin::codec {
 
 using DocId = std::uint32_t;
 
+/// The values are the scheme tags index files store (index/io.cpp), so an
+/// existing scheme's value never changes.
 enum class Scheme : std::uint8_t {
   kPForDelta,
   kEliasFano,
   kVarByte,
-  kSimple16,    ///< d-gaps must fit in 28 bits (enforced at build time)
-  kBitPack128,  ///< SIMD-BP128-style fixed-width packing (codec/bp128.h)
-  kRePair,      ///< grammar compression for repetitive lists (codec/repair.h)
+  kSimple16,  ///< d-gaps must fit in 28 bits (enforced at build time)
 };
 
-inline constexpr int kNumSchemes = 6;
+inline constexpr int kNumSchemes = 4;
 
 std::string scheme_name(Scheme s);
 
@@ -48,10 +48,10 @@ static_assert(kBlockSize == 1u << kBlockSizeLog2);
 /// generic fields are aliased per scheme via the named views below.
 struct BlockHeader {
   Scheme scheme = Scheme::kPForDelta;
-  std::uint8_t b = 0;      ///< pfor/bp128 slot, ef low-bit, repair symbol width
-  std::uint16_t h16a = 0;  ///< pfor: n_exceptions; repair: n_rules
-  std::uint16_t h16b = 0;  ///< pfor: first_exception; repair: n_seq
-  std::uint32_t h32 = 0;   ///< ef: hb_words; repair: n_dict
+  std::uint8_t b = 0;      ///< pfor slot width, ef low-bit width
+  std::uint16_t h16a = 0;  ///< pfor: n_exceptions
+  std::uint16_t h16b = 0;  ///< pfor: first_exception
+  std::uint32_t h32 = 0;   ///< ef: hb_words
 
   PForHeader pfor() const { return PForHeader{b, h16a, h16b}; }
   EFHeader ef() const { return EFHeader{b, h32}; }

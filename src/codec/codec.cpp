@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "codec/bp128.h"
-#include "codec/repair.h"
 #include "codec/simple16.h"
 #include "codec/varbyte.h"
 #include "util/bits.h"
@@ -199,75 +197,11 @@ class VByteCodec final : public PostingCodec {
   }
 };
 
-class BP128Codec final : public PostingCodec {
- public:
-  Scheme scheme() const override { return Scheme::kBitPack128; }
-  const char* name() const override { return "BP128"; }
-
-  BlockHeader encode_block(std::span<const DocId> block,
-                           std::vector<std::uint64_t>& blob,
-                           std::uint64_t& bit_pos,
-                           const EncodeOptions&) const override {
-    std::vector<std::uint32_t> gaps;
-    gaps_of(block, gaps);
-    const std::uint8_t b = bp128_encode(gaps, blob, bit_pos);
-    return BlockHeader{Scheme::kBitPack128, b, 0, 0, 0};
-  }
-
-  void decode_block(std::span<const std::uint64_t> blob, const BlockMeta& m,
-                    DocId* out) const override {
-    std::uint32_t gaps[1 << 12];
-    assert(m.count <= (1u << 12));
-    bp128_decode(blob, m.bit_offset, m.count - 1u, m.hdr.b, gaps);
-    undelta(m.first, gaps, m.count, out);
-  }
-
-  std::uint64_t encoded_bits(std::span<const DocId> block,
-                             const EncodeOptions&) const override {
-    std::vector<std::uint32_t> gaps;
-    gaps_of(block, gaps);
-    return bp128_encoded_bits(gaps);
-  }
-};
-
-class RePairCodec final : public PostingCodec {
- public:
-  Scheme scheme() const override { return Scheme::kRePair; }
-  const char* name() const override { return "RePair"; }
-
-  BlockHeader encode_block(std::span<const DocId> block,
-                           std::vector<std::uint64_t>& blob,
-                           std::uint64_t& bit_pos,
-                           const EncodeOptions&) const override {
-    std::vector<std::uint32_t> gaps;
-    gaps_of(block, gaps);
-    const RePairGrammar g = repair_encode(gaps, blob, bit_pos);
-    return BlockHeader{Scheme::kRePair, g.symbol_bits(),
-                       static_cast<std::uint16_t>(g.rules.size()),
-                       static_cast<std::uint16_t>(g.seq.size()),
-                       static_cast<std::uint32_t>(g.dict.size())};
-  }
-
-  void decode_block(std::span<const std::uint64_t> blob, const BlockMeta& m,
-                    DocId* out) const override {
-    std::uint32_t gaps[1 << 12];
-    assert(m.count <= (1u << 12));
-    repair_decode(blob, m.bit_offset, m.count - 1u, m.hdr.h32, m.hdr.h16a,
-                  m.hdr.h16b, gaps);
-    undelta(m.first, gaps, m.count, out);
-  }
-
-  std::uint64_t encoded_bits(std::span<const DocId> block,
-                             const EncodeOptions&) const override {
-    std::vector<std::uint32_t> gaps;
-    gaps_of(block, gaps);
-    return repair_encoded_bits(gaps);
-  }
-};
-
 constexpr Scheme kAllSchemes[kNumSchemes] = {
-    Scheme::kPForDelta, Scheme::kEliasFano,  Scheme::kVarByte,
-    Scheme::kSimple16,  Scheme::kBitPack128, Scheme::kRePair,
+    Scheme::kPForDelta,
+    Scheme::kEliasFano,
+    Scheme::kVarByte,
+    Scheme::kSimple16,
 };
 
 }  // namespace
@@ -277,15 +211,11 @@ const PostingCodec& codec_for(Scheme s) {
   static const EFCodec ef;
   static const VByteCodec vbyte;
   static const Simple16Codec simple16;
-  static const BP128Codec bp128;
-  static const RePairCodec repair;
   switch (s) {
     case Scheme::kPForDelta: return pfor;
     case Scheme::kEliasFano: return ef;
     case Scheme::kVarByte: return vbyte;
     case Scheme::kSimple16: return simple16;
-    case Scheme::kBitPack128: return bp128;
-    case Scheme::kRePair: return repair;
   }
   return ef;  // unreachable for valid tags
 }

@@ -70,10 +70,12 @@ std::span<const Scheme> all_schemes();
 Scheme select_scheme(std::span<const DocId> docids);
 
 /// Tie-break preference order for select_scheme: GPU-parallel and
-/// vector-friendly decoders before byte/selector/grammar codecs.
+/// vector-friendly decoders before the selector and byte codecs.
 inline constexpr Scheme kSelectionOrder[kNumSchemes] = {
-    Scheme::kEliasFano, Scheme::kPForDelta, Scheme::kBitPack128,
-    Scheme::kSimple16,  Scheme::kVarByte,   Scheme::kRePair,
+    Scheme::kEliasFano,
+    Scheme::kPForDelta,
+    Scheme::kSimple16,
+    Scheme::kVarByte,
 };
 
 }  // namespace griffin::codec

@@ -14,19 +14,15 @@ namespace griffin::core {
 namespace {
 
 /// GPU decode penalty per posting (ns) on top of the memory-traffic term:
-/// zero for the codecs with fully lane-parallel kernels, small for
-/// PForDelta's serial exception walk, and large for the codecs gpu/decode.h
-/// can only run on lane 0 (the rest of the warp idles) or that chase
-/// grammar pointers divergently (Re-Pair).
+/// zero for EF's fully lane-parallel kernel, small for PForDelta's serial
+/// exception walk, and large for the codecs gpu/decode.h can only run on
+/// lane 0 (the rest of the warp idles).
 double gpu_decode_penalty_ns(codec::Scheme s) {
   switch (s) {
     case codec::Scheme::kEliasFano:
-    case codec::Scheme::kBitPack128:
       return 0.0;
     case codec::Scheme::kPForDelta:
       return 0.05;
-    case codec::Scheme::kRePair:
-      return 1.2;
     case codec::Scheme::kSimple16:
       return 0.8;
     case codec::Scheme::kVarByte:

@@ -132,9 +132,7 @@ struct LoopCost {
 inline LoopCost decode_cost(const sim::CpuSpec& s, codec::Scheme scheme) {
   switch (scheme) {
     case codec::Scheme::kPForDelta:
-    case codec::Scheme::kBitPack128:
-      // Slot unpack + vectorized delta prefix-sum; BP128 is PForDelta's
-      // fast path with the exception patching deleted.
+      // Slot unpack + vectorized delta prefix-sum.
       return {.scalar = s.pfor_decode_cycles,
               .ops = kUnpackOps + kDeltaOps,
               .shuffles = kDeltaShuffles,
@@ -148,11 +146,6 @@ inline LoopCost decode_cost(const sim::CpuSpec& s, codec::Scheme scheme) {
       // Unpacks ~a word of values per selector-switch dispatch: very fast,
       // and not lane-parallel.
       return {.scalar = 1.8, .vectorized = false};
-    case codec::Scheme::kRePair:
-      // Grammar expansion: per output element a stack pop, a terminal /
-      // nonterminal branch and a data-dependent rule fetch. Pointer
-      // chasing does not vectorize.
-      return {.scalar = 2.5, .vectorized = false};
     case codec::Scheme::kEliasFano:
       break;
   }

@@ -28,122 +28,6 @@ void scan_and_store(simt::Block& blk, const BlockDesc& d,
   });
 }
 
-void bp128_decode_one_block(simt::Block& blk, const DeviceList& list,
-                            const BlockDesc& d, std::uint64_t desc_index,
-                            simt::DeviceBuffer<DocId>& out,
-                            std::uint64_t out_pos) {
-  const std::uint8_t b = d.hdr.b;
-  const std::uint32_t n_gaps = d.count > 0 ? d.count - 1u : 0u;
-  auto gaps = blk.shared<std::uint32_t>(std::max<std::uint32_t>(n_gaps, 1));
-
-  blk.for_each_thread([&](simt::Thread& t) {
-    if (t.tid() == 0) (void)t.load(list.descs, desc_index);
-  });
-
-  // The whole payload is one fixed-width slot array: every lane unpacks its
-  // slot with no patching phase at all — PForDelta's kernel minus the
-  // serial exception walk it exists to avoid.
-  blk.for_each_thread([&](simt::Thread& t) {
-    if (t.tid() >= n_gaps) return;
-    const std::uint32_t slot =
-        b == 0 ? 0
-               : static_cast<std::uint32_t>(load_bits(
-                     t, list.blob,
-                     d.bit_offset + static_cast<std::uint64_t>(t.tid()) * b,
-                     b));
-    t.sstore(std::span<std::uint32_t>(gaps), t.tid(), slot);
-  });
-
-  scan_and_store(blk, d, gaps, n_gaps, out, out_pos);
-}
-
-void repair_decode_one_block(simt::Block& blk, const DeviceList& list,
-                             const BlockDesc& d, std::uint64_t desc_index,
-                             simt::DeviceBuffer<DocId>& out,
-                             std::uint64_t out_pos) {
-  const std::uint8_t b = d.hdr.b;
-  const std::uint16_t n_rules = d.hdr.h16a;
-  const std::uint16_t n_seq = d.hdr.h16b;
-  const std::uint32_t n_dict = d.hdr.h32;
-  const std::uint32_t n_gaps = d.count > 0 ? d.count - 1u : 0u;
-  const std::uint64_t rules_start = d.bit_offset + 32ull * n_dict;
-  const std::uint64_t seq_start =
-      rules_start + static_cast<std::uint64_t>(b) * 2 * n_rules;
-
-  auto gaps = blk.shared<std::uint32_t>(std::max<std::uint32_t>(n_gaps, 1));
-  auto lens = blk.shared<std::uint32_t>(std::max<std::uint16_t>(n_seq, 1));
-
-  blk.for_each_thread([&](simt::Thread& t) {
-    if (t.tid() == 0) (void)t.load(list.descs, desc_index);
-  });
-
-  // Grammar traversal from a thread: expansion is data-dependent pointer
-  // chasing (divergent, uncoalesced rule fetches) — the honest cost of a
-  // grammar codec on a warp machine. emit == nullptr counts only.
-  auto expand = [&](simt::Thread& t, std::uint32_t sym, std::uint32_t* emit) {
-    std::uint32_t stack[1 << 12];  // depth <= n_rules + 1
-    int top = 0;
-    stack[top++] = sym;
-    std::uint32_t produced = 0;
-    while (top > 0) {
-      const std::uint32_t s = stack[--top];
-      t.charge(simt::kAluCycle);  // terminal test + stack bookkeeping
-      if (s < n_dict) {
-        if (emit != nullptr) {
-          emit[produced] = static_cast<std::uint32_t>(
-              load_bits(t, list.blob, d.bit_offset + 32ull * s, 32));
-        }
-        ++produced;
-      } else {
-        const std::uint64_t rp =
-            rules_start + static_cast<std::uint64_t>(s - n_dict) * 2 * b;
-        const auto l =
-            static_cast<std::uint32_t>(load_bits(t, list.blob, rp, b));
-        const auto r =
-            static_cast<std::uint32_t>(load_bits(t, list.blob, rp + b, b));
-        stack[top++] = r;  // right expands after left
-        stack[top++] = l;
-      }
-    }
-    return produced;
-  };
-
-  auto seq_symbol = [&](simt::Thread& t, std::uint32_t i) {
-    return b == 0 ? 0u
-                  : static_cast<std::uint32_t>(load_bits(
-                        t, list.blob,
-                        seq_start + static_cast<std::uint64_t>(i) * b, b));
-  };
-
-  // Phase 1: one lane per top-level symbol measures its expansion length.
-  blk.for_each_thread([&](simt::Thread& t) {
-    if (t.tid() >= n_seq) return;
-    const std::uint32_t len = expand(t, seq_symbol(t, t.tid()), nullptr);
-    t.sstore(std::span<std::uint32_t>(lens), t.tid(), len);
-  });
-
-  // Phase 2: prefix sum assigns each symbol its output offset.
-  if (n_seq > 0) {
-    simt::block_inclusive_scan(blk, lens.subspan(0, n_seq));
-  }
-
-  // Phase 3: re-expand, scattering gap values at the assigned offsets.
-  blk.for_each_thread([&](simt::Thread& t) {
-    if (t.tid() >= n_seq) return;
-    const std::uint32_t begin =
-        t.tid() == 0
-            ? 0
-            : t.sload(std::span<const std::uint32_t>(lens), t.tid() - 1);
-    std::uint32_t buf[1 << 12];
-    const std::uint32_t len = expand(t, seq_symbol(t, t.tid()), buf);
-    for (std::uint32_t i = 0; i < len; ++i) {
-      t.sstore(std::span<std::uint32_t>(gaps), begin + i, buf[i]);
-    }
-  });
-
-  scan_and_store(blk, d, gaps, n_gaps, out, out_pos);
-}
-
 void serial_decode_one_block(simt::Block& blk, const DeviceList& list,
                              const BlockDesc& d, std::uint64_t desc_index,
                              simt::DeviceBuffer<DocId>& out,
@@ -212,12 +96,6 @@ void decode_one_block(simt::Block& blk, const DeviceList& list,
       break;
     case codec::Scheme::kPForDelta:
       pfor_decode_one_block(blk, list, d, desc_index, out, out_pos);
-      break;
-    case codec::Scheme::kBitPack128:
-      bp128_decode_one_block(blk, list, d, desc_index, out, out_pos);
-      break;
-    case codec::Scheme::kRePair:
-      repair_decode_one_block(blk, list, d, desc_index, out, out_pos);
       break;
     case codec::Scheme::kVarByte:
     case codec::Scheme::kSimple16:

@@ -2,13 +2,10 @@
 // SIMT block decodes one posting block with the body its scheme wants:
 // Para-EF (paper Algorithm 1, gpu/ef_decode.cpp), the PForDelta kernel
 // whose serial exception walk is the paper's negative result
-// (gpu/pfor_decode.cpp), a BP128 kernel (slot unpack + block scan, no
-// exception walk — the codec built for warps), a Re-Pair kernel
-// (per-symbol grammar expansion with honest divergence charges), and a
-// serial lane-0 fallback for the byte/selector codecs (VByte, Simple16)
-// that have no lane-parallel structure — decoding those on the device is
-// priced, not hidden, which is exactly what the scheduler's per-codec
-// penalty models.
+// (gpu/pfor_decode.cpp), and a serial lane-0 fallback for the
+// byte/selector codecs (VByte, Simple16) that have no lane-parallel
+// structure — decoding those on the device is priced, not hidden, which is
+// exactly what the scheduler's per-codec penalty models.
 //
 // Both entry points send every block through one record-or-replay step: a
 // block's first decode from a device copy runs its body and records the
@@ -47,14 +44,6 @@ void pfor_decode_one_block(simt::Block& blk, const DeviceList& list,
                            const BlockDesc& d, std::uint64_t desc_index,
                            simt::DeviceBuffer<DocId>& out,
                            std::uint64_t out_pos);
-void bp128_decode_one_block(simt::Block& blk, const DeviceList& list,
-                            const BlockDesc& d, std::uint64_t desc_index,
-                            simt::DeviceBuffer<DocId>& out,
-                            std::uint64_t out_pos);
-void repair_decode_one_block(simt::Block& blk, const DeviceList& list,
-                             const BlockDesc& d, std::uint64_t desc_index,
-                             simt::DeviceBuffer<DocId>& out,
-                             std::uint64_t out_pos);
 void serial_decode_one_block(simt::Block& blk, const DeviceList& list,
                              const BlockDesc& d, std::uint64_t desc_index,
                              simt::DeviceBuffer<DocId>& out,

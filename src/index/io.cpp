@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 namespace griffin::index {
 
@@ -60,6 +61,18 @@ std::vector<T> read_vec(std::FILE* f) {
   return v;
 }
 
+/// Reads a scheme tag; throws unless it names a registered codec (a tag no
+/// codec owns would otherwise reach codec::codec_for and decode as garbage).
+codec::Scheme read_scheme(std::FILE* f) {
+  const auto tag = read_pod<std::uint8_t>(f);
+  for (const codec::Scheme s : codec::all_schemes()) {
+    if (static_cast<std::uint8_t>(s) == tag) return s;
+  }
+  std::string msg = "index load: unknown scheme tag ";
+  msg += std::to_string(tag);
+  throw std::runtime_error(msg);
+}
+
 void write_meta(std::FILE* f, const codec::BlockMeta& m) {
   write_pod<std::uint32_t>(f, m.first);
   write_pod<std::uint32_t>(f, m.last);
@@ -78,7 +91,7 @@ codec::BlockMeta read_meta(std::FILE* f) {
   m.last = read_pod<std::uint32_t>(f);
   m.bit_offset = read_pod<std::uint64_t>(f);
   m.count = read_pod<std::uint16_t>(f);
-  m.hdr.scheme = static_cast<codec::Scheme>(read_pod<std::uint8_t>(f));
+  m.hdr.scheme = read_scheme(f);
   m.hdr.b = read_pod<std::uint8_t>(f);
   m.hdr.h16a = read_pod<std::uint16_t>(f);
   m.hdr.h16b = read_pod<std::uint16_t>(f);
@@ -133,7 +146,7 @@ InvertedIndex load_index(const std::string& path) {
     throw std::runtime_error("index load: version mismatch");
   }
   CodecPolicy policy;
-  policy.fixed = static_cast<codec::Scheme>(read_pod<std::uint8_t>(f.get()));
+  policy.fixed = read_scheme(f.get());
   policy.adaptive = read_pod<std::uint8_t>(f.get()) != 0;
 
   InvertedIndex idx(policy);
@@ -147,14 +160,17 @@ InvertedIndex load_index(const std::string& path) {
   const auto nterms = read_pod<std::uint64_t>(f.get());
   for (std::uint64_t t = 0; t < nterms; ++t) {
     const auto size = read_pod<std::uint64_t>(f.get());
-    const auto scheme =
-        static_cast<codec::Scheme>(read_pod<std::uint8_t>(f.get()));
+    const codec::Scheme scheme = read_scheme(f.get());
     auto blob = read_vec<std::uint64_t>(f.get());
     std::vector<codec::BlockMeta> metas;
     const auto nmetas = read_pod<std::uint64_t>(f.get());
     metas.reserve(nmetas);
     for (std::uint64_t i = 0; i < nmetas; ++i) {
       metas.push_back(read_meta(f.get()));
+      if (metas.back().hdr.scheme != scheme) {
+        throw std::runtime_error(
+            "index load: a block's scheme tag differs from its list's");
+      }
     }
     PostingList pl;
     pl.docids = codec::BlockCompressedList::from_parts(

@@ -15,7 +15,9 @@ namespace griffin::index {
 void save_index(const InvertedIndex& idx, const std::string& path);
 
 /// Reads an index previously written by save_index. Throws
-/// std::runtime_error on IO failure or a format/version mismatch.
+/// std::runtime_error on IO failure, a format/version mismatch, or a scheme
+/// tag (policy, list or block header) that names no codec in
+/// codec::all_schemes() or a block tag that differs from its list's.
 InvertedIndex load_index(const std::string& path);
 
 }  // namespace griffin::index

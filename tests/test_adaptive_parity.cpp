@@ -20,7 +20,7 @@ namespace {
 
 workload::CorpusConfig parity_corpus_config() {
   workload::CorpusConfig cfg = testutil::small_corpus_config();
-  // Small enough that building seven variants (adaptive + six forced) stays
+  // Small enough that building five variants (adaptive + four forced) stays
   // cheap; the list-length mix still spans both crossover regimes.
   cfg.num_docs = 20'000;
   cfg.num_terms = 30;

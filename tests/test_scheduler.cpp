@@ -163,29 +163,26 @@ TEST(Scheduler, CpuEstimateFollowsCodecLaneModel) {
   const auto vbyte =
       sched.estimate_cpu(shape_with_scheme(1'000'000, 2'000'000,
                                            codec::Scheme::kVarByte));
-  const auto repair =
+  const auto simple16 =
       sched.estimate_cpu(shape_with_scheme(1'000'000, 2'000'000,
-                                           codec::Scheme::kRePair));
+                                           codec::Scheme::kSimple16));
   EXPECT_LT(ef.ps(), vbyte.ps());
-  // Re-Pair's expansion is mode-independent (it never vectorizes), so its
-  // estimate lands near — but not on — the vector-friendly codecs'.
-  EXPECT_NE(ef.ps(), repair.ps());
+  // Simple16's selector dispatch never vectorizes: its estimate follows its
+  // own per-element cost, not EF's.
+  EXPECT_NE(ef.ps(), simple16.ps());
 }
 
 TEST(Scheduler, GpuEstimatePenalizesSerialFallbackCodecs) {
   Scheduler sched;
   // VByte and Simple16 have no lane-parallel device kernel (gpu/decode.h
   // falls back to a lane-0 loop), so their GPU estimates must exceed the
-  // GPU-parallel codecs'; EF and BP128 pay no penalty at all.
+  // GPU-parallel codecs'.
   const auto ef = sched.estimate_gpu(
       shape_with_scheme(1'000'000, 2'000'000, codec::Scheme::kEliasFano));
-  const auto bp128 = sched.estimate_gpu(
-      shape_with_scheme(1'000'000, 2'000'000, codec::Scheme::kBitPack128));
   const auto vbyte = sched.estimate_gpu(
       shape_with_scheme(1'000'000, 2'000'000, codec::Scheme::kVarByte));
   const auto simple16 = sched.estimate_gpu(
       shape_with_scheme(1'000'000, 2'000'000, codec::Scheme::kSimple16));
-  EXPECT_EQ(ef.ps(), bp128.ps());
   EXPECT_GT(vbyte.ps(), ef.ps());
   EXPECT_GT(simple16.ps(), ef.ps());
 }

@@ -144,9 +144,7 @@ TEST(SimdLoopCost, ChargeAgreesWithPerElementForEveryLoop) {
         {"pfor", gc::simd::decode_cost(spec, Scheme::kPForDelta), true},
         {"ef", gc::simd::decode_cost(spec, Scheme::kEliasFano), false},
         {"vbyte", gc::simd::decode_cost(spec, Scheme::kVarByte), false},
-        {"simple16", gc::simd::decode_cost(spec, Scheme::kSimple16), false},
-        {"bp128", gc::simd::decode_cost(spec, Scheme::kBitPack128), true},
-        {"repair", gc::simd::decode_cost(spec, Scheme::kRePair), false}};
+        {"simple16", gc::simd::decode_cost(spec, Scheme::kSimple16), false}};
     for (const Loop& l : loops) {
       sim::CpuCostAccumulator acc(spec);
       gc::simd::charge(acc, n, l.cost);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "codec/block_codec.h"
+#include "codec/codec.h"
 #include "core/hybrid_engine.h"
 #include "engine_test_util.h"
 #include "util/rng.h"
@@ -25,10 +26,6 @@ using core::QueryResult;
 using core::SchedulerPolicy;
 
 namespace {
-
-constexpr Scheme kAllSchemes[] = {Scheme::kPForDelta,   Scheme::kEliasFano,
-                                  Scheme::kVarByte,     Scheme::kSimple16,
-                                  Scheme::kBitPack128,  Scheme::kRePair};
 
 /// One small corpus per codec, built once per binary (same shape as
 /// testutil::small_corpus_config, re-keyed by scheme).
@@ -131,7 +128,7 @@ TEST_P(SplitParityParam, SplitMatchesCpuAndGpuAcrossPresets) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, SplitParityParam,
-                         ::testing::ValuesIn(kAllSchemes));
+                         ::testing::ValuesIn(codec::all_schemes()));
 
 // ---- A device fault on the GPU leg of a split (DESIGN.md §16): the CPU
 // ---- leg's partial survives, the lost range is redone host-side, and the
@@ -195,7 +192,7 @@ TEST_P(SplitLegFaultParam, LostGpuLegIsRedoneBitIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, SplitLegFaultParam,
-                         ::testing::ValuesIn(kAllSchemes));
+                         ::testing::ValuesIn(codec::all_schemes()));
 
 // ---- Split steps really execute as splits (the parity above would pass
 // ---- vacuously if kAlwaysSplit silently fell back to one processor).
